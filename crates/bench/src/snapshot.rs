@@ -587,7 +587,8 @@ fn suite_xenstore_commit(timer: &dyn WallTimer, cfg: &BenchConfig, out: &mut Vec
 }
 
 /// O(1) snapshot scaling: nodes copied per snapshot and per first write at
-/// each store size, plus snapshot throughput at the largest size.
+/// each store size, entries copied per write under one flat directory, plus
+/// snapshot throughput at the largest size.
 fn suite_xenstore_snapshot(timer: &dyn WallTimer, cfg: &BenchConfig, out: &mut Vec<Metric>) {
     const SUITE: &str = "xenstore_snapshot";
     for &keys in &cfg.snapshot_sizes {
@@ -609,6 +610,16 @@ fn suite_xenstore_snapshot(timer: &dyn WallTimer, cfg: &BenchConfig, out: &mut V
             &format!("copied_by_one_write@{keys}"),
             "nodes",
             p.copied_by_one_write as f64,
+        ));
+    }
+    // One flat directory at the two fan-outs the benchmark of record times
+    // a write under: the entries a write copies must not follow the width.
+    for children in [64, 4_096] {
+        out.push(Metric::virt(
+            SUITE,
+            &format!("entries_copied_by_one_write@{children}"),
+            "entries",
+            xenstore_storm::flat_directory_entries_copied(children) as f64,
         ));
     }
     // Wall: take snapshots of the largest store; O(1) means this rate is

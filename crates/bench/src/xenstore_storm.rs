@@ -218,6 +218,33 @@ pub fn snapshot_point(keys: usize) -> SnapshotPoint {
     }
 }
 
+/// Child-map entries (name + pointer pairs) one write copies under a
+/// single flat directory of `children` leaves. The bucketed layout of
+/// [`snapshot_point`] never has a directory wider than 64, so node counts
+/// alone cannot show what a write costs under a wide one: the spine is
+/// three nodes at any fan-out, but copying the directory node copies some
+/// of its entries — all of them under a per-node `BTreeMap`, one chunk
+/// under the persistent child map.
+pub fn flat_directory_entries_copied(children: usize) -> usize {
+    let mut tree = Tree::new();
+    for i in 0..children {
+        tree.write(
+            DomId::DOM0,
+            &Path::parse(&format!("/flat/k{i}")).expect("valid path"),
+            b"seed",
+        )
+        .expect("prepopulation writes succeed");
+    }
+    let snapshot = tree.clone();
+    tree.write(
+        DomId::DOM0,
+        &Path::parse(&format!("/flat/k{}", children / 2)).expect("valid path"),
+        b"mutated",
+    )
+    .expect("the write succeeds");
+    tree.node_count() - 1 - tree.shared_entry_count(&snapshot)
+}
+
 /// The store sizes (leaf-key counts) the snapshot sweep covers.
 pub fn snapshot_sizes() -> Vec<usize> {
     vec![100, 1_000, 10_000, 50_000]
@@ -341,6 +368,15 @@ mod tests {
             }
             last_write_cost = Some(p.copied_by_one_write);
         }
+    }
+
+    #[test]
+    fn entries_copied_by_a_write_do_not_grow_with_the_directory() {
+        let narrow = flat_directory_entries_copied(64);
+        let wide = flat_directory_entries_copied(4_096);
+        // The root's one entry plus one chunk of the directory's.
+        assert_eq!(narrow, 65);
+        assert!(wide <= narrow, "narrow {narrow}, wide {wide}");
     }
 
     #[test]

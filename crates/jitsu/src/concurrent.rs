@@ -454,6 +454,12 @@ impl ConcurrentJitsud {
         self.launcher.toolstack.xenstore_stats()
     }
 
+    /// The shared XenStore, read-only (for inspecting what a storm left in
+    /// it once drained).
+    pub fn xenstore(&self) -> &xenstore::XenStore {
+        &self.launcher.toolstack.xenstore
+    }
+
     /// The directory service (for inspecting phases and counters).
     pub fn directory(&self) -> &DirectoryService {
         &self.directory

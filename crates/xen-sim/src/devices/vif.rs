@@ -173,6 +173,19 @@ impl VifDevice {
         board.scale_cpu(SimDuration::from_micros(830))
     }
 
+    /// The dom0 directory holding every vif backend of `dom`:
+    /// `/local/domain/0/backend/vif/<domid>`. It sits under dom0's home, so
+    /// removing the guest's home when the guest is destroyed leaves it
+    /// behind; the toolstack removes it by name.
+    pub fn backend_home(dom: DomId) -> String {
+        format!(
+            "/local/domain/{}/backend/{}/{}",
+            DomId::DOM0.0,
+            DeviceKind::Vif.dir_name(),
+            dom.0
+        )
+    }
+
     /// Tear the device down (guest shutdown): detach from the bridge and
     /// mark both ends closed.
     pub fn close(&mut self, xs: &mut XenStore, bridge: &mut Bridge) -> XsResult<()> {
@@ -267,6 +280,16 @@ mod tests {
         assert!(vif.bridge_port.is_none());
         let fe = frontend_path(DomId(5), DeviceKind::Vif, 0);
         assert_eq!(read_state(&mut xs, DomId::DOM0, &fe), XenbusState::Closed);
+    }
+
+    #[test]
+    fn backend_home_is_the_parent_of_every_backend_path() {
+        let home = VifDevice::backend_home(DomId(5));
+        assert_eq!(home, "/local/domain/0/backend/vif/5");
+        for index in [0, 1] {
+            let be = backend_path(DomId::DOM0, DomId(5), DeviceKind::Vif, index);
+            assert_eq!(be, format!("{home}/{index}"));
+        }
     }
 
     #[test]

@@ -461,6 +461,14 @@ impl Toolstack {
         let _ = d.transition(DomainState::Destroyed);
         if let Some(mut vif) = self.vifs.remove(&dom) {
             let _ = vif.close(&mut self.xenstore, &mut self.bridge);
+            // The backend half of the vif lives under dom0's home, which
+            // `domain_destroyed` below (it removes the *guest's* home) never
+            // sees. Left behind, it grows `backend/vif` by one directory
+            // per domain ever created.
+            // jitsu-lint: allow(R001, "teardown must run to the end; a backend directory that is already gone needs no removal")
+            let _ = self
+                .xenstore
+                .rm(DomId::DOM0, None, &VifDevice::backend_home(dom));
         }
         self.consoles.remove(&dom);
         self.builder.release(dom);
@@ -611,6 +619,13 @@ mod tests {
                 &format!("/local/domain/{}", report.dom.0)
             )
             .unwrap());
+        assert_eq!(
+            ts.xenstore
+                .directory(DomId::DOM0, None, "/local/domain/0/backend/vif")
+                .unwrap(),
+            Vec::<String>::new(),
+            "the vif backend under dom0's home goes with the domain"
+        );
         assert_eq!(
             ts.destroy(report.dom),
             Err(ToolstackError::UnknownDomain(report.dom))

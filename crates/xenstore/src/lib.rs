@@ -8,11 +8,13 @@
 //! This crate reimplements the store from scratch:
 //!
 //! * a **persistent, structurally shared** path/tree model with per-node
-//!   permissions ([`path`], [`node`], [`tree`], [`perms`]) — snapshots are
-//!   O(1) pointer copies, mutations copy only the root-to-leaf path, and
-//!   [`tree::TreeDiff`] computes structural diffs that skip shared subtrees
-//!   in O(1) — including Jitsu's *create-restricted* directory extension
-//!   (§3.2.3 of the paper, analogous to POSIX setgid+sticky),
+//!   permissions ([`path`], [`node`], [`children`], [`tree`], [`perms`]) —
+//!   snapshots are O(1) pointer copies, mutations copy only the
+//!   root-to-leaf path (and of each directory on it one chunk of entries,
+//!   whatever its fan-out), and [`tree::TreeDiff`] computes structural
+//!   diffs that skip shared subtrees in O(1) — including Jitsu's
+//!   *create-restricted* directory extension (§3.2.3 of the paper,
+//!   analogous to POSIX setgid+sticky),
 //! * watches ([`watch`]) — notification callbacks on subtree modification,
 //! * per-domain quotas ([`quota`]),
 //! * a binary wire protocol ([`wire`]) mirroring `xsd_sockmsg`,
@@ -50,6 +52,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod children;
 pub mod engine;
 pub mod error;
 pub mod node;
@@ -62,6 +65,7 @@ pub mod tree;
 pub mod watch;
 pub mod wire;
 
+pub use children::ChildMap;
 pub use engine::{CostModel, EngineKind, TxnEngine};
 pub use error::{Error, Result};
 pub use node::Node;

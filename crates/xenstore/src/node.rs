@@ -6,10 +6,12 @@
 //! snapshot is therefore an O(1) root copy, and a mutation copies only the
 //! nodes on the root-to-leaf path it touches (path copying) while every
 //! untouched sibling subtree stays shared between the snapshot and the live
-//! tree.
+//! tree. Copying a node copies its [`ChildMap`]'s chunk pointers, not its
+//! entries, so the cost of a write does not grow with the fan-out of the
+//! directories above it.
 
+use crate::children::ChildMap;
 use crate::perms::Permissions;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Maximum size of a node's value, matching the classic XenStore payload
@@ -23,9 +25,9 @@ pub struct Node {
     /// The node's value (may be empty — directories usually are).
     pub value: Vec<u8>,
     /// Children keyed by component name, each behind an [`Arc`] so sibling
-    /// subtrees are structurally shared across snapshots. `BTreeMap` keeps
-    /// directory listings deterministic.
-    pub children: BTreeMap<String, Arc<Node>>,
+    /// subtrees are structurally shared across snapshots. The map iterates
+    /// in name order, which keeps directory listings deterministic.
+    pub children: ChildMap<Arc<Node>>,
     /// Access control for this node.
     pub perms: Permissions,
     /// Store generation at which this node was created.
@@ -41,7 +43,7 @@ impl Node {
     pub fn new(perms: Permissions, gen: u64) -> Node {
         Node {
             value: Vec::new(),
-            children: BTreeMap::new(),
+            children: ChildMap::new(),
             perms,
             created_gen: gen,
             modified_gen: gen,
@@ -60,7 +62,7 @@ impl Node {
 
     /// Child names in deterministic (sorted) order.
     pub fn child_names(&self) -> Vec<String> {
-        self.children.keys().cloned().collect()
+        self.children.keys().map(str::to_string).collect()
     }
 
     /// True if the node has no children.
@@ -90,12 +92,12 @@ mod tests {
         let mut root = Node::new(Permissions::owned_by(DomId::DOM0), 0);
         let mut a = Node::new(Permissions::owned_by(DomId::DOM0), 1);
         a.children.insert(
-            "x".into(),
+            "x",
             Arc::new(Node::new(Permissions::owned_by(DomId::DOM0), 2)),
         );
-        root.children.insert("a".into(), Arc::new(a));
+        root.children.insert("a", Arc::new(a));
         root.children.insert(
-            "b".into(),
+            "b",
             Arc::new(Node::new(Permissions::owned_by(DomId::DOM0), 3)),
         );
         assert_eq!(root.subtree_size(), 4);
@@ -107,10 +109,14 @@ mod tests {
     fn cloning_a_node_shares_child_subtrees() {
         let mut root = Node::new(Permissions::owned_by(DomId::DOM0), 0);
         let child = Arc::new(Node::new(Permissions::owned_by(DomId::DOM0), 1));
-        root.children.insert("a".into(), Arc::clone(&child));
+        root.children.insert("a", Arc::clone(&child));
         let copy = root.clone();
-        // The clone holds a pointer to the same child allocation.
-        assert!(Arc::ptr_eq(&root.children["a"], &copy.children["a"]));
-        assert_eq!(Arc::strong_count(&child), 3);
+        // Both nodes hold a pointer to the one child allocation.
+        for node in [&root, &copy] {
+            assert!(node
+                .children
+                .get("a")
+                .is_some_and(|c| Arc::ptr_eq(c, &child)));
+        }
     }
 }

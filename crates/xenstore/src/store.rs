@@ -246,8 +246,12 @@ impl XenStore {
     /// transactional commits pass `None` and fire the net diff only.
     fn settle(&mut self, diff: &TreeDiff, before: &Tree, fire: bool, also_fire: Option<&Path>) {
         for (dom, delta) in Self::owner_deltas(diff, before, &self.tree) {
-            let count = self.owned.entry(dom).or_insert(0);
-            *count = count.saturating_add_signed(delta);
+            // A domain that owns nothing has no entry: domids are never
+            // reused, so zero counts would otherwise pile up for ever.
+            match self.owned_nodes(DomId(dom)).saturating_add_signed(delta) {
+                0 => self.owned.remove(&dom),
+                count => self.owned.insert(dom, count),
+            };
         }
         if fire {
             let changed = diff.changed_paths();
@@ -255,7 +259,7 @@ impl XenStore {
                 self.stats.watch_events += self.watches.fire(path) as u64;
             }
             if let Some(path) = also_fire {
-                if !changed.contains(path) {
+                if changed.binary_search(path).is_err() {
                     self.stats.watch_events += self.watches.fire(path) as u64;
                 }
             }
@@ -940,6 +944,10 @@ mod tests {
         xs.rm(DomId::DOM0, None, "/local/domain/7").unwrap();
         assert_eq!(xs.owned_nodes(DomId(7)), 0);
         assert_eq!(xs.tree().owned_count(DomId(7)), 0);
+        assert!(
+            !xs.owned.contains_key(&7),
+            "a domain that owns nothing keeps no entry"
+        );
     }
 
     #[test]

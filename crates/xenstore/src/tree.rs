@@ -18,9 +18,12 @@
 //! node granularity, whether concurrent commits conflict.
 //!
 //! [`Tree::diff`] computes the structural difference between two trees,
-//! skipping shared subtrees in O(1) via pointer equality — the store uses it
-//! to fire watches from the committed merged tree and to keep per-domain
-//! quota accounting incremental.
+//! skipping shared subtrees — and, inside a directory, whole shared chunks
+//! of its [`crate::children::ChildMap`] — in O(1) via pointer equality. The
+//! store uses it to fire watches from the committed merged tree and to keep
+//! per-domain quota accounting incremental, on every mutation, so neither a
+//! write nor the diff after it may cost O(fan-out) of the directories on
+//! the path.
 
 use crate::error::{Error, Result};
 use crate::node::{Node, MAX_VALUE_LEN};
@@ -147,7 +150,30 @@ impl Tree {
                 return a.subtree_size();
             }
             let mut shared = 0;
-            for (name, ca) in &a.children {
+            for (name, ca) in a.children.iter() {
+                if let Some(cb) = b.children.get(name) {
+                    shared += walk(ca, cb);
+                }
+            }
+            shared
+        }
+        walk(&self.root, &other.root)
+    }
+
+    /// Number of child-map entries (name + pointer pairs) of `self` held in
+    /// storage shared with `other`: every entry under a shared node, and in
+    /// a copied node every entry of a chunk the two still share. A tree of
+    /// n nodes holds n - 1 entries, so `node_count() - 1 -
+    /// shared_entry_count(snapshot)` is how many entries a sequence of
+    /// mutations copied — the cost [`Tree::shared_node_count`] cannot see,
+    /// because copying one directory node copies some of its entries.
+    pub fn shared_entry_count(&self, other: &Tree) -> usize {
+        fn walk(a: &Arc<Node>, b: &Arc<Node>) -> usize {
+            if Arc::ptr_eq(a, b) {
+                return a.subtree_size() - 1;
+            }
+            let mut shared = a.children.shared_len(&b.children);
+            for (name, ca) in a.children.iter() {
                 if let Some(cb) = b.children.get(name) {
                     shared += walk(ca, cb);
                 }
@@ -189,38 +215,31 @@ impl Tree {
         self.get(path).is_some()
     }
 
-    fn check(&self, dom: DomId, path: &Path, access: Access) -> Result<()> {
-        match self.get(path) {
-            None => Err(Error::NoEntry(path.to_string())),
-            Some(node) => {
-                if node.perms.check(dom, access) {
-                    Ok(())
-                } else {
-                    Err(Error::PermissionDenied(path.to_string()))
-                }
-            }
+    /// The node at `path`, if it exists and `dom` holds `access` to it.
+    fn checked(&self, dom: DomId, path: &Path, access: Access) -> Result<&Node> {
+        let node = self
+            .get(path)
+            .ok_or_else(|| Error::NoEntry(path.to_string()))?;
+        if node.perms.check(dom, access) {
+            Ok(node)
+        } else {
+            Err(Error::PermissionDenied(path.to_string()))
         }
     }
 
     /// Read a node's value.
     pub fn read(&self, dom: DomId, path: &Path) -> Result<Vec<u8>> {
-        self.check(dom, path, Access::Read)?;
-        // jitsu-lint: allow(P001, "presence checked by the exists guard above")
-        Ok(self.get(path).expect("checked above").value.clone())
+        Ok(self.checked(dom, path, Access::Read)?.value.clone())
     }
 
     /// List a node's children (sorted).
     pub fn directory(&self, dom: DomId, path: &Path) -> Result<Vec<String>> {
-        self.check(dom, path, Access::Read)?;
-        // jitsu-lint: allow(P001, "presence checked by the exists guard above")
-        Ok(self.get(path).expect("checked above").child_names())
+        Ok(self.checked(dom, path, Access::Read)?.child_names())
     }
 
     /// Read a node's permissions.
     pub fn get_perms(&self, dom: DomId, path: &Path) -> Result<Permissions> {
-        self.check(dom, path, Access::Read)?;
-        // jitsu-lint: allow(P001, "presence checked by the exists guard above")
-        Ok(self.get(path).expect("checked above").perms.clone())
+        Ok(self.checked(dom, path, Access::Read)?.perms.clone())
     }
 
     /// Replace a node's permissions. Only the node owner (or dom0) may do so.
@@ -278,7 +297,7 @@ impl Tree {
                 let parent_node = self.get_mut(&parent).expect("parent exists");
                 parent_node.children.insert(
                     // jitsu-lint: allow(P001, "non-root paths always have a basename")
-                    p.basename().expect("non-root").to_string(),
+                    p.basename().expect("non-root"),
                     Arc::new(Node::new(perms, gen)),
                 );
                 parent_node.children_gen = gen;
@@ -298,11 +317,13 @@ impl Tree {
                 "value larger than {MAX_VALUE_LEN} bytes"
             )));
         }
-        if self.exists(path) {
-            self.check(dom, path, Access::Write)?;
+        if let Some(node) = self.get(path) {
+            if !node.perms.check(dom, Access::Write) {
+                return Err(Error::PermissionDenied(path.to_string()));
+            }
             let gen = self.bump();
-            // jitsu-lint: allow(P001, "presence checked by the exists guard above")
-            let node = self.get_mut(path).expect("checked above");
+            // jitsu-lint: allow(P001, "the lookup above found this node")
+            let node = self.get_mut(path).expect("found above");
             node.value = value.to_vec();
             node.modified_gen = gen;
             return Ok(());
@@ -318,7 +339,7 @@ impl Tree {
         node.value = value.to_vec();
         parent_node.children.insert(
             // jitsu-lint: allow(P001, "non-root paths always have a basename")
-            path.basename().expect("non-root").to_string(),
+            path.basename().expect("non-root"),
             Arc::new(node),
         );
         parent_node.children_gen = gen;
@@ -343,10 +364,7 @@ impl Tree {
         if path.is_root() {
             return Err(Error::Invalid("cannot remove the root node".into()));
         }
-        if !self.exists(path) {
-            return Err(Error::NoEntry(path.to_string()));
-        }
-        self.check(dom, path, Access::Write)?;
+        self.checked(dom, path, Access::Write)?;
         // jitsu-lint: allow(P001, "rm rejects the root path before this point")
         let parent = path.parent().expect("non-root");
         let gen = self.bump();
@@ -378,10 +396,8 @@ impl Tree {
     pub fn all_paths(&self) -> Vec<Path> {
         fn walk(node: &Node, prefix: &Path, out: &mut Vec<Path>) {
             out.push(prefix.clone());
-            for (name, child) in &node.children {
-                // jitsu-lint: allow(P001, "child names were validated when inserted into the tree")
-                let p = prefix.child(name).expect("stored names are valid");
-                walk(child, &p, out);
+            for (name, child) in node.children.iter() {
+                walk(child, &child_path(prefix, name), out);
             }
         }
         let mut out = Vec::new();
@@ -392,25 +408,22 @@ impl Tree {
     /// Compute the structural difference from `old` to `new`.
     ///
     /// Subtrees shared between the two trees (same `Arc` allocation) are
-    /// skipped without descending, so diffing a tree against a snapshot it
-    /// was mutated from costs O(changed paths), not O(store size). On
-    /// unrelated trees the diff degrades gracefully to a full semantic
-    /// comparison (generation counters are ignored — only value, permission
-    /// and existence changes are reported).
+    /// skipped without descending, and so is every child-map chunk the two
+    /// versions of a directory share, so diffing a tree against a snapshot
+    /// it was mutated from costs O(changed paths), not O(store size) and
+    /// not O(fan-out of the directories above a change). On unrelated
+    /// trees the diff degrades gracefully to a full semantic comparison
+    /// (generation counters are ignored — only value, permission and
+    /// existence changes are reported).
     pub fn diff(old: &Tree, new: &Tree) -> TreeDiff {
         let mut diff = TreeDiff::default();
         fn record_subtree(node: &Node, path: &Path, out: &mut Vec<(Path, DomId)>) {
             out.push((path.clone(), node.perms.owner()));
-            for (name, child) in &node.children {
-                // jitsu-lint: allow(P001, "child names were validated when inserted into the tree")
-                let p = path.child(name).expect("stored names are valid");
-                record_subtree(child, &p, out);
+            for (name, child) in node.children.iter() {
+                record_subtree(child, &child_path(path, name), out);
             }
         }
-        fn walk(old: &Arc<Node>, new: &Arc<Node>, path: &Path, diff: &mut TreeDiff) {
-            if Arc::ptr_eq(old, new) {
-                return;
-            }
+        fn walk(old: &Node, new: &Node, path: &Path, diff: &mut TreeDiff) {
             if old.value != new.value {
                 diff.value_changed.push(path.clone());
             }
@@ -420,52 +433,69 @@ impl Tree {
             // Children: a single merge-iteration over both sorted maps, so
             // every diff list comes out in globally sorted DFS order (the
             // invariant `removed_roots` and the merge's binary searches
-            // rely on).
-            let mut old_children = old.children.iter().peekable();
-            let mut new_children = new.children.iter().peekable();
+            // rely on). Shared chunks and shared children are stepped over
+            // before any `Path` is built for them: they hold no difference,
+            // and under a wide directory they are all but one of the
+            // entries.
+            let mut old_children = old.children.cursor();
+            let mut new_children = new.children.cursor();
             loop {
-                let order = match (old_children.peek(), new_children.peek()) {
-                    (None, None) => break,
-                    (Some(_), None) => std::cmp::Ordering::Less,
-                    (None, Some(_)) => std::cmp::Ordering::Greater,
-                    (Some((old_name, _)), Some((new_name, _))) => old_name.cmp(new_name),
+                if old_children.skip_shared_chunk(&mut new_children) {
+                    continue;
+                }
+                // This step consumes the smaller name, or both when equal.
+                let (gone, came) = match (old_children.peek(), new_children.peek()) {
+                    (Some(gone), Some(came)) => match gone.0.cmp(came.0) {
+                        std::cmp::Ordering::Less => (Some(gone), None),
+                        std::cmp::Ordering::Greater => (None, Some(came)),
+                        std::cmp::Ordering::Equal => (Some(gone), Some(came)),
+                    },
+                    ends => ends,
                 };
-                match order {
-                    std::cmp::Ordering::Less => {
-                        // jitsu-lint: allow(P001, "peek returned Some on this branch")
-                        let (name, old_child) = old_children.next().expect("peeked");
-                        // jitsu-lint: allow(P001, "child names were validated when inserted into the tree")
-                        let p = path.child(name).expect("stored names are valid");
-                        record_subtree(old_child, &p, &mut diff.removed);
+                match (gone, came) {
+                    (None, None) => break,
+                    (Some((name, old_child)), Some((_, new_child))) => {
+                        if !Arc::ptr_eq(old_child, new_child) {
+                            walk(old_child, new_child, &child_path(path, name), diff);
+                        }
                     }
-                    std::cmp::Ordering::Greater => {
-                        // jitsu-lint: allow(P001, "peek returned Some on this branch")
-                        let (name, new_child) = new_children.next().expect("peeked");
-                        // jitsu-lint: allow(P001, "child names were validated when inserted into the tree")
-                        let p = path.child(name).expect("stored names are valid");
-                        record_subtree(new_child, &p, &mut diff.added);
+                    (Some((name, old_child)), None) => {
+                        record_subtree(old_child, &child_path(path, name), &mut diff.removed);
                     }
-                    std::cmp::Ordering::Equal => {
-                        // jitsu-lint: allow(P001, "peek returned Some on this branch")
-                        let (name, old_child) = old_children.next().expect("peeked");
-                        // jitsu-lint: allow(P001, "peek returned Some on this branch")
-                        let (_, new_child) = new_children.next().expect("peeked");
-                        // jitsu-lint: allow(P001, "child names were validated when inserted into the tree")
-                        let p = path.child(name).expect("stored names are valid");
-                        walk(old_child, new_child, &p, diff);
+                    (None, Some((name, new_child))) => {
+                        record_subtree(new_child, &child_path(path, name), &mut diff.added);
                     }
+                }
+                if gone.is_some() {
+                    old_children.advance();
+                }
+                if came.is_some() {
+                    new_children.advance();
                 }
             }
         }
-        walk(&old.root, &new.root, &Path::root(), &mut diff);
+        if !Arc::ptr_eq(&old.root, &new.root) {
+            walk(&old.root, &new.root, &Path::root(), &mut diff);
+        }
         diff
     }
+}
+
+/// The path of the child `name` of `parent`, for names read back out of the
+/// tree.
+fn child_path(parent: &Path, name: &str) -> Path {
+    parent
+        .child(name)
+        // jitsu-lint: allow(P001, "child names were validated when inserted into the tree")
+        .expect("stored names are valid")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::children::CHUNK_MAX;
     use crate::perms::PermLevel;
+    use jitsu_sim::SimRng;
 
     fn p(s: &str) -> Path {
         Path::parse(s).unwrap()
@@ -727,6 +757,36 @@ mod tests {
     }
 
     #[test]
+    fn a_write_under_a_wide_directory_copies_the_spine_and_one_chunk() {
+        let mut t = Tree::new();
+        for i in 0..4096 {
+            t.write(DomId::DOM0, &p(&format!("/wide/k{i}/leaf")), b"v")
+                .unwrap();
+        }
+        let snap = t.clone();
+        let total = t.node_count();
+        t.write(DomId::DOM0, &p("/wide/k2000/leaf"), b"w").unwrap();
+        // Nodes: /, /wide, /wide/k2000 and the leaf, as under any fan-out.
+        assert_eq!(total - t.shared_node_count(&snap), 4);
+        // Of the wide directory's chunks, only the one holding k2000 was
+        // copied; the snapshot still shares every other.
+        let wide = &t.get(&p("/wide")).unwrap().children;
+        let (shared, chunks) = wide.shared_chunk_counts(&snap.get(&p("/wide")).unwrap().children);
+        assert!(chunks > 1, "4,096 children span many chunks");
+        assert_eq!(shared, chunks - 1);
+        // Entries: that one chunk, plus the single entries of / and k2000.
+        let copied = total - 1 - t.shared_entry_count(&snap);
+        assert!(
+            (3..=CHUNK_MAX + 2).contains(&copied),
+            "copied {copied} entries"
+        );
+        assert_eq!(
+            snap.read(DomId::DOM0, &p("/wide/k2000/leaf")).unwrap(),
+            b"v"
+        );
+    }
+
+    #[test]
     fn snapshots_are_immune_to_later_mutations() {
         let mut t = Tree::new();
         t.write(DomId::DOM0, &p("/a/b"), b"1").unwrap();
@@ -869,5 +929,102 @@ mod tests {
         b.mkdir(DomId::DOM0, &p("/x")).unwrap();
         b.write(DomId::DOM0, &p("/x"), b"1").unwrap();
         assert!(Tree::diff(&a, &b).is_empty());
+    }
+
+    /// The diff with no shortcuts: every path of either tree, looked up in
+    /// both. `all_paths` is depth-first in sorted order, so the lists come
+    /// out in the order `Tree::diff` promises.
+    fn reference_diff(old: &Tree, new: &Tree) -> TreeDiff {
+        let mut diff = TreeDiff::default();
+        for path in old.all_paths() {
+            let before = old.get(&path).unwrap();
+            match new.get(&path) {
+                None => diff.removed.push((path, before.perms.owner())),
+                Some(after) => {
+                    if before.value != after.value {
+                        diff.value_changed.push(path.clone());
+                    }
+                    if before.perms != after.perms {
+                        diff.perms_changed.push(path);
+                    }
+                }
+            }
+        }
+        for path in new.all_paths() {
+            if !old.exists(&path) {
+                let owner = new.get(&path).unwrap().perms.owner();
+                diff.added.push((path, owner));
+            }
+        }
+        diff
+    }
+
+    /// `steps` random mutations, under two wide directories (hundreds of
+    /// children, so their maps span, split and merge chunks) and one
+    /// narrow, three levels deep.
+    fn mutate(t: &mut Tree, rng: &mut SimRng, steps: usize) {
+        for step in 0..steps {
+            let dir = ["wide", "also-wide", "narrow"][rng.index(3)];
+            let fan = if dir == "narrow" { 4 } else { 400 };
+            let mut path = format!("/{dir}/n{}", rng.index(fan));
+            if rng.chance(0.5) {
+                path.push_str(&format!("/leaf{}", rng.index(3)));
+            }
+            let path = p(&path);
+            // Failures (removing what is not there) are part of the mix.
+            match rng.index(8) {
+                0 | 1 => drop(t.rm(DomId::DOM0, &path)),
+                2 => drop(t.set_perms(
+                    DomId::DOM0,
+                    &path,
+                    Permissions::owned_by(DomId(rng.index(3) as u32)),
+                )),
+                3 => drop(t.mkdir(DomId::DOM0, &path)),
+                _ => drop(t.write(DomId::DOM0, &path, &[step as u8])),
+            }
+        }
+    }
+
+    #[test]
+    fn chunk_skipping_diff_equals_the_full_walk_reference() {
+        for seed in 0..12 {
+            let mut rng = SimRng::seed_from_u64(0xD1FF ^ seed);
+            let mut old = Tree::new();
+            mutate(&mut old, &mut rng, 1_500);
+            // A pair that shares almost everything, a pair that has
+            // drifted far apart, and a pair that shares nothing.
+            let mut near = old.clone();
+            let few = 1 + rng.index(12);
+            mutate(&mut near, &mut rng, few);
+            let mut far = near.clone();
+            mutate(&mut far, &mut rng, 1_200);
+            let mut unrelated = Tree::new();
+            mutate(&mut unrelated, &mut rng, 800);
+            for new in [&old, &near, &far, &unrelated] {
+                for (from, to) in [(&old, new), (new, &old)] {
+                    let diff = Tree::diff(from, to);
+                    assert_eq!(diff, reference_diff(from, to), "seed {seed}");
+                    assert!(diff.added.is_sorted());
+                    assert!(diff.removed.is_sorted());
+                    assert!(diff.value_changed.is_sorted());
+                    assert!(diff.perms_changed.is_sorted());
+                    // Contiguity: the roots, each with its whole subtree
+                    // right behind it, are all of `removed`.
+                    let regrown: usize = diff
+                        .removed_roots()
+                        .iter()
+                        .map(|root| {
+                            let at = diff.removed.binary_search_by(|(p, _)| p.cmp(root));
+                            let subtree = &diff.removed[at.unwrap()..];
+                            subtree
+                                .iter()
+                                .take_while(|(p, _)| root.is_prefix_of(p))
+                                .count()
+                        })
+                        .sum();
+                    assert_eq!(regrown, diff.removed.len());
+                }
+            }
+        }
     }
 }
