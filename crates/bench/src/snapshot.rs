@@ -44,7 +44,7 @@ use unikernel::image::UnikernelImage;
 use unikernel::instance::UnikernelInstance;
 use xen_sim::event_channel::EventChannelTable;
 use xen_sim::grant_table::GrantTable;
-use xenstore::{DomId, EngineKind, Path, Tree};
+use xenstore::{DomId, EngineKind, Path, Tree, TreeDiff};
 
 /// Version of the `BENCH_<date>.json` schema this build writes and reads.
 pub const SCHEMA_VERSION: u64 = 1;
@@ -587,8 +587,9 @@ fn suite_xenstore_commit(timer: &dyn WallTimer, cfg: &BenchConfig, out: &mut Vec
 }
 
 /// O(1) snapshot scaling: nodes copied per snapshot and per first write at
-/// each store size, entries copied per write under one flat directory, plus
-/// snapshot throughput at the largest size.
+/// each store size, entries copied per write under one flat directory,
+/// nodes copied by a direct store write with and without a transaction
+/// open, plus snapshot throughput at the largest size.
 fn suite_xenstore_snapshot(timer: &dyn WallTimer, cfg: &BenchConfig, out: &mut Vec<Metric>) {
     const SUITE: &str = "xenstore_snapshot";
     for &keys in &cfg.snapshot_sizes {
@@ -622,6 +623,19 @@ fn suite_xenstore_snapshot(timer: &dyn WallTimer, cfg: &BenchConfig, out: &mut V
             xenstore_storm::flat_directory_entries_copied(children) as f64,
         ));
     }
+    // A direct store write copies nodes only while a transaction's
+    // snapshot shares them.
+    for (name, transaction_open) in [
+        ("copied_by_direct_write@unshared", false),
+        ("copied_by_direct_write@txn_open", true),
+    ] {
+        out.push(Metric::virt(
+            SUITE,
+            name,
+            "nodes",
+            xenstore_storm::nodes_copied_by_direct_write(transaction_open) as f64,
+        ));
+    }
     // Wall: take snapshots of the largest store; O(1) means this rate is
     // independent of the size used here.
     let largest = cfg.snapshot_sizes.iter().copied().max().unwrap_or(100);
@@ -631,6 +645,7 @@ fn suite_xenstore_snapshot(timer: &dyn WallTimer, cfg: &BenchConfig, out: &mut V
             DomId::DOM0,
             &Path::parse(&format!("/warm/b{}/k{}", i % 64, i)).expect("valid path"),
             b"seed",
+            &mut TreeDiff::default(),
         )
         .expect("prepopulation writes succeed");
     }

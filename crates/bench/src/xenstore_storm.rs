@@ -25,7 +25,7 @@
 //! Everything is deterministic: the report is a pure function of the seed.
 
 use jitsu_sim::{SimRng, Table};
-use xenstore::{DomId, EngineKind, Error as XsError, Path, Tree, XenStore};
+use xenstore::{DomId, EngineKind, Error as XsError, Path, Tree, TreeDiff, XenStore};
 
 /// One cell of the merge sweep.
 #[derive(Debug, Clone)]
@@ -196,6 +196,7 @@ pub fn snapshot_point(keys: usize) -> SnapshotPoint {
             DomId::DOM0,
             &Path::parse(&format!("/warm/b{}/k{}", i % 64, i)).expect("valid path"),
             b"seed",
+            &mut TreeDiff::default(),
         )
         .expect("prepopulation writes succeed");
     }
@@ -208,6 +209,7 @@ pub fn snapshot_point(keys: usize) -> SnapshotPoint {
             DomId::DOM0,
             &Path::parse("/warm/b0/k0").expect("valid path"),
             b"mutated",
+            &mut TreeDiff::default(),
         )
         .expect("the write succeeds");
     let copied_by_one_write = mutated.node_count() - mutated.shared_node_count(&tree);
@@ -232,6 +234,7 @@ pub fn flat_directory_entries_copied(children: usize) -> usize {
             DomId::DOM0,
             &Path::parse(&format!("/flat/k{i}")).expect("valid path"),
             b"seed",
+            &mut TreeDiff::default(),
         )
         .expect("prepopulation writes succeed");
     }
@@ -240,9 +243,32 @@ pub fn flat_directory_entries_copied(children: usize) -> usize {
         DomId::DOM0,
         &Path::parse(&format!("/flat/k{}", children / 2)).expect("valid path"),
         b"mutated",
+        &mut TreeDiff::default(),
     )
     .expect("the write succeeds");
     tree.node_count() - 1 - tree.shared_entry_count(&snapshot)
+}
+
+/// Nodes one direct `XenStore::write` copies on its way down a depth-7
+/// path. A direct op holds no pre-image of the tree, so with no transaction
+/// open nothing shares the nodes and the write lands in place (0); an open
+/// transaction's snapshot shares the root, and the write path-copies the
+/// depth + 1 nodes from the root to its target (8).
+pub fn nodes_copied_by_direct_write(transaction_open: bool) -> usize {
+    const KEY: &str = "/local/domain/3/device/vif/0/state";
+    let mut xs = XenStore::new(EngineKind::JitsuMerge);
+    xs.write(DomId::DOM0, None, KEY, b"1")
+        .expect("dom0 writes succeed");
+    if transaction_open {
+        xs.transaction_start(DomId::DOM0)
+            .expect("dom0 is exempt from the transaction quota");
+    }
+    let path = Path::parse(KEY).expect("valid path");
+    let before = xs.tree().spine(&path);
+    xs.write(DomId::DOM0, None, KEY, b"2")
+        .expect("dom0 writes succeed");
+    let after = xs.tree().spine(&path);
+    before.iter().zip(&after).filter(|(a, b)| a != b).count()
 }
 
 /// The store sizes (leaf-key counts) the snapshot sweep covers.

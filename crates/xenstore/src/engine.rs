@@ -264,6 +264,7 @@ mod tests {
     use crate::path::Path;
     use crate::perms::DomId;
     use crate::transaction::TxnOp;
+    use crate::tree::TreeDiff;
 
     fn p(s: &str) -> Path {
         Path::parse(s).unwrap()
@@ -274,8 +275,13 @@ mod tests {
     /// interleaving produced by parallel VM starts.
     fn parallel_domain_build() -> (Tree, Transaction) {
         let mut live = Tree::new();
-        live.write(DomId::DOM0, &p("/local/domain/0/name"), b"dom0")
-            .unwrap();
+        live.write(
+            DomId::DOM0,
+            &p("/local/domain/0/name"),
+            b"dom0",
+            &mut TreeDiff::default(),
+        )
+        .unwrap();
 
         let mut txn = Transaction::begin(1, DomId::DOM0, &live);
         txn.apply(TxnOp::Write {
@@ -290,10 +296,20 @@ mod tests {
         .unwrap();
 
         // Meanwhile another toolstack thread commits domain 6.
-        live.write(DomId::DOM0, &p("/local/domain/6/name"), b"unikernel-6")
-            .unwrap();
-        live.write(DomId::DOM0, &p("/local/domain/6/device/vif/0/state"), b"1")
-            .unwrap();
+        live.write(
+            DomId::DOM0,
+            &p("/local/domain/6/name"),
+            b"unikernel-6",
+            &mut TreeDiff::default(),
+        )
+        .unwrap();
+        live.write(
+            DomId::DOM0,
+            &p("/local/domain/6/device/vif/0/state"),
+            b"1",
+            &mut TreeDiff::default(),
+        )
+        .unwrap();
         (live, txn)
     }
 
@@ -342,7 +358,8 @@ mod tests {
     #[test]
     fn all_engines_conflict_on_same_path_write() {
         let mut live = Tree::new();
-        live.write(DomId::DOM0, &p("/state"), b"a").unwrap();
+        live.write(DomId::DOM0, &p("/state"), b"a", &mut TreeDiff::default())
+            .unwrap();
         let mut txn = Transaction::begin(1, DomId::DOM0, &live);
         txn.apply(TxnOp::Write {
             path: p("/state"),
@@ -350,8 +367,13 @@ mod tests {
         })
         .unwrap();
         // Concurrent write to the same node.
-        live.write(DomId::DOM0, &p("/state"), b"concurrent")
-            .unwrap();
+        live.write(
+            DomId::DOM0,
+            &p("/state"),
+            b"concurrent",
+            &mut TreeDiff::default(),
+        )
+        .unwrap();
         for kind in EngineKind::ALL {
             let engine = kind.build();
             assert!(
@@ -364,7 +386,8 @@ mod tests {
     #[test]
     fn merge_engines_conflict_when_read_value_changes() {
         let mut live = Tree::new();
-        live.write(DomId::DOM0, &p("/config"), b"v1").unwrap();
+        live.write(DomId::DOM0, &p("/config"), b"v1", &mut TreeDiff::default())
+            .unwrap();
         let mut txn = Transaction::begin(1, DomId::DOM0, &live);
         txn.note_read(&p("/config"));
         txn.apply(TxnOp::Write {
@@ -372,7 +395,8 @@ mod tests {
             value: b"from-v1".to_vec(),
         })
         .unwrap();
-        live.write(DomId::DOM0, &p("/config"), b"v2").unwrap();
+        live.write(DomId::DOM0, &p("/config"), b"v2", &mut TreeDiff::default())
+            .unwrap();
         assert!(matches!(
             MergeEngine.reconcile(&live, &txn),
             Reconcile::Conflict { .. }
@@ -403,8 +427,13 @@ mod tests {
         })
         .unwrap();
         // Concurrently, another thread creates the path we saw missing.
-        live.write(DomId::DOM0, &p("/conduit/http_server"), b"3")
-            .unwrap();
+        live.write(
+            DomId::DOM0,
+            &p("/conduit/http_server"),
+            b"3",
+            &mut TreeDiff::default(),
+        )
+        .unwrap();
         for kind in [EngineKind::Merge, EngineKind::JitsuMerge] {
             assert!(
                 matches!(
@@ -419,7 +448,8 @@ mod tests {
     #[test]
     fn read_of_missing_path_commits_when_it_stays_missing() {
         let mut live = Tree::new();
-        live.write(DomId::DOM0, &p("/other"), b"1").unwrap();
+        live.write(DomId::DOM0, &p("/other"), b"1", &mut TreeDiff::default())
+            .unwrap();
         let mut txn = Transaction::begin(1, DomId::DOM0, &live);
         txn.note_read(&p("/conduit/http_server"));
         txn.apply(TxnOp::Write {
@@ -430,7 +460,8 @@ mod tests {
         // An unrelated concurrent commit advances the store, but the absent
         // path stays absent: the dependency holds and the merge engines
         // commit.
-        live.write(DomId::DOM0, &p("/other"), b"2").unwrap();
+        live.write(DomId::DOM0, &p("/other"), b"2", &mut TreeDiff::default())
+            .unwrap();
         assert_eq!(MergeEngine.reconcile(&live, &txn), Reconcile::Commit);
         assert_eq!(JitsuMergeEngine.reconcile(&live, &txn), Reconcile::Commit);
     }
@@ -449,7 +480,8 @@ mod tests {
             value: vec![1],
         })
         .unwrap();
-        live.mkdir(DomId::DOM0, &p("/conduit/flows")).unwrap();
+        live.mkdir(DomId::DOM0, &p("/conduit/flows"), &mut TreeDiff::default())
+            .unwrap();
         assert!(matches!(
             JitsuMergeEngine.reconcile(&live, &txn),
             Reconcile::Conflict { .. }
@@ -459,7 +491,8 @@ mod tests {
     #[test]
     fn merge_engines_conflict_when_read_node_removed() {
         let mut live = Tree::new();
-        live.write(DomId::DOM0, &p("/config"), b"v1").unwrap();
+        live.write(DomId::DOM0, &p("/config"), b"v1", &mut TreeDiff::default())
+            .unwrap();
         let mut txn = Transaction::begin(1, DomId::DOM0, &live);
         txn.note_read(&p("/config"));
         txn.apply(TxnOp::Write {
@@ -467,7 +500,8 @@ mod tests {
             value: vec![1],
         })
         .unwrap();
-        live.rm(DomId::DOM0, &p("/config")).unwrap();
+        live.rm(DomId::DOM0, &p("/config"), &mut TreeDiff::default())
+            .unwrap();
         for kind in [EngineKind::Merge, EngineKind::JitsuMerge] {
             assert!(
                 matches!(
@@ -482,9 +516,12 @@ mod tests {
     #[test]
     fn merge_engines_commit_on_disjoint_updates() {
         let mut live = Tree::new();
-        live.write(DomId::DOM0, &p("/a"), b"1").unwrap();
-        live.mkdir(DomId::DOM0, &p("/b")).unwrap();
-        live.mkdir(DomId::DOM0, &p("/c")).unwrap();
+        live.write(DomId::DOM0, &p("/a"), b"1", &mut TreeDiff::default())
+            .unwrap();
+        live.mkdir(DomId::DOM0, &p("/b"), &mut TreeDiff::default())
+            .unwrap();
+        live.mkdir(DomId::DOM0, &p("/c"), &mut TreeDiff::default())
+            .unwrap();
         let mut txn = Transaction::begin(1, DomId::DOM0, &live);
         txn.apply(TxnOp::Write {
             path: p("/b/x"),
@@ -492,7 +529,8 @@ mod tests {
         })
         .unwrap();
         // Unrelated concurrent commit.
-        live.write(DomId::DOM0, &p("/c/y"), b"2").unwrap();
+        live.write(DomId::DOM0, &p("/c/y"), b"2", &mut TreeDiff::default())
+            .unwrap();
         assert_eq!(MergeEngine.reconcile(&live, &txn), Reconcile::Commit);
         assert_eq!(JitsuMergeEngine.reconcile(&live, &txn), Reconcile::Commit);
         // The serial engine still aborts.

@@ -6,23 +6,78 @@
 //! `:` (the character set accepted by the real store).
 
 use crate::error::{Error, Result};
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// Maximum length of a path accepted by the store, matching the classic
 /// XenStore limit.
 pub const MAX_PATH_LEN: usize = 3072;
 
 /// An absolute, validated XenStore path.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+///
+/// A path is a prefix of one shared, immutable buffer holding canonical
+/// text (`/a/b/c`: every component preceded by one slash, the root the
+/// empty string). Parsing allocates that buffer once; cloning, and taking
+/// [`Path::parent`] or any other ancestor, only shortens the prefix and
+/// bumps a reference count. Paths compare, sort and hash component-wise,
+/// exactly as the list of their components would.
+#[derive(Clone)]
 pub struct Path {
-    components: Vec<String>,
+    /// Canonical text of this path or of a descendant it was cut from.
+    buf: Arc<str>,
+    /// The path is `buf[..len]`; `len` is 0 or sits just before a `/` or at
+    /// the end of `buf`.
+    len: usize,
+}
+
+/// `text` cut at every slash, like `str::split('/')` but a plain byte scan:
+/// the standard splitter sets up a substring searcher, which costs more
+/// than scanning the handful of bytes a component has, and every lookup in
+/// the store walks a path's components.
+struct Pieces<'a>(Option<&'a str>);
+
+impl<'a> Iterator for Pieces<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        let rest = self.0?;
+        let slash = rest.bytes().position(|b| b == b'/');
+        self.0 = slash.map(|slash| &rest[slash + 1..]);
+        Some(&rest[..slash.unwrap_or(rest.len())])
+    }
+}
+
+/// Byte offsets of the slashes in `text`, in order.
+fn slashes(text: &str) -> impl DoubleEndedIterator<Item = usize> + '_ {
+    let bytes = text.bytes().enumerate();
+    bytes.filter_map(|(at, b)| (b == b'/').then_some(at))
 }
 
 impl Path {
     /// The root path `/`.
     pub fn root() -> Path {
+        Path::from_canonical("")
+    }
+
+    fn from_canonical(text: &str) -> Path {
         Path {
-            components: Vec::new(),
+            buf: Arc::from(text),
+            len: text.len(),
+        }
+    }
+
+    /// This path's canonical text: empty for the root, else `/a/b/c`.
+    fn text(&self) -> &str {
+        &self.buf[..self.len]
+    }
+
+    /// The ancestor whose canonical text is the first `len` bytes.
+    fn cut(&self, len: usize) -> Path {
+        Path {
+            buf: Arc::clone(&self.buf),
+            len,
         }
     }
 
@@ -39,151 +94,198 @@ impl Path {
         if !s.starts_with('/') {
             return Err(Error::Invalid(format!("path must be absolute: {s}")));
         }
-        let mut components = Vec::new();
-        for comp in s.split('/') {
+        // Doubled and trailing slashes are tolerated and dropped; text that
+        // has none is already canonical and is copied as it stands.
+        let mut canonical = true;
+        for comp in Pieces(Some(&s[1..])) {
             if comp.is_empty() {
-                continue; // leading slash / trailing slash / doubled slash
+                canonical = false;
+            } else {
+                Self::validate_component(comp)?;
             }
-            Self::validate_component(comp)?;
-            components.push(comp.to_string());
         }
-        Ok(Path { components })
+        if canonical {
+            Ok(Path::from_canonical(s))
+        } else {
+            Path::root().join(s)
+        }
     }
 
     fn validate_component(comp: &str) -> Result<()> {
+        if comp.is_empty() {
+            return Err(Error::Invalid("empty path component".into()));
+        }
         if comp == "." || comp == ".." {
             return Err(Error::Invalid(format!(
                 "relative component not allowed: {comp}"
             )));
         }
-        for c in comp.chars() {
-            let ok = c.is_ascii_alphanumeric() || matches!(c, '-' | '_' | '.' | '@' | ':' | '+');
-            if !ok {
-                return Err(Error::Invalid(format!(
-                    "invalid character {c:?} in component {comp:?}"
-                )));
-            }
+        let allowed =
+            |c: char| c.is_ascii_alphanumeric() || matches!(c, '-' | '_' | '.' | '@' | ':' | '+');
+        match comp.chars().find(|&c| !allowed(c)) {
+            None => Ok(()),
+            Some(c) => Err(Error::Invalid(format!(
+                "invalid character {c:?} in component {comp:?}"
+            ))),
         }
-        Ok(())
     }
 
     /// The path components, in order from the root.
-    pub fn components(&self) -> &[String] {
-        &self.components
+    pub fn components(&self) -> impl Iterator<Item = &str> {
+        // Canonical text opens every component with a slash; the root has
+        // no text and so no components.
+        Pieces(self.text().strip_prefix('/'))
     }
 
     /// Number of components (0 for the root).
     pub fn depth(&self) -> usize {
-        self.components.len()
+        slashes(self.text()).count()
     }
 
     /// True if this is the root path.
     pub fn is_root(&self) -> bool {
-        self.components.is_empty()
+        self.len == 0
     }
 
     /// The last component, or `None` for the root.
     pub fn basename(&self) -> Option<&str> {
-        self.components.last().map(|s| s.as_str())
+        let text = self.text();
+        slashes(text).next_back().map(|slash| &text[slash + 1..])
     }
 
     /// The parent path, or `None` for the root.
     pub fn parent(&self) -> Option<Path> {
-        if self.components.is_empty() {
-            None
-        } else {
-            Some(Path {
-                components: self.components[..self.components.len() - 1].to_vec(),
-            })
-        }
+        slashes(self.text())
+            .next_back()
+            .map(|slash| self.cut(slash))
     }
 
     /// Append a single validated component.
     pub fn child(&self, component: &str) -> Result<Path> {
         Self::validate_component(component)?;
-        let mut components = self.components.clone();
-        components.push(component.to_string());
-        Ok(Path { components })
+        Ok(Path::from_canonical(
+            &[self.text(), "/", component].concat(),
+        ))
     }
 
     /// Join with a relative suffix that may contain multiple components
     /// (e.g. `"device/vif/0"`).
     pub fn join(&self, suffix: &str) -> Result<Path> {
-        let mut components = self.components.clone();
-        for comp in suffix.split('/') {
+        let mut text = String::with_capacity(self.len + 1 + suffix.len());
+        text.push_str(self.text());
+        for comp in Pieces(Some(suffix)) {
             if comp.is_empty() {
                 continue;
             }
             Self::validate_component(comp)?;
-            components.push(comp.to_string());
+            text.push('/');
+            text.push_str(comp);
         }
-        Ok(Path { components })
+        Ok(Path::from_canonical(&text))
     }
 
     /// True if `self` is `other` or an ancestor of `other`.
     pub fn is_prefix_of(&self, other: &Path) -> bool {
-        if self.components.len() > other.components.len() {
-            return false;
-        }
-        self.components
-            .iter()
-            .zip(other.components.iter())
-            .all(|(a, b)| a == b)
+        let (mine, theirs) = (self.text(), other.text());
+        theirs.starts_with(mine) && matches!(theirs.as_bytes().get(mine.len()), None | Some(b'/'))
     }
 
     /// True if `self` is a strict ancestor of `other`.
     pub fn is_ancestor_of(&self, other: &Path) -> bool {
-        self.components.len() < other.components.len() && self.is_prefix_of(other)
+        self.len < other.len && self.is_prefix_of(other)
     }
 
-    /// Iterate over this path and all its ancestors, from the root down to
-    /// the path itself.
+    /// The ancestor (or this path itself) that has `depth` components;
+    /// this path if it has no more than that.
+    pub fn ancestor(&self, depth: usize) -> Path {
+        self.cut(slashes(self.text()).nth(depth).unwrap_or(self.len))
+    }
+
+    /// This path and all its ancestors, from the root down to the path
+    /// itself.
     pub fn ancestry(&self) -> Vec<Path> {
-        let mut out = Vec::with_capacity(self.components.len() + 1);
-        for i in 0..=self.components.len() {
-            out.push(Path {
-                components: self.components[..i].to_vec(),
-            });
-        }
+        let mut out: Vec<Path> = slashes(self.text()).map(|at| self.cut(at)).collect();
+        out.push(self.clone());
         out
     }
 
     /// The first component, or `None` for the root — used by the Jitsu
     /// transaction engine to partition conflicts by top-level directory.
     pub fn top_level(&self) -> Option<&str> {
-        self.components.first().map(|s| s.as_str())
+        self.components().next()
     }
 
     /// The common-root prefix of two paths: the longest shared ancestry.
     pub fn common_prefix(&self, other: &Path) -> Path {
-        let shared: Vec<String> = self
-            .components
-            .iter()
-            .zip(other.components.iter())
+        let shared: usize = self
+            .components()
+            .zip(other.components())
             .take_while(|(a, b)| a == b)
-            .map(|(a, _)| a.clone())
-            .collect();
-        Path { components: shared }
+            .map(|(a, _)| 1 + a.len())
+            .sum();
+        self.cut(shared)
     }
 
     /// The conventional per-domain home directory, `/local/domain/<domid>`.
     pub fn domain_home(domid: u32) -> Path {
-        Path {
-            components: vec!["local".into(), "domain".into(), domid.to_string()],
+        Path::from_canonical(&format!("/local/domain/{domid}"))
+    }
+}
+
+impl PartialEq for Path {
+    fn eq(&self, other: &Path) -> bool {
+        self.text() == other.text()
+    }
+}
+
+impl Eq for Path {}
+
+impl PartialOrd for Path {
+    fn partial_cmp(&self, other: &Path) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// Component-wise, so a path sorts before its descendants and those before
+/// its later siblings (`/a` < `/a/z` < `/a-b` < `/b`): the order a
+/// depth-first walk of the sorted tree visits them in. Plain text order
+/// would not do, because `-`, `+` and `.` sort before `/`.
+impl Ord for Path {
+    fn cmp(&self, other: &Path) -> Ordering {
+        let (mine, theirs) = (self.text().as_bytes(), other.text().as_bytes());
+        match mine.iter().zip(theirs).find(|(a, b)| a != b) {
+            // Both texts agree up to here, so the differing bytes sit in
+            // the same component; a slash means that side's component has
+            // ended, which makes it a prefix of the other's and the lesser.
+            Some((&b'/', _)) => Ordering::Less,
+            Some((_, &b'/')) => Ordering::Greater,
+            Some((a, b)) => a.cmp(b),
+            None => mine.len().cmp(&theirs.len()),
         }
+    }
+}
+
+/// Hashes as the list of components does.
+impl Hash for Path {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_usize(self.depth());
+        for comp in self.components() {
+            comp.hash(state);
+        }
+    }
+}
+
+impl fmt::Debug for Path {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("Path")
+            .field(&format_args!("{self}"))
+            .finish()
     }
 }
 
 impl fmt::Display for Path {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.components.is_empty() {
-            write!(f, "/")
-        } else {
-            for c in &self.components {
-                write!(f, "/{c}")?;
-            }
-            Ok(())
-        }
+        f.write_str(if self.is_root() { "/" } else { self.text() })
     }
 }
 
@@ -301,6 +403,122 @@ mod tests {
         let p: Path = "/local/domain/0".parse().unwrap();
         assert_eq!(p.depth(), 3);
         assert!("not-absolute".parse::<Path>().is_err());
+    }
+
+    /// What a `Path` was before it became one buffer: the list of its
+    /// components, with the derived ordering and hash.
+    fn model(path: &Path) -> Vec<String> {
+        path.components().map(str::to_string).collect()
+    }
+
+    fn model_text(components: &[String]) -> String {
+        match components {
+            [] => "/".to_string(),
+            _ => components.iter().map(|c| format!("/{c}")).collect(),
+        }
+    }
+
+    fn hash_of(value: &impl Hash) -> u64 {
+        let mut hasher = std::collections::hash_map::DefaultHasher::new();
+        value.hash(&mut hasher);
+        hasher.finish()
+    }
+
+    /// Random paths over the whole component alphabet, short names and few
+    /// of them so that prefixes, shared ancestors and equal paths are
+    /// common. `-`, `+` and `.` sort before `/`, which is where comparing
+    /// the text instead of the components would go wrong.
+    fn sample(rng: &mut jitsu_sim::SimRng) -> Vec<Path> {
+        const ALPHABET: &[u8] = b"ab-+._:@0Z";
+        let mut paths = vec![Path::root()];
+        for _ in 0..300 {
+            let text: String = (0..rng.index(5))
+                .map(|_| {
+                    let name: String = (0..1 + rng.index(3))
+                        .map(|_| ALPHABET[rng.index(ALPHABET.len())] as char)
+                        .collect();
+                    // `.` and `..` are not names.
+                    format!("/{}", if name.starts_with('.') { "a" } else { &name })
+                })
+                .collect();
+            paths.push(Path::parse(if text.is_empty() { "/" } else { &text }).unwrap());
+        }
+        paths
+    }
+
+    #[test]
+    fn sorts_hashes_and_displays_as_the_component_list_did() {
+        let mut rng = jitsu_sim::SimRng::seed_from_u64(0x9A78);
+        let paths = sample(&mut rng);
+        for a in &paths {
+            assert_eq!(a.to_string(), model_text(&model(a)));
+            assert_eq!(Path::parse(&a.to_string()).unwrap(), *a);
+            assert_eq!(hash_of(a), hash_of(&model(a)));
+            for b in &paths {
+                assert_eq!(a.cmp(b), model(a).cmp(&model(b)), "{a} vs {b}");
+                assert_eq!(a == b, model(a) == model(b));
+            }
+        }
+        let mut sorted = paths.clone();
+        sorted.sort();
+        let mut by_model = paths.clone();
+        by_model.sort_by_key(model);
+        assert_eq!(sorted, by_model);
+    }
+
+    #[test]
+    fn derived_paths_match_the_component_list_model() {
+        let mut rng = jitsu_sim::SimRng::seed_from_u64(0x9A79);
+        let paths = sample(&mut rng);
+        for a in &paths {
+            let parts = model(a);
+            assert_eq!(a.depth(), parts.len());
+            assert_eq!(a.is_root(), parts.is_empty());
+            assert_eq!(a.basename(), parts.last().map(String::as_str));
+            assert_eq!(a.top_level(), parts.first().map(String::as_str));
+            assert_eq!(
+                a.parent().map(|p| model(&p)),
+                parts.split_last().map(|(_, rest)| rest.to_vec())
+            );
+            let ancestry = a.ancestry();
+            assert_eq!(ancestry.len(), parts.len() + 1);
+            for (depth, ancestor) in ancestry.iter().enumerate() {
+                assert_eq!(model(ancestor), parts[..depth]);
+                assert_eq!(a.ancestor(depth), *ancestor);
+            }
+            assert_eq!(a.ancestor(parts.len() + 3), *a);
+            let child = a.child("x-1").unwrap();
+            assert_eq!(model(&child), [parts.clone(), vec!["x-1".into()]].concat());
+            assert_eq!(child.parent().unwrap(), *a);
+            assert_eq!(
+                a.join("p//q/").unwrap(),
+                a.child("p").unwrap().child("q").unwrap()
+            );
+            for b in &paths {
+                let other = model(b);
+                assert_eq!(a.is_prefix_of(b), other.starts_with(&parts), "{a} {b}");
+                assert_eq!(
+                    a.is_ancestor_of(b),
+                    other.starts_with(&parts) && other.len() > parts.len()
+                );
+                let shared = parts.iter().zip(&other).take_while(|(x, y)| x == y);
+                assert_eq!(model(&a.common_prefix(b)).len(), shared.count());
+                assert!(a.common_prefix(b).is_prefix_of(a));
+                assert!(a.common_prefix(b).is_prefix_of(b));
+            }
+        }
+    }
+
+    #[test]
+    fn ancestors_share_the_parsed_buffer() {
+        let p = Path::parse("/local/domain/3/device/vif/0/state").unwrap();
+        let before = Arc::strong_count(&p.buf);
+        let derived = [p.clone(), p.parent().unwrap(), p.ancestor(2)];
+        assert_eq!(Arc::strong_count(&p.buf), before + derived.len());
+        assert!(derived.iter().all(|d| Arc::ptr_eq(&d.buf, &p.buf)));
+        assert_eq!(p.ancestry().len(), 8);
+        assert!(p.ancestry().iter().all(|a| Arc::ptr_eq(&a.buf, &p.buf)));
+        assert!(p.child("").is_err(), "a component is never empty");
     }
 
     #[test]

@@ -6,13 +6,20 @@
 //! delegates commit-time conflict decisions to the configured reconciliation
 //! engine.
 //!
-//! The store leans on the persistent tree throughout: every mutation first
-//! takes an O(1) snapshot of the live tree, applies the change, and then
-//! computes the structural diff between the two — watches fire from the
-//! *committed merged tree* (one event per path that actually changed, not
-//! one per write-log entry), and per-domain quota accounting is maintained
-//! incrementally from the same diffs instead of re-walking the whole store
-//! on every write.
+//! Watches and per-domain quota counts are driven by *what a mutation
+//! changed*, never by re-walking the store. A direct op gets that from the
+//! tree mutator itself, which reports its own effects as it makes them
+//! ([`crate::tree`]): the store takes no snapshot and computes no diff, so
+//! with no transaction open the live tree is unshared and the op mutates it
+//! in place — zero nodes copied. While a transaction is open its snapshot
+//! shares the live root, and a direct op path-copies the depth + 1 nodes
+//! from the root to its target, leaving the snapshot untouched. A commit is
+//! the one place a structural diff is computed: the transaction's net
+//! effect (`base → snapshot`), which is also what the commit changed when
+//! the store has not moved since the transaction began, and otherwise the
+//! diff between the live tree and the three-way merge result — so watches
+//! fire from the *committed merged tree* (one event per path that actually
+//! changed, not one per write-log entry).
 //!
 //! The two watch models are deliberately asymmetric. *Direct* ops keep the
 //! classic protocol semantics: the op's own path always fires (even for a
@@ -88,8 +95,8 @@ pub struct XenStore {
     transactions: BTreeMap<u32, Transaction>,
     next_tx_id: u32,
     stats: StoreStats,
-    /// Nodes owned per domain, maintained incrementally from structural
-    /// diffs so the quota check never walks the tree.
+    /// Nodes owned per domain, maintained incrementally from the effects
+    /// of each mutation so the quota check never walks the tree.
     owned: BTreeMap<u32, usize>,
 }
 
@@ -115,7 +122,7 @@ impl XenStore {
     pub fn with_quota(engine: EngineKind, quota: Quota) -> XenStore {
         let tree = Tree::new();
         // Seed the incremental ownership counts with the pre-existing root
-        // node; everything else flows in through structural diffs.
+        // node; everything else flows in through reported effects.
         let root_owner = tree
             .get(&Path::root())
             // jitsu-lint: allow(P001, "Tree::new always creates a root node")
@@ -190,7 +197,7 @@ impl XenStore {
     /// handing a guest its home directory). Shared by the commit-time
     /// quota check and the post-mutation bookkeeping so the two can never
     /// drift.
-    fn owner_deltas(diff: &TreeDiff, old: &Tree, new: &Tree) -> BTreeMap<u32, isize> {
+    fn owner_deltas(diff: &TreeDiff) -> BTreeMap<u32, isize> {
         let mut delta: BTreeMap<u32, isize> = BTreeMap::new();
         for (_, owner) in &diff.added {
             *delta.entry(owner.0).or_insert(0) += 1;
@@ -198,19 +205,7 @@ impl XenStore {
         for (_, owner) in &diff.removed {
             *delta.entry(owner.0).or_insert(0) -= 1;
         }
-        for path in &diff.perms_changed {
-            let old_owner = old
-                .get(path)
-                // jitsu-lint: allow(P001, "the diff reported this path, so the pre-merge tree holds it")
-                .expect("perms-changed node existed")
-                .perms
-                .owner();
-            let new_owner = new
-                .get(path)
-                // jitsu-lint: allow(P001, "the diff reported this path, so the merged tree holds it")
-                .expect("perms-changed node exists")
-                .perms
-                .owner();
+        for (_, old_owner, new_owner) in &diff.perms_changed {
             if old_owner != new_owner {
                 *delta.entry(old_owner.0).or_insert(0) -= 1;
                 *delta.entry(new_owner.0).or_insert(0) += 1;
@@ -224,8 +219,8 @@ impl XenStore {
     /// ownership delta of the merged result must be re-checked against the
     /// counts as they are *now* (otherwise N overlapping transactions could
     /// each pass the per-op check and overshoot the limit by N).
-    fn check_commit_quota(&self, diff: &TreeDiff, merged: &Tree) -> Result<()> {
-        for (dom, gained) in Self::owner_deltas(diff, &self.tree, merged) {
+    fn check_commit_quota(&self, diff: &TreeDiff) -> Result<()> {
+        for (dom, gained) in Self::owner_deltas(diff) {
             if gained > 0
                 && !DomId(dom).is_privileged()
                 && self.owned_nodes(DomId(dom)) + gained as usize > self.quota.max_nodes
@@ -236,16 +231,16 @@ impl XenStore {
         Ok(())
     }
 
-    /// Settle the bookkeeping after a mutation of the live tree, given the
-    /// structural diff from `before`: fold ownership changes into the
-    /// per-domain quota counts and (when `fire` is set) fire one watch
-    /// event per path that actually changed in the committed tree.
+    /// Settle the bookkeeping after a mutation of the live tree, given what
+    /// it changed: fold ownership changes into the per-domain quota counts
+    /// and (when `fire` is set) fire one watch event per path that actually
+    /// changed in the committed tree.
     /// `also_fire` unconditionally fires one extra path even if it did not
     /// semantically change — direct ops keep real xenstored's fire-on-every-
     /// write semantics (the touch-a-key-to-notify pattern), while
     /// transactional commits pass `None` and fire the net diff only.
-    fn settle(&mut self, diff: &TreeDiff, before: &Tree, fire: bool, also_fire: Option<&Path>) {
-        for (dom, delta) in Self::owner_deltas(diff, before, &self.tree) {
+    fn settle(&mut self, diff: &TreeDiff, fire: bool, also_fire: Option<&Path>) {
+        for (dom, delta) in Self::owner_deltas(diff) {
             // A domain that owns nothing has no entry: domids are never
             // reused, so zero counts would otherwise pile up for ever.
             match self.owned_nodes(DomId(dom)).saturating_add_signed(delta) {
@@ -326,6 +321,9 @@ impl XenStore {
             None => self.tree.get_perms(dom, &path),
             Some(id) => {
                 let txn = self.txn_mut(id)?;
+                if txn.dom != dom {
+                    return Err(Error::PermissionDenied(path.to_string()));
+                }
                 txn.note_read(&path);
                 txn.snapshot.get_perms(dom, &path)
             }
@@ -337,22 +335,15 @@ impl XenStore {
     // ------------------------------------------------------------------
 
     fn apply_live(&mut self, dom: DomId, op: TxnOp) -> Result<()> {
-        // O(1) pre-image snapshot; the post-op structural diff drives both
+        // The mutator reports what it changed; that record drives both
         // watch delivery and quota accounting.
-        let before = self.tree.clone();
-        let result = match &op {
-            TxnOp::Write { path, value } => self.tree.write(dom, path, value),
-            TxnOp::Mkdir { path } => self.tree.mkdir(dom, path),
-            TxnOp::Rm { path } => self.tree.rm(dom, path),
-            TxnOp::SetPerms { path, perms } => self.tree.set_perms(dom, path, perms.clone()),
-        };
-        // Settle quota counts even on failure (a failed deep write may have
-        // created some ancestors); watches fire only for completed ops —
-        // and always for the op's own path, even when the op was a no-op
-        // (same-value write, mkdir of an existing node), as in the real
-        // protocol.
-        let diff = Tree::diff(&before, &self.tree);
-        self.settle(&diff, &before, result.is_ok(), Some(op.path()));
+        let mut effects = TreeDiff::default();
+        let result = op.apply_to(&mut self.tree, dom, &mut effects);
+        // Watches fire only for completed ops — and always for the op's
+        // own path, even when the op was a no-op (same-value write, mkdir
+        // of an existing node), as in the real protocol. A failed op
+        // changed nothing, so it has nothing to settle either.
+        self.settle(&effects, result.is_ok(), Some(op.path()));
         result
     }
 
@@ -448,9 +439,12 @@ impl XenStore {
 
     /// Open a transaction.
     pub fn transaction_start(&mut self, dom: DomId) -> Result<TxId> {
-        let open_for_dom = self.transactions.values().filter(|t| t.dom == dom).count();
-        if !dom.is_privileged() && open_for_dom >= self.quota.max_transactions {
-            return Err(Error::QuotaExceeded("transactions"));
+        // dom0 is exempt, so its (frequent) transactions skip the count.
+        if !dom.is_privileged() {
+            let open_for_dom = self.transactions.values().filter(|t| t.dom == dom).count();
+            if open_for_dom >= self.quota.max_transactions {
+                return Err(Error::QuotaExceeded("transactions"));
+            }
         }
         let id = self.next_tx_id;
         self.next_tx_id = self.next_tx_id.wrapping_add(1).max(1);
@@ -495,13 +489,20 @@ impl XenStore {
                 // one event per path that actually changed, in
                 // deterministic order.
                 let mut merged = self.tree.clone();
-                txn.merge_onto(&mut merged)?;
+                let changes = txn.merge_onto(&mut merged)?;
                 // One structural diff serves both the commit-time quota
-                // check and the post-swap bookkeeping.
-                let diff = Tree::diff(&self.tree, &merged);
-                self.check_commit_quota(&diff, &merged)?;
+                // check and the post-swap bookkeeping. If the store has not
+                // moved since the transaction began, `merged` is its
+                // snapshot grafted onto its own base, and the net effect
+                // the merge just computed is that diff already.
+                let diff = if self.tree.generation() == txn.start_gen {
+                    changes
+                } else {
+                    Tree::diff(&self.tree, &merged)
+                };
+                self.check_commit_quota(&diff)?;
                 let before = std::mem::replace(&mut self.tree, merged);
-                self.settle(&diff, &before, true, None);
+                self.settle(&diff, true, None);
                 self.stats.commits += 1;
                 if before.generation() != txn.start_gen {
                     // The base moved underneath the transaction and we
@@ -546,14 +547,12 @@ impl XenStore {
         self.watches.remove_domain(dom);
         self.transactions.retain(|_, t| t.dom != dom);
         // Remove the conventional per-domain directory if present.
-        let home = Path::domain_home(dom.0);
-        if self.tree.exists(&home) {
-            let before = self.tree.clone();
-            // jitsu-lint: allow(R001, "existence was checked just above; a failed rm only skips optional cleanup of the home dir")
-            let _ = self.tree.rm(DomId::DOM0, &home);
-            let diff = Tree::diff(&before, &self.tree);
-            self.settle(&diff, &before, true, None);
-        }
+        let mut effects = TreeDiff::default();
+        // jitsu-lint: allow(R001, "the only failure is a home directory that is already gone, which needs no cleanup")
+        let _ = self
+            .tree
+            .rm(DomId::DOM0, &Path::domain_home(dom.0), &mut effects);
+        self.settle(&effects, true, None);
     }
 }
 
@@ -674,12 +673,64 @@ mod tests {
             xs.write(DomId(7), Some(t), "/x", b"1"),
             Err(Error::PermissionDenied(_))
         ));
+        // Nor may it read through the snapshot — which would also plant
+        // entries in the owner's read set and force spurious EAGAINs.
+        assert!(matches!(
+            xs.read(DomId(7), Some(t), "/x"),
+            Err(Error::PermissionDenied(_))
+        ));
+        assert!(matches!(
+            xs.directory(DomId(7), Some(t), "/"),
+            Err(Error::PermissionDenied(_))
+        ));
+        assert!(matches!(
+            xs.get_perms(DomId(7), Some(t), "/"),
+            Err(Error::PermissionDenied(_))
+        ));
+        assert!(xs.transactions[&t.0].read_set.is_empty());
         assert!(matches!(
             xs.transaction_end(DomId(7), t, true),
             Err(Error::PermissionDenied(_))
         ));
         // The rightful owner can still close it.
         assert!(xs.transaction_end(DomId(3), t, false).is_ok());
+    }
+
+    #[test]
+    fn direct_writes_copy_nodes_only_while_a_transaction_shares_them() {
+        let mut xs = store();
+        let text = "/local/domain/3/device/vif/0/state";
+        let path = Path::parse(text).unwrap();
+        xs.write(DomId::DOM0, None, text, b"1").unwrap();
+        let copied = |before: &[*const crate::Node], xs: &XenStore| {
+            let after = xs.tree().spine(&path);
+            assert_eq!(after.len(), path.depth() + 1);
+            before.iter().zip(&after).filter(|(a, b)| a != b).count()
+        };
+
+        // Nobody else holds the tree: the write lands in place.
+        let before = xs.tree().spine(&path);
+        xs.write(DomId::DOM0, None, text, b"2").unwrap();
+        assert_eq!(copied(&before, &xs), 0);
+        // So does one that creates a node.
+        xs.write(DomId::DOM0, None, "/local/domain/3/device/vif/0/mac", b"m")
+            .unwrap();
+        assert_eq!(copied(&before, &xs), 0);
+
+        // An open transaction shares the root: the same write copies the
+        // root-to-leaf path and nothing else, and the snapshot keeps the
+        // old nodes with the old value.
+        let t = xs.transaction_start(DomId::DOM0).unwrap();
+        xs.write(DomId::DOM0, None, text, b"3").unwrap();
+        assert_eq!(copied(&before, &xs), path.depth() + 1);
+        assert_eq!(xs.transactions[&t.0].snapshot.spine(&path), before);
+        assert_eq!(xs.read(DomId::DOM0, Some(t), text).unwrap(), b"2");
+        // The copies are the live tree's own now: the next write is in
+        // place again although the transaction is still open.
+        let before = xs.tree().spine(&path);
+        xs.write(DomId::DOM0, None, text, b"4").unwrap();
+        assert_eq!(copied(&before, &xs), 0);
+        xs.transaction_end(DomId::DOM0, t, false).unwrap();
     }
 
     #[test]

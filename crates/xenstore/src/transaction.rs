@@ -90,6 +90,17 @@ impl TxnOp {
             | TxnOp::SetPerms { path, .. } => path,
         }
     }
+
+    /// Perform this operation on `tree` as `dom`, appending what it changed
+    /// to `effects`.
+    pub fn apply_to(&self, tree: &mut Tree, dom: DomId, effects: &mut TreeDiff) -> Result<()> {
+        match self {
+            TxnOp::Write { path, value } => tree.write(dom, path, value, effects),
+            TxnOp::Mkdir { path } => tree.mkdir(dom, path, effects),
+            TxnOp::Rm { path } => tree.rm(dom, path, effects),
+            TxnOp::SetPerms { path, perms } => tree.set_perms(dom, path, perms.clone(), effects),
+        }
+    }
 }
 
 /// An open transaction: the pristine base tree it started from, the mutable
@@ -174,58 +185,17 @@ impl Transaction {
         self.write_log.is_empty()
     }
 
-    /// The deepest ancestor of `path` (possibly `path` itself) that already
-    /// exists in the snapshot — the directory whose child list a creation at
-    /// `path` actually depends on.
-    fn deepest_existing_ancestor(&self, path: &Path) -> Path {
-        let mut best = Path::root();
-        for p in path.ancestry() {
-            if self.snapshot.exists(&p) {
-                best = p;
-            } else {
-                break;
-            }
-        }
-        best
-    }
-
     /// Apply an operation to the snapshot and record it in the write log.
     /// Mutations that fail permission or validity checks are not recorded.
     pub fn apply(&mut self, op: TxnOp) -> Result<()> {
-        match &op {
-            TxnOp::Write { path, value } => {
-                // A creation depends on the child list of the deepest
-                // directory that existed before this operation.
-                let dep = if self.snapshot.exists(path) {
-                    None
-                } else {
-                    Some(self.deepest_existing_ancestor(path))
-                };
-                self.snapshot.write(self.dom, path, value)?;
-                if let Some(dep) = dep {
-                    self.note_dir_read(&dep);
-                }
-            }
-            TxnOp::Mkdir { path } => {
-                let dep = if self.snapshot.exists(path) {
-                    None
-                } else {
-                    Some(self.deepest_existing_ancestor(path))
-                };
-                self.snapshot.mkdir(self.dom, path)?;
-                if let Some(dep) = dep {
-                    self.note_dir_read(&dep);
-                }
-            }
-            TxnOp::Rm { path } => {
-                self.snapshot.rm(self.dom, path)?;
-                if let Some(parent) = path.parent() {
-                    self.note_dir_read(&parent);
-                }
-            }
-            TxnOp::SetPerms { path, perms } => {
-                self.snapshot.set_perms(self.dom, path, perms.clone())?;
-            }
+        let mut effects = TreeDiff::default();
+        op.apply_to(&mut self.snapshot, self.dom, &mut effects)?;
+        // A creation depends on the child list of the deepest directory
+        // that existed before it — the parent of the topmost node it
+        // created — and a removal on that of the removed node's parent.
+        let topmost = effects.added.first().or(effects.removed.first());
+        if let Some(dir) = topmost.and_then(|(path, _)| path.parent()) {
+            self.note_dir_read(&dir);
         }
         self.write_log.push(op);
         Ok(())
@@ -261,10 +231,17 @@ impl Transaction {
     /// An error part-way through can leave `live` partially merged; the
     /// store commits onto an O(1) scratch copy and swaps it in only on
     /// success, so a failed commit never mutates the live tree.
-    pub fn merge_onto(&self, live: &mut Tree) -> Result<()> {
+    ///
+    /// Returns the net effect it grafted ([`Transaction::changes`]). If
+    /// `live` was still the tree the transaction started from, that is also
+    /// exactly what the merge changed in `live`.
+    pub fn merge_onto(&self, live: &mut Tree) -> Result<TreeDiff> {
         let diff = self.changes();
+        // What each step changes in `live` is the caller's to work out, once
+        // for the whole merge.
+        let unused = &mut TreeDiff::default();
         for path in diff.removed_roots() {
-            match live.rm(self.dom, path) {
+            match live.rm(self.dom, path, unused) {
                 Ok(()) | Err(crate::error::Error::NoEntry(_)) => {}
                 Err(e) => return Err(e),
             }
@@ -286,7 +263,7 @@ impl Transaction {
                 .get(path)
                 // jitsu-lint: allow(P001, "the diff enumerates paths present in the snapshot")
                 .expect("diff path exists in snapshot");
-            live.write(self.dom, path, &node.value)?;
+            live.write(self.dom, path, &node.value, unused)?;
             // Fresh nodes (including value-changed nodes recreated after a
             // concurrent removal) carry whatever permissions the creation
             // rules derive; restamp the snapshot's if they differ, so e.g.
@@ -294,10 +271,10 @@ impl Transaction {
             // jitsu-lint: allow(P001, "the path was written into the live tree on the previous line")
             let live_perms = &live.get(path).expect("just written").perms;
             if *live_perms != node.perms {
-                live.set_perms(self.dom, path, node.perms.clone())?;
+                live.set_perms(self.dom, path, node.perms.clone(), unused)?;
             }
         }
-        for path in &diff.perms_changed {
+        for (path, _, _) in &diff.perms_changed {
             // `perms_changed` is disjoint from `added` by construction and
             // the write pass above already restamped the `value_changed`
             // overlap; a node removed concurrently stays gone (the txn only
@@ -311,9 +288,9 @@ impl Transaction {
                 .get(path)
                 // jitsu-lint: allow(P001, "the diff enumerates paths present in the snapshot")
                 .expect("diff path exists in snapshot");
-            live.set_perms(self.dom, path, node.perms.clone())?;
+            live.set_perms(self.dom, path, node.perms.clone(), unused)?;
         }
-        Ok(())
+        Ok(diff)
     }
 
     /// Replay the write log onto `tree` (used by the engines after deciding
@@ -323,19 +300,13 @@ impl Transaction {
     /// uses on its commit path; `replay_onto` is kept for op-order-exact
     /// replays in tests and diagnostics.
     pub fn replay_onto(&self, tree: &mut Tree) -> Result<()> {
+        let unused = &mut TreeDiff::default();
         for op in &self.write_log {
-            match op {
-                TxnOp::Write { path, value } => tree.write(self.dom, path, value)?,
-                TxnOp::Mkdir { path } => tree.mkdir(self.dom, path)?,
-                TxnOp::Rm { path } => {
-                    // A node removed by a concurrent commit is treated as
-                    // already gone rather than failing the whole batch.
-                    match tree.rm(self.dom, path) {
-                        Ok(()) | Err(crate::error::Error::NoEntry(_)) => {}
-                        Err(e) => return Err(e),
-                    }
-                }
-                TxnOp::SetPerms { path, perms } => tree.set_perms(self.dom, path, perms.clone())?,
+            match (op, op.apply_to(tree, self.dom, unused)) {
+                // A node removed by a concurrent commit is treated as
+                // already gone rather than failing the whole batch.
+                (TxnOp::Rm { .. }, Err(crate::error::Error::NoEntry(_))) => {}
+                (_, result) => result?,
             }
         }
         Ok(())
@@ -354,7 +325,8 @@ mod tests {
     #[test]
     fn begin_snapshots_current_state() {
         let mut tree = Tree::new();
-        tree.write(DomId::DOM0, &p("/a"), b"1").unwrap();
+        tree.write(DomId::DOM0, &p("/a"), b"1", &mut TreeDiff::default())
+            .unwrap();
         let txn = Transaction::begin(1, DomId::DOM0, &tree);
         assert_eq!(txn.start_gen, tree.generation());
         assert_eq!(txn.snapshot.read(DomId::DOM0, &p("/a")).unwrap(), b"1");
@@ -365,8 +337,13 @@ mod tests {
     fn begin_is_a_pointer_copy_not_a_deep_clone() {
         let mut tree = Tree::new();
         for i in 0..500 {
-            tree.write(DomId::DOM0, &p(&format!("/bulk/k{i}")), b"v")
-                .unwrap();
+            tree.write(
+                DomId::DOM0,
+                &p(&format!("/bulk/k{i}")),
+                b"v",
+                &mut TreeDiff::default(),
+            )
+            .unwrap();
         }
         let txn = Transaction::begin(1, DomId::DOM0, &tree);
         assert!(
@@ -401,8 +378,10 @@ mod tests {
     #[test]
     fn merge_and_replay_agree_on_the_net_effect() {
         let mut tree = Tree::new();
-        tree.write(DomId::DOM0, &p("/keep"), b"0").unwrap();
-        tree.write(DomId::DOM0, &p("/dead/x"), b"1").unwrap();
+        tree.write(DomId::DOM0, &p("/keep"), b"0", &mut TreeDiff::default())
+            .unwrap();
+        tree.write(DomId::DOM0, &p("/dead/x"), b"1", &mut TreeDiff::default())
+            .unwrap();
         let mut txn = Transaction::begin(1, DomId::DOM0, &tree);
         txn.apply(TxnOp::Write {
             path: p("/a/b"),
@@ -426,7 +405,8 @@ mod tests {
     #[test]
     fn changes_reports_the_net_effect_only() {
         let mut tree = Tree::new();
-        tree.write(DomId::DOM0, &p("/a"), b"1").unwrap();
+        tree.write(DomId::DOM0, &p("/a"), b"1", &mut TreeDiff::default())
+            .unwrap();
         let mut txn = Transaction::begin(1, DomId::DOM0, &tree);
         // Write then remove: net effect on /tmp is nothing.
         txn.apply(TxnOp::Write {
@@ -456,7 +436,8 @@ mod tests {
     #[test]
     fn apply_records_directory_dependency_on_deepest_existing_ancestor() {
         let mut tree = Tree::new();
-        tree.mkdir(DomId::DOM0, &p("/local/domain")).unwrap();
+        tree.mkdir(DomId::DOM0, &p("/local/domain"), &mut TreeDiff::default())
+            .unwrap();
         let mut txn = Transaction::begin(1, DomId::DOM0, &tree);
         txn.apply(TxnOp::Mkdir {
             path: p("/local/domain/5"),
@@ -530,11 +511,13 @@ mod tests {
     #[test]
     fn merge_tolerates_concurrently_removed_nodes() {
         let mut tree = Tree::new();
-        tree.write(DomId::DOM0, &p("/a/b"), b"1").unwrap();
+        tree.write(DomId::DOM0, &p("/a/b"), b"1", &mut TreeDiff::default())
+            .unwrap();
         let mut txn = Transaction::begin(1, DomId::DOM0, &tree);
         txn.apply(TxnOp::Rm { path: p("/a/b") }).unwrap();
         // Concurrently, someone else removes it first.
-        tree.rm(DomId::DOM0, &p("/a/b")).unwrap();
+        tree.rm(DomId::DOM0, &p("/a/b"), &mut TreeDiff::default())
+            .unwrap();
         txn.merge_onto(&mut tree).unwrap();
         assert!(!tree.exists(&p("/a/b")));
     }

@@ -17,13 +17,22 @@
 //! between a transaction's base snapshot and the live tree to decide, at
 //! node granularity, whether concurrent commits conflict.
 //!
+//! The four mutators ([`Tree::write`], [`Tree::mkdir`], [`Tree::rm`],
+//! [`Tree::set_perms`]) *report their own effects*: each appends to the
+//! [`TreeDiff`] it is handed exactly what it changed — created ancestors
+//! and the node, the removed subtree, a value or permission change — in
+//! the order and content [`Tree::diff`] of the tree before and after the
+//! call would yield (nothing, for a call that fails: the mutators decide
+//! before they touch). The store settles quotas and fires watches for
+//! a direct op from that record, so it holds no pre-image of the tree, and
+//! a tree nobody else holds is mutated in place: no node is copied.
+//!
 //! [`Tree::diff`] computes the structural difference between two trees,
 //! skipping shared subtrees — and, inside a directory, whole shared chunks
-//! of its [`crate::children::ChildMap`] — in O(1) via pointer equality. The
-//! store uses it to fire watches from the committed merged tree and to keep
-//! per-domain quota accounting incremental, on every mutation, so neither a
-//! write nor the diff after it may cost O(fan-out) of the directories on
-//! the path.
+//! of its [`crate::children::ChildMap`] — in O(1) via pointer equality. It
+//! is for the case no single call can report: a transaction's net effect
+//! (`base → snapshot`), and what a three-way merge onto a tree that moved
+//! meanwhile actually changed.
 
 use crate::error::{Error, Result};
 use crate::node::{Node, MAX_VALUE_LEN};
@@ -42,10 +51,12 @@ pub struct Tree {
 }
 
 /// The structural difference between two trees, as computed by
-/// [`Tree::diff`]. Every list is in depth-first (sorted-by-component)
-/// order, which for [`Path`]'s component-wise ordering means each list is
-/// sorted (binary-searchable) and parents always precede their descendants
-/// in `added` and `removed`.
+/// [`Tree::diff`] or recorded by one mutator call. Every list is in
+/// depth-first (sorted-by-component) order, which for [`Path`]'s
+/// component-wise ordering means each list is sorted (binary-searchable)
+/// and parents always precede their descendants in `added` and `removed`.
+/// (A record that several mutator calls appended to is a log of their
+/// effects in call order, not a net difference.)
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TreeDiff {
     /// Nodes present in `new` but not in `old`, with their owning domain in
@@ -56,8 +67,9 @@ pub struct TreeDiff {
     pub removed: Vec<(Path, DomId)>,
     /// Nodes present in both whose value differs.
     pub value_changed: Vec<Path>,
-    /// Nodes present in both whose permissions differ.
-    pub perms_changed: Vec<Path>,
+    /// Nodes present in both whose permissions differ, with their owning
+    /// domain before and after.
+    pub perms_changed: Vec<(Path, DomId, DomId)>,
 }
 
 impl TreeDiff {
@@ -84,7 +96,7 @@ impl TreeDiff {
             .map(|(p, _)| p.clone())
             .chain(self.removed.iter().map(|(p, _)| p.clone()))
             .chain(self.value_changed.iter().cloned())
-            .chain(self.perms_changed.iter().cloned())
+            .chain(self.perms_changed.iter().map(|(p, _, _)| p.clone()))
             .collect();
         paths.sort();
         paths.dedup();
@@ -183,6 +195,24 @@ impl Tree {
         walk(&self.root, &other.root)
     }
 
+    /// The node allocations from the root down `path`, as far as it exists:
+    /// identities to compare, never to dereference. A mutation that copies
+    /// a node gives it a new allocation, so two readings count the nodes a
+    /// write copied without holding the snapshot that would itself force
+    /// the copies ([`Tree::shared_node_count`] needs one).
+    pub fn spine(&self, path: &Path) -> Vec<*const Node> {
+        let mut node = &*self.root;
+        let mut spine = vec![std::ptr::from_ref(node)];
+        for comp in path.components() {
+            let Some(child) = node.children.get(comp) else {
+                break;
+            };
+            node = child;
+            spine.push(std::ptr::from_ref(node));
+        }
+        spine
+    }
+
     fn bump(&mut self) -> u64 {
         self.generation += 1;
         self.generation
@@ -193,19 +223,6 @@ impl Tree {
         let mut node = &*self.root;
         for comp in path.components() {
             node = node.children.get(comp)?;
-        }
-        Some(node)
-    }
-
-    /// Mutable lookup via path copying: every node from the root to `path`
-    /// that is still shared with a snapshot is copied (shallowly — its child
-    /// *pointers* are cloned, not the subtrees), so the mutation never
-    /// disturbs other trees holding the old nodes.
-    fn get_mut(&mut self, path: &Path) -> Option<&mut Node> {
-        let mut node = Arc::make_mut(&mut self.root);
-        for comp in path.components() {
-            let child = node.children.get_mut(comp)?;
-            node = Arc::make_mut(child);
         }
         Some(node)
     }
@@ -243,7 +260,13 @@ impl Tree {
     }
 
     /// Replace a node's permissions. Only the node owner (or dom0) may do so.
-    pub fn set_perms(&mut self, dom: DomId, path: &Path, perms: Permissions) -> Result<()> {
+    pub fn set_perms(
+        &mut self,
+        dom: DomId,
+        path: &Path,
+        perms: Permissions,
+        effects: &mut TreeDiff,
+    ) -> Result<()> {
         let node = self
             .get(path)
             .ok_or_else(|| Error::NoEntry(path.to_string()))?;
@@ -251,64 +274,127 @@ impl Tree {
             return Err(Error::PermissionDenied(path.to_string()));
         }
         let gen = self.bump();
-        // jitsu-lint: allow(P001, "presence checked by the exists guard above")
-        let node = self.get_mut(path).expect("checked above");
-        node.perms = perms;
+        // jitsu-lint: allow(P001, "presence checked by the lookup above")
+        let node = descend_mut(&mut self.root, path.components()).expect("checked above");
+        if node.perms != perms {
+            let change = (path.clone(), node.perms.owner(), perms.owner());
+            effects.perms_changed.push(change);
+            node.perms = perms;
+        }
         node.modified_gen = gen;
         Ok(())
     }
 
-    /// Determine the permissions a new node at `path` created by `dom`
-    /// should carry, honouring the create-restricted extension of its
-    /// parent. Returns an error if the creation is not permitted.
-    fn new_child_perms(&self, dom: DomId, parent: &Path) -> Result<Permissions> {
-        let parent_node = self
-            .get(parent)
-            .ok_or_else(|| Error::NoEntry(parent.to_string()))?;
-        if parent_node.perms.check(dom, Access::Write) {
+    /// The permissions a node created by `dom` under a directory carrying
+    /// `parent` should have, honouring the create-restricted extension;
+    /// `None` if `dom` may not create there.
+    fn new_child_perms(dom: DomId, parent: &Permissions) -> Option<Permissions> {
+        if parent.check(dom, Access::Write) {
             // Normal case: the creator owns what it creates; non-privileged
             // creations are owned by the creating domain.
-            Ok(Permissions::owned_by(if dom.is_privileged() {
-                parent_node.perms.owner()
+            Some(Permissions::owned_by(if dom.is_privileged() {
+                parent.owner()
             } else {
                 dom
             }))
-        } else if parent_node.perms.is_create_restricted() {
+        } else if parent.is_create_restricted() {
             // Jitsu extension (§3.2.3): anyone may create, but the new key is
             // visible only to the directory owner and the creator.
-            Ok(parent_node.perms.restricted_child_perms(dom))
+            Some(parent.restricted_child_perms(dom))
         } else {
-            Err(Error::PermissionDenied(parent.to_string()))
+            None
         }
     }
 
-    /// Create any missing ancestors of `path` (excluding `path` itself),
-    /// returning an error if an ancestor cannot be created.
-    fn ensure_parents(&mut self, dom: DomId, path: &Path) -> Result<()> {
-        let ancestors = path.ancestry();
-        // Skip the root (always exists) and the final element (the target).
-        for p in &ancestors[..ancestors.len().saturating_sub(1)] {
-            if !self.exists(p) {
-                // jitsu-lint: allow(P001, "the loop skips the root, so every ancestor has a parent")
-                let parent = p.parent().expect("non-root ancestor has a parent");
-                let perms = self.new_child_perms(dom, &parent)?;
-                let gen = self.bump();
-                // jitsu-lint: allow(P001, "ensure_parents created this ancestor just above")
-                let parent_node = self.get_mut(&parent).expect("parent exists");
-                parent_node.children.insert(
-                    // jitsu-lint: allow(P001, "non-root paths always have a basename")
-                    p.basename().expect("non-root"),
-                    Arc::new(Node::new(perms, gen)),
-                );
-                parent_node.children_gen = gen;
+    /// The body of [`Tree::write`] (`value` given) and [`Tree::mkdir`]
+    /// (`None`: an existing node is left alone, a new one is empty).
+    fn put(
+        &mut self,
+        dom: DomId,
+        path: &Path,
+        value: Option<&[u8]>,
+        effects: &mut TreeDiff,
+    ) -> Result<()> {
+        // One descent finds the node, or else the deepest ancestor that
+        // exists (`anchor`, `found` components down) and the first name
+        // missing under it; `below` is left holding the names after that.
+        let mut below = path.components();
+        let mut anchor = &*self.root;
+        let mut found = 0;
+        let mut first_missing = None;
+        for name in below.by_ref() {
+            match anchor.children.get(name) {
+                Some(child) => anchor = child,
+                None => {
+                    first_missing = Some(name);
+                    break;
+                }
             }
+            found += 1;
         }
+        let Some(first_missing) = first_missing else {
+            let Some(value) = value else {
+                return Ok(());
+            };
+            if !anchor.perms.check(dom, Access::Write) {
+                return Err(Error::PermissionDenied(path.to_string()));
+            }
+            let gen = self.bump();
+            // jitsu-lint: allow(P001, "the descent above found this node")
+            let node = descend_mut(&mut self.root, path.components()).expect("found above");
+            if node.value != value {
+                effects.value_changed.push(path.clone());
+                value.clone_into(&mut node.value);
+            }
+            node.modified_gen = gen;
+            return Ok(());
+        };
+        // Whether each missing node may be created depends on permissions
+        // alone — its parent's, which for all but the first is the node
+        // planned just before it — so the whole spine is decided before
+        // anything is touched, and a refusal creates nothing. (Only the
+        // first can refuse: whoever creates a directory may write to it.)
+        let mut spine: Vec<(&str, Permissions)> = Vec::new();
+        for name in std::iter::once(first_missing).chain(below) {
+            let parent = spine.last().map_or(&anchor.perms, |(_, perms)| perms);
+            let Some(perms) = Self::new_child_perms(dom, parent) else {
+                let parent = path.ancestor(found + spine.len());
+                return Err(Error::PermissionDenied(parent.to_string()));
+            };
+            spine.push((name, perms));
+        }
+        // Each creation is its own generation, stamped on the new node and
+        // on its parent's child list.
+        let mut gen = self.generation;
+        let mut depth = found;
+        // jitsu-lint: allow(P001, "the descent above ended at this node")
+        let mut node = descend_mut(&mut self.root, path.components().take(found)).expect("found");
+        for (name, perms) in spine {
+            gen += 1;
+            depth += 1;
+            effects.added.push((path.ancestor(depth), perms.owner()));
+            node.children.insert(name, Arc::new(Node::new(perms, gen)));
+            node.children_gen = gen;
+            // jitsu-lint: allow(P001, "the child was inserted two lines up")
+            node = Arc::make_mut(node.children.get_mut(name).expect("just inserted"));
+        }
+        if let Some(value) = value {
+            node.value = value.to_vec();
+        }
+        self.generation = gen;
         Ok(())
     }
 
     /// Write a value, creating the node (and any missing ancestors) if
-    /// necessary, as the real store does.
-    pub fn write(&mut self, dom: DomId, path: &Path, value: &[u8]) -> Result<()> {
+    /// necessary, as the real store does. What changed is appended to
+    /// `effects`; a call that fails changes nothing.
+    pub fn write(
+        &mut self,
+        dom: DomId,
+        path: &Path,
+        value: &[u8],
+        effects: &mut TreeDiff,
+    ) -> Result<()> {
         if path.is_root() {
             return Err(Error::Invalid("cannot write to the root node".into()));
         }
@@ -317,63 +403,30 @@ impl Tree {
                 "value larger than {MAX_VALUE_LEN} bytes"
             )));
         }
-        if let Some(node) = self.get(path) {
-            if !node.perms.check(dom, Access::Write) {
-                return Err(Error::PermissionDenied(path.to_string()));
-            }
-            let gen = self.bump();
-            // jitsu-lint: allow(P001, "the lookup above found this node")
-            let node = self.get_mut(path).expect("found above");
-            node.value = value.to_vec();
-            node.modified_gen = gen;
-            return Ok(());
-        }
-        self.ensure_parents(dom, path)?;
-        // jitsu-lint: allow(P001, "write rejects the root path before this point")
-        let parent = path.parent().expect("non-root");
-        let perms = self.new_child_perms(dom, &parent)?;
-        let gen = self.bump();
-        // jitsu-lint: allow(P001, "ensure_parents created the parent spine")
-        let parent_node = self.get_mut(&parent).expect("parents ensured");
-        let mut node = Node::new(perms, gen);
-        node.value = value.to_vec();
-        parent_node.children.insert(
-            // jitsu-lint: allow(P001, "non-root paths always have a basename")
-            path.basename().expect("non-root"),
-            Arc::new(node),
-        );
-        parent_node.children_gen = gen;
-        Ok(())
+        self.put(dom, path, Some(value), effects)
     }
 
     /// Create an empty node (no-op if it already exists, as in the real
-    /// protocol).
-    pub fn mkdir(&mut self, dom: DomId, path: &Path) -> Result<()> {
-        if path.is_root() {
-            return Ok(());
-        }
-        if self.exists(path) {
-            return Ok(());
-        }
-        self.write(dom, path, b"")
+    /// protocol), with any missing ancestors. What changed is appended to
+    /// `effects`; a call that fails changes nothing.
+    pub fn mkdir(&mut self, dom: DomId, path: &Path, effects: &mut TreeDiff) -> Result<()> {
+        self.put(dom, path, None, effects)
     }
 
-    /// Remove a node and its entire subtree. Removing a missing node returns
-    /// `ENOENT`; removing the root is invalid.
-    pub fn rm(&mut self, dom: DomId, path: &Path) -> Result<()> {
-        if path.is_root() {
+    /// Remove a node and its entire subtree, appending every removed node
+    /// to `effects`. Removing a missing node returns `ENOENT`; removing
+    /// the root is invalid.
+    pub fn rm(&mut self, dom: DomId, path: &Path, effects: &mut TreeDiff) -> Result<()> {
+        let (Some(parent), Some(name)) = (path.parent(), path.basename()) else {
             return Err(Error::Invalid("cannot remove the root node".into()));
-        }
+        };
         self.checked(dom, path, Access::Write)?;
-        // jitsu-lint: allow(P001, "rm rejects the root path before this point")
-        let parent = path.parent().expect("non-root");
         let gen = self.bump();
         // jitsu-lint: allow(P001, "the child was found, so its parent is present")
-        let parent_node = self.get_mut(&parent).expect("child exists so parent does");
-        parent_node
-            .children
-            // jitsu-lint: allow(P001, "non-root paths always have a basename")
-            .remove(path.basename().expect("non-root"));
+        let parent_node = descend_mut(&mut self.root, parent.components()).expect("parent exists");
+        if let Some(removed) = parent_node.children.remove(name) {
+            record_subtree(&removed, path, &mut effects.removed);
+        }
         parent_node.children_gen = gen;
         Ok(())
     }
@@ -381,8 +434,8 @@ impl Tree {
     /// Count the nodes owned by each domain by walking the whole tree.
     ///
     /// This is the O(store) reference implementation; the store keeps an
-    /// incremental count maintained from [`Tree::diff`]s on its hot path and
-    /// uses this walk only in tests to cross-check it.
+    /// incremental count maintained from the effects its mutations report
+    /// and uses this walk only in tests to cross-check it.
     pub fn owned_count(&self, dom: DomId) -> usize {
         fn walk(node: &Node, dom: DomId) -> usize {
             let own = usize::from(node.perms.owner() == dom);
@@ -417,18 +470,13 @@ impl Tree {
     /// existence changes are reported).
     pub fn diff(old: &Tree, new: &Tree) -> TreeDiff {
         let mut diff = TreeDiff::default();
-        fn record_subtree(node: &Node, path: &Path, out: &mut Vec<(Path, DomId)>) {
-            out.push((path.clone(), node.perms.owner()));
-            for (name, child) in node.children.iter() {
-                record_subtree(child, &child_path(path, name), out);
-            }
-        }
         fn walk(old: &Node, new: &Node, path: &Path, diff: &mut TreeDiff) {
             if old.value != new.value {
                 diff.value_changed.push(path.clone());
             }
             if old.perms != new.perms {
-                diff.perms_changed.push(path.clone());
+                let change = (path.clone(), old.perms.owner(), new.perms.owner());
+                diff.perms_changed.push(change);
             }
             // Children: a single merge-iteration over both sorted maps, so
             // every diff list comes out in globally sorted DFS order (the
@@ -481,6 +529,31 @@ impl Tree {
     }
 }
 
+/// Mutable descent via path copying: every node from `root` down
+/// `components` that is still shared with a snapshot is copied (shallowly —
+/// its child *pointers* are cloned, not the subtrees), so the mutation never
+/// disturbs other trees holding the old nodes. Nodes nobody else holds are
+/// handed out as they are: a tree with no snapshot is mutated in place.
+fn descend_mut<'a, 'p>(
+    root: &'a mut Arc<Node>,
+    components: impl Iterator<Item = &'p str>,
+) -> Option<&'a mut Node> {
+    let mut node = Arc::make_mut(root);
+    for comp in components {
+        node = Arc::make_mut(node.children.get_mut(comp)?);
+    }
+    Some(node)
+}
+
+/// Append `node` and its whole subtree at `path` to `out`, depth-first in
+/// name order.
+fn record_subtree(node: &Node, path: &Path, out: &mut Vec<(Path, DomId)>) {
+    out.push((path.clone(), node.perms.owner()));
+    for (name, child) in node.children.iter() {
+        record_subtree(child, &child_path(path, name), out);
+    }
+}
+
 /// The path of the child `name` of `parent`, for names read back out of the
 /// tree.
 fn child_path(parent: &Path, name: &str) -> Path {
@@ -504,8 +577,13 @@ mod tests {
     #[test]
     fn write_creates_missing_parents() {
         let mut t = Tree::new();
-        t.write(DomId::DOM0, &p("/local/domain/3/name"), b"http")
-            .unwrap();
+        t.write(
+            DomId::DOM0,
+            &p("/local/domain/3/name"),
+            b"http",
+            &mut TreeDiff::default(),
+        )
+        .unwrap();
         assert!(t.exists(&p("/local")));
         assert!(t.exists(&p("/local/domain")));
         assert!(t.exists(&p("/local/domain/3")));
@@ -528,9 +606,27 @@ mod tests {
     #[test]
     fn directory_lists_children_sorted() {
         let mut t = Tree::new();
-        t.write(DomId::DOM0, &p("/local/domain/3"), b"").unwrap();
-        t.write(DomId::DOM0, &p("/local/domain/1"), b"").unwrap();
-        t.write(DomId::DOM0, &p("/local/domain/2"), b"").unwrap();
+        t.write(
+            DomId::DOM0,
+            &p("/local/domain/3"),
+            b"",
+            &mut TreeDiff::default(),
+        )
+        .unwrap();
+        t.write(
+            DomId::DOM0,
+            &p("/local/domain/1"),
+            b"",
+            &mut TreeDiff::default(),
+        )
+        .unwrap();
+        t.write(
+            DomId::DOM0,
+            &p("/local/domain/2"),
+            b"",
+            &mut TreeDiff::default(),
+        )
+        .unwrap();
         assert_eq!(
             t.directory(DomId::DOM0, &p("/local/domain")).unwrap(),
             vec!["1", "2", "3"]
@@ -540,52 +636,69 @@ mod tests {
     #[test]
     fn mkdir_is_idempotent() {
         let mut t = Tree::new();
-        t.mkdir(DomId::DOM0, &p("/conduit")).unwrap();
-        t.mkdir(DomId::DOM0, &p("/conduit")).unwrap();
-        t.mkdir(DomId::DOM0, &p("/")).unwrap();
+        t.mkdir(DomId::DOM0, &p("/conduit"), &mut TreeDiff::default())
+            .unwrap();
+        t.mkdir(DomId::DOM0, &p("/conduit"), &mut TreeDiff::default())
+            .unwrap();
+        t.mkdir(DomId::DOM0, &p("/"), &mut TreeDiff::default())
+            .unwrap();
         assert!(t.exists(&p("/conduit")));
     }
 
     #[test]
     fn rm_removes_subtree() {
         let mut t = Tree::new();
-        t.write(DomId::DOM0, &p("/a/b/c"), b"1").unwrap();
-        t.write(DomId::DOM0, &p("/a/b/d"), b"2").unwrap();
-        t.rm(DomId::DOM0, &p("/a/b")).unwrap();
+        t.write(DomId::DOM0, &p("/a/b/c"), b"1", &mut TreeDiff::default())
+            .unwrap();
+        t.write(DomId::DOM0, &p("/a/b/d"), b"2", &mut TreeDiff::default())
+            .unwrap();
+        t.rm(DomId::DOM0, &p("/a/b"), &mut TreeDiff::default())
+            .unwrap();
         assert!(!t.exists(&p("/a/b")));
         assert!(!t.exists(&p("/a/b/c")));
         assert!(t.exists(&p("/a")));
         assert_eq!(
-            t.rm(DomId::DOM0, &p("/a/b")),
+            t.rm(DomId::DOM0, &p("/a/b"), &mut TreeDiff::default()),
             Err(Error::NoEntry("/a/b".into()))
         );
-        assert!(t.rm(DomId::DOM0, &Path::root()).is_err());
+        assert!(t
+            .rm(DomId::DOM0, &Path::root(), &mut TreeDiff::default())
+            .is_err());
     }
 
     #[test]
     fn root_write_rejected_and_value_size_limited() {
         let mut t = Tree::new();
-        assert!(t.write(DomId::DOM0, &Path::root(), b"x").is_err());
+        assert!(t
+            .write(DomId::DOM0, &Path::root(), b"x", &mut TreeDiff::default())
+            .is_err());
         let big = vec![0u8; MAX_VALUE_LEN + 1];
-        assert!(t.write(DomId::DOM0, &p("/big"), &big).is_err());
+        assert!(t
+            .write(DomId::DOM0, &p("/big"), &big, &mut TreeDiff::default())
+            .is_err());
         let ok = vec![0u8; MAX_VALUE_LEN];
-        assert!(t.write(DomId::DOM0, &p("/big"), &ok).is_ok());
+        assert!(t
+            .write(DomId::DOM0, &p("/big"), &ok, &mut TreeDiff::default())
+            .is_ok());
     }
 
     #[test]
     fn generations_track_modifications() {
         let mut t = Tree::new();
         let g0 = t.generation();
-        t.write(DomId::DOM0, &p("/a"), b"1").unwrap();
+        t.write(DomId::DOM0, &p("/a"), b"1", &mut TreeDiff::default())
+            .unwrap();
         let g1 = t.generation();
         assert!(g1 > g0);
-        t.write(DomId::DOM0, &p("/a"), b"2").unwrap();
+        t.write(DomId::DOM0, &p("/a"), b"2", &mut TreeDiff::default())
+            .unwrap();
         let node = t.get(&p("/a")).unwrap();
         assert_eq!(node.modified_gen, t.generation());
         // Creating a child bumps the parent's children_gen but not its
         // modified_gen.
         let parent_modified_before = t.get(&p("/a")).unwrap().modified_gen;
-        t.write(DomId::DOM0, &p("/a/b"), b"3").unwrap();
+        t.write(DomId::DOM0, &p("/a/b"), b"3", &mut TreeDiff::default())
+            .unwrap();
         let parent = t.get(&p("/a")).unwrap();
         assert_eq!(parent.modified_gen, parent_modified_before);
         assert_eq!(parent.children_gen, t.generation());
@@ -595,38 +708,67 @@ mod tests {
     fn unprivileged_domains_cannot_touch_others_nodes() {
         let mut t = Tree::new();
         // dom0 creates a private area for dom3.
-        t.write(DomId::DOM0, &p("/local/domain/3/name"), b"x")
-            .unwrap();
+        t.write(
+            DomId::DOM0,
+            &p("/local/domain/3/name"),
+            b"x",
+            &mut TreeDiff::default(),
+        )
+        .unwrap();
         // A guest cannot read or write dom0-owned nodes...
         assert!(matches!(
             t.read(DomId(7), &p("/local/domain/3/name")),
             Err(Error::PermissionDenied(_))
         ));
         assert!(matches!(
-            t.write(DomId(7), &p("/local/domain/3/name"), b"y"),
+            t.write(
+                DomId(7),
+                &p("/local/domain/3/name"),
+                b"y",
+                &mut TreeDiff::default()
+            ),
             Err(Error::PermissionDenied(_))
         ));
         // ...until granted access.
         let perms = Permissions::owned_by(DomId::DOM0).granting(DomId(7), PermLevel::Read);
-        t.set_perms(DomId::DOM0, &p("/local/domain/3/name"), perms)
-            .unwrap();
+        t.set_perms(
+            DomId::DOM0,
+            &p("/local/domain/3/name"),
+            perms,
+            &mut TreeDiff::default(),
+        )
+        .unwrap();
         assert!(t.read(DomId(7), &p("/local/domain/3/name")).is_ok());
-        assert!(t.write(DomId(7), &p("/local/domain/3/name"), b"y").is_err());
+        assert!(t
+            .write(
+                DomId(7),
+                &p("/local/domain/3/name"),
+                b"y",
+                &mut TreeDiff::default()
+            )
+            .is_err());
     }
 
     #[test]
     fn unprivileged_creation_is_owned_by_creator() {
         let mut t = Tree::new();
         // dom0 gives dom7 a writable home directory.
-        t.mkdir(DomId::DOM0, &p("/local/domain/7")).unwrap();
+        t.mkdir(DomId::DOM0, &p("/local/domain/7"), &mut TreeDiff::default())
+            .unwrap();
         t.set_perms(
             DomId::DOM0,
             &p("/local/domain/7"),
             Permissions::owned_by(DomId(7)),
+            &mut TreeDiff::default(),
         )
         .unwrap();
-        t.write(DomId(7), &p("/local/domain/7/data/feature"), b"1")
-            .unwrap();
+        t.write(
+            DomId(7),
+            &p("/local/domain/7/data/feature"),
+            b"1",
+            &mut TreeDiff::default(),
+        )
+        .unwrap();
         let node = t.get(&p("/local/domain/7/data/feature")).unwrap();
         assert_eq!(node.perms.owner(), DomId(7));
         // Another guest cannot see it.
@@ -640,17 +782,27 @@ mod tests {
         let mut t = Tree::new();
         // The server (dom3) owns its listen queue and marks it
         // create-restricted so clients can enqueue connection requests.
-        t.mkdir(DomId::DOM0, &p("/conduit/http_server/listen"))
-            .unwrap();
+        t.mkdir(
+            DomId::DOM0,
+            &p("/conduit/http_server/listen"),
+            &mut TreeDiff::default(),
+        )
+        .unwrap();
         t.set_perms(
             DomId::DOM0,
             &p("/conduit/http_server/listen"),
             Permissions::owned_by(DomId(3)).create_restricted(),
+            &mut TreeDiff::default(),
         )
         .unwrap();
         // A client (dom7) may create its connection key...
-        t.write(DomId(7), &p("/conduit/http_server/listen/conn1"), b"7")
-            .unwrap();
+        t.write(
+            DomId(7),
+            &p("/conduit/http_server/listen/conn1"),
+            b"7",
+            &mut TreeDiff::default(),
+        )
+        .unwrap();
         // ...which the server and the client can read, but others cannot.
         assert!(t
             .read(DomId(3), &p("/conduit/http_server/listen/conn1"))
@@ -662,26 +814,39 @@ mod tests {
             .read(DomId(9), &p("/conduit/http_server/listen/conn1"))
             .is_err());
         // Without the flag, foreign creation is denied.
-        t.mkdir(DomId::DOM0, &p("/conduit/other/listen")).unwrap();
+        t.mkdir(
+            DomId::DOM0,
+            &p("/conduit/other/listen"),
+            &mut TreeDiff::default(),
+        )
+        .unwrap();
         t.set_perms(
             DomId::DOM0,
             &p("/conduit/other/listen"),
             Permissions::owned_by(DomId(3)),
+            &mut TreeDiff::default(),
         )
         .unwrap();
         assert!(t
-            .write(DomId(7), &p("/conduit/other/listen/conn1"), b"7")
+            .write(
+                DomId(7),
+                &p("/conduit/other/listen/conn1"),
+                b"7",
+                &mut TreeDiff::default()
+            )
             .is_err());
     }
 
     #[test]
     fn set_perms_requires_ownership() {
         let mut t = Tree::new();
-        t.mkdir(DomId::DOM0, &p("/local/domain/3")).unwrap();
+        t.mkdir(DomId::DOM0, &p("/local/domain/3"), &mut TreeDiff::default())
+            .unwrap();
         t.set_perms(
             DomId::DOM0,
             &p("/local/domain/3"),
             Permissions::owned_by(DomId(3)),
+            &mut TreeDiff::default(),
         )
         .unwrap();
         // dom7 does not own the node, so cannot change its perms.
@@ -689,7 +854,8 @@ mod tests {
             .set_perms(
                 DomId(7),
                 &p("/local/domain/3"),
-                Permissions::owned_by(DomId(7))
+                Permissions::owned_by(DomId(7)),
+                &mut TreeDiff::default()
             )
             .is_err());
         // dom3 owns it and may.
@@ -697,26 +863,41 @@ mod tests {
             .set_perms(
                 DomId(3),
                 &p("/local/domain/3"),
-                Permissions::with_default(DomId(3), PermLevel::Read)
+                Permissions::with_default(DomId(3), PermLevel::Read),
+                &mut TreeDiff::default()
             )
             .is_ok());
         assert!(t
-            .set_perms(DomId::DOM0, &p("/missing"), Permissions::owned_by(DomId(0)))
+            .set_perms(
+                DomId::DOM0,
+                &p("/missing"),
+                Permissions::owned_by(DomId(0)),
+                &mut TreeDiff::default()
+            )
             .is_err());
     }
 
     #[test]
     fn owned_count_and_all_paths() {
         let mut t = Tree::new();
-        t.write(DomId::DOM0, &p("/a/b"), b"").unwrap();
-        t.mkdir(DomId::DOM0, &p("/local/domain/7")).unwrap();
+        t.write(DomId::DOM0, &p("/a/b"), b"", &mut TreeDiff::default())
+            .unwrap();
+        t.mkdir(DomId::DOM0, &p("/local/domain/7"), &mut TreeDiff::default())
+            .unwrap();
         t.set_perms(
             DomId::DOM0,
             &p("/local/domain/7"),
             Permissions::owned_by(DomId(7)),
+            &mut TreeDiff::default(),
         )
         .unwrap();
-        t.write(DomId(7), &p("/local/domain/7/x"), b"1").unwrap();
+        t.write(
+            DomId(7),
+            &p("/local/domain/7/x"),
+            b"1",
+            &mut TreeDiff::default(),
+        )
+        .unwrap();
         assert_eq!(t.owned_count(DomId(7)), 2);
         let paths = t.all_paths();
         assert!(paths.contains(&Path::root()));
@@ -730,8 +911,13 @@ mod tests {
     fn snapshot_is_a_pointer_copy() {
         let mut t = Tree::new();
         for i in 0..200 {
-            t.write(DomId::DOM0, &p(&format!("/warm/k{i}")), b"v")
-                .unwrap();
+            t.write(
+                DomId::DOM0,
+                &p(&format!("/warm/k{i}")),
+                b"v",
+                &mut TreeDiff::default(),
+            )
+            .unwrap();
         }
         let snap = t.clone();
         assert!(t.shares_root_with(&snap), "clone must not copy any node");
@@ -742,12 +928,23 @@ mod tests {
     fn mutation_copies_only_the_root_to_leaf_path() {
         let mut t = Tree::new();
         for i in 0..100 {
-            t.write(DomId::DOM0, &p(&format!("/data/bucket{}/k", i % 10)), b"v")
-                .unwrap();
+            t.write(
+                DomId::DOM0,
+                &p(&format!("/data/bucket{}/k", i % 10)),
+                b"v",
+                &mut TreeDiff::default(),
+            )
+            .unwrap();
         }
         let snap = t.clone();
         let total = t.node_count();
-        t.write(DomId::DOM0, &p("/data/bucket3/k"), b"w").unwrap();
+        t.write(
+            DomId::DOM0,
+            &p("/data/bucket3/k"),
+            b"w",
+            &mut TreeDiff::default(),
+        )
+        .unwrap();
         // Only /, /data, /data/bucket3 and /data/bucket3/k were copied.
         let copied = total - t.shared_node_count(&snap);
         assert_eq!(copied, 4, "path copying must touch exactly the spine");
@@ -760,12 +957,23 @@ mod tests {
     fn a_write_under_a_wide_directory_copies_the_spine_and_one_chunk() {
         let mut t = Tree::new();
         for i in 0..4096 {
-            t.write(DomId::DOM0, &p(&format!("/wide/k{i}/leaf")), b"v")
-                .unwrap();
+            t.write(
+                DomId::DOM0,
+                &p(&format!("/wide/k{i}/leaf")),
+                b"v",
+                &mut TreeDiff::default(),
+            )
+            .unwrap();
         }
         let snap = t.clone();
         let total = t.node_count();
-        t.write(DomId::DOM0, &p("/wide/k2000/leaf"), b"w").unwrap();
+        t.write(
+            DomId::DOM0,
+            &p("/wide/k2000/leaf"),
+            b"w",
+            &mut TreeDiff::default(),
+        )
+        .unwrap();
         // Nodes: /, /wide, /wide/k2000 and the leaf, as under any fan-out.
         assert_eq!(total - t.shared_node_count(&snap), 4);
         // Of the wide directory's chunks, only the one holding k2000 was
@@ -789,13 +997,18 @@ mod tests {
     #[test]
     fn snapshots_are_immune_to_later_mutations() {
         let mut t = Tree::new();
-        t.write(DomId::DOM0, &p("/a/b"), b"1").unwrap();
-        t.write(DomId::DOM0, &p("/c"), b"2").unwrap();
+        t.write(DomId::DOM0, &p("/a/b"), b"1", &mut TreeDiff::default())
+            .unwrap();
+        t.write(DomId::DOM0, &p("/c"), b"2", &mut TreeDiff::default())
+            .unwrap();
         let snap = t.clone();
         let paths_before = snap.all_paths();
-        t.rm(DomId::DOM0, &p("/a")).unwrap();
-        t.write(DomId::DOM0, &p("/c"), b"3").unwrap();
-        t.write(DomId::DOM0, &p("/d/e"), b"4").unwrap();
+        t.rm(DomId::DOM0, &p("/a"), &mut TreeDiff::default())
+            .unwrap();
+        t.write(DomId::DOM0, &p("/c"), b"3", &mut TreeDiff::default())
+            .unwrap();
+        t.write(DomId::DOM0, &p("/d/e"), b"4", &mut TreeDiff::default())
+            .unwrap();
         assert_eq!(snap.all_paths(), paths_before);
         assert_eq!(snap.read(DomId::DOM0, &p("/a/b")).unwrap(), b"1");
         assert_eq!(snap.read(DomId::DOM0, &p("/c")).unwrap(), b"2");
@@ -807,7 +1020,8 @@ mod tests {
     #[test]
     fn diff_of_identical_trees_is_empty() {
         let mut t = Tree::new();
-        t.write(DomId::DOM0, &p("/a/b"), b"1").unwrap();
+        t.write(DomId::DOM0, &p("/a/b"), b"1", &mut TreeDiff::default())
+            .unwrap();
         let snap = t.clone();
         let d = Tree::diff(&snap, &t);
         assert!(d.is_empty());
@@ -817,17 +1031,24 @@ mod tests {
     #[test]
     fn diff_reports_adds_removes_and_changes() {
         let mut t = Tree::new();
-        t.write(DomId::DOM0, &p("/keep"), b"same").unwrap();
-        t.write(DomId::DOM0, &p("/gone/x"), b"1").unwrap();
-        t.write(DomId::DOM0, &p("/edit"), b"old").unwrap();
+        t.write(DomId::DOM0, &p("/keep"), b"same", &mut TreeDiff::default())
+            .unwrap();
+        t.write(DomId::DOM0, &p("/gone/x"), b"1", &mut TreeDiff::default())
+            .unwrap();
+        t.write(DomId::DOM0, &p("/edit"), b"old", &mut TreeDiff::default())
+            .unwrap();
         let old = t.clone();
-        t.rm(DomId::DOM0, &p("/gone")).unwrap();
-        t.write(DomId::DOM0, &p("/edit"), b"new").unwrap();
-        t.write(DomId::DOM0, &p("/fresh/y"), b"2").unwrap();
+        t.rm(DomId::DOM0, &p("/gone"), &mut TreeDiff::default())
+            .unwrap();
+        t.write(DomId::DOM0, &p("/edit"), b"new", &mut TreeDiff::default())
+            .unwrap();
+        t.write(DomId::DOM0, &p("/fresh/y"), b"2", &mut TreeDiff::default())
+            .unwrap();
         t.set_perms(
             DomId::DOM0,
             &p("/keep"),
             Permissions::with_default(DomId::DOM0, PermLevel::Write),
+            &mut TreeDiff::default(),
         )
         .unwrap();
 
@@ -837,7 +1058,10 @@ mod tests {
         assert_eq!(added, vec!["/fresh", "/fresh/y"]);
         assert_eq!(removed, vec!["/gone", "/gone/x"]);
         assert_eq!(d.value_changed, vec![p("/edit")]);
-        assert_eq!(d.perms_changed, vec![p("/keep")]);
+        assert_eq!(
+            d.perms_changed,
+            vec![(p("/keep"), DomId::DOM0, DomId::DOM0)]
+        );
         // Removed roots collapse the subtree to its topmost node.
         assert_eq!(d.removed_roots(), vec![&p("/gone")]);
         // changed_paths is the sorted union.
@@ -862,24 +1086,32 @@ mod tests {
         // /m sorts later than neither — the merge-iteration keeps every
         // list globally sorted.
         let mut t = Tree::new();
-        t.write(DomId::DOM0, &p("/a/keep"), b"1").unwrap();
-        t.write(DomId::DOM0, &p("/z/keep"), b"1").unwrap();
+        t.write(DomId::DOM0, &p("/a/keep"), b"1", &mut TreeDiff::default())
+            .unwrap();
+        t.write(DomId::DOM0, &p("/z/keep"), b"1", &mut TreeDiff::default())
+            .unwrap();
         let old = t.clone();
-        t.write(DomId::DOM0, &p("/z/added"), b"2").unwrap();
-        t.write(DomId::DOM0, &p("/m"), b"3").unwrap();
-        t.write(DomId::DOM0, &p("/a/keep"), b"changed").unwrap();
-        t.rm(DomId::DOM0, &p("/z/keep")).unwrap();
+        t.write(DomId::DOM0, &p("/z/added"), b"2", &mut TreeDiff::default())
+            .unwrap();
+        t.write(DomId::DOM0, &p("/m"), b"3", &mut TreeDiff::default())
+            .unwrap();
+        t.write(
+            DomId::DOM0,
+            &p("/a/keep"),
+            b"changed",
+            &mut TreeDiff::default(),
+        )
+        .unwrap();
+        t.rm(DomId::DOM0, &p("/z/keep"), &mut TreeDiff::default())
+            .unwrap();
         let d = Tree::diff(&old, &t);
         let added: Vec<String> = d.added.iter().map(|(p, _)| p.to_string()).collect();
         assert_eq!(added, vec!["/m", "/z/added"]);
         let mut sorted = d.added.clone();
         sorted.sort();
         assert_eq!(d.added, sorted);
-        for list in [&d.value_changed, &d.perms_changed] {
-            let mut sorted = list.clone();
-            sorted.sort();
-            assert_eq!(list, &sorted);
-        }
+        assert!(d.value_changed.is_sorted());
+        assert!(d.perms_changed.is_sorted());
         let mut sorted = d.removed.clone();
         sorted.sort();
         assert_eq!(d.removed, sorted);
@@ -888,13 +1120,19 @@ mod tests {
     #[test]
     fn removed_roots_collapses_each_subtree_independently() {
         let mut t = Tree::new();
-        t.write(DomId::DOM0, &p("/a/x/deep"), b"1").unwrap();
-        t.write(DomId::DOM0, &p("/a/y"), b"2").unwrap();
-        t.write(DomId::DOM0, &p("/b/z"), b"3").unwrap();
-        t.write(DomId::DOM0, &p("/keep"), b"4").unwrap();
+        t.write(DomId::DOM0, &p("/a/x/deep"), b"1", &mut TreeDiff::default())
+            .unwrap();
+        t.write(DomId::DOM0, &p("/a/y"), b"2", &mut TreeDiff::default())
+            .unwrap();
+        t.write(DomId::DOM0, &p("/b/z"), b"3", &mut TreeDiff::default())
+            .unwrap();
+        t.write(DomId::DOM0, &p("/keep"), b"4", &mut TreeDiff::default())
+            .unwrap();
         let old = t.clone();
-        t.rm(DomId::DOM0, &p("/a/x")).unwrap();
-        t.rm(DomId::DOM0, &p("/b")).unwrap();
+        t.rm(DomId::DOM0, &p("/a/x"), &mut TreeDiff::default())
+            .unwrap();
+        t.rm(DomId::DOM0, &p("/b"), &mut TreeDiff::default())
+            .unwrap();
         let d = Tree::diff(&old, &t);
         // /a/x (+deep) and /b (+z) removed; /a/y and /keep untouched.
         assert_eq!(d.removed.len(), 4);
@@ -904,15 +1142,23 @@ mod tests {
     #[test]
     fn diff_carries_owners_for_quota_accounting() {
         let mut t = Tree::new();
-        t.mkdir(DomId::DOM0, &p("/local/domain/7")).unwrap();
+        t.mkdir(DomId::DOM0, &p("/local/domain/7"), &mut TreeDiff::default())
+            .unwrap();
         t.set_perms(
             DomId::DOM0,
             &p("/local/domain/7"),
             Permissions::owned_by(DomId(7)),
+            &mut TreeDiff::default(),
         )
         .unwrap();
         let old = t.clone();
-        t.write(DomId(7), &p("/local/domain/7/k"), b"v").unwrap();
+        t.write(
+            DomId(7),
+            &p("/local/domain/7/k"),
+            b"v",
+            &mut TreeDiff::default(),
+        )
+        .unwrap();
         let d = Tree::diff(&old, &t);
         assert_eq!(d.added, vec![(p("/local/domain/7/k"), DomId(7))]);
         let back = Tree::diff(&t, &old);
@@ -924,10 +1170,13 @@ mod tests {
         // Rebuilding the same content through a different op sequence yields
         // different generation stamps but an empty semantic diff.
         let mut a = Tree::new();
-        a.write(DomId::DOM0, &p("/x"), b"1").unwrap();
+        a.write(DomId::DOM0, &p("/x"), b"1", &mut TreeDiff::default())
+            .unwrap();
         let mut b = Tree::new();
-        b.mkdir(DomId::DOM0, &p("/x")).unwrap();
-        b.write(DomId::DOM0, &p("/x"), b"1").unwrap();
+        b.mkdir(DomId::DOM0, &p("/x"), &mut TreeDiff::default())
+            .unwrap();
+        b.write(DomId::DOM0, &p("/x"), b"1", &mut TreeDiff::default())
+            .unwrap();
         assert!(Tree::diff(&a, &b).is_empty());
     }
 
@@ -945,7 +1194,8 @@ mod tests {
                         diff.value_changed.push(path.clone());
                     }
                     if before.perms != after.perms {
-                        diff.perms_changed.push(path);
+                        let owners = (before.perms.owner(), after.perms.owner());
+                        diff.perms_changed.push((path, owners.0, owners.1));
                     }
                 }
             }
@@ -973,14 +1223,15 @@ mod tests {
             let path = p(&path);
             // Failures (removing what is not there) are part of the mix.
             match rng.index(8) {
-                0 | 1 => drop(t.rm(DomId::DOM0, &path)),
+                0 | 1 => drop(t.rm(DomId::DOM0, &path, &mut TreeDiff::default())),
                 2 => drop(t.set_perms(
                     DomId::DOM0,
                     &path,
                     Permissions::owned_by(DomId(rng.index(3) as u32)),
+                    &mut TreeDiff::default(),
                 )),
-                3 => drop(t.mkdir(DomId::DOM0, &path)),
-                _ => drop(t.write(DomId::DOM0, &path, &[step as u8])),
+                3 => drop(t.mkdir(DomId::DOM0, &path, &mut TreeDiff::default())),
+                _ => drop(t.write(DomId::DOM0, &path, &[step as u8], &mut TreeDiff::default())),
             }
         }
     }

@@ -14,7 +14,7 @@
 use crate::error::{Error, Result};
 use crate::path::Path;
 use crate::perms::DomId;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 
 /// A registered watch.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,23 +41,13 @@ pub struct WatchEvent {
 #[derive(Debug, Default, Clone)]
 pub struct WatchManager {
     watches: Vec<Watch>,
-    queues: Vec<(DomId, VecDeque<WatchEvent>)>,
+    queues: BTreeMap<DomId, VecDeque<WatchEvent>>,
 }
 
 impl WatchManager {
     /// Create an empty manager.
     pub fn new() -> WatchManager {
         WatchManager::default()
-    }
-
-    fn queue_mut(&mut self, dom: DomId) -> &mut VecDeque<WatchEvent> {
-        if let Some(idx) = self.queues.iter().position(|(d, _)| *d == dom) {
-            &mut self.queues[idx].1
-        } else {
-            self.queues.push((dom, VecDeque::new()));
-            // jitsu-lint: allow(P001, "a queue entry was pushed on the previous line")
-            &mut self.queues.last_mut().expect("just pushed").1
-        }
     }
 
     /// Register a watch. Duplicate `(dom, path, token)` registrations are
@@ -76,7 +66,8 @@ impl WatchManager {
             path: path.clone(),
             token: token.clone(),
         });
-        self.queue_mut(dom).push_back(WatchEvent { path, token });
+        let event = WatchEvent { path, token };
+        self.queues.entry(dom).or_default().push_back(event);
         Ok(())
     }
 
@@ -106,49 +97,40 @@ impl WatchManager {
     /// Queues an event for every watch whose path is a prefix of `changed`.
     /// Returns the number of events queued.
     pub fn fire(&mut self, changed: &Path) -> usize {
-        let hits: Vec<(DomId, WatchEvent)> = self
-            .watches
-            .iter()
-            .filter(|w| w.path.is_prefix_of(changed))
-            .map(|w| {
-                (
-                    w.dom,
-                    WatchEvent {
-                        path: changed.clone(),
-                        token: w.token.clone(),
-                    },
-                )
-            })
-            .collect();
-        let n = hits.len();
-        for (dom, ev) in hits {
-            self.queue_mut(dom).push_back(ev);
+        let mut queued = 0;
+        // Registration order, so each domain's queue fills in the order
+        // its watches were registered.
+        for watch in &self.watches {
+            if watch.path.is_prefix_of(changed) {
+                let event = WatchEvent {
+                    path: changed.clone(),
+                    token: watch.token.clone(),
+                };
+                self.queues.entry(watch.dom).or_default().push_back(event);
+                queued += 1;
+            }
         }
-        n
+        queued
     }
 
     /// Drain all pending events for a domain, in delivery order.
     pub fn take_events(&mut self, dom: DomId) -> Vec<WatchEvent> {
-        match self.queues.iter_mut().find(|(d, _)| *d == dom) {
-            Some((_, q)) => q.drain(..).collect(),
+        match self.queues.get_mut(&dom) {
+            Some(queue) => queue.drain(..).collect(),
             None => Vec::new(),
         }
     }
 
     /// Number of events currently queued for a domain.
     pub fn pending(&self, dom: DomId) -> usize {
-        self.queues
-            .iter()
-            .find(|(d, _)| *d == dom)
-            .map(|(_, q)| q.len())
-            .unwrap_or(0)
+        self.queues.get(&dom).map_or(0, VecDeque::len)
     }
 
     /// Drop all watches and pending events registered by a domain (used when
     /// the domain is destroyed).
     pub fn remove_domain(&mut self, dom: DomId) {
         self.watches.retain(|w| w.dom != dom);
-        self.queues.retain(|(d, _)| *d != dom);
+        self.queues.remove(&dom);
     }
 }
 

@@ -63,17 +63,24 @@ fn today() -> String {
     format!("{y:04}-{m:02}-{d:02}")
 }
 
-/// `git rev-parse HEAD`, or `"unknown"` outside a repository.
+/// Trimmed stdout of `git <args>`, if git ran and succeeded.
+fn git(args: &[&str]) -> Option<String> {
+    let output = std::process::Command::new("git").args(args).output().ok()?;
+    let stdout = String::from_utf8(output.stdout).ok()?;
+    output.status.success().then(|| stdout.trim().to_string())
+}
+
+/// `git rev-parse HEAD`, or `"unknown"` outside a repository; `-dirty` is
+/// appended when the work tree differs from that commit, so a snapshot
+/// never names a commit that could not have produced it.
 fn git_sha() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
+    let Some(sha) = git(&["rev-parse", "HEAD"]).filter(|s| !s.is_empty()) else {
+        return "unknown".to_string();
+    };
+    match git(&["status", "--porcelain", "--untracked-files=no"]) {
+        Some(changes) if !changes.is_empty() => format!("{sha}-dirty"),
+        _ => sha,
+    }
 }
 
 struct Args {

@@ -357,11 +357,11 @@ proptest! {
         keys in proptest::collection::vec("[a-z0-9]{1,8}", 1..8),
         extra in proptest::collection::vec("[a-z0-9]{1,8}", 1..8))
     {
-        use jitsu_repro::xenstore::Tree;
+        use jitsu_repro::xenstore::{Tree, TreeDiff};
         let mut tree = Tree::new();
         for (i, key) in keys.iter().enumerate() {
             let path = XsPath::parse(&format!("/base/d{}/{}", i % 3, key)).unwrap();
-            tree.write(DomId::DOM0, &path, key.as_bytes()).unwrap();
+            tree.write(DomId::DOM0, &path, key.as_bytes(), &mut TreeDiff::default()).unwrap();
         }
         let snapshot = tree.clone();
         prop_assert!(snapshot.shares_root_with(&tree), "snapshot is O(1)");
@@ -370,11 +370,11 @@ proptest! {
         // Arbitrary later mutations: overwrites, new subtrees, a removal.
         for (i, key) in extra.iter().enumerate() {
             let path = XsPath::parse(&format!("/later/e{}/{}", i % 3, key)).unwrap();
-            tree.write(DomId::DOM0, &path, b"new").unwrap();
+            tree.write(DomId::DOM0, &path, b"new", &mut TreeDiff::default()).unwrap();
         }
         let first = XsPath::parse(&format!("/base/d0/{}", keys[0])).unwrap();
-        tree.write(DomId::DOM0, &first, b"overwritten").unwrap();
-        let _ = tree.rm(DomId::DOM0, &XsPath::parse("/base/d1").unwrap());
+        tree.write(DomId::DOM0, &first, b"overwritten", &mut TreeDiff::default()).unwrap();
+        let _ = tree.rm(DomId::DOM0, &XsPath::parse("/base/d1").unwrap(), &mut TreeDiff::default());
 
         // The snapshot is bit-for-bit what it was.
         prop_assert_eq!(snapshot.all_paths(), frozen);
