@@ -88,7 +88,7 @@ fn bench_tcp_handshake_and_handoff(c: &mut Criterion) {
             let (mut client, syn) = Connection::connect(client_ip, 51000, server_ip, 80, 1000);
             let (mut server, syn_ack) = listener.on_syn(client_ip, &syn).unwrap();
             let acks = client.on_segment(&syn_ack);
-            server.on_segment(&acks[0]);
+            server.on_segment(acks[0].as_ref().unwrap());
             let req = client.send(b"GET / HTTP/1.1\r\n\r\n");
             server.on_segment(&req);
             let sexp = server.tcb.to_sexp();

@@ -139,7 +139,9 @@ impl DatapathModel {
         let mut client = Interface::new(MacAddr([2, 0, 0, 0, 0, 1]), client_ip);
         let mut responder = Interface::new(MacAddr([2, 0, 0, 0, 0, 2]), target_ip);
         client.add_arp_entry(target_ip, MacAddr([2, 0, 0, 0, 0, 2]));
-        let request = client.icmp_echo_request(target_ip, 7, seq, payload);
+        let request = client
+            .icmp_echo_request(target_ip, 7, seq, payload)
+            .expect("Figure 8's payloads fit one datagram");
         let frame_len = request.len();
         let (replies, _) = responder.handle_frame(&request);
         assert_eq!(replies.len(), 1, "echo request must be answered");

@@ -10,7 +10,7 @@
 //! systems; the higher-level rendezvous is layered on top by
 //! [`crate::rendezvous`].
 
-use netstack::FrameBuf;
+use netstack::{FrameBuf, FrameBufMut};
 use xen_sim::event_channel::{EventChannelTable, Port};
 use xen_sim::grant_table::{GrantRef, GrantTable};
 use xen_sim::memory::PAGE_SIZE;
@@ -70,18 +70,14 @@ impl Ring {
         n
     }
 
-    /// Drain up to `max` bytes into a shared buffer. This is the one
-    /// sanctioned copy on the frame hot path: bytes leave the granted ring
-    /// page in at most two bulk moves (wraparound), landing in an
-    /// allocation that every later layer — parser payloads, delivery
-    /// queues, replay — only takes views of. Zero-byte drains return the
-    /// allocation-free empty buffer.
-    fn pop(&mut self, max: usize) -> FrameBuf {
+    /// Drain up to `max` bytes onto the end of `out`; returns how many. This
+    /// is the copy out of the granted ring page, in at most two bulk moves
+    /// (wraparound). The caller owns the destination, so a transfer that
+    /// takes several drains still lands in one buffer — and every later
+    /// layer (parser payloads, delivery queues, replay) only takes views of
+    /// it.
+    fn pop_into(&mut self, max: usize, out: &mut FrameBufMut) -> usize {
         let n = max.min(self.len);
-        if n == 0 {
-            return FrameBuf::empty();
-        }
-        let mut out = Vec::with_capacity(n);
         let first = n.min(RING_CAPACITY - self.read);
         out.extend_from_slice(&self.buf[self.read..self.read + first]);
         if first < n {
@@ -89,7 +85,7 @@ impl Ring {
         }
         self.read = (self.read + n) % RING_CAPACITY;
         self.len -= n;
-        FrameBuf::from_vec(out)
+        n
     }
 }
 
@@ -240,10 +236,15 @@ impl VchanPair {
     }
 
     /// Drive a whole buffer through the channel from `from`, reading at the
-    /// peer whenever the ring fills, and return everything the peer read.
+    /// peer whenever the ring fills, and return everything the peer read:
+    /// any bytes that were already waiting in its ring, then `data`.
     /// A single-threaded convenience for co-operative bulk transfers — the
     /// Synjitsu → unikernel TCB drain pushes records much larger than one
     /// ring through exactly this loop.
+    ///
+    /// Every drain appends to one destination sized up front, so a transfer
+    /// that fits the free ring is one push, one drain and one buffer, and a
+    /// larger one is still one buffer.
     pub fn stream(
         &mut self,
         from: Side,
@@ -254,44 +255,47 @@ impl VchanPair {
             Side::Server => Side::Client,
             Side::Client => Side::Server,
         };
-        let mut received: Vec<FrameBuf> = Vec::new();
+        let mut received = FrameBufMut::with_capacity(self.readable(to) + data.len());
         let mut offset = 0;
         while offset < data.len() {
             match self.write(from, &data[offset..], evtchn) {
                 Ok(n) if n > 0 => offset += n,
                 Ok(_) | Err(VchanError::WouldBlock) => {
-                    let got = self.read(to, usize::MAX)?;
-                    if got.is_empty() {
+                    if self.drain(to, usize::MAX, &mut received)? == 0 {
                         // Full ring and nothing drained: cannot progress.
                         return Err(VchanError::WouldBlock);
                     }
-                    received.push(got);
                 }
                 Err(e) => return Err(e),
             }
         }
-        let tail = self.read(to, usize::MAX)?;
-        if !tail.is_empty() {
-            received.push(tail);
-        }
-        // A transfer that fit in one ring drain comes back as an O(1) view
-        // of that single drained buffer.
-        Ok(FrameBuf::concat(&received))
+        self.drain(to, usize::MAX, &mut received)?;
+        Ok(received.freeze())
     }
 
-    /// Read up to `max` bytes available to `side` as a shared buffer — a
-    /// view of the region drained from the ring. Zero-byte reads (an empty
-    /// ring with the peer still open, or `max == 0`) never allocate.
+    /// Read up to `max` bytes available to `side` as a shared buffer of
+    /// exactly the bytes drained. Zero-byte reads (an empty ring with the
+    /// peer still open, or `max == 0`) never allocate.
     pub fn read(&mut self, side: Side, max: usize) -> Result<FrameBuf, VchanError> {
+        let mut out = FrameBufMut::with_capacity(max.min(self.readable(side)));
+        self.drain(side, max, &mut out)?;
+        Ok(out.freeze())
+    }
+
+    /// Move up to `max` bytes readable by `side` onto the end of `out`;
+    /// returns how many. An empty ring is `Ok(0)` while the peer is open and
+    /// `Closed` once it is not.
+    fn drain(
+        &mut self,
+        side: Side,
+        max: usize,
+        out: &mut FrameBufMut,
+    ) -> Result<usize, VchanError> {
         let (_tx, rx, peer_open) = self.rings(side);
-        if rx.len == 0 {
-            return if peer_open {
-                Ok(FrameBuf::empty())
-            } else {
-                Err(VchanError::Closed)
-            };
+        if rx.len == 0 && !peer_open {
+            return Err(VchanError::Closed);
         }
-        Ok(rx.pop(max))
+        Ok(rx.pop_into(max, out))
     }
 
     /// Bytes currently readable by `side`.
@@ -563,6 +567,36 @@ mod tests {
     }
 
     #[test]
+    fn stream_that_fits_one_drain_returns_exactly_the_bytes_sent() {
+        let (_grants, mut evtchn, mut pair) = setup();
+        // Leave the cursors mid-ring first, so the drain wraps.
+        let filler = vec![0u8; VchanPair::capacity() - 100];
+        pair.stream(Side::Client, &filler, &mut evtchn).unwrap();
+        let data: Vec<u8> = (0..1500).map(|i| (i % 251) as u8).collect();
+        let got = pair.stream(Side::Client, &data, &mut evtchn).unwrap();
+        assert_eq!(got, data);
+        assert_eq!(got.len(), data.len());
+        assert_eq!(pair.readable(Side::Server), 0);
+        // `tests/data_plane_budget.rs` counts what this costs: one buffer
+        // of `data.len()` bytes, however many drains it took.
+    }
+
+    #[test]
+    fn stream_returns_bytes_already_readable_ahead_of_its_own() {
+        let (_grants, mut evtchn, mut pair) = setup();
+        pair.write(Side::Client, b"earlier ", &mut evtchn).unwrap();
+        let got = pair.stream(Side::Client, b"later", &mut evtchn).unwrap();
+        assert_eq!(got, b"earlier later");
+        // The same when the transfer needs several drains.
+        pair.write(Side::Client, b"earlier ", &mut evtchn).unwrap();
+        let big = vec![0x42u8; 2 * VchanPair::capacity()];
+        let got = pair.stream(Side::Client, &big, &mut evtchn).unwrap();
+        assert_eq!(got.len(), 8 + big.len());
+        assert!(got.starts_with(b"earlier "));
+        assert!(got[8..].iter().all(|&b| b == 0x42));
+    }
+
+    #[test]
     fn teardown_releases_grants_and_ports() {
         let (mut grants, mut evtchn, mut pair) = setup();
         assert_eq!(grants.grants_of(DomId(3)), 2);
@@ -588,6 +622,31 @@ mod tests {
         assert_eq!(
             pair.stream(Side::Server, b"data", &mut evtchn),
             Err(VchanError::Closed)
+        );
+    }
+
+    #[test]
+    fn a_failed_stream_leaves_the_rings_as_they_were() {
+        let (_grants, mut evtchn, mut pair) = setup();
+        // Bytes in flight both ways, cursors mid-ring, then the client goes.
+        pair.write(Side::Server, b"to the client", &mut evtchn)
+            .unwrap();
+        pair.write(Side::Client, b"to the server", &mut evtchn)
+            .unwrap();
+        pair.close(Side::Client);
+        assert_eq!(
+            pair.stream(Side::Server, b"more", &mut evtchn),
+            Err(VchanError::Closed)
+        );
+        assert_eq!(pair.bytes_to_client(), 13, "nothing more was accepted");
+        // Nothing was drained on the way to failing: both directions still
+        // hold exactly what was written, in order.
+        assert_eq!(pair.readable(Side::Client), 13);
+        assert_eq!(pair.read(Side::Client, 6).unwrap(), b"to the");
+        assert_eq!(pair.read(Side::Client, usize::MAX).unwrap(), b" client");
+        assert_eq!(
+            pair.read(Side::Server, usize::MAX).unwrap(),
+            b"to the server"
         );
     }
 }

@@ -606,7 +606,8 @@ impl<'a> Parser<'a> {
                         }
                         paren -= 1;
                     }
-                    '{' | ';' => break,
+                    // The `;` of an array type `[T; N]` is inside brackets.
+                    '{' | ';' if paren == 0 => break,
                     _ => {}
                 }
             }
@@ -1962,6 +1963,16 @@ mod tests {
             vec![("seg".to_string(), "&TcpSegment".to_string())]
         );
         assert_eq!(func.ret.as_deref(), Some("Vec<TcpSegment>"));
+    }
+
+    #[test]
+    fn an_array_return_type_does_not_hide_the_body() {
+        let f = parse_src(
+            "impl Conn { fn on_segment(&mut self) -> [Option<TcpSegment>; 2] { self.len as u32 } }",
+        );
+        let func = &f.functions[0];
+        assert_eq!(func.ret.as_deref(), Some("[Option<TcpSegment>;2]"));
+        assert!(func.body.is_some(), "the body is still there to be linted");
     }
 
     #[test]

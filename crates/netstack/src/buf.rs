@@ -1,20 +1,35 @@
-//! Shared, immutable frame buffers: the zero-copy spine of the frame path.
+//! Shared, immutable frame buffers: the spine of the frame path.
 //!
-//! Every layer of the reproduction used to clone payload bytes as a packet
-//! climbed the stack (bridge → Synjitsu → vchan → unikernel). [`FrameBuf`]
-//! replaces those clones with reference-counted views: one `Arc<[u8]>`
-//! allocation holds the received bytes, and [`FrameBuf::slice`] hands out
-//! O(1) windows into it — an Ethernet payload, the IPv4 payload inside it,
-//! the TCP payload inside *that* — all sharing the single allocation. The
-//! jitsu-lint A001 ratchet (`crates/lint/budget.toml`) enforces that the
-//! hot path stays this way: a packet is copied at most once, at ring
-//! ingress.
+//! A [`FrameBuf`] is a reference-counted window onto bytes that no longer
+//! change: [`FrameBuf::slice`] and `clone` hand out O(1) views — an Ethernet
+//! payload, the IPv4 payload inside it, the TCP payload inside *that* — all
+//! sharing one allocation. [`FrameBufMut`] is the other half: the emit paths
+//! size a builder up front, write headers and payload into it once, and
+//! [`FrameBufMut::freeze`] seals it without touching the bytes again.
 //!
-//! [`FrameBufMut`] is the builder half for emit paths: append bytes, then
-//! [`FrameBufMut::freeze`] into an immutable shared buffer. Copies that
-//! *must* happen (ring ingress, reassembly of out-of-order segments) go
-//! through the explicit [`FrameBuf::copy_from_slice`] constructor so intent
-//! is visible at the call site.
+//! What that does and does not promise, per packet:
+//!
+//! - **Composing a frame copies its payload once**, into the one buffer that
+//!   holds `eth | ip | l4 | payload` (`Interface` sizes it up front; the
+//!   codecs' header writers append to it).
+//! - **Sealing is free.** The backing store is an `Arc<Box<[u8]>>`: sealing
+//!   moves the builder's allocation behind a reference count. (An
+//!   `Arc<[u8]>` would be one allocation instead of two, but it cannot adopt
+//!   a `Vec`'s allocation: `Arc::from(vec)` allocates again and copies,
+//!   where the A001 lint, which looks for `.clone()` / `.to_vec()`, cannot
+//!   see it; and safe code can only fill one in place after zeroing it,
+//!   which measures slower than the second allocation at every frame size.)
+//! - **Crossing a ring copies twice**: into the granted page, and out of it
+//!   into one destination buffer per transfer (`conduit::vchan`).
+//! - **Everything after that is a view**: parsers, in-order delivery, HTTP
+//!   bodies and replay slice the arriving buffer and never copy it. This is
+//!   what the A001 ratchet (`crates/lint/budget.toml`) and the
+//!   `shares_allocation` assertions fence.
+//!
+//! Copies that *must* happen (reassembly of a request split over segments)
+//! go through [`FrameBuf::copy_from_slice`] or [`FrameBuf::concat`] so the
+//! intent is visible at the call site. `tests/data_plane_budget.rs` pins
+//! what one exchange allocates, exactly.
 
 use std::ops::{Bound, Deref, RangeBounds};
 use std::sync::Arc;
@@ -22,12 +37,14 @@ use std::sync::Arc;
 /// An immutable, cheaply cloneable view into shared frame bytes.
 ///
 /// Cloning and slicing are O(1): both produce a new view over the same
-/// underlying `Arc<[u8]>` allocation. The empty buffer holds no allocation
-/// at all, so [`FrameBuf::empty`] is free and `const`.
+/// underlying allocation. The empty buffer holds no allocation at all, so
+/// [`FrameBuf::empty`] is free and `const`.
 #[derive(Clone)]
 pub struct FrameBuf {
-    /// `None` iff the buffer is empty — the empty view never allocates.
-    data: Option<Arc<[u8]>>,
+    /// `None` iff the buffer is empty — the empty view never allocates. The
+    /// boxed slice is exactly as long as the bytes it was sealed with: a
+    /// sealed buffer keeps no spare capacity alive.
+    data: Option<Arc<Box<[u8]>>>,
     start: usize,
     end: usize,
 }
@@ -42,28 +59,30 @@ impl FrameBuf {
         }
     }
 
-    /// Take ownership of `bytes` as a shared buffer (the sanctioned way to
-    /// seal an emit-path `Vec`; no per-hop copies after this point).
+    /// Seal `bytes` as a shared buffer by adopting its allocation: the
+    /// bytes are not copied. Spare capacity is handed back to the allocator
+    /// first (a no-op for a `Vec` filled to the size it was created with,
+    /// which is how every emit path builds one).
     pub fn from_vec(bytes: Vec<u8>) -> FrameBuf {
         if bytes.is_empty() {
             return FrameBuf::empty();
         }
         let end = bytes.len();
         FrameBuf {
-            data: Some(Arc::from(bytes)),
+            data: Some(Arc::new(bytes.into_boxed_slice())),
             start: 0,
             end,
         }
     }
 
     /// Copy `bytes` into a fresh shared buffer. This is the *explicit* copy
-    /// constructor: the frame path allows exactly one copy per packet (ring
-    /// ingress, reassembly), and that copy should be spelled out, not hidden
-    /// in a `.to_vec()`.
+    /// constructor: where the frame path has to copy (bytes the caller only
+    /// borrows, reassembly), the copy is spelled out, not hidden in a
+    /// `.to_vec()`.
     pub fn copy_from_slice(bytes: &[u8]) -> FrameBuf {
-        let mut v = Vec::with_capacity(bytes.len());
-        v.extend_from_slice(bytes);
-        FrameBuf::from_vec(v)
+        let mut out = FrameBufMut::with_capacity(bytes.len());
+        out.extend_from_slice(bytes);
+        out.freeze()
     }
 
     /// Number of visible bytes.
@@ -119,17 +138,17 @@ impl FrameBuf {
     /// view (the common in-order delivery case); only genuine multi-part
     /// reassembly copies.
     pub fn concat(parts: &[FrameBuf]) -> FrameBuf {
-        let non_empty: Vec<&FrameBuf> = parts.iter().filter(|p| !p.is_empty()).collect();
-        match non_empty.as_slice() {
-            [] => FrameBuf::empty(),
-            [one] => (*one).clone(),
-            many => {
-                let total = many.iter().map(|p| p.len()).sum();
-                let mut v = Vec::with_capacity(total);
-                for part in many {
-                    v.extend_from_slice(part);
+        let mut non_empty = parts.iter().filter(|p| !p.is_empty());
+        match (non_empty.next(), non_empty.next()) {
+            (None, _) => FrameBuf::empty(),
+            (Some(one), None) => one.clone(),
+            (Some(_), Some(_)) => {
+                let total = parts.iter().map(|p| p.len()).sum();
+                let mut out = FrameBufMut::with_capacity(total);
+                for part in parts {
+                    out.extend_from_slice(part);
                 }
-                FrameBuf::from_vec(v)
+                out.freeze()
             }
         }
     }
@@ -258,8 +277,8 @@ impl PartialEq<FrameBuf> for [u8] {
 }
 
 /// The builder half: an append-only byte buffer that freezes into a
-/// [`FrameBuf`]. Emit paths compose a frame once (headers, then payload)
-/// and seal it; nothing downstream copies it again.
+/// [`FrameBuf`]. Emit paths size it up front, compose a frame in it once
+/// (headers, then payload) and seal it; sealing does not copy.
 #[derive(Debug, Default, Clone)]
 pub struct FrameBufMut {
     buf: Vec<u8>,
@@ -309,7 +328,8 @@ impl FrameBufMut {
         self.buf[index] = byte;
     }
 
-    /// Seal into an immutable shared buffer.
+    /// Seal into an immutable shared buffer. The bytes stay where they were
+    /// written: see [`FrameBuf::from_vec`].
     pub fn freeze(self) -> FrameBuf {
         FrameBuf::from_vec(self.buf)
     }

@@ -137,12 +137,21 @@ impl EthernetFrame {
         })
     }
 
+    /// Append the 14-byte header to `out`. The one definition of the header
+    /// layout: [`EthernetFrame::emit`] and `Interface`'s composed frames
+    /// both write it here (the payload field plays no part).
+    pub fn write_header(&self, out: &mut FrameBufMut) {
+        let mut header = [0u8; HEADER_LEN];
+        header[0..6].copy_from_slice(&self.dst.0);
+        header[6..12].copy_from_slice(&self.src.0);
+        header[12..14].copy_from_slice(&self.ethertype.as_u16().to_be_bytes());
+        out.extend_from_slice(&header);
+    }
+
     /// Serialise to wire bytes: compose once, seal into a shared buffer.
     pub fn emit(&self) -> FrameBuf {
-        let mut out = FrameBufMut::with_capacity(HEADER_LEN + self.payload.len());
-        out.extend_from_slice(&self.dst.0);
-        out.extend_from_slice(&self.src.0);
-        out.extend_from_slice(&self.ethertype.as_u16().to_be_bytes());
+        let mut out = FrameBufMut::with_capacity(self.len());
+        self.write_header(&mut out);
         out.extend_from_slice(&self.payload);
         out.freeze()
     }

@@ -50,16 +50,16 @@ impl HttpRequest {
         }
     }
 
-    /// Serialise to wire bytes: compose once, seal into a shared buffer.
+    /// Serialise to wire bytes: the length is computed first, so the
+    /// message is written once into a buffer of exactly that size.
     pub fn emit(&self) -> FrameBuf {
-        let mut out = FrameBufMut::new();
-        out.extend_from_slice(format!("{} {} HTTP/1.1\r\n", self.method, self.path).as_bytes());
-        for (k, v) in &self.headers {
-            out.extend_from_slice(format!("{k}: {v}\r\n").as_bytes());
-        }
-        out.extend_from_slice(b"\r\n");
-        out.extend_from_slice(&self.body);
-        out.freeze()
+        let request_line = [
+            self.method.as_bytes(),
+            b" ",
+            self.path.as_bytes(),
+            b" HTTP/1.1\r\n",
+        ];
+        emit_message(&request_line, &self.headers, &self.body)
     }
 
     /// Parse from wire bytes. Returns `Ok(None)` if the buffer does not yet
@@ -143,16 +143,18 @@ impl HttpResponse {
         }
     }
 
-    /// Serialise to wire bytes: compose once, seal into a shared buffer.
+    /// Serialise to wire bytes: the length is computed first, so the
+    /// message is written once into a buffer of exactly that size.
     pub fn emit(&self) -> FrameBuf {
-        let mut out = FrameBufMut::new();
-        out.extend_from_slice(format!("HTTP/1.1 {} {}\r\n", self.status, self.reason).as_bytes());
-        for (k, v) in &self.headers {
-            out.extend_from_slice(format!("{k}: {v}\r\n").as_bytes());
-        }
-        out.extend_from_slice(b"\r\n");
-        out.extend_from_slice(&self.body);
-        out.freeze()
+        let (digits, start) = decimal(self.status);
+        let status_line = [
+            b"HTTP/1.1 ",
+            &digits[start..],
+            b" ",
+            self.reason.as_bytes(),
+            b"\r\n",
+        ];
+        emit_message(&status_line, &self.headers, &self.body)
     }
 
     /// Parse from wire bytes; `Ok(None)` when incomplete. The body is an
@@ -197,6 +199,49 @@ impl HttpResponse {
             body: buf.slice(body_start..body_start + content_length),
         }))
     }
+}
+
+/// The decimal digits of `n`, right-aligned in the returned array from the
+/// returned index on.
+fn decimal(mut n: u16) -> ([u8; 5], usize) {
+    let mut digits = [b'0'; 5];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b"0123456789"[usize::from(n % 10)];
+        n /= 10;
+        if n == 0 {
+            return (digits, start);
+        }
+    }
+}
+
+/// Write `first_line` (its pieces in order), the headers, the blank line
+/// and the body into one buffer sized up front.
+fn emit_message(
+    first_line: &[&[u8]],
+    headers: &BTreeMap<String, String>,
+    body: &FrameBuf,
+) -> FrameBuf {
+    let first_line_len: usize = first_line.iter().map(|piece| piece.len()).sum();
+    let headers_len: usize = headers
+        .iter()
+        .map(|(k, v)| k.len() + b": ".len() + v.len() + b"\r\n".len())
+        .sum();
+    let mut out =
+        FrameBufMut::with_capacity(first_line_len + headers_len + b"\r\n".len() + body.len());
+    for piece in first_line {
+        out.extend_from_slice(piece);
+    }
+    for (k, v) in headers {
+        out.extend_from_slice(k.as_bytes());
+        out.extend_from_slice(b": ");
+        out.extend_from_slice(v.as_bytes());
+        out.extend_from_slice(b"\r\n");
+    }
+    out.extend_from_slice(b"\r\n");
+    out.extend_from_slice(body);
+    out.freeze()
 }
 
 /// Split a buffer at the `\r\n\r\n` header terminator, returning the header

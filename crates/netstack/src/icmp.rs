@@ -1,7 +1,7 @@
 //! ICMP echo (ping), the protocol behind Figure 8's datapath-latency
 //! measurement.
 
-use crate::buf::FrameBuf;
+use crate::buf::{FrameBuf, FrameBufMut};
 use crate::checksum;
 use crate::{NetError, Result};
 
@@ -76,16 +76,33 @@ impl IcmpEcho {
         })
     }
 
+    /// Header plus payload: this message's length on the wire.
+    pub fn wire_len(&self) -> usize {
+        HEADER_LEN + self.payload.len()
+    }
+
+    /// Append this message — header, then payload — to `out` with its
+    /// checksum filled in. The one definition of the header layout:
+    /// [`IcmpEcho::emit`] and `Interface`'s composed frames both write it
+    /// here.
+    pub fn write(&self, out: &mut FrameBufMut) {
+        let mut header = [0u8; HEADER_LEN];
+        header[0] = if self.is_request { 8 } else { 0 };
+        header[4..6].copy_from_slice(&self.ident.to_be_bytes());
+        header[6..8].copy_from_slice(&self.seq.to_be_bytes());
+        // The header is an even number of bytes, so summing it and the
+        // payload in turn equals summing the message.
+        let sum = checksum::partial(checksum::partial(0, &header), &self.payload);
+        header[2..4].copy_from_slice(&checksum::finish(sum).to_be_bytes());
+        out.extend_from_slice(&header);
+        out.extend_from_slice(&self.payload);
+    }
+
     /// Serialise to wire bytes with a valid checksum.
     pub fn emit(&self) -> FrameBuf {
-        let mut out = vec![0u8; HEADER_LEN + self.payload.len()];
-        out[0] = if self.is_request { 8 } else { 0 };
-        out[4..6].copy_from_slice(&self.ident.to_be_bytes());
-        out[6..8].copy_from_slice(&self.seq.to_be_bytes());
-        out[HEADER_LEN..].copy_from_slice(&self.payload);
-        let c = checksum::checksum(&out);
-        out[2..4].copy_from_slice(&c.to_be_bytes());
-        FrameBuf::from_vec(out)
+        let mut out = FrameBufMut::with_capacity(self.wire_len());
+        self.write(&mut out);
+        out.freeze()
     }
 }
 

@@ -10,11 +10,11 @@
 //! simulated dom0 bridge, over a conduit, or in unit tests.
 
 use crate::arp::{ArpCache, ArpOp, ArpPacket};
-use crate::buf::FrameBuf;
-use crate::ethernet::{EtherType, EthernetFrame, MacAddr};
+use crate::buf::{FrameBuf, FrameBufMut};
+use crate::ethernet::{self, EtherType, EthernetFrame, MacAddr};
 use crate::icmp::IcmpEcho;
-use crate::ipv4::{Ipv4Addr, Ipv4Packet, Protocol};
-use crate::tcp::{Connection, Listener, TcpFlags, TcpSegment};
+use crate::ipv4::{self, Ipv4Addr, Ipv4Packet, PayloadLen, Protocol};
+use crate::tcp::{self, Connection, Listener, TcpFlags, TcpSegment};
 use crate::udp::UdpDatagram;
 use std::collections::BTreeMap;
 
@@ -166,45 +166,93 @@ impl Interface {
         self.arp_cache.lookup(ip).unwrap_or(MacAddr::BROADCAST)
     }
 
-    fn wrap_ip(&self, dst_ip: Ipv4Addr, protocol: Protocol, payload: FrameBuf) -> FrameBuf {
-        let packet = Ipv4Packet::new(self.ip, dst_ip, protocol, payload);
-        EthernetFrame::new(
-            self.lookup_mac(dst_ip),
-            self.mac,
-            EtherType::Ipv4,
-            packet.emit(),
-        )
-        .emit()
+    /// The composition point: build `eth | ipv4 | l4` for `dst_ip` once, in
+    /// one buffer sized up front. `write_l4` appends the transport header
+    /// and payload — exactly `len` bytes, which its caller has checked fit
+    /// one datagram — so a frame costs one buffer, one copy of its payload
+    /// and one pass over it for the transport checksum.
+    fn compose(
+        &self,
+        dst_ip: Ipv4Addr,
+        protocol: Protocol,
+        len: PayloadLen,
+        write_l4: impl FnOnce(&mut FrameBufMut),
+    ) -> FrameBuf {
+        let frame_len = ethernet::HEADER_LEN + ipv4::HEADER_LEN + usize::from(len.get());
+        let mut out = FrameBufMut::with_capacity(frame_len);
+        let dst_mac = self.lookup_mac(dst_ip);
+        EthernetFrame::new(dst_mac, self.mac, EtherType::Ipv4, FrameBuf::empty())
+            .write_header(&mut out);
+        Ipv4Packet::new(self.ip, dst_ip, protocol, FrameBuf::empty()).write_header(&mut out, len);
+        write_l4(&mut out);
+        debug_assert_eq!(out.len(), frame_len);
+        out.freeze()
+    }
+
+    /// The frame carrying `seg`, whose wire length is `len`, to `dst_ip`.
+    fn tcp_frame(&self, dst_ip: Ipv4Addr, seg: &TcpSegment, len: PayloadLen) -> FrameBuf {
+        self.compose(dst_ip, Protocol::Tcp, len, |out| {
+            seg.write(out, self.ip, dst_ip, len)
+        })
+    }
+
+    /// The frame carrying the control segment `seg` (SYN, ACK, FIN, RST: a
+    /// bare header, which always fits) to `dst_ip`.
+    fn tcp_control_frame(&self, dst_ip: Ipv4Addr, seg: &TcpSegment) -> Option<FrameBuf> {
+        PayloadLen::new(seg.wire_len()).map(|len| self.tcp_frame(dst_ip, seg, len))
+    }
+
+    /// The frame carrying `echo` to `dst_ip`; `None` when it cannot fit one
+    /// IPv4 datagram.
+    fn icmp_frame(&self, dst_ip: Ipv4Addr, echo: &IcmpEcho) -> Option<FrameBuf> {
+        let len = PayloadLen::new(echo.wire_len())?;
+        Some(self.compose(dst_ip, Protocol::Icmp, len, |out| echo.write(out)))
+    }
+
+    /// The frame carrying `arp` to `dst_mac`.
+    fn arp_frame(&self, dst_mac: MacAddr, arp: &ArpPacket) -> FrameBuf {
+        let payload = arp.emit();
+        let mut out = FrameBufMut::with_capacity(ethernet::HEADER_LEN + payload.len());
+        EthernetFrame::new(dst_mac, self.mac, EtherType::Arp, FrameBuf::empty())
+            .write_header(&mut out);
+        out.extend_from_slice(&payload);
+        out.freeze()
     }
 
     /// Build an ARP who-has request frame for `ip`.
     pub fn arp_request(&self, ip: Ipv4Addr) -> FrameBuf {
-        let arp = ArpPacket::request(self.mac, self.ip, ip);
-        EthernetFrame::new(MacAddr::BROADCAST, self.mac, EtherType::Arp, arp.emit()).emit()
+        self.arp_frame(
+            MacAddr::BROADCAST,
+            &ArpPacket::request(self.mac, self.ip, ip),
+        )
     }
 
-    /// Build an ICMP echo request frame (the Figure 8 client).
+    /// Build an ICMP echo request frame (the Figure 8 client); `None` when
+    /// `payload_len` cannot fit one IPv4 datagram.
     pub fn icmp_echo_request(
         &self,
         dst: Ipv4Addr,
         ident: u16,
         seq: u16,
         payload_len: usize,
-    ) -> FrameBuf {
-        let echo = IcmpEcho::request(ident, seq, vec![0x42; payload_len]);
-        self.wrap_ip(dst, Protocol::Icmp, echo.emit())
+    ) -> Option<FrameBuf> {
+        self.icmp_frame(dst, &IcmpEcho::request(ident, seq, vec![0x42; payload_len]))
     }
 
-    /// Build a UDP datagram frame.
+    /// Build a UDP datagram frame; `None` when the payload cannot fit one
+    /// IPv4 datagram.
     pub fn udp_send(
         &self,
         dst: Ipv4Addr,
         src_port: u16,
         dst_port: u16,
         payload: impl Into<FrameBuf>,
-    ) -> FrameBuf {
+    ) -> Option<FrameBuf> {
         let datagram = UdpDatagram::new(src_port, dst_port, payload);
-        self.wrap_ip(dst, Protocol::Udp, datagram.emit(self.ip, dst))
+        let len = PayloadLen::new(datagram.wire_len())?;
+        Some(self.compose(dst, Protocol::Udp, len, |out| {
+            datagram.write(out, self.ip, dst, len)
+        }))
     }
 
     /// Open a TCP connection; returns the SYN frame to transmit.
@@ -217,23 +265,32 @@ impl Interface {
             .wrapping_mul(69069);
         let (conn, syn) = Connection::connect(self.ip, local_port, dst, dst_port, isn);
         self.connections.insert((dst, dst_port, local_port), conn);
-        self.wrap_ip(dst, Protocol::Tcp, syn.emit(self.ip, dst))
+        self.tcp_control_frame(dst, &syn)
+            // jitsu-lint: allow(P001, "a SYN is a bare 20-byte header, which always fits one datagram")
+            .expect("a bare TCP header fits")
     }
 
     /// Send data on an established connection; returns the frame. A
-    /// [`FrameBuf`] argument rides through as an O(1) view.
+    /// [`FrameBuf`] argument rides through as an O(1) view until it is
+    /// copied, once, into the frame.
+    ///
+    /// `None` when there is no such connection, and when `data` cannot fit
+    /// one IPv4 datagram (more than 65,495 bytes: nothing here segments at
+    /// an MSS). A refused send emits nothing and leaves the connection's
+    /// sequence space untouched.
     pub fn tcp_send(
         &mut self,
         remote: (Ipv4Addr, u16),
         local_port: u16,
         data: impl Into<FrameBuf>,
     ) -> Option<FrameBuf> {
+        let data = data.into();
+        let len = PayloadLen::new(tcp::segment::HEADER_LEN + data.len())?;
         let conn = self
             .connections
             .get_mut(&(remote.0, remote.1, local_port))?;
         let seg = conn.send(data);
-        let bytes = seg.emit(self.ip, remote.0);
-        Some(self.wrap_ip(remote.0, Protocol::Tcp, bytes))
+        Some(self.tcp_frame(remote.0, &seg, len))
     }
 
     /// Close a connection; returns the FIN frame.
@@ -242,8 +299,7 @@ impl Interface {
             .connections
             .get_mut(&(remote.0, remote.1, local_port))?;
         let fin = conn.close();
-        let bytes = fin.emit(self.ip, remote.0);
-        Some(self.wrap_ip(remote.0, Protocol::Tcp, bytes))
+        self.tcp_control_frame(remote.0, &fin)
     }
 
     /// Process one received Ethernet frame. Returns `(frames_to_send, events)`.
@@ -266,15 +322,7 @@ impl Interface {
                     self.arp_cache.insert(arp.sender_ip, arp.sender_mac);
                     if arp.op == ArpOp::Request && arp.target_ip == self.ip {
                         let reply = ArpPacket::reply_to(&arp, self.mac);
-                        out.push(
-                            EthernetFrame::new(
-                                arp.sender_mac,
-                                self.mac,
-                                EtherType::Arp,
-                                reply.emit(),
-                            )
-                            .emit(),
-                        );
+                        out.push(self.arp_frame(arp.sender_mac, &reply));
                     }
                 }
             }
@@ -305,8 +353,7 @@ impl Interface {
     ) {
         if let Ok(echo) = IcmpEcho::parse(&packet.payload) {
             if echo.is_request {
-                let reply = echo.reply();
-                out.push(self.wrap_ip(packet.src, Protocol::Icmp, reply.emit()));
+                out.extend(self.icmp_frame(packet.src, &echo.reply()));
             } else {
                 events.push(IfaceEvent::IcmpEchoReply {
                     src: packet.src,
@@ -348,9 +395,8 @@ impl Interface {
                     conn.state(),
                     crate::tcp::TcpState::Closed | crate::tcp::TcpState::CloseWait
                 );
-            for r in responses {
-                let bytes = r.emit(self.ip, packet.src);
-                out.push(self.wrap_ip(packet.src, Protocol::Tcp, bytes));
+            for r in responses.iter().flatten() {
+                out.extend(self.tcp_control_frame(packet.src, r));
             }
             if newly_established {
                 events.push(IfaceEvent::TcpConnected {
@@ -381,8 +427,7 @@ impl Interface {
                 .find(|l| l.local_port == seg.dst_port)
             {
                 if let Some((conn, syn_ack)) = listener.on_syn(packet.src, &seg) {
-                    let bytes = syn_ack.emit(self.ip, packet.src);
-                    out.push(self.wrap_ip(packet.src, Protocol::Tcp, bytes));
+                    out.extend(self.tcp_control_frame(packet.src, &syn_ack));
                     self.connections.insert(key, conn);
                     return;
                 }
@@ -397,8 +442,7 @@ impl Interface {
                 seg.seq.wrapping_add(seg.seq_len()),
                 TcpFlags::RST,
             );
-            let bytes = rst.emit(self.ip, packet.src);
-            out.push(self.wrap_ip(packet.src, Protocol::Tcp, bytes));
+            out.extend(self.tcp_control_frame(packet.src, &rst));
         }
     }
 }
@@ -472,7 +516,7 @@ mod tests {
     #[test]
     fn icmp_echo_request_reply() {
         let (mut client, mut server) = pair();
-        let ping = client.icmp_echo_request(SERVER_IP, 0x77, 3, 56);
+        let ping = client.icmp_echo_request(SERVER_IP, 0x77, 3, 56).unwrap();
         let (events_client, events_server) = pump(&mut client, &mut server, vec![ping]);
         assert!(events_server.is_empty());
         assert_eq!(events_client.len(), 1);
@@ -495,7 +539,9 @@ mod tests {
     #[test]
     fn udp_delivery() {
         let (client, mut server) = pair();
-        let frame = client.udp_send(SERVER_IP, 5353, 53, b"query".to_vec());
+        let frame = client
+            .udp_send(SERVER_IP, 5353, 53, b"query".to_vec())
+            .unwrap();
         let (_, events) = server.handle_frame(&frame);
         match &events[..] {
             [IfaceEvent::Udp {
@@ -555,6 +601,55 @@ mod tests {
     }
 
     #[test]
+    fn tcp_send_refuses_what_one_datagram_cannot_carry() {
+        let (mut client, mut server) = pair();
+        server.listen_tcp(80);
+        let syn = client.tcp_connect(SERVER_IP, 80);
+        pump(&mut client, &mut server, vec![syn]);
+        let (remote, port) = ((SERVER_IP, 80), 49152);
+        let received = |events: &[IfaceEvent]| -> usize {
+            events
+                .iter()
+                .map(|e| match e {
+                    IfaceEvent::TcpData { data, .. } => data.len(),
+                    _ => 0,
+                })
+                .sum()
+        };
+
+        // 65,495 bytes is the most one datagram holds beside the IPv4 and
+        // TCP headers: it crosses intact.
+        let largest = vec![0xA5u8; PayloadLen::MAX - tcp::segment::HEADER_LEN];
+        assert_eq!(largest.len(), 65_495);
+        let frame = client.tcp_send(remote, port, largest).unwrap();
+        assert_eq!(frame.len(), 14 + 65_535);
+        let (_, events) = pump(&mut client, &mut server, vec![frame]);
+        assert_eq!(received(&events), 65_495);
+
+        // One byte more has no wire form. It used to leave as a frame whose
+        // length fields had wrapped, which the peer dropped on checksum;
+        // now nothing is emitted and the connection does not move.
+        for too_large in [65_496, 70_000] {
+            let before = client.connection(remote, port).unwrap().tcb.clone();
+            assert_eq!(client.tcp_send(remote, port, vec![0u8; too_large]), None);
+            assert_eq!(client.connection(remote, port).unwrap().tcb, before);
+        }
+        let frame = client.tcp_send(remote, port, b"still in sequence").unwrap();
+        let (_, events) = pump(&mut client, &mut server, vec![frame]);
+        assert_eq!(received(&events), 17);
+
+        // The other transports refuse at the same boundary.
+        assert!(client
+            .udp_send(SERVER_IP, 1, 2, vec![0u8; 65_507])
+            .is_some());
+        assert!(client
+            .udp_send(SERVER_IP, 1, 2, vec![0u8; 65_508])
+            .is_none());
+        assert!(client.icmp_echo_request(SERVER_IP, 1, 1, 65_507).is_some());
+        assert!(client.icmp_echo_request(SERVER_IP, 1, 1, 65_508).is_none());
+    }
+
+    #[test]
     fn syn_to_closed_port_gets_rst() {
         let (mut client, mut server) = pair();
         let syn = client.tcp_connect(SERVER_IP, 81); // nothing listening
@@ -570,7 +665,10 @@ mod tests {
     fn frames_for_other_hosts_are_ignored() {
         let (client, mut server) = pair();
         // Address the frame at some third MAC.
-        let mut frame = client.udp_send(SERVER_IP, 1, 2, b"x".to_vec()).to_vec();
+        let mut frame = client
+            .udp_send(SERVER_IP, 1, 2, b"x".to_vec())
+            .unwrap()
+            .to_vec();
         frame[0..6].copy_from_slice(&[2, 0, 0, 0, 0, 9]);
         let (out, events) = server.handle_frame(&frame.into());
         assert!(out.is_empty());

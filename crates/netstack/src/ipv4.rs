@@ -90,7 +90,35 @@ impl Protocol {
 }
 
 /// Minimum IPv4 header length (no options).
-pub const HEADER_LEN: usize = 20;
+pub const HEADER_LEN: usize = HEADER_LEN_U16 as usize;
+const HEADER_LEN_U16: u16 = 20;
+
+/// The length of an IPv4 payload (transport header plus data), checked to
+/// fit one datagram beside the 20-byte header. Nothing on the emit path
+/// segments at an MSS, so an application can ask for more than the 16-bit
+/// total-length field can say; this is the one place that is decided, and
+/// the header writers take the checked value instead of narrowing their own.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PayloadLen(u16);
+
+impl PayloadLen {
+    /// The largest payload one datagram carries: 65,515 bytes.
+    pub const MAX: usize = (u16::MAX - HEADER_LEN_U16) as usize;
+
+    /// `len` as a payload length; `None` when it cannot fit one datagram.
+    pub fn new(len: usize) -> Option<PayloadLen> {
+        if len > PayloadLen::MAX {
+            return None;
+        }
+        u16::try_from(len).ok().map(PayloadLen)
+    }
+
+    /// The length as the wire's 16-bit fields carry it (the UDP length, the
+    /// TCP/UDP pseudo-header).
+    pub fn get(self) -> u16 {
+        self.0
+    }
+}
 
 /// A parsed IPv4 packet (options are not supported, matching the paper's
 /// stack which silently ignores them).
@@ -182,10 +210,13 @@ impl Ipv4Packet {
         })
     }
 
-    /// Serialise to wire bytes, computing the header checksum.
-    pub fn emit(&self) -> FrameBuf {
-        // jitsu-lint: allow(N001, "payloads are MTU-bounded (≤1500 bytes), so header + payload is far below 65536")
-        let total_len = (HEADER_LEN + self.payload.len()) as u16;
+    /// Append the 20-byte header of a datagram carrying `payload_len` bytes
+    /// to `out`. The one definition of the header layout:
+    /// [`Ipv4Packet::emit`] and `Interface`'s composed frames both write it
+    /// here (the payload field plays no part).
+    pub fn write_header(&self, out: &mut FrameBufMut, payload_len: PayloadLen) {
+        // Cannot overflow: `PayloadLen` is at most 65,515.
+        let total_len = HEADER_LEN_U16 + payload_len.get();
         let mut header = [0u8; HEADER_LEN];
         header[0] = 0x45; // version 4, IHL 5
         header[1] = 0; // DSCP/ECN
@@ -198,8 +229,20 @@ impl Ipv4Packet {
         header[16..20].copy_from_slice(&self.dst.0);
         let c = checksum::checksum(&header);
         header[10..12].copy_from_slice(&c.to_be_bytes());
-        let mut out = FrameBufMut::with_capacity(HEADER_LEN + self.payload.len());
         out.extend_from_slice(&header);
+    }
+
+    /// Serialise to wire bytes (header checksum filled in).
+    ///
+    /// # Panics
+    /// When the payload exceeds [`PayloadLen::MAX`]: such a datagram has no
+    /// wire form. `Interface` refuses the payload before it gets here.
+    pub fn emit(&self) -> FrameBuf {
+        let payload_len = PayloadLen::new(self.payload.len())
+            // jitsu-lint: allow(P001, "a payload no datagram can carry is a caller bug; Interface checks PayloadLen before composing")
+            .expect("payload fits one IPv4 datagram");
+        let mut out = FrameBufMut::with_capacity(HEADER_LEN + self.payload.len());
+        self.write_header(&mut out, payload_len);
         out.extend_from_slice(&self.payload);
         out.freeze()
     }

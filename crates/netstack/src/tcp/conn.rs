@@ -67,7 +67,7 @@ impl Listener {
         Some((
             Connection {
                 tcb,
-                staged: Vec::new(),
+                staged: FrameBuf::empty(),
             },
             syn_ack,
         ))
@@ -79,23 +79,20 @@ impl Listener {
 pub struct Connection {
     /// The connection control block.
     pub tcb: Tcb,
-    /// In-order received payload views, staged until the application takes
-    /// them. Each entry shares the allocation of the frame it arrived in, so
-    /// delivery stays zero-copy; [`Connection::take_received`] concatenates
-    /// them (an O(1) view in the common single-segment case).
-    staged: Vec<FrameBuf>,
+    /// In-order received payload, staged until the application takes it. A
+    /// segment arriving with nothing staged (the common case: `Interface`
+    /// takes after every segment) is held as a view of the frame it came
+    /// in, so delivery copies nothing and allocates nothing; one arriving
+    /// behind bytes nobody has taken yet is appended by copy.
+    staged: FrameBuf,
 }
 
 impl Connection {
     /// Adopt a connection from a serialised TCB — the unikernel side of the
-    /// Synjitsu handoff. Any bytes the proxy buffered move into the staged
-    /// delivery queue without copying.
+    /// Synjitsu handoff. Any bytes the proxy buffered become the staged
+    /// delivery without copying.
     pub fn from_tcb(mut tcb: Tcb) -> Connection {
-        let staged = if tcb.buffered.is_empty() {
-            Vec::new()
-        } else {
-            vec![FrameBuf::from_vec(std::mem::take(&mut tcb.buffered))]
-        };
+        let staged = FrameBuf::from_vec(std::mem::take(&mut tcb.buffered));
         Connection { tcb, staged }
     }
 
@@ -105,10 +102,9 @@ impl Connection {
     pub fn tcb_snapshot(&self) -> Tcb {
         let mut tcb = self.tcb.clone();
         if !self.staged.is_empty() {
-            let staged = FrameBuf::concat(&self.staged);
-            let mut buffered = Vec::with_capacity(tcb.buffered.len() + staged.len());
+            let mut buffered = Vec::with_capacity(tcb.buffered.len() + self.staged.len());
             buffered.extend_from_slice(&tcb.buffered);
-            buffered.extend_from_slice(&staged);
+            buffered.extend_from_slice(&self.staged);
             tcb.buffered = buffered;
         }
         tcb
@@ -130,7 +126,7 @@ impl Connection {
         (
             Connection {
                 tcb,
-                staged: Vec::new(),
+                staged: FrameBuf::empty(),
             },
             syn,
         )
@@ -150,23 +146,25 @@ impl Connection {
     /// buffer. When a single segment is pending this is an O(1) view of the
     /// frame it arrived in — no bytes are copied on the way up.
     pub fn take_received(&mut self) -> FrameBuf {
-        if !self.tcb.buffered.is_empty() {
-            // Bytes placed directly in the control block (e.g. by a caller
-            // mutating an adopted TCB) drain ahead of the staged views.
-            self.staged.insert(
-                0,
-                FrameBuf::from_vec(std::mem::take(&mut self.tcb.buffered)),
-            );
+        let staged = std::mem::take(&mut self.staged);
+        if self.tcb.buffered.is_empty() {
+            return staged;
         }
-        FrameBuf::concat(&std::mem::take(&mut self.staged))
+        // Bytes placed directly in the control block (e.g. by a caller
+        // mutating an adopted TCB) drain ahead of the staged ones.
+        let buffered = FrameBuf::from_vec(std::mem::take(&mut self.tcb.buffered));
+        FrameBuf::concat(&[buffered, staged])
     }
 
-    /// Process an incoming segment, returning any segments to transmit in
-    /// response. Out-of-order segments are dropped (the peer will
-    /// retransmit); this matches the minimal in-order stack the unikernels
-    /// use for request/response workloads.
-    pub fn on_segment(&mut self, seg: &TcpSegment) -> Vec<TcpSegment> {
-        let mut out = Vec::new();
+    /// Process an incoming segment, returning what to transmit in response:
+    /// at most an ACK for the segment's handshake step or data and one for
+    /// its FIN, in transmit order and filled from the front — two fixed
+    /// slots, not a heap `Vec` per segment.
+    /// Out-of-order segments are dropped (the peer will retransmit); this
+    /// matches the minimal in-order stack the unikernels use for
+    /// request/response workloads.
+    pub fn on_segment(&mut self, seg: &TcpSegment) -> [Option<TcpSegment>; 2] {
+        let mut out = [None, None];
         if seg.flags.rst {
             self.tcb.state = TcpState::Closed;
             return out;
@@ -177,7 +175,7 @@ impl Connection {
                     self.tcb.rcv_nxt = seg.seq.wrapping_add(1);
                     self.tcb.snd_una = seg.ack;
                     self.tcb.state = TcpState::Established;
-                    out.push(self.make_ack());
+                    out[0] = Some(self.make_ack());
                 }
             }
             TcpState::SynReceived => {
@@ -186,7 +184,7 @@ impl Connection {
                     self.tcb.state = TcpState::Established;
                     // The ACK may carry data (common for HTTP clients).
                     if !seg.payload.is_empty() {
-                        out.extend(self.accept_data(seg));
+                        out[0] = Some(self.accept_data(seg));
                     }
                 }
             }
@@ -203,7 +201,7 @@ impl Connection {
                     }
                 }
                 if !seg.payload.is_empty() {
-                    out.extend(self.accept_data(seg));
+                    out[0] = Some(self.accept_data(seg));
                 }
                 // A FIN occupies the sequence slot *after* any payload in
                 // the same segment.
@@ -217,7 +215,7 @@ impl Connection {
                         }
                         _ => self.tcb.state = TcpState::CloseWait,
                     }
-                    out.push(self.make_ack());
+                    out[usize::from(out[0].is_some())] = Some(self.make_ack());
                 }
             }
             TcpState::CloseWait | TcpState::LastAck => {
@@ -233,25 +231,23 @@ impl Connection {
         out
     }
 
-    fn accept_data(&mut self, seg: &TcpSegment) -> Vec<TcpSegment> {
+    /// Take `seg`'s unseen bytes, if any, and return the ACK that answers it.
+    fn accept_data(&mut self, seg: &TcpSegment) -> TcpSegment {
         // jitsu-lint: allow(N001, "segment payloads are bounded by the u16 wire length field, well within u32")
         let end = seg.seq.wrapping_add(seg.payload.len() as u32);
-        if seq_le(end, self.tcb.rcv_nxt) {
-            // Entirely old data (a retransmission): re-ACK, never re-buffer.
-            return vec![self.make_ack()];
+        // Entirely old data (a retransmission) is re-ACKed, never
+        // re-buffered; so is a segment after a gap (the peer retransmits;
+        // this stack keeps no reassembly queue).
+        if !seq_le(end, self.tcb.rcv_nxt) && !seq_gt(seg.seq, self.tcb.rcv_nxt) {
+            // seq <= rcv_nxt < end (wrapping): accept only the unseen
+            // suffix, so a retransmission that partially overlaps delivered
+            // data cannot duplicate bytes into the stream.
+            let skip = self.tcb.rcv_nxt.wrapping_sub(seg.seq) as usize;
+            let staged = std::mem::take(&mut self.staged);
+            self.staged = FrameBuf::concat(&[staged, seg.payload.slice(skip..)]);
+            self.tcb.rcv_nxt = end;
         }
-        if seq_gt(seg.seq, self.tcb.rcv_nxt) {
-            // A gap before this segment: drop it and re-ACK what we have
-            // (the peer retransmits; this stack keeps no reassembly queue).
-            return vec![self.make_ack()];
-        }
-        // seq <= rcv_nxt < end (wrapping): accept only the unseen suffix, so
-        // a retransmission that partially overlaps delivered data cannot
-        // duplicate bytes into the stream.
-        let skip = self.tcb.rcv_nxt.wrapping_sub(seg.seq) as usize;
-        self.staged.push(seg.payload.slice(skip..));
-        self.tcb.rcv_nxt = end;
-        vec![self.make_ack()]
+        self.make_ack()
     }
 
     fn make_ack(&self) -> TcpSegment {
@@ -309,6 +305,11 @@ mod tests {
     const SERVER_IP: Ipv4Addr = Ipv4Addr::new(192, 168, 1, 20);
     const CLIENT_IP: Ipv4Addr = Ipv4Addr::new(192, 168, 1, 100);
 
+    /// The first segment `on_segment` asked to transmit.
+    fn first_of(replies: &[Option<TcpSegment>; 2]) -> &TcpSegment {
+        replies[0].as_ref().expect("a segment answers")
+    }
+
     /// Drive a full handshake between a client connection and a listener,
     /// returning both connections.
     fn handshake() -> (Connection, Connection) {
@@ -319,10 +320,10 @@ mod tests {
         assert_eq!(server.state(), TcpState::SynReceived);
         let acks = client.on_segment(&syn_ack);
         assert!(client.is_established());
-        assert_eq!(acks.len(), 1);
-        let more = server.on_segment(&acks[0]);
+        assert_eq!(acks.iter().flatten().count(), 1);
+        let more = server.on_segment(first_of(&acks));
         assert!(server.is_established());
-        assert!(more.is_empty());
+        assert!(more.iter().all(Option::is_none));
         (client, server)
     }
 
@@ -338,15 +339,15 @@ mod tests {
         let (mut client, mut server) = handshake();
         let request = client.send(b"GET / HTTP/1.1\r\n\r\n");
         let responses = server.on_segment(&request);
-        assert_eq!(responses.len(), 1, "data is ACKed");
-        assert!(responses[0].flags.ack);
+        assert_eq!(responses.iter().flatten().count(), 1, "data is ACKed");
+        assert!(first_of(&responses).flags.ack);
         assert_eq!(server.take_received(), b"GET / HTTP/1.1\r\n\r\n");
         // Server replies.
-        client.on_segment(&responses[0]);
+        client.on_segment(first_of(&responses));
         let reply = server.send(b"HTTP/1.1 200 OK\r\n\r\nhello");
         let acks = client.on_segment(&reply);
         assert_eq!(client.take_received(), b"HTTP/1.1 200 OK\r\n\r\nhello");
-        server.on_segment(&acks[0]);
+        server.on_segment(first_of(&acks));
         assert_eq!(
             server.tcb.snd_una, server.tcb.snd_nxt,
             "all data acknowledged"
@@ -360,7 +361,7 @@ mod tests {
         server.on_segment(&request);
         // The same segment arrives again (client retransmission).
         let responses = server.on_segment(&request);
-        assert_eq!(responses.len(), 1);
+        assert_eq!(responses.iter().flatten().count(), 1);
         assert_eq!(server.take_received(), b"hello", "no duplication");
     }
 
@@ -397,7 +398,7 @@ mod tests {
         let out = server.on_segment(&req);
         assert!(server.is_established());
         assert_eq!(server.take_received(), b"GET /photos HTTP/1.1\r\n\r\n");
-        assert!(!out.is_empty());
+        assert!(out[0].is_some());
     }
 
     #[test]
@@ -407,13 +408,13 @@ mod tests {
         assert_eq!(client.state(), TcpState::FinWait1);
         let acks = server.on_segment(&fin);
         assert_eq!(server.state(), TcpState::CloseWait);
-        client.on_segment(&acks[0]);
+        client.on_segment(first_of(&acks));
         assert_eq!(client.state(), TcpState::FinWait2);
         let server_fin = server.close();
         assert_eq!(server.state(), TcpState::LastAck);
         let acks = client.on_segment(&server_fin);
         assert_eq!(client.state(), TcpState::Closed);
-        server.on_segment(&acks[0]);
+        server.on_segment(first_of(&acks));
         assert_eq!(server.state(), TcpState::Closed);
     }
 
@@ -422,7 +423,7 @@ mod tests {
         let (mut client, _server) = handshake();
         let rst = TcpSegment::control(80, 51000, 0, 0, TcpFlags::RST);
         let out = client.on_segment(&rst);
-        assert!(out.is_empty());
+        assert!(out.iter().all(Option::is_none));
         assert_eq!(client.state(), TcpState::Closed);
     }
 
@@ -455,7 +456,7 @@ mod tests {
         let (mut client, syn) = Connection::connect(CLIENT_IP, 51000, SERVER_IP, 80, client_isn);
         let (mut server, syn_ack) = listener.on_syn(CLIENT_IP, &syn).unwrap();
         let acks = client.on_segment(&syn_ack);
-        server.on_segment(&acks[0]);
+        server.on_segment(first_of(&acks));
         assert!(client.is_established() && server.is_established());
         (client, server)
     }
@@ -472,7 +473,7 @@ mod tests {
         let acks = server.on_segment(&second);
         assert_eq!(server.take_received(), b"GET / HTTP/1.1\r\n\r\n");
         // The cumulative ACK is post-wrap and the client accepts it.
-        client.on_segment(&acks[0]);
+        client.on_segment(first_of(&acks));
         assert_eq!(client.tcb.snd_una, client.tcb.snd_nxt);
     }
 
@@ -485,7 +486,11 @@ mod tests {
         // `u32` comparisons `seq < rcv_nxt` fails here and the old bytes
         // would be buffered twice.
         let responses = server.on_segment(&seg);
-        assert_eq!(responses.len(), 1, "duplicate still gets a fresh ACK");
+        assert_eq!(
+            responses.iter().flatten().count(),
+            1,
+            "duplicate still gets a fresh ACK"
+        );
         assert_eq!(server.take_received(), b"hello world", "no duplication");
     }
 
@@ -523,7 +528,7 @@ mod tests {
         );
         let seg = client.send(b"data");
         let acks = server.on_segment(&seg);
-        client.on_segment(&acks[0]);
+        client.on_segment(first_of(&acks));
         let una_after = client.tcb.snd_una;
         // A stale ACK (acknowledging less) arrives late: snd_una must hold.
         client.on_segment(&old_ack);
@@ -540,7 +545,11 @@ mod tests {
         let acks = server.on_segment(&fin_with_data);
         assert_eq!(server.take_received(), b"last bytes");
         assert_eq!(server.state(), TcpState::CloseWait, "FIN seen after data");
-        assert!(!acks.is_empty());
+        // One ACK for the data, then one for the FIN.
+        let [Some(data_ack), Some(fin_ack)] = acks else {
+            panic!("both the data and the FIN are ACKed, got {acks:?}");
+        };
+        assert_eq!(fin_ack.ack, data_ack.ack.wrapping_add(1));
     }
 
     #[test]

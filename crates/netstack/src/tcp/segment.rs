@@ -1,8 +1,8 @@
 //! TCP segment parsing and construction.
 
-use crate::buf::FrameBuf;
+use crate::buf::{FrameBuf, FrameBufMut};
 use crate::checksum;
-use crate::ipv4::Ipv4Addr;
+use crate::ipv4::{Ipv4Addr, PayloadLen};
 use crate::{NetError, Result};
 
 /// TCP header flags.
@@ -173,23 +173,48 @@ impl TcpSegment {
         })
     }
 
-    /// Serialise to wire bytes with a valid checksum.
+    /// Header plus payload: this segment's length on the wire.
+    pub fn wire_len(&self) -> usize {
+        HEADER_LEN + self.payload.len()
+    }
+
+    /// Append this segment — header, then payload — to `out`, its checksum
+    /// computed under the pseudo-header for `src`/`dst`. `len` is
+    /// [`TcpSegment::wire_len`] as the caller checked it. The one definition
+    /// of the header layout: [`TcpSegment::emit`] and `Interface`'s composed
+    /// frames both write it here; the payload is read twice (checksum, copy)
+    /// and written once.
+    pub fn write(&self, out: &mut FrameBufMut, src: Ipv4Addr, dst: Ipv4Addr, len: PayloadLen) {
+        debug_assert_eq!(usize::from(len.get()), self.wire_len());
+        let mut header = [0u8; HEADER_LEN];
+        header[0..2].copy_from_slice(&self.src_port.to_be_bytes());
+        header[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
+        header[4..8].copy_from_slice(&self.seq.to_be_bytes());
+        header[8..12].copy_from_slice(&self.ack.to_be_bytes());
+        header[12] = ((HEADER_LEN / 4) as u8) << 4;
+        header[13] = self.flags.to_bits();
+        header[14..16].copy_from_slice(&self.window.to_be_bytes());
+        // The header is an even number of bytes, so summing it and the
+        // payload in turn equals summing the segment.
+        let sum = checksum::pseudo_header(src.0, dst.0, 6, len.get());
+        let sum = checksum::partial(checksum::partial(sum, &header), &self.payload);
+        header[16..18].copy_from_slice(&checksum::finish(sum).to_be_bytes());
+        out.extend_from_slice(&header);
+        out.extend_from_slice(&self.payload);
+    }
+
+    /// Serialise to wire bytes, computing the checksum with the given
+    /// pseudo-header addresses.
+    ///
+    /// # Panics
+    /// When the segment exceeds [`PayloadLen::MAX`]: no IPv4 datagram can
+    /// carry it. `Interface::tcp_send` refuses such a payload first.
     pub fn emit(&self, src: Ipv4Addr, dst: Ipv4Addr) -> FrameBuf {
-        let len = HEADER_LEN + self.payload.len();
-        let mut out = vec![0u8; len];
-        out[0..2].copy_from_slice(&self.src_port.to_be_bytes());
-        out[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
-        out[4..8].copy_from_slice(&self.seq.to_be_bytes());
-        out[8..12].copy_from_slice(&self.ack.to_be_bytes());
-        out[12] = ((HEADER_LEN / 4) as u8) << 4;
-        out[13] = self.flags.to_bits();
-        out[14..16].copy_from_slice(&self.window.to_be_bytes());
-        out[HEADER_LEN..].copy_from_slice(&self.payload);
-        // jitsu-lint: allow(N001, "emitted segments are MTU-bounded (≤1500 bytes), far below 65536")
-        let ph = checksum::pseudo_header(src.0, dst.0, 6, len as u16);
-        let c = checksum::finish(checksum::partial(ph, &out));
-        out[16..18].copy_from_slice(&c.to_be_bytes());
-        FrameBuf::from_vec(out)
+        // jitsu-lint: allow(P001, "a segment no datagram can carry is a caller bug; Interface checks PayloadLen before composing")
+        let len = PayloadLen::new(self.wire_len()).expect("segment fits one IPv4 datagram");
+        let mut out = FrameBufMut::with_capacity(self.wire_len());
+        self.write(&mut out, src, dst, len);
+        out.freeze()
     }
 }
 

@@ -1,8 +1,8 @@
 //! UDP datagrams (DNS transport for the Jitsu directory service).
 
-use crate::buf::FrameBuf;
+use crate::buf::{FrameBuf, FrameBufMut};
 use crate::checksum;
-use crate::ipv4::Ipv4Addr;
+use crate::ipv4::{Ipv4Addr, PayloadLen};
 use crate::{NetError, Result};
 
 /// UDP header length.
@@ -64,22 +64,46 @@ impl UdpDatagram {
         })
     }
 
-    /// Serialise with a checksum computed over the IPv4 pseudo-header.
-    pub fn emit(&self, src: Ipv4Addr, dst: Ipv4Addr) -> FrameBuf {
-        // jitsu-lint: allow(N001, "payloads are MTU-bounded (≤1500 bytes), so header + payload is far below 65536")
-        let length = (HEADER_LEN + self.payload.len()) as u16;
-        let mut out = vec![0u8; length as usize];
-        out[0..2].copy_from_slice(&self.src_port.to_be_bytes());
-        out[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
-        out[4..6].copy_from_slice(&length.to_be_bytes());
-        out[HEADER_LEN..].copy_from_slice(&self.payload);
-        let ph = checksum::pseudo_header(src.0, dst.0, 17, length);
-        let mut c = checksum::finish(checksum::partial(ph, &out));
+    /// Header plus payload: this datagram's length on the wire.
+    pub fn wire_len(&self) -> usize {
+        HEADER_LEN + self.payload.len()
+    }
+
+    /// Append this datagram — header, then payload — to `out`, its checksum
+    /// computed under the pseudo-header for `src`/`dst`. `len` is
+    /// [`UdpDatagram::wire_len`] as the caller checked it. The one
+    /// definition of the header layout: [`UdpDatagram::emit`] and
+    /// `Interface`'s composed frames both write it here.
+    pub fn write(&self, out: &mut FrameBufMut, src: Ipv4Addr, dst: Ipv4Addr, len: PayloadLen) {
+        debug_assert_eq!(usize::from(len.get()), self.wire_len());
+        let mut header = [0u8; HEADER_LEN];
+        header[0..2].copy_from_slice(&self.src_port.to_be_bytes());
+        header[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
+        header[4..6].copy_from_slice(&len.get().to_be_bytes());
+        // The header is an even number of bytes, so summing it and the
+        // payload in turn equals summing the datagram.
+        let sum = checksum::pseudo_header(src.0, dst.0, 17, len.get());
+        let sum = checksum::partial(checksum::partial(sum, &header), &self.payload);
+        let mut c = checksum::finish(sum);
         if c == 0 {
             c = 0xffff; // 0 is reserved for "no checksum"
         }
-        out[6..8].copy_from_slice(&c.to_be_bytes());
-        FrameBuf::from_vec(out)
+        header[6..8].copy_from_slice(&c.to_be_bytes());
+        out.extend_from_slice(&header);
+        out.extend_from_slice(&self.payload);
+    }
+
+    /// Serialise with a checksum computed over the IPv4 pseudo-header.
+    ///
+    /// # Panics
+    /// When the datagram exceeds [`PayloadLen::MAX`]: no IPv4 datagram can
+    /// carry it. `Interface::udp_send` refuses such a payload first.
+    pub fn emit(&self, src: Ipv4Addr, dst: Ipv4Addr) -> FrameBuf {
+        // jitsu-lint: allow(P001, "a datagram no IPv4 packet can carry is a caller bug; Interface checks PayloadLen before composing")
+        let len = PayloadLen::new(self.wire_len()).expect("datagram fits one IPv4 datagram");
+        let mut out = FrameBufMut::with_capacity(self.wire_len());
+        self.write(&mut out, src, dst, len);
+        out.freeze()
     }
 }
 

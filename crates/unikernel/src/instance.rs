@@ -12,7 +12,7 @@ use crate::appliance::Appliance;
 use crate::boot::BootPipeline;
 use crate::image::UnikernelImage;
 use jitsu_sim::{SimDuration, SimRng};
-use netstack::http::HttpRequest;
+use netstack::http::{HttpRequest, HttpResponse};
 use netstack::iface::{IfaceEvent, Interface};
 use netstack::ipv4::Ipv4Addr;
 use netstack::tcp::{Connection, Tcb};
@@ -90,18 +90,25 @@ impl UnikernelInstance {
         let mut conn = Connection::from_tcb(tcb);
         let buffered = conn.take_received();
         self.iface.adopt_connection(conn, client_mac);
-        if buffered.is_empty() {
-            return (Vec::new(), SimDuration::ZERO);
-        }
-        self.process_request_bytes(remote, local_port, &buffered)
+        let mut frames = Vec::new();
+        let cost = if buffered.is_empty() {
+            SimDuration::ZERO
+        } else {
+            self.process_request_bytes(remote, local_port, &buffered, &mut frames)
+        };
+        (frames, cost)
     }
 
+    /// Feed `data`, newly arrived on a connection, to the appliance once a
+    /// whole request is there. Response frames go onto `out`; returns the
+    /// appliance's processing time.
     fn process_request_bytes(
         &mut self,
         remote: (Ipv4Addr, u16),
         local_port: u16,
         data: &FrameBuf,
-    ) -> (Vec<FrameBuf>, SimDuration) {
+        out: &mut Vec<FrameBuf>,
+    ) -> SimDuration {
         let key = (remote.0, remote.1, local_port);
         let idx = self.partial.iter().position(|(k, _)| *k == key);
         // Fast path: nothing pending for this connection, so parse directly
@@ -114,47 +121,37 @@ impl UnikernelInstance {
                 FrameBuf::concat(&self.partial[i].1)
             }
         };
-        match HttpRequest::parse(&assembled) {
+        let (response, cost) = match HttpRequest::parse(&assembled) {
             Ok(Some(request)) => {
-                if let Some(i) = idx {
-                    self.partial.remove(i);
-                }
-                let (response, cost) = self.appliance.handle(&request, &mut self.rng);
                 self.requests_handled += 1;
-                let frames = self
-                    .iface
-                    .tcp_send(remote, local_port, response.emit())
-                    .into_iter()
-                    .collect();
-                (frames, cost)
+                self.appliance.handle(&request, &mut self.rng)
             }
             Ok(None) => {
                 if idx.is_none() {
                     self.partial.push((key, vec![data.slice(..)]));
                 }
-                (Vec::new(), SimDuration::ZERO)
+                return SimDuration::ZERO;
             }
-            Err(_) => {
-                if let Some(i) = idx {
-                    self.partial.remove(i);
-                }
-                let frames = self
-                    .iface
-                    .tcp_send(
-                        remote,
-                        local_port,
-                        netstack::http::HttpResponse::with_status(
-                            400,
-                            "Bad Request",
-                            FrameBuf::empty(),
-                        )
-                        .emit(),
-                    )
-                    .into_iter()
-                    .collect();
-                (frames, SimDuration::from_micros(100))
-            }
+            Err(_) => (
+                HttpResponse::with_status(400, "Bad Request", FrameBuf::empty()),
+                SimDuration::from_micros(100),
+            ),
+        };
+        if let Some(i) = idx {
+            self.partial.remove(i);
         }
+        // A response too large for one IPv4 datagram cannot be sent (nothing
+        // segments at an MSS): say so to the client instead of going quiet.
+        let frame = self
+            .iface
+            .tcp_send(remote, local_port, response.emit())
+            .or_else(|| {
+                let too_large =
+                    HttpResponse::with_status(500, "Internal Server Error", FrameBuf::empty());
+                self.iface.tcp_send(remote, local_port, too_large.emit())
+            });
+        out.extend(frame);
+        cost
     }
 
     /// Feed one Ethernet frame into the instance. Returns the frames to
@@ -171,9 +168,7 @@ impl UnikernelInstance {
             } = event
             {
                 if local_port == self.port {
-                    let (frames, c) = self.process_request_bytes(remote, local_port, &data);
-                    out.extend(frames);
-                    cost += c;
+                    cost += self.process_request_bytes(remote, local_port, &data, &mut out);
                 }
             }
         }
@@ -264,6 +259,53 @@ mod tests {
         assert_eq!(response.status, 200);
         assert!(String::from_utf8_lossy(&response.body).contains("alice"));
         assert_eq!(server.requests_handled(), 1);
+    }
+
+    #[test]
+    fn a_page_too_large_for_one_datagram_is_answered_with_a_500() {
+        // Nothing segments at an MSS, so a 70,000-byte page has no wire
+        // form. The instance used to emit a frame with wrapped length
+        // fields (dropped by the client on checksum); it must say so.
+        let mut site = StaticSiteAppliance::new("alice");
+        site.add_page("/huge", vec![b'x'; 70_000]);
+        let mut server = UnikernelInstance::new(
+            UnikernelImage::mirage("alice"),
+            SERVER_MAC,
+            SERVER_IP,
+            80,
+            Box::new(site),
+            99,
+        );
+        let mut client = Interface::new(CLIENT_MAC, CLIENT_IP);
+        client.add_arp_entry(SERVER_IP, SERVER_MAC);
+        server.iface.add_arp_entry(CLIENT_IP, CLIENT_MAC);
+        let syn = client.tcp_connect(SERVER_IP, 80);
+        pump(&mut client, &mut server, syn);
+        let get = |client: &mut Interface, server: &mut UnikernelInstance, path: &str| {
+            let req = client
+                .tcp_send(
+                    (SERVER_IP, 80),
+                    49152,
+                    HttpRequest::get(path, "alice").emit(),
+                )
+                .unwrap();
+            let data: Vec<FrameBuf> = pump(client, server, req)
+                .into_iter()
+                .filter_map(|e| match e {
+                    IfaceEvent::TcpData { data, .. } => Some(data),
+                    _ => None,
+                })
+                .collect();
+            HttpResponse::parse(&FrameBuf::concat(&data))
+                .unwrap()
+                .expect("a whole response arrives")
+        };
+        let response = get(&mut client, &mut server, "/huge");
+        assert_eq!(response.status, 500);
+        assert!(response.body.is_empty());
+        // The connection is still in sequence: the next request is served.
+        assert_eq!(get(&mut client, &mut server, "/").status, 200);
+        assert_eq!(server.requests_handled(), 2);
     }
 
     #[test]
