@@ -1,30 +1,22 @@
-//! The `bench_snapshot` harness: the repository's performance trajectory as
-//! a first-class, machine-readable artifact.
+//! The `bench_snapshot` harness: the repository's exact cost counters as a
+//! machine-readable artifact.
 //!
-//! Seven PRs of "measurably faster" claims are worth nothing without
-//! recorded numbers. This module runs the hot-path suite — XenStore
-//! commit/merge throughput, O(1) snapshot scaling at 10²..10⁵ nodes, vchan
-//! bytes/sec through [`conduit::vchan::VchanPair::stream`], the full TCB
-//! handoff under storm, an end-to-end cold start, and raw
-//! [`jitsu_sim::Sim`] dispatch throughput — and emits a schema-versioned
-//! snapshot that `--compare` can hold against the committed
-//! `BENCH_BASELINE.json`.
+//! This module runs the hot-path suites — XenStore commit/merge, O(1)
+//! snapshot scaling at 10²..10⁵ nodes, a vchan stream through
+//! [`conduit::vchan::VchanPair::stream`], the full TCB handoff under storm,
+//! an end-to-end cold start, and [`jitsu_sim::Sim`] / [`ShardedSim`]
+//! dispatch — once each and emits a schema-versioned snapshot that
+//! `--compare` holds against the committed `BENCH_BASELINE.json`.
 //!
-//! Two metric kinds with two comparison disciplines:
-//!
-//! * **virtual** metrics are counts and virtual-time latencies read from
-//!   the deterministic sim (events executed, commits merged, bytes through
-//!   the ring, p50 handoff latency in sim-milliseconds). They are exact —
-//!   `jitsu-lint` guarantees no wall clock, ambient entropy or unordered
-//!   iteration can leak into these paths — so *any* drift against the
-//!   baseline fails the gate: a virtual metric only moves when an
-//!   intentional algorithmic change moves it.
-//! * **wall** metrics are best-of-N timings of the same workloads. Wall
-//!   time lives only in the root `src/bin/bench_snapshot` binary (outside
-//!   the `crates/` D002 fence); this module takes an abstract
-//!   [`WallTimer`] so nothing under `crates/` ever reads the host clock.
-//!   Wall comparisons tolerate a configurable percentage before declaring
-//!   a regression.
+//! Every metric is a count or a virtual-time latency read from the
+//! deterministic sim (events executed, commits merged, bytes through the
+//! ring, p50 handoff latency in sim-milliseconds). They are exact —
+//! `jitsu-lint` guarantees no wall clock, ambient entropy or unordered
+//! iteration can leak into these paths — so the document is a pure
+//! function of the tree and *any* difference against the baseline fails
+//! the gate: a metric only moves when an intentional algorithmic change
+//! moves it. Host time is measured by the standalone `benchmark/` package
+//! and nowhere else.
 
 use crate::json::Value;
 use crate::{handoff_storm, xenstore_storm};
@@ -44,97 +36,23 @@ use unikernel::image::UnikernelImage;
 use unikernel::instance::UnikernelInstance;
 use xen_sim::event_channel::EventChannelTable;
 use xen_sim::grant_table::GrantTable;
-use xenstore::{DomId, EngineKind, Path, Tree, TreeDiff};
+use xenstore::{DomId, EngineKind};
 
-/// Version of the `BENCH_<date>.json` schema this build writes and reads.
-pub const SCHEMA_VERSION: u64 = 1;
+/// Version of the snapshot schema this build writes and reads.
+pub const SCHEMA_VERSION: u64 = 2;
 
-/// Default wall-time regression tolerance for `--compare`, in percent.
-pub const DEFAULT_WALL_TOLERANCE_PCT: f64 = 10.0;
-
-/// Source of wall-clock measurements.
-///
-/// The only implementation that reads a real clock lives in
-/// `src/bin/bench_snapshot.rs`; inside `crates/` (tests, determinism
-/// checks) [`NullTimer`] runs the workload and reports zero, which zeroes
-/// every wall metric while leaving the virtual section untouched.
-pub trait WallTimer {
-    /// Run `work` once and return the elapsed wall time in seconds.
-    fn time(&self, work: &mut dyn FnMut()) -> f64;
-}
-
-/// A [`WallTimer`] that executes the workload but reports zero elapsed
-/// time — the in-fence stand-in used by tests.
-pub struct NullTimer;
-
-impl WallTimer for NullTimer {
-    fn time(&self, work: &mut dyn FnMut()) -> f64 {
-        work();
-        0.0
-    }
-}
-
-/// Whether a metric is exact (virtual time) or measured (wall time).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MetricKind {
-    /// Deterministic: identical on every run of the same tree. Any change
-    /// against the baseline is drift and fails the gate.
-    Virtual,
-    /// Best-of-N wall timing; compared within a tolerance.
-    Wall,
-}
-
-/// Which way a wall metric is allowed to move before it counts as a
-/// regression.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Direction {
-    /// Virtual metrics: compared for exact equality.
-    Exact,
-    /// Durations: growing past tolerance is a regression.
-    LowerIsBetter,
-    /// Throughputs: shrinking past tolerance is a regression.
-    HigherIsBetter,
-}
-
-impl Direction {
-    fn label(self) -> &'static str {
-        match self {
-            Direction::Exact => "exact",
-            Direction::LowerIsBetter => "lower_is_better",
-            Direction::HigherIsBetter => "higher_is_better",
-        }
-    }
-
-    fn from_label(s: &str) -> Result<Direction, String> {
-        match s {
-            "exact" => Ok(Direction::Exact),
-            "lower_is_better" => Ok(Direction::LowerIsBetter),
-            "higher_is_better" => Ok(Direction::HigherIsBetter),
-            other => Err(format!("unknown direction `{other}`")),
-        }
-    }
-}
-
-/// One measured quantity.
+/// One exact quantity: a count or a virtual-time latency, identical on
+/// every run of the same tree.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Metric {
     /// Suite the metric belongs to (`sim_engine`, `xenstore_commit`, …).
     pub suite: String,
     /// Metric name, unique within its suite.
     pub name: String,
-    /// Unit label (`events/s`, `commits`, `ms`, …).
+    /// Unit label (`events`, `commits`, `ms`, …).
     pub unit: String,
-    /// Exact (virtual) or measured (wall).
-    pub kind: MetricKind,
-    /// Comparison direction.
-    pub direction: Direction,
-    /// The value: exact for virtual metrics, best-of-N for wall metrics.
+    /// The value, compared against the baseline by bit pattern.
     pub value: f64,
-    /// Runs behind the value (1 for virtual metrics, N for best-of-N).
-    pub iterations: u64,
-    /// Relative spread `(worst − best) / best` across the wall runs; 0 for
-    /// virtual metrics.
-    pub dispersion: f64,
 }
 
 impl Metric {
@@ -143,37 +61,12 @@ impl Metric {
         format!("{}/{}", self.suite, self.name)
     }
 
-    fn virt(suite: &str, name: &str, unit: &str, value: f64) -> Metric {
+    fn new(suite: &str, name: &str, unit: &str, value: f64) -> Metric {
         Metric {
             suite: suite.to_string(),
             name: name.to_string(),
             unit: unit.to_string(),
-            kind: MetricKind::Virtual,
-            direction: Direction::Exact,
             value,
-            iterations: 1,
-            dispersion: 0.0,
-        }
-    }
-
-    fn wall(
-        suite: &str,
-        name: &str,
-        unit: &str,
-        direction: Direction,
-        value: f64,
-        iterations: u64,
-        dispersion: f64,
-    ) -> Metric {
-        Metric {
-            suite: suite.to_string(),
-            name: name.to_string(),
-            unit: unit.to_string(),
-            kind: MetricKind::Wall,
-            direction,
-            value,
-            iterations,
-            dispersion,
         }
     }
 
@@ -182,17 +75,7 @@ impl Metric {
         obj.insert("suite".to_string(), Value::str(&self.suite));
         obj.insert("name".to_string(), Value::str(&self.name));
         obj.insert("unit".to_string(), Value::str(&self.unit));
-        obj.insert(
-            "kind".to_string(),
-            Value::str(match self.kind {
-                MetricKind::Virtual => "virtual",
-                MetricKind::Wall => "wall",
-            }),
-        );
-        obj.insert("direction".to_string(), Value::str(self.direction.label()));
         obj.insert("value".to_string(), Value::Num(self.value));
-        obj.insert("iterations".to_string(), Value::Num(self.iterations as f64));
-        obj.insert("dispersion".to_string(), Value::Num(self.dispersion));
         Value::Obj(obj)
     }
 
@@ -203,25 +86,14 @@ impl Metric {
                 .map(str::to_string)
                 .ok_or_else(|| format!("metric missing string field `{key}`"))
         };
-        let num_field = |key: &str| -> Result<f64, String> {
-            v.get(key)
-                .and_then(Value::as_num)
-                .ok_or_else(|| format!("metric missing numeric field `{key}`"))
-        };
-        let kind = match str_field("kind")?.as_str() {
-            "virtual" => MetricKind::Virtual,
-            "wall" => MetricKind::Wall,
-            other => return Err(format!("unknown metric kind `{other}`")),
-        };
         Ok(Metric {
             suite: str_field("suite")?,
             name: str_field("name")?,
             unit: str_field("unit")?,
-            kind,
-            direction: Direction::from_label(&str_field("direction")?)?,
-            value: num_field("value")?,
-            iterations: num_field("iterations")? as u64,
-            dispersion: num_field("dispersion")?,
+            value: v
+                .get("value")
+                .and_then(Value::as_num)
+                .ok_or("metric missing numeric field `value`")?,
         })
     }
 }
@@ -233,16 +105,12 @@ impl Metric {
 pub struct BenchConfig {
     /// Seed threaded through every seeded workload.
     pub seed: u64,
-    /// Wall repetitions per metric (best-of-N).
-    pub wall_reps: u32,
-    /// Events pushed through the raw engine for the events/sec suite.
+    /// Events pushed through the raw engine.
     pub sim_events: u64,
     /// Payload size driven through the vchan stream, in bytes.
     pub vchan_bytes: usize,
     /// Store sizes (leaf keys) for the snapshot-scaling suite.
     pub snapshot_sizes: Vec<usize>,
-    /// Snapshots taken per wall repetition in the scaling suite.
-    pub snapshot_clones: u64,
     /// HTTP exchanges driven through the end-to-end frame-path suite.
     pub frame_path_requests: u64,
     /// Domains in the sharded-engine suite's ring workload.
@@ -257,13 +125,11 @@ impl Default for BenchConfig {
     fn default() -> BenchConfig {
         BenchConfig {
             seed: 0xBE7C_5EED,
-            wall_reps: 5,
             sim_events: 100_000,
             vchan_bytes: 256 * 1024,
             // The paper claim under test: snapshot cost is O(1) from 10²
             // to 10⁵ nodes.
             snapshot_sizes: vec![100, 1_000, 10_000, 100_000],
-            snapshot_clones: 10_000,
             frame_path_requests: 32,
             sharded_domains: 32,
             sharded_messages: 64,
@@ -278,11 +144,9 @@ impl BenchConfig {
     pub fn quick() -> BenchConfig {
         BenchConfig {
             seed: 0xBE7C_5EED,
-            wall_reps: 1,
             sim_events: 5_000,
             vchan_bytes: 32 * 1024,
             snapshot_sizes: vec![100, 1_000],
-            snapshot_clones: 100,
             frame_path_requests: 4,
             sharded_domains: 6,
             sharded_messages: 8,
@@ -291,22 +155,18 @@ impl BenchConfig {
     }
 }
 
-/// A complete snapshot document.
+/// A complete snapshot document: a pure function of the tree that
+/// produced it (which commit that was is `git log`'s to say).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
     /// Schema version ([`SCHEMA_VERSION`] for documents this build writes).
     pub schema_version: u64,
-    /// `git rev-parse HEAD` of the measured tree (or `unknown`).
-    pub git_sha: String,
-    /// ISO date the snapshot was taken (supplied by the binary; the crates
-    /// cannot read a calendar).
-    pub date: String,
     /// Every collected metric, in collection order.
     pub metrics: Vec<Metric>,
 }
 
 impl Snapshot {
-    /// Serialize to the `BENCH_<date>.json` document.
+    /// Serialize to the snapshot JSON document.
     pub fn to_json(&self) -> String {
         let mut obj = BTreeMap::new();
         obj.insert(
@@ -314,8 +174,6 @@ impl Snapshot {
             Value::Num(self.schema_version as f64),
         );
         obj.insert("tool".to_string(), Value::str("bench_snapshot"));
-        obj.insert("git_sha".to_string(), Value::str(&self.git_sha));
-        obj.insert("date".to_string(), Value::str(&self.date));
         obj.insert(
             "metrics".to_string(),
             Value::Arr(self.metrics.iter().map(Metric::to_value).collect()),
@@ -330,16 +188,6 @@ impl Snapshot {
             .get("schema_version")
             .and_then(Value::as_num)
             .ok_or("document missing `schema_version`")? as u64;
-        let git_sha = doc
-            .get("git_sha")
-            .and_then(Value::as_str)
-            .unwrap_or("unknown")
-            .to_string();
-        let date = doc
-            .get("date")
-            .and_then(Value::as_str)
-            .unwrap_or("unknown")
-            .to_string();
         let metrics = doc
             .get("metrics")
             .and_then(Value::as_arr)
@@ -349,96 +197,39 @@ impl Snapshot {
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Snapshot {
             schema_version,
-            git_sha,
-            date,
             metrics,
         })
-    }
-
-    /// Render only the virtual metrics, one `suite/name unit = value` line
-    /// each — the bit-comparable section two runs of the same tree must
-    /// reproduce byte for byte.
-    pub fn virtual_section(&self) -> String {
-        let mut out = String::new();
-        for m in self
-            .metrics
-            .iter()
-            .filter(|m| m.kind == MetricKind::Virtual)
-        {
-            out.push_str(&format!("{} {} = {:?}\n", m.key(), m.unit, m.value));
-        }
-        out
-    }
-}
-
-/// Best-of-N measurement: returns `(best seconds, relative spread)`.
-fn measure(timer: &dyn WallTimer, reps: u32, mut work: impl FnMut()) -> (f64, f64) {
-    let mut best = f64::INFINITY;
-    let mut worst = 0.0f64;
-    for _ in 0..reps.max(1) {
-        let secs = timer.time(&mut work);
-        best = best.min(secs);
-        worst = worst.max(secs);
-    }
-    if best.is_finite() && best > 0.0 {
-        (best, (worst - best) / best)
-    } else {
-        (0.0, 0.0)
-    }
-}
-
-/// `work / secs`, or 0.0 when no wall time was observed (NullTimer).
-fn rate(work: f64, secs: f64) -> f64 {
-    if secs > 0.0 {
-        work / secs
-    } else {
-        0.0
     }
 }
 
 /// Run every suite and return the metrics in deterministic order.
-pub fn collect(timer: &dyn WallTimer, cfg: &BenchConfig) -> Vec<Metric> {
+pub fn collect(cfg: &BenchConfig) -> Vec<Metric> {
     let mut out = Vec::new();
-    suite_sim_engine(timer, cfg, &mut out);
-    suite_sharded_engine(timer, cfg, &mut out);
-    suite_xenstore_commit(timer, cfg, &mut out);
-    suite_xenstore_snapshot(timer, cfg, &mut out);
-    suite_vchan(timer, cfg, &mut out);
-    suite_frame_path(timer, cfg, &mut out);
-    suite_handoff(timer, cfg, &mut out);
-    suite_cold_start(timer, cfg, &mut out);
+    suite_sim_engine(cfg, &mut out);
+    suite_sharded_engine(cfg, &mut out);
+    suite_xenstore_commit(cfg, &mut out);
+    suite_xenstore_snapshot(cfg, &mut out);
+    suite_vchan(cfg, &mut out);
+    suite_frame_path(cfg, &mut out);
+    suite_handoff(cfg, &mut out);
+    suite_cold_start(cfg, &mut out);
     out
 }
 
-/// Raw dispatch throughput of the discrete-event engine.
-fn suite_sim_engine(timer: &dyn WallTimer, cfg: &BenchConfig, out: &mut Vec<Metric>) {
+/// Raw dispatch through the discrete-event engine.
+fn suite_sim_engine(cfg: &BenchConfig, out: &mut Vec<Metric>) {
     const SUITE: &str = "sim_engine";
     let events = cfg.sim_events;
-    let run = || {
-        let mut sim = Sim::new(0u64);
-        for i in 0..events {
-            sim.schedule_at(SimTime::from_micros(i), |s| *s.world_mut() += 1);
-        }
-        sim.run_steps(events)
-    };
-    let executed = run();
-    out.push(Metric::virt(
+    let mut sim = Sim::new(0u64);
+    for i in 0..events {
+        sim.schedule_at(SimTime::from_micros(i), |s| *s.world_mut() += 1);
+    }
+    let executed = sim.run_steps(events);
+    out.push(Metric::new(
         SUITE,
         "events_executed",
         "events",
         executed as f64,
-    ));
-    let (secs, disp) = measure(timer, cfg.wall_reps, || {
-        run();
-    });
-    out.push(Metric::wall(
-        SUITE,
-        "events_per_sec",
-        "events/s",
-        Direction::HigherIsBetter,
-        rate(events as f64, secs),
-        cfg.wall_reps as u64,
-        disp,
     ));
 }
 
@@ -502,21 +293,20 @@ fn run_ring(cfg: &BenchConfig, shards: u32) -> (u64, u64, u64) {
 }
 
 /// The sharded engine under a cross-domain ring workload, at 1, 4 and 16
-/// shards. The virtual metrics (events, barriers, checksum) must be
-/// *identical across the three shard counts* — the baseline records the
-/// invariance itself, so any scheduling divergence between shard counts is
-/// drift. The wall metrics track dispatch throughput per shard count.
-fn suite_sharded_engine(timer: &dyn WallTimer, cfg: &BenchConfig, out: &mut Vec<Metric>) {
+/// shards. The metrics (events, barriers, checksum) must be *identical
+/// across the three shard counts* — the baseline records the invariance
+/// itself, so any scheduling divergence between shard counts is drift.
+fn suite_sharded_engine(cfg: &BenchConfig, out: &mut Vec<Metric>) {
     const SUITE: &str = "sharded_engine";
     for shards in [1u32, 4, 16] {
         let (events, barriers, checksum) = run_ring(cfg, shards);
-        out.push(Metric::virt(
+        out.push(Metric::new(
             SUITE,
             &format!("events@{shards}"),
             "events",
             events as f64,
         ));
-        out.push(Metric::virt(
+        out.push(Metric::new(
             SUITE,
             &format!("barriers@{shards}"),
             "barriers",
@@ -524,30 +314,18 @@ fn suite_sharded_engine(timer: &dyn WallTimer, cfg: &BenchConfig, out: &mut Vec<
         ));
         // Masked to 48 bits so the checksum survives the f64 metric
         // representation without rounding.
-        out.push(Metric::virt(
+        out.push(Metric::new(
             SUITE,
             &format!("checksum@{shards}"),
             "fold",
             (checksum & 0xFFFF_FFFF_FFFF) as f64,
         ));
-        let (secs, disp) = measure(timer, cfg.wall_reps, || {
-            run_ring(cfg, shards);
-        });
-        out.push(Metric::wall(
-            SUITE,
-            &format!("events_per_sec@{shards}"),
-            "events/s",
-            Direction::HigherIsBetter,
-            rate(events as f64, secs),
-            cfg.wall_reps as u64,
-            disp,
-        ));
     }
 }
 
-/// XenStore commit/merge throughput on the Jitsu merge engine: the
+/// XenStore commit/merge outcomes on the Jitsu merge engine: the
 /// overlapping-transaction storm cell from the xenstore_storm experiment.
-fn suite_xenstore_commit(timer: &dyn WallTimer, cfg: &BenchConfig, out: &mut Vec<Metric>) {
+fn suite_xenstore_commit(cfg: &BenchConfig, out: &mut Vec<Metric>) {
     const SUITE: &str = "xenstore_commit";
     let cell = xenstore_storm::XsStormConfig {
         engine: EngineKind::JitsuMerge,
@@ -558,55 +336,38 @@ fn suite_xenstore_commit(timer: &dyn WallTimer, cfg: &BenchConfig, out: &mut Vec
         seed: cfg.seed,
     };
     let r = xenstore_storm::run_cell(&cell);
-    out.push(Metric::virt(SUITE, "commits", "commits", r.commits as f64));
-    out.push(Metric::virt(SUITE, "merged", "commits", r.merged as f64));
-    out.push(Metric::virt(
+    out.push(Metric::new(SUITE, "commits", "commits", r.commits as f64));
+    out.push(Metric::new(SUITE, "merged", "commits", r.merged as f64));
+    out.push(Metric::new(
         SUITE,
         "eagain_conflicts",
         "aborts",
         r.conflicts as f64,
     ));
-    out.push(Metric::virt(
-        SUITE,
-        "merge_rate",
-        "fraction",
-        r.merge_rate(),
-    ));
-    let (secs, disp) = measure(timer, cfg.wall_reps, || {
-        xenstore_storm::run_cell(&cell);
-    });
-    out.push(Metric::wall(
-        SUITE,
-        "commits_per_sec",
-        "commits/s",
-        Direction::HigherIsBetter,
-        rate(r.commits as f64, secs),
-        cfg.wall_reps as u64,
-        disp,
-    ));
+    out.push(Metric::new(SUITE, "merge_rate", "fraction", r.merge_rate()));
 }
 
 /// O(1) snapshot scaling: nodes copied per snapshot and per first write at
 /// each store size, entries copied per write under one flat directory,
-/// nodes copied by a direct store write with and without a transaction
-/// open, plus snapshot throughput at the largest size.
-fn suite_xenstore_snapshot(timer: &dyn WallTimer, cfg: &BenchConfig, out: &mut Vec<Metric>) {
+/// and nodes copied by a direct store write with and without a transaction
+/// open.
+fn suite_xenstore_snapshot(cfg: &BenchConfig, out: &mut Vec<Metric>) {
     const SUITE: &str = "xenstore_snapshot";
     for &keys in &cfg.snapshot_sizes {
         let p = xenstore_storm::snapshot_point(keys);
-        out.push(Metric::virt(
+        out.push(Metric::new(
             SUITE,
             &format!("store_nodes@{keys}"),
             "nodes",
             p.store_nodes as f64,
         ));
-        out.push(Metric::virt(
+        out.push(Metric::new(
             SUITE,
             &format!("copied_by_snapshot@{keys}"),
             "nodes",
             p.copied_by_snapshot as f64,
         ));
-        out.push(Metric::virt(
+        out.push(Metric::new(
             SUITE,
             &format!("copied_by_one_write@{keys}"),
             "nodes",
@@ -616,7 +377,7 @@ fn suite_xenstore_snapshot(timer: &dyn WallTimer, cfg: &BenchConfig, out: &mut V
     // One flat directory at the two fan-outs the benchmark of record times
     // a write under: the entries a write copies must not follow the width.
     for children in [64, 4_096] {
-        out.push(Metric::virt(
+        out.push(Metric::new(
             SUITE,
             &format!("entries_copied_by_one_write@{children}"),
             "entries",
@@ -629,82 +390,37 @@ fn suite_xenstore_snapshot(timer: &dyn WallTimer, cfg: &BenchConfig, out: &mut V
         ("copied_by_direct_write@unshared", false),
         ("copied_by_direct_write@txn_open", true),
     ] {
-        out.push(Metric::virt(
+        out.push(Metric::new(
             SUITE,
             name,
             "nodes",
             xenstore_storm::nodes_copied_by_direct_write(transaction_open) as f64,
         ));
     }
-    // Wall: take snapshots of the largest store; O(1) means this rate is
-    // independent of the size used here.
-    let largest = cfg.snapshot_sizes.iter().copied().max().unwrap_or(100);
-    let mut tree = Tree::new();
-    for i in 0..largest {
-        tree.write(
-            DomId::DOM0,
-            &Path::parse(&format!("/warm/b{}/k{}", i % 64, i)).expect("valid path"),
-            b"seed",
-            &mut TreeDiff::default(),
-        )
-        .expect("prepopulation writes succeed");
-    }
-    let clones = cfg.snapshot_clones;
-    let (secs, disp) = measure(timer, cfg.wall_reps, || {
-        for _ in 0..clones {
-            std::hint::black_box(tree.clone());
-        }
-    });
-    out.push(Metric::wall(
-        SUITE,
-        "snapshots_per_sec",
-        "snapshots/s",
-        Direction::HigherIsBetter,
-        rate(clones as f64, secs),
-        cfg.wall_reps as u64,
-        disp,
-    ));
 }
 
-/// vchan bulk throughput through `VchanPair::stream`.
-fn suite_vchan(timer: &dyn WallTimer, cfg: &BenchConfig, out: &mut Vec<Metric>) {
+/// A bulk transfer through `VchanPair::stream`.
+fn suite_vchan(cfg: &BenchConfig, out: &mut Vec<Metric>) {
     const SUITE: &str = "vchan";
     let payload: Vec<u8> = (0..cfg.vchan_bytes).map(|i| (i % 251) as u8).collect();
-    let run = || {
-        let mut grants = GrantTable::new();
-        let mut evtchn = EventChannelTable::new();
-        let mut pair =
-            conduit::vchan::VchanPair::establish(&mut grants, &mut evtchn, DomId(1), DomId(2))
-                .expect("vchan establishes");
-        let received = pair
-            .stream(conduit::vchan::Side::Client, &payload, &mut evtchn)
-            .expect("stream completes");
-        (received.len() as u64, pair.bytes_to_server())
-    };
-    let (delivered, ring_bytes) = run();
-    out.push(Metric::virt(
+    let mut grants = GrantTable::new();
+    let mut evtchn = EventChannelTable::new();
+    let mut pair = VchanPair::establish(&mut grants, &mut evtchn, DomId(1), DomId(2))
+        .expect("vchan establishes");
+    let received = pair
+        .stream(Side::Client, &payload, &mut evtchn)
+        .expect("stream completes");
+    out.push(Metric::new(
         SUITE,
         "streamed_bytes",
         "bytes",
-        ring_bytes as f64,
+        pair.bytes_to_server() as f64,
     ));
-    out.push(Metric::virt(
+    out.push(Metric::new(
         SUITE,
         "delivered_bytes",
         "bytes",
-        delivered as f64,
-    ));
-    let (secs, disp) = measure(timer, cfg.wall_reps, || {
-        run();
-    });
-    out.push(Metric::wall(
-        SUITE,
-        "bytes_per_sec",
-        "bytes/s",
-        Direction::HigherIsBetter,
-        rate(cfg.vchan_bytes as f64, secs),
-        cfg.wall_reps as u64,
-        disp,
+        received.len() as f64,
     ));
 }
 
@@ -755,236 +471,191 @@ fn cross_ring(
 /// handed down to TCP delivery as `FrameBuf` views of that allocation, so
 /// the exact value is 1.0 — any hidden copy between the ring and the
 /// application pushes it above 1 and fails the bit-exact virtual gate.
-fn suite_frame_path(timer: &dyn WallTimer, cfg: &BenchConfig, out: &mut Vec<Metric>) {
+fn suite_frame_path(cfg: &BenchConfig, out: &mut Vec<Metric>) {
     const SUITE: &str = "frame_path";
     const SERVER_MAC: MacAddr = MacAddr([2, 0, 0, 0, 0, 0x20]);
     const CLIENT_MAC: MacAddr = MacAddr([2, 0, 0, 0, 0, 0x64]);
     let server_ip = Ipv4Addr::new(192, 168, 4, 20);
     let client_ip = Ipv4Addr::new(192, 168, 4, 100);
-    let requests = cfg.frame_path_requests;
-    let seed = cfg.seed;
-    let run = || {
-        let mut grants = GrantTable::new();
-        let mut evtchn = EventChannelTable::new();
-        let mut ring = VchanPair::establish(&mut grants, &mut evtchn, DomId(1), DomId(2))
-            .expect("vchan establishes");
-        let mut server = UnikernelInstance::new(
-            UnikernelImage::mirage("bench"),
-            SERVER_MAC,
-            server_ip,
-            80,
-            Box::new(StaticSiteAppliance::new("bench")),
-            seed,
-        );
-        let mut client = Interface::new(CLIENT_MAC, client_ip);
-        client.add_arp_entry(server_ip, SERVER_MAC);
-        server.iface.add_arp_entry(client_ip, CLIENT_MAC);
-        let mut tally = FramePathTally::default();
-        for _ in 0..requests {
-            let mut to_server = vec![client.tcp_connect(server_ip, 80)];
-            let mut sent_request = false;
-            let mut body = Vec::new();
-            for _ in 0..32 {
-                if to_server.is_empty() {
-                    break;
-                }
-                let mut to_client = Vec::new();
-                for f in to_server.drain(..) {
-                    tally.frames += 1;
-                    tally.ring_bytes += f.len() as u64;
-                    let wire = cross_ring(&mut ring, &mut evtchn, Side::Client, &f);
-                    tally.copies += u64::from(wire.has_allocation());
-                    let (frames, _) = server.handle_frame(&wire);
-                    to_client.extend(frames);
-                }
-                for f in to_client {
-                    tally.frames += 1;
-                    tally.ring_bytes += f.len() as u64;
-                    let wire = cross_ring(&mut ring, &mut evtchn, Side::Server, &f);
-                    tally.copies += u64::from(wire.has_allocation());
-                    let (frames, events) = client.handle_frame(&wire);
-                    to_server.extend(frames);
-                    for ev in events {
-                        match ev {
-                            IfaceEvent::TcpConnected { remote, local_port } if !sent_request => {
-                                sent_request = true;
-                                let req = HttpRequest::get("/", "bench").emit();
-                                if let Some(f) = client.tcp_send(remote, local_port, &req) {
-                                    to_server.push(f);
-                                }
+    let mut grants = GrantTable::new();
+    let mut evtchn = EventChannelTable::new();
+    let mut ring = VchanPair::establish(&mut grants, &mut evtchn, DomId(1), DomId(2))
+        .expect("vchan establishes");
+    let mut server = UnikernelInstance::new(
+        UnikernelImage::mirage("bench"),
+        SERVER_MAC,
+        server_ip,
+        80,
+        Box::new(StaticSiteAppliance::new("bench")),
+        cfg.seed,
+    );
+    let mut client = Interface::new(CLIENT_MAC, client_ip);
+    client.add_arp_entry(server_ip, SERVER_MAC);
+    server.iface.add_arp_entry(client_ip, CLIENT_MAC);
+    let mut tally = FramePathTally::default();
+    for _ in 0..cfg.frame_path_requests {
+        let mut to_server = vec![client.tcp_connect(server_ip, 80)];
+        let mut sent_request = false;
+        let mut body = Vec::new();
+        for _ in 0..32 {
+            if to_server.is_empty() {
+                break;
+            }
+            let mut to_client = Vec::new();
+            for f in to_server.drain(..) {
+                tally.frames += 1;
+                tally.ring_bytes += f.len() as u64;
+                let wire = cross_ring(&mut ring, &mut evtchn, Side::Client, &f);
+                tally.copies += u64::from(wire.has_allocation());
+                let (frames, _) = server.handle_frame(&wire);
+                to_client.extend(frames);
+            }
+            for f in to_client {
+                tally.frames += 1;
+                tally.ring_bytes += f.len() as u64;
+                let wire = cross_ring(&mut ring, &mut evtchn, Side::Server, &f);
+                tally.copies += u64::from(wire.has_allocation());
+                let (frames, events) = client.handle_frame(&wire);
+                to_server.extend(frames);
+                for ev in events {
+                    match ev {
+                        IfaceEvent::TcpConnected { remote, local_port } if !sent_request => {
+                            sent_request = true;
+                            let req = HttpRequest::get("/", "bench").emit();
+                            if let Some(f) = client.tcp_send(remote, local_port, &req) {
+                                to_server.push(f);
                             }
-                            IfaceEvent::TcpData { data, .. } => {
-                                tally.copies += u64::from(!data.shares_allocation(&wire));
-                                tally.payload_bytes += data.len() as u64;
-                                body.extend_from_slice(&data);
-                            }
-                            _ => {}
                         }
+                        IfaceEvent::TcpData { data, .. } => {
+                            tally.copies += u64::from(!data.shares_allocation(&wire));
+                            tally.payload_bytes += data.len() as u64;
+                            body.extend_from_slice(&data);
+                        }
+                        _ => {}
                     }
                 }
             }
-            let body = FrameBuf::from_vec(body);
-            if let Ok(Some(resp)) = HttpResponse::parse(&body) {
-                tally.responses += u64::from(resp.status == 200);
-            }
         }
-        tally
-    };
-    let t = run();
-    out.push(Metric::virt(SUITE, "frames", "frames", t.frames as f64));
-    out.push(Metric::virt(
+        let body = FrameBuf::from_vec(body);
+        if let Ok(Some(resp)) = HttpResponse::parse(&body) {
+            tally.responses += u64::from(resp.status == 200);
+        }
+    }
+    out.push(Metric::new(SUITE, "frames", "frames", tally.frames as f64));
+    out.push(Metric::new(
         SUITE,
         "ring_bytes",
         "bytes",
-        t.ring_bytes as f64,
+        tally.ring_bytes as f64,
     ));
-    out.push(Metric::virt(
+    out.push(Metric::new(
         SUITE,
         "payload_bytes",
         "bytes",
-        t.payload_bytes as f64,
+        tally.payload_bytes as f64,
     ));
-    out.push(Metric::virt(
+    out.push(Metric::new(
         SUITE,
         "responses",
         "responses",
-        t.responses as f64,
+        tally.responses as f64,
     ));
-    out.push(Metric::virt(
+    out.push(Metric::new(
         SUITE,
         "copies_per_packet",
         "copies",
-        t.copies as f64 / t.frames as f64,
-    ));
-    let (secs, disp) = measure(timer, cfg.wall_reps, || {
-        run();
-    });
-    out.push(Metric::wall(
-        SUITE,
-        "bytes_per_sec",
-        "bytes/s",
-        Direction::HigherIsBetter,
-        rate(t.ring_bytes as f64, secs),
-        cfg.wall_reps as u64,
-        disp,
+        tally.copies as f64 / tally.frames as f64,
     ));
 }
 
 /// Full TCB handoff under storm: the handoff_storm cell, with its
 /// virtual-time latency tail as exact metrics.
-fn suite_handoff(timer: &dyn WallTimer, cfg: &BenchConfig, out: &mut Vec<Metric>) {
+fn suite_handoff(cfg: &BenchConfig, out: &mut Vec<Metric>) {
     const SUITE: &str = "handoff";
+    // One launch slot: boots queue behind each other, so the cold-path
+    // latency has a tail (with two slots no boot waits and p99 == p50).
     let cell = handoff_storm::HandoffStormConfig {
         services: 8,
         rate_per_sec: 12.0,
-        launch_slots: 2,
+        launch_slots: 1,
         idle_ttl: SimDuration::from_secs(1),
         duration: SimDuration::from_secs(5),
         seed: cfg.seed,
     };
     let r = handoff_storm::run_cell(&cell);
-    out.push(Metric::virt(
+    out.push(Metric::new(
         SUITE,
         "migrated_connections",
         "connections",
         r.migrated as f64,
     ));
-    out.push(Metric::virt(
+    out.push(Metric::new(
         SUITE,
         "completed_exchanges",
         "exchanges",
         r.completed as f64,
     ));
-    out.push(Metric::virt(
+    out.push(Metric::new(
         SUITE,
         "dropped_bytes",
         "bytes",
         r.dropped_bytes as f64,
     ));
-    out.push(Metric::virt(
+    out.push(Metric::new(
         SUITE,
         "duplicated_bytes",
         "bytes",
         r.duplicated_bytes as f64,
     ));
-    out.push(Metric::virt(SUITE, "latency_p50", "ms", r.p50_ms));
-    out.push(Metric::virt(SUITE, "latency_p99", "ms", r.p99_ms));
-    out.push(Metric::virt(
+    out.push(Metric::new(SUITE, "latency_p50", "ms", r.p50_ms));
+    out.push(Metric::new(SUITE, "latency_p99", "ms", r.p99_ms));
+    out.push(Metric::new(
         SUITE,
         "xs_merged",
         "commits",
         r.xs_merged as f64,
     ));
-    out.push(Metric::virt(
+    out.push(Metric::new(
         SUITE,
         "xs_conflicts",
         "aborts",
         r.xs_conflicts as f64,
     ));
-    let (secs, disp) = measure(timer, cfg.wall_reps, || {
-        handoff_storm::run_cell(&cell);
-    });
-    out.push(Metric::wall(
-        SUITE,
-        "cell_seconds",
-        "s",
-        Direction::LowerIsBetter,
-        secs,
-        cfg.wall_reps as u64,
-        disp,
-    ));
 }
 
 /// End-to-end cold start: DNS query through Synjitsu to the adopted
 /// unikernel's first response byte.
-fn suite_cold_start(timer: &dyn WallTimer, cfg: &BenchConfig, out: &mut Vec<Metric>) {
+fn suite_cold_start(cfg: &BenchConfig, out: &mut Vec<Metric>) {
     const SUITE: &str = "cold_start";
     let client = Ipv4Addr::new(192, 168, 1, 100);
-    let run = || {
-        let config = JitsuConfig::new("bench.example").with_service(ServiceConfig::http_site(
-            "svc.bench.example",
-            Ipv4Addr::new(192, 168, 1, 20),
-        ));
-        let mut jitsud = Jitsud::new(config, BoardKind::Cubieboard2.board(), cfg.seed);
-        jitsud
-            .cold_start_request("svc.bench.example", client, "/")
-            .expect("cold start succeeds")
-    };
-    let report = run();
-    out.push(Metric::virt(
+    let config = JitsuConfig::new("bench.example").with_service(ServiceConfig::http_site(
+        "svc.bench.example",
+        Ipv4Addr::new(192, 168, 1, 20),
+    ));
+    let mut jitsud = Jitsud::new(config, BoardKind::Cubieboard2.board(), cfg.seed);
+    let report = jitsud
+        .cold_start_request("svc.bench.example", client, "/")
+        .expect("cold start succeeds");
+    out.push(Metric::new(
         SUITE,
         "dns_response_ms",
         "ms",
         report.dns_response_time.as_millis_f64(),
     ));
-    out.push(Metric::virt(
+    out.push(Metric::new(
         SUITE,
         "ttfb_ms",
         "ms",
         report.http_response_time.as_millis_f64(),
-    ));
-    let (secs, disp) = measure(timer, cfg.wall_reps, || {
-        run();
-    });
-    out.push(Metric::wall(
-        SUITE,
-        "cold_start_seconds",
-        "s",
-        Direction::LowerIsBetter,
-        secs,
-        cfg.wall_reps as u64,
-        disp,
     ));
 }
 
 /// What `--compare` concluded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {
-    /// No drift, no regression.
+    /// Every baseline metric is present and bit-identical.
     Pass,
-    /// At least one wall metric regressed past tolerance (and no drift).
-    WallRegression,
-    /// At least one virtual metric drifted — the strictest failure.
+    /// At least one metric differs from the baseline.
     VirtualDrift,
 }
 
@@ -993,7 +664,6 @@ impl Verdict {
     pub fn exit_code(self) -> i32 {
         match self {
             Verdict::Pass => 0,
-            Verdict::WallRegression => 2,
             Verdict::VirtualDrift => 3,
         }
     }
@@ -1002,25 +672,19 @@ impl Verdict {
 /// The detailed outcome of comparing a snapshot against a baseline.
 #[derive(Debug, Clone, Default)]
 pub struct CompareReport {
-    /// Virtual metrics whose values differ from the baseline (any amount).
+    /// Metrics whose values differ from the baseline (any amount).
     pub drifts: Vec<String>,
-    /// Wall metrics that regressed past the tolerance.
-    pub regressions: Vec<String>,
-    /// Wall metrics that improved past the tolerance (informational).
-    pub improvements: Vec<String>,
-    /// Non-gating observations (new metrics, skipped comparisons).
+    /// Non-gating observations (metrics new since the baseline).
     pub notes: Vec<String>,
 }
 
 impl CompareReport {
     /// Collapse the report into the gate's verdict.
     pub fn verdict(&self) -> Verdict {
-        if !self.drifts.is_empty() {
-            Verdict::VirtualDrift
-        } else if !self.regressions.is_empty() {
-            Verdict::WallRegression
-        } else {
+        if self.drifts.is_empty() {
             Verdict::Pass
+        } else {
+            Verdict::VirtualDrift
         }
     }
 
@@ -1030,18 +694,11 @@ impl CompareReport {
         for d in &self.drifts {
             out.push_str(&format!("DRIFT      {d}\n"));
         }
-        for r in &self.regressions {
-            out.push_str(&format!("REGRESSION {r}\n"));
-        }
-        for i in &self.improvements {
-            out.push_str(&format!("improved   {i}\n"));
-        }
         for n in &self.notes {
             out.push_str(&format!("note       {n}\n"));
         }
         match self.verdict() {
             Verdict::Pass => out.push_str("verdict: PASS\n"),
-            Verdict::WallRegression => out.push_str("verdict: WALL REGRESSION\n"),
             Verdict::VirtualDrift => out.push_str("verdict: VIRTUAL DRIFT\n"),
         }
         out
@@ -1050,13 +707,13 @@ impl CompareReport {
 
 /// Compare `current` against `baseline`.
 ///
-/// Virtual metrics must match the baseline exactly (they are deterministic
-/// functions of the tree); wall metrics may move by up to
-/// `wall_tolerance_pct` percent in the losing direction before they count
-/// as regressions. Metrics present in the baseline but missing from the
-/// current snapshot are drift (a suite silently vanished); new metrics in
-/// the current snapshot are merely noted.
-pub fn compare(current: &Snapshot, baseline: &Snapshot, wall_tolerance_pct: f64) -> CompareReport {
+/// Every metric must match the baseline bit for bit: the values are
+/// deterministic counts and virtual-time figures, so any difference is an
+/// intentional algorithmic change that must also update the baseline.
+/// Metrics present in the baseline but missing from the current snapshot
+/// are drift (a suite silently vanished); new metrics in the current
+/// snapshot are merely noted.
+pub fn compare(current: &Snapshot, baseline: &Snapshot) -> CompareReport {
     let mut report = CompareReport::default();
     if current.schema_version != baseline.schema_version {
         report.drifts.push(format!(
@@ -1065,56 +722,20 @@ pub fn compare(current: &Snapshot, baseline: &Snapshot, wall_tolerance_pct: f64)
         ));
         return report;
     }
-    let tol = wall_tolerance_pct / 100.0;
     let by_key: BTreeMap<String, &Metric> = current.metrics.iter().map(|m| (m.key(), m)).collect();
     for base in &baseline.metrics {
         let key = base.key();
-        let Some(cur) = by_key.get(&key) else {
-            report
+        match by_key.get(&key) {
+            None => report
                 .drifts
-                .push(format!("{key}: present in baseline, missing from snapshot"));
-            continue;
-        };
-        match base.kind {
-            MetricKind::Virtual => {
-                // Bit-exact: these values are deterministic counts and
-                // virtual-time figures; any difference is an intentional
-                // algorithmic change that must also update the baseline.
-                if cur.value.to_bits() != base.value.to_bits() {
-                    report.drifts.push(format!(
-                        "{key}: {:?} {} vs baseline {:?}",
-                        cur.value, cur.unit, base.value
-                    ));
-                }
+                .push(format!("{key}: present in baseline, missing from snapshot")),
+            Some(cur) if cur.value.to_bits() != base.value.to_bits() => {
+                report.drifts.push(format!(
+                    "{key}: {:?} {} vs baseline {:?}",
+                    cur.value, cur.unit, base.value
+                ));
             }
-            MetricKind::Wall => {
-                if base.value <= 0.0 {
-                    report
-                        .notes
-                        .push(format!("{key}: baseline has no wall sample, skipped"));
-                    continue;
-                }
-                let ratio = cur.value / base.value;
-                let (regressed, improved) = match base.direction {
-                    Direction::LowerIsBetter => (ratio > 1.0 + tol, ratio < 1.0 - tol),
-                    // Exact should not appear on wall metrics; treat as
-                    // lower-is-better to stay conservative.
-                    Direction::Exact => (ratio > 1.0 + tol, ratio < 1.0 - tol),
-                    Direction::HigherIsBetter => (ratio < 1.0 - tol, ratio > 1.0 + tol),
-                };
-                let line = format!(
-                    "{key}: {:.4} {} vs baseline {:.4} ({:+.1}%)",
-                    cur.value,
-                    cur.unit,
-                    base.value,
-                    (ratio - 1.0) * 100.0
-                );
-                if regressed {
-                    report.regressions.push(line);
-                } else if improved {
-                    report.improvements.push(line);
-                }
-            }
+            Some(_) => {}
         }
     }
     for m in &current.metrics {
@@ -1132,72 +753,23 @@ pub fn compare(current: &Snapshot, baseline: &Snapshot, wall_tolerance_pct: f64)
 mod tests {
     use super::*;
 
-    fn snap(metrics: Vec<Metric>) -> Snapshot {
+    fn sample() -> Snapshot {
         Snapshot {
             schema_version: SCHEMA_VERSION,
-            git_sha: "test".to_string(),
-            date: "1970-01-01".to_string(),
-            metrics,
+            metrics: vec![
+                Metric::new("handoff", "migrated_connections", "connections", 42.0),
+                Metric::new("handoff", "latency_p99", "ms", 451.36316111999986),
+            ],
         }
-    }
-
-    fn sample() -> Snapshot {
-        snap(vec![
-            Metric::virt("handoff", "migrated_connections", "connections", 42.0),
-            Metric::wall(
-                "sim_engine",
-                "events_per_sec",
-                "events/s",
-                Direction::HigherIsBetter,
-                1_000_000.0,
-                5,
-                0.05,
-            ),
-            Metric::wall(
-                "cold_start",
-                "cold_start_seconds",
-                "s",
-                Direction::LowerIsBetter,
-                0.010,
-                5,
-                0.05,
-            ),
-        ])
     }
 
     #[test]
     fn identical_snapshots_pass() {
         let a = sample();
-        let report = compare(&a, &a, DEFAULT_WALL_TOLERANCE_PCT);
+        let report = compare(&a, &a);
         assert_eq!(report.verdict(), Verdict::Pass);
         assert_eq!(report.verdict().exit_code(), 0);
-        assert!(report.drifts.is_empty() && report.regressions.is_empty());
-    }
-
-    #[test]
-    fn wall_regressions_respect_direction_and_tolerance() {
-        let base = sample();
-        // Throughput down 20% → regression; duration up 20% → regression.
-        let mut slow = sample();
-        slow.metrics[1].value = 800_000.0;
-        let report = compare(&slow, &base, 10.0);
-        assert_eq!(report.verdict(), Verdict::WallRegression);
-        assert_eq!(report.verdict().exit_code(), 2);
-        let mut slower = sample();
-        slower.metrics[2].value = 0.012;
-        assert_eq!(
-            compare(&slower, &base, 10.0).verdict(),
-            Verdict::WallRegression
-        );
-        // Within tolerance → pass; better than baseline → pass with note.
-        let mut ok = sample();
-        ok.metrics[1].value = 950_000.0;
-        assert_eq!(compare(&ok, &base, 10.0).verdict(), Verdict::Pass);
-        let mut faster = sample();
-        faster.metrics[1].value = 2_000_000.0;
-        let report = compare(&faster, &base, 10.0);
-        assert_eq!(report.verdict(), Verdict::Pass);
-        assert_eq!(report.improvements.len(), 1);
+        assert!(report.drifts.is_empty());
     }
 
     #[test]
@@ -1205,15 +777,13 @@ mod tests {
         let base = sample();
         let mut drifted = sample();
         drifted.metrics[0].value = 43.0;
-        let report = compare(&drifted, &base, 10.0);
+        let report = compare(&drifted, &base);
         assert_eq!(report.verdict(), Verdict::VirtualDrift);
         assert_eq!(report.verdict().exit_code(), 3);
-        // Drift outranks a simultaneous wall regression.
-        drifted.metrics[1].value = 1.0;
-        assert_eq!(
-            compare(&drifted, &base, 10.0).verdict(),
-            Verdict::VirtualDrift
-        );
+        // One unit in the last place is drift too: there is no tolerance.
+        let mut ulp = sample();
+        ulp.metrics[1].value = f64::from_bits(ulp.metrics[1].value.to_bits() + 1);
+        assert_eq!(compare(&ulp, &base).verdict(), Verdict::VirtualDrift);
     }
 
     #[test]
@@ -1221,15 +791,12 @@ mod tests {
         let base = sample();
         let mut shrunk = sample();
         shrunk.metrics.remove(0);
-        assert_eq!(
-            compare(&shrunk, &base, 10.0).verdict(),
-            Verdict::VirtualDrift
-        );
+        assert_eq!(compare(&shrunk, &base).verdict(), Verdict::VirtualDrift);
         let mut grown = sample();
         grown
             .metrics
-            .push(Metric::virt("new_suite", "thing", "count", 1.0));
-        let report = compare(&grown, &base, 10.0);
+            .push(Metric::new("new_suite", "thing", "count", 1.0));
+        let report = compare(&grown, &base);
         assert_eq!(report.verdict(), Verdict::Pass);
         assert_eq!(report.notes.len(), 1);
     }
@@ -1239,10 +806,7 @@ mod tests {
         let base = sample();
         let mut future = sample();
         future.schema_version = SCHEMA_VERSION + 1;
-        assert_eq!(
-            compare(&future, &base, 10.0).verdict(),
-            Verdict::VirtualDrift
-        );
+        assert_eq!(compare(&future, &base).verdict(), Verdict::VirtualDrift);
     }
 
     #[test]
@@ -1252,13 +816,5 @@ mod tests {
         let back = Snapshot::from_json(&text).expect("parses");
         assert_eq!(back, a);
         assert_eq!(back.to_json(), text);
-    }
-
-    #[test]
-    fn virtual_section_lists_only_virtual_metrics() {
-        let s = sample();
-        let section = s.virtual_section();
-        assert!(section.contains("handoff/migrated_connections"));
-        assert!(!section.contains("events_per_sec"));
     }
 }

@@ -324,10 +324,6 @@ pub struct ConcurrentJitsud {
     /// fleet layer forwards them to a peer board. Each entry carries the
     /// number of further boards the query may still try.
     pub(crate) pending_failover: Vec<(String, u32)>,
-    /// Remaining-hops hint for the query currently being handled (set by
-    /// `fleet::on_message` around a forwarded query; `None` for fresh
-    /// arrivals, which start from `failover_hops_default`).
-    pub(crate) failover_hint: Option<u32>,
     /// How many peer boards a fresh query may fail over to (boards − 1 in a
     /// fleet; 0 standalone).
     pub(crate) failover_hops_default: u32,
@@ -381,7 +377,6 @@ impl ConcurrentJitsud {
             next_client_id: 0,
             seed_counter: seed,
             pending_failover: Vec::new(),
-            failover_hint: None,
             failover_hops_default: 0,
             tracer: Tracer::new(),
             config,
@@ -401,7 +396,7 @@ impl ConcurrentJitsud {
         name: &str,
     ) {
         let name = name.to_string();
-        sim.schedule_at(at, move |sim| Self::on_query(sim, name));
+        sim.schedule_at(at, move |sim| Self::on_query(sim, name, None));
     }
 
     /// The engine's configuration.
@@ -679,10 +674,16 @@ impl ConcurrentJitsud {
         }
     }
 
-    /// Event: a DNS query for `name` arrives. Crate-visible so the fleet
-    /// layer (`crate::fleet`) can route failed-over queries into a board's
-    /// domain context directly.
-    pub(crate) fn on_query<S: Scheduler<World = ConcurrentJitsud>>(sim: &mut S, name: String) {
+    /// Event: a DNS query for `name` arrives. `hops` is how many further
+    /// boards a query forwarded by a peer may still try; `None` for a fresh
+    /// arrival, which starts from `failover_hops_default`. Crate-visible so
+    /// the fleet layer (`crate::fleet`) can route failed-over queries into
+    /// a board's domain context directly.
+    pub(crate) fn on_query<S: Scheduler<World = ConcurrentJitsud>>(
+        sim: &mut S,
+        name: String,
+        hops: Option<u32>,
+    ) {
         let now = sim.now();
         let world = sim.world_mut();
         world.metrics.queries += 1;
@@ -718,7 +719,7 @@ impl ConcurrentJitsud {
                 // client retry against the next board. Parked here; the
                 // fleet layer forwards it at the next epoch barrier.
                 if world.config.failover {
-                    let hops = world.failover_hint.unwrap_or(world.failover_hops_default);
+                    let hops = hops.unwrap_or(world.failover_hops_default);
                     if hops > 0 {
                         world.metrics.failovers += 1;
                         world.pending_failover.push((name, hops - 1));

@@ -43,12 +43,7 @@ impl Domain for ConcurrentJitsud {
     fn on_message(ctx: &mut DomainCtx<Self>, msg: FleetMsg) {
         match msg {
             FleetMsg::Query { name, hops_left } => {
-                // The hint scopes the remaining hop budget to exactly this
-                // query: handlers run to completion, so no other query can
-                // observe it.
-                ctx.world_mut().failover_hint = Some(hops_left);
-                ConcurrentJitsud::on_query(ctx, name);
-                ctx.world_mut().failover_hint = None;
+                ConcurrentJitsud::on_query(ctx, name, Some(hops_left));
             }
         }
     }
@@ -77,7 +72,7 @@ pub type FleetSim = ShardedSim<ConcurrentJitsud>;
 pub fn inject_query(sim: &mut FleetSim, board: DomainId, at: SimTime, name: &str) {
     let name = name.to_string();
     sim.schedule_at(board, at, move |ctx| {
-        ConcurrentJitsud::on_query(ctx, name);
+        ConcurrentJitsud::on_query(ctx, name, None);
     });
 }
 

@@ -18,8 +18,8 @@ pub struct Config {
     /// Crates where the panic policy (P001), sequence-arithmetic policy
     /// (C001) and discarded-Result policy (R001) apply to non-test code.
     pub core_crates: Vec<String>,
-    /// Crates on the frame hot path, where buffer copies (A001) are
-    /// counted against the zero-copy ratchet budget.
+    /// Crates on the zero-copy frame hot path, where buffer copies (A001)
+    /// are errors.
     pub frame_path_crates: Vec<String>,
     /// Crates encoding wire formats, where narrowing casts (N001) must be
     /// checked or waived.
@@ -27,12 +27,6 @@ pub struct Config {
     /// Directory names that are never analyzed (build output, intentional
     /// rule-violation fixtures).
     pub skip_dirs: Vec<String>,
-    /// Workspace-relative directory prefixes where wall-clock time (D002)
-    /// is sanctioned: the root `src/bin/` harness binaries, which sit
-    /// outside the simulated world and measure it from the outside (the
-    /// `bench_snapshot` wall-time half). Everything under `crates/` stays
-    /// fenced.
-    pub wall_clock_sanctioned_dirs: Vec<String>,
 }
 
 impl Default for Config {
@@ -61,7 +55,6 @@ impl Default for Config {
                 "conduit".to_string(),
             ],
             skip_dirs: vec!["target".to_string(), "fixtures".to_string()],
-            wall_clock_sanctioned_dirs: vec!["src/bin".to_string()],
         }
     }
 }
@@ -81,16 +74,6 @@ impl Config {
 
     pub fn is_cast_checked(&self, crate_name: &str) -> bool {
         self.cast_crates.iter().any(|c| c == crate_name)
-    }
-
-    /// Is `rel_path` inside a directory where wall-clock time is
-    /// sanctioned (the root harness binaries)?
-    pub fn is_wall_clock_sanctioned(&self, rel_path: &str) -> bool {
-        self.wall_clock_sanctioned_dirs.iter().any(|d| {
-            rel_path
-                .strip_prefix(d.as_str())
-                .is_some_and(|rest| rest.starts_with('/'))
-        })
     }
 
     pub fn is_known_rule(rule: &str) -> bool {
@@ -125,17 +108,6 @@ mod tests {
         }
         assert!(!cfg.is_cast_checked("sim"));
         assert!(!cfg.is_cast_checked("lint"));
-    }
-
-    #[test]
-    fn wall_clock_sanctuary_is_exactly_the_root_bin_dir() {
-        let cfg = Config::default();
-        assert!(cfg.is_wall_clock_sanctioned("src/bin/bench_snapshot.rs"));
-        assert!(cfg.is_wall_clock_sanctioned("src/bin/nested/helper.rs"));
-        assert!(!cfg.is_wall_clock_sanctioned("src/lib.rs"));
-        assert!(!cfg.is_wall_clock_sanctioned("src/bingo.rs"));
-        assert!(!cfg.is_wall_clock_sanctioned("crates/bench/src/bin/fig3.rs"));
-        assert!(!cfg.is_wall_clock_sanctioned("crates/sim/src/time.rs"));
     }
 
     #[test]

@@ -16,16 +16,14 @@
 //! | P001 | `unwrap()`/`expect()`/`panic!` in non-test core-crate code |
 //! | H001 | a crate root missing `#![forbid(unsafe_code)]` |
 //! | C001 | raw ordering/arithmetic on TCP sequence numbers (RFC 1982) |
-//! | A001 | frame-buffer copies in the hot path beyond the ratchet budget |
+//! | A001 | frame-buffer copies in the zero-copy hot path |
 //! | R001 | discarded `Result` values in non-test core-crate code |
 //! | N001 | unchecked narrowing `as` casts in wire-format crates |
 //!
 //! Violations are silenced in place with
 //! `// jitsu-lint: allow(RULE, "reason")`; the reason is mandatory (W001),
 //! unknown rules are errors (W002) and waivers that silence nothing are
-//! warnings (W003). A001 is additionally governed by the committed ratchet
-//! budget `crates/lint/budget.toml` ([`budget`]): exact counts pass, growth
-//! and slack both fail. Diagnostics print as `file:line:col  RULE  message`
+//! warnings (W003). Diagnostics print as `file:line:col  RULE  message`
 //! or as SARIF 2.1.0 ([`sarif`]) with `--format sarif`; the mechanical
 //! subset of R001/N001 findings carry machine-applicable fixes ([`fix`],
 //! `--fix`).
@@ -38,7 +36,6 @@
 
 pub mod analyzer;
 pub mod ast;
-pub mod budget;
 pub mod config;
 pub mod diagnostics;
 pub mod fix;

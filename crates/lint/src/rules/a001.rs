@@ -1,15 +1,10 @@
-//! A001 — frame-buffer copies in the zero-copy hot path, under a ratchet.
+//! A001 — frame-buffer copies in the zero-copy hot path.
 //!
-//! Roadmap item 2's zero-copy frame path has landed: every
-//! `.clone()`/`.to_vec()` of payload bytes or whole frames — and every
-//! `.to_vec()` that materialises a `FrameBuf` view back into an owned
-//! buffer — in frame-path (`netstack`/`conduit`/`unikernel`/`jitsu`)
-//! non-test code is *counted*, and the committed per-file counts in
-//! `crates/lint/budget.toml` are a ratchet: CI fails if a file's count
-//! grows (a new copy snuck in) or if the recorded budget exceeds reality
-//! (stale slack — ratchet it down). The budget is now empty and must stay
-//! that way: any counted copy is a regression of the zero-copy milestone.
-//! (`FrameBuf::clone()` is uncounted — it is an O(1) refcount bump, not a
+//! The frame path is zero-copy: every `.clone()`/`.to_vec()` of payload
+//! bytes or whole frames — and every `.to_vec()` that materialises a
+//! `FrameBuf` view back into an owned buffer — in frame-path
+//! (`netstack`/`conduit`/`unikernel`/`jitsu`) non-test code is an error.
+//! (`FrameBuf::clone()` is exempt — it is an O(1) refcount bump, not a
 //! byte copy.)
 
 use crate::ast::{self, Expr, ExprKind};
@@ -83,8 +78,8 @@ impl ast::Visit for CopyVisitor<'_, '_> {
             t.col,
             "A001",
             format!(
-                "{what} (`.{name}()`) in the frame hot path — counted against \
-                 the zero-copy ratchet in crates/lint/budget.toml"
+                "{what} (`.{name}()`) in the frame hot path, which is zero-copy — \
+                 hand on a `FrameBuf` view instead"
             ),
         ));
     }

@@ -5,11 +5,9 @@
 //! virtual clock so every timestamp is a function of the event schedule.
 //! The rule fires on *any* mention of the types — imports included, test
 //! code included — because a wall-clock reading has no legitimate consumer
-//! inside the simulated world. The one sanctioned exception is the
-//! config's `wall_clock_sanctioned_dirs` (the root `src/bin/` harness
-//! binaries): they stand *outside* the simulation and time it from the
-//! outside, which is exactly where `bench_snapshot`'s wall-time half must
-//! live so no measured path can read the host clock.
+//! inside the simulated world. There is no exception anywhere this
+//! analyzer walks: host time is measured from outside, by the standalone
+//! `benchmark/` package.
 
 use crate::diagnostics::Diagnostic;
 use crate::lexer::TokenKind;
@@ -18,9 +16,6 @@ use crate::rules::FileContext;
 const WALL_CLOCK_TYPES: &[&str] = &["Instant", "SystemTime"];
 
 pub fn check(ctx: &FileContext<'_>) -> Vec<Diagnostic> {
-    if ctx.config.is_wall_clock_sanctioned(ctx.file) {
-        return Vec::new();
-    }
     let mut out = Vec::new();
     for ci in 0..ctx.len() {
         let t = ctx.tok(ci);

@@ -22,10 +22,7 @@ const RULE_INFO: &[(&str, &str)] = &[
     ("P001", "unwaived panic paths in core crates"),
     ("H001", "crate root missing #![forbid(unsafe_code)]"),
     ("C001", "raw ordering/arithmetic on TCP sequence numbers"),
-    (
-        "A001",
-        "frame-buffer copies in the zero-copy hot path (ratcheted)",
-    ),
+    ("A001", "frame-buffer copies in the zero-copy hot path"),
     ("R001", "discarded Result values in core crates"),
     ("N001", "unchecked narrowing casts in wire-format crates"),
     ("W001", "waiver missing its mandatory reason"),

@@ -15,7 +15,7 @@ use std::collections::{BTreeMap, BTreeSet};
 /// struct resolves them to `u32` (or cannot be resolved at all).
 pub const SEQ_NAMES: &[&str] = &["seq", "ack", "snd_nxt", "snd_una", "rcv_nxt", "isn"];
 
-/// Frame/buffer types whose wholesale copies the A001 ratchet counts.
+/// Frame/buffer types whose wholesale copies A001 reports.
 pub const FRAME_TYPES: &[&str] = &[
     "EthernetFrame",
     "Ipv4Packet",

@@ -11,7 +11,7 @@ use std::path::Path;
 
 /// The directories under the workspace root that are analyzed. `vendor/`
 /// is deliberately absent: the vendored stand-ins emulate external crates
-/// (criterion really does read the wall clock) and are not simulation code.
+/// and are not simulation code.
 const ROOTS: &[&str] = &["crates", "src", "tests"];
 
 /// Every `.rs` file to analyze, as sorted workspace-relative `/`-separated
