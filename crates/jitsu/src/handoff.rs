@@ -20,6 +20,7 @@
 use netstack::tcp::tcb::{hex_decode, hex_encode};
 use netstack::tcp::Tcb;
 use netstack::FrameBuf;
+use xen_sim::devices::KeyDir;
 use xenstore::{DomId, Result as XsResult, XenStore};
 
 /// The phase of the handoff for one service.
@@ -62,20 +63,28 @@ impl HandoffCoordinator {
         HandoffCoordinator
     }
 
-    fn service_key(name: &str) -> String {
-        name.replace('.', "_")
+    /// `/conduit/<service>/<tail>` — the service's dots become underscores,
+    /// a store path component being no place for a DNS name.
+    fn conduit_path(name: &str, tail: &str) -> String {
+        const TOP: &str = "/conduit/";
+        let mut path = String::with_capacity(TOP.len() + name.len() + 1 + tail.len());
+        path.push_str(TOP);
+        path.extend(name.chars().map(|c| if c == '.' { '_' } else { c }));
+        path.push('/');
+        path.push_str(tail);
+        path
     }
 
     fn base(name: &str) -> String {
-        format!("/conduit/{}/tcpv4", Self::service_key(name))
+        Self::conduit_path(name, "tcpv4")
     }
 
     fn phase_path(name: &str) -> String {
-        format!("/conduit/{}/synjitsu-phase", Self::service_key(name))
+        Self::conduit_path(name, "synjitsu-phase")
     }
 
     fn pending_path(name: &str) -> String {
-        format!("/conduit/{}/pending", Self::service_key(name))
+        Self::conduit_path(name, "pending")
     }
 
     /// Initialise the handoff area for a service that is being summoned.
@@ -117,30 +126,15 @@ impl HandoffCoordinator {
         index: u32,
         tcb: &Tcb,
     ) -> XsResult<()> {
-        let dir = format!("{}/{}", Self::base(name), index);
-        xs.write(
-            DomId::DOM0,
-            None,
-            &format!("{dir}/state"),
-            tcb.state.as_token().as_bytes(),
-        )?;
-        xs.write(
-            DomId::DOM0,
-            None,
-            &format!("{dir}/tcb"),
-            tcb.to_sexp().as_bytes(),
-        )?;
-        let packets = if tcb.buffered.is_empty() {
-            "()".to_string()
+        let mut entry = KeyDir::under(format!("{}/{index}", Self::base(name)));
+        entry.publish(xs, "state", tcb.state.as_token().as_bytes())?;
+        entry.publish(xs, "tcb", tcb.to_sexp().as_bytes())?;
+        if tcb.buffered.is_empty() {
+            entry.publish(xs, "packets", b"()")
         } else {
-            format!("((data {} bytes))", tcb.buffered.len())
-        };
-        xs.write(
-            DomId::DOM0,
-            None,
-            &format!("{dir}/packets"),
-            packets.as_bytes(),
-        )
+            let packets = format!("((data {} bytes))", tcb.buffered.len());
+            entry.publish(xs, "packets", packets.as_bytes())
+        }
     }
 
     /// Number of connections currently recorded for a service.

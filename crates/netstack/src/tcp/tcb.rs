@@ -126,43 +126,148 @@ impl Tcb {
     }
 
     /// Serialise to the XenStore handoff format: an s-expression-like record
-    /// matching Figure 7, with buffered bytes hex-encoded.
+    /// matching Figure 7, with buffered bytes hex-encoded. The record is
+    /// written field by field into one buffer sized for it up front.
     pub fn to_sexp(&self) -> String {
-        format!(
-            "((state {})(src {})(src-port {})(dst {})(dst-port {})(isn {})(snd-nxt {})(snd-una {})(rcv-nxt {})(packets {}))",
-            self.state.as_token(),
-            self.local_ip,
-            self.local_port,
-            self.remote_ip,
-            self.remote_port,
-            self.isn,
-            self.snd_nxt,
-            self.snd_una,
-            self.rcv_nxt,
-            hex_encode(&self.buffered),
-        )
+        /// The record with every token, address, port and sequence number
+        /// at its widest and no packets.
+        const WIDEST: &str = "((state ESTABLISHED)(src 255.255.255.255)(src-port 65535)\
+            (dst 255.255.255.255)(dst-port 65535)(isn 4294967295)(snd-nxt 4294967295)\
+            (snd-una 4294967295)(rcv-nxt 4294967295)(packets ))";
+        let mut out = String::with_capacity(WIDEST.len() + hex_len(&self.buffered));
+        out.push_str("((state ");
+        out.push_str(self.state.as_token());
+        for (end, address, port) in [
+            ("src", self.local_ip, self.local_port),
+            ("dst", self.remote_ip, self.remote_port),
+        ] {
+            out.push_str(")(");
+            out.push_str(end);
+            out.push(' ');
+            push_ipv4(&mut out, address);
+            out.push_str(")(");
+            out.push_str(end);
+            out.push_str("-port ");
+            push_decimal(&mut out, u32::from(port));
+        }
+        for (name, number) in [
+            (")(isn ", self.isn),
+            (")(snd-nxt ", self.snd_nxt),
+            (")(snd-una ", self.snd_una),
+            (")(rcv-nxt ", self.rcv_nxt),
+        ] {
+            out.push_str(name);
+            push_decimal(&mut out, number);
+        }
+        out.push_str(")(packets ");
+        push_hex(&mut out, &self.buffered);
+        out.push_str("))");
+        out
     }
 
-    /// Parse the handoff format produced by [`Tcb::to_sexp`].
+    /// Parse the handoff format produced by [`Tcb::to_sexp`]: one scan of
+    /// the record for its `(name value)` fields, in any order, each parsed
+    /// where it lies.
     pub fn from_sexp(s: &str) -> Option<Tcb> {
-        let field = |name: &str| -> Option<String> {
-            let needle = format!("({name} ");
-            let start = s.find(&needle)? + needle.len();
-            let end = s[start..].find(')')? + start;
-            Some(s[start..end].to_string())
-        };
+        let mut fields = Fields::default();
+        let mut rest = s;
+        while let Some((_, after_paren)) = rest.split_once('(') {
+            rest = after_paren;
+            let Some((name, after_name)) = after_paren.split_once(' ') else {
+                break;
+            };
+            let Some(field) = fields.named(name) else {
+                continue;
+            };
+            let (value, after_value) = after_name.split_once(')')?;
+            // As in a search for each name from the start of the record,
+            // the first occurrence is the field.
+            field.get_or_insert(value);
+            rest = after_value;
+        }
         Some(Tcb {
-            state: TcpState::from_token(&field("state")?)?,
-            local_ip: Ipv4Addr::parse(&field("src")?)?,
-            local_port: field("src-port")?.parse().ok()?,
-            remote_ip: Ipv4Addr::parse(&field("dst")?)?,
-            remote_port: field("dst-port")?.parse().ok()?,
-            isn: field("isn")?.parse().ok()?,
-            snd_nxt: field("snd-nxt")?.parse().ok()?,
-            snd_una: field("snd-una")?.parse().ok()?,
-            rcv_nxt: field("rcv-nxt")?.parse().ok()?,
-            buffered: hex_decode(&field("packets")?)?,
+            state: TcpState::from_token(fields.state?)?,
+            local_ip: Ipv4Addr::parse(fields.src?)?,
+            local_port: fields.src_port?.parse().ok()?,
+            remote_ip: Ipv4Addr::parse(fields.dst?)?,
+            remote_port: fields.dst_port?.parse().ok()?,
+            isn: fields.isn?.parse().ok()?,
+            snd_nxt: fields.snd_nxt?.parse().ok()?,
+            snd_una: fields.snd_una?.parse().ok()?,
+            rcv_nxt: fields.rcv_nxt?.parse().ok()?,
+            buffered: hex_decode(fields.packets?)?,
         })
+    }
+}
+
+/// The fields of a record as [`Tcb::from_sexp`] finds them: views of the
+/// record's text.
+#[derive(Default)]
+struct Fields<'a> {
+    state: Option<&'a str>,
+    src: Option<&'a str>,
+    src_port: Option<&'a str>,
+    dst: Option<&'a str>,
+    dst_port: Option<&'a str>,
+    isn: Option<&'a str>,
+    snd_nxt: Option<&'a str>,
+    snd_una: Option<&'a str>,
+    rcv_nxt: Option<&'a str>,
+    packets: Option<&'a str>,
+}
+
+impl<'a> Fields<'a> {
+    /// The slot of the field the record calls `name`.
+    fn named(&mut self, name: &str) -> Option<&mut Option<&'a str>> {
+        Some(match name {
+            "state" => &mut self.state,
+            "src" => &mut self.src,
+            "src-port" => &mut self.src_port,
+            "dst" => &mut self.dst,
+            "dst-port" => &mut self.dst_port,
+            "isn" => &mut self.isn,
+            "snd-nxt" => &mut self.snd_nxt,
+            "snd-una" => &mut self.snd_una,
+            "rcv-nxt" => &mut self.rcv_nxt,
+            "packets" => &mut self.packets,
+            _ => return None,
+        })
+    }
+}
+
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// Append `n` in decimal.
+fn push_decimal(out: &mut String, n: u32) {
+    if n >= 10 {
+        push_decimal(out, n / 10);
+    }
+    out.push(char::from_digit(n % 10, 10).unwrap_or('0'));
+}
+
+/// Append `addr` in dotted-quad notation.
+fn push_ipv4(out: &mut String, addr: Ipv4Addr) {
+    for (i, octet) in addr.0.into_iter().enumerate() {
+        if i > 0 {
+            out.push('.');
+        }
+        push_decimal(out, u32::from(octet));
+    }
+}
+
+/// Length of [`hex_encode`]'s output for `data`.
+fn hex_len(data: &[u8]) -> usize {
+    (2 * data.len()).max(1)
+}
+
+/// Append [`hex_encode`]'s output for `data`.
+fn push_hex(out: &mut String, data: &[u8]) {
+    if data.is_empty() {
+        out.push('-');
+    }
+    for byte in data {
+        out.push(char::from(HEX_DIGITS[usize::from(byte >> 4)]));
+        out.push(char::from(HEX_DIGITS[usize::from(byte & 0x0f)]));
     }
 }
 
@@ -170,24 +275,40 @@ impl Tcb {
 /// store never holds a zero-length value). Public because the handoff
 /// coordinator stores raw queued frames in the same format.
 pub fn hex_encode(data: &[u8]) -> String {
-    if data.is_empty() {
-        return "-".to_string();
-    }
-    data.iter().map(|b| format!("{b:02x}")).collect()
+    let mut out = String::with_capacity(hex_len(data));
+    push_hex(&mut out, data);
+    out
 }
 
-/// Decode [`hex_encode`]'s output.
+/// The value of one hex digit, either case.
+fn nibble(digit: u8) -> Option<u8> {
+    match digit {
+        b'0'..=b'9' => Some(digit - b'0'),
+        b'a'..=b'f' => Some(digit - b'a' + 10),
+        b'A'..=b'F' => Some(digit - b'A' + 10),
+        _ => None,
+    }
+}
+
+/// Decode [`hex_encode`]'s output. Anything that is not pairs of hex digits
+/// (or the lone `-`) is refused: the text comes out of a store other
+/// domains write to.
 pub fn hex_decode(s: &str) -> Option<Vec<u8>> {
     if s == "-" {
         return Some(Vec::new());
     }
-    if !s.len().is_multiple_of(2) {
+    let digits = s.as_bytes();
+    if !digits.len().is_multiple_of(2) {
         return None;
     }
-    (0..s.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(&s[i..i + 2], 16).ok())
-        .collect()
+    let mut out = Vec::with_capacity(digits.len() / 2);
+    for pair in digits.chunks_exact(2) {
+        let &[high, low] = pair else {
+            return None;
+        };
+        out.push(nibble(high)? << 4 | nibble(low)?);
+    }
+    Some(out)
 }
 
 #[cfg(test)]
@@ -265,6 +386,30 @@ mod tests {
         assert_eq!(hex_decode("-"), Some(vec![]));
         assert_eq!(hex_decode("abc"), None);
         assert_eq!(hex_decode("zz"), None);
+        assert_eq!(hex_decode("00FF1a"), Some(vec![0x00, 0xff, 0x1a]));
+    }
+
+    #[test]
+    fn hex_decode_refuses_signs_and_non_ascii_without_panicking() {
+        // `from_str_radix` accepted "+f" as 15, and slicing by byte offset
+        // panicked inside a multi-byte character.
+        for hostile in ["+f", "-f", "a\u{fffd}", "é1", "\u{fffd}"] {
+            assert_eq!(hex_decode(hostile), None, "{hostile:?}");
+        }
+    }
+
+    #[test]
+    fn fields_are_found_in_any_order_and_the_first_occurrence_wins() {
+        let record = "(noise)(packets 4a)(state CLOSED)(rcv-nxt 4)(snd-una 3)(snd-nxt 2)(isn 1)\
+            (dst-port 9)(dst 10.0.0.9)(src-port 80)(src 10.0.0.2)(state LISTEN)";
+        let tcb = Tcb::from_sexp(record).unwrap();
+        assert_eq!(tcb.state, TcpState::Closed);
+        assert_eq!(tcb.buffered, b"J");
+        assert_eq!(
+            (tcb.isn, tcb.snd_nxt, tcb.snd_una, tcb.rcv_nxt),
+            (1, 2, 3, 4)
+        );
+        assert!(Tcb::from_sexp("((state LISTEN").is_none(), "unterminated");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! console") makes this attachment asynchronous so it no longer sits on the
 //! critical path of domain creation.
 
-use super::{frontend_path, write_state, DeviceKind, XenbusState};
+use super::{frontend_path, write_state, DeviceKind, KeyDir, XenbusState};
 use crate::event_channel::{EventChannelTable, Port};
 use crate::grant_table::{GrantRef, GrantTable};
 use jitsu_sim::SimDuration;
@@ -42,27 +42,22 @@ impl ConsoleDevice {
             // jitsu-lint: allow(P001, "a freshly built domain starts under its grant quota")
             .expect("fresh domain has grant capacity");
         let port = evtchn.alloc_unbound(dom, DomId::DOM0);
-        let dir = frontend_path(dom, DeviceKind::Console, 0);
-        xs.write(
-            DomId::DOM0,
-            None,
-            &format!("{dir}/ring-ref"),
-            ring_ref.0.to_string().as_bytes(),
-        )?;
-        xs.write(
-            DomId::DOM0,
-            None,
-            &format!("{dir}/port"),
-            port.0.to_string().as_bytes(),
-        )?;
-        xs.write(DomId::DOM0, None, &format!("{dir}/type"), b"xenconsoled")?;
-        write_state(xs, DomId::DOM0, &dir, XenbusState::Initialised)?;
+        let mut dir = Self::keys(dom);
+        dir.publish(xs, "ring-ref", ring_ref.0.to_string().as_bytes())?;
+        dir.publish(xs, "port", port.0.to_string().as_bytes())?;
+        dir.publish(xs, "type", b"xenconsoled")?;
+        write_state(xs, DomId::DOM0, &mut dir, XenbusState::Initialised)?;
         Ok(ConsoleDevice {
             dom,
             ring_ref,
             port,
             buffer: Vec::new(),
         })
+    }
+
+    /// The keys of the console's one directory, the frontend's.
+    fn keys(dom: DomId) -> KeyDir {
+        KeyDir::under(frontend_path(dom, DeviceKind::Console, 0))
     }
 
     /// The time `xenconsoled` takes to notice and attach the new console on
@@ -75,8 +70,12 @@ impl ConsoleDevice {
 
     /// Mark the console connected (what `xenconsoled` does once attached).
     pub fn mark_connected(&self, xs: &mut XenStore) -> XsResult<()> {
-        let dir = frontend_path(self.dom, DeviceKind::Console, 0);
-        write_state(xs, DomId::DOM0, &dir, XenbusState::Connected)
+        write_state(
+            xs,
+            DomId::DOM0,
+            &mut Self::keys(self.dom),
+            XenbusState::Connected,
+        )
     }
 
     /// Guest writes bytes to its console.
@@ -125,13 +124,14 @@ mod tests {
                 .unwrap(),
             console.port.0.to_string()
         );
+        let mut end = KeyDir::under(dir);
         assert_eq!(
-            read_state(&mut xs, DomId::DOM0, &dir),
+            read_state(&mut xs, DomId::DOM0, &mut end),
             XenbusState::Initialised
         );
         console.mark_connected(&mut xs).unwrap();
         assert_eq!(
-            read_state(&mut xs, DomId::DOM0, &dir),
+            read_state(&mut xs, DomId::DOM0, &mut end),
             XenbusState::Connected
         );
     }

@@ -112,9 +112,48 @@ pub fn backend_path(backend: DomId, frontend: DomId, kind: DeviceKind, index: u3
     )
 }
 
+/// The keys of one store directory — an end of a device, a domain's home —
+/// named one at a time in one buffer: the directory is written once and each
+/// key behind it in turn, so publishing a dozen keys builds one string, not
+/// a dozen.
+#[derive(Debug, Clone)]
+pub struct KeyDir {
+    path: String,
+    /// `path[..dir]` is the directory and its trailing slash.
+    dir: usize,
+}
+
+impl KeyDir {
+    /// The keys under `dir` (a [`frontend_path`], say, or a [`backend_path`]).
+    pub fn under(mut dir: String) -> KeyDir {
+        dir.push('/');
+        KeyDir {
+            dir: dir.len(),
+            path: dir,
+        }
+    }
+
+    /// The directory itself, without a trailing slash.
+    pub fn dir(&self) -> &str {
+        &self.path[..self.dir - 1]
+    }
+
+    /// The path of `key` in the directory; good until the next call.
+    pub fn key(&mut self, key: &str) -> &str {
+        self.path.truncate(self.dir);
+        self.path.push_str(key);
+        &self.path
+    }
+
+    /// Write `key` as dom0, which is who publishes a device's keys.
+    pub fn publish(&mut self, xs: &mut XenStore, key: &str, value: &[u8]) -> XsResult<()> {
+        xs.write(DomId::DOM0, None, self.key(key), value)
+    }
+}
+
 /// Read an end's XenBus state key (missing keys read as `Unknown`).
-pub fn read_state(xs: &mut XenStore, reader: DomId, dir: &str) -> XenbusState {
-    match xs.read_string(reader, None, &format!("{dir}/state")) {
+pub fn read_state(xs: &mut XenStore, reader: DomId, end: &mut KeyDir) -> XenbusState {
+    match xs.read_string(reader, None, end.key("state")) {
         Ok(s) => XenbusState::from_u8(s.trim().parse::<u8>().unwrap_or(0)),
         Err(_) => XenbusState::Unknown,
     }
@@ -124,15 +163,10 @@ pub fn read_state(xs: &mut XenStore, reader: DomId, dir: &str) -> XenbusState {
 pub fn write_state(
     xs: &mut XenStore,
     writer: DomId,
-    dir: &str,
+    end: &mut KeyDir,
     state: XenbusState,
 ) -> XsResult<()> {
-    xs.write(
-        writer,
-        None,
-        &format!("{dir}/state"),
-        state.as_str().as_bytes(),
-    )
+    xs.write(writer, None, end.key("state"), state.as_str().as_bytes())
 }
 
 #[cfg(test)]
@@ -170,17 +204,23 @@ mod tests {
     #[test]
     fn state_keys_read_and_write_through_xenstore() {
         let mut xs = XenStore::new(EngineKind::JitsuMerge);
-        let dir = frontend_path(DomId(5), DeviceKind::Vif, 0);
-        assert_eq!(read_state(&mut xs, DomId::DOM0, &dir), XenbusState::Unknown);
-        write_state(&mut xs, DomId::DOM0, &dir, XenbusState::Initialised).unwrap();
+        let mut end = KeyDir::under(frontend_path(DomId(5), DeviceKind::Vif, 0));
+        assert_eq!(end.dir(), "/local/domain/5/device/vif/0");
+        assert_eq!(end.key("mac"), "/local/domain/5/device/vif/0/mac");
         assert_eq!(
-            read_state(&mut xs, DomId::DOM0, &dir),
+            read_state(&mut xs, DomId::DOM0, &mut end),
+            XenbusState::Unknown
+        );
+        write_state(&mut xs, DomId::DOM0, &mut end, XenbusState::Initialised).unwrap();
+        assert_eq!(
+            read_state(&mut xs, DomId::DOM0, &mut end),
             XenbusState::Initialised
         );
-        write_state(&mut xs, DomId::DOM0, &dir, XenbusState::Connected).unwrap();
+        write_state(&mut xs, DomId::DOM0, &mut end, XenbusState::Connected).unwrap();
         assert_eq!(
-            read_state(&mut xs, DomId::DOM0, &dir),
+            read_state(&mut xs, DomId::DOM0, &mut end),
             XenbusState::Connected
         );
+        assert_eq!(end.dir(), "/local/domain/5/device/vif/0");
     }
 }

@@ -6,7 +6,7 @@
 //! composes the backend storage device's timing with a fixed ring-protocol
 //! overhead per request.
 
-use super::{backend_path, frontend_path, write_state, DeviceKind, XenbusState};
+use super::{backend_path, frontend_path, write_state, DeviceKind, KeyDir, XenbusState};
 use crate::event_channel::{EventChannelTable, Port};
 use crate::grant_table::{GrantRef, GrantTable};
 use jitsu_sim::{SimDuration, SimRng};
@@ -47,30 +47,15 @@ impl VbdDevice {
             // jitsu-lint: allow(P001, "a freshly built domain starts under its grant quota")
             .expect("grant capacity");
         let port = evtchn.alloc_unbound(dom, DomId::DOM0);
-        let fe = frontend_path(dom, DeviceKind::Vbd, index);
-        let be = backend_path(DomId::DOM0, dom, DeviceKind::Vbd, index);
-        xs.write(
-            DomId::DOM0,
-            None,
-            &format!("{fe}/ring-ref"),
-            ring.0.to_string().as_bytes(),
-        )?;
-        xs.write(
-            DomId::DOM0,
-            None,
-            &format!("{fe}/event-channel"),
-            port.0.to_string().as_bytes(),
-        )?;
-        xs.write(DomId::DOM0, None, &format!("{fe}/backend"), be.as_bytes())?;
-        write_state(xs, DomId::DOM0, &fe, XenbusState::Initialised)?;
-        xs.write(
-            DomId::DOM0,
-            None,
-            &format!("{be}/params"),
-            backing.kind.label().as_bytes(),
-        )?;
-        write_state(xs, DomId::DOM0, &be, XenbusState::Connected)?;
-        write_state(xs, DomId::DOM0, &fe, XenbusState::Connected)?;
+        let mut fe = KeyDir::under(frontend_path(dom, DeviceKind::Vbd, index));
+        let mut be = KeyDir::under(backend_path(DomId::DOM0, dom, DeviceKind::Vbd, index));
+        fe.publish(xs, "ring-ref", ring.0.to_string().as_bytes())?;
+        fe.publish(xs, "event-channel", port.0.to_string().as_bytes())?;
+        fe.publish(xs, "backend", be.dir().as_bytes())?;
+        write_state(xs, DomId::DOM0, &mut fe, XenbusState::Initialised)?;
+        be.publish(xs, "params", backing.kind.label().as_bytes())?;
+        write_state(xs, DomId::DOM0, &mut be, XenbusState::Connected)?;
+        write_state(xs, DomId::DOM0, &mut fe, XenbusState::Connected)?;
         Ok(VbdDevice {
             dom,
             index,

@@ -8,7 +8,9 @@
 //! of the dom0 side is modelled by [`crate::hotplug`] and composed by the
 //! toolstack.
 
-use super::{backend_path, frontend_path, read_state, write_state, DeviceKind, XenbusState};
+use super::{
+    backend_path, frontend_path, read_state, write_state, DeviceKind, KeyDir, XenbusState,
+};
 use crate::bridge::{Bridge, PortId};
 use crate::event_channel::{EventChannelTable, Port};
 use crate::grant_table::{GrantRef, GrantTable};
@@ -71,39 +73,23 @@ impl VifDevice {
             .expect("grant capacity");
         let port = evtchn.alloc_unbound(dom, DomId::DOM0);
 
-        let fe = frontend_path(dom, DeviceKind::Vif, index);
-        let be = backend_path(DomId::DOM0, dom, DeviceKind::Vif, index);
+        let (mut fe, mut be) = Self::ends(dom, index);
         let mac_str = format!(
             "{:02x}:{:02x}:{:02x}:{:02x}:{:02x}:{:02x}",
             mac[0], mac[1], mac[2], mac[3], mac[4], mac[5]
         );
 
-        xs.write(DomId::DOM0, None, &format!("{fe}/mac"), mac_str.as_bytes())?;
-        xs.write(DomId::DOM0, None, &format!("{fe}/backend"), be.as_bytes())?;
-        xs.write(
-            DomId::DOM0,
-            None,
-            &format!("{fe}/tx-ring-ref"),
-            tx_ring.0.to_string().as_bytes(),
-        )?;
-        xs.write(
-            DomId::DOM0,
-            None,
-            &format!("{fe}/rx-ring-ref"),
-            rx_ring.0.to_string().as_bytes(),
-        )?;
-        xs.write(
-            DomId::DOM0,
-            None,
-            &format!("{fe}/event-channel"),
-            port.0.to_string().as_bytes(),
-        )?;
-        write_state(xs, DomId::DOM0, &fe, XenbusState::Initialised)?;
+        fe.publish(xs, "mac", mac_str.as_bytes())?;
+        fe.publish(xs, "backend", be.dir().as_bytes())?;
+        fe.publish(xs, "tx-ring-ref", tx_ring.0.to_string().as_bytes())?;
+        fe.publish(xs, "rx-ring-ref", rx_ring.0.to_string().as_bytes())?;
+        fe.publish(xs, "event-channel", port.0.to_string().as_bytes())?;
+        write_state(xs, DomId::DOM0, &mut fe, XenbusState::Initialised)?;
 
-        xs.write(DomId::DOM0, None, &format!("{be}/frontend"), fe.as_bytes())?;
-        xs.write(DomId::DOM0, None, &format!("{be}/mac"), mac_str.as_bytes())?;
-        xs.write(DomId::DOM0, None, &format!("{be}/bridge"), b"xenbr0")?;
-        write_state(xs, DomId::DOM0, &be, XenbusState::InitWait)?;
+        be.publish(xs, "frontend", fe.dir().as_bytes())?;
+        be.publish(xs, "mac", mac_str.as_bytes())?;
+        be.publish(xs, "bridge", b"xenbr0")?;
+        write_state(xs, DomId::DOM0, &mut be, XenbusState::InitWait)?;
 
         Ok(VifDevice {
             dom,
@@ -114,6 +100,14 @@ impl VifDevice {
             port,
             bridge_port: None,
         })
+    }
+
+    /// The keys of the frontend's directory and of the backend's.
+    fn ends(dom: DomId, index: u32) -> (KeyDir, KeyDir) {
+        (
+            KeyDir::under(frontend_path(dom, DeviceKind::Vif, index)),
+            KeyDir::under(backend_path(DomId::DOM0, dom, DeviceKind::Vif, index)),
+        )
     }
 
     /// Run the backend side: map the rings, bind the event channel, attach
@@ -142,19 +136,17 @@ impl VifDevice {
         let port = bridge.attach(format!("vif{}.{}", self.dom.0, self.index));
         self.bridge_port = Some(port);
 
-        let fe = frontend_path(self.dom, DeviceKind::Vif, self.index);
-        let be = backend_path(DomId::DOM0, self.dom, DeviceKind::Vif, self.index);
-        write_state(xs, DomId::DOM0, &be, XenbusState::Connected)?;
-        write_state(xs, DomId::DOM0, &fe, XenbusState::Connected)?;
+        let (mut fe, mut be) = Self::ends(self.dom, self.index);
+        write_state(xs, DomId::DOM0, &mut be, XenbusState::Connected)?;
+        write_state(xs, DomId::DOM0, &mut fe, XenbusState::Connected)?;
         Ok(())
     }
 
     /// True once both ends report `Connected`.
     pub fn is_connected(&self, xs: &mut XenStore) -> bool {
-        let fe = frontend_path(self.dom, DeviceKind::Vif, self.index);
-        let be = backend_path(DomId::DOM0, self.dom, DeviceKind::Vif, self.index);
-        read_state(xs, DomId::DOM0, &fe) == XenbusState::Connected
-            && read_state(xs, DomId::DOM0, &be) == XenbusState::Connected
+        let (mut fe, mut be) = Self::ends(self.dom, self.index);
+        read_state(xs, DomId::DOM0, &mut fe) == XenbusState::Connected
+            && read_state(xs, DomId::DOM0, &mut be) == XenbusState::Connected
     }
 
     /// The blocking XenStore RPC overhead the frontend experiences while the
@@ -193,10 +185,9 @@ impl VifDevice {
             // jitsu-lint: allow(R001, "shutdown is best-effort: the bridge may have dropped the port already")
             let _ = bridge.detach(port);
         }
-        let fe = frontend_path(self.dom, DeviceKind::Vif, self.index);
-        let be = backend_path(DomId::DOM0, self.dom, DeviceKind::Vif, self.index);
-        write_state(xs, DomId::DOM0, &fe, XenbusState::Closed)?;
-        write_state(xs, DomId::DOM0, &be, XenbusState::Closed)?;
+        let (mut fe, mut be) = Self::ends(self.dom, self.index);
+        write_state(xs, DomId::DOM0, &mut fe, XenbusState::Closed)?;
+        write_state(xs, DomId::DOM0, &mut be, XenbusState::Closed)?;
         Ok(())
     }
 }
@@ -247,11 +238,15 @@ mod tests {
                 .unwrap(),
             "xenbr0"
         );
+        let (mut fe, mut be) = VifDevice::ends(DomId(5), 0);
         assert_eq!(
-            read_state(&mut xs, DomId::DOM0, &fe),
+            read_state(&mut xs, DomId::DOM0, &mut fe),
             XenbusState::Initialised
         );
-        assert_eq!(read_state(&mut xs, DomId::DOM0, &be), XenbusState::InitWait);
+        assert_eq!(
+            read_state(&mut xs, DomId::DOM0, &mut be),
+            XenbusState::InitWait
+        );
         assert!(!vif.is_connected(&mut xs));
         assert_ne!(vif.tx_ring, vif.rx_ring);
     }
@@ -278,8 +273,11 @@ mod tests {
         vif.close(&mut xs, &mut br).unwrap();
         assert_eq!(br.port_count(), 0);
         assert!(vif.bridge_port.is_none());
-        let fe = frontend_path(DomId(5), DeviceKind::Vif, 0);
-        assert_eq!(read_state(&mut xs, DomId::DOM0, &fe), XenbusState::Closed);
+        let (mut fe, _) = VifDevice::ends(DomId(5), 0);
+        assert_eq!(
+            read_state(&mut xs, DomId::DOM0, &mut fe),
+            XenbusState::Closed
+        );
     }
 
     #[test]

@@ -20,6 +20,7 @@
 use crate::bridge::Bridge;
 use crate::devices::console::ConsoleDevice;
 use crate::devices::vif::VifDevice;
+use crate::devices::KeyDir;
 use crate::domain::{DomIdAllocator, Domain, DomainConfig, DomainState};
 use crate::domain_builder::{BuildError, BuildReport, DomainBuilder};
 use crate::event_channel::EventChannelTable;
@@ -328,25 +329,25 @@ impl Toolstack {
         let build = self.builder.build(&mut domain, &config)?;
 
         // The real XenStore writes the toolstack performs for a new domain.
-        let home = format!("/local/domain/{}", dom.0);
+        let mut home = KeyDir::under(format!("/local/domain/{}", dom.0));
         self.xenstore
             .with_transaction(DomId::DOM0, 8, |xs, t| {
                 xs.write(
                     DomId::DOM0,
                     Some(t),
-                    &format!("{home}/name"),
+                    home.key("name"),
                     config.name.as_bytes(),
                 )?;
                 xs.write(
                     DomId::DOM0,
                     Some(t),
-                    &format!("{home}/memory/target"),
+                    home.key("memory/target"),
                     (config.memory_mib as u64 * 1024).to_string().as_bytes(),
                 )?;
                 xs.write(
                     DomId::DOM0,
                     Some(t),
-                    &format!("{home}/vm"),
+                    home.key("vm"),
                     format!("/vm/{}", dom.0).as_bytes(),
                 )?;
                 Ok(())

@@ -9,6 +9,11 @@
 //! *n* / `CHUNK_MAX` pointers plus at most `CHUNK_MAX` entries, where a
 //! per-node `BTreeMap<String, _>` cloned all *n* keys.
 //!
+//! Most nodes are leaves and most directories fit one chunk, so the spine is
+//! allocated only from the second chunk on: a map of no chunk or one holds
+//! it in place, an empty map owns no memory at all, and giving a leaf its
+//! first child allocates the chunk and nothing else.
+//!
 //! Iteration is in key order (byte-wise, the order [`crate::path::Path`]
 //! sorts its components in), which the determinism contract relies on:
 //! directory listings, [`crate::tree::Tree::all_paths`] and every
@@ -32,14 +37,66 @@ type Chunk<V> = Vec<(Arc<str>, V)>;
 /// between them (so the spine is never longer than `len / (CHUNK_MAX / 4)`).
 #[derive(Clone)]
 pub struct ChildMap<V> {
-    chunks: Vec<Arc<Chunk<V>>>,
+    chunks: Spine<V>,
     len: usize,
+}
+
+/// The chunks of a map, in key order.
+#[derive(Clone)]
+enum Spine<V> {
+    /// No chunk or one, held in place.
+    Short(Option<Arc<Chunk<V>>>),
+    /// Two chunks or more.
+    Long(Vec<Arc<Chunk<V>>>),
+}
+
+impl<V> Spine<V> {
+    fn as_slice(&self) -> &[Arc<Chunk<V>>] {
+        match self {
+            Spine::Short(chunk) => chunk.as_slice(),
+            Spine::Long(chunks) => chunks,
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [Arc<Chunk<V>>] {
+        match self {
+            Spine::Short(chunk) => chunk.as_mut_slice(),
+            Spine::Long(chunks) => chunks,
+        }
+    }
+
+    /// Insert `chunk` as the `at`-th.
+    fn insert(&mut self, at: usize, chunk: Arc<Chunk<V>>) {
+        *self = match std::mem::replace(self, Spine::Short(None)) {
+            Spine::Short(None) => Spine::Short(Some(chunk)),
+            Spine::Short(Some(only)) if at == 0 => Spine::Long(vec![chunk, only]),
+            Spine::Short(Some(only)) => Spine::Long(vec![only, chunk]),
+            Spine::Long(mut chunks) => {
+                chunks.insert(at, chunk);
+                Spine::Long(chunks)
+            }
+        };
+    }
+
+    /// Remove and return the `at`-th chunk.
+    fn remove(&mut self, at: usize) -> Option<Arc<Chunk<V>>> {
+        match self {
+            Spine::Short(chunk) => chunk.take_if(|_| at == 0),
+            Spine::Long(chunks) => {
+                let removed = (at < chunks.len()).then(|| chunks.remove(at));
+                if chunks.len() == 1 {
+                    *self = Spine::Short(chunks.pop());
+                }
+                removed
+            }
+        }
+    }
 }
 
 impl<V> Default for ChildMap<V> {
     fn default() -> Self {
         ChildMap {
-            chunks: Vec::new(),
+            chunks: Spine::Short(None),
             len: 0,
         }
     }
@@ -102,13 +159,11 @@ impl<V> ChildMap<V> {
     fn locate(&self, name: &str) -> usize {
         // Chunks below `lo` start at or before `name`, chunks from `hi` on
         // start after it. A one-chunk directory never enters the loop.
-        let (mut lo, mut hi) = (1, self.chunks.len());
+        let chunks = self.chunks.as_slice();
+        let (mut lo, mut hi) = (1, chunks.len());
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            if self.chunks[mid]
-                .first()
-                .is_some_and(|(key, _)| **key <= *name)
-            {
+            if chunks[mid].first().is_some_and(|(key, _)| **key <= *name) {
                 lo = mid + 1;
             } else {
                 hi = mid;
@@ -119,7 +174,7 @@ impl<V> ChildMap<V> {
 
     /// Look a child up by name.
     pub fn get(&self, name: &str) -> Option<&V> {
-        let chunk = self.chunks.get(self.locate(name))?;
+        let chunk = self.chunks.as_slice().get(self.locate(name))?;
         let at = search(chunk, name).ok()?;
         Some(&chunk[at].1)
     }
@@ -127,6 +182,7 @@ impl<V> ChildMap<V> {
     /// Entries in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &V)> {
         self.chunks
+            .as_slice()
             .iter()
             .flat_map(|chunk| chunk.iter())
             .map(|(key, value)| (&**key, value))
@@ -145,7 +201,7 @@ impl<V> ChildMap<V> {
     /// A cursor at the first entry.
     pub fn cursor(&self) -> Cursor<'_, V> {
         Cursor {
-            chunks: &self.chunks,
+            chunks: self.chunks.as_slice(),
             at: 0,
         }
     }
@@ -157,10 +213,10 @@ impl<V> ChildMap<V> {
     }
 
     fn shared_chunks<'a>(&'a self, other: &'a Self) -> impl Iterator<Item = &'a Arc<Chunk<V>>> {
-        self.chunks.iter().filter(|chunk| {
+        self.chunks.as_slice().iter().filter(|chunk| {
             chunk
                 .first()
-                .and_then(|(key, _)| other.chunks.get(other.locate(key)))
+                .and_then(|(key, _)| other.chunks.as_slice().get(other.locate(key)))
                 .is_some_and(|theirs| Arc::ptr_eq(chunk, theirs))
         })
     }
@@ -168,7 +224,10 @@ impl<V> ChildMap<V> {
     /// `(shared, total)` chunk counts against `other`.
     #[cfg(test)]
     pub(crate) fn shared_chunk_counts(&self, other: &Self) -> (usize, usize) {
-        (self.shared_chunks(other).count(), self.chunks.len())
+        (
+            self.shared_chunks(other).count(),
+            self.chunks.as_slice().len(),
+        )
     }
 }
 
@@ -177,7 +236,7 @@ impl<V: Clone> ChildMap<V> {
     /// shares it; no other chunk is touched.
     pub fn get_mut(&mut self, name: &str) -> Option<&mut V> {
         let at_chunk = self.locate(name);
-        let chunk = self.chunks.get_mut(at_chunk)?;
+        let chunk = self.chunks.as_mut_slice().get_mut(at_chunk)?;
         let at = search(chunk, name).ok()?;
         Some(&mut Arc::make_mut(chunk)[at].1)
     }
@@ -185,8 +244,8 @@ impl<V: Clone> ChildMap<V> {
     /// Insert or replace a child, returning the previous value if any.
     pub fn insert(&mut self, name: &str, value: V) -> Option<V> {
         let at_chunk = self.locate(name);
-        let Some(shared) = self.chunks.get_mut(at_chunk) else {
-            self.chunks.push(Arc::new(vec![(Arc::from(name), value)]));
+        let Some(shared) = self.chunks.as_mut_slice().get_mut(at_chunk) else {
+            self.chunks = Spine::Short(Some(Arc::new(vec![(Arc::from(name), value)])));
             self.len = 1;
             return None;
         };
@@ -207,11 +266,12 @@ impl<V: Clone> ChildMap<V> {
     /// Remove a child, returning it if it was present.
     pub fn remove(&mut self, name: &str) -> Option<V> {
         let at_chunk = self.locate(name);
-        let shared = self.chunks.get_mut(at_chunk)?;
+        let shared = self.chunks.as_mut_slice().get_mut(at_chunk)?;
         let at = search(shared, name).ok()?;
-        let (_, value) = Arc::make_mut(shared).remove(at);
+        let chunk = Arc::make_mut(shared);
+        let (_, value) = chunk.remove(at);
         self.len -= 1;
-        if self.chunks[at_chunk].is_empty() {
+        if chunk.is_empty() {
             self.chunks.remove(at_chunk);
         } else if !self.merge_if_small(at_chunk) && at_chunk > 0 {
             self.merge_if_small(at_chunk - 1);
@@ -222,15 +282,20 @@ impl<V: Clone> ChildMap<V> {
     /// Fold chunk `lower + 1` into chunk `lower` if the pair has shrunk to
     /// half a chunk or less, keeping the spine proportional to `len`.
     fn merge_if_small(&mut self, lower: usize) -> bool {
-        let small = match (self.chunks.get(lower), self.chunks.get(lower + 1)) {
+        let chunks = self.chunks.as_slice();
+        let small = match (chunks.get(lower), chunks.get(lower + 1)) {
             (Some(a), Some(b)) => a.len() + b.len() <= CHUNK_MAX / 2,
             _ => false,
         };
-        if small {
-            let upper = self.chunks.remove(lower + 1);
-            Arc::make_mut(&mut self.chunks[lower]).extend(upper.iter().cloned());
+        if !small {
+            return false;
         }
-        small
+        if let Some(upper) = self.chunks.remove(lower + 1) {
+            if let Some(into) = self.chunks.as_mut_slice().get_mut(lower) {
+                Arc::make_mut(into).extend(upper.iter().cloned());
+            }
+        }
+        true
     }
 }
 
@@ -286,7 +351,7 @@ mod tests {
     fn check_invariants<V>(map: &ChildMap<V>) {
         let mut total = 0;
         let mut last: Option<&str> = None;
-        for chunk in &map.chunks {
+        for chunk in map.chunks.as_slice() {
             assert!(!chunk.is_empty(), "no empty chunks");
             assert!(chunk.len() <= CHUNK_MAX);
             for (key, _) in chunk.iter() {
@@ -296,7 +361,9 @@ mod tests {
             total += chunk.len();
         }
         assert_eq!(total, map.len());
-        for pair in map.chunks.windows(2) {
+        // A spine is allocated only for two chunks or more.
+        assert!(!matches!(&map.chunks, Spine::Long(chunks) if chunks.len() < 2));
+        for pair in map.chunks.as_slice().windows(2) {
             assert!(pair[0].len() + pair[1].len() > CHUNK_MAX / 2);
         }
     }
@@ -324,7 +391,7 @@ mod tests {
     fn iteration_is_sorted_across_chunk_boundaries() {
         let map = filled(1_000);
         check_invariants(&map);
-        assert!(map.chunks.len() > 1);
+        assert!(map.chunks.as_slice().len() > 1);
         let keys: Vec<&str> = map.keys().collect();
         let mut sorted = keys.clone();
         sorted.sort_unstable();
@@ -341,14 +408,17 @@ mod tests {
     #[test]
     fn small_directories_are_one_chunk() {
         let map = filled(CHUNK_MAX);
-        assert_eq!(map.chunks.len(), 1);
+        assert_eq!(map.chunks.as_slice().len(), 1);
     }
 
     #[test]
     fn clone_shares_every_chunk_and_a_write_copies_one() {
         let map = filled(4_096);
         let mut copy = map.clone();
-        assert_eq!(copy.shared_chunk_counts(&map).0, map.chunks.len());
+        assert_eq!(
+            copy.shared_chunk_counts(&map).0,
+            map.chunks.as_slice().len()
+        );
         assert_eq!(copy.shared_len(&map), 4_096);
         *copy.get_mut("k2000").unwrap() = 7;
         let (shared, total) = copy.shared_chunk_counts(&map);
@@ -369,12 +439,12 @@ mod tests {
             }
         }
         assert_eq!(map.len(), 20);
-        assert_eq!(map.chunks.len(), 1);
+        assert_eq!(map.chunks.as_slice().len(), 1);
         for i in (0..1_000).step_by(50) {
             assert_eq!(map.remove(&format!("k{i}")), Some(i));
         }
         assert!(map.is_empty());
-        assert!(map.chunks.is_empty());
+        assert!(matches!(map.chunks, Spine::Short(None)));
     }
 
     #[test]

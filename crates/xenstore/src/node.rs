@@ -9,6 +9,12 @@
 //! tree. Copying a node copies its [`ChildMap`]'s chunk pointers, not its
 //! entries, so the cost of a write does not grow with the fan-out of the
 //! directories above it.
+//!
+//! A node is one allocation: a leaf's child map owns no memory, permissions
+//! hold their owner entry inline, and a value the writer already owned is
+//! moved in rather than copied. Creating a node costs that allocation and
+//! its name in the parent's map — plus, for the first child of a leaf, the
+//! parent's first chunk.
 
 use crate::children::ChildMap;
 use crate::perms::Permissions;
@@ -62,7 +68,9 @@ impl Node {
 
     /// Child names in deterministic (sorted) order.
     pub fn child_names(&self) -> Vec<String> {
-        self.children.keys().map(str::to_string).collect()
+        let mut names = Vec::with_capacity(self.children.len());
+        names.extend(self.children.keys().map(str::to_string));
+        names
     }
 
     /// True if the node has no children.

@@ -61,7 +61,10 @@ impl Path {
         Path::from_canonical("")
     }
 
-    fn from_canonical(text: &str) -> Path {
+    /// The path whose canonical text is `text`: empty, or validated
+    /// components each preceded by one slash (as [`Path::text`] of a path
+    /// followed by names read back out of the tree is).
+    pub(crate) fn from_canonical(text: &str) -> Path {
         Path {
             buf: Arc::from(text),
             len: text.len(),
@@ -69,16 +72,23 @@ impl Path {
     }
 
     /// This path's canonical text: empty for the root, else `/a/b/c`.
-    fn text(&self) -> &str {
+    pub(crate) fn text(&self) -> &str {
         &self.buf[..self.len]
     }
 
-    /// The ancestor whose canonical text is the first `len` bytes.
-    fn cut(&self, len: usize) -> Path {
+    /// The ancestor whose canonical text is the first `len` bytes, sharing
+    /// this path's buffer.
+    pub(crate) fn cut(&self, len: usize) -> Path {
         Path {
             buf: Arc::clone(&self.buf),
             len,
         }
+    }
+
+    /// True if the two paths are cut from one buffer.
+    #[cfg(test)]
+    pub(crate) fn shares_buffer_with(&self, other: &Path) -> bool {
+        Arc::ptr_eq(&self.buf, &other.buf)
     }
 
     /// Parse and validate an absolute path string.
@@ -120,14 +130,21 @@ impl Path {
                 "relative component not allowed: {comp}"
             )));
         }
-        let allowed =
-            |c: char| c.is_ascii_alphanumeric() || matches!(c, '-' | '_' | '.' | '@' | ':' | '+');
-        match comp.chars().find(|&c| !allowed(c)) {
-            None => Ok(()),
-            Some(c) => Err(Error::Invalid(format!(
-                "invalid character {c:?} in component {comp:?}"
-            ))),
+        // Every allowed character is one ASCII byte, so the bytes decide;
+        // only the error message needs the offending character decoded.
+        let allowed = |b: u8| {
+            b.is_ascii_alphanumeric() || matches!(b, b'-' | b'_' | b'.' | b'@' | b':' | b'+')
+        };
+        if comp.bytes().all(allowed) {
+            return Ok(());
         }
+        let c = comp
+            .chars()
+            .find(|&c| !u8::try_from(c).is_ok_and(allowed))
+            .unwrap_or(char::REPLACEMENT_CHARACTER);
+        Err(Error::Invalid(format!(
+            "invalid character {c:?} in component {comp:?}"
+        )))
     }
 
     /// The path components, in order from the root.

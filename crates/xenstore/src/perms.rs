@@ -5,6 +5,11 @@
 //! entries grant specific domains read and/or write access, mirroring the
 //! real XenStore `perms` model. Dom0 is always privileged.
 //!
+//! Nearly every node in a store carries the owner entry and nothing else, so
+//! [`Permissions`] holds that entry inline and allocates only for the
+//! additional grants a few nodes have: creating a node, or cloning its
+//! permissions, costs no allocation of their own.
+//!
 //! Jitsu extends this model for Conduit rendezvous (§3.2.3): a directory may
 //! be marked **create-restricted**, meaning any domain may *create* new keys
 //! inside it (so clients can enqueue connection requests), but each created
@@ -108,7 +113,12 @@ pub enum Access {
 /// A node's full permission specification.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Permissions {
-    entries: Vec<Permission>,
+    /// The first entry: the owner, and the default level for domains not
+    /// otherwise listed.
+    owner: Permission,
+    /// The entries after the first, in the order they were granted. Empty,
+    /// and then unallocated, on all but a few nodes.
+    grants: Vec<Permission>,
     /// Jitsu extension: any domain may create direct children, but created
     /// keys default to being private to the creator and the owner.
     create_restricted: bool,
@@ -117,39 +127,34 @@ pub struct Permissions {
 impl Permissions {
     /// Permissions owned by `owner`, default-deny for other domains.
     pub fn owned_by(owner: DomId) -> Permissions {
-        Permissions {
-            entries: vec![Permission {
-                dom: owner,
-                level: PermLevel::None,
-            }],
-            create_restricted: false,
-        }
+        Permissions::with_default(owner, PermLevel::None)
     }
 
     /// Permissions owned by `owner` with a given default level for others.
     pub fn with_default(owner: DomId, default: PermLevel) -> Permissions {
         Permissions {
-            entries: vec![Permission {
+            owner: Permission {
                 dom: owner,
                 level: default,
-            }],
+            },
+            grants: Vec::new(),
             create_restricted: false,
         }
     }
 
     /// The owner of the node.
     pub fn owner(&self) -> DomId {
-        self.entries[0].dom
+        self.owner.dom
     }
 
     /// The default level applied to unlisted domains.
     pub fn default_level(&self) -> PermLevel {
-        self.entries[0].level
+        self.owner.level
     }
 
     /// All entries, owner first.
-    pub fn entries(&self) -> &[Permission] {
-        &self.entries
+    pub fn entries(&self) -> impl Iterator<Item = Permission> + '_ {
+        std::iter::once(self.owner).chain(self.grants.iter().copied())
     }
 
     /// Grant `dom` the given level (replacing any previous grant).
@@ -157,10 +162,10 @@ impl Permissions {
         if dom == self.owner() {
             return; // the owner always has full access
         }
-        if let Some(e) = self.entries[1..].iter_mut().find(|e| e.dom == dom) {
+        if let Some(e) = self.grants.iter_mut().find(|e| e.dom == dom) {
             e.level = level;
         } else {
-            self.entries.push(Permission { dom, level });
+            self.grants.push(Permission { dom, level });
         }
     }
 
@@ -193,11 +198,10 @@ impl Permissions {
         if dom == self.owner() {
             return PermLevel::ReadWrite;
         }
-        self.entries[1..]
+        self.grants
             .iter()
             .find(|e| e.dom == dom)
-            .map(|e| e.level)
-            .unwrap_or_else(|| self.default_level())
+            .map_or(self.default_level(), |e| e.level)
     }
 
     /// Check whether `dom` may perform `access`. Dom0 is always allowed.
@@ -222,8 +226,7 @@ impl Permissions {
     /// Encode as the wire format used by `GET_PERMS`/`SET_PERMS`:
     /// `<code><domid>` entries joined by NULs, e.g. `n0\0r7`.
     pub fn to_wire(&self) -> String {
-        self.entries
-            .iter()
+        self.entries()
             .map(|e| format!("{}{}", e.level.code(), e.dom.0))
             .collect::<Vec<_>>()
             .join("\0")
@@ -231,24 +234,18 @@ impl Permissions {
 
     /// Decode the wire format.
     pub fn from_wire(s: &str) -> Option<Permissions> {
-        let mut entries = Vec::new();
-        for part in s.split('\0') {
-            if part.is_empty() {
-                continue;
-            }
+        let mut entries = s.split('\0').filter(|part| !part.is_empty()).map(|part| {
             let mut chars = part.chars();
             let level = PermLevel::from_code(chars.next()?)?;
             let dom: u32 = chars.as_str().parse().ok()?;
-            entries.push(Permission {
+            Some(Permission {
                 dom: DomId(dom),
                 level,
-            });
-        }
-        if entries.is_empty() {
-            return None;
-        }
+            })
+        });
         Some(Permissions {
-            entries,
+            owner: entries.next()??,
+            grants: entries.collect::<Option<Vec<_>>>()?,
             create_restricted: false,
         })
     }
@@ -320,7 +317,7 @@ mod tests {
         assert!(!p.check(DomId(7), Access::Write));
         p.grant(DomId(7), PermLevel::ReadWrite);
         assert!(p.check(DomId(7), Access::Write));
-        assert_eq!(p.entries().len(), 2);
+        assert_eq!(p.entries().count(), 2);
         // Granting to the owner is a no-op.
         p.grant(DomId(3), PermLevel::None);
         assert!(p.check(DomId(3), Access::Write));

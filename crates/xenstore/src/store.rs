@@ -19,7 +19,10 @@
 //! the store has not moved since the transaction began, and otherwise the
 //! diff between the live tree and the three-way merge result — so watches
 //! fire from the *committed merged tree* (one event per path that actually
-//! changed, not one per write-log entry).
+//! changed, not one per write-log entry). On a store that has not moved the
+//! merge result is the transaction's own snapshot over again, and the
+//! snapshot is committed as it stands unless its operations undid or
+//! restamped something, which a merge of the net effect would not show.
 //!
 //! The two watch models are deliberately asymmetric. *Direct* ops keep the
 //! classic protocol semantics: the op's own path always fires (even for a
@@ -98,6 +101,9 @@ pub struct XenStore {
     /// Nodes owned per domain, maintained incrementally from the effects
     /// of each mutation so the quota check never walks the tree.
     owned: BTreeMap<u32, usize>,
+    /// The record direct ops report their effects into, empty between ops:
+    /// kept for its buffers, so that an op does not allocate new ones.
+    effects: TreeDiff,
 }
 
 impl std::fmt::Debug for XenStore {
@@ -138,6 +144,7 @@ impl XenStore {
             next_tx_id: 1,
             stats: StoreStats::default(),
             owned: BTreeMap::from([(root_owner.0, 1)]),
+            effects: TreeDiff::default(),
         }
     }
 
@@ -176,8 +183,11 @@ impl XenStore {
             .ok_or(Error::UnknownTransaction(id.0))
     }
 
-    fn check_node_quota(&self, dom: DomId) -> Result<()> {
-        if dom.is_privileged() {
+    /// Refuse `dom` a node at `path` it would have to create when it owns
+    /// its quota of nodes already. Dom0 has no quota, so for the toolstack
+    /// the store is not even searched.
+    fn check_node_quota(&self, dom: DomId, path: &Path) -> Result<()> {
+        if dom.is_privileged() || self.tree.exists(path) {
             return Ok(());
         }
         if self.owned_nodes(dom) >= self.quota.max_nodes {
@@ -192,26 +202,24 @@ impl XenStore {
         self.owned.get(&dom.0).copied().unwrap_or(0)
     }
 
-    /// Net node-ownership change per domain implied by `diff`: creations,
-    /// removals, and ownership transfers via permission changes (dom0
-    /// handing a guest its home directory). Shared by the commit-time
-    /// quota check and the post-mutation bookkeeping so the two can never
-    /// drift.
-    fn owner_deltas(diff: &TreeDiff) -> BTreeMap<u32, isize> {
-        let mut delta: BTreeMap<u32, isize> = BTreeMap::new();
+    /// Every node-ownership change `diff` implies, reported one node at a
+    /// time as the domain and +1 or −1: creations, removals, and ownership
+    /// transfers via permission changes (dom0 handing a guest its home
+    /// directory). Shared by the commit-time quota check and the
+    /// post-mutation bookkeeping so the two can never drift.
+    fn owner_changes(diff: &TreeDiff, mut change: impl FnMut(DomId, isize)) {
         for (_, owner) in &diff.added {
-            *delta.entry(owner.0).or_insert(0) += 1;
+            change(*owner, 1);
         }
         for (_, owner) in &diff.removed {
-            *delta.entry(owner.0).or_insert(0) -= 1;
+            change(*owner, -1);
         }
         for (_, old_owner, new_owner) in &diff.perms_changed {
             if old_owner != new_owner {
-                *delta.entry(old_owner.0).or_insert(0) -= 1;
-                *delta.entry(new_owner.0).or_insert(0) += 1;
+                change(*old_owner, -1);
+                change(*new_owner, 1);
             }
         }
-        delta
     }
 
     /// Enforce the node quota at commit time: per-op checks inside the
@@ -220,11 +228,16 @@ impl XenStore {
     /// counts as they are *now* (otherwise N overlapping transactions could
     /// each pass the per-op check and overshoot the limit by N).
     fn check_commit_quota(&self, diff: &TreeDiff) -> Result<()> {
-        for (dom, gained) in Self::owner_deltas(diff) {
-            if gained > 0
-                && !DomId(dom).is_privileged()
-                && self.owned_nodes(DomId(dom)) + gained as usize > self.quota.max_nodes
-            {
+        // Dom0 has no quota, and a commit that touches only its nodes —
+        // the toolstack's all do — leaves this map empty and unallocated.
+        let mut gained: BTreeMap<u32, isize> = BTreeMap::new();
+        Self::owner_changes(diff, |dom, by| {
+            if !dom.is_privileged() {
+                *gained.entry(dom.0).or_insert(0) += by;
+            }
+        });
+        for (dom, gained) in gained {
+            if gained > 0 && self.owned_nodes(DomId(dom)) + gained as usize > self.quota.max_nodes {
                 return Err(Error::QuotaExceeded("nodes"));
             }
         }
@@ -234,31 +247,44 @@ impl XenStore {
     /// Settle the bookkeeping after a mutation of the live tree, given what
     /// it changed: fold ownership changes into the per-domain quota counts
     /// and (when `fire` is set) fire one watch event per path that actually
-    /// changed in the committed tree.
-    /// `also_fire` unconditionally fires one extra path even if it did not
-    /// semantically change — direct ops keep real xenstored's fire-on-every-
-    /// write semantics (the touch-a-key-to-notify pattern), while
-    /// transactional commits pass `None` and fire the net diff only.
+    /// changed in the committed tree, in path order.
+    /// `also_fire` unconditionally fires one extra path, after the others,
+    /// even if it did not semantically change — direct ops keep real
+    /// xenstored's fire-on-every-write semantics (the touch-a-key-to-notify
+    /// pattern), while transactional commits pass `None` and fire the net
+    /// diff only.
+    ///
+    /// Everything is read straight off `diff`, whose lists are sorted: a
+    /// direct op's record of no entry or one costs what it holds.
     fn settle(&mut self, diff: &TreeDiff, fire: bool, also_fire: Option<&Path>) {
-        for (dom, delta) in Self::owner_deltas(diff) {
+        let owned = &mut self.owned;
+        Self::owner_changes(diff, |dom, by| {
+            let count = owned.get(&dom.0).copied().unwrap_or(0);
             // A domain that owns nothing has no entry: domids are never
             // reused, so zero counts would otherwise pile up for ever.
-            match self.owned_nodes(DomId(dom)).saturating_add_signed(delta) {
-                0 => self.owned.remove(&dom),
-                count => self.owned.insert(dom, count),
+            match count.saturating_add_signed(by) {
+                0 => owned.remove(&dom.0),
+                count => owned.insert(dom.0, count),
             };
-        }
+        });
         if fire {
-            let changed = diff.changed_paths();
-            for path in &changed {
+            let mut also_fire = also_fire;
+            for path in diff.changed_paths() {
+                if also_fire == Some(path) {
+                    also_fire = None;
+                }
                 self.stats.watch_events += self.watches.fire(path) as u64;
             }
             if let Some(path) = also_fire {
-                if changed.binary_search(path).is_err() {
-                    self.stats.watch_events += self.watches.fire(path) as u64;
-                }
+                self.stats.watch_events += self.watches.fire(path) as u64;
             }
         }
+    }
+
+    /// Put back the record taken from `self.effects`, emptied.
+    fn recycle(&mut self, mut effects: TreeDiff) {
+        effects.clear();
+        self.effects = effects;
     }
 
     // ------------------------------------------------------------------
@@ -337,13 +363,15 @@ impl XenStore {
     fn apply_live(&mut self, dom: DomId, op: TxnOp) -> Result<()> {
         // The mutator reports what it changed; that record drives both
         // watch delivery and quota accounting.
-        let mut effects = TreeDiff::default();
-        let result = op.apply_to(&mut self.tree, dom, &mut effects);
+        let mut effects = std::mem::take(&mut self.effects);
+        let path = op.path().clone();
+        let result = op.apply_into(&mut self.tree, dom, &mut effects);
         // Watches fire only for completed ops — and always for the op's
         // own path, even when the op was a no-op (same-value write, mkdir
         // of an existing node), as in the real protocol. A failed op
         // changed nothing, so it has nothing to settle either.
-        self.settle(&effects, result.is_ok(), Some(op.path()));
+        self.settle(&effects, result.is_ok(), Some(&path));
+        self.recycle(effects);
         result
     }
 
@@ -364,9 +392,7 @@ impl XenStore {
     /// Write a value (creating the node and missing ancestors if needed).
     pub fn write(&mut self, dom: DomId, tx: Option<TxId>, path: &str, value: &[u8]) -> Result<()> {
         let path = Self::parse(path)?;
-        if !self.tree.exists(&path) {
-            self.check_node_quota(dom)?;
-        }
+        self.check_node_quota(dom, &path)?;
         self.apply(
             dom,
             tx,
@@ -380,9 +406,7 @@ impl XenStore {
     /// Create an empty node.
     pub fn mkdir(&mut self, dom: DomId, tx: Option<TxId>, path: &str) -> Result<()> {
         let path = Self::parse(path)?;
-        if !self.tree.exists(&path) {
-            self.check_node_quota(dom)?;
-        }
+        self.check_node_quota(dom, &path)?;
         self.apply(dom, tx, TxnOp::Mkdir { path })
     }
 
@@ -481,30 +505,40 @@ impl XenStore {
                 Err(Error::Again)
             }
             Reconcile::Commit => {
-                // Three-way merge of the transaction's net effect onto an
-                // O(1) scratch copy of the live tree: a merge that fails
-                // part-way (e.g. a concurrent permission revocation on a
-                // parent) never mutates live state, preserving commit
-                // atomicity. Watches fire from the committed merged tree:
-                // one event per path that actually changed, in
-                // deterministic order.
-                let mut merged = self.tree.clone();
-                let changes = txn.merge_onto(&mut merged)?;
-                // One structural diff serves both the commit-time quota
-                // check and the post-swap bookkeeping. If the store has not
-                // moved since the transaction began, `merged` is its
-                // snapshot grafted onto its own base, and the net effect
-                // the merge just computed is that diff already.
-                let diff = if self.tree.generation() == txn.start_gen {
-                    changes
+                // The transaction's net effect, `base → snapshot`: what the
+                // commit changes when the store has not moved since the
+                // transaction began, and what is grafted on when it has.
+                let changes = txn.changes();
+                let unmoved = self.tree.generation() == txn.start_gen;
+                let (committed, diff) = if unmoved && txn.snapshot_is_merge_of(&changes) {
+                    // Nothing ran beside the transaction and it left no
+                    // stamp a merge would not: its snapshot *is* the serial
+                    // result, and is adopted as it stands instead of being
+                    // built a second time, node by node, on the live tree.
+                    (txn.snapshot, changes)
                 } else {
-                    Tree::diff(&self.tree, &merged)
+                    // Three-way merge onto an O(1) scratch copy of the live
+                    // tree: a merge that fails part-way (e.g. a concurrent
+                    // permission revocation on a parent) never mutates live
+                    // state, preserving commit atomicity.
+                    let mut merged = self.tree.clone();
+                    txn.merge_onto(&mut merged, &changes)?;
+                    let diff = if unmoved {
+                        changes
+                    } else {
+                        Tree::diff(&self.tree, &merged)
+                    };
+                    (merged, diff)
                 };
+                // One structural diff serves both the commit-time quota
+                // check and the post-swap bookkeeping. Watches fire from
+                // the committed tree: one event per path that actually
+                // changed, in deterministic order.
                 self.check_commit_quota(&diff)?;
-                let before = std::mem::replace(&mut self.tree, merged);
+                self.tree = committed;
                 self.settle(&diff, true, None);
                 self.stats.commits += 1;
-                if before.generation() != txn.start_gen {
+                if !unmoved {
                     // The base moved underneath the transaction and we
                     // committed anyway — a merge, not a serial replay.
                     self.stats.merged += 1;
@@ -547,12 +581,13 @@ impl XenStore {
         self.watches.remove_domain(dom);
         self.transactions.retain(|_, t| t.dom != dom);
         // Remove the conventional per-domain directory if present.
-        let mut effects = TreeDiff::default();
+        let mut effects = std::mem::take(&mut self.effects);
         // jitsu-lint: allow(R001, "the only failure is a home directory that is already gone, which needs no cleanup")
         let _ = self
             .tree
             .rm(DomId::DOM0, &Path::domain_home(dom.0), &mut effects);
         self.settle(&effects, true, None);
+        self.recycle(effects);
     }
 }
 

@@ -14,11 +14,19 @@
 //! actually conflicts — *which* interleavings count as conflicts is decided
 //! by the pluggable reconciliation engine ([`crate::engine`]) at node
 //! granularity, and is exactly what Figure 3 of the paper measures.
+//!
+//! When nothing was committed beside the transaction, grafting its net
+//! effect onto its own base rebuilds the snapshot it already holds. The
+//! store then commits the snapshot as it stands — provided it would pass for
+//! the rebuilt tree in every respect a later commit can observe, which
+//! [`Transaction::snapshot_is_merge_of`] decides from what the operations
+//! reported as they ran.
 
 use crate::error::Result;
 use crate::path::Path;
 use crate::perms::{DomId, Permissions};
 use crate::tree::{Tree, TreeDiff};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// The kind of dependency a transaction recorded on a path.
@@ -101,6 +109,19 @@ impl TxnOp {
             TxnOp::SetPerms { path, perms } => tree.set_perms(dom, path, perms.clone(), effects),
         }
     }
+
+    /// [`TxnOp::apply_to`] for an operation nobody needs afterwards: the
+    /// value or permissions it carries move into the tree instead of being
+    /// copied into it.
+    pub fn apply_into(self, tree: &mut Tree, dom: DomId, effects: &mut TreeDiff) -> Result<()> {
+        match self {
+            TxnOp::Write { path, value } => {
+                tree.write_value(dom, &path, Cow::Owned(value), effects)
+            }
+            TxnOp::SetPerms { path, perms } => tree.set_perms(dom, &path, perms, effects),
+            op => op.apply_to(tree, dom, effects),
+        }
+    }
 }
 
 /// An open transaction: the pristine base tree it started from, the mutable
@@ -128,6 +149,14 @@ pub struct Transaction {
     /// Number of times this logical transaction has been retried after
     /// `EAGAIN` (maintained by the store for diagnostics).
     pub retries: u32,
+    /// How many effects of each kind the operations have reported as they
+    /// ran (added, removed, value changed, permissions changed) — or `None`
+    /// once one of them stamped a node without changing it (a write of the
+    /// value already there, permissions set to what they were), after which
+    /// the snapshot's stamps are no merge's whatever the counts. (Narrow
+    /// counters: a transaction is moved into the store's table when it
+    /// begins and out of it when it ends, and its size shows there.)
+    reported: Option<[u32; 4]>,
 }
 
 impl Transaction {
@@ -143,6 +172,7 @@ impl Transaction {
             read_set: BTreeMap::new(),
             write_log: Vec::new(),
             retries: 0,
+            reported: Some([0; 4]),
         }
     }
 
@@ -189,7 +219,15 @@ impl Transaction {
     /// Mutations that fail permission or validity checks are not recorded.
     pub fn apply(&mut self, op: TxnOp) -> Result<()> {
         let mut effects = TreeDiff::default();
+        let stamp = self.snapshot.generation();
         op.apply_to(&mut self.snapshot, self.dom, &mut effects)?;
+        let restamped = effects.is_empty() && self.snapshot.generation() != stamp;
+        self.reported = self.reported.filter(|_| !restamped).and_then(|mut sums| {
+            for (sum, now) in sums.iter_mut().zip(effects.counts()) {
+                *sum = sum.checked_add(u32::try_from(now).ok()?)?;
+            }
+            Some(sums)
+        });
         // A creation depends on the child list of the deepest directory
         // that existed before it — the parent of the topmost node it
         // created — and a removal on that of the removed node's parent.
@@ -217,9 +255,31 @@ impl Transaction {
         Tree::diff(&self.base, &self.snapshot)
     }
 
-    /// Three-way merge: graft the transaction's net effect (`base →
-    /// snapshot`) onto `live`, which may have advanced concurrently. The
-    /// engines decide *whether* the merge is safe; this method performs it.
+    /// True if the snapshot is, node for node and stamp for stamp, what
+    /// grafting `net` — this transaction's [`Transaction::changes`] — onto
+    /// its own base would build: every effect the operations reported is
+    /// still there in the net effect, so none was undone or overwritten by
+    /// a later one, and no operation stamped a node it did not change.
+    ///
+    /// The merge stamps exactly the nodes the net effect names. The
+    /// operations stamped the nodes of the effects they reported, and the
+    /// net effect can only be those effects less what cancelled out; equal
+    /// counts of each kind therefore mean nothing cancelled, and the two
+    /// stamp the same nodes. The engines compare a node's stamps with its
+    /// base's for equality and nothing more, so a store that commits such a
+    /// snapshot as it stands decides every later commit as one that merged
+    /// would.
+    pub fn snapshot_is_merge_of(&self, net: &TreeDiff) -> bool {
+        let reported = self
+            .reported
+            .map(|sums| sums.map(|sum| usize::try_from(sum).ok()));
+        reported == Some(net.counts().map(Some))
+    }
+
+    /// Three-way merge: graft the transaction's net effect `diff` (`base →
+    /// snapshot`, [`Transaction::changes`]) onto `live`, which may have
+    /// advanced concurrently. The engines decide *whether* the merge is
+    /// safe; this method performs it.
     ///
     /// Removals are applied first (topmost removed node per subtree), then
     /// creations and value updates in depth-first order (parents before
@@ -232,11 +292,9 @@ impl Transaction {
     /// store commits onto an O(1) scratch copy and swaps it in only on
     /// success, so a failed commit never mutates the live tree.
     ///
-    /// Returns the net effect it grafted ([`Transaction::changes`]). If
-    /// `live` was still the tree the transaction started from, that is also
-    /// exactly what the merge changed in `live`.
-    pub fn merge_onto(&self, live: &mut Tree) -> Result<TreeDiff> {
-        let diff = self.changes();
+    /// If `live` was still the tree the transaction started from, `diff` is
+    /// also exactly what the merge changed in `live`.
+    pub fn merge_onto(&self, live: &mut Tree, diff: &TreeDiff) -> Result<()> {
         // What each step changes in `live` is the caller's to work out, once
         // for the whole merge.
         let unused = &mut TreeDiff::default();
@@ -290,7 +348,7 @@ impl Transaction {
                 .expect("diff path exists in snapshot");
             live.set_perms(self.dom, path, node.perms.clone(), unused)?;
         }
-        Ok(diff)
+        Ok(())
     }
 
     /// Replay the write log onto `tree` (used by the engines after deciding
@@ -367,7 +425,7 @@ mod tests {
             "live tree untouched"
         );
         assert!(txn.snapshot.exists(&p("/local/domain/5/name")));
-        txn.merge_onto(&mut tree).unwrap();
+        txn.merge_onto(&mut tree, &txn.changes()).unwrap();
         assert_eq!(
             tree.read(DomId::DOM0, &p("/local/domain/5/name")).unwrap(),
             b"web"
@@ -396,10 +454,129 @@ mod tests {
         .unwrap();
         let mut merged = tree.clone();
         let mut replayed = tree.clone();
-        txn.merge_onto(&mut merged).unwrap();
+        txn.merge_onto(&mut merged, &txn.changes()).unwrap();
         txn.replay_onto(&mut replayed).unwrap();
         assert!(Tree::diff(&merged, &replayed).is_empty());
         assert!(Tree::diff(&merged, &txn.snapshot).is_empty());
+    }
+
+    /// A few random ops over a small path space, so that an op often undoes
+    /// or repeats an earlier one: writes of three values (often the one
+    /// already there), removals, re-creations, permission changes.
+    fn random_ops(rng: &mut jitsu_sim::SimRng, count: usize) -> Vec<TxnOp> {
+        (0..count)
+            .map(|_| {
+                let mut text = format!("/d{}", rng.index(3));
+                for _ in 0..rng.index(3) {
+                    text.push_str(["/a", "/b"][rng.index(2)]);
+                }
+                let path = p(&text);
+                match rng.index(8) {
+                    0 | 1 => TxnOp::Rm { path },
+                    2 => TxnOp::Mkdir { path },
+                    3 => TxnOp::SetPerms {
+                        path,
+                        perms: Permissions::owned_by(DomId(rng.index(2) as u32)),
+                    },
+                    _ => TxnOp::Write {
+                        path,
+                        value: vec![rng.index(3) as u8],
+                    },
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_snapshot_that_passes_for_the_merge_is_stamped_as_the_merge_would_be() {
+        let mut adopted = 0;
+        let mut refused = 0;
+        for seed in 0..400 {
+            let mut rng = jitsu_sim::SimRng::seed_from_u64(0xAD07 ^ seed);
+            let mut base = Tree::new();
+            for op in random_ops(&mut rng, 12) {
+                drop(op.apply_to(&mut base, DomId::DOM0, &mut TreeDiff::default()));
+            }
+            let mut txn = Transaction::begin(1, DomId::DOM0, &base);
+            let ops = 1 + rng.index(4);
+            for op in random_ops(&mut rng, ops) {
+                drop(txn.apply(op));
+            }
+            let net = txn.changes();
+            let mut merged = base.clone();
+            txn.merge_onto(&mut merged, &net).unwrap();
+            // On its own base a transaction's snapshot always holds what the
+            // merge builds; what the question is about is the stamps.
+            assert!(Tree::diff(&merged, &txn.snapshot).is_empty(), "seed {seed}");
+            if !txn.snapshot_is_merge_of(&net) {
+                refused += 1;
+                continue;
+            }
+            adopted += 1;
+            // What an engine can tell of a later commit: whether a node it
+            // knew from `base` has since been stamped.
+            for path in base.all_paths() {
+                let before = base.get(&path).unwrap();
+                let (Some(by_merge), Some(by_ops)) = (merged.get(&path), txn.snapshot.get(&path))
+                else {
+                    continue;
+                };
+                assert_eq!(
+                    by_merge.modified_gen != before.modified_gen,
+                    by_ops.modified_gen != before.modified_gen,
+                    "seed {seed}: value stamp of {path}"
+                );
+                assert_eq!(
+                    by_merge.children_gen != before.children_gen,
+                    by_ops.children_gen != before.children_gen,
+                    "seed {seed}: child-list stamp of {path}"
+                );
+                assert_eq!(by_merge.created_gen, by_ops.created_gen, "seed {seed}");
+            }
+            assert!(txn.snapshot.generation() >= base.generation());
+            assert_eq!(
+                txn.snapshot.generation() == base.generation(),
+                net.is_empty(),
+                "seed {seed}: the generation moves exactly when something changed"
+            );
+        }
+        // Both answers come up: ops that undo, repeat or restamp are refused.
+        assert!(adopted > 100 && refused > 100, "{adopted} / {refused}");
+    }
+
+    #[test]
+    fn ops_that_cancel_or_restamp_do_not_pass_for_the_merge() {
+        let mut base = Tree::new();
+        base.write(DomId::DOM0, &p("/a"), b"1", &mut TreeDiff::default())
+            .unwrap();
+        let write = |path: &str, value: &[u8]| TxnOp::Write {
+            path: p(path),
+            value: value.to_vec(),
+        };
+        let verdict = |ops: Vec<TxnOp>| {
+            let mut txn = Transaction::begin(1, DomId::DOM0, &base);
+            for op in ops {
+                txn.apply(op).unwrap();
+            }
+            txn.snapshot_is_merge_of(&txn.changes())
+        };
+        assert!(verdict(vec![write("/a", b"2"), write("/b/c", b"3")]));
+        assert!(verdict(vec![TxnOp::Rm { path: p("/a") }]));
+        assert!(verdict(vec![TxnOp::Mkdir { path: p("/a") }]), "no stamp");
+        // The value already there: stamped, not changed.
+        assert!(!verdict(vec![write("/a", b"1")]));
+        // Changed and changed back; created and removed; removed and re-created.
+        assert!(!verdict(vec![write("/a", b"2"), write("/a", b"1")]));
+        assert!(!verdict(vec![
+            write("/t", b"x"),
+            TxnOp::Rm { path: p("/t") }
+        ]));
+        assert!(!verdict(vec![
+            TxnOp::Rm { path: p("/a") },
+            write("/a", b"1")
+        ]));
+        // A second write to a node the transaction created itself.
+        assert!(!verdict(vec![write("/n", b"1"), write("/n", b"2")]));
     }
 
     #[test]
@@ -518,7 +695,7 @@ mod tests {
         // Concurrently, someone else removes it first.
         tree.rm(DomId::DOM0, &p("/a/b"), &mut TreeDiff::default())
             .unwrap();
-        txn.merge_onto(&mut tree).unwrap();
+        txn.merge_onto(&mut tree, &txn.changes()).unwrap();
         assert!(!tree.exists(&p("/a/b")));
     }
 

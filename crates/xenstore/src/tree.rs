@@ -33,11 +33,18 @@
 //! is for the case no single call can report: a transaction's net effect
 //! (`base → snapshot`), and what a three-way merge onto a tree that moved
 //! meanwhile actually changed.
+//!
+//! Naming what changed is kept proportional to it. A [`Path`] is a prefix of
+//! a shared buffer, so the ancestors a write creates are cut from the
+//! written path, and a removed or added subtree allocates one buffer per run
+//! of first children — a node is a prefix of its first child — not one per
+//! node; the diff builds a path only for a node it reports.
 
 use crate::error::{Error, Result};
 use crate::node::{Node, MAX_VALUE_LEN};
 use crate::path::Path;
 use crate::perms::{Access, DomId, Permissions};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// A permission-checked hierarchical store with generation tracking.
@@ -87,20 +94,45 @@ impl TreeDiff {
         self.added.len() + self.removed.len() + self.value_changed.len() + self.perms_changed.len()
     }
 
-    /// Every path that changed in any way, sorted and deduplicated — the
-    /// set of paths the store fires watches for after a commit.
-    pub fn changed_paths(&self) -> Vec<Path> {
-        let mut paths: Vec<Path> = self
-            .added
-            .iter()
-            .map(|(p, _)| p.clone())
-            .chain(self.removed.iter().map(|(p, _)| p.clone()))
-            .chain(self.value_changed.iter().cloned())
-            .chain(self.perms_changed.iter().map(|(p, _, _)| p.clone()))
-            .collect();
-        paths.sort();
-        paths.dedup();
-        paths
+    /// Forget every recorded change, keeping the lists' buffers.
+    pub fn clear(&mut self) {
+        self.added.clear();
+        self.removed.clear();
+        self.value_changed.clear();
+        self.perms_changed.clear();
+    }
+
+    /// Number of recorded changes of each kind: added, removed, value
+    /// changed, permissions changed.
+    pub fn counts(&self) -> [usize; 4] {
+        [
+            self.added.len(),
+            self.removed.len(),
+            self.value_changed.len(),
+            self.perms_changed.len(),
+        ]
+    }
+
+    /// Every path that changed in any way, in sorted order, each once — the
+    /// paths the store fires watches for after a mutation. A merge of the
+    /// four lists, so each must be sorted and hold a path once, as
+    /// [`Tree::diff`] and any single mutator call leave them.
+    pub fn changed_paths(&self) -> impl Iterator<Item = &Path> {
+        let mut at = [0; 4];
+        std::iter::from_fn(move || {
+            let heads = [
+                self.added.get(at[0]).map(|(path, _)| path),
+                self.removed.get(at[1]).map(|(path, _)| path),
+                self.value_changed.get(at[2]),
+                self.perms_changed.get(at[3]).map(|(path, _, _)| path),
+            ];
+            let least = heads.into_iter().flatten().min()?;
+            // A path that heads several lists is stepped past in all.
+            for (at, head) in at.iter_mut().zip(heads) {
+                *at += usize::from(head == Some(least));
+            }
+            Some(least)
+        })
     }
 
     /// The topmost removed paths: removed nodes whose ancestors all still
@@ -307,12 +339,13 @@ impl Tree {
     }
 
     /// The body of [`Tree::write`] (`value` given) and [`Tree::mkdir`]
-    /// (`None`: an existing node is left alone, a new one is empty).
+    /// (`None`: an existing node is left alone, a new one is empty). A value
+    /// the caller owns is moved into the node, a borrowed one copied.
     fn put(
         &mut self,
         dom: DomId,
         path: &Path,
-        value: Option<&[u8]>,
+        value: Option<Cow<'_, [u8]>>,
         effects: &mut TreeDiff,
     ) -> Result<()> {
         // One descent finds the node, or else the deepest ancestor that
@@ -342,44 +375,49 @@ impl Tree {
             let gen = self.bump();
             // jitsu-lint: allow(P001, "the descent above found this node")
             let node = descend_mut(&mut self.root, path.components()).expect("found above");
-            if node.value != value {
+            if node.value != *value {
                 effects.value_changed.push(path.clone());
-                value.clone_into(&mut node.value);
+                match value {
+                    Cow::Owned(value) => node.value = value,
+                    Cow::Borrowed(value) => value.clone_into(&mut node.value),
+                }
             }
             node.modified_gen = gen;
             return Ok(());
         };
         // Whether each missing node may be created depends on permissions
         // alone — its parent's, which for all but the first is the node
-        // planned just before it — so the whole spine is decided before
-        // anything is touched, and a refusal creates nothing. (Only the
-        // first can refuse: whoever creates a directory may write to it.)
-        let mut spine: Vec<(&str, Permissions)> = Vec::new();
-        for name in std::iter::once(first_missing).chain(below) {
-            let parent = spine.last().map_or(&anchor.perms, |(_, perms)| perms);
-            let Some(perms) = Self::new_child_perms(dom, parent) else {
-                let parent = path.ancestor(found + spine.len());
-                return Err(Error::PermissionDenied(parent.to_string()));
-            };
-            spine.push((name, perms));
-        }
+        // created just before it — and only the first can refuse: whoever
+        // creates a directory may write to it. So the first decides for the
+        // whole spine before anything is touched, and a refusal creates
+        // nothing.
+        let Some(mut perms) = Self::new_child_perms(dom, &anchor.perms) else {
+            return Err(Error::PermissionDenied(path.ancestor(found).to_string()));
+        };
         // Each creation is its own generation, stamped on the new node and
         // on its parent's child list.
         let mut gen = self.generation;
         let mut depth = found;
+        effects.added.reserve(path.depth() - found);
         // jitsu-lint: allow(P001, "the descent above ended at this node")
         let mut node = descend_mut(&mut self.root, path.components().take(found)).expect("found");
-        for (name, perms) in spine {
+        for name in std::iter::once(first_missing).chain(below) {
             gen += 1;
             depth += 1;
             effects.added.push((path.ancestor(depth), perms.owner()));
-            node.children.insert(name, Arc::new(Node::new(perms, gen)));
+            let next = Self::new_child_perms(dom, &perms)
+                // jitsu-lint: allow(P001, "permissions derived for a creator let that creator write")
+                .expect("a creator may create under what it created");
+            node.children.insert(
+                name,
+                Arc::new(Node::new(std::mem::replace(&mut perms, next), gen)),
+            );
             node.children_gen = gen;
             // jitsu-lint: allow(P001, "the child was inserted two lines up")
             node = Arc::make_mut(node.children.get_mut(name).expect("just inserted"));
         }
         if let Some(value) = value {
-            node.value = value.to_vec();
+            node.value = value.into_owned();
         }
         self.generation = gen;
         Ok(())
@@ -393,6 +431,18 @@ impl Tree {
         dom: DomId,
         path: &Path,
         value: &[u8],
+        effects: &mut TreeDiff,
+    ) -> Result<()> {
+        self.write_value(dom, path, Cow::Borrowed(value), effects)
+    }
+
+    /// [`Tree::write`] for a value the caller may already own: an owned
+    /// value becomes the node's without being copied again.
+    pub(crate) fn write_value(
+        &mut self,
+        dom: DomId,
+        path: &Path,
+        value: Cow<'_, [u8]>,
         effects: &mut TreeDiff,
     ) -> Result<()> {
         if path.is_root() {
@@ -425,7 +475,11 @@ impl Tree {
         // jitsu-lint: allow(P001, "the child was found, so its parent is present")
         let parent_node = descend_mut(&mut self.root, parent.components()).expect("parent exists");
         if let Some(removed) = parent_node.children.remove(name) {
-            record_subtree(&removed, path, &mut effects.removed);
+            effects.removed.push((path.clone(), removed.perms.owner()));
+            if !removed.is_leaf() {
+                let mut text = scratch_text(path);
+                record_children(&removed, &mut text, &mut effects.removed);
+            }
         }
         parent_node.children_gen = gen;
         Ok(())
@@ -470,21 +524,30 @@ impl Tree {
     /// existence changes are reported).
     pub fn diff(old: &Tree, new: &Tree) -> TreeDiff {
         let mut diff = TreeDiff::default();
-        fn walk(old: &Node, new: &Node, path: &Path, diff: &mut TreeDiff) {
-            if old.value != new.value {
-                diff.value_changed.push(path.clone());
-            }
-            if old.perms != new.perms {
-                let change = (path.clone(), old.perms.owner(), new.perms.owner());
-                diff.perms_changed.push(change);
+        /// `text` is the canonical text of the path of `old` and `new`; a
+        /// `Path` is built from it only for what goes into `diff`, so the
+        /// copied-but-equal nodes above a change cost no allocation.
+        fn walk(old: &Node, new: &Node, text: &mut String, diff: &mut TreeDiff) {
+            let value_changed = old.value != new.value;
+            let perms_changed = old.perms != new.perms;
+            if value_changed || perms_changed {
+                let path = Path::from_canonical(text);
+                if perms_changed {
+                    let change = (path.clone(), old.perms.owner(), new.perms.owner());
+                    diff.perms_changed.push(change);
+                }
+                if value_changed {
+                    diff.value_changed.push(path);
+                }
             }
             // Children: a single merge-iteration over both sorted maps, so
             // every diff list comes out in globally sorted DFS order (the
             // invariant `removed_roots` and the merge's binary searches
             // rely on). Shared chunks and shared children are stepped over
-            // before any `Path` is built for them: they hold no difference,
-            // and under a wide directory they are all but one of the
-            // entries.
+            // before any path text is built for them: they hold no
+            // difference, and under a wide directory they are all but one
+            // of the entries.
+            let here = text.len();
             let mut old_children = old.children.cursor();
             let mut new_children = new.children.cursor();
             loop {
@@ -504,14 +567,17 @@ impl Tree {
                     (None, None) => break,
                     (Some((name, old_child)), Some((_, new_child))) => {
                         if !Arc::ptr_eq(old_child, new_child) {
-                            walk(old_child, new_child, &child_path(path, name), diff);
+                            push_component(text, here, name);
+                            walk(old_child, new_child, text, diff);
                         }
                     }
                     (Some((name, old_child)), None) => {
-                        record_subtree(old_child, &child_path(path, name), &mut diff.removed);
+                        push_component(text, here, name);
+                        record_subtree(old_child, text, &mut diff.removed);
                     }
                     (None, Some((name, new_child))) => {
-                        record_subtree(new_child, &child_path(path, name), &mut diff.added);
+                        push_component(text, here, name);
+                        record_subtree(new_child, text, &mut diff.added);
                     }
                 }
                 if gone.is_some() {
@@ -521,9 +587,11 @@ impl Tree {
                     new_children.advance();
                 }
             }
+            text.truncate(here);
         }
         if !Arc::ptr_eq(&old.root, &new.root) {
-            walk(&old.root, &new.root, &Path::root(), &mut diff);
+            let mut text = String::with_capacity(SCRATCH_TEXT_LEN);
+            walk(&old.root, &new.root, &mut text, &mut diff);
         }
         diff
     }
@@ -545,12 +613,73 @@ fn descend_mut<'a, 'p>(
     Some(node)
 }
 
-/// Append `node` and its whole subtree at `path` to `out`, depth-first in
-/// name order.
-fn record_subtree(node: &Node, path: &Path, out: &mut Vec<(Path, DomId)>) {
-    out.push((path.clone(), node.perms.owner()));
+/// Room for the text of most paths in a store: what a scratch buffer starts
+/// with when nothing says how deep it will go.
+const SCRATCH_TEXT_LEN: usize = 128;
+
+/// A scratch buffer holding `path`'s canonical text, with room to go deeper.
+fn scratch_text(path: &Path) -> String {
+    let mut text = String::with_capacity(SCRATCH_TEXT_LEN.max(2 * path.text().len()));
+    text.push_str(path.text());
+    text
+}
+
+/// Make `text`, which holds a path's canonical text in its first `parent`
+/// bytes, the text of that path's child `name` (a name read back out of
+/// the tree, validated when it went in).
+fn push_component(text: &mut String, parent: usize, name: &str) {
+    text.truncate(parent);
+    text.push('/');
+    text.push_str(name);
+}
+
+/// Append `node`, whose path has the canonical text `text`, and its whole
+/// subtree to `out`, depth-first in name order.
+///
+/// A path is a prefix of one shared buffer, and a node's path is a prefix of
+/// its first child's: one buffer is allocated per run of first children — for
+/// `node`, its first child, that child's first child and so on down to a
+/// leaf — and each path along the run is cut from it. Only a later sibling
+/// needs a buffer of its own, for the run that starts with it.
+fn record_subtree(node: &Node, text: &mut String, out: &mut Vec<(Path, DomId)>) {
+    let top = text.len();
+    let mut end = node;
+    while let Some((name, first)) = end.children.iter().next() {
+        text.push('/');
+        text.push_str(name);
+        end = first;
+    }
+    let leaf = Path::from_canonical(text);
+    record_run(node, &leaf, top, text, out);
+}
+
+/// [`record_subtree`] for a `node` whose path is the first `len` bytes of
+/// the buffer `run` was made from, which is also how `text` begins.
+fn record_run(
+    node: &Node,
+    run: &Path,
+    len: usize,
+    text: &mut String,
+    out: &mut Vec<(Path, DomId)>,
+) {
+    out.push((run.cut(len), node.perms.owner()));
+    let mut children = node.children.iter();
+    if let Some((name, first)) = children.next() {
+        record_run(first, run, len + 1 + name.len(), text, out);
+    }
+    for (name, child) in children {
+        push_component(text, len, name);
+        record_subtree(child, text, out);
+    }
+}
+
+/// Append every descendant of `node`, whose path has the canonical text
+/// `text`, to `out`, depth-first in name order.
+fn record_children(node: &Node, text: &mut String, out: &mut Vec<(Path, DomId)>) {
+    let here = text.len();
     for (name, child) in node.children.iter() {
-        record_subtree(child, &child_path(path, name), out);
+        push_component(text, here, name);
+        record_subtree(child, text, out);
     }
 }
 
@@ -1066,7 +1195,7 @@ mod tests {
         assert_eq!(d.removed_roots(), vec![&p("/gone")]);
         // changed_paths is the sorted union.
         assert_eq!(
-            d.changed_paths(),
+            d.changed_paths().cloned().collect::<Vec<_>>(),
             vec![
                 p("/edit"),
                 p("/fresh"),
@@ -1137,6 +1266,45 @@ mod tests {
         // /a/x (+deep) and /b (+z) removed; /a/y and /keep untouched.
         assert_eq!(d.removed.len(), 4);
         assert_eq!(d.removed_roots(), vec![&p("/a/x"), &p("/b")]);
+    }
+
+    #[test]
+    fn a_removed_subtree_names_each_run_of_first_children_from_one_buffer() {
+        let mut t = Tree::new();
+        for leaf in ["a/b/c", "a/b/d", "a/e", "f"] {
+            let path = p(&format!("/top/r/{leaf}"));
+            t.write(DomId::DOM0, &path, b"1", &mut TreeDiff::default())
+                .unwrap();
+        }
+        let before = t.clone();
+        let mut effects = TreeDiff::default();
+        t.rm(DomId::DOM0, &p("/top/r"), &mut effects).unwrap();
+        let removed: Vec<String> = effects.removed.iter().map(|(p, _)| p.to_string()).collect();
+        assert_eq!(
+            removed,
+            [
+                "/top/r",
+                "/top/r/a",
+                "/top/r/a/b",
+                "/top/r/a/b/c",
+                "/top/r/a/b/d",
+                "/top/r/a/e",
+                "/top/r/f"
+            ]
+        );
+        let shares = |a: usize, b: usize| {
+            effects.removed[a]
+                .0
+                .shares_buffer_with(&effects.removed[b].0)
+        };
+        // a, a/b and a/b/c are one run; d, e and f each start their own.
+        assert!(shares(1, 2) && shares(2, 3));
+        assert!(!shares(3, 4) && !shares(4, 5) && !shares(5, 6) && !shares(1, 6));
+        // The structural diff names them the same way, from the root down.
+        let diff = Tree::diff(&before, &t);
+        assert_eq!(diff.removed, effects.removed);
+        let shares = |a: usize, b: usize| diff.removed[a].0.shares_buffer_with(&diff.removed[b].0);
+        assert!(shares(0, 1) && shares(1, 3) && !shares(3, 4));
     }
 
     #[test]
