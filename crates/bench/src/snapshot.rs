@@ -4,8 +4,9 @@
 //! This module runs the hot-path suites — XenStore commit/merge, O(1)
 //! snapshot scaling at 10²..10⁵ nodes, a vchan stream through
 //! [`conduit::vchan::VchanPair::stream`], the full TCB handoff under storm,
-//! an end-to-end cold start, and [`jitsu_sim::Sim`] / [`ShardedSim`]
-//! dispatch — once each and emits a schema-versioned snapshot that
+//! an end-to-end cold start, [`jitsu_sim::Sim`] / [`ShardedSim`]
+//! dispatch, and the hypervisor tables after a thousand launch→reap
+//! cycles — once each and emits a schema-versioned snapshot that
 //! `--compare` holds against the committed `BENCH_BASELINE.json`.
 //!
 //! Every metric is a count or a virtual-time latency read from the
@@ -34,8 +35,10 @@ use std::collections::BTreeMap;
 use unikernel::appliance::StaticSiteAppliance;
 use unikernel::image::UnikernelImage;
 use unikernel::instance::UnikernelInstance;
+use xen_sim::domain::DomainConfig;
 use xen_sim::event_channel::EventChannelTable;
 use xen_sim::grant_table::GrantTable;
+use xen_sim::toolstack::{BootOptimisations, Toolstack};
 use xenstore::{DomId, EngineKind};
 
 /// Version of the snapshot schema this build writes and reads.
@@ -213,6 +216,7 @@ pub fn collect(cfg: &BenchConfig) -> Vec<Metric> {
     suite_frame_path(cfg, &mut out);
     suite_handoff(cfg, &mut out);
     suite_cold_start(cfg, &mut out);
+    suite_hypervisor_tables(&mut out);
     out
 }
 
@@ -647,6 +651,39 @@ fn suite_cold_start(cfg: &BenchConfig, out: &mut Vec<Metric>) {
         "ttfb_ms",
         "ms",
         report.http_response_time.as_millis_f64(),
+    ));
+}
+
+/// The host-wide hypervisor tables after a thousand launch→reap cycles:
+/// each cycle builds a unikernel with console and vif, runs the handoff's
+/// dom0-served vchan to it and tears that down, then destroys the domain.
+/// Both tables must read what an empty host reads — every entry a cycle
+/// makes is freed by the end that holds it.
+fn suite_hypervisor_tables(out: &mut Vec<Metric>) {
+    const SUITE: &str = "hypervisor_tables";
+    let mut ts = Toolstack::new(BoardKind::Cubieboard2.board(), EngineKind::JitsuMerge, 7);
+    for _ in 0..1_000 {
+        let dom = ts
+            .create_domain(DomainConfig::unikernel("cycle"), BootOptimisations::jitsu())
+            .expect("the board is empty")
+            .dom;
+        let (_, grants, evtchn) = ts.conduit_parts();
+        VchanPair::establish(grants, evtchn, DomId::DOM0, dom)
+            .expect("vchan establishes")
+            .teardown(grants, evtchn);
+        ts.destroy(dom).expect("just created");
+    }
+    out.push(Metric::new(
+        SUITE,
+        "evtchn_entries_after_1000_cycles",
+        "entries",
+        ts.event_channels.len() as f64,
+    ));
+    out.push(Metric::new(
+        SUITE,
+        "grant_entries_after_1000_cycles",
+        "entries",
+        ts.grants.len() as f64,
     ));
 }
 

@@ -613,6 +613,22 @@ mod tests {
             p.teardown(&mut grants, &mut evtchn);
         }
         assert_eq!(grants.grants_of(DomId(3)), 0);
+        // Nor leave either end's port behind in the host-wide table.
+        assert!(grants.is_empty());
+        assert!(evtchn.is_empty());
+    }
+
+    #[test]
+    fn teardown_after_either_end_died_leaves_both_tables_empty() {
+        for dead in [DomId(3), DomId(7)] {
+            let (mut grants, mut evtchn, mut pair) = setup();
+            grants.domain_destroyed(dead);
+            evtchn.domain_destroyed(dead);
+            assert_eq!(evtchn.len(), 1, "the survivor's port, hung up");
+            pair.teardown(&mut grants, &mut evtchn);
+            assert!(grants.is_empty(), "dom{} died first", dead.0);
+            assert!(evtchn.is_empty(), "dom{} died first", dead.0);
+        }
     }
 
     #[test]

@@ -455,6 +455,12 @@ impl ConcurrentJitsud {
         &self.launcher.toolstack.xenstore
     }
 
+    /// The host toolstack, read-only (for inspecting the hypervisor tables,
+    /// the bridge and the memory pool a storm left behind).
+    pub fn toolstack(&self) -> &xen_sim::toolstack::Toolstack {
+        &self.launcher.toolstack
+    }
+
     /// The directory service (for inspecting phases and counters).
     pub fn directory(&self) -> &DirectoryService {
         &self.directory

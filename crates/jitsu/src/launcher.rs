@@ -59,14 +59,14 @@ pub enum LaunchError {
     Toolstack(String),
 }
 
-/// The launcher: wraps a [`Toolstack`] and tracks which domain serves which
-/// service.
+/// The launcher: wraps a [`Toolstack`] and its boot options. It keeps no
+/// record of past launches — the caller owns the [`LaunchOutcome`] — so a
+/// board's ten-thousandth summon finds it the size of its first.
 pub struct Launcher {
     /// The underlying toolstack (public so jitsud can reach the store,
     /// bridge and grant/event-channel tables).
     pub toolstack: Toolstack,
     boot_opts: xen_sim::toolstack::BootOptimisations,
-    launches: Vec<LaunchOutcome>,
 }
 
 impl Launcher {
@@ -75,7 +75,6 @@ impl Launcher {
         Launcher {
             toolstack,
             boot_opts,
-            launches: Vec::new(),
         }
     }
 
@@ -139,7 +138,6 @@ impl Launcher {
             network_ready_after: pipeline.time_to_network_ready(),
             app_ready_after: pipeline.total(),
         };
-        self.launches.push(outcome.clone());
         Ok((outcome, instance))
     }
 
@@ -148,11 +146,6 @@ impl Launcher {
         self.toolstack
             .destroy(dom)
             .map_err(|e| LaunchError::Toolstack(format!("{e:?}")))
-    }
-
-    /// All launches performed so far.
-    pub fn launches(&self) -> &[LaunchOutcome] {
-        &self.launches
     }
 }
 
@@ -182,7 +175,6 @@ mod tests {
         assert!((280..400).contains(&ms), "cold boot = {ms} ms");
         assert!(outcome.network_ready_at() < outcome.app_ready_at());
         assert_eq!(instance.name(), "alice.family.name");
-        assert_eq!(l.launches().len(), 1);
     }
 
     #[test]

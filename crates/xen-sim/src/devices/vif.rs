@@ -33,6 +33,8 @@ pub struct VifDevice {
     pub rx_ring: GrantRef,
     /// Guest-side event channel.
     pub port: Port,
+    /// The backend's (dom0's) end of that channel, once it has bound.
+    pub backend_port: Option<Port>,
     /// The bridge port of the backend, once the hotplug step has run.
     pub bridge_port: Option<PortId>,
 }
@@ -98,6 +100,7 @@ impl VifDevice {
             tx_ring,
             rx_ring,
             port,
+            backend_port: None,
             bridge_port: None,
         })
     }
@@ -129,10 +132,11 @@ impl VifDevice {
             .map(self.dom, self.rx_ring, DomId::DOM0)
             // jitsu-lint: allow(P001, "the frontend granted these pages to the backend at setup")
             .expect("backend may map frontend ring");
-        let _backend_port = evtchn
+        let backend_port = evtchn
             .bind_interdomain(DomId::DOM0, self.dom, self.port)
             // jitsu-lint: allow(P001, "the port was allocated unbound on the previous lines")
             .expect("unbound port is bindable");
+        self.backend_port = Some(backend_port);
         let port = bridge.attach(format!("vif{}.{}", self.dom.0, self.index));
         self.bridge_port = Some(port);
 
@@ -178,12 +182,23 @@ impl VifDevice {
         )
     }
 
-    /// Tear the device down (guest shutdown): detach from the bridge and
-    /// mark both ends closed.
-    pub fn close(&mut self, xs: &mut XenStore, bridge: &mut Bridge) -> XsResult<()> {
+    /// Tear the device down (guest shutdown): detach from the bridge, close
+    /// the backend's end of the event channel — it is dom0's entry, which the
+    /// guest's death hangs up but cannot free — and mark both ends closed.
+    pub fn close(
+        &mut self,
+        xs: &mut XenStore,
+        evtchn: &mut EventChannelTable,
+        bridge: &mut Bridge,
+    ) -> XsResult<()> {
         if let Some(port) = self.bridge_port.take() {
             // jitsu-lint: allow(R001, "shutdown is best-effort: the bridge may have dropped the port already")
             let _ = bridge.detach(port);
+        }
+        if let Some(port) = self.backend_port.take() {
+            // Best-effort like the rest: the backend bound this port and
+            // nobody else closes it, so the only failure is a second close.
+            let _ = evtchn.close(DomId::DOM0, port);
         }
         let (mut fe, mut be) = Self::ends(self.dom, self.index);
         write_state(xs, DomId::DOM0, &mut fe, XenbusState::Closed)?;
@@ -270,9 +285,15 @@ mod tests {
         let mut vif = VifDevice::setup(&mut xs, &mut gt, &mut ec, DomId(5), 0).unwrap();
         vif.backend_connect(&mut xs, &mut gt, &mut ec, &mut br)
             .unwrap();
-        vif.close(&mut xs, &mut br).unwrap();
+        vif.close(&mut xs, &mut ec, &mut br).unwrap();
         assert_eq!(br.port_count(), 0);
         assert!(vif.bridge_port.is_none());
+        assert_eq!(ec.ports_of(DomId::DOM0), 0, "the backend's end is freed");
+        assert_eq!(
+            ec.notify(DomId(5), vif.port),
+            Err(crate::event_channel::EventChannelError::NotBindable),
+            "the guest's end stays, hung up, until the guest goes"
+        );
         let (mut fe, _) = VifDevice::ends(DomId(5), 0);
         assert_eq!(
             read_state(&mut xs, DomId::DOM0, &mut fe),

@@ -81,6 +81,11 @@ impl DomainBuilder {
         self.allocator.free_mib()
     }
 
+    /// Number of assignments the page pool currently holds.
+    pub fn memory_assignments(&self) -> usize {
+        self.allocator.assignments()
+    }
+
     /// Whether a request for `mib` MiB can currently be satisfied.
     pub fn can_allocate(&self, mib: u32) -> bool {
         self.allocator.free_mib() >= mib

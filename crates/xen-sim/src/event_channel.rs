@@ -8,7 +8,7 @@
 //! either side may then `notify`, which sets the peer's pending bit unless
 //! masked.
 
-use std::collections::BTreeMap;
+use std::collections::{btree_map, BTreeMap};
 use xenstore::DomId;
 
 /// A per-domain event channel port number.
@@ -168,47 +168,59 @@ impl EventChannelTable {
         Ok(())
     }
 
-    /// Close a port; the peer's port (if any) is also closed.
+    /// Close a port. The closer's entry is freed at once; an interdomain
+    /// peer's entry turns `Closed` and stays until its own owner closes it or
+    /// dies, so each end of a channel is freed by whoever holds it. A closed
+    /// port is a [`EventChannelError::BadPort`] to its former owner, and the
+    /// surviving peer's `notify` is [`EventChannelError::NotBindable`].
     pub fn close(&mut self, dom: DomId, port: Port) -> Result<(), EventChannelError> {
-        let chan = self
-            .channels
-            .get_mut(&(dom, port))
-            .ok_or(EventChannelError::BadPort(port))?;
-        let peer = match chan.state {
-            ChannelState::Interdomain { peer, peer_port } => Some((peer, peer_port)),
-            _ => None,
-        };
-        chan.state = ChannelState::Closed;
-        chan.pending = false;
-        if let Some((peer, peer_port)) = peer {
+        self.release((dom, port))
+            .ok_or(EventChannelError::BadPort(port))
+    }
+
+    /// Free one entry and hang up its peer's; `None` if there is no such port.
+    fn release(&mut self, key: (DomId, Port)) -> Option<()> {
+        let gone = self.channels.remove(&key)?;
+        if let ChannelState::Interdomain { peer, peer_port } = gone.state {
             if let Some(pc) = self.channels.get_mut(&(peer, peer_port)) {
                 pc.state = ChannelState::Closed;
                 pc.pending = false;
             }
         }
-        Ok(())
+        Some(())
     }
 
-    /// Tear down every port belonging to a destroyed domain.
+    /// The ports of `dom`: its contiguous key range of the host-wide map.
+    fn range_of(&self, dom: DomId) -> btree_map::Range<'_, (DomId, Port), Channel> {
+        self.channels.range((dom, Port(0))..=(dom, Port(u32::MAX)))
+    }
+
+    /// Tear down every port belonging to a destroyed domain, and its port
+    /// counter with them (domain ids are never reused). Costs the dying
+    /// domain's own ports, however many the rest of the host holds.
     pub fn domain_destroyed(&mut self, dom: DomId) {
-        let ports: Vec<Port> = self
-            .channels
-            .keys()
-            .filter(|(d, _)| *d == dom)
-            .map(|(_, p)| *p)
-            .collect();
-        for port in ports {
-            let _ = self.close(dom, port);
+        while let Some(key) = self.range_of(dom).next().map(|(key, _)| *key) {
+            self.release(key);
         }
-        self.channels.retain(|(d, _), _| *d != dom);
+        self.next_port.remove(&dom);
     }
 
     /// Number of live (non-closed) ports a domain holds.
     pub fn ports_of(&self, dom: DomId) -> usize {
-        self.channels
-            .iter()
-            .filter(|((d, _), c)| *d == dom && c.state != ChannelState::Closed)
+        self.range_of(dom)
+            .filter(|(_, c)| c.state != ChannelState::Closed)
             .count()
+    }
+
+    /// Number of ports in the table, host-wide, `Closed` halves included —
+    /// what a launch→reap cycle must return to where it found it.
+    pub fn len(&self) -> usize {
+        self.channels.len()
+    }
+
+    /// True when no domain holds a port.
+    pub fn is_empty(&self) -> bool {
+        self.channels.is_empty()
     }
 }
 
@@ -325,5 +337,103 @@ mod tests {
         assert_eq!(a, Port(1));
         assert_eq!(b, Port(1), "each domain has its own port space");
         assert_eq!(t.ports_of(DomId(3)), 1);
+    }
+
+    #[test]
+    fn a_closed_port_is_bad_to_its_owner_and_hung_up_to_its_peer() {
+        let mut t = EventChannelTable::new();
+        let (sp, cp) = connected_pair(&mut t);
+        t.notify(DomId(3), sp).unwrap();
+        t.close(DomId(3), sp).unwrap();
+        // The closer's entry is gone: every later use of the port is `BadPort`.
+        assert_eq!(t.notify(DomId(3), sp), Err(EventChannelError::BadPort(sp)));
+        assert_eq!(
+            t.take_pending(DomId(3), sp),
+            Err(EventChannelError::BadPort(sp))
+        );
+        assert_eq!(
+            t.set_masked(DomId(3), sp, true),
+            Err(EventChannelError::BadPort(sp))
+        );
+        assert_eq!(t.close(DomId(3), sp), Err(EventChannelError::BadPort(sp)));
+        assert_eq!(
+            t.bind_interdomain(DomId(7), DomId(3), sp),
+            Err(EventChannelError::BadPort(sp))
+        );
+        // The peer's entry stays, hung up, until the peer lets go of it.
+        assert_eq!(t.len(), 1);
+        assert_eq!(t.notify(DomId(7), cp), Err(EventChannelError::NotBindable));
+        assert_eq!(t.take_pending(DomId(7), cp), Ok(false), "pending cleared");
+        assert_eq!(t.close(DomId(7), cp), Ok(()));
+        assert!(t.is_empty());
+    }
+
+    /// One unikernel's ports as the toolstack and conduit allocate them: an
+    /// unbound console port, a vif port the dom0 backend binds, and a vchan
+    /// whose server is dom0. Returns `(guest's, dom0's)` port numbers.
+    fn unikernel_ports(t: &mut EventChannelTable, guest: DomId) -> ([Port; 3], [Port; 2]) {
+        let dom0 = DomId::DOM0;
+        let console = t.alloc_unbound(guest, dom0);
+        let vif = t.alloc_unbound(guest, dom0);
+        let backend = t.bind_interdomain(dom0, guest, vif).unwrap();
+        let server = t.alloc_unbound(dom0, guest);
+        let client = t.bind_interdomain(guest, dom0, server).unwrap();
+        ([console, vif, client], [backend, server])
+    }
+
+    #[test]
+    fn whichever_end_dies_first_the_table_ends_empty() {
+        let guest = DomId(5);
+        // The guest dies; dom0's device teardown closes the halves it holds.
+        let mut t = EventChannelTable::new();
+        let (_, dom0_ports) = unikernel_ports(&mut t, guest);
+        t.domain_destroyed(guest);
+        assert_eq!(t.len(), 2, "dom0's two halves outlive the guest, hung up");
+        assert_eq!(t.ports_of(DomId::DOM0), 0);
+        for port in dom0_ports {
+            assert_eq!(
+                t.notify(DomId::DOM0, port),
+                Err(EventChannelError::NotBindable)
+            );
+            t.close(DomId::DOM0, port).unwrap();
+        }
+        assert!(t.is_empty());
+        // The backends go first (device teardown), then the guest.
+        let (guest_ports, dom0_ports) = unikernel_ports(&mut t, guest);
+        for port in dom0_ports {
+            t.close(DomId::DOM0, port).unwrap();
+        }
+        assert_eq!(t.len(), 3);
+        assert_eq!(
+            t.ports_of(guest),
+            1,
+            "only the unbound console port is live"
+        );
+        assert_eq!(
+            t.notify(guest, guest_ports[1]),
+            Err(EventChannelError::NotBindable)
+        );
+        t.domain_destroyed(guest);
+        assert!(t.is_empty());
+    }
+
+    #[test]
+    fn a_thousand_cycles_hand_out_the_port_numbers_they_always_did() {
+        // Recorded on the parent of the per-domain tables: a guest numbers
+        // its ports from 1 whatever came before it, and dom0's counter never
+        // goes back, so every number written into XenStore is unchanged.
+        let mut t = EventChannelTable::new();
+        for i in 0..1_000u32 {
+            let guest = DomId(i + 1);
+            let (guest_ports, dom0_ports) = unikernel_ports(&mut t, guest);
+            assert_eq!(guest_ports, [Port(1), Port(2), Port(3)]);
+            assert_eq!(dom0_ports, [Port(2 * i + 1), Port(2 * i + 2)]);
+            t.close(DomId::DOM0, dom0_ports[1]).unwrap();
+            t.close(guest, guest_ports[2]).unwrap();
+            t.close(DomId::DOM0, dom0_ports[0]).unwrap();
+            t.domain_destroyed(guest);
+            assert!(t.is_empty());
+        }
+        assert_eq!(t.next_port.len(), 1, "only dom0's counter is kept");
     }
 }

@@ -75,6 +75,11 @@ impl PageAllocator {
         (self.free_pages / PAGES_PER_MIB) as u32
     }
 
+    /// Number of `(domain, pages)` assignments currently held.
+    pub fn assignments(&self) -> usize {
+        self.assignments.len()
+    }
+
     /// Pages assigned to a domain, if any.
     pub fn assigned_to(&self, dom: DomId) -> usize {
         self.assignments

@@ -282,6 +282,12 @@ impl Toolstack {
         self.builder.free_mib()
     }
 
+    /// Number of memory assignments the page pool holds: one per built
+    /// domain, none once every domain is destroyed.
+    pub fn memory_assignments(&self) -> usize {
+        self.builder.memory_assignments()
+    }
+
     /// Whether `mib` MiB can currently be allocated (used by Jitsu to decide
     /// between launching and answering `SERVFAIL`).
     pub fn can_allocate(&self, mib: u32) -> bool {
@@ -461,7 +467,11 @@ impl Toolstack {
         // jitsu-lint: allow(R001, "destroy forces the terminal state; an invalid-transition error must not abort teardown")
         let _ = d.transition(DomainState::Destroyed);
         if let Some(mut vif) = self.vifs.remove(&dom) {
-            let _ = vif.close(&mut self.xenstore, &mut self.bridge);
+            let _ = vif.close(
+                &mut self.xenstore,
+                &mut self.event_channels,
+                &mut self.bridge,
+            );
             // The backend half of the vif lives under dom0's home, which
             // `domain_destroyed` below (it removes the *guest's* home) never
             // sees. Left behind, it grows `backend/vif` by one directory

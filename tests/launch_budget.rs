@@ -290,11 +290,20 @@ fn a_cold_start_stays_inside_its_allocation_budget() {
     // issue's ceilings are 900 per launch, 60 for the transaction, 4 per
     // created node, 2 for a write to an existing key and 3 for each
     // direction of the TCB record.
+    //
+    // PR 21 moved the cell down from 133,245 allocations and 15,095,891
+    // bytes (843 and 95.5 KB per launch) by seven allocations and 21 KB a
+    // launch: a grant no longer zeroes a 4 KiB page nobody writes (three
+    // rings per domain, two per handoff vchan — `create_domain` 216 -> 213),
+    // `EventChannelTable::domain_destroyed` no longer collects the dying
+    // domain's ports into a `Vec` (`destroy_domain` 32 -> 31), and the
+    // launcher no longer clones every `LaunchOutcome` into a history nothing
+    // read.
     assert_eq!(
         cell,
         Cell {
-            allocations: 133_245,
-            bytes: 15_095_891,
+            allocations: 132_143,
+            bytes: 11_759_427,
             launches: 158,
             xenstore_ops: 11_861,
         },
@@ -317,8 +326,8 @@ fn a_cold_start_stays_inside_its_allocation_budget() {
             rm_six_nodes: 8,
             tcb_to_sexp: 1,
             tcb_from_sexp: 1,
-            create_domain: 216,
-            destroy_domain: 32,
+            create_domain: 213,
+            destroy_domain: 31,
         }
     );
     let per_created_ancestor =

@@ -7,6 +7,7 @@ use jitsu_repro::netstack::checksum;
 use jitsu_repro::netstack::dns::DnsMessage;
 use jitsu_repro::netstack::http::{HttpRequest, HttpResponse};
 use jitsu_repro::netstack::icmp::IcmpEcho;
+use jitsu_repro::netstack::iface::Interface;
 use jitsu_repro::netstack::ipv4::{Ipv4Packet, Protocol};
 use jitsu_repro::netstack::tcp::{
     seq_ge, seq_gt, seq_le, seq_lt, Connection, Listener, Tcb, TcpFlags, TcpSegment, TcpState,
@@ -289,6 +290,40 @@ proptest! {
                         isn, snd_nxt: snd, snd_una: una, rcv_nxt: rcv, buffered };
         let parsed = Tcb::from_sexp(&tcb.to_sexp()).unwrap();
         prop_assert_eq!(parsed, tcb);
+    }
+
+    // ---------------- the interface's connection table -------------------
+
+    #[test]
+    fn connections_are_kept_in_tuple_order(raw in proptest::collection::vec(any::<u64>(), 0..48)) {
+        // `Interface` packs (remote ip, remote port, local port) into one
+        // integer key. Drawing every field from four values — both ends of
+        // its range and both sides of its top bit — makes keys tie on every
+        // prefix, so each field gets to decide an ordering.
+        const OCTETS: [u8; 4] = [0, 127, 128, 255];
+        const PORTS: [u16; 4] = [0, 0x7fff, 0x8000, 0xffff];
+        let tuples: Vec<(Ipv4Addr, u16, u16)> = raw
+            .iter()
+            .map(|r| {
+                let pick = |shift: u32| (r >> shift) as usize & 3;
+                let ip = Ipv4Addr([OCTETS[pick(0)], OCTETS[pick(2)], OCTETS[pick(4)], OCTETS[pick(6)]]);
+                (ip, PORTS[pick(8)], PORTS[pick(10)])
+            })
+            .collect();
+        let local_ip = Ipv4Addr::new(10, 0, 0, 1);
+        let mut iface = Interface::new(MacAddr([2, 0, 0, 0, 0, 1]), local_ip);
+        for &(ip, rport, lport) in &tuples {
+            let tcb = Tcb::for_listener(local_ip, lport, ip, rport, 1);
+            iface.adopt_connection(Connection::from_tcb(tcb), MacAddr([2, 0, 0, 0, 0, 2]));
+        }
+        let mut expected = tuples.clone();
+        expected.sort_unstable();
+        expected.dedup();
+        prop_assert_eq!(iface.connection_keys(), expected);
+        for (ip, rport, lport) in tuples {
+            let conn = iface.connection((ip, rport), lport).expect("adopted above");
+            prop_assert_eq!((conn.tcb.remote_ip, conn.tcb.remote_port, conn.tcb.local_port), (ip, rport, lport));
+        }
     }
 
     // ---------------- XenStore invariants --------------------------------
