@@ -3,16 +3,48 @@
 //! Three configurations: cold start without Synjitsu (the first SYN is lost
 //! and the client's 1 s retransmission dominates), cold start with Synjitsu
 //! over the vanilla toolstack, and cold start with Synjitsu over the
-//! optimised toolstack. Every sample runs the full machinery — DNS query,
-//! real domain construction and boot timelines, the real SYN proxying and
-//! TCB handoff through XenStore, and a real HTTP response parsed by the
-//! client.
+//! optimised toolstack. Every sample is one DNS query on a fresh board, run
+//! to completion on [`ConcurrentJitsud`]: real domain construction and boot
+//! timelines, the real SYN proxying, the TCB drain over the conduit vchan
+//! and the two-phase commit, and a response the client checks byte for
+//! byte.
 
+use jitsu::concurrent::ConcurrentJitsud;
 use jitsu::config::{JitsuConfig, ServiceConfig};
-use jitsu::jitsud::{ColdStartMode, Jitsud};
-use jitsu_sim::{Cdf, Figure, Series};
+use jitsu_sim::{Cdf, Figure, Series, SimTime};
 use netstack::ipv4::Ipv4Addr;
 use platform::BoardKind;
+
+/// Which Figure 9a configuration a cold start uses: the figure's legend.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ColdStartMode {
+    /// No Synjitsu: the first SYN is lost and the client retransmits.
+    NoSynjitsu,
+    /// Synjitsu with the vanilla (unoptimised) toolstack.
+    SynjitsuVanillaToolstack,
+    /// Synjitsu with the optimised Jitsu toolstack.
+    SynjitsuOptimised,
+}
+
+impl ColdStartMode {
+    /// The Figure 9a legend label.
+    pub fn label(self) -> &'static str {
+        match self {
+            ColdStartMode::NoSynjitsu => "Jitsu cold start (no synjitsu)",
+            ColdStartMode::SynjitsuVanillaToolstack => {
+                "Jitsu cold start w/ synjitsu, vanilla toolstack"
+            }
+            ColdStartMode::SynjitsuOptimised => "Jitsu cold start w/ synjitsu, optimised toolstack",
+        }
+    }
+
+    /// All modes in legend order.
+    pub const ALL: [ColdStartMode; 3] = [
+        ColdStartMode::NoSynjitsu,
+        ColdStartMode::SynjitsuVanillaToolstack,
+        ColdStartMode::SynjitsuOptimised,
+    ];
+}
 
 fn config_for(mode: ColdStartMode, index: u32) -> JitsuConfig {
     let service = ServiceConfig::http_site(
@@ -27,23 +59,32 @@ fn config_for(mode: ColdStartMode, index: u32) -> JitsuConfig {
     }
 }
 
+/// One cold start on a fresh Cubieboard2: a single query for the first
+/// configured service, run until the board is quiet. Returns the client's
+/// time to first byte in milliseconds, and panics unless the request was
+/// served — through a byte-exact handoff when Synjitsu is on.
+pub fn cold_start_ttfb_ms(config: JitsuConfig, seed: u64) -> f64 {
+    let name = config.services[0].name.clone();
+    let synjitsu = config.use_synjitsu;
+    let mut sim = ConcurrentJitsud::sim(config, BoardKind::Cubieboard2.board(), seed);
+    ConcurrentJitsud::inject_query(&mut sim, SimTime::ZERO, &name);
+    sim.run();
+    let m = sim.world().metrics();
+    assert_eq!(m.cold_served, 1, "every request must be served");
+    if synjitsu {
+        let h = &m.handoff;
+        assert_eq!(h.completed, 1, "the response reaches the client");
+        assert_eq!((h.dropped_bytes, h.duplicated_bytes), (0, 0));
+    }
+    m.ttfb.p50_ms()
+}
+
 /// Run `samples` independent cold starts for a mode and return the response
 /// times in milliseconds.
 pub fn cold_start_samples(mode: ColdStartMode, samples: usize, seed: u64) -> Vec<f64> {
-    let mut out = Vec::with_capacity(samples);
-    for i in 0..samples {
-        let mut jitsud = Jitsud::new(
-            config_for(mode, i as u32),
-            BoardKind::Cubieboard2.board(),
-            seed.wrapping_add(i as u64),
-        );
-        let report = jitsud
-            .cold_start_request("alice.family.name", Ipv4Addr::new(192, 168, 1, 100), "/")
-            .expect("cold start succeeds");
-        assert_eq!(report.http_status, 200, "every request must be served");
-        out.push(report.http_response_time.as_millis_f64());
-    }
-    out
+    (0..samples)
+        .map(|i| cold_start_ttfb_ms(config_for(mode, i as u32), seed.wrapping_add(i as u64)))
+        .collect()
 }
 
 /// Build Figure 9a as CDF series (x = time in ms, y = cumulative fraction).

@@ -23,7 +23,6 @@ use crate::json::Value;
 use crate::{handoff_storm, xenstore_storm};
 use conduit::vchan::{Side, VchanPair};
 use jitsu::config::{JitsuConfig, ServiceConfig};
-use jitsu::jitsud::Jitsud;
 use jitsu_sim::shard::{Domain, DomainCtx};
 use jitsu_sim::{DomainId, Scheduler, ShardedSim, Sim, SimDuration, SimTime};
 use netstack::http::{HttpRequest, HttpResponse};
@@ -630,28 +629,12 @@ fn suite_handoff(cfg: &BenchConfig, out: &mut Vec<Metric>) {
 /// End-to-end cold start: DNS query through Synjitsu to the adopted
 /// unikernel's first response byte.
 fn suite_cold_start(cfg: &BenchConfig, out: &mut Vec<Metric>) {
-    const SUITE: &str = "cold_start";
-    let client = Ipv4Addr::new(192, 168, 1, 100);
     let config = JitsuConfig::new("bench.example").with_service(ServiceConfig::http_site(
         "svc.bench.example",
         Ipv4Addr::new(192, 168, 1, 20),
     ));
-    let mut jitsud = Jitsud::new(config, BoardKind::Cubieboard2.board(), cfg.seed);
-    let report = jitsud
-        .cold_start_request("svc.bench.example", client, "/")
-        .expect("cold start succeeds");
-    out.push(Metric::new(
-        SUITE,
-        "dns_response_ms",
-        "ms",
-        report.dns_response_time.as_millis_f64(),
-    ));
-    out.push(Metric::new(
-        SUITE,
-        "ttfb_ms",
-        "ms",
-        report.http_response_time.as_millis_f64(),
-    ));
+    let ttfb = crate::fig9a::cold_start_ttfb_ms(config, cfg.seed);
+    out.push(Metric::new("cold_start", "ttfb_ms", "ms", ttfb));
 }
 
 /// The host-wide hypervisor tables after a thousand launch→reap cycles:

@@ -1,17 +1,15 @@
-//! The concurrent boot-storm engine: an event-driven jitsud.
+//! jitsud, the Jitsu daemon, as an event-driven world.
 //!
-//! [`Jitsud`](crate::jitsud::Jitsud) drives exactly one cold-start timeline
-//! at a time, which is faithful to Figure 9a but cannot exercise the regime
-//! §3.3 actually describes: "If the name requested does not correspond to a
-//! running unikernel, Jitsu launches the desired unikernel while
+//! §3.3 describes the daemon: "If the name requested does not correspond to
+//! a running unikernel, Jitsu launches the desired unikernel while
 //! simultaneously returning an appropriate endpoint", idle unikernels are
 //! reaped to reclaim memory, and "resource exhaustion is reported as
-//! `SERVFAIL` so clients fail over to another board". All three behaviours
-//! only become interesting when many DNS queries for many names overlap —
-//! the boot storm.
+//! `SERVFAIL` so clients fail over to another board". One query on a fresh
+//! board is a Figure 9a cold start; many overlapping queries for many names
+//! are a boot storm, where all three behaviours interact.
 //!
-//! [`ConcurrentJitsud`] is that daemon, rebuilt as a *world* scheduled on
-//! the [`jitsu_sim`] discrete-event engine. Every configured service owns a
+//! [`ConcurrentJitsud`] is that daemon, a *world* scheduled on the
+//! [`jitsu_sim`] discrete-event engine. Every configured service owns a
 //! lifecycle state machine:
 //!
 //! ```text
@@ -44,8 +42,9 @@
 //! The SYN queue is not a counter: while a service boots, each queued
 //! client completes a real TCP handshake against the real
 //! [`Synjitsu`] proxy (same `netstack` the unikernels use), and at
-//! network-ready the whole queue is handed over through XenStore exactly as
-//! in the linear daemon.
+//! network-ready the whole queue is handed over: a `Prepare` phase in
+//! XenStore, a drain of every connection record over the conduit vchan,
+//! and a `Committed` phase flip.
 
 use crate::config::{JitsuConfig, ServiceConfig};
 use crate::directory::{DirectoryAction, DirectoryService};
@@ -158,12 +157,11 @@ pub enum Lifecycle {
         /// When the application can serve requests.
         app_ready_at: SimTime,
     },
-    /// The unikernel is serving requests.
+    /// The unikernel is serving requests. Its idle clock is the
+    /// directory's: every query for the name refreshes it.
     Running {
         /// The serving domain.
         dom: DomId,
-        /// Last time the service saw a request (the idle clock).
-        last_activity: SimTime,
     },
     /// Reaped: the domain is being torn down; memory frees when it is done.
     Draining {
@@ -479,8 +477,17 @@ impl ConcurrentJitsud {
         self.seed_counter
     }
 
+    /// Issue the next client id. A client's address carries only 24 bits of
+    /// it (`10.x.y.z`), so ids cycle through `1..2²⁴` and skip 0. Far
+    /// fewer clients than that are parked at once, so a reissued id is
+    /// never one with a live flow.
     fn new_client(&mut self, arrived: SimTime) -> QueuedClient {
-        self.next_client_id += 1;
+        self.next_client_id = self.next_client_id % 0xFF_FFFF + 1;
+        debug_assert!(
+            !self.clients.contains_key(&self.next_client_id),
+            "client id {} reissued while its flow is live",
+            self.next_client_id
+        );
         QueuedClient {
             id: self.next_client_id,
             arrived,
@@ -773,7 +780,7 @@ impl ConcurrentJitsud {
                 queued.push(client);
                 world.metrics.coalesced += 1;
             }
-            Some(Lifecycle::Running { last_activity, .. }) => {
+            Some(Lifecycle::Running { .. }) => {
                 // Warm hit: DNS round plus handshake, request and response
                 // against the running unikernel (the ≈5 ms local path, §3).
                 let ttfb = world.dns_processing
@@ -782,10 +789,8 @@ impl ConcurrentJitsud {
                     + world.one_way_delay;
                 world.metrics.ttfb.record(ttfb);
                 world.metrics.warm_hits += 1;
-                // The engine's `last_activity` is the idle clock the reaper
-                // consults; the directory's copy was already refreshed by
-                // `handle_query`.
-                *last_activity = now;
+                // `handle_query` just refreshed the idle clock; re-arm the
+                // reaper from it.
                 Self::schedule_reap_check(sim, name, now);
             }
             None | Some(Lifecycle::Idle) => {
@@ -1260,19 +1265,14 @@ impl ConcurrentJitsud {
         if account_now {
             Self::account_exchanges(world, &name, &queued);
         }
-        world.services.insert(
-            name.clone(),
-            Lifecycle::Running {
-                dom,
-                last_activity: now,
-            },
-        );
+        world
+            .services
+            .insert(name.clone(), Lifecycle::Running { dom });
         Self::schedule_reap_check(sim, name, now);
     }
 
     /// Time from a client's DNS query to its first response byte, for a
-    /// client parked on a boot. Mirrors the linear daemon's timeline
-    /// arithmetic (`Jitsud::cold_start_request`).
+    /// client parked on a boot.
     fn cold_ttfb(
         &self,
         arrived: SimTime,
@@ -1321,13 +1321,13 @@ impl ConcurrentJitsud {
         let Some(ttl) = world.config.idle_timeout else {
             return;
         };
-        let Some(Lifecycle::Running { dom, last_activity }) = world.services.get(&name) else {
+        let Some(&Lifecycle::Running { dom }) = world.services.get(&name) else {
             return;
         };
-        if now.duration_since(*last_activity) < ttl {
+        let idle_since = world.directory.last_activity(&name).unwrap_or(now);
+        if now.duration_since(idle_since) < ttl {
             return; // refreshed since this check was armed; a newer one is pending
         }
-        let dom = *dom;
         world.services.insert(
             name.clone(),
             Lifecycle::Draining {
@@ -1775,6 +1775,27 @@ mod tests {
         );
         assert_eq!(m.handoff.dropped_bytes, 0);
         assert_eq!(m.handoff.duplicated_bytes, 0);
+    }
+
+    #[test]
+    fn client_ids_wrap_within_the_address_space_without_aliasing() {
+        let mut sim = sim(config());
+        // The next ids are 2²⁴ − 1, then 1, 2, 3: past 2²⁴ an address would
+        // otherwise name 0 or an older client, and replayed responses would
+        // go to a flow that does not exist.
+        sim.world_mut().next_client_id = (1 << 24) - 2;
+        for i in 0..4 {
+            ConcurrentJitsud::inject_query(&mut sim, SimTime::from_millis(i * 10), ALICE);
+        }
+        sim.run();
+        let m = sim.world().metrics();
+        assert_eq!(m.cold_served, 4);
+        assert_eq!(m.handoff.migrated, 4);
+        assert_eq!(m.handoff.completed, 4, "every parked client served");
+        assert_eq!(
+            (m.handoff.dropped_bytes, m.handoff.duplicated_bytes),
+            (0, 0)
+        );
     }
 
     #[test]

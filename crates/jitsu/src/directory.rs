@@ -87,18 +87,6 @@ impl DirectoryService {
         &self.config
     }
 
-    /// Record that a launch is in flight for a service, so repeat queries
-    /// coalesce onto it instead of double-launching.
-    pub fn mark_launching(&mut self, name: &str, now: SimTime) {
-        self.services.insert(
-            name.trim_matches('.').to_string(),
-            ServiceStatus {
-                phase: ServicePhase::Launching,
-                last_activity: now,
-            },
-        );
-    }
-
     /// Record that a service's unikernel is now serving requests (called
     /// when the launch completes).
     pub fn mark_ready(&mut self, name: &str, now: SimTime) {
@@ -109,13 +97,6 @@ impl DirectoryService {
                 last_activity: now,
             },
         );
-    }
-
-    /// Record that a service served a request (refreshes the idle clock).
-    pub fn touch(&mut self, name: &str, now: SimTime) {
-        if let Some(s) = self.services.get_mut(name.trim_matches('.')) {
-            s.last_activity = now;
-        }
     }
 
     /// Record that a service has been retired (or that its launch failed).
@@ -134,25 +115,13 @@ impl DirectoryService {
         self.services.get(name.trim_matches('.')).map(|s| s.phase)
     }
 
-    /// Services idle for longer than the configured timeout at `now`.
-    ///
-    /// Only [`ServicePhase::Running`] services are candidates: a mid-launch
-    /// service's `last_activity` is its launch-trigger time, and reaping it
-    /// would tear down a domain that is still being constructed.
-    pub fn idle_services(&self, now: SimTime) -> Vec<String> {
-        let Some(timeout) = self.config.idle_timeout else {
-            return Vec::new();
-        };
-        let mut idle: Vec<String> = self
-            .services
-            .iter()
-            .filter(|(_, s)| {
-                s.phase == ServicePhase::Running && now.duration_since(s.last_activity) >= timeout
-            })
-            .map(|(name, _)| name.clone())
-            .collect();
-        idle.sort();
-        idle
+    /// When a live service last saw a query: its launch trigger while it
+    /// launches, then the later of its app-ready and its latest query. The
+    /// daemon's idle reaper reads this clock.
+    pub(crate) fn last_activity(&self, name: &str) -> Option<SimTime> {
+        self.services
+            .get(name.trim_matches('.'))
+            .map(|s| s.last_activity)
     }
 
     /// Handle a DNS query, given whether the host currently has resources to
@@ -184,15 +153,20 @@ impl DirectoryService {
         let Some(service) = self.config.service(&name).cloned() else {
             // Inside our zone but unknown → NXDOMAIN; outside → refuse with
             // SERVFAIL (we are not a recursive resolver in this model).
-            let rcode = if name.ends_with(&self.config.zone) {
+            let zone = &self.config.zone;
+            let in_zone = name == *zone
+                || name
+                    .strip_suffix(zone.as_str())
+                    .is_some_and(|head| head.ends_with('.'));
+            let rcode = if in_zone {
                 Rcode::NxDomain
             } else {
                 Rcode::ServFail
             };
             return (DnsMessage::error(query, rcode), DirectoryAction::None);
         };
-        if self.is_running(&service.name) {
-            self.touch(&service.name, now);
+        if let Some(status) = self.services.get_mut(&service.name) {
+            status.last_activity = now;
             return (
                 DnsMessage::answer(query, service.ip, self.config.dns_ttl),
                 DirectoryAction::AlreadyRunning { name: service.name },
@@ -209,7 +183,13 @@ impl DirectoryService {
         // coalesce onto this boot (AlreadyRunning) instead of double-
         // launching, and the idle reaper leaves it alone until it is ready.
         self.launches_triggered += 1;
-        self.mark_launching(&service.name, now);
+        self.services.insert(
+            service.name.clone(),
+            ServiceStatus {
+                phase: ServicePhase::Launching,
+                last_activity: now,
+            },
+        );
         (
             DnsMessage::answer(query, service.ip, self.config.dns_ttl),
             DirectoryAction::Launch { name: service.name },
@@ -226,7 +206,6 @@ impl DirectoryService {
 mod tests {
     use super::*;
     use crate::config::ServiceConfig;
-    use jitsu_sim::SimDuration;
 
     fn config() -> JitsuConfig {
         JitsuConfig::new("family.name")
@@ -252,6 +231,14 @@ mod tests {
         assert_eq!(action, DirectoryAction::None);
         let (resp, action) =
             dir.handle_query(&DnsMessage::query(2, "example.com"), SimTime::ZERO, true);
+        assert_eq!(resp.rcode, Rcode::ServFail);
+        assert_eq!(action, DirectoryAction::None);
+        // The zone ends at a label boundary: the apex is ours, a name that
+        // merely ends in the same letters is not.
+        let (resp, _) = dir.handle_query(&DnsMessage::query(3, "family.name"), SimTime::ZERO, true);
+        assert_eq!(resp.rcode, Rcode::NxDomain);
+        let (resp, action) =
+            dir.handle_query(&DnsMessage::query(4, "notfamily.name"), SimTime::ZERO, true);
         assert_eq!(resp.rcode, Rcode::ServFail);
         assert_eq!(action, DirectoryAction::None);
     }
@@ -308,8 +295,14 @@ mod tests {
             dir.phase("alice.family.name"),
             Some(ServicePhase::Launching)
         );
+        // Every query refreshes the idle clock; app-ready restarts it.
+        let clock = |dir: &DirectoryService| dir.last_activity("alice.family.name");
+        assert_eq!(clock(&dir), Some(SimTime::from_millis(40)));
         dir.mark_ready("alice.family.name", SimTime::from_millis(350));
         assert_eq!(dir.phase("alice.family.name"), Some(ServicePhase::Running));
+        assert_eq!(clock(&dir), Some(SimTime::from_millis(350)));
+        dir.mark_stopped("alice.family.name");
+        assert_eq!(clock(&dir), None);
     }
 
     #[test]
@@ -360,40 +353,5 @@ mod tests {
             dir.handle_query(&DnsMessage::query(1, "ns.family.name"), SimTime::ZERO, true);
         assert_eq!(resp.rcode, Rcode::NoError);
         assert_eq!(action, DirectoryAction::None);
-    }
-
-    #[test]
-    fn idle_services_are_reported_after_timeout() {
-        let mut cfg = config();
-        cfg.idle_timeout = Some(SimDuration::from_secs(60));
-        let mut dir = DirectoryService::new(cfg);
-        dir.handle_query(
-            &DnsMessage::query(1, "alice.family.name"),
-            SimTime::ZERO,
-            true,
-        );
-        // Mid-launch the service is never an idle-reaping candidate, no
-        // matter how long the launch takes.
-        assert!(dir.idle_services(SimTime::from_secs(61)).is_empty());
-        dir.mark_ready("alice.family.name", SimTime::ZERO);
-        assert!(dir.idle_services(SimTime::from_secs(30)).is_empty());
-        assert_eq!(
-            dir.idle_services(SimTime::from_secs(61)),
-            vec!["alice.family.name".to_string()]
-        );
-        // A request refreshes the idle clock.
-        dir.touch("alice.family.name", SimTime::from_secs(59));
-        assert!(dir.idle_services(SimTime::from_secs(100)).is_empty());
-        dir.mark_stopped("alice.family.name");
-        assert!(!dir.is_running("alice.family.name"));
-    }
-
-    #[test]
-    fn no_idle_reporting_without_timeout() {
-        let mut cfg = config();
-        cfg.idle_timeout = None;
-        let mut dir = DirectoryService::new(cfg);
-        dir.mark_ready("alice.family.name", SimTime::ZERO);
-        assert!(dir.idle_services(SimTime::from_secs(10_000)).is_empty());
     }
 }

@@ -13,9 +13,10 @@
 //!    packets and it keeps the per-connection records up to date;
 //! 2. the booted unikernel writes [`HandoffPhase::Prepare`] — Synjitsu stops
 //!    answering, flushes its final state and acknowledges;
-//! 3. the unikernel reads the records, reconstructs the connections and
-//!    writes [`HandoffPhase::Committed`] — from then on only the unikernel
-//!    answers, and the records are removed.
+//! 3. the unikernel drains the records over the conduit vchan,
+//!    reconstructs the connections and writes [`HandoffPhase::Committed`]
+//!    — from then on only the unikernel answers, and the records are
+//!    removed.
 
 use netstack::tcp::tcb::{hex_decode, hex_encode};
 use netstack::tcp::Tcb;
@@ -210,12 +211,11 @@ impl HandoffCoordinator {
         )
     }
 
-    /// Commit the takeover without reading the records back: atomically
-    /// flip the phase to `Committed` and clear the record directory in one
-    /// transaction. This is the path for a unikernel that already drained
-    /// the records over the conduit vchan and has no use for the store
-    /// copies — [`Self::commit_takeover`] additionally parses and returns
-    /// them for callers that adopt straight from the store.
+    /// Step 2, performed by the unikernel once it has drained every record
+    /// over the conduit vchan: flip the phase to `Committed` and clear the
+    /// record directory in one XenStore transaction, so no observer (and no
+    /// racing packet) can ever see the phase flipped while records still
+    /// exist, or records gone while the phase still says `prepare`.
     pub fn commit_phase_only(&self, xs: &mut XenStore, name: &str) -> XsResult<()> {
         let base = Self::base(name);
         let phase_path = Self::phase_path(name);
@@ -232,45 +232,6 @@ impl HandoffCoordinator {
             Ok(())
         })?;
         Ok(())
-    }
-
-    /// Step 2, performed by the unikernel after Synjitsu has acknowledged
-    /// the prepare (flushed its final records): read every recorded TCB,
-    /// commit the phase and clear the records — in one XenStore transaction,
-    /// so no observer (and no racing packet) can ever see the phase flipped
-    /// while records still exist, or records gone while the phase still says
-    /// `prepare`. Returns the TCBs to adopt.
-    pub fn commit_takeover(&self, xs: &mut XenStore, name: &str) -> XsResult<Vec<Tcb>> {
-        let base = Self::base(name);
-        let phase_path = Self::phase_path(name);
-        let mut tcbs = Vec::new();
-        xs.with_transaction(DomId::DOM0, 8, |xs, t| {
-            tcbs.clear();
-            for entry in xs
-                .directory(DomId::DOM0, Some(t), &base)
-                .unwrap_or_default()
-            {
-                if let Ok(sexp) =
-                    xs.read_string(DomId::DOM0, Some(t), &format!("{base}/{entry}/tcb"))
-                {
-                    if let Some(tcb) = Tcb::from_sexp(&sexp) {
-                        tcbs.push(tcb);
-                    }
-                }
-            }
-            xs.write(
-                DomId::DOM0,
-                Some(t),
-                &phase_path,
-                HandoffPhase::Committed.token().as_bytes(),
-            )?;
-            // Clear the handoff records now ownership has transferred.
-            if xs.exists(DomId::DOM0, Some(t), &base).unwrap_or(false) {
-                xs.rm(DomId::DOM0, Some(t), &base)?;
-            }
-            Ok(())
-        })?;
-        Ok(tcbs)
     }
 }
 
@@ -296,6 +257,12 @@ mod tests {
         }
     }
 
+    /// The TCB a record holds in the store, as Figure 7 lays it out.
+    fn stored_tcb(xs: &mut XenStore, name: &str, index: u32) -> Option<Tcb> {
+        let path = format!("{}/{index}/tcb", HandoffCoordinator::base(name));
+        Tcb::from_sexp(&xs.read_string(DomId::DOM0, None, &path).ok()?)
+    }
+
     #[test]
     fn phase_progression_guarantees_single_handler() {
         let mut xs = XenStore::new(EngineKind::JitsuMerge);
@@ -314,7 +281,7 @@ mod tests {
         assert!(!h.proxy_should_handle(&mut xs, "alice.family.name"));
         assert!(!h.unikernel_should_handle(&mut xs, "alice.family.name"));
 
-        h.commit_takeover(&mut xs, "alice.family.name").unwrap();
+        h.commit_phase_only(&mut xs, "alice.family.name").unwrap();
         assert!(h.unikernel_should_handle(&mut xs, "alice.family.name"));
         assert!(!h.proxy_should_handle(&mut xs, "alice.family.name"));
     }
@@ -350,12 +317,11 @@ mod tests {
             )
             .unwrap();
         assert!(packets.contains("18 bytes"));
+        assert_eq!(stored_tcb(&mut xs, "alice.family.name", 1), Some(t1));
+        assert_eq!(stored_tcb(&mut xs, "alice.family.name", 2), Some(t2));
 
         h.request_takeover(&mut xs, "alice.family.name").unwrap();
-        let adopted = h.commit_takeover(&mut xs, "alice.family.name").unwrap();
-        assert_eq!(adopted.len(), 2);
-        assert!(adopted.contains(&t1));
-        assert!(adopted.contains(&t2));
+        h.commit_phase_only(&mut xs, "alice.family.name").unwrap();
         // Records are gone afterwards.
         assert_eq!(h.recorded_connections(&mut xs, "alice.family.name"), 0);
     }
@@ -372,10 +338,7 @@ mod tests {
         t.buffered = b"data".to_vec();
         h.record_connection(&mut xs, "q", 1, &t).unwrap();
         assert_eq!(h.recorded_connections(&mut xs, "q"), 1);
-        h.request_takeover(&mut xs, "q").unwrap();
-        let adopted = h.commit_takeover(&mut xs, "q").unwrap();
-        assert_eq!(adopted[0].state, TcpState::Established);
-        assert_eq!(adopted[0].buffered, b"data");
+        assert_eq!(stored_tcb(&mut xs, "q", 1), Some(t));
     }
 
     #[test]
@@ -390,7 +353,7 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(h.pending_frames(&mut xs, "alice.family.name"), 12);
-        h.commit_takeover(&mut xs, "alice.family.name").unwrap();
+        h.commit_phase_only(&mut xs, "alice.family.name").unwrap();
         let frames = h
             .drain_pending_frames(&mut xs, "alice.family.name")
             .unwrap();
@@ -414,8 +377,8 @@ mod tests {
         h.record_connection(&mut xs, "q", 1, &tcb(51000, b"GET /"))
             .unwrap();
         h.request_takeover(&mut xs, "q").unwrap();
-        let adopted = h.commit_takeover(&mut xs, "q").unwrap();
-        assert_eq!(adopted.len(), 1);
+        assert_eq!(h.recorded_connections(&mut xs, "q"), 1);
+        h.commit_phase_only(&mut xs, "q").unwrap();
         // Post-commit the store can never show the intermediate state:
         // phase committed *and* records cleared, together.
         assert_eq!(h.phase(&mut xs, "q"), HandoffPhase::Committed);
@@ -429,10 +392,8 @@ mod tests {
         assert_eq!(h.phase(&mut xs, "never.summoned"), HandoffPhase::Committed);
         assert!(h.unikernel_should_handle(&mut xs, "never.summoned"));
         assert_eq!(h.recorded_connections(&mut xs, "never.summoned"), 0);
-        // Committing with no records yields an empty set, not an error.
-        assert!(h
-            .commit_takeover(&mut xs, "never.summoned")
-            .unwrap()
-            .is_empty());
+        // Committing with no records is a no-op, not an error.
+        h.commit_phase_only(&mut xs, "never.summoned").unwrap();
+        assert_eq!(h.recorded_connections(&mut xs, "never.summoned"), 0);
     }
 }

@@ -63,7 +63,7 @@ pub enum LaunchError {
 /// record of past launches — the caller owns the [`LaunchOutcome`] — so a
 /// board's ten-thousandth summon finds it the size of its first.
 pub struct Launcher {
-    /// The underlying toolstack (public so jitsud can reach the store,
+    /// The underlying toolstack (public so the daemon can reach the store,
     /// bridge and grant/event-channel tables).
     pub toolstack: Toolstack,
     boot_opts: xen_sim::toolstack::BootOptimisations,
@@ -76,11 +76,6 @@ impl Launcher {
             toolstack,
             boot_opts,
         }
-    }
-
-    /// Whether the host can currently satisfy a service's memory needs.
-    pub fn has_resources_for(&self, service: &ServiceConfig) -> bool {
-        self.toolstack.can_allocate(service.image.memory_mib)
     }
 
     /// Free guest memory on the board, in MiB. The concurrent engine
@@ -191,7 +186,6 @@ mod tests {
         let mut l = launcher(BootOptimisations::jitsu());
         let mut big = alice();
         big.image.memory_mib = 4096; // more than the board has
-        assert!(!l.has_resources_for(&big));
         assert_eq!(
             l.summon(&big, SimTime::ZERO, 1).unwrap_err(),
             LaunchError::OutOfResources

@@ -18,13 +18,13 @@
 //!   connection state in XenStore (Figure 7);
 //! * [`handoff`] — the two-phase commit through XenStore that guarantees
 //!   exactly one of Synjitsu or the unikernel answers any given packet;
-//! * [`jitsud`] — the daemon tying it all together, with the end-to-end
-//!   cold-start and warm-request timelines that Figure 9a measures;
-//! * [`concurrent`] — the event-driven concurrent engine: per-service
+//! * [`concurrent`] — jitsud, the daemon tying it all together: per-service
 //!   lifecycle state machines scheduled on the `jitsu_sim` event engine,
 //!   with launch-slot admission control, duplicate-query coalescing,
-//!   memory-exhaustion `SERVFAIL` and idle reaping (§3.3) — the machinery
-//!   the boot-storm experiment drives.
+//!   memory-exhaustion `SERVFAIL` and idle reaping (§3.3). One query on a
+//!   fresh board is a Figure 9a cold start; thousands are a boot storm;
+//! * [`fleet`] — boards of that daemon on the sharded engine, failing
+//!   `SERVFAIL`ed queries over to each other.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,7 +34,6 @@ pub mod config;
 pub mod directory;
 pub mod fleet;
 pub mod handoff;
-pub mod jitsud;
 pub mod launcher;
 pub mod synjitsu;
 
@@ -43,6 +42,5 @@ pub use config::{JitsuConfig, Protocol, ServiceConfig};
 pub use directory::{DirectoryAction, DirectoryService, ServicePhase};
 pub use fleet::{FleetMsg, FleetSim};
 pub use handoff::{HandoffCoordinator, HandoffPhase};
-pub use jitsud::{ColdStartMode, ColdStartReport, Jitsud, RequestOutcome};
 pub use launcher::{LaunchOutcome, Launcher};
 pub use synjitsu::Synjitsu;

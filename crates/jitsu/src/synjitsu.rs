@@ -11,8 +11,10 @@
 //! IP and MAC, accepts handshakes, buffers request bytes, and mirrors every
 //! connection's [`Tcb`] into the XenStore handoff area via
 //! [`HandoffCoordinator`]. When the unikernel's network stack comes up, the
-//! accumulated connections are handed over and Synjitsu stops touching that
-//! service's traffic.
+//! handoff runs in two phases: [`Synjitsu::prepare_handoff`] stops the
+//! proxy answering, the unikernel drains [`Synjitsu::connection_records`]
+//! over the conduit vchan, and [`Synjitsu::commit_handoff`] flips
+//! ownership, after which Synjitsu never touches that service's traffic.
 
 use crate::config::ServiceConfig;
 use crate::handoff::{HandoffCoordinator, HandoffPhase};
@@ -226,18 +228,6 @@ impl Synjitsu {
         self.services.remove(name);
         Ok(pending)
     }
-
-    /// Perform the whole handoff in one step (the linear daemon's path,
-    /// where no virtual time passes between the phases): prepare, then
-    /// commit, returning the TCBs (with buffered request bytes) the
-    /// unikernel must adopt — read back from the store, Figure 7 style.
-    pub fn handoff(&mut self, xs: &mut XenStore, name: &str) -> XsResult<Vec<Tcb>> {
-        self.prepare_handoff(xs, name)?;
-        let tcbs = self.handoff.commit_takeover(xs, name)?;
-        let _pending = self.handoff.drain_pending_frames(xs, name)?;
-        self.services.remove(name);
-        Ok(tcbs)
-    }
 }
 
 #[cfg(test)]
@@ -286,6 +276,15 @@ mod tests {
         }
     }
 
+    /// The handoff as the daemon runs it: prepare, take the records the
+    /// conduit vchan drain carries, commit. Returns the drained TCBs.
+    fn hand_off(xs: &mut XenStore, syn: &mut Synjitsu, name: &str) -> Vec<Tcb> {
+        syn.prepare_handoff(xs, name).unwrap();
+        let records = syn.connection_records(name);
+        syn.commit_handoff(xs, name).unwrap();
+        records.into_iter().map(|(_, tcb)| tcb).collect()
+    }
+
     #[test]
     fn syn_is_answered_and_recorded_while_booting() {
         let mut xs = XenStore::new(EngineKind::JitsuMerge);
@@ -324,7 +323,7 @@ mod tests {
         let data_frame = c.tcp_send((svc.ip, svc.port), 49152, &request).unwrap();
         pump(&mut xs, &mut synjitsu, &mut c, &svc.name, data_frame);
 
-        let tcbs = synjitsu.handoff(&mut xs, &svc.name).unwrap();
+        let tcbs = hand_off(&mut xs, &mut synjitsu, &svc.name);
         assert_eq!(tcbs.len(), 1);
         assert_eq!(tcbs[0].state, TcpState::Established);
         assert_eq!(tcbs[0].buffered, request);
@@ -341,7 +340,7 @@ mod tests {
         let mut synjitsu = Synjitsu::new();
         let svc = service();
         synjitsu.start_proxying(&mut xs, &svc).unwrap();
-        synjitsu.handoff(&mut xs, &svc.name).unwrap();
+        hand_off(&mut xs, &mut synjitsu, &svc.name);
 
         let mut c = client();
         let syn_frame = c.tcp_connect(svc.ip, svc.port);
@@ -379,6 +378,8 @@ mod tests {
         assert!(HandoffCoordinator::new().unikernel_should_handle(&mut xs, &svc.name));
     }
 
+    /// A one-shot handoff would adopt what the store's Figure 7 mirror
+    /// holds; the records the vchan drain carries must be exactly those.
     #[test]
     fn split_phase_handoff_matches_the_one_shot_path() {
         let mut xs = XenStore::new(EngineKind::JitsuMerge);
@@ -395,11 +396,19 @@ mod tests {
 
         let flushed = synjitsu.prepare_handoff(&mut xs, &svc.name).unwrap();
         assert_eq!(flushed, 1);
-        // The records a vchan drain would carry match the one-shot path.
         let records = synjitsu.connection_records(&svc.name);
         assert_eq!(records.len(), 1);
-        assert_eq!(records[0].1.state, TcpState::Established);
-        assert_eq!(records[0].1.buffered, b"GET / HTTP/1.1\r\n\r\n");
+        let (id, tcb) = &records[0];
+        assert_eq!(tcb.state, TcpState::Established);
+        assert_eq!(tcb.buffered, b"GET / HTTP/1.1\r\n\r\n");
+        let mirrored = xs
+            .read_string(
+                xenstore::DomId::DOM0,
+                None,
+                &format!("/conduit/alice_family_name/tcpv4/{id}/tcb"),
+            )
+            .unwrap();
+        assert_eq!(Tcb::from_sexp(&mirrored).as_ref(), Some(tcb));
         let pending = synjitsu.commit_handoff(&mut xs, &svc.name).unwrap();
         assert!(pending.is_empty());
         assert!(!synjitsu.is_proxying(&svc.name));
@@ -447,7 +456,7 @@ mod tests {
         pump(&mut xs, &mut synjitsu, &mut c1, &svc.name, r1);
         pump(&mut xs, &mut synjitsu, &mut c2, &svc.name, r2);
 
-        let tcbs = synjitsu.handoff(&mut xs, &svc.name).unwrap();
+        let tcbs = hand_off(&mut xs, &mut synjitsu, &svc.name);
         assert_eq!(tcbs.len(), 2);
         let mut paths: Vec<Vec<u8>> = tcbs.iter().map(|t| t.buffered.clone()).collect();
         paths.sort();

@@ -11,55 +11,67 @@ use jitsu_repro::prelude::*;
 
 fn main() {
     let members = ["alice", "bob", "carol", "dave", "erin"];
-    let mut config = JitsuConfig::new("family.name");
-    config.idle_timeout = Some(SimDuration::from_secs(120));
-    for (i, member) in members.iter().enumerate() {
+    let names: Vec<String> = members.iter().map(|m| format!("{m}.family.name")).collect();
+    let mut config = JitsuConfig::new("family.name").with_idle_timeout(SimDuration::from_secs(120));
+    for (i, name) in names.iter().enumerate() {
         config = config.with_service(ServiceConfig::http_site(
-            &format!("{member}.family.name"),
+            name,
             Ipv4Addr::new(192, 168, 1, 20 + i as u8),
         ));
     }
-    let mut jitsud = Jitsud::new(config, BoardKind::Cubieboard2.board(), 7);
-    let client = Ipv4Addr::new(192, 168, 1, 100);
+    let mut sim = ConcurrentJitsud::sim(config, BoardKind::Cubieboard2.board(), 7);
 
+    // One visitor per site, a second apart, each coming back once the page
+    // has loaded.
+    for (i, name) in names.iter().enumerate() {
+        let at = SimTime::from_secs(i as u64);
+        ConcurrentJitsud::inject_query(&mut sim, at, name);
+        ConcurrentJitsud::inject_query(&mut sim, at + SimDuration::from_millis(500), name);
+    }
+    sim.run_until(SimTime::from_secs(10));
     println!(
         "Hosting {} personal sites on one Cubieboard2\n",
-        members.len()
+        names.len()
     );
-    println!("{:<22} {:>14} {:>14}", "site", "cold start", "warm request");
-    for member in members {
-        let name = format!("{member}.family.name");
-        let cold = jitsud
-            .cold_start_request(&name, client, "/")
-            .expect("cold start");
-        let warm = jitsud
-            .warm_request(&name, client, "/")
-            .expect("warm request");
-        assert_eq!(cold.http_status, 200);
-        assert_eq!(warm.http_status, 200);
-        println!(
-            "{:<22} {:>14} {:>14}",
-            name,
-            cold.http_response_time.to_string(),
-            warm.response_time.to_string()
-        );
+    for name in &names {
+        println!("{name:<22} {:?}", sim.world().phase(name));
     }
-    println!("\nRunning unikernels: {}", jitsud.running_count());
+    let m = sim.world().metrics();
+    let [fastest, slowest] = m.ttfb.percentiles_ms(&[0.0, 100.0])[..] else {
+        unreachable!("ten requests served")
+    };
+    println!(
+        "\n{} cold starts and {} warm requests; first byte after {fastest:.1} ms (warm) \
+         to {slowest:.1} ms (cold)",
+        m.cold_served, m.warm_hits
+    );
+    println!("Running unikernels: {}", sim.world().running_count());
+    assert_eq!((m.cold_served, m.warm_hits), (5, 5));
+    assert_eq!(
+        m.handoff.completed, 5,
+        "every cold visitor served byte-exact"
+    );
 
-    // Two minutes later, nobody has visited: the sites are retired and the
+    // Three minutes later, nobody has visited: the sites are retired and the
     // memory is reclaimed for whoever comes next.
-    jitsud.advance_clock(SimDuration::from_secs(180));
-    let retired = jitsud.retire_idle();
-    println!("Retired after 3 idle minutes: {}", retired.join(", "));
-    println!("Running unikernels now: {}", jitsud.running_count());
-    assert_eq!(jitsud.running_count(), 0);
+    sim.run_until(SimTime::from_secs(190));
+    let retired: Vec<&str> = names
+        .iter()
+        .filter(|name| sim.world().phase(name) == LifecyclePhase::Idle)
+        .map(String::as_str)
+        .collect();
+    println!("\nRetired after 3 idle minutes: {}", retired.join(", "));
+    println!("Running unikernels now: {}", sim.world().running_count());
+    assert_eq!(sim.world().running_count(), 0);
 
     // The next visitor simply pays the ~300 ms cold start again.
-    let again = jitsud
-        .cold_start_request("alice.family.name", client, "/")
-        .expect("resummon");
+    ConcurrentJitsud::inject_query(&mut sim, SimTime::from_secs(200), &names[0]);
+    sim.run_until(SimTime::from_secs(201));
     println!(
-        "\nalice.family.name resummoned on demand: HTTP {} in {}",
-        again.http_status, again.http_response_time
+        "\n{} resummoned on demand: {:?}, {} launches in all",
+        names[0],
+        sim.world().phase(&names[0]),
+        sim.world().metrics().launches
     );
+    assert_eq!(sim.world().phase(&names[0]), LifecyclePhase::Running);
 }

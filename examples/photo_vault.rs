@@ -19,14 +19,17 @@ fn main() {
         "photos.family.name",
         Ipv4Addr::new(192, 168, 1, 30),
     ));
-    let mut jitsud = Jitsud::new(config, BoardKind::Cubieboard2.board(), 11);
-    let viewer = Ipv4Addr::new(192, 168, 1, 101);
-    let cold = jitsud
-        .cold_start_request("photos.family.name", viewer, "/")
-        .expect("vault summoned");
+    let mut sim = ConcurrentJitsud::sim(config, BoardKind::Cubieboard2.board(), 11);
+    ConcurrentJitsud::inject_query(&mut sim, SimTime::ZERO, "photos.family.name");
+    sim.run_until(SimTime::from_secs(1));
+    let m = sim.world().metrics();
+    assert_eq!(
+        m.handoff.completed, 1,
+        "the viewer's first page arrived intact"
+    );
     println!(
-        "photo vault summoned: HTTP {} in {}",
-        cold.http_status, cold.http_response_time
+        "photo vault summoned: first byte after {:.1} ms",
+        m.ttfb.p50_ms()
     );
 
     // --- Serve an album from local storage --------------------------------
@@ -72,5 +75,7 @@ fn main() {
         nuc_kwh / arm_kwh
     );
     assert!(nuc_kwh > arm_kwh);
-    assert!((30.0..90.0).contains(&mbps));
+    // Disk-bound: the SD card reads at 80 Mb/s and a tenth of the reads hit
+    // the appliance's cache, which lifts the mean to about 89 Mb/s.
+    assert!((30.0..100.0).contains(&mbps));
 }

@@ -3,10 +3,10 @@
 //! Run with `cargo run --example quickstart`. This walks the paper's core
 //! flow end to end on the simulated Cubieboard2: a DNS query for
 //! `alice.family.name` triggers the launch, Synjitsu proxies the client's
-//! TCP connection while the unikernel boots, the connection state is handed
-//! over through XenStore, and the freshly booted unikernel answers the
-//! buffered request. A second, warm request then completes in a few
-//! milliseconds.
+//! TCP connection while the unikernel boots, the connection state is drained
+//! to the unikernel over a conduit vchan and handed over with a two-phase
+//! commit in XenStore, and the freshly booted unikernel answers the buffered
+//! request. A second, warm request then completes in a few milliseconds.
 
 use jitsu_repro::prelude::*;
 
@@ -15,34 +15,30 @@ fn main() {
         "alice.family.name",
         Ipv4Addr::new(192, 168, 1, 20),
     ));
-    let mut jitsud = Jitsud::new(config, BoardKind::Cubieboard2.board(), 42);
-    let client = Ipv4Addr::new(192, 168, 1, 100);
+    let mut sim = ConcurrentJitsud::sim(config, BoardKind::Cubieboard2.board(), 42);
 
     println!("== Cold start: first request summons the unikernel ==");
-    let cold = jitsud
-        .cold_start_request("alice.family.name", client, "/")
-        .expect("cold start");
-    println!("  DNS answered in        {}", cold.dns_response_time);
-    println!("  unikernel ready after  {}", cold.unikernel_ready_after);
+    ConcurrentJitsud::inject_query(&mut sim, SimTime::ZERO, "alice.family.name");
+    sim.run_until(SimTime::from_secs(1));
+    let m = sim.world().metrics();
+    let cold = m.ttfb.p50_ms();
+    println!("  first byte after       {cold:.3} ms");
     println!(
-        "  HTTP {} received after {}",
-        cold.http_status, cold.http_response_time
+        "  proxied by Synjitsu:   {} connection(s), {} served byte-exact",
+        m.handoff.migrated, m.handoff.completed
     );
-    println!("  proxied by Synjitsu:   {}", cold.proxied);
+    assert_eq!((m.cold_served, m.handoff.completed), (1, 1));
 
     println!("\n== Warm request: the unikernel is already running ==");
-    let warm = jitsud
-        .warm_request("alice.family.name", client, "/")
-        .expect("warm request");
-    println!(
-        "  HTTP {} received after {}",
-        warm.http_status, warm.response_time
-    );
+    ConcurrentJitsud::inject_query(&mut sim, SimTime::from_secs(2), "alice.family.name");
+    sim.run_until(SimTime::from_secs(3));
+    let m = sim.world().metrics();
+    let warm = m.ttfb.percentile_ms(0.0);
+    println!("  first byte after       {warm:.3} ms (DNS round included)");
+    assert_eq!(m.warm_hits, 1);
 
     println!("\n== Control-plane trace (Figure 6's flow) ==");
-    print!("{}", jitsud.tracer.render());
+    print!("{}", sim.world().tracer.render());
 
-    assert_eq!(cold.http_status, 200);
-    assert_eq!(warm.http_status, 200);
-    assert!(warm.response_time < cold.http_response_time);
+    assert!(warm < cold);
 }

@@ -25,12 +25,14 @@
 //! // One ARM board, one personal web site, summoned on first request.
 //! let config = JitsuConfig::new("family.name")
 //!     .with_service(ServiceConfig::http_site("alice.family.name", Ipv4Addr::new(192, 168, 1, 20)));
-//! let mut jitsud = Jitsud::new(config, BoardKind::Cubieboard2.board(), 42);
-//! let report = jitsud
-//!     .cold_start_request("alice.family.name", Ipv4Addr::new(192, 168, 1, 100), "/")
-//!     .unwrap();
-//! assert_eq!(report.http_status, 200);
-//! assert!(report.http_response_time.as_millis() < 450);
+//! let mut sim = ConcurrentJitsud::sim(config, BoardKind::Cubieboard2.board(), 42);
+//! ConcurrentJitsud::inject_query(&mut sim, SimTime::ZERO, "alice.family.name");
+//! sim.run();
+//! let m = sim.world().metrics();
+//! // Synjitsu held the connection while the unikernel booted, and the
+//! // response reached the client byte-exact.
+//! assert_eq!((m.cold_served, m.handoff.completed), (1, 1));
+//! assert!(m.ttfb.p50_ms() < 450.0);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -54,7 +56,6 @@ pub mod prelude {
     pub use crate::jitsu::config::{JitsuConfig, Protocol, ServiceConfig};
     pub use crate::jitsu::directory::{DirectoryAction, DirectoryService, ServicePhase};
     pub use crate::jitsu::handoff::{HandoffCoordinator, HandoffPhase};
-    pub use crate::jitsu::jitsud::{ColdStartMode, ColdStartReport, Jitsud, RequestOutcome};
     pub use crate::jitsu::launcher::Launcher;
     pub use crate::jitsu::synjitsu::Synjitsu;
     pub use crate::netstack::dns::DnsMessage;

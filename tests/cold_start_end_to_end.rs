@@ -1,7 +1,11 @@
 //! Cross-crate integration tests of the paper's headline flow: DNS-triggered
 //! summoning with Synjitsu masking boot latency (Figures 6 and 9a).
 
+use bench::fig9a::{cold_start_samples, ColdStartMode};
 use jitsu_repro::prelude::*;
+use jitsu_repro::sim::metrics::percentile;
+
+const ALICE: &str = "alice.family.name";
 
 fn config_with(names: &[&str]) -> JitsuConfig {
     let mut config = JitsuConfig::new("family.name");
@@ -14,127 +18,175 @@ fn config_with(names: &[&str]) -> JitsuConfig {
     config
 }
 
-const CLIENT: Ipv4Addr = Ipv4Addr::new(192, 168, 1, 100);
+/// A board with `config`, one query per `(name, arrival ms)`, not yet run.
+fn board(config: JitsuConfig, kind: BoardKind, seed: u64, queries: &[(&str, u64)]) -> StormSim {
+    let mut sim = ConcurrentJitsud::sim(config, kind.board(), seed);
+    for &(name, at_ms) in queries {
+        ConcurrentJitsud::inject_query(&mut sim, SimTime::from_millis(at_ms), name);
+    }
+    sim
+}
+
+/// Every parked client received exactly the response its service serves.
+fn assert_byte_exact(m: &StormMetrics, clients: u64) {
+    assert_eq!(m.handoff.completed, clients);
+    assert_eq!(
+        (m.handoff.dropped_bytes, m.handoff.duplicated_bytes),
+        (0, 0)
+    );
+}
 
 #[test]
 fn cold_start_serves_the_buffered_request_through_the_handoff() {
-    let mut jitsud = Jitsud::new(
-        config_with(&["alice.family.name"]),
-        BoardKind::Cubieboard2.board(),
+    let mut sim = board(
+        config_with(&[ALICE]),
+        BoardKind::Cubieboard2,
         1,
+        &[(ALICE, 0)],
     );
-    let report = jitsud
-        .cold_start_request("alice.family.name", CLIENT, "/")
-        .unwrap();
-    assert_eq!(report.http_status, 200);
-    assert!(report.proxied);
-    assert_eq!(report.syn_retransmissions, 0);
-    // Paper envelope: DNS answered in milliseconds, full response at roughly
-    // the cold-boot latency (≈300–350 ms), far below the 1 s retransmission
-    // that would otherwise dominate.
-    assert!(report.dns_response_time < SimDuration::from_millis(10));
-    assert!(report.http_response_time < SimDuration::from_millis(450));
-    assert!(report.http_response_time > SimDuration::from_millis(150));
-    // The handoff flow left its trail: proxy handshake before unikernel adoption.
-    assert!(jitsud
-        .tracer
-        .happens_before("handshake completed", "adopted proxied connections"));
+    // Mid-boot, Synjitsu has completed the client's handshake and holds its
+    // request.
+    sim.run_until(SimTime::from_millis(50));
+    assert_eq!(sim.world().phase(ALICE), LifecyclePhase::Launching);
+    assert_eq!(sim.world().synjitsu().proxied_connection_count(ALICE), 1);
+    sim.run();
+    let m = sim.world().metrics();
+    assert_eq!(m.cold_served, 1);
+    assert_eq!(m.handoff.migrated, 1, "the connection crossed the handoff");
+    assert_byte_exact(m, 1);
+    // Paper envelope: the response at roughly the cold-boot latency
+    // (≈300–350 ms), far below the 1 s retransmission that would otherwise
+    // dominate.
+    let ttfb = m.ttfb.p50_ms();
+    assert!((150.0..450.0).contains(&ttfb), "ttfb = {ttfb} ms");
+    // Figure 6's order: summon, hand over, serve the replayed request.
+    let trace = &sim.world().tracer;
+    assert!(trace.happens_before("summoning", "handed over 1 connection(s)"));
+    assert!(trace.happens_before("handed over 1 connection(s)", "ready; replayed 1"));
 }
 
 #[test]
 fn synjitsu_disabled_falls_back_to_tcp_retransmission() {
-    let mut jitsud = Jitsud::new(
-        config_with(&["alice.family.name"]).without_synjitsu(),
-        BoardKind::Cubieboard2.board(),
-        2,
-    );
-    let report = jitsud
-        .cold_start_request("alice.family.name", CLIENT, "/")
-        .unwrap();
-    assert_eq!(report.http_status, 200);
-    assert!(!report.proxied);
-    assert!(report.syn_retransmissions >= 1);
-    assert!(report.http_response_time > SimDuration::from_secs(1));
+    let config = config_with(&[ALICE]).without_synjitsu();
+    let mut sim = board(config, BoardKind::Cubieboard2, 2, &[(ALICE, 0)]);
+    sim.run();
+    let m = sim.world().metrics();
+    assert_eq!(m.cold_served, 1);
+    assert_eq!(m.handoff.migrated, 0, "nothing proxied");
+    assert!(m.ttfb.p50_ms() > 1_000.0, "ttfb = {} ms", m.ttfb.p50_ms());
 }
 
 #[test]
 fn warm_requests_hit_the_running_unikernel_in_milliseconds() {
-    let mut jitsud = Jitsud::new(
-        config_with(&["alice.family.name"]),
-        BoardKind::Cubieboard2.board(),
-        3,
-    );
-    jitsud
-        .cold_start_request("alice.family.name", CLIENT, "/")
-        .unwrap();
-    for _ in 0..5 {
-        let warm = jitsud
-            .warm_request("alice.family.name", CLIENT, "/")
-            .unwrap();
-        assert_eq!(warm.http_status, 200);
-        assert!(warm.response_time < SimDuration::from_millis(15));
-    }
+    let queries = [0, 1, 2, 3, 4, 5].map(|s| (ALICE, s * 1_000));
+    let mut sim = board(config_with(&[ALICE]), BoardKind::Cubieboard2, 3, &queries);
+    sim.run();
+    let m = sim.world().metrics();
+    assert_eq!((m.launches, m.cold_served, m.warm_hits), (1, 1, 5));
+    // The five warm samples are the five smallest: a DNS round plus the
+    // ≈5 ms local request path.
+    let [warm, cold] = m.ttfb.percentiles_ms(&[80.0, 100.0])[..] else {
+        unreachable!()
+    };
+    assert!(warm < 30.0, "warm = {warm} ms");
+    assert!(cold > 250.0, "cold = {cold} ms");
 }
 
 #[test]
 fn multiple_tenants_are_isolated_domains_on_one_board() {
-    let names = ["alice.family.name", "bob.family.name", "carol.family.name"];
-    let mut jitsud = Jitsud::new(config_with(&names), BoardKind::Cubieboard2.board(), 4);
-    for name in names {
-        let report = jitsud.cold_start_request(name, CLIENT, "/").unwrap();
-        assert_eq!(report.http_status, 200, "{name}");
-    }
-    assert_eq!(jitsud.running_count(), 3);
-    // Each tenant got its own response body (served by its own appliance).
-    let a = jitsud
-        .warm_request("alice.family.name", CLIENT, "/")
-        .unwrap();
-    let b = jitsud.warm_request("bob.family.name", CLIENT, "/").unwrap();
-    assert_eq!(a.http_status, 200);
-    assert_eq!(b.http_status, 200);
+    let names = [ALICE, "bob.family.name", "carol.family.name"];
+    let queries = [(names[0], 0), (names[1], 1_000), (names[2], 2_000)];
+    let mut sim = board(config_with(&names), BoardKind::Cubieboard2, 4, &queries);
+    sim.run_until(SimTime::from_secs(10));
+    assert_eq!(sim.world().running_count(), 3);
+    let m = sim.world().metrics();
+    assert_eq!(m.launches, 3);
+    // Each client's stream equals its own service's page, served by its own
+    // appliance.
+    assert_byte_exact(m, 3);
+    ConcurrentJitsud::inject_query(&mut sim, SimTime::from_secs(11), names[0]);
+    ConcurrentJitsud::inject_query(&mut sim, SimTime::from_secs(11), names[1]);
+    sim.run_until(SimTime::from_secs(12));
+    assert_eq!(sim.world().metrics().warm_hits, 2);
+    assert_eq!(sim.world().metrics().launches, 3);
 }
 
 #[test]
 fn x86_cold_starts_are_an_order_of_magnitude_faster_than_arm() {
-    let mut arm = Jitsud::new(
-        config_with(&["alice.family.name"]),
-        BoardKind::Cubieboard2.board(),
-        5,
+    let ttfb = |kind| {
+        let mut sim = board(config_with(&[ALICE]), kind, 5, &[(ALICE, 0)]);
+        sim.run();
+        sim.world().metrics().ttfb.p50_ms()
+    };
+    let (arm, x86) = (ttfb(BoardKind::Cubieboard2), ttfb(BoardKind::X86Server));
+    assert!(
+        arm / x86 > 4.0,
+        "ARM/x86 cold-start ratio = {:.1}",
+        arm / x86
     );
-    let mut x86 = Jitsud::new(
-        config_with(&["alice.family.name"]),
-        BoardKind::X86Server.board(),
-        5,
-    );
-    let arm_report = arm
-        .cold_start_request("alice.family.name", CLIENT, "/")
-        .unwrap();
-    let x86_report = x86
-        .cold_start_request("alice.family.name", CLIENT, "/")
-        .unwrap();
-    let ratio =
-        arm_report.http_response_time.as_secs_f64() / x86_report.http_response_time.as_secs_f64();
-    assert!(ratio > 4.0, "ARM/x86 cold-start ratio = {ratio:.1}");
-    assert!(x86_report.http_response_time < SimDuration::from_millis(80));
+    assert!((20.0..80.0).contains(&x86), "x86 = {x86} ms");
 }
 
 #[test]
 fn idle_retirement_frees_memory_for_other_tenants() {
-    let names = ["alice.family.name", "bob.family.name"];
-    let mut config = config_with(&names);
-    config.idle_timeout = Some(SimDuration::from_secs(60));
-    let mut jitsud = Jitsud::new(config, BoardKind::Cubieboard2.board(), 6);
-    jitsud
-        .cold_start_request("alice.family.name", CLIENT, "/")
-        .unwrap();
-    assert!(jitsud.is_running("alice.family.name"));
-    jitsud.advance_clock(SimDuration::from_secs(300));
-    let retired = jitsud.retire_idle();
-    assert_eq!(retired.len(), 1);
-    assert!(!jitsud.is_running("alice.family.name"));
+    let config =
+        config_with(&[ALICE, "bob.family.name"]).with_idle_timeout(SimDuration::from_secs(60));
+    let mut sim = board(config, BoardKind::Cubieboard2, 6, &[]);
+    let free = sim.world().effective_free_mib();
+    ConcurrentJitsud::inject_query(&mut sim, SimTime::ZERO, ALICE);
+    sim.run_until(SimTime::from_secs(1));
+    assert_eq!(sim.world().phase(ALICE), LifecyclePhase::Running);
+    assert!(sim.world().effective_free_mib() < free);
+    sim.run_until(SimTime::from_secs(300));
+    assert_eq!(sim.world().phase(ALICE), LifecyclePhase::Idle);
+    assert_eq!(sim.world().metrics().reaps, 1);
+    assert_eq!(sim.world().effective_free_mib(), free, "memory returned");
     // And it can be resummoned.
-    let again = jitsud
-        .cold_start_request("alice.family.name", CLIENT, "/")
-        .unwrap();
-    assert_eq!(again.http_status, 200);
+    ConcurrentJitsud::inject_query(&mut sim, SimTime::from_secs(301), ALICE);
+    sim.run_until(SimTime::from_secs(302));
+    assert_eq!(sim.world().phase(ALICE), LifecyclePhase::Running);
+    assert_eq!(sim.world().metrics().cold_served, 2);
+}
+
+/// Figure 9a once ran on a second, linear daemon. `golden/` holds its
+/// samples; on `ConcurrentJitsud` each one moves by a constant per mode, to
+/// the nanosecond, from two modelling differences. The concurrent daemon
+/// charges a fixed service cost, 4.0 ms above what the appliance reports
+/// on this board. It also starts the launch when the query arrives rather
+/// than after DNS processing (0.9 ms), which moves a Synjitsu sample only:
+/// without Synjitsu both daemons time the client's SYN retransmissions
+/// from the DNS answer.
+#[test]
+fn fig9a_samples_move_by_exactly_the_two_model_terms() {
+    const GOLDEN: &str = include_str!("golden/fig9a_cold_starts.txt");
+    let lines = GOLDEN.lines().filter(|l| !l.starts_with('#'));
+    let mut medians = Vec::new();
+    for (mode, line) in ColdStartMode::ALL.into_iter().zip(lines) {
+        let shift_ns = match mode {
+            ColdStartMode::NoSynjitsu => 4_000_000,
+            _ => 3_100_000,
+        };
+        let mut fields = line.split_whitespace();
+        assert_eq!(fields.next(), Some(format!("{mode:?}").as_str()));
+        let golden: Vec<u64> = fields.map(|ns| ns.parse().unwrap()).collect();
+        assert_eq!(golden.len(), 25);
+        let samples = cold_start_samples(mode, golden.len(), 0x9A);
+        for (i, (ms, ns)) in samples.iter().zip(&golden).enumerate() {
+            // A sample is a nanosecond count over 10⁶; equal bits, equal count.
+            let want = SimDuration::from_nanos(ns + shift_ns).as_millis_f64();
+            assert_eq!(ms.to_bits(), want.to_bits(), "{mode:?} #{i}: {ms} ms");
+        }
+        if mode == ColdStartMode::NoSynjitsu {
+            assert!(samples.iter().all(|&ms| ms > 1_000.0));
+        }
+        medians.push(percentile(&samples, 50.0));
+    }
+    let [none, vanilla, optimised] = medians[..] else {
+        panic!("three modes, got {medians:?}")
+    };
+    assert!(
+        (250.0..400.0).contains(&optimised),
+        "optimised = {optimised}"
+    );
+    assert!(optimised < vanilla && vanilla < none, "{medians:?}");
 }

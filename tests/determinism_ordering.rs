@@ -10,42 +10,6 @@
 
 use jitsu_repro::prelude::*;
 
-/// `DirectoryService::idle_services` must list reap candidates in the same
-/// order no matter which order the services were registered and marked.
-#[test]
-fn idle_service_listing_is_insertion_order_independent() {
-    let names = [
-        "zeta.family.name",
-        "alice.family.name",
-        "mike.family.name",
-        "bob.family.name",
-        "carol.family.name",
-    ];
-    let run = |order: &[usize]| {
-        let mut config =
-            JitsuConfig::new("family.name").with_idle_timeout(SimDuration::from_millis(100));
-        for &i in order {
-            config = config.with_service(ServiceConfig::http_site(
-                names[i],
-                Ipv4Addr::new(192, 168, 1, 20 + i as u8),
-            ));
-        }
-        let mut dir = jitsu_repro::jitsu::directory::DirectoryService::new(config);
-        for &i in order {
-            let t = SimTime::from_millis(i as u64);
-            dir.mark_launching(names[i], t);
-            dir.mark_ready(names[i], t);
-        }
-        dir.idle_services(SimTime::from_millis(10_000))
-    };
-    let forward = run(&[0, 1, 2, 3, 4]);
-    let shuffled = run(&[3, 0, 4, 2, 1]);
-    assert_eq!(forward, shuffled);
-    let mut sorted = forward.clone();
-    sorted.sort();
-    assert_eq!(forward, sorted, "idle listing is sorted by service name");
-}
-
 /// `Interface::connection_keys` must enumerate the connection table in key
 /// order regardless of the order connections were opened.
 #[test]

@@ -29,27 +29,28 @@ fn cold_then_warm_round_trip_is_deterministic() {
             "alice.family.name",
             Ipv4Addr::new(192, 168, 1, 20),
         ));
-        let mut jitsud = Jitsud::new(config, BoardKind::Cubieboard2.board(), seed);
-        let cold = jitsud
-            .cold_start_request("alice.family.name", Ipv4Addr::new(192, 168, 1, 100), "/")
-            .unwrap();
-        let warm = jitsud
-            .warm_request("alice.family.name", Ipv4Addr::new(192, 168, 1, 100), "/")
-            .unwrap();
+        let mut sim = ConcurrentJitsud::sim(config, BoardKind::Cubieboard2.board(), seed);
+        ConcurrentJitsud::inject_query(&mut sim, SimTime::ZERO, "alice.family.name");
+        ConcurrentJitsud::inject_query(&mut sim, SimTime::from_secs(1), "alice.family.name");
+        sim.run();
+        let m = sim.world().metrics();
+        let [warm, cold] = m.ttfb.percentiles_ms(&[0.0, 100.0])[..] else {
+            unreachable!("two samples")
+        };
         (
-            cold.http_status,
-            cold.http_response_time,
-            warm.http_status,
-            warm.response_time,
+            (m.cold_served, m.warm_hits, m.handoff.completed),
+            cold.to_bits(),
+            warm.to_bits(),
+            sim.events_executed(),
         )
     };
 
-    let (cold_status, cold_time, warm_status, warm_time) = run(42);
-    assert_eq!(cold_status, 200);
-    assert_eq!(warm_status, 200);
+    let first = run(42);
+    // One cold request served byte-exact through the handoff, one warm.
+    assert_eq!(first.0, (1, 1, 1));
     // Warm requests skip the boot pipeline entirely.
-    assert!(warm_time < cold_time);
+    assert!(f64::from_bits(first.2) < f64::from_bits(first.1));
 
     // Same seed, same virtual-time results, bit for bit.
-    assert_eq!(run(42), (cold_status, cold_time, warm_status, warm_time));
+    assert_eq!(run(42), first);
 }
