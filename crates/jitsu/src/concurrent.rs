@@ -55,7 +55,7 @@ use conduit::flows::FlowTable;
 use conduit::rendezvous::ConduitRegistry;
 use conduit::vchan::Side;
 use jitsu_sim::{
-    LatencyRecorder, Scheduler, Sim, SimDuration, SimRng, SimTime, SummaryStats, Tracer,
+    LatencyRecorder, Scheduler, Sim, SimDuration, SimRng, SimTime, SummaryStats, Trace,
 };
 use netstack::dns::{DnsMessage, Rcode};
 use netstack::ethernet::{EthernetFrame, MacAddr};
@@ -66,6 +66,7 @@ use netstack::tcp::Tcb;
 use netstack::FrameBuf;
 use platform::Board;
 use std::collections::{BTreeMap, VecDeque};
+use std::fmt;
 use unikernel::appliance::{Appliance, StaticSiteAppliance};
 use unikernel::instance::UnikernelInstance;
 use xen_sim::toolstack::{LaunchSlots, Toolstack};
@@ -123,6 +124,8 @@ impl ClientFlow {
 /// two-phase commit needs.
 #[derive(Debug)]
 struct DataPlane {
+    /// The domain the instance runs in.
+    dom: DomId,
     instance: UnikernelInstance,
     /// TCBs reconstructed from the conduit vchan drain at `Prepare`,
     /// adopted into the instance at `Committed`.
@@ -185,6 +188,127 @@ pub enum LifecyclePhase {
     Running,
     /// Being torn down.
     Draining,
+}
+
+/// One record of the daemon's trace, in Figure 6's vocabulary. `service` is
+/// the service's index in [`JitsuConfig::services`], so the records of one
+/// summons are the ones that share `(service, dom)`. Every field is `Copy`:
+/// a record is a push into the ring, with no text formatted or kept, and the
+/// daemon's `Display` turns the indices back into names.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JitsuEvent {
+    /// A query was answered `SERVFAIL`: the service does not fit in the
+    /// board's free memory, and the client fails over.
+    ServFail {
+        /// The service queried.
+        service: u16,
+    },
+    /// A query for a booting service joined the clients parked on its boot.
+    Coalesced {
+        /// The service queried.
+        service: u16,
+        /// The domain booting it.
+        dom: DomId,
+    },
+    /// A launch slot was granted and the toolstack built the domain.
+    Summoning {
+        /// The service summoned.
+        service: u16,
+        /// Its new domain.
+        dom: DomId,
+        /// Clients parked on the boot so far.
+        queued: u32,
+    },
+    /// The toolstack could not build the domain; every parked client got
+    /// `SERVFAIL`.
+    LaunchFailed {
+        /// The service that failed to launch.
+        service: u16,
+        /// Clients parked on it.
+        queued: u32,
+    },
+    /// Phase 1 of the handoff: Synjitsu flushed its connection records and
+    /// the unikernel drained them over the conduit vchan.
+    Prepared {
+        /// The service handed over.
+        service: u16,
+        /// The domain taking it.
+        dom: DomId,
+        /// Connection records flushed to the store.
+        flushed: u32,
+        /// Bytes drained over the vchan.
+        drained_bytes: u32,
+    },
+    /// Phase 2: the unikernel committed and adopted the drained connections.
+    HandedOver {
+        /// The service handed over.
+        service: u16,
+        /// The domain that took it.
+        dom: DomId,
+        /// Connections adopted.
+        connections: u32,
+    },
+    /// Frames parked during the prepare window were replayed against the
+    /// unikernel.
+    Replayed {
+        /// The service.
+        service: u16,
+        /// The domain they were replayed on.
+        dom: DomId,
+        /// Frames replayed.
+        frames: u32,
+    },
+    /// The application came up and served the clients parked on its boot.
+    Ready {
+        /// The service.
+        service: u16,
+        /// The domain serving it.
+        dom: DomId,
+        /// Buffered requests served.
+        requests: u32,
+    },
+    /// The reaper found the service idle and began tearing its domain down.
+    Reaping {
+        /// The service.
+        service: u16,
+        /// The domain being destroyed.
+        dom: DomId,
+    },
+    /// The teardown finished and the domain's memory is free again.
+    Retired {
+        /// The service.
+        service: u16,
+        /// The destroyed domain.
+        dom: DomId,
+    },
+}
+
+const _: () = assert!(std::mem::size_of::<JitsuEvent>() <= 16);
+
+impl JitsuEvent {
+    /// The domain the record is about, if it names one.
+    pub fn dom(self) -> Option<DomId> {
+        match self {
+            JitsuEvent::ServFail { .. } | JitsuEvent::LaunchFailed { .. } => None,
+            JitsuEvent::Coalesced { dom, .. }
+            | JitsuEvent::Summoning { dom, .. }
+            | JitsuEvent::Prepared { dom, .. }
+            | JitsuEvent::HandedOver { dom, .. }
+            | JitsuEvent::Replayed { dom, .. }
+            | JitsuEvent::Ready { dom, .. }
+            | JitsuEvent::Reaping { dom, .. }
+            | JitsuEvent::Retired { dom, .. } => Some(dom),
+        }
+    }
+
+    /// The component of Figure 6 that acts in this record.
+    fn component(self) -> &'static str {
+        match self {
+            JitsuEvent::Prepared { .. } | JitsuEvent::HandedOver { .. } => "synjitsu",
+            JitsuEvent::Replayed { .. } | JitsuEvent::Ready { .. } => "unikernel",
+            _ => "jitsud",
+        }
+    }
 }
 
 /// Data-plane counters for the live-connection handoff (§3.3.1's "only one
@@ -325,8 +449,8 @@ pub struct ConcurrentJitsud {
     /// How many peer boards a fresh query may fail over to (boards − 1 in a
     /// fleet; 0 standalone).
     pub(crate) failover_hops_default: u32,
-    /// Event trace (reuses the Figure 6 vocabulary).
-    pub tracer: Tracer,
+    /// The last records of what the daemon did (Figure 6's vocabulary).
+    trace: Trace<JitsuEvent>,
 }
 
 /// The simulator type the engine runs on.
@@ -376,7 +500,7 @@ impl ConcurrentJitsud {
             seed_counter: seed,
             pending_failover: Vec::new(),
             failover_hops_default: 0,
-            tracer: Tracer::new(),
+            trace: Trace::new(),
             config,
         }
     }
@@ -467,6 +591,17 @@ impl ConcurrentJitsud {
     /// The Synjitsu proxy (for inspecting SYN queues mid-boot).
     pub fn synjitsu(&self) -> &Synjitsu {
         &self.synjitsu
+    }
+
+    /// The daemon's trace, oldest record first. `Display` renders it.
+    pub fn trace(&self) -> &Trace<JitsuEvent> {
+        &self.trace
+    }
+
+    /// `name`'s index in `config.services`, as trace records carry it.
+    fn service_ix(config: &JitsuConfig, name: &str) -> u16 {
+        let ix = config.services.iter().position(|s| s.name == name);
+        ix.and_then(|i| u16::try_from(i).ok()).unwrap_or(u16::MAX)
     }
 
     fn next_seed(&mut self) -> u64 {
@@ -723,11 +858,8 @@ impl ConcurrentJitsud {
             }
             DirectoryAction::ResourceExhausted { name } => {
                 world.metrics.servfails += 1;
-                world.tracer.emit(
-                    now,
-                    "jitsud",
-                    format!("SERVFAIL for {name}: memory exhausted, client fails over"),
-                );
+                let service = Self::service_ix(&world.config, &name);
+                world.trace.push(now, JitsuEvent::ServFail { service });
                 // §3.3.2's other half: in a fleet the SERVFAIL makes the
                 // client retry against the next board. Parked here; the
                 // fleet layer forwards it at the next epoch barrier.
@@ -764,14 +896,14 @@ impl ConcurrentJitsud {
                 world.metrics.coalesced += 1;
                 Self::open_client_flow(world, &svc, client);
             }
-            Some(Lifecycle::Launching { queued, .. }) => {
+            Some(Lifecycle::Launching { queued, dom, .. }) => {
                 queued.push(client);
                 world.metrics.coalesced += 1;
-                world.tracer.emit(
-                    now,
-                    "jitsud",
-                    format!("query for mid-launch {name} coalesced onto in-flight boot"),
-                );
+                let event = JitsuEvent::Coalesced {
+                    service: Self::service_ix(&world.config, &name),
+                    dom: *dom,
+                };
+                world.trace.push(now, event);
                 Self::open_client_flow(world, &svc, client);
             }
             Some(Lifecycle::Draining { queued, .. }) => {
@@ -893,6 +1025,7 @@ impl ConcurrentJitsud {
                     world.planes.insert(
                         name.clone(),
                         DataPlane {
+                            dom: outcome.dom,
                             instance,
                             drained: Vec::new(),
                             committed: false,
@@ -903,16 +1036,12 @@ impl ConcurrentJitsud {
                     let construction_done_at = now + outcome.construction.total;
                     let network_ready_at = outcome.network_ready_at();
                     let app_ready_at = outcome.app_ready_at();
-                    world.tracer.emit(
-                        now,
-                        "jitsud",
-                        format!(
-                            "summoning {} as dom{} ({} queued SYN(s))",
-                            name,
-                            outcome.dom.0,
-                            queued.len()
-                        ),
-                    );
+                    let event = JitsuEvent::Summoning {
+                        service: Self::service_ix(&world.config, &name),
+                        dom: outcome.dom,
+                        queued: queued.len() as u32,
+                    };
+                    world.trace.push(now, event);
                     world.services.insert(
                         name.clone(),
                         Lifecycle::Launching {
@@ -934,14 +1063,14 @@ impl ConcurrentJitsud {
                     });
                     sim.schedule_at(app_ready_at, move |sim| Self::on_app_ready(sim, name));
                 }
-                Err(err) => {
+                Err(_) => {
                     // Reservations should make this unreachable; degrade to
                     // SERVFAIL for every parked client rather than wedging.
-                    world.tracer.emit(
-                        now,
-                        "jitsud",
-                        format!("launch of {name} failed ({err:?}); SERVFAIL for queued clients"),
-                    );
+                    let event = JitsuEvent::LaunchFailed {
+                        service: Self::service_ix(&world.config, &name),
+                        queued: queued.len() as u32,
+                    };
+                    world.trace.push(now, event);
                     world.metrics.servfails += queued.len() as u64;
                     for client in &queued {
                         world.clients.remove(&client.id);
@@ -1102,14 +1231,13 @@ impl ConcurrentJitsud {
             // jitsu-lint: allow(P001, "a Launching service always owns a data plane")
             .expect("launching services have a data plane");
         plane.drained = drained;
-        world.tracer.emit(
-            now,
-            "synjitsu",
-            format!(
-                "prepare for {name}: flushed {flushed} record(s), drained {} byte(s) over the conduit vchan",
-                drained_bytes.len()
-            ),
-        );
+        let event = JitsuEvent::Prepared {
+            service: Self::service_ix(&world.config, &name),
+            dom,
+            flushed: flushed as u32,
+            drained_bytes: drained_bytes.len() as u32,
+        };
+        world.trace.push(now, event);
         let handoff_cost = world.handoff_cost;
         sim.schedule_in(handoff_cost, move |sim| {
             Self::on_commit_handoff(sim, name);
@@ -1133,6 +1261,7 @@ impl ConcurrentJitsud {
             return;
         };
         plane.committed = true;
+        let dom = plane.dom;
         let adopted = std::mem::take(&mut plane.drained);
         let migrated = adopted.len() as u64;
         let mut response_frames = Vec::new();
@@ -1145,11 +1274,13 @@ impl ConcurrentJitsud {
         }
         world.metrics.handoff.migrated += migrated;
         world.metrics.syn_handoffs += migrated;
-        world.tracer.emit(
-            now,
-            "synjitsu",
-            format!("handed over {migrated} connection(s) for {name}"),
-        );
+        let service = Self::service_ix(&world.config, &name);
+        let event = JitsuEvent::HandedOver {
+            service,
+            dom,
+            connections: migrated as u32,
+        };
+        world.trace.push(now, event);
 
         // Replayed responses go back to the clients that were mid-request.
         for frame in response_frames {
@@ -1168,11 +1299,12 @@ impl ConcurrentJitsud {
             }
         }
         if replayed > 0 {
-            world.tracer.emit(
-                now,
-                "unikernel",
-                format!("replayed {replayed} frame(s) parked during the prepare window"),
-            );
+            let event = JitsuEvent::Replayed {
+                service,
+                dom,
+                frames: replayed as u32,
+            };
+            world.trace.push(now, event);
         }
         // If the app came up before the commit (short boots), the exchange
         // accounting waited for us.
@@ -1240,15 +1372,12 @@ impl ConcurrentJitsud {
             }
         }
         world.metrics.cold_served += queued.len() as u64;
-        world.tracer.emit(
-            now,
-            "unikernel",
-            format!(
-                "{} ready; replayed {} buffered request(s)",
-                name,
-                queued.len()
-            ),
-        );
+        let event = JitsuEvent::Ready {
+            service: Self::service_ix(&world.config, &name),
+            dom,
+            requests: queued.len() as u32,
+        };
+        world.trace.push(now, event);
         // Data plane: settle the zero-drop/zero-dup accounting for every
         // parked client, once the commit has also happened (it almost
         // always has — the handoff window is shorter than the app boot
@@ -1337,9 +1466,8 @@ impl ConcurrentJitsud {
         );
         world.directory.mark_stopped(&name);
         world.metrics.reaps += 1;
-        world
-            .tracer
-            .emit(now, "jitsud", format!("reaping idle {name} (dom{})", dom.0));
+        let service = Self::service_ix(&world.config, &name);
+        world.trace.push(now, JitsuEvent::Reaping { service, dom });
         let teardown = world.launcher.teardown_time();
         sim.schedule_in(teardown, move |sim| Self::on_drain_done(sim, name));
     }
@@ -1367,9 +1495,8 @@ impl ConcurrentJitsud {
             None,
             &format!("/jitsu/service/{name}"),
         );
-        world
-            .tracer
-            .emit(now, "jitsud", format!("retired idle service {name}"));
+        let service = Self::service_ix(&world.config, &name);
+        world.trace.push(now, JitsuEvent::Retired { service, dom });
         if queued.is_empty() {
             world.services.insert(name, Lifecycle::Idle);
             return;
@@ -1398,6 +1525,94 @@ impl ConcurrentJitsud {
             .insert(name.clone(), Lifecycle::AwaitingSlot { queued });
         world.launch_queue.push_back(name);
         Self::dispatch(sim);
+    }
+}
+
+impl fmt::Display for ConcurrentJitsud {
+    /// The trace, one record a line and oldest first, with each service
+    /// index resolved to the service's name.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let name = |service: u16| {
+            let svc = self.config.services.get(service as usize);
+            svc.map_or("?", |s| s.name.as_str())
+        };
+        if self.trace.evicted() > 0 {
+            writeln!(f, "({} older record(s) evicted)", self.trace.evicted())?;
+        }
+        for (at, event) in self.trace.records() {
+            write!(f, "[{:>12}] {:<12} ", at.to_string(), event.component())?;
+            match event {
+                JitsuEvent::ServFail { service } => writeln!(
+                    f,
+                    "SERVFAIL for {}: memory exhausted, client fails over",
+                    name(service)
+                ),
+                JitsuEvent::Coalesced { service, dom } => writeln!(
+                    f,
+                    "query for mid-launch {} coalesced onto {dom}'s boot",
+                    name(service)
+                ),
+                JitsuEvent::Summoning {
+                    service,
+                    dom,
+                    queued,
+                } => writeln!(
+                    f,
+                    "summoning {} as {dom} ({queued} queued SYN(s))",
+                    name(service)
+                ),
+                JitsuEvent::LaunchFailed { service, queued } => writeln!(
+                    f,
+                    "launch of {} failed; SERVFAIL for {queued} queued client(s)",
+                    name(service)
+                ),
+                JitsuEvent::Prepared {
+                    service,
+                    dom,
+                    flushed,
+                    drained_bytes,
+                } => writeln!(
+                    f,
+                    "prepare for {} on {dom}: flushed {flushed} record(s), \
+                     drained {drained_bytes} byte(s) over the conduit vchan",
+                    name(service)
+                ),
+                JitsuEvent::HandedOver {
+                    service,
+                    dom,
+                    connections,
+                } => writeln!(
+                    f,
+                    "handed over {connections} connection(s) for {} to {dom}",
+                    name(service)
+                ),
+                JitsuEvent::Replayed {
+                    service,
+                    dom,
+                    frames,
+                } => writeln!(
+                    f,
+                    "{} on {dom} replayed {frames} frame(s) parked during the prepare window",
+                    name(service)
+                ),
+                JitsuEvent::Ready {
+                    service,
+                    dom,
+                    requests,
+                } => writeln!(
+                    f,
+                    "{} ready on {dom}; replayed {requests} buffered request(s)",
+                    name(service)
+                ),
+                JitsuEvent::Reaping { service, dom } => {
+                    writeln!(f, "reaping idle {} ({dom})", name(service))
+                }
+                JitsuEvent::Retired { service, dom } => {
+                    writeln!(f, "retired idle service {} ({dom})", name(service))
+                }
+            }?;
+        }
+        Ok(())
     }
 }
 
@@ -1430,6 +1645,11 @@ mod tests {
         ConcurrentJitsud::sim(config, BoardKind::Cubieboard2.board(), 7)
     }
 
+    /// The trace's events, oldest first.
+    fn events(sim: &StormSim) -> Vec<JitsuEvent> {
+        sim.world().trace().records().map(|(_, e)| e).collect()
+    }
+
     #[test]
     fn duplicate_queries_coalesce_onto_the_in_flight_boot() {
         let mut sim = sim(config());
@@ -1448,11 +1668,11 @@ mod tests {
         assert_eq!(m.syn_handoffs, 3, "all parked SYNs handed over");
         assert_eq!(m.ttfb.count(), 3);
         assert_eq!(sim.world().phase(ALICE), LifecyclePhase::Running);
-        assert!(sim
-            .world()
-            .tracer
-            .find("coalesced onto in-flight boot")
-            .is_some());
+        let coalesced = events(&sim)
+            .into_iter()
+            .filter(|e| matches!(e, JitsuEvent::Coalesced { service: 0, .. }))
+            .count();
+        assert_eq!(coalesced, 2);
     }
 
     #[test]
@@ -1524,20 +1744,33 @@ mod tests {
         assert_eq!(sim.world().synjitsu().proxied_connection_count(ALICE), 3);
         assert_eq!(sim.world().synjitsu().proxied_connection_count(BOB), 2);
         sim.run();
-        let world = sim.world();
-        assert_eq!(world.metrics().syn_handoffs, 5);
-        assert!(world
-            .tracer
-            .find(&format!("handed over 3 connection(s) for {ALICE}"))
-            .is_some());
-        assert!(world
-            .tracer
-            .find(&format!("handed over 2 connection(s) for {BOB}"))
-            .is_some());
+        assert_eq!(sim.world().metrics().syn_handoffs, 5);
+        let events = events(&sim);
+        let find = |wanted: fn(&JitsuEvent) -> bool| events.iter().position(wanted);
+        let alice_handed = find(|e| {
+            matches!(
+                e,
+                JitsuEvent::HandedOver {
+                    service: 0,
+                    connections: 3,
+                    ..
+                }
+            )
+        });
+        let bob_handed = find(|e| {
+            matches!(
+                e,
+                JitsuEvent::HandedOver {
+                    service: 1,
+                    connections: 2,
+                    ..
+                }
+            )
+        });
+        let alice_ready = find(|e| matches!(e, JitsuEvent::Ready { service: 0, .. }));
+        assert!(bob_handed.is_some());
         // Handoff strictly precedes the app serving the replayed requests.
-        assert!(world
-            .tracer
-            .happens_before("handed over 3 connection(s)", "alice.family.name ready"));
+        assert!(alice_handed.unwrap() < alice_ready.unwrap());
     }
 
     #[test]
@@ -1579,7 +1812,11 @@ mod tests {
         sim.run_until(SimTime::from_secs(3));
         assert_eq!(sim.world().phase(ALICE), LifecyclePhase::Idle);
         assert_eq!(sim.world().metrics().reaps, 1);
-        assert!(sim.world().tracer.find("reaping idle").is_some());
+        assert!(matches!(
+            events(&sim)[..],
+            [.., JitsuEvent::Reaping { service: 0, dom }, JitsuEvent::Retired { service: 0, dom: retired }]
+                if dom == retired
+        ));
         // Resummon from scratch.
         ConcurrentJitsud::inject_query(&mut sim, SimTime::from_secs(5), ALICE);
         sim.run_until(SimTime::from_secs(6));
@@ -1698,11 +1935,14 @@ mod tests {
         assert_eq!(m.handoff.dropped_bytes, 0);
         assert_eq!(m.handoff.duplicated_bytes, 0);
         assert_eq!(m.handoff.request_latency.count(), 1);
-        assert!(sim
-            .world()
-            .tracer
-            .find("drained")
-            .is_some_and(|line| line.message.contains("over the conduit vchan")));
+        assert!(events(&sim).iter().any(|e| matches!(
+            e,
+            JitsuEvent::Prepared {
+                flushed: 1,
+                drained_bytes: 1..,
+                ..
+            }
+        )));
     }
 
     #[test]
@@ -1739,11 +1979,9 @@ mod tests {
         );
         assert_eq!(m.handoff.dropped_bytes, 0);
         assert_eq!(m.handoff.duplicated_bytes, 0);
-        assert!(sim
-            .world()
-            .tracer
-            .find("parked during the prepare window")
-            .is_some());
+        assert!(events(&sim)
+            .iter()
+            .any(|e| matches!(e, JitsuEvent::Replayed { frames: 1.., .. })));
     }
 
     #[test]

@@ -37,7 +37,9 @@ pub mod handoff;
 pub mod launcher;
 pub mod synjitsu;
 
-pub use concurrent::{ConcurrentJitsud, Lifecycle, LifecyclePhase, StormMetrics, StormSim};
+pub use concurrent::{
+    ConcurrentJitsud, JitsuEvent, Lifecycle, LifecyclePhase, StormMetrics, StormSim,
+};
 pub use config::{JitsuConfig, Protocol, ServiceConfig};
 pub use directory::{DirectoryAction, DirectoryService, ServicePhase};
 pub use fleet::{FleetMsg, FleetSim};

@@ -55,4 +55,4 @@ pub use rng::SimRng;
 pub use series::{DataPoint, Series};
 pub use shard::{Domain, DomainCtx, DomainId, ShardedSim};
 pub use time::{SimDuration, SimTime};
-pub use trace::{TraceEvent, Tracer};
+pub use trace::{Trace, TRACE_CAPACITY};

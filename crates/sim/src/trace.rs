@@ -1,183 +1,136 @@
-//! Lightweight event tracing.
+//! A bounded trace of typed records.
 //!
-//! Components of the simulated substrate emit trace events (domain created,
-//! hotplug script ran, SYN buffered, handoff committed, …) into a [`Tracer`].
-//! Integration tests assert over traces to verify causality and ordering,
-//! and the examples print them to show the end-to-end flow of Figure 6.
+//! A component pushes `(SimTime, E)` records into a [`Trace`], where `E` is
+//! its own `Copy` event type — an enum of what it can report, carrying ids and
+//! counts rather than text. The trace is a ring of [`TRACE_CAPACITY`] records,
+//! allocated in full when it is built, that evicts the oldest record first and
+//! counts how many it evicted: a record costs a push, and a daemon that runs
+//! for as long as its board is up holds the same trace heap at its millionth
+//! launch as at its first. Rendering is the owner's business, because only
+//! the owner can turn its ids back into names.
 
 use crate::time::SimTime;
-use std::fmt;
+use std::collections::VecDeque;
 
-/// One traced event.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// Virtual time at which the event occurred.
-    pub at: SimTime,
-    /// The component that emitted the event (e.g. "jitsud", "synjitsu").
-    pub component: String,
-    /// Human-readable description.
-    pub message: String,
+/// The number of records a [`Trace`] keeps.
+pub const TRACE_CAPACITY: usize = 4096;
+
+/// The last [`TRACE_CAPACITY`] records, oldest first.
+#[derive(Debug)]
+pub struct Trace<E: Copy> {
+    records: VecDeque<(SimTime, E)>,
+    evicted: u64,
 }
 
-impl fmt::Display for TraceEvent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "[{:>12}] {:<12} {}",
-            self.at.to_string(),
-            self.component,
-            self.message
-        )
+impl<E: Copy> Default for Trace<E> {
+    fn default() -> Self {
+        Trace {
+            records: VecDeque::with_capacity(TRACE_CAPACITY),
+            evicted: 0,
+        }
     }
 }
 
-/// An append-only trace of events in virtual-time order of emission.
-#[derive(Debug, Clone, Default)]
-pub struct Tracer {
-    events: Vec<TraceEvent>,
-    enabled: bool,
-}
+impl<E: Copy> Trace<E> {
+    /// An empty trace, its ring allocated.
+    pub fn new() -> Trace<E> {
+        Trace::default()
+    }
 
-impl Tracer {
-    /// Create an enabled tracer.
-    pub fn new() -> Tracer {
-        Tracer {
-            events: Vec::new(),
-            enabled: true,
+    /// Record `event` at `at`, evicting the oldest record if the ring is full.
+    pub fn push(&mut self, at: SimTime, event: E) {
+        if self.records.len() == TRACE_CAPACITY {
+            self.records.pop_front();
+            self.evicted += 1;
         }
+        self.records.push_back((at, event));
     }
 
-    /// Create a disabled tracer that drops all events (for benchmarks).
-    pub fn disabled() -> Tracer {
-        Tracer {
-            events: Vec::new(),
-            enabled: false,
-        }
+    /// The records held, oldest first.
+    pub fn records(&self) -> impl Iterator<Item = (SimTime, E)> + '_ {
+        self.records.iter().copied()
     }
 
-    /// Whether events are being recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Record an event.
-    pub fn emit(&mut self, at: SimTime, component: impl Into<String>, message: impl Into<String>) {
-        if self.enabled {
-            self.events.push(TraceEvent {
-                at,
-                component: component.into(),
-                message: message.into(),
-            });
-        }
-    }
-
-    /// All recorded events.
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
-    }
-
-    /// Number of recorded events.
+    /// Number of records held.
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.records.len()
     }
 
     /// True if nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.records.is_empty()
     }
 
-    /// Events emitted by a particular component.
-    pub fn by_component<'a>(&'a self, component: &'a str) -> impl Iterator<Item = &'a TraceEvent> {
-        self.events.iter().filter(move |e| e.component == component)
-    }
-
-    /// The first event whose message contains `needle`.
-    pub fn find(&self, needle: &str) -> Option<&TraceEvent> {
-        self.events.iter().find(|e| e.message.contains(needle))
-    }
-
-    /// True if an event matching `a` occurs before one matching `b`
-    /// (by position in the trace).
-    pub fn happens_before(&self, a: &str, b: &str) -> bool {
-        let ia = self.events.iter().position(|e| e.message.contains(a));
-        let ib = self.events.iter().position(|e| e.message.contains(b));
-        match (ia, ib) {
-            (Some(x), Some(y)) => x < y,
-            _ => false,
-        }
-    }
-
-    /// Render the full trace as text, one event per line.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for e in &self.events {
-            out.push_str(&e.to_string());
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Remove all recorded events.
-    pub fn clear(&mut self) {
-        self.events.clear();
+    /// How many records were evicted to make room for newer ones.
+    pub fn evicted(&self) -> u64 {
+        self.evicted
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimTime;
+
+    /// A trace with `n` records pushed, the `i`-th being `i` at `i` ms.
+    fn pushed(n: u32) -> Trace<u32> {
+        let mut t = Trace::new();
+        for i in 0..n {
+            t.push(SimTime::from_millis(i as u64), i);
+        }
+        t
+    }
 
     #[test]
-    fn emit_and_query() {
-        let mut t = Tracer::new();
-        t.emit(
-            SimTime::from_millis(1),
-            "jitsud",
-            "DNS query for alice.family.name",
-        );
-        t.emit(SimTime::from_millis(2), "synjitsu", "buffered SYN");
-        t.emit(SimTime::from_millis(300), "unikernel", "handoff committed");
+    fn records_come_back_in_push_order() {
+        let t = pushed(3);
         assert_eq!(t.len(), 3);
-        assert!(!t.is_empty());
-        assert!(t.is_enabled());
-        assert_eq!(t.by_component("synjitsu").count(), 1);
-        assert!(t.find("DNS query").is_some());
-        assert!(t.find("nonexistent").is_none());
-        assert!(t.happens_before("SYN", "handoff"));
-        assert!(!t.happens_before("handoff", "SYN"));
-        assert!(!t.happens_before("SYN", "missing"));
+        assert!(!t.is_empty() && Trace::<u32>::new().is_empty());
+        assert_eq!(
+            t.records().collect::<Vec<_>>(),
+            [0, 1, 2].map(|i| (SimTime::from_millis(i as u64), i))
+        );
+        assert_eq!(t.evicted(), 0);
     }
 
     #[test]
-    fn disabled_tracer_drops_events() {
-        let mut t = Tracer::disabled();
-        t.emit(SimTime::ZERO, "x", "y");
-        assert!(t.is_empty());
-        assert!(!t.is_enabled());
+    fn the_ring_never_holds_more_than_its_capacity() {
+        let mut t = Trace::new();
+        for i in 0..3 * TRACE_CAPACITY {
+            t.push(SimTime::ZERO, i);
+            assert!(t.len() <= TRACE_CAPACITY);
+        }
+        assert_eq!(t.len(), TRACE_CAPACITY);
     }
 
     #[test]
-    fn render_and_clear() {
-        let mut t = Tracer::new();
-        t.emit(SimTime::from_millis(5), "comp", "hello");
-        let s = t.render();
-        assert!(s.contains("comp"));
-        assert!(s.contains("hello"));
-        assert!(s.contains("5.000ms"));
-        t.clear();
-        assert!(t.is_empty());
+    fn the_oldest_record_is_evicted_first() {
+        let last = TRACE_CAPACITY as u32 + 4;
+        let t = pushed(last + 1);
+        let kept: Vec<u32> = t.records().map(|(_, e)| e).collect();
+        assert_eq!(kept.first(), Some(&5));
+        assert!(kept.windows(2).all(|w| w[1] == w[0] + 1));
+        assert_eq!(
+            t.records().last(),
+            Some((SimTime::from_millis(last as u64), last))
+        );
     }
 
     #[test]
-    fn display_format() {
-        let e = TraceEvent {
-            at: SimTime::from_millis(42),
-            component: "builder".into(),
-            message: "domain built".into(),
-        };
-        let s = e.to_string();
-        assert!(s.contains("builder"));
-        assert!(s.contains("domain built"));
+    fn evictions_are_exactly_the_records_pushed_past_capacity() {
+        for pushes in [
+            0,
+            1,
+            TRACE_CAPACITY,
+            TRACE_CAPACITY + 1,
+            2 * TRACE_CAPACITY + 7,
+        ] {
+            let t = pushed(pushes as u32);
+            assert_eq!(
+                t.evicted(),
+                pushes.saturating_sub(TRACE_CAPACITY) as u64,
+                "{pushes} pushes"
+            );
+            assert_eq!(t.len() as u64 + t.evicted(), pushes as u64);
+        }
     }
 }

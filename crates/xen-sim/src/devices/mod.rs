@@ -151,6 +151,18 @@ impl KeyDir {
     }
 }
 
+/// `format!` into a buffer of `capacity` bytes. `format!` sizes its buffer
+/// from the literal text alone, so a name that embeds a domid outgrows it,
+/// and makes a second allocation, once the domid has enough digits; sized
+/// for the largest id, the name costs one allocation at any domid.
+pub(crate) fn format_sized(capacity: usize, args: std::fmt::Arguments<'_>) -> String {
+    let mut s = String::with_capacity(capacity);
+    std::fmt::Write::write_fmt(&mut s, args)
+        // jitsu-lint: allow(P001, "formatting into a String cannot fail")
+        .expect("a String accepts any text");
+    s
+}
+
 /// Read an end's XenBus state key (missing keys read as `Unknown`).
 pub fn read_state(xs: &mut XenStore, reader: DomId, end: &mut KeyDir) -> XenbusState {
     match xs.read_string(reader, None, end.key("state")) {

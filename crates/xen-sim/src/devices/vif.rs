@@ -9,7 +9,8 @@
 //! toolstack.
 
 use super::{
-    backend_path, frontend_path, read_state, write_state, DeviceKind, KeyDir, XenbusState,
+    backend_path, format_sized, frontend_path, read_state, write_state, DeviceKind, KeyDir,
+    XenbusState,
 };
 use crate::bridge::{Bridge, PortId};
 use crate::event_channel::{EventChannelTable, Port};
@@ -137,7 +138,11 @@ impl VifDevice {
             // jitsu-lint: allow(P001, "the port was allocated unbound on the previous lines")
             .expect("unbound port is bindable");
         self.backend_port = Some(backend_port);
-        let port = bridge.attach(format!("vif{}.{}", self.dom.0, self.index));
+        let name = format_sized(
+            "vif4294967295.4294967295".len(),
+            format_args!("vif{}.{}", self.dom.0, self.index),
+        );
+        let port = bridge.attach(name);
         self.bridge_port = Some(port);
 
         let (mut fe, mut be) = Self::ends(self.dom, self.index);

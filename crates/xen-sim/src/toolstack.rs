@@ -20,13 +20,13 @@
 use crate::bridge::Bridge;
 use crate::devices::console::ConsoleDevice;
 use crate::devices::vif::VifDevice;
-use crate::devices::KeyDir;
+use crate::devices::{format_sized, KeyDir};
 use crate::domain::{DomIdAllocator, Domain, DomainConfig, DomainState};
 use crate::domain_builder::{BuildError, BuildReport, DomainBuilder};
 use crate::event_channel::EventChannelTable;
 use crate::grant_table::GrantTable;
 use crate::hotplug::HotplugStyle;
-use jitsu_sim::{SimDuration, SimRng, Tracer};
+use jitsu_sim::{SimDuration, SimRng};
 use platform::Board;
 use std::collections::BTreeMap;
 use xenstore::{DomId, EngineKind, Error as XsError, XenStore};
@@ -227,8 +227,6 @@ pub struct Toolstack {
     vifs: BTreeMap<DomId, VifDevice>,
     consoles: BTreeMap<DomId, ConsoleDevice>,
     rng: SimRng,
-    /// Trace of control-plane events (public so callers can inspect it).
-    pub tracer: Tracer,
 }
 
 impl Toolstack {
@@ -246,7 +244,6 @@ impl Toolstack {
             vifs: BTreeMap::new(),
             consoles: BTreeMap::new(),
             rng: SimRng::seed_from_u64(seed),
-            tracer: Tracer::new(),
         }
     }
 
@@ -354,7 +351,7 @@ impl Toolstack {
                     DomId::DOM0,
                     Some(t),
                     home.key("vm"),
-                    format!("/vm/{}", dom.0).as_bytes(),
+                    format_sized("/vm/4294967295".len(), format_args!("/vm/{}", dom.0)).as_bytes(),
                 )?;
                 Ok(())
             })
@@ -418,11 +415,6 @@ impl Toolstack {
             // jitsu-lint: allow(P001, "Built -> Paused is a legal lifecycle transition by construction")
             .expect("Built -> Paused is legal");
         self.domains.insert(dom, domain);
-        self.tracer.emit(
-            jitsu_sim::SimTime::ZERO,
-            "toolstack",
-            format!("created {} as dom{} in {}", config.name, dom.0, total),
-        );
 
         Ok(CreateReport {
             dom,
@@ -486,11 +478,6 @@ impl Toolstack {
         self.grants.domain_destroyed(dom);
         self.event_channels.domain_destroyed(dom);
         self.xenstore.domain_destroyed(dom);
-        self.tracer.emit(
-            jitsu_sim::SimTime::ZERO,
-            "toolstack",
-            format!("destroyed dom{}", dom.0),
-        );
         Ok(())
     }
 

@@ -38,7 +38,9 @@ fn main() {
     assert_eq!(m.warm_hits, 1);
 
     println!("\n== Control-plane trace (Figure 6's flow) ==");
-    print!("{}", sim.world().tracer.render());
+    print!("{}", sim.world());
+    // Summoning, prepare, handover and ready; the warm hit is not traced.
+    assert_eq!(sim.world().trace().len(), 4);
 
     assert!(warm < cold);
 }

@@ -51,7 +51,7 @@ pub use xenstore;
 /// The types most programs need, in one import.
 pub mod prelude {
     pub use crate::jitsu::concurrent::{
-        ConcurrentJitsud, HandoffStats, LifecyclePhase, StormMetrics, StormSim,
+        ConcurrentJitsud, HandoffStats, JitsuEvent, LifecyclePhase, StormMetrics, StormSim,
     };
     pub use crate::jitsu::config::{JitsuConfig, Protocol, ServiceConfig};
     pub use crate::jitsu::directory::{DirectoryAction, DirectoryService, ServicePhase};

@@ -60,9 +60,46 @@ fn cold_start_serves_the_buffered_request_through_the_handoff() {
     let ttfb = m.ttfb.p50_ms();
     assert!((150.0..450.0).contains(&ttfb), "ttfb = {ttfb} ms");
     // Figure 6's order: summon, hand over, serve the replayed request.
-    let trace = &sim.world().tracer;
-    assert!(trace.happens_before("summoning", "handed over 1 connection(s)"));
-    assert!(trace.happens_before("handed over 1 connection(s)", "ready; replayed 1"));
+    let events: Vec<JitsuEvent> = sim.world().trace().records().map(|(_, e)| e).collect();
+    let find = |wanted: fn(&JitsuEvent) -> bool| events.iter().position(wanted).unwrap();
+    let summoned = find(|e| matches!(e, JitsuEvent::Summoning { .. }));
+    let handed = find(|e| matches!(e, JitsuEvent::HandedOver { connections: 1, .. }));
+    let ready = find(|e| matches!(e, JitsuEvent::Ready { requests: 1, .. }));
+    assert!(summoned < handed && handed < ready, "{events:?}");
+}
+
+#[test]
+fn one_cold_start_traces_summon_prepare_handoff_ready_in_time_order() {
+    let mut sim = board(
+        config_with(&[ALICE]),
+        BoardKind::Cubieboard2,
+        1,
+        &[(ALICE, 0)],
+    );
+    // Up and serving, and long before the 120 s idle reaper.
+    sim.run_until(SimTime::from_secs(1));
+    assert_eq!(sim.world().phase(ALICE), LifecyclePhase::Running);
+    let trace = sim.world().trace();
+    let Some((_, first)) = trace.records().next() else {
+        panic!("nothing traced");
+    };
+    let of_dom: Vec<(SimTime, JitsuEvent)> = trace
+        .records()
+        .filter(|(_, e)| e.dom().is_some() && e.dom() == first.dom())
+        .collect();
+    assert!(
+        matches!(
+            of_dom[..],
+            [
+                (_, JitsuEvent::Summoning { queued: 1, .. }),
+                (_, JitsuEvent::Prepared { flushed: 1, .. }),
+                (_, JitsuEvent::HandedOver { connections: 1, .. }),
+                (_, JitsuEvent::Ready { requests: 1, .. }),
+            ]
+        ),
+        "{of_dom:?}"
+    );
+    assert!(of_dom.windows(2).all(|w| w[0].0 <= w[1].0), "{of_dom:?}");
 }
 
 #[test]

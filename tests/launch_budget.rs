@@ -299,11 +299,22 @@ fn a_cold_start_stays_inside_its_allocation_budget() {
     // domain's ports into a `Vec` (`destroy_domain` 32 -> 31), and the
     // launcher no longer clones every `LaunchOutcome` into a history nothing
     // read.
+    //
+    // PR 27 moved it down from 132,143 allocations and 11,759,427 bytes (836
+    // and 74.4 KB per launch) by 18 allocations and 1.8 KB a launch: the
+    // daemon's trace lines, a `format!`ed message and a component `String`
+    // each, became `Copy` records pushed into a ring the daemon allocated
+    // when it was built, outside this count; and the toolstack's own trace,
+    // a "created" and a "destroyed" line per domain, is gone
+    // (`create_domain` 213 -> 211 and `destroy_domain` 31 -> 29: a line was
+    // its message and its component, two `String`s). The bridge
+    // port's name and the `/vm/<domid>` value are now sized for any domid,
+    // 22 bytes more a launch and no second allocation at five digits.
     assert_eq!(
         cell,
         Cell {
-            allocations: 132_143,
-            bytes: 11_759_427,
+            allocations: 129_230,
+            bytes: 11_476_805,
             launches: 158,
             xenstore_ops: 11_861,
         },
@@ -326,8 +337,8 @@ fn a_cold_start_stays_inside_its_allocation_budget() {
             rm_six_nodes: 8,
             tcb_to_sexp: 1,
             tcb_from_sexp: 1,
-            create_domain: 213,
-            destroy_domain: 31,
+            create_domain: 211,
+            destroy_domain: 29,
         }
     );
     let per_created_ancestor =

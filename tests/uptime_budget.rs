@@ -18,16 +18,17 @@
 //!   launch→reap cycle on the drained board is counted before the first
 //!   slice and after the last, 17,788 launches later.
 //! * **What the heap still holds afterwards is accounted for**, per launch
-//!   and per structure: the two always-on `Tracer`s and the two
-//!   `LatencyRecorder`s are append-only by design (ROADMAP item 1 replaces
-//!   them), and everything else nets to zero.
+//!   and per structure: the two `LatencyRecorder`s are append-only by design
+//!   (ROADMAP item 1 replaces them), and everything else nets to zero. The
+//!   daemon's trace is a ring allocated in full when the daemon is built, so
+//!   it holds the same heap at both ends of the interval.
 //!
 //! The arrivals come from a generator of this file's own, like
 //! `tests/launch_budget.rs`, and for the same reason as that file this one
 //! holds an `unsafe impl` and must stay a single `#[test]`.
 
 use jitsu_repro::prelude::*;
-use jitsu_repro::sim::Tracer;
+use jitsu_repro::sim::TRACE_CAPACITY;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
@@ -116,10 +117,6 @@ fn host_tables(world: &ConcurrentJitsud) -> HostTables {
 #[derive(Debug, PartialEq, Eq, Clone, Copy)]
 struct Heap {
     live: i64,
-    /// `ConcurrentJitsud::tracer`: the events and their two `String`s each.
-    tracer_jitsud: i64,
-    /// `Toolstack::tracer`: "created" and "destroyed", once per domain.
-    tracer_toolstack: i64,
     /// `StormMetrics::ttfb`: one `f64` per served request.
     recorder_ttfb: i64,
     /// `HandoffStats::request_latency`: one `f64` per cold-served request.
@@ -131,21 +128,15 @@ impl Heap {
     fn since(self, earlier: Heap) -> Heap {
         Heap {
             live: self.live - earlier.live,
-            tracer_jitsud: self.tracer_jitsud - earlier.tracer_jitsud,
-            tracer_toolstack: self.tracer_toolstack - earlier.tracer_toolstack,
             recorder_ttfb: self.recorder_ttfb - earlier.recorder_ttfb,
             recorder_request_latency: self.recorder_request_latency
                 - earlier.recorder_request_latency,
         }
     }
 
-    /// `live` less the four named structures.
+    /// `live` less the two named structures.
     fn elsewhere(self) -> i64 {
-        self.live
-            - self.tracer_jitsud
-            - self.tracer_toolstack
-            - self.recorder_ttfb
-            - self.recorder_request_latency
+        self.live - self.recorder_ttfb - self.recorder_request_latency
     }
 }
 
@@ -158,21 +149,10 @@ fn pushed_vec_bytes(len: usize, element: usize) -> i64 {
     }
 }
 
-fn tracer_bytes(tracer: &Tracer) -> i64 {
-    let events = tracer.events();
-    let strings: usize = events
-        .iter()
-        .map(|e| e.component.capacity() + e.message.capacity())
-        .sum();
-    pushed_vec_bytes(events.len(), std::mem::size_of_val(&events[0])) + strings as i64
-}
-
 fn heap(world: &ConcurrentJitsud) -> Heap {
     let m = world.metrics();
     Heap {
         live: LIVE_BYTES.load(Ordering::Relaxed),
-        tracer_jitsud: tracer_bytes(&world.tracer),
-        tracer_toolstack: tracer_bytes(&world.toolstack().tracer),
         recorder_ttfb: pushed_vec_bytes(m.ttfb.count(), 8),
         recorder_request_latency: pushed_vec_bytes(m.handoff.request_latency.count(), 8),
     }
@@ -285,18 +265,19 @@ fn the_last_cycle_costs_what_the_first_did_and_leaves_the_host_as_it_found_it() 
     );
     assert_eq!(world.xenstore().node_count(), steady_nodes);
 
-    // (b) The same cycle, 17,788 launches apart. The two allocations it
-    // gained are two `format!`s that start empty and outgrow a `String`'s
-    // first eight bytes once the domain id has five digits: the bridge port's
-    // name (`vif17815.0`) and the `/vm/17815` value. Nothing that is kept.
+    // (b) The same cycle, 17,788 launches apart, to the allocation. Until
+    // PR 27 it gained two: the bridge port's name (`vif17815.0`) and the
+    // `/vm/17815` value were `format!`s sized for their literal text alone,
+    // which a five-digit domain id outgrew. Both are now sized for any id.
     let launches = marks[SLICES].launches - storm_began.launches;
     assert_eq!(launches, 17_788);
-    assert_eq!((cycle_before, cycle_after), (731, 733));
+    assert_eq!(cycle_before, cycle_after);
+    assert_eq!(cycle_before, 713);
     // Inside the storm, allocations per launch follow the mix of queries —
     // a warm hit or a coalesced query allocates and launches nothing, and
     // the first tenth saw 2.148 queries per launch, the last 2.203 — so the
     // two tenths are pinned side by side rather than held equal; the third
-    // tenth, with 2.198, reads 850.
+    // tenth, with 2.198, reads 831.
     let tenth = |from: usize| {
         let (a, b) = (marks[from], marks[from + TENTH]);
         (b.allocations - a.allocations, b.launches - a.launches)
@@ -304,7 +285,7 @@ fn the_last_cycle_costs_what_the_first_did_and_leaves_the_host_as_it_found_it() 
     let (first, last) = (tenth(0), tenth(SLICES - TENTH));
     assert_eq!(
         (first, last),
-        ((1_513_763, 1_801), (1_458_413, 1_722)),
+        ((1_479_943, 1_801), (1_423_179, 1_722)),
         "{} and {} allocations per launch",
         first.0 / first.1,
         last.0 / last.1
@@ -312,8 +293,12 @@ fn the_last_cycle_costs_what_the_first_did_and_leaves_the_host_as_it_found_it() 
 
     // (c) What the heap keeps per launch, and who keeps it. Both ends of the
     // interval are drained boards, so nothing live muddies the difference:
-    // 1,315 bytes a launch, 944 of them the daemon's trace lines, 326 the
-    // toolstack's two, 44 the latency samples. `elsewhere` is not a leak but
+    // 44 bytes a launch, all of them latency samples. Until PR 27 it was
+    // 1,315: 944 the daemon's free-text trace lines and 326 the toolstack's
+    // two, both kept forever. The daemon's trace is now a ring of typed
+    // records allocated in full when the daemon was built; it has held its
+    // last `TRACE_CAPACITY` records since early in the storm and is the same
+    // size at both ends of the interval. `elsewhere` is not a leak but
     // high-water marks, reached once (it reads 7,792 at 9,600 virtual
     // seconds too): the engine's event queue grown from 32 to 256 entries to
     // take a slice's arrivals at once (7,168), and six small buffers (624).
@@ -321,9 +306,7 @@ fn the_last_cycle_costs_what_the_first_did_and_leaves_the_host_as_it_found_it() 
         (retained, retained.elsewhere()),
         (
             Heap {
-                live: 23_393_087,
-                tracer_jitsud: 16_798_383,
-                tracer_toolstack: 5_800_992,
+                live: 793_712,
                 recorder_ttfb: 524_032,
                 recorder_request_latency: 261_888,
             },
@@ -332,4 +315,7 @@ fn the_last_cycle_costs_what_the_first_did_and_leaves_the_host_as_it_found_it() 
         "{} bytes retained per launch over {launches} launches",
         retained.live / launches as i64
     );
+    let trace = world.trace();
+    assert_eq!(trace.len(), TRACE_CAPACITY);
+    assert!(trace.evicted() > 0);
 }
