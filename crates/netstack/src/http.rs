@@ -5,20 +5,27 @@
 //! throughput experiment serves an HTTP persistent queue from disk (§4).
 //! This module implements just enough of HTTP/1.1 — request line, headers,
 //! `Content-Length` bodies — to drive those workloads realistically.
+//!
+//! A message is its head bytes, where its first-line fields lie in them,
+//! and its body. A built head is written once; a parsed one is a view.
 
 use crate::buf::{FrameBuf, FrameBufMut};
 use crate::{NetError, Result};
-use std::collections::BTreeMap;
+use std::ops::Range;
+
+/// A built response's headers, in name order as they always went out, up
+/// to the Content-Length value.
+const RESPONSE_HEADERS: &str = "\r\nconnection: keep-alive\r\ncontent-length: ";
 
 /// An HTTP request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HttpRequest {
-    /// Method (GET, POST, …).
-    pub method: String,
-    /// Request path.
-    pub path: String,
-    /// Headers with lower-cased names.
-    pub headers: BTreeMap<String, String>,
+    /// The request line and headers, through the blank line.
+    head: FrameBuf,
+    /// Where the method lies in `head`.
+    method: Range<usize>,
+    /// Where the path lies in `head`.
+    path: Range<usize>,
     /// Body bytes: a view into the received buffer.
     pub body: FrameBuf,
 }
@@ -26,12 +33,12 @@ pub struct HttpRequest {
 impl HttpRequest {
     /// Build a GET request with a Host header.
     pub fn get(path: &str, host: &str) -> HttpRequest {
-        let mut headers = BTreeMap::new();
-        headers.insert("host".to_string(), host.to_string());
+        let (head, [method, _, path, ..]) =
+            write_head(["GET", " ", path, " HTTP/1.1\r\nhost: ", host]);
         HttpRequest {
-            method: "GET".to_string(),
-            path: path.to_string(),
-            headers,
+            head,
+            method,
+            path,
             body: FrameBuf::empty(),
         }
     }
@@ -39,62 +46,70 @@ impl HttpRequest {
     /// Build a POST request with a body.
     pub fn post(path: &str, host: &str, body: impl Into<FrameBuf>) -> HttpRequest {
         let body = body.into();
-        let mut headers = BTreeMap::new();
-        headers.insert("host".to_string(), host.to_string());
-        headers.insert("content-length".to_string(), body.len().to_string());
+        let mut digits = [0; 20];
+        let length = decimal(body.len(), &mut digits);
+        // The headers go out in name order, as they always have.
+        let (head, [method, _, path, ..]) = write_head([
+            "POST",
+            " ",
+            path,
+            " HTTP/1.1\r\ncontent-length: ",
+            length,
+            "\r\nhost: ",
+            host,
+        ]);
         HttpRequest {
-            method: "POST".to_string(),
-            path: path.to_string(),
-            headers,
+            head,
+            method,
+            path,
             body,
         }
     }
 
-    /// Serialise to wire bytes: the length is computed first, so the
-    /// message is written once into a buffer of exactly that size.
+    /// The method (GET, POST, …).
+    pub fn method(&self) -> &str {
+        field(&self.head, &self.method)
+    }
+
+    /// The request path.
+    pub fn path(&self) -> &str {
+        field(&self.head, &self.path)
+    }
+
+    /// The trimmed value of the last header called `name`, compared without
+    /// regard to ASCII case. Decodes the head on every call.
+    pub fn header(&self, name: &str) -> Option<&str> {
+        last_header(&self.head, name)
+    }
+
+    /// Serialise to wire bytes: the head as written, then the body.
     pub fn emit(&self) -> FrameBuf {
-        let request_line = [
-            self.method.as_bytes(),
-            b" ",
-            self.path.as_bytes(),
-            b" HTTP/1.1\r\n",
-        ];
-        emit_message(&request_line, &self.headers, &self.body)
+        FrameBuf::concat(&[self.head.clone(), self.body.clone()])
     }
 
     /// Parse from wire bytes. Returns `Ok(None)` if the buffer does not yet
-    /// contain a complete request (headers plus declared body). The body is
-    /// an O(1) view sharing `buf`'s allocation.
+    /// contain a complete request (headers plus declared body). The head and
+    /// body are O(1) views sharing `buf`'s allocation.
     pub fn parse(buf: &FrameBuf) -> Result<Option<HttpRequest>> {
-        let Some((head, body_start)) = split_head(buf) else {
+        let Some(text) = head_text(buf)? else {
             return Ok(None);
         };
-        let text = String::from_utf8_lossy(head);
-        let mut lines = text.split("\r\n");
-        let request_line = lines.next().unwrap_or_default();
-        let mut parts = request_line.split_whitespace();
-        let method = parts.next().unwrap_or_default().to_string();
-        let path = parts.next().unwrap_or_default().to_string();
-        let version = parts.next().unwrap_or_default();
+        let (line, _) = text.split_once("\r\n").unwrap_or_default();
+        let mut tokens = line.split_whitespace();
+        let method = tokens.next().unwrap_or_default();
+        let path = tokens.next().unwrap_or_default();
+        let version = tokens.next().unwrap_or_default();
         if method.is_empty() || path.is_empty() || !version.starts_with("HTTP/1.") {
-            return Err(NetError::Malformed {
-                layer: "http",
-                what: format!("bad request line: {request_line:?}"),
-            });
+            return Err(malformed(format!("bad request line: {line:?}")));
         }
-        let headers = parse_headers(lines)?;
-        let content_length: usize = headers
-            .get("content-length")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0);
-        if buf.len() < body_start + content_length {
+        let Some(body) = body_after(buf, text)? else {
             return Ok(None);
-        }
+        };
         Ok(Some(HttpRequest {
-            method,
-            path,
-            headers,
-            body: buf.slice(body_start..body_start + content_length),
+            head: buf.slice(..text.len()),
+            method: range_in(text, method),
+            path: range_in(text, path),
+            body,
         }))
     }
 }
@@ -102,12 +117,13 @@ impl HttpRequest {
 /// An HTTP response.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HttpResponse {
-    /// Status code.
+    /// Status code, as the head was built or parsed with. `emit()` writes
+    /// the head, not this field: setting it does not change the code sent.
     pub status: u16,
-    /// Reason phrase.
-    pub reason: String,
-    /// Headers with lower-cased names.
-    pub headers: BTreeMap<String, String>,
+    /// The status line and headers, through the blank line.
+    head: FrameBuf,
+    /// Where the reason phrase lies in `head`.
+    reason: Range<usize>,
     /// Body bytes: a view into the received buffer.
     pub body: FrameBuf,
 }
@@ -120,163 +136,190 @@ impl HttpResponse {
 
     /// A 404 Not Found response.
     pub fn not_found() -> HttpResponse {
-        HttpResponse::with_status(404, "Not Found", b"not found\n".to_vec())
+        HttpResponse::with_status(404, "Not Found", b"not found\n")
     }
 
     /// A 503 Service Unavailable response (what a loaded Jitsu host returns
     /// when it cannot summon another unikernel).
     pub fn unavailable() -> HttpResponse {
-        HttpResponse::with_status(503, "Service Unavailable", b"try another host\n".to_vec())
+        HttpResponse::with_status(503, "Service Unavailable", b"try another host\n")
     }
 
     /// Build a response with an arbitrary status.
     pub fn with_status(status: u16, reason: &str, body: impl Into<FrameBuf>) -> HttpResponse {
         let body = body.into();
-        let mut headers = BTreeMap::new();
-        headers.insert("content-length".to_string(), body.len().to_string());
-        headers.insert("connection".to_string(), "keep-alive".to_string());
+        let mut code_digits = [0; 20];
+        let code = decimal(status.into(), &mut code_digits);
+        let mut length_digits = [0; 20];
+        let length = decimal(body.len(), &mut length_digits);
+        let (head, [_, _, _, reason, ..]) =
+            write_head(["HTTP/1.1 ", code, " ", reason, RESPONSE_HEADERS, length]);
         HttpResponse {
             status,
-            reason: reason.to_string(),
-            headers,
+            head,
+            reason,
             body,
         }
     }
 
-    /// Serialise to wire bytes: the length is computed first, so the
-    /// message is written once into a buffer of exactly that size.
-    pub fn emit(&self) -> FrameBuf {
-        let (digits, start) = decimal(self.status);
-        let status_line = [
-            b"HTTP/1.1 ",
-            &digits[start..],
-            b" ",
-            self.reason.as_bytes(),
-            b"\r\n",
-        ];
-        emit_message(&status_line, &self.headers, &self.body)
+    /// The reason phrase.
+    pub fn reason(&self) -> &str {
+        field(&self.head, &self.reason)
     }
 
-    /// Parse from wire bytes; `Ok(None)` when incomplete. The body is an
-    /// O(1) view sharing `buf`'s allocation.
+    /// As [`HttpRequest::header`].
+    pub fn header(&self, name: &str) -> Option<&str> {
+        last_header(&self.head, name)
+    }
+
+    /// Serialise to wire bytes: the head as written, then the body.
+    pub fn emit(&self) -> FrameBuf {
+        FrameBuf::concat(&[self.head.clone(), self.body.clone()])
+    }
+
+    /// Parse from wire bytes; `Ok(None)` when incomplete. The head and body
+    /// are O(1) views sharing `buf`'s allocation.
     pub fn parse(buf: &FrameBuf) -> Result<Option<HttpResponse>> {
-        let Some((head, body_start)) = split_head(buf) else {
+        let Some(text) = head_text(buf)? else {
             return Ok(None);
         };
-        let text = String::from_utf8_lossy(head);
-        let mut lines = text.split("\r\n");
-        let status_line = lines.next().unwrap_or_default();
-        let mut parts = status_line.splitn(3, ' ');
+        let (line, _) = text.split_once("\r\n").unwrap_or_default();
+        let mut parts = line.splitn(3, ' ');
         let version = parts.next().unwrap_or_default();
-        let status: u16 =
-            parts
-                .next()
-                .unwrap_or_default()
-                .parse()
-                .map_err(|_| NetError::Malformed {
-                    layer: "http",
-                    what: format!("bad status line: {status_line:?}"),
-                })?;
+        let code = parts.next().unwrap_or_default();
+        // No reason phrase: the empty text at the end of the line.
+        let reason = parts.next().unwrap_or(&line[line.len()..]);
+        let Ok(status) = code.parse() else {
+            return Err(malformed(format!("bad status line: {line:?}")));
+        };
         if !version.starts_with("HTTP/1.") {
-            return Err(NetError::Malformed {
-                layer: "http",
-                what: format!("bad version in: {status_line:?}"),
-            });
+            return Err(malformed(format!("bad version in: {line:?}")));
         }
-        let reason = parts.next().unwrap_or_default().to_string();
-        let headers = parse_headers(lines)?;
-        let content_length: usize = headers
-            .get("content-length")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0);
-        if buf.len() < body_start + content_length {
+        let Some(body) = body_after(buf, text)? else {
             return Ok(None);
-        }
+        };
         Ok(Some(HttpResponse {
             status,
-            reason,
-            headers,
-            body: buf.slice(body_start..body_start + content_length),
+            head: buf.slice(..text.len()),
+            reason: range_in(text, reason),
+            body,
         }))
     }
 }
 
-/// The decimal digits of `n`, right-aligned in the returned array from the
-/// returned index on.
-fn decimal(mut n: u16) -> ([u8; 5], usize) {
-    let mut digits = [b'0'; 5];
+/// Write `pieces` and the blank line that ends a head into one buffer sized
+/// up front. Returns the head and where each piece lies in it.
+fn write_head<const N: usize>(pieces: [&str; N]) -> (FrameBuf, [Range<usize>; N]) {
+    let len: usize = pieces.iter().map(|piece| piece.len()).sum();
+    let mut head = FrameBufMut::with_capacity(len + "\r\n\r\n".len());
+    let ranges = pieces.map(|piece| {
+        let start = head.len();
+        head.extend_from_slice(piece.as_bytes());
+        start..head.len()
+    });
+    head.extend_from_slice(b"\r\n\r\n");
+    (head.freeze(), ranges)
+}
+
+/// The head at the front of `buf`, through its blank line, checked to be
+/// UTF-8; `Ok(None)` until the blank line has arrived.
+fn head_text(buf: &[u8]) -> Result<Option<&str>> {
+    let Some(end) = buf.windows(4).position(|w| w == b"\r\n\r\n") else {
+        return Ok(None);
+    };
+    match std::str::from_utf8(&buf[..end + 4]) {
+        Ok(text) => Ok(Some(text)),
+        Err(e) => Err(malformed(format!("head is not UTF-8: {e}"))),
+    }
+}
+
+/// The body after `head` in `buf`, as long as the last Content-Length says
+/// (none, or not a number: empty); `Ok(None)` until all of it has arrived.
+fn body_after(buf: &FrameBuf, head: &str) -> Result<Option<FrameBuf>> {
+    let mut content_length = 0;
+    for header in header_lines(head) {
+        let (name, value) = header?;
+        if name.eq_ignore_ascii_case("content-length") {
+            content_length = value.parse().unwrap_or(0);
+        }
+    }
+    let end = head.len().saturating_add(content_length);
+    if buf.len() < end {
+        return Ok(None);
+    }
+    Ok(Some(buf.slice(head.len()..end)))
+}
+
+/// A head's header lines, split at the first colon into trimmed names and values.
+fn header_lines(head: &str) -> impl Iterator<Item = Result<(&str, &str)>> {
+    let lines = head.split("\r\n").skip(1).filter(|line| !line.is_empty());
+    lines.map(|line| match line.split_once(':') {
+        Some((name, value)) => Ok((name.trim(), value.trim())),
+        None => Err(malformed(format!("bad header line: {line:?}"))),
+    })
+}
+
+/// The value of the last header in `head` called `name`, in any ASCII case.
+fn last_header<'a>(head: &'a [u8], name: &str) -> Option<&'a str> {
+    let text = std::str::from_utf8(head).ok()?;
+    let named = header_lines(text).flatten();
+    let (_, value) = named.filter(|(n, _)| n.eq_ignore_ascii_case(name)).last()?;
+    Some(value)
+}
+
+/// The text at `range` in a head: only the field's own bytes are decoded.
+/// `parse` checked the head is UTF-8 (a built one was written from `&str`s)
+/// and cut `range` at character boundaries.
+fn field<'a>(head: &'a [u8], range: &Range<usize>) -> &'a str {
+    std::str::from_utf8(&head[range.clone()]).unwrap_or_default()
+}
+
+/// Where `part`, a slice of `text`, lies in it.
+fn range_in(text: &str, part: &str) -> Range<usize> {
+    let start = part.as_ptr() as usize - text.as_ptr() as usize;
+    start..start + part.len()
+}
+
+fn malformed(what: String) -> NetError {
+    NetError::Malformed {
+        layer: "http",
+        what,
+    }
+}
+
+/// `n` in decimal, written into the end of `digits` (twenty hold any `usize`).
+fn decimal(mut n: usize, digits: &mut [u8; 20]) -> &str {
     let mut start = digits.len();
-    loop {
+    while start == digits.len() || n > 0 {
         start -= 1;
-        digits[start] = b"0123456789"[usize::from(n % 10)];
+        digits[start] = b"0123456789"[n % 10];
         n /= 10;
-        if n == 0 {
-            return (digits, start);
-        }
     }
-}
-
-/// Write `first_line` (its pieces in order), the headers, the blank line
-/// and the body into one buffer sized up front.
-fn emit_message(
-    first_line: &[&[u8]],
-    headers: &BTreeMap<String, String>,
-    body: &FrameBuf,
-) -> FrameBuf {
-    let first_line_len: usize = first_line.iter().map(|piece| piece.len()).sum();
-    let headers_len: usize = headers
-        .iter()
-        .map(|(k, v)| k.len() + b": ".len() + v.len() + b"\r\n".len())
-        .sum();
-    let mut out =
-        FrameBufMut::with_capacity(first_line_len + headers_len + b"\r\n".len() + body.len());
-    for piece in first_line {
-        out.extend_from_slice(piece);
-    }
-    for (k, v) in headers {
-        out.extend_from_slice(k.as_bytes());
-        out.extend_from_slice(b": ");
-        out.extend_from_slice(v.as_bytes());
-        out.extend_from_slice(b"\r\n");
-    }
-    out.extend_from_slice(b"\r\n");
-    out.extend_from_slice(body);
-    out.freeze()
-}
-
-/// Split a buffer at the `\r\n\r\n` header terminator, returning the header
-/// block and the index where the body starts.
-fn split_head(buf: &[u8]) -> Option<(&[u8], usize)> {
-    buf.windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .map(|idx| (&buf[..idx], idx + 4))
-}
-
-fn parse_headers<'a>(lines: impl Iterator<Item = &'a str>) -> Result<BTreeMap<String, String>> {
-    let mut headers = BTreeMap::new();
-    for line in lines {
-        if line.is_empty() {
-            continue;
-        }
-        let (name, value) = line.split_once(':').ok_or_else(|| NetError::Malformed {
-            layer: "http",
-            what: format!("bad header line: {line:?}"),
-        })?;
-        headers.insert(name.trim().to_ascii_lowercase(), value.trim().to_string());
-    }
-    Ok(headers)
+    std::str::from_utf8(&digits[start..]).unwrap_or_default()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn request(raw: &[u8]) -> Result<Option<HttpRequest>> {
+        HttpRequest::parse(&raw.into())
+    }
+
+    fn response(raw: &[u8]) -> Result<Option<HttpResponse>> {
+        HttpResponse::parse(&raw.into())
+    }
+
     #[test]
     fn request_round_trip() {
         let req = HttpRequest::get("/photos/cat.jpg", "alice.family.name");
-        let parsed = HttpRequest::parse(&req.emit()).unwrap().unwrap();
+        let emitted = req.emit();
+        assert!(emitted.shares_allocation(&req.emit()), "the head, no copy");
+        let parsed = request(&emitted).unwrap().unwrap();
         assert_eq!(parsed, req);
-        assert_eq!(parsed.headers["host"], "alice.family.name");
+        assert_eq!(parsed.method(), "GET");
+        assert_eq!(parsed.path(), "/photos/cat.jpg");
+        assert_eq!(parsed.header("host"), Some("alice.family.name"));
     }
 
     #[test]
@@ -284,64 +327,81 @@ mod tests {
         let req = HttpRequest::post("/queue", "q.local", b"item-1".to_vec());
         let emitted = req.emit();
         let parsed = HttpRequest::parse(&emitted).unwrap().unwrap();
+        assert_eq!(parsed, req);
+        assert_eq!(parsed.header("content-length"), Some("6"));
         assert_eq!(parsed.body, b"item-1");
         assert!(parsed.body.shares_allocation(&emitted));
-        assert_eq!(parsed.headers["content-length"], "6");
     }
 
     #[test]
     fn response_round_trip() {
         let resp = HttpResponse::ok(b"<html>hello</html>".to_vec());
-        let parsed = HttpResponse::parse(&resp.emit()).unwrap().unwrap();
+        let parsed = response(&resp.emit()).unwrap().unwrap();
         assert_eq!(parsed, resp);
-        assert_eq!(parsed.status, 200);
-        let nf = HttpResponse::not_found();
-        assert_eq!(
-            HttpResponse::parse(&nf.emit()).unwrap().unwrap().status,
-            404
-        );
-        let un = HttpResponse::unavailable();
-        assert_eq!(
-            HttpResponse::parse(&un.emit()).unwrap().unwrap().status,
-            503
-        );
+        assert_eq!(parsed.reason(), "OK");
+        assert_eq!(parsed.header("Connection"), Some("keep-alive"));
+        for (built, status) in [
+            (HttpResponse::not_found(), 404),
+            (HttpResponse::unavailable(), 503),
+        ] {
+            assert_eq!(response(&built.emit()).unwrap().unwrap().status, status);
+        }
     }
 
     #[test]
     fn incomplete_messages_return_none() {
-        let req = HttpRequest::post("/q", "h", vec![0; 100]);
-        let bytes = req.emit();
-        // Headers not yet complete.
-        assert_eq!(HttpRequest::parse(&bytes.slice(..10)).unwrap(), None);
-        // Headers complete but body still streaming.
+        let bytes = HttpRequest::post("/q", "h", vec![0; 100]).emit();
         let head_end = bytes.windows(4).position(|w| w == b"\r\n\r\n").unwrap() + 4;
-        assert_eq!(
-            HttpRequest::parse(&bytes.slice(..head_end + 10)).unwrap(),
-            None
-        );
-        // Same for responses.
-        let resp = HttpResponse::ok(vec![0; 50]);
-        let rbytes = resp.emit();
-        assert_eq!(
-            HttpResponse::parse(&rbytes.slice(..rbytes.len() - 1)).unwrap(),
-            None
-        );
+        // Headers not yet complete, then the body still streaming.
+        for cut in [10, head_end + 10] {
+            assert_eq!(request(&bytes[..cut]).unwrap(), None);
+        }
+        let bytes = HttpResponse::ok(vec![0; 50]).emit();
+        assert_eq!(response(&bytes[..bytes.len() - 1]).unwrap(), None);
     }
 
     #[test]
     fn malformed_messages_rejected() {
-        assert!(HttpRequest::parse(&b"NOT A REQUEST\r\n\r\n".into()).is_err());
-        assert!(HttpRequest::parse(&b"GET /x SPDY/9\r\n\r\n".into()).is_err());
-        assert!(HttpRequest::parse(&b"GET / HTTP/1.1\r\nbadheader\r\n\r\n".into()).is_err());
-        assert!(HttpResponse::parse(&b"HTTP/1.1 abc OK\r\n\r\n".into()).is_err());
-        assert!(HttpResponse::parse(&b"ICY 200 OK\r\n\r\n".into()).is_err());
+        assert!(request(b"NOT A REQUEST\r\n\r\n").is_err());
+        assert!(request(b"GET /x SPDY/9\r\n\r\n").is_err());
+        assert!(request(b"GET / HTTP/1.1\r\nbadheader\r\n\r\n").is_err());
+        assert!(response(b"HTTP/1.1 abc OK\r\n\r\n").is_err());
+        assert!(response(b"ICY 200 OK\r\n\r\n").is_err());
+    }
+
+    #[test]
+    fn a_head_that_is_not_utf8_is_malformed() {
+        // It used to be decoded lossily, U+FFFD in place of each bad byte.
+        let err = request(b"GET /caf\xe9 HTTP/1.1\r\n\r\n").unwrap_err();
+        assert!(matches!(err, NetError::Malformed { layer: "http", .. }));
+        assert!(response(b"HTTP/1.1 200 \xff\r\n\r\n").is_err());
+        // Only the head is text: the body may hold any bytes.
+        let raw = b"POST / HTTP/1.1\r\nContent-Length: 2\r\n\r\n\xff\xfe";
+        assert_eq!(request(raw).unwrap().unwrap().body, b"\xff\xfe");
     }
 
     #[test]
     fn headers_are_case_insensitive() {
         let raw = b"GET / HTTP/1.1\r\nHost: x\r\nContent-Length: 2\r\n\r\nok";
-        let parsed = HttpRequest::parse(&raw.into()).unwrap().unwrap();
-        assert_eq!(parsed.headers["host"], "x");
+        let parsed = request(raw).unwrap().unwrap();
+        assert_eq!(parsed.header("host"), Some("x"));
+        assert_eq!(parsed.header("HOST"), Some("x"));
         assert_eq!(parsed.body, b"ok");
+    }
+
+    #[test]
+    fn the_last_duplicate_header_wins_and_values_are_trimmed() {
+        let raw = b"GET / HTTP/1.1\r\nA:  1 \r\na:\t2 \r\nContent-Length: 1\r\ncontent-length: 3\r\n\r\nabc";
+        let parsed = request(raw).unwrap().unwrap();
+        assert_eq!(parsed.header("A"), Some("2"));
+        assert_eq!(parsed.header("B"), None);
+        assert_eq!(parsed.body, b"abc", "the last Content-Length counts");
+    }
+
+    #[test]
+    fn request_line_tokens_split_on_whitespace() {
+        let parsed = request(b" PUT \t/a HTTP/1.0 x\r\n\r\n").unwrap().unwrap();
+        assert_eq!(parsed.method(), "PUT");
+        assert_eq!(parsed.path(), "/a");
     }
 }

@@ -14,9 +14,13 @@ use crate::buf::{FrameBuf, FrameBufMut};
 use crate::ethernet::{self, EtherType, EthernetFrame, MacAddr};
 use crate::icmp::IcmpEcho;
 use crate::ipv4::{self, Ipv4Addr, Ipv4Packet, PayloadLen, Protocol};
-use crate::tcp::{self, Connection, Listener, TcpFlags, TcpSegment};
+use crate::tcp::{self, Connection, Listener, TcpFlags, TcpSegment, TcpState};
 use crate::udp::UdpDatagram;
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
+
+/// The first port of the ephemeral range [`Interface::tcp_connect`] cycles
+/// through (49152–65535, RFC 6335's dynamic ports).
+const EPHEMERAL_BASE: u16 = 49152;
 
 /// Events surfaced to the application layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,7 +42,11 @@ pub enum IfaceEvent {
         /// single segment is pending (the common case).
         data: FrameBuf,
     },
-    /// The remote side closed a connection.
+    /// The remote side ended a connection: its FIN was accepted, or it
+    /// reset the flow before sending one. Reported once per connection: an
+    /// RST after the FIN raises nothing. For a FIN that leaves the
+    /// connection half-open (`CloseWait`), the last frame `handle_frame`
+    /// returned is the bare ACK of that FIN.
     TcpClosed {
         /// Remote endpoint.
         remote: (Ipv4Addr, u16),
@@ -103,6 +111,8 @@ pub struct Interface {
     pub ip: Ipv4Addr,
     arp_cache: ArpCache,
     listeners: Vec<Listener>,
+    /// Live flows only: a connection leaves the table the moment it is
+    /// `Closed`, by the last ACK of a close or by an RST.
     connections: BTreeMap<ConnKey, Connection>,
     next_ephemeral: u16,
     isn_seed: u32,
@@ -117,7 +127,7 @@ impl Interface {
             arp_cache: ArpCache::new(),
             listeners: Vec::new(),
             connections: BTreeMap::new(),
-            next_ephemeral: 49152,
+            next_ephemeral: EPHEMERAL_BASE,
             isn_seed: u32::from_be_bytes(ip.0).wrapping_mul(2654435761),
         }
     }
@@ -141,7 +151,7 @@ impl Interface {
         }
     }
 
-    /// Number of live TCP connections.
+    /// Number of live TCP connections (closed ones are forgotten).
     pub fn connection_count(&self) -> usize {
         self.connections.len()
     }
@@ -281,20 +291,38 @@ impl Interface {
         }))
     }
 
-    /// Open a TCP connection; returns the SYN frame to transmit.
+    /// Open a TCP connection; returns the SYN frame to transmit. The local
+    /// port is the next ephemeral port that no live connection to
+    /// `(dst, dst_port)` holds.
+    ///
+    /// # Panics
+    ///
+    /// When all 16,384 ephemeral ports already carry a live connection to
+    /// `(dst, dst_port)`.
     pub fn tcp_connect(&mut self, dst: Ipv4Addr, dst_port: u16) -> FrameBuf {
-        let local_port = self.next_ephemeral;
-        self.next_ephemeral = self.next_ephemeral.wrapping_add(1).max(49152);
-        let isn = self
-            .isn_seed
-            .wrapping_add(local_port as u32)
-            .wrapping_mul(69069);
-        let (conn, syn) = Connection::connect(self.ip, local_port, dst, dst_port, isn);
-        self.connections
-            .insert(ConnKey::new(dst, dst_port, local_port), conn);
-        self.tcp_control_frame(dst, &syn)
-            // jitsu-lint: allow(P001, "a SYN is a bare 20-byte header, which always fits one datagram")
-            .expect("a bare TCP header fits")
+        // One lap of the cycle visits every port `next_ephemeral` can reach.
+        for _ in 0..=u16::MAX {
+            let local_port = self.next_ephemeral;
+            self.next_ephemeral = local_port.wrapping_add(1).max(EPHEMERAL_BASE);
+            let Entry::Vacant(slot) = self
+                .connections
+                .entry(ConnKey::new(dst, dst_port, local_port))
+            else {
+                continue;
+            };
+            let isn = self
+                .isn_seed
+                .wrapping_add(local_port as u32)
+                .wrapping_mul(69069);
+            let (conn, syn) = Connection::connect(self.ip, local_port, dst, dst_port, isn);
+            slot.insert(conn);
+            return self
+                .tcp_control_frame(dst, &syn)
+                // jitsu-lint: allow(P001, "a SYN is a bare 20-byte header, which always fits one datagram")
+                .expect("a bare TCP header fits");
+        }
+        // jitsu-lint: allow(P001, "the pinned signature returns a bare frame; only 16,384 live flows to one peer endpoint exhaust the range")
+        panic!("every ephemeral port to {dst:?}:{dst_port} carries a live connection")
     }
 
     /// Send data on an established connection; returns the frame. A
@@ -412,37 +440,40 @@ impl Interface {
             return;
         };
         let key = ConnKey::new(packet.src, seg.src_port, seg.dst_port);
+        let (remote, local_port) = ((packet.src, seg.src_port), seg.dst_port);
         if let Some(conn) = self.connections.get_mut(&key) {
-            let was_established = conn.is_established();
+            let before = conn.state();
             let responses = conn.on_segment(&seg);
-            let newly_established = !was_established && conn.is_established();
+            let after = conn.state();
             let data = conn.take_received();
-            let closed = seg.flags.fin
-                && matches!(
-                    conn.state(),
-                    crate::tcp::TcpState::Closed | crate::tcp::TcpState::CloseWait
-                );
+            if after == TcpState::Closed {
+                // Nothing more can arrive for this flow (the stack keeps no
+                // TIME_WAIT: it has no clock). A late segment draws the RST
+                // any unknown 4-tuple does.
+                self.connections.remove(&key);
+            }
+            // Reported once: in CloseWait or LastAck the peer's FIN already
+            // was, so an RST there ends a flow the application saw end.
+            let fin_reported = matches!(before, TcpState::CloseWait | TcpState::LastAck);
+            let peer_closed = after != before
+                && !fin_reported
+                && (seg.flags.rst
+                    || seg.flags.fin && matches!(after, TcpState::Closed | TcpState::CloseWait));
             for r in responses.iter().flatten() {
                 out.extend(self.tcp_control_frame(packet.src, r));
             }
-            if newly_established {
-                events.push(IfaceEvent::TcpConnected {
-                    remote: (packet.src, seg.src_port),
-                    local_port: seg.dst_port,
-                });
+            if after == TcpState::Established && before != after {
+                events.push(IfaceEvent::TcpConnected { remote, local_port });
             }
             if !data.is_empty() {
                 events.push(IfaceEvent::TcpData {
-                    remote: (packet.src, seg.src_port),
-                    local_port: seg.dst_port,
+                    remote,
+                    local_port,
                     data,
                 });
             }
-            if closed {
-                events.push(IfaceEvent::TcpClosed {
-                    remote: (packet.src, seg.src_port),
-                    local_port: seg.dst_port,
-                });
+            if peer_closed {
+                events.push(IfaceEvent::TcpClosed { remote, local_port });
             }
             return;
         }
@@ -671,16 +702,146 @@ mod tests {
         assert!(client.icmp_echo_request(SERVER_IP, 1, 1, 65_508).is_none());
     }
 
+    /// The TCP segment a frame carries.
+    fn segment(frame: &FrameBuf) -> TcpSegment {
+        let eth = EthernetFrame::parse(frame).unwrap();
+        let ip = Ipv4Packet::parse(&eth.payload).unwrap();
+        TcpSegment::parse(&ip.payload, ip.src, ip.dst).unwrap()
+    }
+
+    /// Connect `client` to port 80 on `server`; returns the local port.
+    fn connect(client: &mut Interface, server: &mut Interface) -> u16 {
+        let syn = client.tcp_connect(SERVER_IP, 80);
+        pump(client, server, vec![syn.slice(..)]);
+        segment(&syn).src_port
+    }
+
+    /// Close the connection on `local_port` from both ends, client first.
+    /// Returns the client's FIN frame.
+    fn close_both(client: &mut Interface, server: &mut Interface, local_port: u16) -> FrameBuf {
+        let fin = client.tcp_close((SERVER_IP, 80), local_port).unwrap();
+        let (_, events) = pump(client, server, vec![fin.slice(..)]);
+        let closed = IfaceEvent::TcpClosed {
+            remote: (CLIENT_IP, local_port),
+            local_port: 80,
+        };
+        assert_eq!(events, [closed]);
+        let server_fin = server.tcp_close((CLIENT_IP, local_port), 80).unwrap();
+        pump(server, client, vec![server_fin]);
+        fin
+    }
+
     #[test]
     fn syn_to_closed_port_gets_rst() {
         let (mut client, mut server) = pair();
         let syn = client.tcp_connect(SERVER_IP, 81); // nothing listening
         let (frames, _) = server.handle_frame(&syn);
         assert_eq!(frames.len(), 1);
-        let eth = EthernetFrame::parse(&frames[0]).unwrap();
-        let ip = Ipv4Packet::parse(&eth.payload).unwrap();
-        let seg = TcpSegment::parse(&ip.payload, ip.src, ip.dst).unwrap();
-        assert!(seg.flags.rst);
+        assert!(segment(&frames[0]).flags.rst);
+    }
+
+    #[test]
+    fn a_full_close_leaves_neither_end_holding_the_flow() {
+        let (mut client, mut server) = pair();
+        server.listen_tcp(80);
+        let port = connect(&mut client, &mut server);
+        assert_eq!(
+            (client.connection_count(), server.connection_count()),
+            (1, 1)
+        );
+        close_both(&mut client, &mut server, port);
+        assert_eq!(
+            (client.connection_count(), server.connection_count()),
+            (0, 0)
+        );
+    }
+
+    #[test]
+    fn an_rst_removes_the_connection() {
+        let (mut client, mut server) = pair();
+        server.listen_tcp(80);
+        let port = connect(&mut client, &mut server);
+        let rst = TcpSegment::control(80, port, 0, 0, TcpFlags::RST);
+        let (out, events) =
+            client.handle_frame(&server.tcp_control_frame(CLIENT_IP, &rst).unwrap());
+        assert!(out.is_empty(), "an RST is never answered");
+        let closed = IfaceEvent::TcpClosed {
+            remote: (SERVER_IP, 80),
+            local_port: port,
+        };
+        assert_eq!(events, [closed]);
+        assert_eq!(client.connection_count(), 0);
+        // After the peer's FIN, which raised `TcpClosed` already, an RST
+        // removes the flow and raises nothing: in CloseWait, and in LastAck
+        // once this end has sent its own FIN.
+        for last_ack in [false, true] {
+            let port = connect(&mut client, &mut server);
+            let fin = client.tcp_close((SERVER_IP, 80), port).unwrap();
+            let (_, events) = pump(&mut client, &mut server, vec![fin]);
+            assert_eq!(events.len(), 1, "the FIN is reported");
+            if last_ack {
+                server.tcp_close((CLIENT_IP, port), 80).unwrap();
+            }
+            let rst = TcpSegment::control(port, 80, 0, 0, TcpFlags::RST);
+            let (out, events) =
+                server.handle_frame(&client.tcp_control_frame(SERVER_IP, &rst).unwrap());
+            assert!(out.is_empty(), "last_ack: {last_ack}");
+            assert!(events.is_empty(), "last_ack: {last_ack}: {events:?}");
+            let flow = server.connection((CLIENT_IP, port), 80);
+            assert!(flow.is_none(), "last_ack: {last_ack}");
+        }
+    }
+
+    #[test]
+    fn a_segment_for_a_reaped_flow_draws_an_rst() {
+        let (mut client, mut server) = pair();
+        server.listen_tcp(80);
+        let port = connect(&mut client, &mut server);
+        let fin = close_both(&mut client, &mut server, port);
+        // The client's FIN again, as a retransmission would carry it.
+        let (out, events) = server.handle_frame(&fin);
+        assert!(events.is_empty());
+        let [rst] = &out[..] else {
+            panic!("one RST answers, got {out:?}");
+        };
+        let (rst, fin) = (segment(rst), segment(&fin));
+        assert!(rst.flags.rst);
+        assert_eq!((rst.dst_port, rst.seq), (port, fin.ack));
+        assert_eq!(server.connection_count(), 0);
+    }
+
+    #[test]
+    fn a_wrapped_ephemeral_port_never_lands_on_a_live_connection() {
+        // The counter wraps from 65,535 to 49,152 after 16,384 connects. It
+        // used to hand out the held port again, and the new connection
+        // silently replaced the live one in the table.
+        let (mut client, mut server) = pair();
+        server.listen_tcp(80);
+        let held = connect(&mut client, &mut server);
+        let before = client.connection((SERVER_IP, 80), held).unwrap().clone();
+        for _ in 0..16_384 {
+            let port = connect(&mut client, &mut server);
+            assert_ne!(port, held, "the held connection's port is reissued");
+            close_both(&mut client, &mut server, port);
+        }
+        assert_eq!(client.connection((SERVER_IP, 80), held), Some(&before));
+        assert_eq!(
+            (client.connection_count(), server.connection_count()),
+            (1, 1)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "every ephemeral port")]
+    fn a_16385th_live_connection_to_one_peer_endpoint_panics() {
+        let mut client = Interface::new(CLIENT_MAC, CLIENT_IP);
+        for _ in 0..16_384 {
+            client.tcp_connect(SERVER_IP, 80);
+        }
+        // Another peer endpoint has a full range of its own.
+        client.tcp_connect(SERVER_IP, 81);
+        assert_eq!(client.connection_count(), 16_385);
+        client.tcp_connect(SERVER_IP, 80);
     }
 
     #[test]

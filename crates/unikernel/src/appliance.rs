@@ -72,8 +72,8 @@ impl Appliance for StaticSiteAppliance {
 
     fn handle(&mut self, request: &HttpRequest, _rng: &mut SimRng) -> (HttpResponse, SimDuration) {
         self.requests_served += 1;
-        let response = match self.pages.get(&request.path) {
-            Some(body) if request.method == "GET" => HttpResponse::ok(body),
+        let response = match self.pages.get(request.path()) {
+            Some(body) if request.method() == "GET" => HttpResponse::ok(body),
             Some(_) => HttpResponse::with_status(405, "Method Not Allowed", FrameBuf::empty()),
             None => HttpResponse::not_found(),
         };
@@ -140,7 +140,7 @@ impl Appliance for QueueAppliance {
     }
 
     fn handle(&mut self, request: &HttpRequest, rng: &mut SimRng) -> (HttpResponse, SimDuration) {
-        match request.method.as_str() {
+        match request.method() {
             "POST" => {
                 let size = request.body.len();
                 self.items.push_back(size);
@@ -219,12 +219,9 @@ mod tests {
         let (resp, _) = q.handle(&HttpRequest::get("/q", "q"), &mut r);
         assert_eq!(resp.status, 204, "empty queue returns no content");
         let (resp, _) = q.handle(
-            &HttpRequest {
-                method: "DELETE".into(),
-                path: "/q".into(),
-                headers: Default::default(),
-                body: FrameBuf::empty(),
-            },
+            &HttpRequest::parse(&b"DELETE /q HTTP/1.1\r\n\r\n".into())
+                .unwrap()
+                .unwrap(),
             &mut r,
         );
         assert_eq!(resp.status, 405);

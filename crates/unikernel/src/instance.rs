@@ -34,7 +34,8 @@ pub struct UnikernelInstance {
     requests_handled: u64,
     /// Partial request views per connection, keyed by (remote, local port).
     /// Each chunk is a view of the frame it arrived in; reassembly
-    /// concatenates them only when a parse is attempted.
+    /// concatenates them only when a parse is attempted. An entry leaves
+    /// when its request completes or its connection closes or is reset.
     partial: Vec<((Ipv4Addr, u16, u16), Vec<FrameBuf>)>,
 }
 
@@ -157,19 +158,37 @@ impl UnikernelInstance {
     /// Feed one Ethernet frame into the instance. Returns the frames to
     /// transmit and the appliance processing time incurred (zero for pure
     /// protocol traffic).
+    ///
+    /// When the client closes, the instance closes its half too (a passive
+    /// close), so neither end keeps the flow. Its FIN+ACK acknowledges all
+    /// that the interface's bare ACK of the client's FIN did, so it takes
+    /// that ACK's place rather than following it: a warm exchange is ten
+    /// frames, not eleven.
     pub fn handle_frame(&mut self, frame: &FrameBuf) -> (Vec<FrameBuf>, SimDuration) {
         let (mut out, events) = self.iface.handle_frame(frame);
+        // The interface's own answers come first; responses follow them.
+        let answers = out.len();
         let mut cost = SimDuration::ZERO;
         for event in events {
-            if let IfaceEvent::TcpData {
-                remote,
-                local_port,
-                data,
-            } = event
-            {
-                if local_port == self.port {
+            match event {
+                IfaceEvent::TcpData {
+                    remote,
+                    local_port,
+                    data,
+                } if local_port == self.port => {
                     cost += self.process_request_bytes(remote, local_port, &data, &mut out);
                 }
+                IfaceEvent::TcpClosed { remote, local_port } if local_port == self.port => {
+                    let key = (remote.0, remote.1, local_port);
+                    self.partial.retain(|(k, _)| *k != key);
+                    // `None` when the flow is already gone: an RST, or a FIN
+                    // that completed a close this end began.
+                    if let Some(fin) = self.iface.tcp_close(remote, local_port) {
+                        out.remove(answers - 1);
+                        out.push(fin);
+                    }
+                }
+                _ => {}
             }
         }
         (out, cost)
@@ -181,10 +200,10 @@ mod tests {
     use super::*;
     use crate::appliance::StaticSiteAppliance;
     use crate::image::ImageKind;
-    use netstack::ethernet::EthernetFrame;
+    use netstack::ethernet::{EtherType, EthernetFrame};
     use netstack::http::HttpResponse;
-    use netstack::ipv4::Ipv4Packet;
-    use netstack::tcp::TcpSegment;
+    use netstack::ipv4::{Ipv4Packet, Protocol};
+    use netstack::tcp::{TcpFlags, TcpSegment};
     use platform::BoardKind;
 
     const SERVER_MAC: MacAddr = MacAddr([2, 0, 0, 0, 0, 0x20]);
@@ -328,6 +347,43 @@ mod tests {
         let ev2 = pump(&mut client, &mut server, f2);
         assert!(ev2.iter().any(|e| matches!(e, IfaceEvent::TcpData { .. })));
         assert_eq!(server.requests_handled(), 1);
+    }
+
+    /// A frame from the client carrying `seg`.
+    fn client_frame(seg: &TcpSegment) -> FrameBuf {
+        let ip = Ipv4Packet::new(
+            CLIENT_IP,
+            SERVER_IP,
+            Protocol::Tcp,
+            seg.emit(CLIENT_IP, SERVER_IP),
+        );
+        EthernetFrame::new(SERVER_MAC, CLIENT_MAC, EtherType::Ipv4, ip.emit()).emit()
+    }
+
+    #[test]
+    fn a_half_received_request_is_forgotten_when_its_connection_ends() {
+        for reset in [false, true] {
+            let mut server = instance();
+            let mut client = Interface::new(CLIENT_MAC, CLIENT_IP);
+            client.add_arp_entry(SERVER_IP, SERVER_MAC);
+            server.iface.add_arp_entry(CLIENT_IP, CLIENT_MAC);
+            let syn = client.tcp_connect(SERVER_IP, 80);
+            pump(&mut client, &mut server, syn);
+            let half = &HttpRequest::get("/", "alice").emit()[..10];
+            let f = client.tcp_send((SERVER_IP, 80), 49152, half).unwrap();
+            pump(&mut client, &mut server, f);
+            assert_eq!(server.partial.len(), 1, "the half request waits");
+            let end = if reset {
+                let rst = TcpSegment::control(49152, 80, 0, 0, TcpFlags::RST);
+                client_frame(&rst)
+            } else {
+                client.tcp_close((SERVER_IP, 80), 49152).unwrap()
+            };
+            pump(&mut client, &mut server, end);
+            assert!(server.partial.is_empty(), "reset: {reset}");
+            assert_eq!(server.iface.connection_count(), 0, "reset: {reset}");
+            assert_eq!(server.requests_handled(), 0);
+        }
     }
 
     #[test]

@@ -86,7 +86,7 @@ fn main() {
     // which forwards only well-formed requests for the one allowed path.
     let allowed = HttpRequest::get("/status", "camera.family.name");
     let blocked = HttpRequest::get("/cgi-bin/../../etc/passwd", "camera.family.name");
-    let forward = |req: &HttpRequest| req.path == "/status" && req.method == "GET";
+    let forward = |req: &HttpRequest| req.path() == "/status" && req.method() == "GET";
     println!(
         "  GET /status                         -> forwarded: {}",
         forward(&allowed)

@@ -4,13 +4,20 @@
 //! delivery, HTTP reassembly — hands out `FrameBuf` views of that single
 //! allocation, and the tests here prove it with `shares_allocation`
 //! assertions on real end-to-end exchanges.
+//!
+//! The last two tests pin the exchange itself: its ten frames, flag by flag,
+//! and the order in which a unikernel answers a request that arrives with
+//! the client's FIN.
 
 use jitsu_repro::conduit::vchan::{Side, VchanPair};
+use jitsu_repro::netstack::ethernet::{EtherType, EthernetFrame};
 use jitsu_repro::netstack::http::{HttpRequest, HttpResponse};
 use jitsu_repro::netstack::iface::{IfaceEvent, Interface};
+use jitsu_repro::netstack::ipv4::{Ipv4Packet, Protocol};
+use jitsu_repro::netstack::tcp::{TcpFlags, TcpSegment};
 use jitsu_repro::netstack::{FrameBuf, MacAddr};
 use jitsu_repro::prelude::*;
-use jitsu_repro::unikernel::appliance::StaticSiteAppliance;
+use jitsu_repro::unikernel::appliance::{Appliance, StaticSiteAppliance};
 use jitsu_repro::unikernel::image::UnikernelImage;
 use jitsu_repro::unikernel::instance::UnikernelInstance;
 use jitsu_repro::xen::event_channel::EventChannelTable;
@@ -192,4 +199,137 @@ fn ring_drains_are_single_allocations_and_empty_drains_are_free() {
         !empty.has_allocation(),
         "an idle ring poll must not allocate"
     );
+}
+
+/// The TCP segment a frame carries.
+fn segment(frame: &FrameBuf) -> TcpSegment {
+    let eth = EthernetFrame::parse(frame).unwrap();
+    let ip = Ipv4Packet::parse(&eth.payload).unwrap();
+    TcpSegment::parse(&ip.payload, ip.src, ip.dst).unwrap()
+}
+
+/// One warm exchange as the benchmark of record drives it — connect, GET,
+/// read the response, close once the line is quiet — with every frame in
+/// the order it went on the wire.
+#[test]
+fn a_warm_exchange_is_ten_frames_and_leaves_no_connection_behind() {
+    let mut server = unikernel();
+    let mut client = Interface::new(CLIENT_MAC, CLIENT_IP);
+    client.add_arp_entry(SERVER_IP, SERVER_MAC);
+    let mut wire = Vec::new();
+    let mut to_server = vec![client.tcp_connect(SERVER_IP, 80)];
+    let mut connection = None;
+    let mut response = Vec::new();
+    for _ in 0..16 {
+        if to_server.is_empty() {
+            match connection.take() {
+                Some((remote, port)) => {
+                    to_server.extend(client.tcp_close(remote, port));
+                    continue;
+                }
+                None => break,
+            }
+        }
+        let mut to_client = Vec::new();
+        for frame in to_server.drain(..) {
+            to_client.extend(server.handle_frame(&frame).0);
+            wire.push(frame);
+        }
+        for frame in to_client {
+            let (out, events) = client.handle_frame(&frame);
+            wire.push(frame);
+            to_server.extend(out);
+            for event in events {
+                match event {
+                    IfaceEvent::TcpConnected { remote, local_port } => {
+                        connection = Some((remote, local_port));
+                        let request = HttpRequest::get("/", "alice").emit();
+                        to_server.extend(client.tcp_send(remote, local_port, request));
+                    }
+                    IfaceEvent::TcpData { data, .. } => response.extend_from_slice(&data),
+                    _ => {}
+                }
+            }
+        }
+    }
+    let flags: Vec<TcpFlags> = wire.iter().map(|f| segment(f).flags).collect();
+    use TcpFlags as F;
+    assert_eq!(
+        flags,
+        [
+            F::SYN,
+            F::SYN_ACK,
+            F::ACK,
+            F::PSH_ACK,
+            F::ACK,
+            F::PSH_ACK,
+            F::ACK,
+            F::FIN_ACK,
+            F::FIN_ACK,
+            F::ACK
+        ]
+    );
+    let parsed = HttpResponse::parse(&FrameBuf::from_vec(response))
+        .unwrap()
+        .unwrap();
+    assert_eq!(parsed.status, 200);
+    assert_eq!(server.iface.connection_count(), 0);
+    assert_eq!(client.connection_count(), 0);
+}
+
+/// A client that sends its request and its FIN in one segment is answered
+/// in sequence order: the ACK, the whole response, then the FIN+ACK.
+#[test]
+fn a_request_and_a_fin_in_one_segment_are_answered_ack_response_fin() {
+    let mut server = unikernel();
+    let mut client = Interface::new(CLIENT_MAC, CLIENT_IP);
+    client.add_arp_entry(SERVER_IP, SERVER_MAC);
+    let syn = client.tcp_connect(SERVER_IP, 80);
+    let (syn_ack, _) = server.handle_frame(&syn);
+    let (ack, _) = client.handle_frame(&syn_ack[0]);
+    server.handle_frame(&ack[0]);
+
+    let request = HttpRequest::get("/", "alice").emit();
+    let mut last = segment(
+        &client
+            .tcp_send((SERVER_IP, 80), 49152, &request)
+            .expect("the connection is established"),
+    );
+    last.flags.fin = true;
+    let ip = Ipv4Packet::new(
+        CLIENT_IP,
+        SERVER_IP,
+        Protocol::Tcp,
+        last.emit(CLIENT_IP, SERVER_IP),
+    );
+    let frame = EthernetFrame::new(SERVER_MAC, CLIENT_MAC, EtherType::Ipv4, ip.emit()).emit();
+
+    let (out, _) = server.handle_frame(&frame);
+    let segments: Vec<TcpSegment> = out.iter().map(segment).collect();
+    let [data_ack, reply, fin] = &segments[..] else {
+        panic!("three frames answer, got {segments:?}");
+    };
+    let request_end = last.seq.wrapping_add(request.len() as u32);
+    assert_eq!((data_ack.flags, data_ack.ack), (TcpFlags::ACK, request_end));
+    let (expected, _) = StaticSiteAppliance::new("alice").handle(
+        &HttpRequest::get("/", "alice"),
+        &mut SimRng::seed_from_u64(0),
+    );
+    assert_eq!(reply.flags, TcpFlags::PSH_ACK);
+    assert_eq!(reply.payload, expected.emit(), "the response is byte-exact");
+    assert_eq!((fin.flags, fin.ack), (TcpFlags::FIN_ACK, request_end + 1));
+    assert_eq!(fin.seq, reply.seq.wrapping_add(reply.payload.len() as u32));
+
+    // The client's ACK of that FIN ends the flow on the server too.
+    let last_ack = TcpSegment::control(49152, 80, request_end + 1, fin.seq + 1, TcpFlags::ACK);
+    let ip = Ipv4Packet::new(
+        CLIENT_IP,
+        SERVER_IP,
+        Protocol::Tcp,
+        last_ack.emit(CLIENT_IP, SERVER_IP),
+    );
+    server.handle_frame(
+        &EthernetFrame::new(SERVER_MAC, CLIENT_MAC, EtherType::Ipv4, ip.emit()).emit(),
+    );
+    assert_eq!(server.iface.connection_count(), 0);
 }

@@ -310,11 +310,19 @@ fn a_cold_start_stays_inside_its_allocation_budget() {
     // its message and its component, two `String`s). The bridge
     // port's name and the `/vm/<domid>` value are now sized for any domid,
     // 22 bytes more a launch and no second allocation at five digits.
+    //
+    // An HTTP message becoming its head bytes plus offsets moved it down from
+    // 129,230 allocations and 11,476,805 bytes (817 and 72.6 KB per launch)
+    // by 23 allocations and 2.9 KB a launch: storm clients build their GETs,
+    // the unikernel parses them and builds its responses, and the daemon
+    // builds each service's expected response, none of it with a `String`
+    // or a `BTreeMap` node any more. No storm client closes a connection, so
+    // reaping closed flows frees nothing here.
     assert_eq!(
         cell,
         Cell {
-            allocations: 129_230,
-            bytes: 11_476_805,
+            allocations: 125_520,
+            bytes: 11_018_441,
             launches: 158,
             xenstore_ops: 11_861,
         },

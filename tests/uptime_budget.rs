@@ -272,12 +272,16 @@ fn the_last_cycle_costs_what_the_first_did_and_leaves_the_host_as_it_found_it() 
     let launches = marks[SLICES].launches - storm_began.launches;
     assert_eq!(launches, 17_788);
     assert_eq!(cycle_before, cycle_after);
-    assert_eq!(cycle_before, 713);
+    // 713 until HTTP messages became their head bytes plus offsets: the
+    // cycle's client builds a GET and the unikernel parses it and builds the
+    // response with 21 fewer `String`s and `BTreeMap` nodes between them.
+    assert_eq!(cycle_before, 692);
     // Inside the storm, allocations per launch follow the mix of queries —
     // a warm hit or a coalesced query allocates and launches nothing, and
     // the first tenth saw 2.148 queries per launch, the last 2.203 — so the
     // two tenths are pinned side by side rather than held equal; the third
-    // tenth, with 2.198, reads 831.
+    // tenth, with 2.198, reads 807. (Before HTTP messages became views the
+    // three read 821, 826 and 831.)
     let tenth = |from: usize| {
         let (a, b) = (marks[from], marks[from + TENTH]);
         (b.allocations - a.allocations, b.launches - a.launches)
@@ -285,7 +289,7 @@ fn the_last_cycle_costs_what_the_first_did_and_leaves_the_host_as_it_found_it() 
     let (first, last) = (tenth(0), tenth(SLICES - TENTH));
     assert_eq!(
         (first, last),
-        ((1_479_943, 1_801), (1_423_179, 1_722)),
+        ((1_437_412, 1_801), (1_382_002, 1_722)),
         "{} and {} allocations per launch",
         first.0 / first.1,
         last.0 / last.1

@@ -6,6 +6,9 @@
 //! an ICMP echo and an ARP exchange — recorded while each protocol layer
 //! still built and sealed its own buffer. The frame path now composes
 //! `eth | ip | l4 | payload` once; the bytes it produces must be those.
+//! `golden/http_messages.txt` does the same for every HTTP message
+//! constructor's `emit()`, recorded while a message was still `String`s in a
+//! `BTreeMap`.
 //!
 //! The property test below covers what a fixed script cannot: for random
 //! addresses, ports and payload sizes up to 20 KiB, every frame of a
@@ -13,6 +16,7 @@
 //! a view of the frame, and equals the three pinned `emit()`s nested.
 
 use jitsu_repro::netstack::ethernet::{EtherType, EthernetFrame};
+use jitsu_repro::netstack::http::{HttpRequest, HttpResponse};
 use jitsu_repro::netstack::iface::{IfaceEvent, Interface};
 use jitsu_repro::netstack::ipv4::{Ipv4Packet, Protocol};
 use jitsu_repro::netstack::tcp::TcpSegment;
@@ -131,6 +135,76 @@ fn every_frame_kind_matches_the_bytes_recorded_before_the_codecs_changed() {
     assert!(
         log == GOLDEN,
         "emitted frames differ from tests/golden/wire_frames.txt; emitted:\n{log}"
+    );
+}
+
+const HTTP_GOLDEN: &str = include_str!("golden/http_messages.txt");
+
+/// The `emit()` bytes of every message constructor, recorded while a message
+/// was still a `String`/`BTreeMap` struct serialised field by field. A built
+/// message now writes its head once; its bytes must be those.
+#[test]
+fn every_http_constructor_emits_the_bytes_recorded_before_the_codec_changed() {
+    let page: Vec<u8> = (0..300).map(|i| (i % 251) as u8).collect();
+    let messages = [
+        (
+            "get_root",
+            HttpRequest::get("/", "alice.family.name").emit(),
+        ),
+        ("get_path", HttpRequest::get("/photos/cat.jpg", "h").emit()),
+        (
+            "post_empty",
+            HttpRequest::post("/q", "q.local", Vec::new()).emit(),
+        ),
+        (
+            "post_body",
+            HttpRequest::post("/queue", "q.local", b"item-1".to_vec()).emit(),
+        ),
+        (
+            "post_binary",
+            HttpRequest::post("/upload", "u", page.clone()).emit(),
+        ),
+        ("ok_empty", HttpResponse::ok(FrameBuf::empty()).emit()),
+        (
+            "ok_page",
+            HttpResponse::ok(b"<html>hello</html>".to_vec()).emit(),
+        ),
+        ("ok_binary", HttpResponse::ok(page).emit()),
+        (
+            "status_100",
+            HttpResponse::with_status(100, "Continue", FrameBuf::empty()).emit(),
+        ),
+        (
+            "status_201",
+            HttpResponse::with_status(201, "Created", b"queued\n".to_vec()).emit(),
+        ),
+        (
+            "status_204",
+            HttpResponse::with_status(204, "No Content", FrameBuf::empty()).emit(),
+        ),
+        (
+            "status_400",
+            HttpResponse::with_status(400, "Bad Request", FrameBuf::empty()).emit(),
+        ),
+        (
+            "status_599",
+            HttpResponse::with_status(599, "", b"x".to_vec()).emit(),
+        ),
+        ("not_found", HttpResponse::not_found().emit()),
+        ("unavailable", HttpResponse::unavailable().emit()),
+    ];
+    let mut log = String::new();
+    for (name, bytes) in &messages {
+        log.push_str(&format!(
+            "{name} len={} fnv={:016x} {}\n",
+            bytes.len(),
+            fnv1a(bytes),
+            bytes.escape_ascii()
+        ));
+    }
+    assert!(
+        log == HTTP_GOLDEN,
+        "emitted messages differ from tests/golden/http_messages.txt; emitted:\n{log}"
     );
 }
 
