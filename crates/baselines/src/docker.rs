@@ -4,7 +4,7 @@
 //! triggered from `inetd`, on the Cubieboard2: "A container's start latency
 //! ... is dominated by disk I/O. When running directly from a 10MB/s SD
 //! card, Docker takes at least 1.1s (native Linux) or 1.2s (under Xen) to
-//! spawn a new container ... [with] Docker's volumes on an ext4 loopback
+//! spawn a new container ... \[with\] Docker's volumes on an ext4 loopback
 //! volume inside of a tmpfs ... container start times remained at 600ms or
 //! higher" and "this configuration also generated buffer IO, ext4 and VFS
 //! errors in a significant fraction of tests resulting in early process

@@ -4,8 +4,7 @@
 //! over 5s with the default distribution image" (§4). This model composes
 //! the pieces the rest of the reproduction already has — domain construction
 //! from `xen-sim` and the Linux guest boot pipeline from `unikernel::boot` —
-//! to produce that number, so the comparison in examples and benches is
-//! apples-to-apples with the Jitsu path.
+//! to produce that number with the same costs as the Jitsu path.
 
 use jitsu_sim::SimDuration;
 use platform::Board;

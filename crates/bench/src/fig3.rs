@@ -5,8 +5,8 @@
 //! performs seven toolstack transactions against the shared store (domain
 //! home creation, device frontends/backends, console, teardown), and each
 //! transaction is accompanied by a slug of domain-building CPU work that
-//! must be *redone* if the commit conflicts ("the toolstack [cancels] and
-//! [retries] a large set of domain building RPCs", §3.1). The store is
+//! must be *redone* if the commit conflicts ("the toolstack \[cancels\] and
+//! \[retries\] a large set of domain building RPCs", §3.1). The store is
 //! single-threaded, so store work serialises; toolstack work spreads across
 //! the board's cores.
 //!

@@ -26,4 +26,4 @@ pub mod vchan;
 
 pub use flows::{FlowState, FlowTable};
 pub use rendezvous::{ConduitError, ConduitRegistry, Endpoint};
-pub use vchan::{Vchan, VchanError, VchanPair};
+pub use vchan::{VchanError, VchanPair};

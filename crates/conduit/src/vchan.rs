@@ -92,10 +92,10 @@ impl Ring {
 /// The shared state of an established vchan (both directions).
 ///
 /// In the real system each ring lives in a granted page mapped by both
-/// domains; here the [`VchanPair`] owns the rings and each [`Vchan`]
-/// endpoint addresses them by direction, with the grant references and event
-/// channel ports recorded so the setup path exercises the same hypervisor
-/// interfaces.
+/// domains; here the [`VchanPair`] owns the rings and each endpoint, named
+/// by its [`Side`], addresses them by direction, with the grant references
+/// and event channel ports recorded so the setup path exercises the same
+/// hypervisor interfaces.
 #[derive(Debug)]
 pub struct VchanPair {
     server: DomId,
@@ -120,7 +120,7 @@ pub struct VchanPair {
     bytes_to_client: u64,
 }
 
-/// Which end of the channel a [`Vchan`] handle represents.
+/// Which end of a [`VchanPair`] an operation acts for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Side {
     /// The listening/granting side.
@@ -140,10 +140,10 @@ impl VchanPair {
         client: DomId,
     ) -> Result<VchanPair, VchanError> {
         let server_ring_gref = grants
-            .grant(server, client, false)
+            .grant(server, client)
             .map_err(|e| VchanError::Setup(format!("grant failed: {e:?}")))?;
         let client_ring_gref = grants
-            .grant(server, client, false)
+            .grant(server, client)
             .map_err(|e| VchanError::Setup(format!("grant failed: {e:?}")))?;
         grants
             .map(server, server_ring_gref, client)
@@ -169,22 +169,6 @@ impl VchanPair {
             bytes_to_server: 0,
             bytes_to_client: 0,
         })
-    }
-
-    /// The server-side endpoint handle.
-    pub fn server_end(&self) -> Vchan {
-        Vchan {
-            side: Side::Server,
-            dom: self.server,
-        }
-    }
-
-    /// The client-side endpoint handle.
-    pub fn client_end(&self) -> Vchan {
-        Vchan {
-            side: Side::Client,
-            dom: self.client,
-        }
     }
 
     fn rings(&mut self, side: Side) -> (&mut Ring, &mut Ring, bool) {
@@ -320,11 +304,6 @@ impl VchanPair {
         self.bytes_to_client
     }
 
-    /// Cumulative payload bytes accepted in both directions.
-    pub fn bytes_transferred(&self) -> u64 {
-        self.bytes_to_server + self.bytes_to_client
-    }
-
     /// Close one side of the channel.
     pub fn close(&mut self, side: Side) {
         match side {
@@ -359,15 +338,6 @@ impl VchanPair {
     }
 }
 
-/// A lightweight endpoint handle (which side of which channel).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Vchan {
-    /// Which side this handle is.
-    pub side: Side,
-    /// The domain holding this end.
-    pub dom: DomId,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -385,8 +355,6 @@ mod tests {
         assert_ne!(pair.server_ring_gref, pair.client_ring_gref);
         assert_eq!(grants.grants_of(DomId(3)), 2, "server granted both rings");
         assert!(pair.is_open());
-        assert_eq!(pair.server_end().dom, DomId(3));
-        assert_eq!(pair.client_end().dom, DomId(7));
     }
 
     #[test]
@@ -429,12 +397,11 @@ mod tests {
     #[test]
     fn byte_counters_account_for_every_accepted_byte() {
         let (_grants, mut evtchn, mut pair) = setup();
-        assert_eq!(pair.bytes_transferred(), 0);
+        assert_eq!((pair.bytes_to_server(), pair.bytes_to_client()), (0, 0));
         pair.write(Side::Client, b"hello", &mut evtchn).unwrap();
         pair.write(Side::Server, b"hi", &mut evtchn).unwrap();
         assert_eq!(pair.bytes_to_server(), 5);
         assert_eq!(pair.bytes_to_client(), 2);
-        assert_eq!(pair.bytes_transferred(), 7);
         pair.read(Side::Server, usize::MAX).unwrap();
         pair.read(Side::Client, usize::MAX).unwrap();
         // Counters are cumulative: draining the rings does not reset them,

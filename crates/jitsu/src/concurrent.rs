@@ -54,9 +54,7 @@ use crate::synjitsu::Synjitsu;
 use conduit::flows::FlowTable;
 use conduit::rendezvous::ConduitRegistry;
 use conduit::vchan::Side;
-use jitsu_sim::{
-    LatencyRecorder, Scheduler, Sim, SimDuration, SimRng, SimTime, SummaryStats, Trace,
-};
+use jitsu_sim::{LatencyRecorder, Scheduler, Sim, SimDuration, SimRng, SimTime, Trace};
 use netstack::dns::{DnsMessage, Rcode};
 use netstack::ethernet::{EthernetFrame, MacAddr};
 use netstack::http::HttpRequest;
@@ -339,16 +337,6 @@ pub struct HandoffStats {
     pub request_latency: LatencyRecorder,
 }
 
-impl HandoffStats {
-    /// Summary statistics of the cold-path request latency, in
-    /// milliseconds of virtual time — exact and seed-deterministic, which
-    /// is what lets the `bench_snapshot` harness treat handoff latency as a
-    /// drift-checked virtual metric rather than a noisy wall measurement.
-    pub fn latency_summary(&self) -> Option<SummaryStats> {
-        self.request_latency.summary()
-    }
-}
-
 /// Counters and latency samples accumulated over a storm.
 #[derive(Debug, Default)]
 pub struct StormMetrics {
@@ -398,12 +386,6 @@ impl StormMetrics {
         } else {
             self.servfails as f64 / eligible as f64
         }
-    }
-
-    /// Summary statistics of time-to-first-byte across every served
-    /// request, in milliseconds of virtual time.
-    pub fn ttfb_summary(&self) -> Option<SummaryStats> {
-        self.ttfb.summary()
     }
 }
 
@@ -521,11 +503,6 @@ impl ConcurrentJitsud {
         sim.schedule_at(at, move |sim| Self::on_query(sim, name, None));
     }
 
-    /// The engine's configuration.
-    pub fn config(&self) -> &JitsuConfig {
-        &self.config
-    }
-
     /// Accumulated metrics.
     pub fn metrics(&self) -> &StormMetrics {
         &self.metrics
@@ -581,11 +558,6 @@ impl ConcurrentJitsud {
     /// the bridge and the memory pool a storm left behind).
     pub fn toolstack(&self) -> &xen_sim::toolstack::Toolstack {
         &self.launcher.toolstack
-    }
-
-    /// The directory service (for inspecting phases and counters).
-    pub fn directory(&self) -> &DirectoryService {
-        &self.directory
     }
 
     /// The Synjitsu proxy (for inspecting SYN queues mid-boot).

@@ -82,11 +82,6 @@ impl DirectoryService {
         }
     }
 
-    /// The host configuration.
-    pub fn config(&self) -> &JitsuConfig {
-        &self.config
-    }
-
     /// Record that a service's unikernel is now serving requests (called
     /// when the launch completes).
     pub fn mark_ready(&mut self, name: &str, now: SimTime) {

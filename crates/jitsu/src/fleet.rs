@@ -4,7 +4,7 @@
 //! its own jitsud: a query that a memory-exhausted board answers `SERVFAIL`
 //! makes the client fail over to another board. This module makes each
 //! [`ConcurrentJitsud`] world one [`Domain`] of a
-//! [`ShardedSim`](jitsu_sim::ShardedSim):
+//! [`ShardedSim`]:
 //!
 //! * every board keeps its private XenStore, launcher, Synjitsu and metric
 //!   state — domains are isolated Rust values, so no cross-board state can

@@ -108,11 +108,6 @@ impl HandoffCoordinator {
         }
     }
 
-    /// True if Synjitsu should answer packets for this service right now.
-    pub fn proxy_should_handle(&self, xs: &mut XenStore, name: &str) -> bool {
-        self.phase(xs, name) == HandoffPhase::Proxying
-    }
-
     /// True if the unikernel should answer packets for this service.
     pub fn unikernel_should_handle(&self, xs: &mut XenStore, name: &str) -> bool {
         self.phase(xs, name) == HandoffPhase::Committed
@@ -272,18 +267,23 @@ mod tests {
             h.phase(&mut xs, "alice.family.name"),
             HandoffPhase::Proxying
         );
-        assert!(h.proxy_should_handle(&mut xs, "alice.family.name"));
         assert!(!h.unikernel_should_handle(&mut xs, "alice.family.name"));
 
         h.request_takeover(&mut xs, "alice.family.name").unwrap();
         assert_eq!(h.phase(&mut xs, "alice.family.name"), HandoffPhase::Prepare);
         // During prepare, *neither* side answers new packets.
-        assert!(!h.proxy_should_handle(&mut xs, "alice.family.name"));
+        assert_ne!(
+            h.phase(&mut xs, "alice.family.name"),
+            HandoffPhase::Proxying
+        );
         assert!(!h.unikernel_should_handle(&mut xs, "alice.family.name"));
 
         h.commit_phase_only(&mut xs, "alice.family.name").unwrap();
         assert!(h.unikernel_should_handle(&mut xs, "alice.family.name"));
-        assert!(!h.proxy_should_handle(&mut xs, "alice.family.name"));
+        assert_ne!(
+            h.phase(&mut xs, "alice.family.name"),
+            HandoffPhase::Proxying
+        );
     }
 
     #[test]

@@ -56,11 +56,6 @@ impl Synjitsu {
         self.syns_intercepted
     }
 
-    /// Number of services currently being proxied.
-    pub fn proxied_services(&self) -> usize {
-        self.services.len()
-    }
-
     /// Number of live connections currently proxied for one service (the
     /// length of its SYN queue while its unikernel boots).
     pub fn proxied_connection_count(&self, name: &str) -> usize {
@@ -427,7 +422,8 @@ mod tests {
             .handle_frame(&mut xs, "nobody.family.name", &syn_frame)
             .unwrap();
         assert!(out.is_empty());
-        assert_eq!(synjitsu.proxied_services(), 0);
+        assert!(!synjitsu.is_proxying("nobody.family.name"));
+        assert_eq!(synjitsu.syns_intercepted(), 0);
     }
 
     #[test]

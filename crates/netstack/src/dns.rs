@@ -1,4 +1,4 @@
-//! DNS messages and a tiny authoritative responder.
+//! DNS messages.
 //!
 //! The Jitsu directory service *is* a DNS server: the board is registered as
 //! `ns.family.name`, and a query for `alice.family.name` either returns the
@@ -182,7 +182,10 @@ impl DnsMessage {
         let qdcount = u16::from_be_bytes([buf[4], buf[5]]) as usize;
         let ancount = u16::from_be_bytes([buf[6], buf[7]]) as usize;
         let mut pos = 12;
-        let mut questions = Vec::with_capacity(qdcount);
+        // The counts are the sender's word; the bytes are not. Reserve no
+        // more records than the rest of the message could hold: a question
+        // is at least 5 bytes (root name, type, class) and an answer 11.
+        let mut questions = Vec::with_capacity(qdcount.min((buf.len() - pos) / 5));
         for _ in 0..qdcount {
             let name = parse_name(buf, &mut pos)?;
             if pos + 4 > buf.len() {
@@ -196,7 +199,7 @@ impl DnsMessage {
             pos += 4; // type + class
             questions.push(Question { name, qtype });
         }
-        let mut answers = Vec::with_capacity(ancount);
+        let mut answers = Vec::with_capacity(ancount.min((buf.len() - pos) / 11));
         for _ in 0..ancount {
             let name = parse_name(buf, &mut pos)?;
             if pos + 10 > buf.len() {
@@ -277,82 +280,6 @@ fn parse_name(buf: &[u8], pos: &mut usize) -> Result<String> {
     Ok(labels.join("."))
 }
 
-/// A static authoritative zone: name → address mappings plus the zone apex.
-#[derive(Debug, Clone, Default)]
-pub struct Zone {
-    /// The zone apex, e.g. `family.name`.
-    pub origin: String,
-    records: Vec<(String, Ipv4Addr)>,
-    /// TTL handed out with answers.
-    pub ttl: u32,
-}
-
-impl Zone {
-    /// Create a zone rooted at `origin`.
-    pub fn new(origin: &str, ttl: u32) -> Zone {
-        Zone {
-            origin: origin.trim_matches('.').to_string(),
-            records: Vec::new(),
-            ttl,
-        }
-    }
-
-    /// Add (or replace) an A record for a fully-qualified name.
-    pub fn add_record(&mut self, name: &str, addr: Ipv4Addr) {
-        let name = name.trim_matches('.').to_string();
-        if let Some(r) = self.records.iter_mut().find(|(n, _)| *n == name) {
-            r.1 = addr;
-        } else {
-            self.records.push((name, addr));
-        }
-    }
-
-    /// Remove a record.
-    pub fn remove_record(&mut self, name: &str) {
-        let name = name.trim_matches('.');
-        self.records.retain(|(n, _)| n != name);
-    }
-
-    /// Look up a name.
-    pub fn lookup(&self, name: &str) -> Option<Ipv4Addr> {
-        let name = name.trim_matches('.');
-        self.records
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, a)| *a)
-    }
-
-    /// True if the name falls within this zone.
-    pub fn contains(&self, name: &str) -> bool {
-        let name = name.trim_matches('.');
-        name == self.origin || name.ends_with(&format!(".{}", self.origin))
-    }
-
-    /// Number of records in the zone.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// True if the zone holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Answer a query from the zone contents alone: an A answer for known
-    /// names, `NXDOMAIN` for unknown names inside the zone, and `None` for
-    /// names outside the zone (the caller may recurse or refuse).
-    pub fn respond(&self, query: &DnsMessage) -> Option<DnsMessage> {
-        let name = query.queried_name()?;
-        if !self.contains(name) {
-            return None;
-        }
-        match self.lookup(name) {
-            Some(addr) => Some(DnsMessage::answer(query, addr, self.ttl)),
-            None => Some(DnsMessage::error(query, Rcode::NxDomain)),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -404,38 +331,18 @@ mod tests {
     }
 
     #[test]
-    fn zone_lookup_and_membership() {
-        let mut zone = Zone::new("family.name", 60);
-        assert!(zone.is_empty());
-        zone.add_record("alice.family.name", Ipv4Addr::new(192, 168, 1, 20));
-        zone.add_record("bob.family.name", Ipv4Addr::new(192, 168, 1, 21));
-        zone.add_record("alice.family.name", Ipv4Addr::new(192, 168, 1, 22)); // replace
-        assert_eq!(zone.len(), 2);
-        assert_eq!(
-            zone.lookup("alice.family.name"),
-            Some(Ipv4Addr::new(192, 168, 1, 22))
-        );
-        assert!(zone.contains("anything.family.name"));
-        assert!(zone.contains("family.name"));
-        assert!(!zone.contains("example.com"));
-        zone.remove_record("bob.family.name");
-        assert_eq!(zone.lookup("bob.family.name"), None);
-    }
-
-    #[test]
-    fn zone_responds_with_answer_nxdomain_or_nothing() {
-        let mut zone = Zone::new("family.name", 60);
-        zone.add_record("alice.family.name", Ipv4Addr::new(192, 168, 1, 20));
-
-        let q = DnsMessage::query(1, "alice.family.name");
-        let resp = zone.respond(&q).unwrap();
-        assert_eq!(resp.rcode, Rcode::NoError);
-        assert_eq!(resp.answers[0].addr, Ipv4Addr::new(192, 168, 1, 20));
-
-        let q = DnsMessage::query(2, "carol.family.name");
-        assert_eq!(zone.respond(&q).unwrap().rcode, Rcode::NxDomain);
-
-        let q = DnsMessage::query(3, "example.com");
-        assert!(zone.respond(&q).is_none());
+    fn a_header_that_promises_more_records_than_it_carries_is_truncated() {
+        for counts in [[0xff, 0xff, 0, 0], [0, 0, 0xff, 0xff]] {
+            let mut header = [0u8; 12];
+            header[4..8].copy_from_slice(&counts);
+            assert!(matches!(
+                DnsMessage::parse(&header),
+                Err(NetError::Truncated {
+                    needed: 13,
+                    got: 12,
+                    ..
+                })
+            ));
+        }
     }
 }

@@ -169,17 +169,6 @@ impl Interface {
         self.connections.keys().map(|key| key.parts()).collect()
     }
 
-    /// Remove and return a connection (Synjitsu extracts connections here to
-    /// serialise them for handoff).
-    pub fn extract_connection(
-        &mut self,
-        remote: (Ipv4Addr, u16),
-        local_port: u16,
-    ) -> Option<Connection> {
-        self.connections
-            .remove(&ConnKey::new(remote.0, remote.1, local_port))
-    }
-
     /// Adopt a connection built elsewhere (the unikernel side of the
     /// Synjitsu handoff). Also primes the ARP cache so replies can be sent
     /// without another resolution round trip.
@@ -864,8 +853,9 @@ mod tests {
 
     #[test]
     fn adopted_connection_serves_data() {
-        // Build an established connection on a "proxy" interface, extract
-        // it, and adopt it on a fresh "unikernel" interface.
+        // Build an established connection on a "proxy" interface, snapshot
+        // its TCB as Synjitsu does, and adopt it on a fresh "unikernel"
+        // interface.
         let (mut client, mut proxy) = pair();
         proxy.listen_tcp(80);
         let syn = client.tcp_connect(SERVER_IP, 80);
@@ -876,9 +866,11 @@ mod tests {
             .unwrap();
         pump(&mut client, &mut proxy, vec![req]);
 
-        let conn = proxy
-            .extract_connection((CLIENT_IP, local_port), 80)
-            .expect("proxy holds the connection");
+        let tcb = proxy
+            .connection((CLIENT_IP, local_port), 80)
+            .expect("proxy holds the connection")
+            .tcb_snapshot();
+        let conn = Connection::from_tcb(tcb);
         // A fresh unikernel interface with the same IP adopts it.
         let mut unikernel = Interface::new(SERVER_MAC, SERVER_IP);
         unikernel.adopt_connection(conn, CLIENT_MAC);

@@ -12,8 +12,6 @@ pub struct Ipv4Addr(pub [u8; 4]);
 impl Ipv4Addr {
     /// The limited broadcast address 255.255.255.255.
     pub const BROADCAST: Ipv4Addr = Ipv4Addr([255, 255, 255, 255]);
-    /// The unspecified address 0.0.0.0.
-    pub const UNSPECIFIED: Ipv4Addr = Ipv4Addr([0, 0, 0, 0]);
 
     /// Construct from octets.
     pub const fn new(a: u8, b: u8, c: u8, d: u8) -> Ipv4Addr {

@@ -2,14 +2,14 @@
 //!
 //! MirageOS unikernels replace the C network stack with OCaml libraries; the
 //! paper leans on that memory safety both for its security argument
-//! (Table 2: "all traffic parsed on the external network [is] done so in
+//! (Table 2: "all traffic parsed on the external network \[is\] done so in
 //! memory-safe OCaml") and for Synjitsu's trick of serialising embryonic TCP
 //! connection state through XenStore (§3.3.1). This crate is the Rust
 //! analogue: parsers and serialisers for Ethernet, ARP, IPv4, ICMP, UDP and
 //! TCP written entirely in safe Rust, a small TCP state machine whose
 //! connection control block ([`tcp::Tcb`]) can be serialised and rebuilt in
-//! another stack instance, a DNS message codec and authoritative responder
-//! (the Jitsu directory service speaks DNS), and a minimal HTTP/1.1 codec
+//! another stack instance, a DNS message codec (the Jitsu directory service
+//! speaks DNS), and a minimal HTTP/1.1 codec
 //! used by the evaluation workloads.
 //!
 //! The stack is *sans-io*: packets are byte slices passed in and out of pure

@@ -115,16 +115,6 @@ impl Tcb {
         }
     }
 
-    /// The connection 4-tuple `(local ip, local port, remote ip, remote port)`.
-    pub fn four_tuple(&self) -> (Ipv4Addr, u16, Ipv4Addr, u16) {
-        (
-            self.local_ip,
-            self.local_port,
-            self.remote_ip,
-            self.remote_port,
-        )
-    }
-
     /// Serialise to the XenStore handoff format: an s-expression-like record
     /// matching Figure 7, with buffered bytes hex-encoded. The record is
     /// written field by field into one buffer sized for it up front.
@@ -424,7 +414,7 @@ mod tests {
         assert_eq!(t.state, TcpState::Listen);
         assert_eq!(t.snd_nxt, 999);
         assert_eq!(
-            t.four_tuple(),
+            (t.local_ip, t.local_port, t.remote_ip, t.remote_port),
             (
                 Ipv4Addr::new(10, 0, 0, 2),
                 80,

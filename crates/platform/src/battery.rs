@@ -40,20 +40,6 @@ impl Battery {
         self.capacity_wh * self.efficiency
     }
 
-    /// Runtime in hours when powering a board in the given state.
-    pub fn runtime_hours(
-        &self,
-        board: BoardKind,
-        state: PowerState,
-        components: &[PowerComponent],
-    ) -> f64 {
-        let watts = PowerModel::for_board(board).watts(state, components);
-        if watts <= 0.0 {
-            return f64::INFINITY;
-        }
-        self.usable_wh() / watts
-    }
-
     /// Runtime in hours for a mixed duty cycle: `busy_fraction` of time
     /// spinning, the rest idle.
     pub fn runtime_hours_duty_cycle(
@@ -93,22 +79,19 @@ mod tests {
     #[test]
     fn heavier_load_shortens_runtime() {
         let b = Battery::typical_power_bank();
-        let idle = b.runtime_hours(BoardKind::Cubieboard2, PowerState::Idle, &[]);
-        let busy = b.runtime_hours(BoardKind::Cubieboard2, PowerState::Spinning, &[]);
+        let idle = b.runtime_hours_duty_cycle(BoardKind::Cubieboard2, &[], 0.0);
+        let busy = b.runtime_hours_duty_cycle(BoardKind::Cubieboard2, &[], 1.0);
         assert!(idle > busy);
-        let with_ssd = b.runtime_hours(
-            BoardKind::Cubieboard2,
-            PowerState::Idle,
-            &[PowerComponent::Ssd],
-        );
+        let with_ssd =
+            b.runtime_hours_duty_cycle(BoardKind::Cubieboard2, &[PowerComponent::Ssd], 0.0);
         assert!(idle > with_ssd);
     }
 
     #[test]
     fn nuc_runtime_is_much_shorter() {
         let b = Battery::typical_power_bank();
-        let arm = b.runtime_hours(BoardKind::Cubieboard2, PowerState::Idle, &[]);
-        let nuc = b.runtime_hours(BoardKind::IntelNuc, PowerState::Idle, &[]);
+        let arm = b.runtime_hours_duty_cycle(BoardKind::Cubieboard2, &[], 0.0);
+        let nuc = b.runtime_hours_duty_cycle(BoardKind::IntelNuc, &[], 0.0);
         assert!(arm > 3.0 * nuc);
     }
 
@@ -127,8 +110,9 @@ mod tests {
         let b = Battery::typical_power_bank();
         let all_idle = b.runtime_hours_duty_cycle(BoardKind::Cubieboard2, &[], 0.0);
         let all_busy = b.runtime_hours_duty_cycle(BoardKind::Cubieboard2, &[], 1.0);
-        let idle = b.runtime_hours(BoardKind::Cubieboard2, PowerState::Idle, &[]);
-        let busy = b.runtime_hours(BoardKind::Cubieboard2, PowerState::Spinning, &[]);
+        let model = PowerModel::for_board(BoardKind::Cubieboard2);
+        let idle = b.usable_wh() / model.watts(PowerState::Idle, &[]);
+        let busy = b.usable_wh() / model.watts(PowerState::Spinning, &[]);
         assert!((all_idle - idle).abs() < 1e-9);
         assert!((all_busy - busy).abs() < 1e-9);
     }

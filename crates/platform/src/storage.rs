@@ -139,11 +139,6 @@ impl StorageDevice {
     pub fn draw_io_error(&self, rng: &mut SimRng) -> bool {
         rng.chance(self.io_error_rate)
     }
-
-    /// Sustained throughput in Mb/s (bits) for the throughput experiment.
-    pub fn read_throughput_mbps(&self) -> f64 {
-        self.read_mbps * 8.0
-    }
 }
 
 #[cfg(test)]
@@ -219,6 +214,6 @@ mod tests {
         assert_eq!(StorageKind::ALL.len(), 4);
         // 10 MB/s is 80 Mb/s — just above what the disk-bound HTTP queue
         // service achieved (57.92 Mb/s) once protocol overheads are added.
-        assert!((StorageKind::SdCard.device().read_throughput_mbps() - 80.0).abs() < 1e-9);
+        assert!((StorageKind::SdCard.device().read_mbps * 8.0 - 80.0).abs() < 1e-9);
     }
 }

@@ -3,7 +3,7 @@
 //! Components of the simulated substrate (domain builder, hotplug scripts,
 //! SD-card reads, network links, …) express their per-operation cost as a
 //! [`Distribution`] over durations. Experiments draw from these using a
-//! seeded [`SimRng`](crate::SimRng), keeping results deterministic.
+//! seeded [`SimRng`], keeping results deterministic.
 
 use crate::rng::SimRng;
 use crate::time::SimDuration;
@@ -62,48 +62,6 @@ pub enum Distribution {
 }
 
 impl Distribution {
-    /// A constant distribution, as a convenience constructor.
-    pub fn constant_millis(ms: u64) -> Distribution {
-        Distribution::Constant(SimDuration::from_millis(ms))
-    }
-
-    /// A constant distribution from microseconds.
-    pub fn constant_micros(us: u64) -> Distribution {
-        Distribution::Constant(SimDuration::from_micros(us))
-    }
-
-    /// A normal distribution from fractional milliseconds.
-    pub fn normal_millis(mean_ms: f64, std_ms: f64) -> Distribution {
-        Distribution::Normal {
-            mean: SimDuration::from_millis_f64(mean_ms),
-            std_dev: SimDuration::from_millis_f64(std_ms),
-        }
-    }
-
-    /// A uniform distribution from fractional milliseconds.
-    pub fn uniform_millis(lo_ms: f64, hi_ms: f64) -> Distribution {
-        Distribution::Uniform {
-            lo: SimDuration::from_millis_f64(lo_ms),
-            hi: SimDuration::from_millis_f64(hi_ms),
-        }
-    }
-
-    /// Wrap this distribution with a constant offset.
-    pub fn shifted(self, offset: SimDuration) -> Distribution {
-        Distribution::Shifted {
-            offset,
-            base: Box::new(self),
-        }
-    }
-
-    /// Wrap this distribution with a multiplicative factor.
-    pub fn scaled(self, factor: f64) -> Distribution {
-        Distribution::Scaled {
-            factor,
-            base: Box::new(self),
-        }
-    }
-
     /// Draw one sample.
     pub fn sample(&self, rng: &mut SimRng) -> SimDuration {
         match self {
@@ -130,11 +88,6 @@ impl Distribution {
             Distribution::Shifted { offset, base } => *offset + base.sample(rng),
             Distribution::Scaled { factor, base } => base.sample(rng).mul_f64(*factor),
         }
-    }
-
-    /// Draw `n` samples.
-    pub fn sample_n(&self, rng: &mut SimRng, n: usize) -> Vec<SimDuration> {
-        (0..n).map(|_| self.sample(rng)).collect()
     }
 
     /// The analytic mean of the distribution where it has a closed form;
@@ -172,9 +125,24 @@ mod tests {
         SimRng::seed_from_u64(0xdead_beef)
     }
 
+    fn ms(ms: f64) -> SimDuration {
+        SimDuration::from_millis_f64(ms)
+    }
+
+    fn normal(mean: f64, std_dev: f64) -> Distribution {
+        Distribution::Normal {
+            mean: ms(mean),
+            std_dev: ms(std_dev),
+        }
+    }
+
+    fn sample_n(d: &Distribution, rng: &mut SimRng, n: usize) -> Vec<SimDuration> {
+        (0..n).map(|_| d.sample(rng)).collect()
+    }
+
     #[test]
     fn constant_always_same() {
-        let d = Distribution::constant_millis(120);
+        let d = Distribution::Constant(ms(120.0));
         let mut r = rng();
         for _ in 0..10 {
             assert_eq!(d.sample(&mut r).as_millis(), 120);
@@ -184,7 +152,10 @@ mod tests {
 
     #[test]
     fn uniform_within_bounds() {
-        let d = Distribution::uniform_millis(10.0, 20.0);
+        let d = Distribution::Uniform {
+            lo: ms(10.0),
+            hi: ms(20.0),
+        };
         let mut r = rng();
         for _ in 0..1000 {
             let x = d.sample(&mut r).as_millis_f64();
@@ -195,7 +166,7 @@ mod tests {
 
     #[test]
     fn normal_truncated_at_zero() {
-        let d = Distribution::normal_millis(1.0, 10.0);
+        let d = normal(1.0, 10.0);
         let mut r = rng();
         for _ in 0..1000 {
             assert!(d.sample(&mut r).as_secs_f64() >= 0.0);
@@ -204,11 +175,10 @@ mod tests {
 
     #[test]
     fn normal_sample_mean_close() {
-        let d = Distribution::normal_millis(100.0, 5.0);
+        let d = normal(100.0, 5.0);
         let mut r = rng();
         let n = 5_000;
-        let mean = d
-            .sample_n(&mut r, n)
+        let mean = sample_n(&d, &mut r, n)
             .iter()
             .map(|x| x.as_millis_f64())
             .sum::<f64>()
@@ -223,8 +193,7 @@ mod tests {
             sigma: 0.3,
         };
         let mut r = rng();
-        let mut samples: Vec<f64> = d
-            .sample_n(&mut r, 4_001)
+        let mut samples: Vec<f64> = sample_n(&d, &mut r, 4_001)
             .iter()
             .map(|x| x.as_millis_f64())
             .collect();
@@ -241,8 +210,7 @@ mod tests {
         };
         let mut r = rng();
         let n = 10_000;
-        let mean = d
-            .sample_n(&mut r, n)
+        let mean = sample_n(&d, &mut r, n)
             .iter()
             .map(|x| x.as_millis_f64())
             .sum::<f64>()
@@ -270,7 +238,10 @@ mod tests {
 
     #[test]
     fn shifted_adds_offset() {
-        let d = Distribution::constant_millis(10).shifted(SimDuration::from_millis(5));
+        let d = Distribution::Shifted {
+            offset: ms(5.0),
+            base: Box::new(Distribution::Constant(ms(10.0))),
+        };
         let mut r = rng();
         assert_eq!(d.sample(&mut r).as_millis(), 15);
         assert_eq!(d.mean().as_millis(), 15);
@@ -279,8 +250,10 @@ mod tests {
     #[test]
     fn scaled_multiplies() {
         // The ARM board is ~6x slower than the x86 server (paper §3.1).
-        let x86 = Distribution::constant_millis(20);
-        let arm = x86.clone().scaled(6.0);
+        let arm = Distribution::Scaled {
+            factor: 6.0,
+            base: Box::new(Distribution::Constant(ms(20.0))),
+        };
         let mut r = rng();
         assert_eq!(arm.sample(&mut r).as_millis(), 120);
         assert_eq!(arm.mean().as_millis(), 120);
@@ -288,9 +261,9 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let d = Distribution::normal_millis(10.0, 2.0);
+        let d = normal(10.0, 2.0);
         let mut r1 = SimRng::seed_from_u64(99);
         let mut r2 = SimRng::seed_from_u64(99);
-        assert_eq!(d.sample_n(&mut r1, 50), d.sample_n(&mut r2, 50));
+        assert_eq!(sample_n(&d, &mut r1, 50), sample_n(&d, &mut r2, 50));
     }
 }

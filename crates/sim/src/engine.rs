@@ -128,16 +128,6 @@ pub trait Scheduler: Sized {
         let at = self.now() + delay;
         self.schedule_at(at, f);
     }
-
-    /// Schedule `f` to run immediately (still after the current event
-    /// finishes, preserving run-to-completion semantics).
-    fn schedule_now<F>(&mut self, f: F)
-    where
-        F: FnOnce(&mut Self) + 'static,
-    {
-        let at = self.now();
-        self.schedule_at(at, f);
-    }
 }
 
 /// The discrete-event simulator.
@@ -225,15 +215,6 @@ impl<W> Sim<W> {
     {
         let at = self.now + delay;
         self.schedule_at(at, f);
-    }
-
-    /// Schedule `f` to run immediately (still after the current event
-    /// finishes, preserving run-to-completion semantics).
-    pub fn schedule_now<F>(&mut self, f: F)
-    where
-        F: FnOnce(&mut Sim<W>) + 'static,
-    {
-        self.schedule_at(self.now, f);
     }
 
     /// Execute a single event if one is pending. Returns `false` when the
@@ -392,7 +373,7 @@ mod tests {
     #[test]
     fn events_can_schedule_events() {
         let mut sim = Sim::new(0u64);
-        sim.schedule_now(|s| {
+        sim.schedule_at(SimTime::ZERO, |s| {
             s.schedule_in(SimDuration::from_millis(1), |s| {
                 *s.world_mut() += 1;
                 s.schedule_in(SimDuration::from_millis(1), |s| *s.world_mut() += 1);
@@ -512,7 +493,7 @@ mod tests {
         fn again(s: &mut Sim<()>) {
             s.schedule_in(SimDuration::from_nanos(1), again);
         }
-        sim.schedule_now(again);
+        sim.schedule_at(SimTime::ZERO, again);
         sim.run();
     }
 
@@ -529,7 +510,7 @@ mod tests {
             }
         }
         let mut sim = Sim::new(Vec::new());
-        sim.schedule_now(|s| chain(s, 3));
+        sim.schedule_at(SimTime::ZERO, |s| chain(s, 3));
         sim.run();
         assert_eq!(sim.world(), &vec![0, 2, 4, 6]);
     }
@@ -537,7 +518,7 @@ mod tests {
     #[test]
     fn into_world_returns_state() {
         let mut sim = Sim::new(String::new());
-        sim.schedule_now(|s| s.world_mut().push_str("done"));
+        sim.schedule_at(SimTime::ZERO, |s| s.world_mut().push_str("done"));
         sim.run();
         assert_eq!(sim.into_world(), "done");
     }

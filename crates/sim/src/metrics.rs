@@ -243,11 +243,6 @@ impl Cdf {
         cdf
     }
 
-    /// Build a CDF from durations in milliseconds.
-    pub fn from_durations_ms(durations: &[SimDuration]) -> Cdf {
-        Cdf::from_values(durations.iter().map(|d| d.as_millis_f64()))
-    }
-
     /// Record a sample.
     pub fn record(&mut self, value: f64) {
         self.samples.push(value);
@@ -550,11 +545,7 @@ mod tests {
 
     #[test]
     fn cdf_grid_covers_range() {
-        let mut cdf = Cdf::from_durations_ms(&[
-            SimDuration::from_millis(100),
-            SimDuration::from_millis(200),
-            SimDuration::from_millis(300),
-        ]);
+        let mut cdf = Cdf::from_values([100.0, 200.0, 300.0]);
         let grid = cdf.grid(0.0, 400.0, 4);
         assert_eq!(grid.len(), 5);
         assert_eq!(grid[0], (0.0, 0.0));

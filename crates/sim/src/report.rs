@@ -32,11 +32,6 @@ impl Table {
         self.rows.push(row);
     }
 
-    /// Append a row of string slices.
-    pub fn add_row_str(&mut self, cells: &[&str]) {
-        self.add_row(&cells.iter().map(|s| s.to_string()).collect::<Vec<_>>());
-    }
-
     /// Number of data rows.
     pub fn row_count(&self) -> usize {
         self.rows.len()
@@ -217,11 +212,15 @@ pub fn format_num(x: f64) -> String {
 mod tests {
     use super::*;
 
+    fn row(cells: &[&str]) -> Vec<String> {
+        cells.iter().map(|s| s.to_string()).collect()
+    }
+
     #[test]
     fn table_renders_aligned() {
         let mut t = Table::new("Table 1: Power", &["Board", "Idle (W)", "Spinning (W)"]);
-        t.add_row_str(&["Cubieboard2", "1.43", "2.61"]);
-        t.add_row_str(&["Cubietruck", "1.72", "2.86"]);
+        t.add_row(&row(&["Cubieboard2", "1.43", "2.61"]));
+        t.add_row(&row(&["Cubietruck", "1.72", "2.86"]));
         let out = t.render();
         assert!(out.contains("== Table 1: Power =="));
         assert!(out.contains("Cubieboard2"));
@@ -236,8 +235,8 @@ mod tests {
     #[test]
     fn table_pads_and_truncates_rows() {
         let mut t = Table::new("t", &["a", "b"]);
-        t.add_row_str(&["1"]);
-        t.add_row_str(&["1", "2", "3"]);
+        t.add_row(&row(&["1"]));
+        t.add_row(&row(&["1", "2", "3"]));
         let csv = t.to_csv();
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines[1], "1,");
@@ -247,8 +246,8 @@ mod tests {
     #[test]
     fn csv_escapes_special_chars() {
         let mut t = Table::new("t", &["desc", "n"]);
-        t.add_row_str(&["hello, world", "1"]);
-        t.add_row_str(&["say \"hi\"", "2"]);
+        t.add_row(&row(&["hello, world", "1"]));
+        t.add_row(&row(&["say \"hi\"", "2"]));
         let csv = t.to_csv();
         assert!(csv.contains("\"hello, world\",1"));
         assert!(csv.contains("\"say \"\"hi\"\"\",2"));

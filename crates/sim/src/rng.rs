@@ -109,17 +109,6 @@ impl SimRng {
         self.normal(mu, sigma).exp()
     }
 
-    /// Shuffle a slice in place (Fisher-Yates).
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        if items.len() < 2 {
-            return;
-        }
-        for i in (1..items.len()).rev() {
-            let j = self.inner.gen_range(0..=i);
-            items.swap(i, j);
-        }
-    }
-
     /// Pick a reference to a random element, or `None` if empty.
     pub fn choose<'a, T>(&mut self, items: &'a [T]) -> Option<&'a T> {
         if items.is_empty() {
@@ -231,17 +220,6 @@ mod tests {
         for _ in 0..1000 {
             assert!(r.log_normal(0.0, 0.5) > 0.0);
         }
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut r = SimRng::seed_from_u64(9);
-        let mut v: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-        assert_ne!(v, (0..50).collect::<Vec<_>>());
     }
 
     #[test]

@@ -91,14 +91,6 @@ impl Series {
             .fold(None, |acc, y| Some(acc.map_or(y, |m: f64| m.max(y))))
     }
 
-    /// Minimum y value in the series.
-    pub fn min_y(&self) -> Option<f64> {
-        self.points
-            .iter()
-            .map(|p| p.y)
-            .fold(None, |acc, y| Some(acc.map_or(y, |m: f64| m.min(y))))
-    }
-
     /// True if y never decreases as x increases (after sorting by x).
     pub fn is_monotone_nondecreasing(&self) -> bool {
         let mut pts = self.points.clone();
@@ -151,7 +143,6 @@ mod tests {
     fn min_max_and_monotone() {
         let s = Series::from_points("l", [(0.0, 3.0), (1.0, 1.0), (2.0, 5.0)]);
         assert_eq!(s.max_y(), Some(5.0));
-        assert_eq!(s.min_y(), Some(1.0));
         assert!(!s.is_monotone_nondecreasing());
         let m = Series::from_points("m", [(0.0, 1.0), (1.0, 1.0), (2.0, 4.0)]);
         assert!(m.is_monotone_nondecreasing());

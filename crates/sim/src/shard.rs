@@ -147,7 +147,19 @@ impl<D: Domain> DomainCtx<D> {
     /// Queue a message to another domain (or to self). It is delivered at
     /// the next epoch barrier via [`Domain::on_message`], at the barrier
     /// timestamp — never earlier, regardless of shard placement.
+    ///
+    /// # Panics
+    /// Panics if `to` names no domain of this simulation: anyone can build
+    /// a [`DomainId`], and the barrier that delivers it is too far from
+    /// this call to say who sent it.
     pub fn send(&mut self, to: DomainId, msg: D::Msg) {
+        if to.0 >= self.domain_count {
+            // jitsu-lint: allow(P001, "a message to a domain that does not exist is a bug in the sender; delivery cannot route it")
+            panic!(
+                "domain {} sent a message to domain {}, but the simulation has {} domains",
+                self.id.0, to.0, self.domain_count
+            );
+        }
         self.outbox.push((to, msg));
     }
 }
@@ -225,26 +237,6 @@ impl<D: Domain> ShardedSim<D> {
         id
     }
 
-    /// Number of domains.
-    pub fn num_domains(&self) -> u32 {
-        self.domains.len() as u32
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> u32 {
-        self.num_shards
-    }
-
-    /// The shard a domain executes in.
-    pub fn shard_of(&self, id: DomainId) -> u32 {
-        id.0 % self.num_shards
-    }
-
-    /// Epoch length.
-    pub fn epoch(&self) -> SimDuration {
-        self.epoch
-    }
-
     /// Number of epoch barriers processed so far. Empty stretches of
     /// virtual time are skipped, so this counts *productive* epochs and is
     /// a deterministic, shard-count-invariant virtual metric.
@@ -257,20 +249,9 @@ impl<D: Domain> ShardedSim<D> {
         self.executed
     }
 
-    /// Total events still pending across all domains.
-    pub fn events_pending(&self) -> usize {
-        self.domains.iter().map(|d| d.queue.len()).sum()
-    }
-
     /// Shared access to a domain's world.
     pub fn domain(&self, id: DomainId) -> &D {
         &self.domains[id.index()].state
-    }
-
-    /// Mutable access to a domain's world (between runs; events go through
-    /// their own [`DomainCtx`]).
-    pub fn domain_mut(&mut self, id: DomainId) -> &mut D {
-        &mut self.domains[id.index()].state
     }
 
     /// Consume the engine, returning every domain's world in id order.
@@ -329,11 +310,9 @@ impl<D: Domain> ShardedSim<D> {
 
             // Execute shards in fixed ascending order, domains within a
             // shard in ascending id order.
-            for shard in 0..self.num_shards {
-                for idx in 0..self.domains.len() {
-                    if idx as u32 % self.num_shards != shard {
-                        continue;
-                    }
+            let stride = self.num_shards as usize;
+            for shard in 0..stride {
+                for idx in (shard..self.domains.len()).step_by(stride) {
                     let dom = &mut self.domains[idx];
                     loop {
                         let next = if inclusive {
@@ -500,6 +479,16 @@ mod tests {
         let a = sim.add_domain(Pong, 1);
         let b = sim.add_domain(Pong, 2);
         sim.schedule_at(a, SimTime::ZERO, move |c| c.send(b, ()));
+        sim.run();
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "domain 0 sent a message to domain 2, but the simulation has 2 domains"
+    )]
+    fn a_message_to_a_domain_that_does_not_exist_panics_at_the_send() {
+        let (mut sim, a, _) = two_domain_sim(2);
+        sim.schedule_at(a, SimTime::ZERO, |c| c.send(DomainId(2), 1));
         sim.run();
     }
 

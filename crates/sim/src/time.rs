@@ -188,11 +188,6 @@ impl SimDuration {
             other
         }
     }
-
-    /// True if this is the zero duration.
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
-    }
 }
 
 impl Add<SimDuration> for SimTime {
@@ -360,8 +355,8 @@ mod tests {
         let b = SimDuration::from_millis(2);
         assert_eq!(a.max(b), b);
         assert_eq!(a.min(b), a);
-        assert!(SimDuration::ZERO.is_zero());
-        assert!(!a.is_zero());
+        assert_eq!(SimDuration::ZERO, SimDuration::from_nanos(0));
+        assert_ne!(a, SimDuration::ZERO);
     }
 
     #[test]

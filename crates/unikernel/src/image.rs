@@ -45,22 +45,6 @@ impl UnikernelImage {
         }
     }
 
-    /// A minimal 8 MiB configuration ("8MB is plenty", §3.1).
-    pub fn mirage_minimal(name: impl Into<String>) -> UnikernelImage {
-        UnikernelImage {
-            memory_mib: 8,
-            ..UnikernelImage::mirage(name)
-        }
-    }
-
-    /// A storage-backed appliance (the HTTP persistent queue of §4).
-    pub fn mirage_with_storage(name: impl Into<String>) -> UnikernelImage {
-        UnikernelImage {
-            needs_storage: true,
-            ..UnikernelImage::mirage(name)
-        }
-    }
-
     /// A full Ubuntu 14.04 guest, the legacy-VM comparison point: hundreds
     /// of MiB of disk and at least 128 MiB of RAM.
     pub fn ubuntu(name: impl Into<String>) -> UnikernelImage {
@@ -85,15 +69,6 @@ impl UnikernelImage {
             ..base
         }
     }
-
-    /// How many images of this size fit in a storage budget — the §4
-    /// observation that many appliances fit in on-board flash.
-    pub fn images_per_storage(&self, storage_bytes: usize) -> usize {
-        if self.kernel_bytes == 0 {
-            return usize::MAX;
-        }
-        storage_bytes / self.kernel_bytes
-    }
 }
 
 #[cfg(test)]
@@ -106,8 +81,6 @@ mod tests {
         assert_eq!(img.kernel_bytes, 1024 * 1024);
         assert_eq!(img.memory_mib, 16);
         assert!(!img.needs_storage);
-        let minimal = UnikernelImage::mirage_minimal("tiny");
-        assert_eq!(minimal.memory_mib, 8);
         let ubuntu = UnikernelImage::ubuntu("legacy");
         assert!(ubuntu.kernel_bytes > 10 * img.kernel_bytes);
         assert!(ubuntu.memory_mib >= 128);
@@ -128,9 +101,7 @@ mod tests {
     fn many_unikernels_fit_in_onboard_flash() {
         // A 4 GB eMMC holds thousands of 1 MB appliances but only a handful
         // of multi-GB Linux images.
-        let mirage = UnikernelImage::mirage("x");
-        assert!(mirage.images_per_storage(4 * 1024 * 1024 * 1024) >= 4000);
-        let storage_appliance = UnikernelImage::mirage_with_storage("q");
-        assert!(storage_appliance.needs_storage);
+        let flash: usize = 4 * 1024 * 1024 * 1024;
+        assert!(flash / UnikernelImage::mirage("x").kernel_bytes >= 4000);
     }
 }

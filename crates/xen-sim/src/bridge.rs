@@ -4,14 +4,12 @@
 //! external traffic destined for a unikernel's IP traverses this bridge. The
 //! Jitsu datapath discussion (§3.2, §4) is about minimising how much work is
 //! added on this path — Figure 8's ICMP RTTs include one bridge traversal
-//! for guest targets. Synjitsu also listens here promiscuously for TCP
-//! packets destined to unikernels that are still booting (§3.3.1).
+//! for guest targets.
 //!
 //! Frames are opaque byte vectors whose first twelve bytes are the standard
 //! Ethernet destination and source MAC addresses; the bridge learns source
 //! addresses and forwards/floods accordingly, delivering into per-port
-//! queues. Ports may additionally be marked promiscuous to receive copies of
-//! every frame (how Synjitsu taps the bridge).
+//! queues.
 
 use jitsu_sim::SimDuration;
 use std::collections::{BTreeMap, VecDeque};
@@ -45,7 +43,6 @@ pub struct Bridge {
 #[derive(Debug, Default)]
 struct PortState {
     name: String,
-    promiscuous: bool,
     rx_queue: VecDeque<Vec<u8>>,
 }
 
@@ -57,12 +54,6 @@ impl Bridge {
             forward_latency: SimDuration::from_micros(50),
             ..Bridge::default()
         }
-    }
-
-    /// Override the per-frame forwarding latency.
-    pub fn with_forward_latency(mut self, latency: SimDuration) -> Bridge {
-        self.forward_latency = latency;
-        self
     }
 
     /// The per-frame forwarding latency.
@@ -78,7 +69,6 @@ impl Bridge {
             id,
             PortState {
                 name: name.into(),
-                promiscuous: false,
                 rx_queue: VecDeque::new(),
             },
         );
@@ -91,15 +81,6 @@ impl Bridge {
             .remove(&port)
             .ok_or(BridgeError::NoSuchPort(port))?;
         self.fdb.retain(|_, p| *p != port);
-        Ok(())
-    }
-
-    /// Mark a port promiscuous (it receives a copy of every frame).
-    pub fn set_promiscuous(&mut self, port: PortId, on: bool) -> Result<(), BridgeError> {
-        self.ports
-            .get_mut(&port)
-            .ok_or(BridgeError::NoSuchPort(port))?
-            .promiscuous = on;
         Ok(())
     }
 
@@ -132,7 +113,6 @@ impl Bridge {
     /// Transmit a frame into the bridge from `ingress`. Returns the latency
     /// of the bridge hop. Unknown/broadcast destinations are flooded to all
     /// other ports; known destinations are forwarded to their learned port.
-    /// Promiscuous ports always receive a copy.
     pub fn transmit(&mut self, ingress: PortId, frame: &[u8]) -> Result<SimDuration, BridgeError> {
         if !self.ports.contains_key(&ingress) {
             return Err(BridgeError::NoSuchPort(ingress));
@@ -146,35 +126,22 @@ impl Bridge {
         } else {
             self.fdb.get(&dst).copied()
         };
-        let mut delivered_to_known = false;
-        let targets: Vec<PortId> = self
-            .ports
-            .keys()
-            .copied()
-            .filter(|p| *p != ingress)
-            .collect();
-        for port in targets {
-            let deliver = match known {
-                Some(k) if k == port => {
-                    delivered_to_known = true;
-                    true
+        match known {
+            Some(port) => match self.ports.get_mut(&port).filter(|_| port != ingress) {
+                Some(state) => {
+                    state.rx_queue.push_back(frame.to_vec());
+                    self.frames_forwarded += 1;
                 }
-                Some(_) => self.ports[&port].promiscuous,
-                None => true,
-            };
-            if deliver {
-                self.ports
-                    .get_mut(&port)
-                    // jitsu-lint: allow(P001, "port ids come from the ports map being iterated")
-                    .expect("iterating known ports")
-                    .rx_queue
-                    .push_back(frame.to_vec());
+                // A destination learned on the ingress port goes nowhere.
+                None => self.frames_flooded += 1,
+            },
+            None => {
+                let others = self.ports.iter_mut().filter(|(p, _)| **p != ingress);
+                for (_, state) in others {
+                    state.rx_queue.push_back(frame.to_vec());
+                }
+                self.frames_flooded += 1;
             }
-        }
-        if known.is_some() && delivered_to_known {
-            self.frames_forwarded += 1;
-        } else {
-            self.frames_flooded += 1;
         }
         Ok(self.forward_latency)
     }
@@ -253,23 +220,6 @@ mod tests {
     }
 
     #[test]
-    fn promiscuous_port_sees_forwarded_traffic() {
-        // Synjitsu taps the bridge to catch SYNs for booting unikernels.
-        let mut br = Bridge::new();
-        let eth = br.attach("eth0");
-        let vif = br.attach("vif9.0");
-        let synjitsu = br.attach("synjitsu");
-        br.set_promiscuous(synjitsu, true).unwrap();
-
-        // Teach the bridge where MAC_B lives.
-        br.transmit(vif, &frame(MAC_A, MAC_B, b"")).unwrap();
-        // Now a directed frame to B still lands on the promiscuous tap.
-        br.transmit(eth, &frame(MAC_B, MAC_A, b"SYN")).unwrap();
-        assert_eq!(br.pending(vif), 1);
-        assert_eq!(br.pending(synjitsu), 2);
-    }
-
-    #[test]
     fn detach_removes_port_and_learned_macs() {
         let mut br = Bridge::new();
         let pa = br.attach("eth0");
@@ -298,12 +248,12 @@ mod tests {
 
     #[test]
     fn forwarding_latency_is_reported() {
-        let mut br = Bridge::new().with_forward_latency(SimDuration::from_micros(120));
+        let mut br = Bridge::new();
         let pa = br.attach("a");
         let _pb = br.attach("b");
         let d = br.transmit(pa, &frame(BCAST, MAC_A, b"")).unwrap();
-        assert_eq!(d, SimDuration::from_micros(120));
-        assert_eq!(br.forward_latency(), SimDuration::from_micros(120));
+        assert_eq!(d, SimDuration::from_micros(50));
+        assert_eq!(br.forward_latency(), d);
     }
 
     #[test]

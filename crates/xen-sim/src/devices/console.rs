@@ -38,7 +38,7 @@ impl ConsoleDevice {
         dom: DomId,
     ) -> XsResult<ConsoleDevice> {
         let ring_ref = grants
-            .grant(dom, DomId::DOM0, false)
+            .grant(dom, DomId::DOM0)
             // jitsu-lint: allow(P001, "a freshly built domain starts under its grant quota")
             .expect("fresh domain has grant capacity");
         let port = evtchn.alloc_unbound(dom, DomId::DOM0);

@@ -6,8 +6,8 @@
 //! grant reference) and an event channel, and advance through the XenBus
 //! state machine until both are `Connected`. This module implements the
 //! state machine and the key layout; [`console`] and [`vif`] provide the two
-//! devices every Jitsu unikernel attaches, and [`vbd`] the block device used
-//! by the storage-backed appliances.
+//! devices every Jitsu unikernel attaches, and [`vbd`] a block device (no
+//! appliance attaches one yet).
 
 pub mod console;
 pub mod vbd;

@@ -43,7 +43,7 @@ impl VbdDevice {
         backing: StorageDevice,
     ) -> XsResult<VbdDevice> {
         let ring = grants
-            .grant(dom, DomId::DOM0, false)
+            .grant(dom, DomId::DOM0)
             // jitsu-lint: allow(P001, "a freshly built domain starts under its grant quota")
             .expect("grant capacity");
         let port = evtchn.alloc_unbound(dom, DomId::DOM0);

@@ -67,11 +67,11 @@ impl VifDevice {
     ) -> XsResult<VifDevice> {
         let mac = Self::mac_for(dom, index);
         let tx_ring = grants
-            .grant(dom, DomId::DOM0, false)
+            .grant(dom, DomId::DOM0)
             // jitsu-lint: allow(P001, "a freshly built domain starts under its grant quota")
             .expect("grant capacity");
         let rx_ring = grants
-            .grant(dom, DomId::DOM0, false)
+            .grant(dom, DomId::DOM0)
             // jitsu-lint: allow(P001, "a freshly built domain starts under its grant quota")
             .expect("grant capacity");
         let port = evtchn.alloc_unbound(dom, DomId::DOM0);

@@ -79,18 +79,6 @@ impl DomainConfig {
         self.memory_mib = mib;
         self
     }
-
-    /// Builder-style architecture override.
-    pub fn with_arch(mut self, arch: Arch) -> DomainConfig {
-        self.arch = arch;
-        self
-    }
-
-    /// Builder-style vCPU override.
-    pub fn with_vcpus(mut self, vcpus: u32) -> DomainConfig {
-        self.vcpus = vcpus.max(1);
-        self
-    }
 }
 
 /// A live domain descriptor.
@@ -197,13 +185,8 @@ mod tests {
 
     #[test]
     fn builder_overrides() {
-        let c = DomainConfig::unikernel("x")
-            .with_memory_mib(256)
-            .with_arch(Arch::X86)
-            .with_vcpus(0);
+        let c = DomainConfig::unikernel("x").with_memory_mib(256);
         assert_eq!(c.memory_mib, 256);
-        assert_eq!(c.arch, Arch::X86);
-        assert_eq!(c.vcpus, 1, "vcpus clamps to at least one");
     }
 
     #[test]

@@ -5,8 +5,7 @@
 //! for data plus an event channel to signal "I produced/consumed something".
 //! The model follows the real API: a domain allocates an *unbound* port for a
 //! named remote domain, the remote *binds* to it obtaining its own port, and
-//! either side may then `notify`, which sets the peer's pending bit unless
-//! masked.
+//! either side may then `notify`, which sets the peer's pending bit.
 
 use std::collections::{btree_map, BTreeMap};
 use xenstore::DomId;
@@ -40,7 +39,6 @@ enum ChannelState {
 struct Channel {
     state: ChannelState,
     pending: bool,
-    masked: bool,
 }
 
 /// The host-wide event channel table.
@@ -71,7 +69,6 @@ impl EventChannelTable {
             Channel {
                 state: ChannelState::Unbound { remote },
                 pending: false,
-                masked: false,
             },
         );
         port
@@ -103,7 +100,6 @@ impl EventChannelTable {
                     peer_port: remote_port,
                 },
                 pending: false,
-                masked: false,
             },
         );
         let remote_chan = self
@@ -120,7 +116,7 @@ impl EventChannelTable {
 
     /// Send a notification from `(dom, port)` to its peer. Returns `true` if
     /// the peer's pending bit was newly set (i.e. a wakeup should be
-    /// delivered), `false` if it was already pending or is masked.
+    /// delivered), `false` if it was already pending.
     pub fn notify(&mut self, dom: DomId, port: Port) -> Result<bool, EventChannelError> {
         let chan = self
             .channels
@@ -134,9 +130,6 @@ impl EventChannelTable {
             .channels
             .get_mut(&(peer, peer_port))
             .ok_or(EventChannelError::BadPort(peer_port))?;
-        if peer_chan.masked {
-            return Ok(false);
-        }
         let newly = !peer_chan.pending;
         peer_chan.pending = true;
         Ok(newly)
@@ -151,21 +144,6 @@ impl EventChannelTable {
         let was = chan.pending;
         chan.pending = false;
         Ok(was)
-    }
-
-    /// Mask or unmask a port (masked ports do not receive notifications).
-    pub fn set_masked(
-        &mut self,
-        dom: DomId,
-        port: Port,
-        masked: bool,
-    ) -> Result<(), EventChannelError> {
-        let chan = self
-            .channels
-            .get_mut(&(dom, port))
-            .ok_or(EventChannelError::BadPort(port))?;
-        chan.masked = masked;
-        Ok(())
     }
 
     /// Close a port. The closer's entry is freed at once; an interdomain
@@ -275,17 +253,6 @@ mod tests {
     }
 
     #[test]
-    fn masked_ports_suppress_notifications() {
-        let mut t = EventChannelTable::new();
-        let (sp, cp) = connected_pair(&mut t);
-        t.set_masked(DomId(3), sp, true).unwrap();
-        assert!(!t.notify(DomId(7), cp).unwrap());
-        assert!(!t.take_pending(DomId(3), sp).unwrap());
-        t.set_masked(DomId(3), sp, false).unwrap();
-        assert!(t.notify(DomId(7), cp).unwrap());
-    }
-
-    #[test]
     fn bad_ports_are_errors() {
         let mut t = EventChannelTable::new();
         assert!(matches!(
@@ -349,10 +316,6 @@ mod tests {
         assert_eq!(t.notify(DomId(3), sp), Err(EventChannelError::BadPort(sp)));
         assert_eq!(
             t.take_pending(DomId(3), sp),
-            Err(EventChannelError::BadPort(sp))
-        );
-        assert_eq!(
-            t.set_masked(DomId(3), sp, true),
             Err(EventChannelError::BadPort(sp))
         );
         assert_eq!(t.close(DomId(3), sp), Err(EventChannelError::BadPort(sp)));

@@ -7,8 +7,8 @@
 //! information is spread across virtualized BIOS, memory and Xen-specific
 //! interfaces" (§2.3). The domain builder constructs one of these per guest;
 //! this module provides a small tree builder plus a binary encoding (a
-//! simplified DTB: tagged begin/end node and property records) and a parser,
-//! so the builder and the guest boot code exchange real bytes.
+//! simplified DTB: tagged begin/end node and property records), whose size
+//! the builder reports, and a parser that checks those bytes round-trip.
 
 use std::collections::BTreeMap;
 

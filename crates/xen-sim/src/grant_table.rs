@@ -4,11 +4,11 @@
 //! filling in a grant-table entry; the peer then *maps* the grant to reach
 //! the shared memory. The split-driver rings (netfront/netback, console) and
 //! the vchan transport used by Conduit (§3.2) are built on exactly this
-//! primitive. This model tracks entries, enforces that only the intended
-//! peer may map a grant, supports read-only grants, and stores the shared
-//! page contents so higher layers genuinely move bytes through it.
+//! primitive. This model keeps the permission record: which domain granted
+//! a page to which peer, and who maps it. It enforces that only the named
+//! peer (or dom0) may map a grant and that a mapped grant cannot be revoked.
+//! The bytes themselves live with whoever moves them (vchan's rings).
 
-use crate::memory::PAGE_SIZE;
 use std::collections::{btree_map, BTreeMap, BTreeSet};
 use xenstore::DomId;
 
@@ -28,8 +28,6 @@ pub enum GrantError {
         /// The domain the grant actually names.
         expected: DomId,
     },
-    /// Attempted to write through a read-only grant.
-    ReadOnly(GrantRef),
     /// The grant is still mapped and cannot be revoked.
     StillMapped(GrantRef),
     /// The granting domain has exhausted its grant table.
@@ -39,13 +37,8 @@ pub enum GrantError {
 /// One grant entry.
 #[derive(Debug, Clone)]
 struct GrantEntry {
-    granter: DomId,
     peer: DomId,
-    readonly: bool,
     mapped_by: Option<DomId>,
-    /// The shared page contents: empty until the first write (a page nobody
-    /// wrote reads as zeros), one PAGE_SIZE page from then on.
-    page: Vec<u8>,
 }
 
 /// Per-host grant table state (indexed by granting domain).
@@ -58,13 +51,6 @@ pub struct GrantTable {
     mappings: BTreeSet<(DomId, DomId, GrantRef)>,
     /// Maximum entries per domain (the default Xen grant table v1 size).
     max_per_domain: u32,
-}
-
-/// The part of a page an access of `len` bytes at a guest-chosen `offset`
-/// covers: clamped to the page, empty when it starts at or past its end.
-fn in_page(offset: usize, len: usize) -> std::ops::Range<usize> {
-    let start = offset.min(PAGE_SIZE);
-    start..start + len.min(PAGE_SIZE - start)
 }
 
 impl GrantTable {
@@ -104,12 +90,7 @@ impl GrantTable {
     }
 
     /// Grant `peer` access to a fresh shared page owned by `granter`.
-    pub fn grant(
-        &mut self,
-        granter: DomId,
-        peer: DomId,
-        readonly: bool,
-    ) -> Result<GrantRef, GrantError> {
+    pub fn grant(&mut self, granter: DomId, peer: DomId) -> Result<GrantRef, GrantError> {
         if self.grants_of(granter) as u32 >= self.max_per_domain {
             return Err(GrantError::TableFull);
         }
@@ -119,11 +100,8 @@ impl GrantTable {
         self.entries.insert(
             (granter, gref),
             GrantEntry {
-                granter,
                 peer,
-                readonly,
                 mapped_by: None,
-                page: Vec::new(),
             },
         );
         Ok(gref)
@@ -174,68 +152,6 @@ impl GrantTable {
         Ok(())
     }
 
-    /// Write into the shared page as `writer` (granter, or the peer if the
-    /// grant is read-write and mapped). Bytes that fall outside the page are
-    /// dropped: a write at or past its end writes nothing.
-    pub fn write_page(
-        &mut self,
-        granter: DomId,
-        gref: GrantRef,
-        writer: DomId,
-        offset: usize,
-        data: &[u8],
-    ) -> Result<(), GrantError> {
-        let entry = self
-            .entries
-            .get_mut(&(granter, gref))
-            .ok_or(GrantError::BadRef(gref))?;
-        if writer != entry.granter {
-            if entry.peer != writer {
-                return Err(GrantError::NotPermitted {
-                    mapper: writer,
-                    expected: entry.peer,
-                });
-            }
-            if entry.readonly {
-                return Err(GrantError::ReadOnly(gref));
-            }
-        }
-        let span = in_page(offset, data.len());
-        if span.is_empty() {
-            return Ok(());
-        }
-        entry.page.resize(PAGE_SIZE, 0);
-        let n = span.len();
-        entry.page[span].copy_from_slice(&data[..n]);
-        Ok(())
-    }
-
-    /// Read from the shared page as `reader` (granter or peer).
-    pub fn read_page(
-        &self,
-        granter: DomId,
-        gref: GrantRef,
-        reader: DomId,
-        offset: usize,
-        len: usize,
-    ) -> Result<Vec<u8>, GrantError> {
-        let entry = self
-            .entries
-            .get(&(granter, gref))
-            .ok_or(GrantError::BadRef(gref))?;
-        if reader != entry.granter && reader != entry.peer && !reader.is_privileged() {
-            return Err(GrantError::NotPermitted {
-                mapper: reader,
-                expected: entry.peer,
-            });
-        }
-        let span = in_page(offset, len);
-        Ok(match entry.page.get(span.clone()) {
-            Some(bytes) => bytes.to_vec(),
-            None => vec![0; span.len()],
-        })
-    }
-
     /// Drop all grants owned by, or mapped by, a destroyed domain, and its
     /// reference counter with them (domain ids are never reused). Costs the
     /// dying domain's own grants and mappings, however many the rest of the
@@ -264,12 +180,9 @@ mod tests {
     #[test]
     fn grant_map_readwrite_flow() {
         let mut gt = GrantTable::new();
-        let gref = gt.grant(DomId(3), DomId(7), false).unwrap();
+        let gref = gt.grant(DomId(3), DomId(7)).unwrap();
         gt.map(DomId(3), gref, DomId(7)).unwrap();
-        gt.write_page(DomId(3), gref, DomId(7), 0, b"hello from dom7")
-            .unwrap();
-        let data = gt.read_page(DomId(3), gref, DomId(3), 0, 15).unwrap();
-        assert_eq!(&data, b"hello from dom7");
+        assert_eq!(gt.grants_of(DomId(3)), 1);
         gt.unmap(DomId(3), gref).unwrap();
         gt.revoke(DomId(3), gref).unwrap();
         assert_eq!(gt.grants_of(DomId(3)), 0);
@@ -278,7 +191,7 @@ mod tests {
     #[test]
     fn only_named_peer_may_map() {
         let mut gt = GrantTable::new();
-        let gref = gt.grant(DomId(3), DomId(7), false).unwrap();
+        let gref = gt.grant(DomId(3), DomId(7)).unwrap();
         assert_eq!(
             gt.map(DomId(3), gref, DomId(9)),
             Err(GrantError::NotPermitted {
@@ -291,23 +204,9 @@ mod tests {
     }
 
     #[test]
-    fn readonly_grants_reject_peer_writes() {
-        let mut gt = GrantTable::new();
-        let gref = gt.grant(DomId(3), DomId(7), true).unwrap();
-        gt.map(DomId(3), gref, DomId(7)).unwrap();
-        assert_eq!(
-            gt.write_page(DomId(3), gref, DomId(7), 0, b"x"),
-            Err(GrantError::ReadOnly(gref))
-        );
-        // The granter itself can still write.
-        assert!(gt.write_page(DomId(3), gref, DomId(3), 0, b"x").is_ok());
-        assert_eq!(gt.read_page(DomId(3), gref, DomId(7), 0, 1).unwrap(), b"x");
-    }
-
-    #[test]
     fn revoke_fails_while_mapped() {
         let mut gt = GrantTable::new();
-        let gref = gt.grant(DomId(3), DomId(7), false).unwrap();
+        let gref = gt.grant(DomId(3), DomId(7)).unwrap();
         gt.map(DomId(3), gref, DomId(7)).unwrap();
         assert_eq!(
             gt.revoke(DomId(3), gref),
@@ -324,44 +223,32 @@ mod tests {
             gt.map(DomId(3), GrantRef(42), DomId(7)),
             Err(GrantError::BadRef(GrantRef(42)))
         );
-        let gref = gt.grant(DomId(3), DomId(7), false).unwrap();
+        let gref = gt.grant(DomId(3), DomId(7)).unwrap();
         assert!(matches!(
-            gt.read_page(DomId(3), gref, DomId(9), 0, 4),
+            gt.map(DomId(3), gref, DomId(9)),
             Err(GrantError::NotPermitted { .. })
         ));
+        assert_eq!(
+            gt.revoke(DomId(3), GrantRef(42)),
+            Err(GrantError::BadRef(GrantRef(42)))
+        );
     }
 
     #[test]
     fn table_capacity_enforced() {
         let mut gt = GrantTable::with_capacity(2);
-        gt.grant(DomId(3), DomId(7), false).unwrap();
-        gt.grant(DomId(3), DomId(7), false).unwrap();
-        assert_eq!(
-            gt.grant(DomId(3), DomId(7), false),
-            Err(GrantError::TableFull)
-        );
+        gt.grant(DomId(3), DomId(7)).unwrap();
+        gt.grant(DomId(3), DomId(7)).unwrap();
+        assert_eq!(gt.grant(DomId(3), DomId(7)), Err(GrantError::TableFull));
         // Another domain has its own budget.
-        assert!(gt.grant(DomId(4), DomId(7), false).is_ok());
-    }
-
-    #[test]
-    fn writes_clamp_to_page_size() {
-        let mut gt = GrantTable::new();
-        let gref = gt.grant(DomId(3), DomId(7), false).unwrap();
-        let big = vec![0xAB; PAGE_SIZE + 100];
-        gt.write_page(DomId(3), gref, DomId(3), 0, &big).unwrap();
-        let page = gt
-            .read_page(DomId(3), gref, DomId(3), 0, PAGE_SIZE + 100)
-            .unwrap();
-        assert_eq!(page.len(), PAGE_SIZE);
-        assert!(page.iter().all(|&b| b == 0xAB));
+        assert!(gt.grant(DomId(4), DomId(7)).is_ok());
     }
 
     #[test]
     fn domain_destruction_cleans_grants() {
         let mut gt = GrantTable::new();
-        let g1 = gt.grant(DomId(3), DomId(7), false).unwrap();
-        let _g2 = gt.grant(DomId(7), DomId(3), false).unwrap();
+        let g1 = gt.grant(DomId(3), DomId(7)).unwrap();
+        let _g2 = gt.grant(DomId(7), DomId(3)).unwrap();
         gt.map(DomId(3), g1, DomId(7)).unwrap();
         gt.domain_destroyed(DomId(7));
         // dom7's own grants are gone; dom3's grant is no longer mapped.
@@ -372,59 +259,12 @@ mod tests {
     #[test]
     fn grant_refs_are_per_domain_monotonic() {
         let mut gt = GrantTable::new();
-        let a = gt.grant(DomId(3), DomId(7), false).unwrap();
-        let b = gt.grant(DomId(3), DomId(7), false).unwrap();
-        let c = gt.grant(DomId(5), DomId(7), false).unwrap();
+        let a = gt.grant(DomId(3), DomId(7)).unwrap();
+        let b = gt.grant(DomId(3), DomId(7)).unwrap();
+        let c = gt.grant(DomId(5), DomId(7)).unwrap();
         assert_eq!(a, GrantRef(0));
         assert_eq!(b, GrantRef(1));
         assert_eq!(c, GrantRef(0), "each domain numbers its own table");
-    }
-
-    #[test]
-    fn a_write_past_the_page_is_an_empty_write_not_a_panic() {
-        let mut gt = GrantTable::new();
-        let gref = gt.grant(DomId(3), DomId(7), false).unwrap();
-        for offset in [PAGE_SIZE, PAGE_SIZE + 1, usize::MAX] {
-            assert_eq!(
-                gt.write_page(DomId(3), gref, DomId(7), offset, b"guest-chosen"),
-                Ok(())
-            );
-            assert_eq!(
-                gt.read_page(DomId(3), gref, DomId(3), offset, 12),
-                Ok(Vec::new())
-            );
-        }
-        // A write that straddles the end keeps the part inside.
-        gt.write_page(DomId(3), gref, DomId(7), PAGE_SIZE - 2, b"abcd")
-            .unwrap();
-        assert_eq!(
-            gt.read_page(DomId(3), gref, DomId(3), PAGE_SIZE - 3, usize::MAX),
-            Ok(b"\0ab".to_vec())
-        );
-    }
-
-    #[test]
-    fn an_untouched_page_reads_as_zeros() {
-        let mut gt = GrantTable::new();
-        let gref = gt.grant(DomId(3), DomId(7), false).unwrap();
-        assert_eq!(
-            gt.read_page(DomId(3), gref, DomId(7), 10, 6),
-            Ok(vec![0; 6])
-        );
-        assert_eq!(
-            gt.read_page(DomId(3), gref, DomId(7), 0, usize::MAX)
-                .unwrap()
-                .len(),
-            PAGE_SIZE
-        );
-        // An empty write does not materialise it either.
-        gt.write_page(DomId(3), gref, DomId(3), 0, b"").unwrap();
-        assert!(gt.entries[&(DomId(3), gref)].page.is_empty());
-        gt.write_page(DomId(3), gref, DomId(3), 8, b"x").unwrap();
-        assert_eq!(
-            gt.read_page(DomId(3), gref, DomId(7), 7, 3),
-            Ok(b"\0x\0".to_vec())
-        );
     }
 
     #[test]
@@ -432,17 +272,14 @@ mod tests {
         let mut gt = GrantTable::new();
         for dom in 100..120 {
             for _ in 0..500 {
-                gt.grant(DomId(dom), DomId::DOM0, false).unwrap();
+                gt.grant(DomId(dom), DomId::DOM0).unwrap();
             }
         }
         assert_eq!(gt.len(), 10_000);
         for _ in 0..512 {
-            gt.grant(DomId(3), DomId(7), false).unwrap();
+            gt.grant(DomId(3), DomId(7)).unwrap();
         }
-        assert_eq!(
-            gt.grant(DomId(3), DomId(7), false),
-            Err(GrantError::TableFull)
-        );
+        assert_eq!(gt.grant(DomId(3), DomId(7)), Err(GrantError::TableFull));
         assert_eq!(gt.grants_of(DomId(3)), 512);
         gt.domain_destroyed(DomId(3));
         assert_eq!(gt.len(), 10_000, "and a death takes only its own");
@@ -451,7 +288,7 @@ mod tests {
     #[test]
     fn remapping_and_death_keep_the_mapping_index_in_step() {
         let mut gt = GrantTable::new();
-        let g = gt.grant(DomId(3), DomId(7), false).unwrap();
+        let g = gt.grant(DomId(3), DomId(7)).unwrap();
         gt.map(DomId(3), g, DomId(7)).unwrap();
         gt.map(DomId(3), g, DomId::DOM0).unwrap();
         assert_eq!(gt.mappings.len(), 1, "one mapper at a time");
@@ -474,12 +311,12 @@ mod tests {
         for i in 0..1_000u32 {
             let guest = DomId(i + 1);
             // Console ring, vif tx and rx rings (mapped by the backend).
-            let rings = [(); 3].map(|()| gt.grant(guest, dom0, false).unwrap());
+            let rings = [(); 3].map(|()| gt.grant(guest, dom0).unwrap());
             assert_eq!(rings, [GrantRef(0), GrantRef(1), GrantRef(2)]);
             gt.map(guest, rings[1], dom0).unwrap();
             gt.map(guest, rings[2], dom0).unwrap();
             // A vchan served by dom0, established and torn down.
-            let vchan = [(); 2].map(|()| gt.grant(dom0, guest, false).unwrap());
+            let vchan = [(); 2].map(|()| gt.grant(dom0, guest).unwrap());
             assert_eq!(vchan, [GrantRef(2 * i), GrantRef(2 * i + 1)]);
             for gref in vchan {
                 gt.map(dom0, gref, guest).unwrap();

@@ -8,9 +8,8 @@
 //! optimisations: switch the script to the lightweight `dash`, then eliminate
 //! the shell entirely by performing the equivalent `ioctl()` calls in-process.
 //!
-//! The model exposes each variant's structure (fork count, helper
-//! invocations) and a calibrated duration so the Figure 4 harness reproduces
-//! the 650 ms → 300 ms → 200 ms progression.
+//! The model gives each variant a calibrated duration so the Figure 4
+//! harness reproduces the 650 ms → 300 ms → 200 ms progression.
 
 use jitsu_sim::{Distribution, SimDuration, SimRng};
 use platform::Board;
@@ -43,32 +42,6 @@ impl HotplugStyle {
         }
     }
 
-    /// Number of processes forked per attachment (interpreter, xenstore
-    /// helper binaries, `ip`/`brctl` invocations).
-    pub fn fork_count(self) -> u32 {
-        match self {
-            HotplugStyle::BashScript => 28,
-            HotplugStyle::DashScript => 12,
-            HotplugStyle::InlineIoctl => 0,
-        }
-    }
-
-    /// Number of XenStore helper round trips the script performs.
-    pub fn xenstore_helper_calls(self) -> u32 {
-        match self {
-            HotplugStyle::BashScript => 9,
-            HotplugStyle::DashScript => 6,
-            HotplugStyle::InlineIoctl => 0,
-        }
-    }
-
-    /// Whether the attachment still executes any shell at all — relevant to
-    /// the security discussion (ShellShock, §4): the inline-ioctl path
-    /// removes shell scripts from the security-critical toolstack.
-    pub fn uses_shell(self) -> bool {
-        !matches!(self, HotplugStyle::InlineIoctl)
-    }
-
     /// Mean duration of the attachment on the x86 reference machine.
     /// ARM durations are obtained by scaling with the board's CPU factor,
     /// reproducing §3.1: ≈450 ms for bash, ≈100 ms for dash and effectively
@@ -95,12 +68,6 @@ impl HotplugStyle {
     pub fn sample_duration(self, board: &Board, rng: &mut SimRng) -> SimDuration {
         self.duration_dist(board).sample(rng)
     }
-
-    /// The deterministic mean attachment duration on a board (used by the
-    /// analytic parts of the Figure 4 harness).
-    pub fn mean_duration(self, board: &Board) -> SimDuration {
-        board.scale_cpu(self.x86_mean())
-    }
 }
 
 #[cfg(test)]
@@ -111,9 +78,9 @@ mod tests {
     #[test]
     fn arm_durations_match_paper_progression() {
         let board = BoardKind::Cubieboard2.board();
-        let bash = HotplugStyle::BashScript.mean_duration(&board);
-        let dash = HotplugStyle::DashScript.mean_duration(&board);
-        let ioctl = HotplugStyle::InlineIoctl.mean_duration(&board);
+        let bash = HotplugStyle::BashScript.duration_dist(&board).mean();
+        let dash = HotplugStyle::DashScript.duration_dist(&board).mean();
+        let ioctl = HotplugStyle::InlineIoctl.duration_dist(&board).mean();
         // §3.1: bash ≈ 450 ms worth of hotplug work, dash ≈ 100 ms, ioctl ≈ free.
         assert!((400..500).contains(&bash.as_millis()), "bash={bash}");
         assert!((80..130).contains(&dash.as_millis()), "dash={dash}");
@@ -126,25 +93,10 @@ mod tests {
         let arm = BoardKind::Cubieboard2.board();
         let x86 = BoardKind::X86Server.board();
         for style in HotplugStyle::ALL {
-            let a = style.mean_duration(&arm).as_secs_f64();
-            let x = style.mean_duration(&x86).as_secs_f64();
+            let a = style.duration_dist(&arm).mean().as_secs_f64();
+            let x = style.duration_dist(&x86).mean().as_secs_f64();
             assert!((a / x - 6.0).abs() < 0.01, "{style:?}");
         }
-    }
-
-    #[test]
-    fn fork_counts_decrease_with_optimisation() {
-        assert!(HotplugStyle::BashScript.fork_count() > HotplugStyle::DashScript.fork_count());
-        assert_eq!(HotplugStyle::InlineIoctl.fork_count(), 0);
-        assert_eq!(HotplugStyle::InlineIoctl.xenstore_helper_calls(), 0);
-        assert!(HotplugStyle::BashScript.xenstore_helper_calls() > 0);
-    }
-
-    #[test]
-    fn only_inline_ioctl_removes_the_shell() {
-        assert!(HotplugStyle::BashScript.uses_shell());
-        assert!(HotplugStyle::DashScript.uses_shell());
-        assert!(!HotplugStyle::InlineIoctl.uses_shell());
     }
 
     #[test]
@@ -152,7 +104,8 @@ mod tests {
         let board = BoardKind::Cubieboard2.board();
         let mut rng = SimRng::seed_from_u64(7);
         let mean = HotplugStyle::BashScript
-            .mean_duration(&board)
+            .duration_dist(&board)
+            .mean()
             .as_millis_f64();
         for _ in 0..100 {
             let d = HotplugStyle::BashScript

@@ -9,9 +9,9 @@
 //!
 //! * [`domain`] — domain descriptors and the lifecycle state machine;
 //! * [`memory`] — physical page accounting, the memory zeroing cost that
-//!   dominates domain-build time (Figure 4), and the two-stage ARM address
-//!   translation layout of §2.3;
-//! * [`grant_table`] / [`event_channel`] — the shared-memory grant and
+//!   dominates domain-build time (Figure 4), and the MirageOS/ARM memory
+//!   layout of §2.3;
+//! * [`grant_table`] / [`event_channel`] — the page-sharing permission and
 //!   notification primitives that vchan (and hence Conduit) builds on;
 //! * [`fdt`] — the Flattened Device Tree handed to ARM guests at boot;
 //! * [`domain_builder`] — loads a kernel image, assigns and zeroes RAM,
@@ -21,7 +21,6 @@
 //! * [`hotplug`] — the dom0 vif hotplug path in its three variants
 //!   (bash script, dash script, inline ioctl) from §3.1;
 //! * [`bridge`] — the dom0 software bridge frames traverse;
-//! * [`scheduler`] — a minimal credit scheduler, used by the power model;
 //! * [`toolstack`] — the `xl`-equivalent orchestration layer with the
 //!   vanilla (serialised) and Jitsu (parallelised) build paths that
 //!   Figure 4 sweeps.
@@ -42,7 +41,6 @@ pub mod fdt;
 pub mod grant_table;
 pub mod hotplug;
 pub mod memory;
-pub mod scheduler;
 pub mod toolstack;
 
 pub use bridge::Bridge;
@@ -54,6 +52,5 @@ pub use fdt::FdtBuilder;
 pub use grant_table::{GrantRef, GrantTable};
 pub use hotplug::HotplugStyle;
 pub use memory::{MemoryLayout, PageAllocator, PAGE_SIZE};
-pub use scheduler::CreditScheduler;
 pub use toolstack::{BootOptimisations, LaunchSlots, Toolstack};
 pub use xenstore::DomId;

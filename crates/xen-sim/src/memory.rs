@@ -6,7 +6,7 @@
 //! quickly" (§3.1) — this is why Figure 4's build time grows with VM memory
 //! and why 8–16 MiB unikernels have a structural advantage over 64–256 MiB
 //! Linux guests. [`PageAllocator`] models the host's page pool and the cost
-//! of scrubbing; [`MemoryLayout`] reproduces the fixed virtual→IPA mapping
+//! of scrubbing; [`MemoryLayout`] reproduces the fixed memory map
 //! MirageOS/ARM uses (stack at the bottom of RAM, 16 KB first-level
 //! translation table of 1 MiB sections, kernel at offset 0x8000).
 
@@ -120,22 +120,6 @@ impl PageAllocator {
     pub fn zeroing_time(&self, pages: usize) -> SimDuration {
         SimDuration::from_millis_f64(pages as f64 / self.zero_pages_per_ms)
     }
-
-    /// Time to zero a whole `mib` MiB assignment.
-    pub fn zeroing_time_mib(&self, mib: u32) -> SimDuration {
-        self.zeroing_time(mib as usize * PAGES_PER_MIB)
-    }
-}
-
-/// One entry of the unikernel's first-level translation table: a 1 MiB
-/// section mapping (MirageOS deliberately avoids second-level tables to
-/// reduce TLB pressure, §2.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SectionMapping {
-    /// Virtual address of the 1 MiB section (1 MiB aligned).
-    pub virt: u32,
-    /// Intermediate physical address it maps to.
-    pub ipa: u32,
 }
 
 /// The fixed MirageOS/ARM memory layout from §2.3.
@@ -152,13 +136,13 @@ pub struct MemoryLayout {
     pub stack_bytes: u32,
     /// Virtual address of the first-level translation table.
     pub translation_table_virt: u32,
-    /// Translation table size in bytes (16 KiB maps the whole 4 GiB space).
+    /// Translation table size in bytes: 4-byte first-level entries of
+    /// 1 MiB sections (MirageOS avoids second-level tables to reduce TLB
+    /// pressure), so 16 KiB maps the whole 4 GiB space.
     pub translation_table_bytes: u32,
     /// Virtual address the kernel image is linked at (offset 0x8000, the
     /// zImage convention).
     pub kernel_virt: u32,
-    /// Fixed offset added to a virtual address to obtain the IPA.
-    pub virt_to_ipa_offset: u32,
 }
 
 impl MemoryLayout {
@@ -178,38 +162,7 @@ impl MemoryLayout {
             translation_table_virt: 0x0040_4000,
             translation_table_bytes: 16 * 1024,
             kernel_virt: 0x0040_8000,
-            virt_to_ipa_offset: 0x4000_0000u32.wrapping_sub(0x0040_0000),
         }
-    }
-
-    /// Translate a guest virtual address to its IPA using the fixed offset
-    /// (addresses wrap around the 32-bit space, so virtual 0xC0400000 maps
-    /// back to IPA 0, as the paper notes).
-    pub fn virt_to_ipa(&self, virt: u32) -> u32 {
-        virt.wrapping_add(self.virt_to_ipa_offset)
-    }
-
-    /// Number of 4-byte first-level entries in the translation table.
-    pub fn translation_entries(&self) -> u32 {
-        self.translation_table_bytes / 4
-    }
-
-    /// Amount of address space each first-level entry maps (1 MiB sections).
-    pub fn bytes_per_entry(&self) -> u64 {
-        // 16 KiB of 4-byte entries covering the full 4 GiB space.
-        (1u64 << 32) / self.translation_entries() as u64
-    }
-
-    /// Build the section mappings covering guest RAM.
-    pub fn ram_sections(&self) -> Vec<SectionMapping> {
-        let section = self.bytes_per_entry() as u32;
-        let count = self.ram_bytes.div_ceil(section);
-        (0..count)
-            .map(|i| SectionMapping {
-                virt: self.stack_virt.wrapping_add(i * section) & !(section - 1),
-                ipa: self.ram_base_ipa + i * section,
-            })
-            .collect()
     }
 
     /// The order of regions from the bottom of RAM: stack, translation
@@ -252,11 +205,16 @@ mod tests {
         assert_eq!(pa.free_pages(), 0);
     }
 
+    /// Pages in `mib` MiB.
+    fn pages(mib: usize) -> usize {
+        mib * PAGES_PER_MIB
+    }
+
     #[test]
     fn zeroing_scales_with_memory() {
         let pa = PageAllocator::new(1024, 70.0);
-        let t16 = pa.zeroing_time_mib(16);
-        let t256 = pa.zeroing_time_mib(256);
+        let t16 = pa.zeroing_time(pages(16));
+        let t256 = pa.zeroing_time(pages(256));
         assert!(
             t256 > t16 * 15 && t256 < t16 * 17,
             "zeroing is linear in pages"
@@ -269,14 +227,14 @@ mod tests {
         // adds roughly 350 ms of scrubbing over a 16 MiB unikernel.
         let board = BoardKind::Cubieboard2.board();
         let pa = PageAllocator::for_board(&board);
-        let t256 = pa.zeroing_time_mib(256);
+        let t256 = pa.zeroing_time(pages(256));
         assert!((300..450).contains(&t256.as_millis()), "t256={t256}");
-        let t16 = pa.zeroing_time_mib(16);
+        let t16 = pa.zeroing_time(pages(16));
         assert!((15..35).contains(&t16.as_millis()), "t16={t16}");
         // x86 is roughly 6x faster.
         let x86 = BoardKind::X86Server.board();
         let pax = PageAllocator::for_board(&x86);
-        assert!(pax.zeroing_time_mib(256) < t256 / 5);
+        assert!(pax.zeroing_time(pages(256)) < t256 / 5);
     }
 
     #[test]
@@ -293,23 +251,21 @@ mod tests {
         assert_eq!(l.stack_virt, 0x400000);
         assert_eq!(l.translation_table_virt, 0x404000);
         assert_eq!(l.kernel_virt, 0x408000);
-        assert_eq!(l.virt_to_ipa(0x400000), 0x4000_0000);
-        assert_eq!(l.virt_to_ipa(0x404000), 0x4000_4000);
-        assert_eq!(l.virt_to_ipa(0x408000), 0x4000_8000);
-        // Addresses wrap: virtual 0xC0400000 maps back to physical 0.
-        assert_eq!(l.virt_to_ipa(0xC040_0000), 0);
+        // Guest RAM, and so the stack at its bottom, starts at IPA 0x40000000.
+        assert_eq!(l.ram_base_ipa, 0x4000_0000);
         assert!(l.region_order_is_valid());
     }
 
     #[test]
     fn translation_table_maps_whole_address_space_with_1mib_sections() {
         let l = MemoryLayout::mirage_arm(16 * 1024 * 1024);
-        assert_eq!(l.translation_entries(), 4096, "16KB of 4-byte entries");
-        assert_eq!(l.bytes_per_entry(), 1024 * 1024, "each entry maps 1MiB");
-        let sections = l.ram_sections();
-        assert_eq!(sections.len(), 16, "16MiB of RAM needs 16 sections");
-        assert_eq!(sections[0].ipa, 0x4000_0000);
-        assert_eq!(sections[1].ipa, 0x4010_0000);
+        let entries = l.translation_table_bytes / 4;
+        assert_eq!(entries, 4096, "16KB of 4-byte entries");
+        assert_eq!(
+            (1u64 << 32) / u64::from(entries),
+            1024 * 1024,
+            "each maps 1MiB"
+        );
     }
 
     #[test]
@@ -319,6 +275,5 @@ mod tests {
         let l = MemoryLayout::mirage_arm(8 * 1024 * 1024);
         assert!(l.stack_virt < l.translation_table_virt);
         assert!(l.stack_virt < l.kernel_virt);
-        assert_eq!(l.virt_to_ipa(l.stack_virt), l.ram_base_ipa);
     }
 }

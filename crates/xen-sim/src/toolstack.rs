@@ -131,11 +131,6 @@ impl LaunchSlots {
         self.in_use
     }
 
-    /// Slots currently free.
-    pub fn available(&self) -> u32 {
-        self.capacity - self.in_use
-    }
-
     /// The highest concurrency observed since construction.
     pub fn peak(&self) -> u32 {
         self.peak
@@ -299,11 +294,6 @@ impl Toolstack {
     /// Look up a domain.
     pub fn domain(&self, dom: DomId) -> Option<&Domain> {
         self.domains.get(&dom)
-    }
-
-    /// Look up a running domain by its configured name.
-    pub fn find_by_name(&self, name: &str) -> Option<&Domain> {
-        self.domains.values().find(|d| d.config.name == name)
     }
 
     /// The vif of a domain, if one was attached.
@@ -592,7 +582,7 @@ mod tests {
         assert_eq!(ts.bridge.port_count(), 1);
         assert!(ts.vif(dom).is_some());
         assert_eq!(ts.domain(dom).unwrap().state, DomainState::Paused);
-        assert!(ts.find_by_name("http_server").is_some());
+        assert_eq!(ts.domain(dom).unwrap().config.name, "http_server");
         ts.unpause(dom).unwrap();
         assert!(ts.domain(dom).unwrap().is_running());
     }
@@ -656,12 +646,10 @@ mod tests {
     fn launch_slots_bound_concurrency() {
         let mut slots = LaunchSlots::new(2);
         assert_eq!(slots.capacity(), 2);
-        assert_eq!(slots.available(), 2);
         assert!(slots.try_acquire());
         assert!(slots.try_acquire());
         assert!(!slots.try_acquire(), "third acquire must fail");
         assert_eq!(slots.in_use(), 2);
-        assert_eq!(slots.available(), 0);
         slots.release();
         assert!(slots.try_acquire());
         slots.release();

@@ -1,7 +1,7 @@
 //! The persistent ordered child map of a store node.
 //!
 //! A directory's children live in a *chunked sorted vector*: a spine of
-//! [`Arc`]-shared chunks, each a sorted run of at most [`CHUNK_MAX`] entries
+//! [`Arc`]-shared chunks, each a sorted run of at most `CHUNK_MAX` (64) entries
 //! keyed by `Arc<str>`. Cloning the map copies the spine — one pointer per
 //! chunk, never a key or an entry — and a mutation copies only the one chunk
 //! it lands in, and only while that chunk is still shared with another map.

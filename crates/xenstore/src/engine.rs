@@ -118,7 +118,7 @@ impl EngineKind {
 /// The outcome of a conflict check.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Reconcile {
-    /// The transaction may commit (replay its write log).
+    /// The transaction may commit (merge its net effect onto the live tree).
     Commit,
     /// The transaction conflicts and must be retried (`EAGAIN`).
     Conflict {

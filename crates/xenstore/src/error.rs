@@ -31,8 +31,6 @@ pub enum Error {
     DuplicateWatch,
     /// The watch to remove was not found.
     WatchNotFound,
-    /// A wire-protocol message could not be decoded.
-    Protocol(String),
 }
 
 impl fmt::Display for Error {
@@ -47,35 +45,11 @@ impl fmt::Display for Error {
             Error::QuotaExceeded(what) => write!(f, "quota exceeded: {what}"),
             Error::DuplicateWatch => write!(f, "watch already registered"),
             Error::WatchNotFound => write!(f, "watch not found"),
-            Error::Protocol(m) => write!(f, "protocol error: {m}"),
         }
     }
 }
 
 impl std::error::Error for Error {}
-
-impl Error {
-    /// The errno-style short name used on the wire (e.g. `"ENOENT"`).
-    pub fn errno_name(&self) -> &'static str {
-        match self {
-            Error::NoEntry(_) => "ENOENT",
-            Error::PermissionDenied(_) => "EACCES",
-            Error::Again => "EAGAIN",
-            Error::Invalid(_) => "EINVAL",
-            Error::Exists(_) => "EEXIST",
-            Error::UnknownTransaction(_) => "EINVAL",
-            Error::QuotaExceeded(_) => "E2BIG",
-            Error::DuplicateWatch => "EEXIST",
-            Error::WatchNotFound => "ENOENT",
-            Error::Protocol(_) => "EIO",
-        }
-    }
-
-    /// True if the operation should be retried (transaction conflicts).
-    pub fn is_retryable(&self) -> bool {
-        matches!(self, Error::Again)
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -92,24 +66,5 @@ mod tests {
         assert!(Error::Exists("/a".into()).to_string().contains("EEXIST"));
         assert!(Error::UnknownTransaction(9).to_string().contains('9'));
         assert!(Error::QuotaExceeded("nodes").to_string().contains("nodes"));
-        assert!(Error::Protocol("trunc".into())
-            .to_string()
-            .contains("trunc"));
-    }
-
-    #[test]
-    fn errno_names() {
-        assert_eq!(Error::NoEntry(String::new()).errno_name(), "ENOENT");
-        assert_eq!(Error::Again.errno_name(), "EAGAIN");
-        assert_eq!(Error::QuotaExceeded("watches").errno_name(), "E2BIG");
-        assert_eq!(Error::DuplicateWatch.errno_name(), "EEXIST");
-        assert_eq!(Error::WatchNotFound.errno_name(), "ENOENT");
-    }
-
-    #[test]
-    fn retryability() {
-        assert!(Error::Again.is_retryable());
-        assert!(!Error::NoEntry(String::new()).is_retryable());
-        assert!(!Error::PermissionDenied(String::new()).is_retryable());
     }
 }

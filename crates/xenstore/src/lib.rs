@@ -17,7 +17,6 @@
 //!   analogous to POSIX setgid+sticky),
 //! * watches ([`watch`]) — notification callbacks on subtree modification,
 //! * per-domain quotas ([`quota`]),
-//! * a binary wire protocol ([`wire`]) mirroring `xsd_sockmsg`,
 //! * transactions with **three-way commit-time merging** and **three
 //!   pluggable reconciliation engines** ([`engine`]): the serialising
 //!   abort-and-retry behaviour of the C `xenstored`, the in-memory merge of
@@ -63,7 +62,6 @@ pub mod store;
 pub mod transaction;
 pub mod tree;
 pub mod watch;
-pub mod wire;
 
 pub use children::ChildMap;
 pub use engine::{CostModel, EngineKind, TxnEngine};

@@ -207,27 +207,13 @@ impl Path {
         theirs.starts_with(mine) && matches!(theirs.as_bytes().get(mine.len()), None | Some(b'/'))
     }
 
-    /// True if `self` is a strict ancestor of `other`.
-    pub fn is_ancestor_of(&self, other: &Path) -> bool {
-        self.len < other.len && self.is_prefix_of(other)
-    }
-
     /// The ancestor (or this path itself) that has `depth` components;
     /// this path if it has no more than that.
     pub fn ancestor(&self, depth: usize) -> Path {
         self.cut(slashes(self.text()).nth(depth).unwrap_or(self.len))
     }
 
-    /// This path and all its ancestors, from the root down to the path
-    /// itself.
-    pub fn ancestry(&self) -> Vec<Path> {
-        let mut out: Vec<Path> = slashes(self.text()).map(|at| self.cut(at)).collect();
-        out.push(self.clone());
-        out
-    }
-
-    /// The first component, or `None` for the root — used by the Jitsu
-    /// transaction engine to partition conflicts by top-level directory.
+    /// The first component, or `None` for the root.
     pub fn top_level(&self) -> Option<&str> {
         self.components().next()
     }
@@ -380,10 +366,8 @@ mod tests {
         let a = Path::parse("/local/domain").unwrap();
         let b = Path::parse("/local/domain/3/vchan").unwrap();
         assert!(a.is_prefix_of(&b));
-        assert!(a.is_ancestor_of(&b));
         assert!(!b.is_prefix_of(&a));
         assert!(a.is_prefix_of(&a));
-        assert!(!a.is_ancestor_of(&a));
         assert!(Path::root().is_prefix_of(&a));
         let c = Path::parse("/conduit").unwrap();
         assert!(!a.is_prefix_of(&c));
@@ -392,7 +376,7 @@ mod tests {
     #[test]
     fn ancestry_lists_all_prefixes() {
         let p = Path::parse("/a/b/c").unwrap();
-        let anc = p.ancestry();
+        let anc: Vec<Path> = (0..=p.depth()).map(|d| p.ancestor(d)).collect();
         assert_eq!(anc.len(), 4);
         assert_eq!(anc[0], Path::root());
         assert_eq!(anc[1].to_string(), "/a");
@@ -497,11 +481,8 @@ mod tests {
                 a.parent().map(|p| model(&p)),
                 parts.split_last().map(|(_, rest)| rest.to_vec())
             );
-            let ancestry = a.ancestry();
-            assert_eq!(ancestry.len(), parts.len() + 1);
-            for (depth, ancestor) in ancestry.iter().enumerate() {
-                assert_eq!(model(ancestor), parts[..depth]);
-                assert_eq!(a.ancestor(depth), *ancestor);
+            for depth in 0..=parts.len() {
+                assert_eq!(model(&a.ancestor(depth)), parts[..depth]);
             }
             assert_eq!(a.ancestor(parts.len() + 3), *a);
             let child = a.child("x-1").unwrap();
@@ -514,10 +495,6 @@ mod tests {
             for b in &paths {
                 let other = model(b);
                 assert_eq!(a.is_prefix_of(b), other.starts_with(&parts), "{a} {b}");
-                assert_eq!(
-                    a.is_ancestor_of(b),
-                    other.starts_with(&parts) && other.len() > parts.len()
-                );
                 let shared = parts.iter().zip(&other).take_while(|(x, y)| x == y);
                 assert_eq!(model(&a.common_prefix(b)).len(), shared.count());
                 assert!(a.common_prefix(b).is_prefix_of(a));
@@ -533,8 +510,7 @@ mod tests {
         let derived = [p.clone(), p.parent().unwrap(), p.ancestor(2)];
         assert_eq!(Arc::strong_count(&p.buf), before + derived.len());
         assert!(derived.iter().all(|d| Arc::ptr_eq(&d.buf, &p.buf)));
-        assert_eq!(p.ancestry().len(), 8);
-        assert!(p.ancestry().iter().all(|a| Arc::ptr_eq(&a.buf, &p.buf)));
+        assert!((0..=p.depth()).all(|d| Arc::ptr_eq(&p.ancestor(d).buf, &p.buf)));
         assert!(p.child("").is_err(), "a component is never empty");
     }
 

@@ -177,11 +177,6 @@ impl Permissions {
 
     /// Mark this node as a create-restricted directory (Jitsu's Conduit
     /// `listen` directory extension).
-    pub fn set_create_restricted(&mut self, restricted: bool) {
-        self.create_restricted = restricted;
-    }
-
-    /// Builder-style [`Permissions::set_create_restricted`].
     pub fn create_restricted(mut self) -> Permissions {
         self.create_restricted = true;
         self

@@ -144,7 +144,7 @@ pub struct Transaction {
     /// Paths read (and how) during the transaction, including reads that
     /// observed a path to be *missing*.
     pub read_set: BTreeMap<Path, ReadKind>,
-    /// Mutations to replay at commit time, in order.
+    /// The mutations applied, in order.
     pub write_log: Vec<TxnOp>,
     /// Number of times this logical transaction has been retried after
     /// `EAGAIN` (maintained by the store for diagnostics).
@@ -350,25 +350,6 @@ impl Transaction {
         }
         Ok(())
     }
-
-    /// Replay the write log onto `tree` (used by the engines after deciding
-    /// the commit does not conflict). Individual op failures are surfaced.
-    ///
-    /// [`Transaction::merge_onto`] is the net-effect equivalent the store
-    /// uses on its commit path; `replay_onto` is kept for op-order-exact
-    /// replays in tests and diagnostics.
-    pub fn replay_onto(&self, tree: &mut Tree) -> Result<()> {
-        let unused = &mut TreeDiff::default();
-        for op in &self.write_log {
-            match (op, op.apply_to(tree, self.dom, unused)) {
-                // A node removed by a concurrent commit is treated as
-                // already gone rather than failing the whole batch.
-                (TxnOp::Rm { .. }, Err(crate::error::Error::NoEntry(_))) => {}
-                (_, result) => result?,
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -378,6 +359,20 @@ mod tests {
 
     fn p(s: &str) -> Path {
         Path::parse(s).unwrap()
+    }
+
+    /// The op-order-exact reference for [`Transaction::merge_onto`]: replay
+    /// the write log onto `tree`, treating a node a concurrent commit
+    /// removed as already gone.
+    fn replay_onto(txn: &Transaction, tree: &mut Tree) -> Result<()> {
+        let unused = &mut TreeDiff::default();
+        for op in &txn.write_log {
+            match (op, op.apply_to(tree, txn.dom, unused)) {
+                (TxnOp::Rm { .. }, Err(crate::error::Error::NoEntry(_))) => {}
+                (_, result) => result?,
+            }
+        }
+        Ok(())
     }
 
     #[test]
@@ -455,7 +450,7 @@ mod tests {
         let mut merged = tree.clone();
         let mut replayed = tree.clone();
         txn.merge_onto(&mut merged, &txn.changes()).unwrap();
-        txn.replay_onto(&mut replayed).unwrap();
+        replay_onto(&txn, &mut replayed).unwrap();
         assert!(Tree::diff(&merged, &replayed).is_empty());
         assert!(Tree::diff(&merged, &txn.snapshot).is_empty());
     }

@@ -19,6 +19,7 @@
 //! `#[test]`: a second test thread would allocate into the same counters.
 
 use jitsu_repro::conduit::vchan::{Side, VchanPair};
+use jitsu_repro::netstack::dns::DnsMessage;
 use jitsu_repro::netstack::http::{HttpRequest, HttpResponse};
 use jitsu_repro::netstack::iface::{IfaceEvent, Interface};
 use jitsu_repro::netstack::{FrameBuf, MacAddr};
@@ -246,6 +247,17 @@ fn warm_exchange_and_ring_stream_stay_inside_their_allocation_budget() {
     };
     let one_drain = stream(1500);
     let three_drains = stream(2 * VchanPair::capacity() + 100);
+
+    // A 12-byte DNS header that promises 65,535 questions, or answers, and
+    // carries none: the parser reserves what the bytes could hold, not what
+    // the header claims.
+    for counts in [[0xff, 0xff, 0, 0], [0, 0, 0xff, 0xff]] {
+        let mut header = [0u8; 12];
+        header[4..8].copy_from_slice(&counts);
+        let (parsed, _, bytes) = counted(|| DnsMessage::parse(&header).is_err());
+        assert!(parsed, "a header with no records is truncated");
+        assert!(bytes < 1024, "a hostile DNS header allocated {bytes} bytes");
+    }
 
     // At PR 18's parent the same windows averaged 160.3 allocations and
     // 13.7 KB per small exchange, 172.3 and 210 KB per 16 KiB one, and a
