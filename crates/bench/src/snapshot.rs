@@ -12,8 +12,8 @@
 //! Every metric is a count or a virtual-time latency read from the
 //! deterministic sim (events executed, commits merged, bytes through the
 //! ring, p50 handoff latency in sim-milliseconds). They are exact —
-//! `jitsu-lint` guarantees no wall clock, ambient entropy or unordered
-//! iteration can leak into these paths — so the document is a pure
+//! the root `clippy.toml` keeps any wall clock, ambient entropy or hashed
+//! iteration out of these paths — so the document is a pure
 //! function of the tree and *any* difference against the baseline fails
 //! the gate: a metric only moves when an intentional algorithmic change
 //! moves it. Host time is measured by the standalone `benchmark/` package

@@ -248,7 +248,10 @@ impl ConduitRegistry {
         let client_str = xs.read_string(server, None, &entry)?;
         let Ok(client_id) = client_str.trim().parse::<u32>() else {
             // Malformed request: drop it.
-            // jitsu-lint: allow(R001, "best-effort cleanup of a malformed entry; rm of a just-read path only races another cleaner")
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "best-effort cleanup of a malformed entry; rm of a just-read path only races another cleaner"
+            )]
             let _ = xs.rm(server, None, &entry);
             return Ok(None);
         };
@@ -319,9 +322,15 @@ impl ConduitRegistry {
         conn: &str,
         flow_id: u64,
     ) -> Result<(), ConduitError> {
-        // jitsu-lint: allow(R001, "teardown is best-effort: the paths may already be gone if the peer cleaned up first")
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "teardown is best-effort: the paths may already be gone if the peer cleaned up first"
+        )]
         let _ = xs.rm(DomId::DOM0, None, &Self::vchan_path(server, conn));
-        // jitsu-lint: allow(R001, "teardown is best-effort: the paths may already be gone if the peer cleaned up first")
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "teardown is best-effort: the paths may already be gone if the peer cleaned up first"
+        )]
         let _ = xs.rm(
             DomId::DOM0,
             None,

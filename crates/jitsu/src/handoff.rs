@@ -190,7 +190,10 @@ impl HandoffCoordinator {
                 }
             }
         }
-        // jitsu-lint: allow(R001, "the pending directory may be absent when no frames were parked; rm is best-effort")
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "the pending directory may be absent when no frames were parked; rm is best-effort"
+        )]
         let _ = xs.rm(DomId::DOM0, None, &base);
         Ok(frames)
     }

@@ -16,15 +16,15 @@
 //!   moves the builder's allocation behind a reference count. (An
 //!   `Arc<[u8]>` would be one allocation instead of two, but it cannot adopt
 //!   a `Vec`'s allocation: `Arc::from(vec)` allocates again and copies,
-//!   where the A001 lint, which looks for `.clone()` / `.to_vec()`, cannot
-//!   see it; and safe code can only fill one in place after zeroing it,
+//!   where a search for `.clone()` / `.to_vec()` cannot see it; and safe
+//!   code can only fill one in place after zeroing it,
 //!   which measures slower than the second allocation at every frame size.)
 //! - **Crossing a ring copies twice**: into the granted page, and out of it
 //!   into one destination buffer per transfer (`conduit::vchan`).
 //! - **Everything after that is a view**: parsers, in-order delivery, HTTP
 //!   bodies and replay slice the arriving buffer and never copy it. This is
-//!   what the A001 ratchet (`crates/lint/budget.toml`) and the
-//!   `shares_allocation` assertions fence.
+//!   what `tests/frame_path.rs` and the `shares_allocation` assertions
+//!   fence.
 //!
 //! Copies that *must* happen (reassembly of a request split over segments)
 //! go through [`FrameBuf::copy_from_slice`] or [`FrameBuf::concat`] so the
@@ -105,6 +105,10 @@ impl FrameBuf {
 
     /// An O(1) sub-view sharing this buffer's allocation. Follows the std
     /// slice-index contract: an out-of-range or inverted range panics.
+    #[expect(
+        clippy::panic,
+        reason = "mirrors the std slice-index contract: a bad range is a caller bug"
+    )]
     pub fn slice(&self, range: impl RangeBounds<usize>) -> FrameBuf {
         let len = self.len();
         let start = match range.start_bound() {
@@ -118,7 +122,6 @@ impl FrameBuf {
             Bound::Unbounded => len,
         };
         if start > end || end > len {
-            // jitsu-lint: allow(P001, "mirrors the std slice-index contract: a bad range is a caller bug")
             panic!("FrameBuf::slice: range {start}..{end} out of bounds for length {len}");
         }
         if start == end {

@@ -14,11 +14,14 @@ pub fn partial(mut sum: u32, data: &[u8]) -> u32 {
 }
 
 /// Fold a partial sum and return the final checksum value.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "the fold loop above just established sum >> 16 == 0, so sum fits in u16"
+)]
 pub fn finish(mut sum: u32) -> u16 {
     while sum >> 16 != 0 {
         sum = (sum & 0xffff) + (sum >> 16);
     }
-    // jitsu-lint: allow(N001, "the fold loop above just established sum >> 16 == 0, so sum fits in u16")
     !(sum as u16)
 }
 

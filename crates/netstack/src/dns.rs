@@ -142,12 +142,18 @@ impl DnsMessage {
         flags |= 0x0100; // recursion desired (copied by convention)
         flags |= self.rcode.to_bits() as u16;
         out.extend_from_slice(&flags.to_be_bytes());
+        #[expect(
+            clippy::expect_used,
+            reason = "RFC 1035 caps the QDCOUNT field at u16; a message this stack builds carries one question"
+        )]
         let qdcount = u16::try_from(self.questions.len())
-            // jitsu-lint: allow(P001, "RFC 1035 caps the QDCOUNT field at u16; a message this stack builds carries one question")
             .expect("question count exceeds the u16 QDCOUNT field");
-        let ancount = u16::try_from(self.answers.len())
-            // jitsu-lint: allow(P001, "RFC 1035 caps the ANCOUNT field at u16; answers mirror the single question")
-            .expect("answer count exceeds the u16 ANCOUNT field");
+        #[expect(
+            clippy::expect_used,
+            reason = "RFC 1035 caps the ANCOUNT field at u16; answers mirror the single question"
+        )]
+        let ancount =
+            u16::try_from(self.answers.len()).expect("answer count exceeds the u16 ANCOUNT field");
         out.extend_from_slice(&qdcount.to_be_bytes());
         out.extend_from_slice(&ancount.to_be_bytes());
         out.extend_from_slice(&0u16.to_be_bytes()); // NS count
@@ -242,7 +248,10 @@ impl DnsMessage {
 fn emit_name(out: &mut Vec<u8>, name: &str) {
     for label in name.split('.').filter(|l| !l.is_empty()) {
         let bytes = label.as_bytes();
-        // jitsu-lint: allow(N001, "`.min(63)` bounds the label length to the DNS maximum, which fits in u8")
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "`.min(63)` bounds the label length to the DNS maximum, which fits in u8"
+        )]
         out.push(bytes.len().min(63) as u8);
         out.extend_from_slice(&bytes[..bytes.len().min(63)]);
     }

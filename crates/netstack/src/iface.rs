@@ -94,10 +94,11 @@ impl ConnKey {
 
     /// `(remote ip, remote port, local port)`.
     fn parts(self) -> (Ipv4Addr, u16, u16) {
+        let [a, b, c, d, rp_hi, rp_lo, lp_hi, lp_lo] = self.0.to_be_bytes();
         (
-            Ipv4Addr(((self.0 >> 32) as u32).to_be_bytes()),
-            (self.0 >> 16) as u16,
-            self.0 as u16,
+            Ipv4Addr([a, b, c, d]),
+            u16::from_be_bytes([rp_hi, rp_lo]),
+            u16::from_be_bytes([lp_hi, lp_lo]),
         )
     }
 }
@@ -288,6 +289,10 @@ impl Interface {
     ///
     /// When all 16,384 ephemeral ports already carry a live connection to
     /// `(dst, dst_port)`.
+    #[expect(
+        clippy::panic,
+        reason = "the pinned signature returns a bare frame; only 16,384 live flows to one peer endpoint exhaust the range"
+    )]
     pub fn tcp_connect(&mut self, dst: Ipv4Addr, dst_port: u16) -> FrameBuf {
         // One lap of the cycle visits every port `next_ephemeral` can reach.
         for _ in 0..=u16::MAX {
@@ -305,12 +310,14 @@ impl Interface {
                 .wrapping_mul(69069);
             let (conn, syn) = Connection::connect(self.ip, local_port, dst, dst_port, isn);
             slot.insert(conn);
+            #[expect(
+                clippy::expect_used,
+                reason = "a SYN is a bare 20-byte header, which always fits one datagram"
+            )]
             return self
                 .tcp_control_frame(dst, &syn)
-                // jitsu-lint: allow(P001, "a SYN is a bare 20-byte header, which always fits one datagram")
                 .expect("a bare TCP header fits");
         }
-        // jitsu-lint: allow(P001, "the pinned signature returns a bare frame; only 16,384 live flows to one peer endpoint exhaust the range")
         panic!("every ephemeral port to {dst:?}:{dst_port} carries a live connection")
     }
 

@@ -236,9 +236,12 @@ impl Ipv4Packet {
     /// When the payload exceeds [`PayloadLen::MAX`]: such a datagram has no
     /// wire form. `Interface` refuses the payload before it gets here.
     pub fn emit(&self) -> FrameBuf {
-        let payload_len = PayloadLen::new(self.payload.len())
-            // jitsu-lint: allow(P001, "a payload no datagram can carry is a caller bug; Interface checks PayloadLen before composing")
-            .expect("payload fits one IPv4 datagram");
+        #[expect(
+            clippy::expect_used,
+            reason = "a payload no datagram can carry is a caller bug; Interface checks PayloadLen before composing"
+        )]
+        let payload_len =
+            PayloadLen::new(self.payload.len()).expect("payload fits one IPv4 datagram");
         let mut out = FrameBufMut::with_capacity(HEADER_LEN + self.payload.len());
         self.write_header(&mut out, payload_len);
         out.extend_from_slice(&self.payload);

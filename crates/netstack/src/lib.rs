@@ -19,6 +19,18 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::let_underscore_must_use,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason,
+        clippy::cast_possible_truncation
+    )
+)]
 
 pub mod arp;
 pub mod buf;

@@ -205,7 +205,10 @@ impl Connection {
                 }
                 // A FIN occupies the sequence slot *after* any payload in
                 // the same segment.
-                // jitsu-lint: allow(N001, "segment payloads are bounded by the u16 wire length field, well within u32")
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "segment payloads are bounded by the u16 wire length field, well within u32"
+                )]
                 let fin_seq = seg.seq.wrapping_add(seg.payload.len() as u32);
                 if seg.flags.fin && fin_seq == self.tcb.rcv_nxt {
                     self.tcb.rcv_nxt = self.tcb.rcv_nxt.wrapping_add(1);
@@ -233,7 +236,10 @@ impl Connection {
 
     /// Take `seg`'s unseen bytes, if any, and return the ACK that answers it.
     fn accept_data(&mut self, seg: &TcpSegment) -> TcpSegment {
-        // jitsu-lint: allow(N001, "segment payloads are bounded by the u16 wire length field, well within u32")
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "segment payloads are bounded by the u16 wire length field, well within u32"
+        )]
         let end = seg.seq.wrapping_add(seg.payload.len() as u32);
         // Entirely old data (a retransmission) is re-ACKed, never
         // re-buffered; so is a segment after a gap (the peer retransmits;
@@ -265,7 +271,10 @@ impl Connection {
     /// `&[u8]` arguments are converted on entry.
     pub fn send(&mut self, data: impl Into<FrameBuf>) -> TcpSegment {
         let payload = data.into();
-        // jitsu-lint: allow(N001, "send chunks are MSS-sized, bounded by the u16 wire length field")
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "send chunks are MSS-sized, bounded by the u16 wire length field"
+        )]
         let len = payload.len() as u32;
         let seg = TcpSegment {
             src_port: self.tcb.local_port,

@@ -91,8 +91,12 @@ impl TcpFlags {
     }
 }
 
+/// TCP header length without options, in 32-bit words: the data offset
+/// field of every segment this stack emits.
+const HEADER_WORDS: u8 = 5;
+
 /// TCP header length without options.
-pub const HEADER_LEN: usize = 20;
+pub const HEADER_LEN: usize = HEADER_WORDS as usize * 4;
 
 /// A TCP segment.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -135,8 +139,11 @@ impl TcpSegment {
 
     /// The amount of sequence space this segment occupies (payload plus one
     /// for SYN and one for FIN).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "segment payloads are bounded by the u16 wire length field, well within u32"
+    )]
     pub fn seq_len(&self) -> u32 {
-        // jitsu-lint: allow(N001, "segment payloads are bounded by the u16 wire length field, well within u32")
         self.payload.len() as u32 + u32::from(self.flags.syn) + u32::from(self.flags.fin)
     }
 
@@ -157,7 +164,10 @@ impl TcpSegment {
                 what: format!("bad data offset {data_offset}"),
             });
         }
-        // jitsu-lint: allow(N001, "buf is an IPv4 payload, itself bounded by the datagram's u16 total-length field")
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "buf is an IPv4 payload, itself bounded by the datagram's u16 total-length field"
+        )]
         let ph = checksum::pseudo_header(src.0, dst.0, 6, buf.len() as u16);
         if checksum::finish(checksum::partial(ph, buf)) != 0 {
             return Err(NetError::BadChecksum("tcp"));
@@ -191,7 +201,7 @@ impl TcpSegment {
         header[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
         header[4..8].copy_from_slice(&self.seq.to_be_bytes());
         header[8..12].copy_from_slice(&self.ack.to_be_bytes());
-        header[12] = ((HEADER_LEN / 4) as u8) << 4;
+        header[12] = HEADER_WORDS << 4;
         header[13] = self.flags.to_bits();
         header[14..16].copy_from_slice(&self.window.to_be_bytes());
         // The header is an even number of bytes, so summing it and the
@@ -210,7 +220,10 @@ impl TcpSegment {
     /// When the segment exceeds [`PayloadLen::MAX`]: no IPv4 datagram can
     /// carry it. `Interface::tcp_send` refuses such a payload first.
     pub fn emit(&self, src: Ipv4Addr, dst: Ipv4Addr) -> FrameBuf {
-        // jitsu-lint: allow(P001, "a segment no datagram can carry is a caller bug; Interface checks PayloadLen before composing")
+        #[expect(
+            clippy::expect_used,
+            reason = "a segment no datagram can carry is a caller bug; Interface checks PayloadLen before composing"
+        )]
         let len = PayloadLen::new(self.wire_len()).expect("segment fits one IPv4 datagram");
         let mut out = FrameBufMut::with_capacity(self.wire_len());
         self.write(&mut out, src, dst, len);

@@ -51,7 +51,10 @@ impl UdpDatagram {
         }
         let wire_checksum = u16::from_be_bytes([buf[6], buf[7]]);
         if wire_checksum != 0 {
-            // jitsu-lint: allow(N001, "length was decoded from the datagram's u16 length field just above")
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "length was decoded from the datagram's u16 length field just above"
+            )]
             let ph = checksum::pseudo_header(src.0, dst.0, 17, length as u16);
             if checksum::finish(checksum::partial(ph, &buf[..length])) != 0 {
                 return Err(NetError::BadChecksum("udp"));
@@ -99,7 +102,10 @@ impl UdpDatagram {
     /// When the datagram exceeds [`PayloadLen::MAX`]: no IPv4 datagram can
     /// carry it. `Interface::udp_send` refuses such a payload first.
     pub fn emit(&self, src: Ipv4Addr, dst: Ipv4Addr) -> FrameBuf {
-        // jitsu-lint: allow(P001, "a datagram no IPv4 packet can carry is a caller bug; Interface checks PayloadLen before composing")
+        #[expect(
+            clippy::expect_used,
+            reason = "a datagram no IPv4 packet can carry is a caller bug; Interface checks PayloadLen before composing"
+        )]
         let len = PayloadLen::new(self.wire_len()).expect("datagram fits one IPv4 datagram");
         let mut out = FrameBufMut::with_capacity(self.wire_len());
         self.write(&mut out, src, dst, len);

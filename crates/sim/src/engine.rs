@@ -219,6 +219,10 @@ impl<W> Sim<W> {
 
     /// Execute a single event if one is pending. Returns `false` when the
     /// queue is empty.
+    #[expect(
+        clippy::panic,
+        reason = "livelock tripwire: exceeding the event limit means the experiment is unsound and must abort"
+    )]
     pub fn step(&mut self) -> bool {
         match self.queue.pop() {
             None => false,
@@ -227,7 +231,6 @@ impl<W> Sim<W> {
                 self.now = at;
                 self.executed += 1;
                 if self.executed > self.event_limit {
-                    // jitsu-lint: allow(P001, "livelock tripwire: exceeding the event limit means the experiment is unsound and must abort")
                     panic!(
                         "simulation exceeded event limit of {} events (possible livelock)",
                         self.event_limit

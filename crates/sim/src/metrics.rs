@@ -35,7 +35,7 @@ impl SummaryStats {
             return None;
         }
         let mut sorted: Vec<f64> = values.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+        sorted.sort_by(f64::total_cmp);
         let count = sorted.len();
         let sum: f64 = sorted.iter().sum();
         let mean = sum / count as f64;
@@ -110,7 +110,7 @@ fn percentile_sorted(sorted: &[f64], pct: f64) -> f64 {
 /// (see [`SummaryStats`]-style semantics: 0 → min, 100 → exact max).
 pub fn percentile(values: &[f64], pct: f64) -> f64 {
     let mut sorted: Vec<f64> = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+    sorted.sort_by(f64::total_cmp);
     percentile_sorted(&sorted, pct)
 }
 
@@ -261,8 +261,7 @@ impl Cdf {
 
     fn ensure_sorted(&mut self) {
         if !self.sorted {
-            self.samples
-                .sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+            self.samples.sort_by(f64::total_cmp);
             self.sorted = true;
         }
     }
@@ -358,7 +357,7 @@ impl LatencyRecorder {
             return vec![0.0; pcts.len()];
         }
         let mut sorted = self.samples_ms.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+        sorted.sort_by(f64::total_cmp);
         pcts.iter()
             .map(|&p| percentile_sorted(&sorted, p))
             .collect()
@@ -454,6 +453,19 @@ mod tests {
         let max = *v.last().unwrap();
         assert_eq!(percentile(&v, 100.0), max);
         assert_eq!(percentile(&v, 0.0), v[0]);
+    }
+
+    #[test]
+    fn nan_samples_sort_to_the_ends_and_leave_the_numbers_in_order() {
+        // Regression: `partial_cmp(..).unwrap_or(Equal)` is not a total
+        // order, and one NaN left `[3, NaN, 1, 2]` unsorted, so the 0th
+        // percentile read 3.
+        assert_eq!(percentile(&[3.0, f64::NAN, 1.0, 2.0], 0.0), 1.0);
+        let mut cdf = Cdf::from_values([3.0, f64::NAN, 1.0, -f64::NAN, 2.0, 0.5]);
+        let sorted: Vec<f64> = cdf.points().into_iter().map(|(v, _)| v).collect();
+        let numeric: Vec<usize> = (0..sorted.len()).filter(|&i| !sorted[i].is_nan()).collect();
+        assert_eq!(numeric, [1, 2, 3, 4], "numbers contiguous: {sorted:?}");
+        assert_eq!(sorted[1..5], [0.5, 1.0, 2.0, 3.0]);
     }
 
     #[test]

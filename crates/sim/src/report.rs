@@ -155,7 +155,7 @@ impl Figure {
             .iter()
             .flat_map(|s| s.points.iter().map(|p| p.x))
             .collect();
-        xs.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+        xs.sort_by(f64::total_cmp);
         xs.dedup_by(|a, b| (*a - *b).abs() < 1e-12);
         xs
     }

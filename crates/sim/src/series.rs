@@ -66,7 +66,7 @@ impl Series {
             return None;
         }
         let mut pts = self.points.clone();
-        pts.sort_by(|a, b| a.x.partial_cmp(&b.x).unwrap_or(std::cmp::Ordering::Equal));
+        pts.sort_by(|a, b| a.x.total_cmp(&b.x));
         if x < pts[0].x || x > pts[pts.len() - 1].x {
             return None;
         }
@@ -94,7 +94,7 @@ impl Series {
     /// True if y never decreases as x increases (after sorting by x).
     pub fn is_monotone_nondecreasing(&self) -> bool {
         let mut pts = self.points.clone();
-        pts.sort_by(|a, b| a.x.partial_cmp(&b.x).unwrap_or(std::cmp::Ordering::Equal));
+        pts.sort_by(|a, b| a.x.total_cmp(&b.x));
         pts.windows(2).all(|w| w[1].y >= w[0].y - 1e-12)
     }
 }

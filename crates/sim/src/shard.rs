@@ -25,12 +25,13 @@
 //!    per-destination sequence numbers in that canonical order.
 //!
 //! Sharding here is *deterministic scheduling*, not threading: the engine
-//! stays single-threaded and the D004 lint (no threads/locks in sim logic)
-//! keeps applying. What sharding buys is per-domain queues (cheaper heap
-//! operations than one global queue) and, because shards only interact at
-//! barriers, a future parallel executor could run shards on OS threads
-//! without changing a single observable bit — that executor would live
-//! outside the sim-logic crates, behind the same barrier semantics.
+//! stays single-threaded, and the root `clippy.toml`'s ban on
+//! `std::thread::spawn`, `Mutex` and `RwLock` keeps applying. What sharding
+//! buys is per-domain queues (cheaper heap operations than one global
+//! queue) and, because shards only interact at barriers, a future parallel
+//! executor could run shards on OS threads without changing a single
+//! observable bit — that executor would be the one place to lift the ban,
+//! with an `#[expect]` and a reason, behind the same barrier semantics.
 //!
 //! ```
 //! use jitsu_sim::shard::{Domain, DomainCtx, DomainId, ShardedSim};
@@ -152,9 +153,12 @@ impl<D: Domain> DomainCtx<D> {
     /// Panics if `to` names no domain of this simulation: anyone can build
     /// a [`DomainId`], and the barrier that delivers it is too far from
     /// this call to say who sent it.
+    #[expect(
+        clippy::panic,
+        reason = "a message to a domain that does not exist is a bug in the sender; delivery cannot route it"
+    )]
     pub fn send(&mut self, to: DomainId, msg: D::Msg) {
         if to.0 >= self.domain_count {
-            // jitsu-lint: allow(P001, "a message to a domain that does not exist is a bug in the sender; delivery cannot route it")
             panic!(
                 "domain {} sent a message to domain {}, but the simulation has {} domains",
                 self.id.0, to.0, self.domain_count
@@ -288,6 +292,10 @@ impl<D: Domain> ShardedSim<D> {
     /// to the barrier time `end`, runs [`Domain::at_barrier`] hooks in id
     /// order, then drains outboxes in id order, enqueueing each message on
     /// its destination at time `end`.
+    #[expect(
+        clippy::panic,
+        reason = "livelock tripwire: exceeding the event limit means the experiment is unsound and must abort"
+    )]
     pub fn run(&mut self) {
         let count = self.domains.len() as u32;
         for d in &mut self.domains {
@@ -325,7 +333,6 @@ impl<D: Domain> ShardedSim<D> {
                         dom.executed += 1;
                         self.executed += 1;
                         if self.executed > self.event_limit {
-                            // jitsu-lint: allow(P001, "livelock tripwire: exceeding the event limit means the experiment is unsound and must abort")
                             panic!(
                                 "sharded simulation exceeded event limit of {} events (possible livelock)",
                                 self.event_limit

@@ -157,9 +157,8 @@ impl KeyDir {
 /// for the largest id, the name costs one allocation at any domid.
 pub(crate) fn format_sized(capacity: usize, args: std::fmt::Arguments<'_>) -> String {
     let mut s = String::with_capacity(capacity);
-    std::fmt::Write::write_fmt(&mut s, args)
-        // jitsu-lint: allow(P001, "formatting into a String cannot fail")
-        .expect("a String accepts any text");
+    #[expect(clippy::expect_used, reason = "formatting into a String cannot fail")]
+    std::fmt::Write::write_fmt(&mut s, args).expect("a String accepts any text");
     s
 }
 

@@ -42,10 +42,11 @@ impl VbdDevice {
         index: u32,
         backing: StorageDevice,
     ) -> XsResult<VbdDevice> {
-        let ring = grants
-            .grant(dom, DomId::DOM0)
-            // jitsu-lint: allow(P001, "a freshly built domain starts under its grant quota")
-            .expect("grant capacity");
+        #[expect(
+            clippy::expect_used,
+            reason = "a freshly built domain starts under its grant quota"
+        )]
+        let ring = grants.grant(dom, DomId::DOM0).expect("grant capacity");
         let port = evtchn.alloc_unbound(dom, DomId::DOM0);
         let mut fe = KeyDir::under(frontend_path(dom, DeviceKind::Vbd, index));
         let mut be = KeyDir::under(backend_path(DomId::DOM0, dom, DeviceKind::Vbd, index));

@@ -66,14 +66,16 @@ impl VifDevice {
         index: u32,
     ) -> XsResult<VifDevice> {
         let mac = Self::mac_for(dom, index);
-        let tx_ring = grants
-            .grant(dom, DomId::DOM0)
-            // jitsu-lint: allow(P001, "a freshly built domain starts under its grant quota")
-            .expect("grant capacity");
-        let rx_ring = grants
-            .grant(dom, DomId::DOM0)
-            // jitsu-lint: allow(P001, "a freshly built domain starts under its grant quota")
-            .expect("grant capacity");
+        #[expect(
+            clippy::expect_used,
+            reason = "a freshly built domain starts under its grant quota"
+        )]
+        let tx_ring = grants.grant(dom, DomId::DOM0).expect("grant capacity");
+        #[expect(
+            clippy::expect_used,
+            reason = "a freshly built domain starts under its grant quota"
+        )]
+        let rx_ring = grants.grant(dom, DomId::DOM0).expect("grant capacity");
         let port = evtchn.alloc_unbound(dom, DomId::DOM0);
 
         let (mut fe, mut be) = Self::ends(dom, index);
@@ -125,17 +127,26 @@ impl VifDevice {
         evtchn: &mut EventChannelTable,
         bridge: &mut Bridge,
     ) -> XsResult<()> {
+        #[expect(
+            clippy::expect_used,
+            reason = "the frontend granted these pages to the backend at setup"
+        )]
         grants
             .map(self.dom, self.tx_ring, DomId::DOM0)
-            // jitsu-lint: allow(P001, "the frontend granted these pages to the backend at setup")
             .expect("backend may map frontend ring");
+        #[expect(
+            clippy::expect_used,
+            reason = "the frontend granted these pages to the backend at setup"
+        )]
         grants
             .map(self.dom, self.rx_ring, DomId::DOM0)
-            // jitsu-lint: allow(P001, "the frontend granted these pages to the backend at setup")
             .expect("backend may map frontend ring");
+        #[expect(
+            clippy::expect_used,
+            reason = "the port was allocated unbound on the previous lines"
+        )]
         let backend_port = evtchn
             .bind_interdomain(DomId::DOM0, self.dom, self.port)
-            // jitsu-lint: allow(P001, "the port was allocated unbound on the previous lines")
             .expect("unbound port is bindable");
         self.backend_port = Some(backend_port);
         let name = format_sized(
@@ -197,12 +208,17 @@ impl VifDevice {
         bridge: &mut Bridge,
     ) -> XsResult<()> {
         if let Some(port) = self.bridge_port.take() {
-            // jitsu-lint: allow(R001, "shutdown is best-effort: the bridge may have dropped the port already")
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "shutdown is best-effort: the bridge may have dropped the port already"
+            )]
             let _ = bridge.detach(port);
         }
         if let Some(port) = self.backend_port.take() {
-            // Best-effort like the rest: the backend bound this port and
-            // nobody else closes it, so the only failure is a second close.
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "the backend bound this port and nobody else closes it, so the only failure is a second close, which `take()` rules out"
+            )]
             let _ = evtchn.close(DomId::DOM0, port);
         }
         let (mut fe, mut be) = Self::ends(self.dom, self.index);

@@ -147,9 +147,12 @@ impl DomainBuilder {
             fdt_bytes: fdt.len(),
             layout,
         };
+        #[expect(
+            clippy::expect_used,
+            reason = "Created -> Built is a legal lifecycle transition by construction"
+        )]
         domain
             .transition(DomainState::Built)
-            // jitsu-lint: allow(P001, "Created -> Built is a legal lifecycle transition by construction")
             .expect("Created -> Built is legal");
         Ok(report)
     }

@@ -102,10 +102,10 @@ impl EventChannelTable {
                 pending: false,
             },
         );
+        #[expect(clippy::expect_used, reason = "presence checked by the lookup above")]
         let remote_chan = self
             .channels
             .get_mut(&(remote, remote_port))
-            // jitsu-lint: allow(P001, "presence checked by the lookup above")
             .expect("looked up above");
         remote_chan.state = ChannelState::Interdomain {
             peer: local,

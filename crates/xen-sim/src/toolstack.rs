@@ -400,9 +400,12 @@ impl Toolstack {
         };
         let total = coordination + serial_paths + console_attach;
 
+        #[expect(
+            clippy::expect_used,
+            reason = "Built -> Paused is a legal lifecycle transition by construction"
+        )]
         domain
             .transition(DomainState::Paused)
-            // jitsu-lint: allow(P001, "Built -> Paused is a legal lifecycle transition by construction")
             .expect("Built -> Paused is legal");
         self.domains.insert(dom, domain);
 
@@ -446,10 +449,16 @@ impl Toolstack {
             .domains
             .remove(&dom)
             .ok_or(ToolstackError::UnknownDomain(dom))?;
-        // jitsu-lint: allow(R001, "destroy forces the terminal state; an invalid-transition error must not abort teardown")
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "destroy forces the terminal state; an invalid-transition error must not abort teardown"
+        )]
         let _ = d.transition(DomainState::Destroyed);
+        // Teardown runs to the end whatever the vif's store writes do; a
+        // failed close is reported once the domain is gone.
+        let mut closed = Ok(());
         if let Some(mut vif) = self.vifs.remove(&dom) {
-            let _ = vif.close(
+            closed = vif.close(
                 &mut self.xenstore,
                 &mut self.event_channels,
                 &mut self.bridge,
@@ -458,7 +467,10 @@ impl Toolstack {
             // `domain_destroyed` below (it removes the *guest's* home) never
             // sees. Left behind, it grows `backend/vif` by one directory
             // per domain ever created.
-            // jitsu-lint: allow(R001, "teardown must run to the end; a backend directory that is already gone needs no removal")
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "teardown must run to the end; a backend directory that is already gone needs no removal"
+            )]
             let _ = self
                 .xenstore
                 .rm(DomId::DOM0, None, &VifDevice::backend_home(dom));
@@ -468,7 +480,7 @@ impl Toolstack {
         self.grants.domain_destroyed(dom);
         self.event_channels.domain_destroyed(dom);
         self.xenstore.domain_destroyed(dom);
-        Ok(())
+        closed.map_err(ToolstackError::from)
     }
 
     /// Convenience for tests and the Figure 4 sweep: create and immediately

@@ -129,9 +129,9 @@ impl XenStore {
         let tree = Tree::new();
         // Seed the incremental ownership counts with the pre-existing root
         // node; everything else flows in through reported effects.
+        #[expect(clippy::expect_used, reason = "Tree::new always creates a root node")]
         let root_owner = tree
             .get(&Path::root())
-            // jitsu-lint: allow(P001, "Tree::new always creates a root node")
             .expect("new tree has a root")
             .perms
             .owner();
@@ -564,8 +564,13 @@ impl XenStore {
             attempts += 1;
             let tx = self.transaction_start(dom)?;
             if let Err(e) = body(self, tx) {
-                let _ = self.transaction_end(dom, tx, false);
-                return Err(e);
+                // A body that ended the transaction itself left nothing to
+                // abort, and its own error is the one to report. Any other
+                // abort failure is a store fault and outranks it.
+                return match self.transaction_end(dom, tx, false) {
+                    Ok(()) | Err(Error::UnknownTransaction(_)) => Err(e),
+                    Err(abort) => Err(abort),
+                };
             }
             match self.transaction_end(dom, tx, true) {
                 Ok(()) => return Ok(attempts),
@@ -582,7 +587,10 @@ impl XenStore {
         self.transactions.retain(|_, t| t.dom != dom);
         // Remove the conventional per-domain directory if present.
         let mut effects = std::mem::take(&mut self.effects);
-        // jitsu-lint: allow(R001, "the only failure is a home directory that is already gone, which needs no cleanup")
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "the only failure is a home directory that is already gone, which needs no cleanup"
+        )]
         let _ = self
             .tree
             .rm(DomId::DOM0, &Path::domain_home(dom.0), &mut effects);

@@ -306,7 +306,7 @@ impl Tree {
             return Err(Error::PermissionDenied(path.to_string()));
         }
         let gen = self.bump();
-        // jitsu-lint: allow(P001, "presence checked by the lookup above")
+        #[expect(clippy::expect_used, reason = "presence checked by the lookup above")]
         let node = descend_mut(&mut self.root, path.components()).expect("checked above");
         if node.perms != perms {
             let change = (path.clone(), node.perms.owner(), perms.owner());
@@ -373,7 +373,7 @@ impl Tree {
                 return Err(Error::PermissionDenied(path.to_string()));
             }
             let gen = self.bump();
-            // jitsu-lint: allow(P001, "the descent above found this node")
+            #[expect(clippy::expect_used, reason = "the descent above found this node")]
             let node = descend_mut(&mut self.root, path.components()).expect("found above");
             if node.value != *value {
                 effects.value_changed.push(path.clone());
@@ -399,21 +399,24 @@ impl Tree {
         let mut gen = self.generation;
         let mut depth = found;
         effects.added.reserve(path.depth() - found);
-        // jitsu-lint: allow(P001, "the descent above ended at this node")
+        #[expect(clippy::expect_used, reason = "the descent above ended at this node")]
         let mut node = descend_mut(&mut self.root, path.components().take(found)).expect("found");
+        #[expect(clippy::expect_used, reason = "the child was inserted two lines up")]
         for name in std::iter::once(first_missing).chain(below) {
             gen += 1;
             depth += 1;
             effects.added.push((path.ancestor(depth), perms.owner()));
+            #[expect(
+                clippy::expect_used,
+                reason = "permissions derived for a creator let that creator write"
+            )]
             let next = Self::new_child_perms(dom, &perms)
-                // jitsu-lint: allow(P001, "permissions derived for a creator let that creator write")
                 .expect("a creator may create under what it created");
             node.children.insert(
                 name,
                 Arc::new(Node::new(std::mem::replace(&mut perms, next), gen)),
             );
             node.children_gen = gen;
-            // jitsu-lint: allow(P001, "the child was inserted two lines up")
             node = Arc::make_mut(node.children.get_mut(name).expect("just inserted"));
         }
         if let Some(value) = value {
@@ -472,7 +475,10 @@ impl Tree {
         };
         self.checked(dom, path, Access::Write)?;
         let gen = self.bump();
-        // jitsu-lint: allow(P001, "the child was found, so its parent is present")
+        #[expect(
+            clippy::expect_used,
+            reason = "the child was found, so its parent is present"
+        )]
         let parent_node = descend_mut(&mut self.root, parent.components()).expect("parent exists");
         if let Some(removed) = parent_node.children.remove(name) {
             effects.removed.push((path.clone(), removed.perms.owner()));
@@ -685,11 +691,12 @@ fn record_children(node: &Node, text: &mut String, out: &mut Vec<(Path, DomId)>)
 
 /// The path of the child `name` of `parent`, for names read back out of the
 /// tree.
+#[expect(
+    clippy::expect_used,
+    reason = "child names were validated when inserted into the tree"
+)]
 fn child_path(parent: &Path, name: &str) -> Path {
-    parent
-        .child(name)
-        // jitsu-lint: allow(P001, "child names were validated when inserted into the tree")
-        .expect("stored names are valid")
+    parent.child(name).expect("stored names are valid")
 }
 
 #[cfg(test)]

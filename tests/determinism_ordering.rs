@@ -1,12 +1,13 @@
-//! Regression tests for the D001 sweep: every result-producing path that
-//! used to iterate a `HashMap` now runs over a `BTreeMap` (or sorts
+//! Regression tests for the `HashMap` sweep: every result-producing path
+//! that used to iterate a `HashMap` now runs over a `BTreeMap` (or sorts
 //! explicitly), so insertion order must never leak into observable output.
 //!
 //! Each test performs the same set of insertions in two shuffled orders and
 //! asserts the rendered output is byte-identical. Before the conversion
 //! these would have been flaky under `HashMap`'s per-process SipHash seed;
-//! after it they are guaranteed stable, and `jitsu-lint` (rule D001) keeps
-//! them that way statically.
+//! after it they are guaranteed stable, and the root `clippy.toml`'s
+//! `disallowed-types` entries for `HashMap` and `HashSet` keep them that way
+//! statically.
 
 use jitsu_repro::prelude::*;
 

@@ -1,8 +1,77 @@
 //! Workspace wiring smoke test: every facade re-export resolves to the
-//! right member crate, and the headline cold→warm request round-trip runs
+//! right member crate, every crate root carries the lint policy clippy
+//! enforces, and the headline cold→warm request round-trip runs
 //! deterministically from a fixed seed.
 
 use jitsu_repro::prelude::*;
+use std::path::Path;
+
+/// The crates whose code runs inside the simulation: non-test code there
+/// may not panic, discard a `Result` or silence a lint without a reason.
+const CORE_CRATES: [&str; 7] = [
+    "sim",
+    "xen-sim",
+    "netstack",
+    "conduit",
+    "jitsu",
+    "unikernel",
+    "xenstore",
+];
+
+/// The core crates that encode wire formats, where a narrowing cast must be
+/// proven safe or rewritten.
+const WIRE_CRATES: [&str; 3] = ["netstack", "xenstore", "conduit"];
+
+/// The panic and discarded-`Result` policy every core crate root enables.
+const POLICY_LINTS: [&str; 6] = [
+    "clippy::unwrap_used",
+    "clippy::expect_used",
+    "clippy::panic",
+    "clippy::let_underscore_must_use",
+    "clippy::allow_attributes",
+    "clippy::allow_attributes_without_reason",
+];
+
+/// A crate root's text with every whitespace character removed, so the
+/// check does not depend on how rustfmt wraps an attribute.
+fn root_text(root: &Path) -> String {
+    let text = std::fs::read_to_string(root).unwrap_or_else(|e| panic!("{root:?}: {e}"));
+    text.split_whitespace().collect()
+}
+
+/// The attribute `crate_dir`'s root must carry, whitespace removed.
+fn policy_attribute(crate_dir: &str) -> String {
+    let mut lints = POLICY_LINTS.to_vec();
+    if WIRE_CRATES.contains(&crate_dir) {
+        lints.push("clippy::cast_possible_truncation");
+    }
+    format!("#![cfg_attr(not(test),warn({}))]", lints.join(","))
+}
+
+#[test]
+fn every_crate_root_carries_its_lint_policy() {
+    let workspace = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut roots = vec![workspace.join("src/lib.rs")];
+    let crates = std::fs::read_dir(workspace.join("crates")).expect("crates/ is listable");
+    for entry in crates {
+        roots.push(entry.expect("crates/ entry").path().join("src/lib.rs"));
+    }
+    assert!(roots.len() > CORE_CRATES.len(), "found roots: {roots:?}");
+    for root in &roots {
+        assert!(
+            root_text(root).contains("#![forbid(unsafe_code)]"),
+            "{root:?} must carry #![forbid(unsafe_code)]"
+        );
+    }
+    for crate_dir in CORE_CRATES {
+        let root = workspace.join("crates").join(crate_dir).join("src/lib.rs");
+        assert!(
+            root_text(&root).contains(&policy_attribute(crate_dir)),
+            "{root:?} must carry {}",
+            policy_attribute(crate_dir)
+        );
+    }
+}
 
 /// One symbol from each of the ten re-exported crates, referenced through
 /// the facade paths. Compiling this function is the assertion: if a
