@@ -25,6 +25,10 @@
 //!   bodies and replay slice the arriving buffer and never copy it. This is
 //!   what `tests/frame_path.rs` and the `shares_allocation` assertions
 //!   fence.
+//! - **Concatenating consecutive views is free.** [`FrameBuf::concat`] of
+//!   windows that follow one another in one allocation is the view that
+//!   spans them, so a message built or parsed as head plus body emits
+//!   without a copy.
 //!
 //! Copies that *must* happen (reassembly of a request split over segments)
 //! go through [`FrameBuf::copy_from_slice`] or [`FrameBuf::concat`] so the
@@ -137,23 +141,28 @@ impl FrameBuf {
         }
     }
 
-    /// Concatenate views. A single non-empty part is returned as an O(1)
-    /// view (the common in-order delivery case); only genuine multi-part
-    /// reassembly copies.
+    /// Concatenate views. When the non-empty parts are consecutive windows
+    /// of one allocation, in order, the result is the O(1) view that spans
+    /// them: a single part, a built or parsed message's head and body, or
+    /// in-order pieces of one frame. Only parts that lie apart are copied.
     pub fn concat(parts: &[FrameBuf]) -> FrameBuf {
         let mut non_empty = parts.iter().filter(|p| !p.is_empty());
-        match (non_empty.next(), non_empty.next()) {
-            (None, _) => FrameBuf::empty(),
-            (Some(one), None) => one.clone(),
-            (Some(_), Some(_)) => {
+        let Some(first) = non_empty.next() else {
+            return FrameBuf::empty();
+        };
+        let mut span = first.clone();
+        for part in non_empty {
+            if !(part.shares_allocation(&span) && part.start == span.end) {
                 let total = parts.iter().map(|p| p.len()).sum();
                 let mut out = FrameBufMut::with_capacity(total);
                 for part in parts {
                     out.extend_from_slice(part);
                 }
-                out.freeze()
+                return out.freeze();
             }
+            span.end = part.end;
         }
+        span
     }
 
     /// True when this view is backed by a heap allocation (the empty buffer
@@ -431,6 +440,42 @@ mod tests {
         assert!(!joined.shares_allocation(&a));
         assert_eq!(FrameBuf::concat(&[]), FrameBuf::empty());
         assert!(!FrameBuf::concat(&[]).has_allocation());
+    }
+
+    #[test]
+    fn concat_of_consecutive_views_of_one_allocation_is_the_spanning_view() {
+        let b = FrameBuf::from_vec((0..10).collect());
+        let parts = [
+            b.slice(..3),
+            FrameBuf::empty(),
+            b.slice(3..7),
+            b.slice(7..9),
+        ];
+        let joined = FrameBuf::concat(&parts);
+        assert_eq!(joined, b.slice(..9));
+        assert!(joined.shares_allocation(&b));
+        // Views of views still count by where they lie in the allocation.
+        let tail = b.slice(5..);
+        let joined = FrameBuf::concat(&[b.slice(2..5), tail.slice(..2), tail.slice(2..)]);
+        assert_eq!(joined, b.slice(2..));
+        assert!(joined.shares_allocation(&b));
+    }
+
+    #[test]
+    fn concat_copies_parts_that_are_out_of_order_gapped_or_apart() {
+        let b = FrameBuf::from_vec((0..10).collect());
+        let twin = FrameBuf::copy_from_slice(&b);
+        for (parts, expect) in [
+            ([b.slice(3..6), b.slice(..3)], vec![3, 4, 5, 0, 1, 2]),
+            ([b.slice(..3), b.slice(4..6)], vec![0, 1, 2, 4, 5]),
+            ([b.slice(..3), b.slice(2..4)], vec![0, 1, 2, 2, 3]),
+            ([b.slice(..3), twin.slice(3..6)], vec![0, 1, 2, 3, 4, 5]),
+        ] {
+            let joined = FrameBuf::concat(&parts);
+            assert_eq!(joined, expect);
+            assert!(!joined.shares_allocation(&b));
+            assert!(!joined.shares_allocation(&twin));
+        }
     }
 
     #[test]

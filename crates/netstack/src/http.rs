@@ -7,10 +7,17 @@
 //! `Content-Length` bodies — to drive those workloads realistically.
 //!
 //! A message is its head bytes, where its first-line fields lie in them,
-//! and its body. A built head is written once; a parsed one is a view.
+//! and its body. A parsed message's head and body are views of the bytes
+//! it was parsed from. A built message is one buffer: the head is written
+//! once and the body follows it, so its head and body are views of that
+//! buffer too. Either way `emit()` is the view that spans both and copies
+//! nothing (see [`FrameBuf::concat`]).
+//!
+//! Heads are split into lines at each CRLF found with a `\r` search, which
+//! is memchr-backed, and not with a substring searcher.
 
 use crate::buf::{FrameBuf, FrameBufMut};
-use crate::{NetError, Result};
+use crate::{parse_decimal, NetError, Result};
 use std::ops::Range;
 
 /// A built response's headers, in name order as they always went out, up
@@ -33,13 +40,13 @@ pub struct HttpRequest {
 impl HttpRequest {
     /// Build a GET request with a Host header.
     pub fn get(path: &str, host: &str) -> HttpRequest {
-        let (head, [method, _, path, ..]) =
-            write_head(["GET", " ", path, " HTTP/1.1\r\nhost: ", host]);
+        let (head, body, [method, _, path, ..]) =
+            write_head(["GET", " ", path, " HTTP/1.1\r\nhost: ", host], &[]);
         HttpRequest {
             head,
             method,
             path,
-            body: FrameBuf::empty(),
+            body,
         }
     }
 
@@ -49,15 +56,18 @@ impl HttpRequest {
         let mut digits = [0; 20];
         let length = decimal(body.len(), &mut digits);
         // The headers go out in name order, as they always have.
-        let (head, [method, _, path, ..]) = write_head([
-            "POST",
-            " ",
-            path,
-            " HTTP/1.1\r\ncontent-length: ",
-            length,
-            "\r\nhost: ",
-            host,
-        ]);
+        let (head, body, [method, _, path, ..]) = write_head(
+            [
+                "POST",
+                " ",
+                path,
+                " HTTP/1.1\r\ncontent-length: ",
+                length,
+                "\r\nhost: ",
+                host,
+            ],
+            &body,
+        );
         HttpRequest {
             head,
             method,
@@ -82,7 +92,8 @@ impl HttpRequest {
         last_header(&self.head, name)
     }
 
-    /// Serialise to wire bytes: the head as written, then the body.
+    /// Serialise to wire bytes: the head as written, then the body. For a
+    /// built or parsed message this is a view, not a copy.
     pub fn emit(&self) -> FrameBuf {
         FrameBuf::concat(&[self.head.clone(), self.body.clone()])
     }
@@ -94,7 +105,7 @@ impl HttpRequest {
         let Some(text) = head_text(buf)? else {
             return Ok(None);
         };
-        let (line, _) = text.split_once("\r\n").unwrap_or_default();
+        let (line, _) = split_crlf(text).unwrap_or_default();
         let mut tokens = line.split_whitespace();
         let method = tokens.next().unwrap_or_default();
         let path = tokens.next().unwrap_or_default();
@@ -152,8 +163,10 @@ impl HttpResponse {
         let code = decimal(status.into(), &mut code_digits);
         let mut length_digits = [0; 20];
         let length = decimal(body.len(), &mut length_digits);
-        let (head, [_, _, _, reason, ..]) =
-            write_head(["HTTP/1.1 ", code, " ", reason, RESPONSE_HEADERS, length]);
+        let (head, body, [_, _, _, reason, ..]) = write_head(
+            ["HTTP/1.1 ", code, " ", reason, RESPONSE_HEADERS, length],
+            &body,
+        );
         HttpResponse {
             status,
             head,
@@ -172,7 +185,8 @@ impl HttpResponse {
         last_header(&self.head, name)
     }
 
-    /// Serialise to wire bytes: the head as written, then the body.
+    /// Serialise to wire bytes: the head as written, then the body. For a
+    /// built or parsed message this is a view, not a copy.
     pub fn emit(&self) -> FrameBuf {
         FrameBuf::concat(&[self.head.clone(), self.body.clone()])
     }
@@ -183,13 +197,14 @@ impl HttpResponse {
         let Some(text) = head_text(buf)? else {
             return Ok(None);
         };
-        let (line, _) = text.split_once("\r\n").unwrap_or_default();
+        let (line, _) = split_crlf(text).unwrap_or_default();
         let mut parts = line.splitn(3, ' ');
         let version = parts.next().unwrap_or_default();
         let code = parts.next().unwrap_or_default();
         // No reason phrase: the empty text at the end of the line.
         let reason = parts.next().unwrap_or(&line[line.len()..]);
-        let Ok(status) = code.parse() else {
+        // RFC 9112 §4: the status code is exactly three digits.
+        let Some(status) = parse_decimal(code).filter(|_| code.len() == 3) else {
             return Err(malformed(format!("bad status line: {line:?}")));
         };
         if !version.starts_with("HTTP/1.") {
@@ -207,18 +222,25 @@ impl HttpResponse {
     }
 }
 
-/// Write `pieces` and the blank line that ends a head into one buffer sized
-/// up front. Returns the head and where each piece lies in it.
-fn write_head<const N: usize>(pieces: [&str; N]) -> (FrameBuf, [Range<usize>; N]) {
+/// Write `pieces`, the blank line that ends a head, and then `body` into one
+/// buffer sized up front. Returns the head and the body, both views of that
+/// buffer, and where each piece lies in the head.
+fn write_head<const N: usize>(
+    pieces: [&str; N],
+    body: &[u8],
+) -> (FrameBuf, FrameBuf, [Range<usize>; N]) {
     let len: usize = pieces.iter().map(|piece| piece.len()).sum();
-    let mut head = FrameBufMut::with_capacity(len + "\r\n\r\n".len());
+    let mut message = FrameBufMut::with_capacity(len + "\r\n\r\n".len() + body.len());
     let ranges = pieces.map(|piece| {
-        let start = head.len();
-        head.extend_from_slice(piece.as_bytes());
-        start..head.len()
+        let start = message.len();
+        message.extend_from_slice(piece.as_bytes());
+        start..message.len()
     });
-    head.extend_from_slice(b"\r\n\r\n");
-    (head.freeze(), ranges)
+    message.extend_from_slice(b"\r\n\r\n");
+    let head_len = message.len();
+    message.extend_from_slice(body);
+    let message = message.freeze();
+    (message.slice(..head_len), message.slice(head_len..), ranges)
 }
 
 /// The head at the front of `buf`, through its blank line, checked to be
@@ -234,13 +256,18 @@ fn head_text(buf: &[u8]) -> Result<Option<&str>> {
 }
 
 /// The body after `head` in `buf`, as long as the last Content-Length says
-/// (none, or not a number: empty); `Ok(None)` until all of it has arrived.
+/// (none: empty); `Ok(None)` until all of it has arrived. A Content-Length
+/// that is not one or more digits is malformed: RFC 9112 §6.3 makes it an
+/// unrecoverable error, since the message's end can no longer be found.
 fn body_after(buf: &FrameBuf, head: &str) -> Result<Option<FrameBuf>> {
     let mut content_length = 0;
     for header in header_lines(head) {
         let (name, value) = header?;
         if name.eq_ignore_ascii_case("content-length") {
-            content_length = value.parse().unwrap_or(0);
+            let Some(length) = parse_decimal(value) else {
+                return Err(malformed(format!("bad content-length: {value:?}")));
+            };
+            content_length = length;
         }
     }
     let end = head.len().saturating_add(content_length);
@@ -250,9 +277,37 @@ fn body_after(buf: &FrameBuf, head: &str) -> Result<Option<FrameBuf>> {
     Ok(Some(buf.slice(head.len()..end)))
 }
 
+/// `text.split_once("\r\n")`, found by a memchr-backed search for each `\r`
+/// and a look at the byte after it.
+fn split_crlf(text: &str) -> Option<(&str, &str)> {
+    let mut from = 0;
+    while let Some(found) = text[from..].find('\r') {
+        let at = from + found;
+        if text.as_bytes().get(at + 1) == Some(&b'\n') {
+            return Some((&text[..at], &text[at + 2..]));
+        }
+        from = at + 1;
+    }
+    None
+}
+
+/// `text.split("\r\n")`, one [`split_crlf`] at a time.
+fn crlf_lines(text: &str) -> impl Iterator<Item = &str> {
+    let mut rest = Some(text);
+    std::iter::from_fn(move || {
+        let current = rest?;
+        let (line, after) = match split_crlf(current) {
+            Some((line, after)) => (line, Some(after)),
+            None => (current, None),
+        };
+        rest = after;
+        Some(line)
+    })
+}
+
 /// A head's header lines, split at the first colon into trimmed names and values.
 fn header_lines(head: &str) -> impl Iterator<Item = Result<(&str, &str)>> {
-    let lines = head.split("\r\n").skip(1).filter(|line| !line.is_empty());
+    let lines = crlf_lines(head).skip(1).filter(|line| !line.is_empty());
     lines.map(|line| match line.split_once(':') {
         Some((name, value)) => Ok((name.trim(), value.trim())),
         None => Err(malformed(format!("bad header line: {line:?}"))),
@@ -396,6 +451,77 @@ mod tests {
         assert_eq!(parsed.header("A"), Some("2"));
         assert_eq!(parsed.header("B"), None);
         assert_eq!(parsed.body, b"abc", "the last Content-Length counts");
+    }
+
+    #[test]
+    fn a_built_message_is_one_buffer_and_emits_without_a_copy() {
+        let resp = HttpResponse::ok(b"<html>hello</html>".to_vec());
+        let wire = resp.emit();
+        assert!(
+            wire.shares_allocation(&resp.body),
+            "head and body are one buffer"
+        );
+        assert_eq!(&wire[wire.len() - resp.body.len()..], b"<html>hello</html>");
+        let req = HttpRequest::post("/queue", "q.local", b"item-1".to_vec());
+        assert!(req.emit().shares_allocation(&req.body));
+        // A parsed message's emit() is a view of the bytes it was parsed from.
+        let parsed = HttpResponse::parse(&wire).unwrap().unwrap();
+        assert!(parsed.emit().shares_allocation(&wire));
+        assert_eq!(parsed.emit(), wire);
+    }
+
+    #[test]
+    fn the_status_code_is_exactly_three_digits() {
+        // `str::parse` read "+200" as 200 and "20" as a status.
+        for line in ["+200", "20", "2000", "-20", " 200", "2x0", ""] {
+            let raw = format!("HTTP/1.1 {line} OK\r\n\r\n");
+            assert!(response(raw.as_bytes()).is_err(), "{raw:?}");
+        }
+        let ok = response(b"HTTP/1.1 204 No Content\r\n\r\n")
+            .unwrap()
+            .unwrap();
+        assert_eq!(ok.status, 204);
+    }
+
+    #[test]
+    fn a_content_length_that_is_not_digits_is_malformed() {
+        // "+3" read as 3, and "3x" as 0, which left the three body bytes to be
+        // parsed as the start of the next message.
+        for value in ["+3", "3x", "-3", "", "0x3", "99999999999999999999999"] {
+            let raw = format!("POST / HTTP/1.1\r\nContent-Length: {value}\r\n\r\nabc");
+            let err = request(raw.as_bytes()).unwrap_err();
+            assert!(
+                matches!(err, NetError::Malformed { layer: "http", .. }),
+                "{value:?}"
+            );
+        }
+        let raw = b"HTTP/1.1 200 OK\r\nContent-Length: 3x\r\n\r\nabc";
+        assert!(response(raw).is_err());
+        let raw = b"POST / HTTP/1.1\r\nContent-Length: 003\r\n\r\nabc";
+        assert_eq!(request(raw).unwrap().unwrap().body, b"abc");
+    }
+
+    #[test]
+    fn crlf_scan_splits_exactly_as_a_substring_search() {
+        for text in [
+            "",
+            "\r",
+            "\n",
+            "\r\n",
+            "\n\r",
+            "\r\r\n",
+            "a\rb\r\nc",
+            "a\r\n\r\nb",
+            "line\r",
+            "\r\nend",
+            "é\r\n\rü\r\n",
+            "GET / HTTP/1.1\r\nhost: x\r\n\r\n",
+        ] {
+            assert_eq!(split_crlf(text), text.split_once("\r\n"), "{text:?}");
+            let ours: Vec<&str> = crlf_lines(text).collect();
+            let std: Vec<&str> = text.split("\r\n").collect();
+            assert_eq!(ours, std, "{text:?}");
+        }
     }
 
     #[test]

@@ -3,11 +3,27 @@
 use crate::buf::{FrameBuf, FrameBufMut};
 use crate::checksum;
 use crate::{NetError, Result};
+use std::cmp::Ordering;
 use std::fmt;
 
 /// An IPv4 address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Ipv4Addr(pub [u8; 4]);
+
+/// Addresses order as their big-endian `u32`: the octets' own order, in one
+/// comparison. Every IPv4 frame a unikernel receives looks its sender up in
+/// an ordered ARP cache.
+impl Ord for Ipv4Addr {
+    fn cmp(&self, other: &Ipv4Addr) -> Ordering {
+        u32::from_be_bytes(self.0).cmp(&u32::from_be_bytes(other.0))
+    }
+}
+
+impl PartialOrd for Ipv4Addr {
+    fn partial_cmp(&self, other: &Ipv4Addr) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
 
 impl Ipv4Addr {
     /// The limited broadcast address 255.255.255.255.
@@ -18,7 +34,7 @@ impl Ipv4Addr {
         Ipv4Addr([a, b, c, d])
     }
 
-    /// Parse dotted-quad notation.
+    /// Parse dotted-quad notation: four decimal octets, digits only.
     pub fn parse(s: &str) -> Option<Ipv4Addr> {
         let mut out = [0u8; 4];
         let mut n = 0;
@@ -26,7 +42,7 @@ impl Ipv4Addr {
             if n >= 4 {
                 return None;
             }
-            out[n] = part.parse().ok()?;
+            out[n] = crate::parse_decimal(part)?;
             n += 1;
         }
         if n == 4 {
@@ -325,7 +341,32 @@ mod tests {
         assert_eq!(Ipv4Addr::parse("1.2.3"), None);
         assert_eq!(Ipv4Addr::parse("1.2.3.4.5"), None);
         assert_eq!(Ipv4Addr::parse("1.2.3.x"), None);
+        assert_eq!(Ipv4Addr::parse("1.2.3.256"), None);
+        // `str::parse` took a sign on each octet.
+        assert_eq!(Ipv4Addr::parse("+1.+2.+3.+4"), None);
+        assert_eq!(Ipv4Addr::parse("1.2.3.+4"), None);
+        assert_eq!(Ipv4Addr::parse("1..3.4"), None);
         assert_eq!(Ipv4Addr::new(10, 0, 0, 7).to_string(), "10.0.0.7");
+    }
+
+    #[test]
+    fn addresses_order_by_their_octets() {
+        let mut rng = 0x4A17_5001u64;
+        let mut addresses: Vec<Ipv4Addr> = (0..512)
+            .map(|_| {
+                rng = rng.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                let [a, b, c, d, ..] = rng.to_be_bytes();
+                // Few distinct octets, so ties on a prefix are common.
+                Ipv4Addr([a & 3, b & 3, c, d & 1])
+            })
+            .collect();
+        addresses.extend([Ipv4Addr::BROADCAST, Ipv4Addr::new(0, 0, 0, 0)]);
+        for x in &addresses {
+            for y in &addresses {
+                assert_eq!(x.cmp(y), x.0.cmp(&y.0), "{x} vs {y}");
+                assert_eq!(x.partial_cmp(y), Some(x.0.cmp(&y.0)));
+            }
+        }
     }
 
     #[test]

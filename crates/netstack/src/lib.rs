@@ -92,3 +92,30 @@ impl std::error::Error for NetError {}
 
 /// Result alias for packet operations.
 pub type Result<T> = std::result::Result<T, NetError>;
+
+/// `text` as an unsigned decimal number: one or more ASCII digits and
+/// nothing else, in range for `T`. `str::parse` also takes a leading `+`,
+/// which no field this crate decodes allows: HTTP's status code and
+/// Content-Length, a dotted quad's octets and the handoff record's numbers.
+pub(crate) fn parse_decimal<T: std::str::FromStr>(text: &str) -> Option<T> {
+    if text.is_empty() || !text.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    text.parse().ok()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_decimal;
+
+    #[test]
+    fn decimals_are_digits_only() {
+        assert_eq!(parse_decimal::<u16>("0"), Some(0));
+        assert_eq!(parse_decimal::<u16>("00080"), Some(80));
+        assert_eq!(parse_decimal::<u32>("4294967295"), Some(u32::MAX));
+        assert_eq!(parse_decimal::<u32>("4294967296"), None, "out of range");
+        for bad in ["", "+1", "-1", " 1", "1 ", "1x", "x1", "1_0", "\u{0661}"] {
+            assert_eq!(parse_decimal::<u64>(bad), None, "{bad:?}");
+        }
+    }
+}

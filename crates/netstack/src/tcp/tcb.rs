@@ -8,6 +8,7 @@
 //! plain store values, exactly as the paper describes.
 
 use crate::ipv4::Ipv4Addr;
+use crate::parse_decimal;
 
 /// TCP connection states (the subset the reproduction exercises).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -157,7 +158,7 @@ impl Tcb {
 
     /// Parse the handoff format produced by [`Tcb::to_sexp`]: one scan of
     /// the record for its `(name value)` fields, in any order, each parsed
-    /// where it lies.
+    /// where it lies. Ports and sequence numbers are digits only.
     pub fn from_sexp(s: &str) -> Option<Tcb> {
         let mut fields = Fields::default();
         let mut rest = s;
@@ -178,13 +179,13 @@ impl Tcb {
         Some(Tcb {
             state: TcpState::from_token(fields.state?)?,
             local_ip: Ipv4Addr::parse(fields.src?)?,
-            local_port: fields.src_port?.parse().ok()?,
+            local_port: parse_decimal(fields.src_port?)?,
             remote_ip: Ipv4Addr::parse(fields.dst?)?,
-            remote_port: fields.dst_port?.parse().ok()?,
-            isn: fields.isn?.parse().ok()?,
-            snd_nxt: fields.snd_nxt?.parse().ok()?,
-            snd_una: fields.snd_una?.parse().ok()?,
-            rcv_nxt: fields.rcv_nxt?.parse().ok()?,
+            remote_port: parse_decimal(fields.dst_port?)?,
+            isn: parse_decimal(fields.isn?)?,
+            snd_nxt: parse_decimal(fields.snd_nxt?)?,
+            snd_una: parse_decimal(fields.snd_una?)?,
+            rcv_nxt: parse_decimal(fields.rcv_nxt?)?,
             buffered: hex_decode(fields.packets?)?,
         })
     }
@@ -366,6 +367,27 @@ mod tests {
         let valid = sample().to_sexp();
         let broken = valid.replace("(isn ", "(xxx ");
         assert!(Tcb::from_sexp(&broken).is_none());
+    }
+
+    #[test]
+    fn signed_numbers_are_refused() {
+        // Each field was read with `str::parse`, which takes a leading `+`.
+        let valid = sample().to_sexp();
+        for (field, signed) in [
+            ("(src-port 80)", "(src-port +80)"),
+            ("(dst-port 51324)", "(dst-port +51324)"),
+            ("(isn 1000000)", "(isn +1000000)"),
+            ("(snd-nxt 1000001)", "(snd-nxt +1000001)"),
+            ("(snd-una 1000001)", "(snd-una +1000001)"),
+            ("(rcv-nxt 42424243)", "(rcv-nxt +42424243)"),
+            ("(src 192.168.1.20)", "(src +192.168.1.20)"),
+            ("(dst 192.168.1.100)", "(dst 192.168.+1.100)"),
+        ] {
+            assert!(valid.contains(field), "{field}");
+            let record = valid.replace(field, signed);
+            assert_eq!(Tcb::from_sexp(&record), None, "{signed}");
+        }
+        assert_eq!(Tcb::from_sexp(&valid), Some(sample()));
     }
 
     #[test]

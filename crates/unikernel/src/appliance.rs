@@ -11,7 +11,6 @@ use jitsu_sim::{SimDuration, SimRng};
 use netstack::http::{HttpRequest, HttpResponse};
 use netstack::FrameBuf;
 use platform::StorageDevice;
-use std::collections::BTreeMap;
 use std::collections::VecDeque;
 
 /// Application logic hosted inside a unikernel.
@@ -29,9 +28,12 @@ pub trait Appliance: std::fmt::Debug {
 #[derive(Debug, Clone)]
 pub struct StaticSiteAppliance {
     name: String,
-    /// Page bodies as shared buffers: serving a page hands the response an
-    /// O(1) view instead of cloning the body per request.
-    pages: BTreeMap<String, FrameBuf>,
+    /// Each page's path and its built 200 response, head and body in one
+    /// buffer: serving a page clones the response, an O(1) view, so a GET
+    /// builds and copies nothing here. A site is a handful of pages, which
+    /// a list searched in order finds as fast as a map, in about a third of
+    /// the memory of a `BTreeMap` leaf of responses.
+    pages: Vec<(String, HttpResponse)>,
     requests_served: u64,
 }
 
@@ -39,24 +41,24 @@ impl StaticSiteAppliance {
     /// Create a site with a default index page.
     pub fn new(name: impl Into<String>) -> StaticSiteAppliance {
         let name = name.into();
-        let mut pages = BTreeMap::new();
-        pages.insert(
-            "/".to_string(),
-            FrameBuf::from_vec(
-                format!("<html><body><h1>{name}</h1><p>served by a unikernel</p></body></html>")
-                    .into_bytes(),
-            ),
-        );
-        StaticSiteAppliance {
+        let index =
+            format!("<html><body><h1>{name}</h1><p>served by a unikernel</p></body></html>");
+        let mut site = StaticSiteAppliance {
             name,
-            pages,
+            pages: Vec::new(),
             requests_served: 0,
-        }
+        };
+        site.add_page("/", index.into_bytes());
+        site
     }
 
-    /// Add a page.
+    /// Add a page, or replace the page at `path`.
     pub fn add_page(&mut self, path: &str, body: impl Into<FrameBuf>) {
-        self.pages.insert(path.to_string(), body.into());
+        let page = HttpResponse::ok(body);
+        match self.pages.iter_mut().find(|(at, _)| at == path) {
+            Some((_, old)) => *old = page,
+            None => self.pages.push((path.to_string(), page)),
+        }
     }
 
     /// Number of requests served so far.
@@ -72,8 +74,9 @@ impl Appliance for StaticSiteAppliance {
 
     fn handle(&mut self, request: &HttpRequest, _rng: &mut SimRng) -> (HttpResponse, SimDuration) {
         self.requests_served += 1;
-        let response = match self.pages.get(request.path()) {
-            Some(body) if request.method() == "GET" => HttpResponse::ok(body),
+        let page = self.pages.iter().find(|(at, _)| at == request.path());
+        let response = match page {
+            Some((_, page)) if request.method() == "GET" => page.clone(),
             Some(_) => HttpResponse::with_status(405, "Method Not Allowed", FrameBuf::empty()),
             None => HttpResponse::not_found(),
         };
@@ -196,11 +199,18 @@ mod tests {
         assert!(t < SimDuration::from_millis(1));
         let (resp, _) = site.handle(&HttpRequest::get("/photos", "alice.family.name"), &mut r);
         assert_eq!(resp.body, b"<html>cats</html>");
+        // The page is built once: two GETs return views of one buffer.
+        let (again, _) = site.handle(&HttpRequest::get("/photos", "alice.family.name"), &mut r);
+        assert!(again.emit().shares_allocation(&resp.emit()));
+        assert_eq!(again, resp);
+        site.add_page("/photos", b"<html>dogs</html>".to_vec());
+        let (replaced, _) = site.handle(&HttpRequest::get("/photos", "alice.family.name"), &mut r);
+        assert_eq!(replaced.body, b"<html>dogs</html>");
         let (resp, _) = site.handle(&HttpRequest::get("/missing", "alice.family.name"), &mut r);
         assert_eq!(resp.status, 404);
         let (resp, _) = site.handle(&HttpRequest::post("/", "h", vec![1]), &mut r);
         assert_eq!(resp.status, 405);
-        assert_eq!(site.requests_served(), 4);
+        assert_eq!(site.requests_served(), 6);
         assert_eq!(site.name(), "alice");
     }
 
