@@ -20,6 +20,13 @@
 //! [`crate::tree::TreeDiff`] list come out sorted because this map does.
 //! [`Cursor`] is the merge-iteration primitive `Tree::diff` uses; it can step
 //! over a whole chunk that two maps share without looking inside it.
+//!
+//! A mutable lookup is two steps: [`ChildMap::find`] searches once and
+//! returns a [`Position`] — the chunk, and the entry within it — and
+//! [`ChildMap::at_mut`] or [`ChildMap::remove_at`] then goes straight there.
+//! The split lets a caller descend a tree with one search a level and still
+//! keep the deepest node it reached when a name is missing, which a single
+//! `get_mut` returning `Option<&mut V>` cannot give the borrow checker.
 
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -29,6 +36,15 @@ use std::sync::Arc;
 pub(crate) const CHUNK_MAX: usize = 64;
 
 type Chunk<V> = Vec<(Arc<str>, V)>;
+
+/// Where [`ChildMap::find`] found an entry: the index of its chunk and its
+/// index within that chunk. Valid for the map it came from until that map is
+/// next changed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Position {
+    chunk: usize,
+    entry: usize,
+}
 
 /// A persistent sorted map from child name to `V`.
 ///
@@ -172,6 +188,13 @@ impl<V> ChildMap<V> {
         lo - 1
     }
 
+    /// Where the child `name` is, if it is present.
+    pub fn find(&self, name: &str) -> Option<Position> {
+        let chunk = self.locate(name);
+        let entry = search(self.chunks.as_slice().get(chunk)?, name).ok()?;
+        Some(Position { chunk, entry })
+    }
+
     /// Look a child up by name.
     pub fn get(&self, name: &str) -> Option<&V> {
         let chunk = self.chunks.as_slice().get(self.locate(name))?;
@@ -232,13 +255,11 @@ impl<V> ChildMap<V> {
 }
 
 impl<V: Clone> ChildMap<V> {
-    /// Mutable lookup. Copies the chunk holding `name` if another map still
-    /// shares it; no other chunk is touched.
-    pub fn get_mut(&mut self, name: &str) -> Option<&mut V> {
-        let at_chunk = self.locate(name);
-        let chunk = self.chunks.as_mut_slice().get_mut(at_chunk)?;
-        let at = search(chunk, name).ok()?;
-        Some(&mut Arc::make_mut(chunk)[at].1)
+    /// The value at `at`, which [`ChildMap::find`] returned for this map
+    /// since it last changed. Copies the chunk holding it if another map
+    /// still shares it; no other chunk is touched.
+    pub fn at_mut(&mut self, at: Position) -> &mut V {
+        &mut Arc::make_mut(&mut self.chunks.as_mut_slice()[at.chunk])[at.entry].1
     }
 
     /// Insert or replace a child, returning the previous value if any.
@@ -263,20 +284,18 @@ impl<V: Clone> ChildMap<V> {
         None
     }
 
-    /// Remove a child, returning it if it was present.
-    pub fn remove(&mut self, name: &str) -> Option<V> {
-        let at_chunk = self.locate(name);
-        let shared = self.chunks.as_mut_slice().get_mut(at_chunk)?;
-        let at = search(shared, name).ok()?;
-        let chunk = Arc::make_mut(shared);
-        let (_, value) = chunk.remove(at);
+    /// Remove and return the child at `at`, which [`ChildMap::find`]
+    /// returned for this map since it last changed.
+    pub fn remove_at(&mut self, at: Position) -> V {
+        let chunk = Arc::make_mut(&mut self.chunks.as_mut_slice()[at.chunk]);
+        let (_, value) = chunk.remove(at.entry);
         self.len -= 1;
         if chunk.is_empty() {
-            self.chunks.remove(at_chunk);
-        } else if !self.merge_if_small(at_chunk) && at_chunk > 0 {
-            self.merge_if_small(at_chunk - 1);
+            self.chunks.remove(at.chunk);
+        } else if !self.merge_if_small(at.chunk) && at.chunk > 0 {
+            self.merge_if_small(at.chunk - 1);
         }
-        Some(value)
+        value
     }
 
     /// Fold chunk `lower + 1` into chunk `lower` if the pair has shrunk to
@@ -368,6 +387,12 @@ mod tests {
         }
     }
 
+    /// Remove the child `name` if it is present, as `BTreeMap::remove`.
+    fn remove<V: Clone>(map: &mut ChildMap<V>, name: &str) -> Option<V> {
+        let at = map.find(name)?;
+        Some(map.remove_at(at))
+    }
+
     fn filled(n: usize) -> ChildMap<usize> {
         let mut map = ChildMap::new();
         for i in 0..n {
@@ -381,8 +406,8 @@ mod tests {
         let mut map: ChildMap<u8> = ChildMap::new();
         assert!(map.is_empty());
         assert_eq!(map.get("a"), None);
-        assert_eq!(map.get_mut("a"), None);
-        assert_eq!(map.remove("a"), None);
+        assert_eq!(map.find("a"), None);
+        assert_eq!(remove(&mut map, "a"), None);
         assert_eq!(map.iter().count(), 0);
         assert!(map.cursor().peek().is_none());
     }
@@ -420,7 +445,8 @@ mod tests {
             map.chunks.as_slice().len()
         );
         assert_eq!(copy.shared_len(&map), 4_096);
-        *copy.get_mut("k2000").unwrap() = 7;
+        let at = copy.find("k2000").unwrap();
+        *copy.at_mut(at) = 7;
         let (shared, total) = copy.shared_chunk_counts(&map);
         assert_eq!(shared, total - 1);
         assert!(4_096 - copy.shared_len(&map) <= CHUNK_MAX);
@@ -430,18 +456,51 @@ mod tests {
     }
 
     #[test]
+    fn find_then_at_mut_copies_only_the_addressed_chunk() {
+        let map = filled(1_000);
+        let mut copy = map.clone();
+        let chunks = copy.chunks.as_slice().len();
+        assert!(chunks > 2);
+        // A search, hit or miss, copies nothing.
+        assert_eq!(copy.find("k1000"), None);
+        let at = copy.find("k500").unwrap();
+        assert_eq!(copy.shared_chunk_counts(&map), (chunks, chunks));
+        *copy.at_mut(at) = 9;
+        let same = |a: &Arc<Chunk<usize>>, b: &Arc<Chunk<usize>>| Arc::ptr_eq(a, b);
+        let copied: Vec<usize> = (0..chunks)
+            .filter(|&i| !same(&copy.chunks.as_slice()[i], &map.chunks.as_slice()[i]))
+            .collect();
+        assert_eq!(copied, [at.chunk], "only the chunk holding k500 is copied");
+        // Once copied, the chunk is the copy's own: a second access there
+        // copies nothing more.
+        let own = Arc::as_ptr(&copy.chunks.as_slice()[at.chunk]);
+        let neighbour = copy.find(&format!("k{}", 500 + 1)).unwrap();
+        assert_eq!(neighbour.chunk, at.chunk);
+        *copy.at_mut(neighbour) = 10;
+        assert_eq!(Arc::as_ptr(&copy.chunks.as_slice()[at.chunk]), own);
+        assert_eq!(copy.shared_chunk_counts(&map), (chunks - 1, chunks));
+        assert_eq!((copy.get("k500"), map.get("k500")), (Some(&9), Some(&500)));
+        assert_eq!((copy.get("k501"), map.get("k501")), (Some(&10), Some(&501)));
+        // `remove_at` takes the entry `find` named.
+        let at = copy.find("k7").unwrap();
+        assert_eq!(copy.remove_at(at), 7);
+        assert_eq!(copy.get("k7"), None);
+        check_invariants(&copy);
+    }
+
+    #[test]
     fn removal_merges_small_neighbours_and_drops_empty_chunks() {
         let mut map = filled(1_000);
         for i in 0..1_000 {
             if i % 50 != 0 {
-                assert_eq!(map.remove(&format!("k{i}")), Some(i));
+                assert_eq!(remove(&mut map, &format!("k{i}")), Some(i));
                 check_invariants(&map);
             }
         }
         assert_eq!(map.len(), 20);
         assert_eq!(map.chunks.as_slice().len(), 1);
         for i in (0..1_000).step_by(50) {
-            assert_eq!(map.remove(&format!("k{i}")), Some(i));
+            assert_eq!(remove(&mut map, &format!("k{i}")), Some(i));
         }
         assert!(map.is_empty());
         assert!(matches!(map.chunks, Spine::Short(None)));
@@ -526,14 +585,14 @@ mod tests {
                 let remove_bias = if step < 1_500 { 1 } else { 5 };
                 match rng.index(10) {
                     r if r < remove_bias => {
-                        assert_eq!(map.remove(&key), model.remove(&key));
+                        assert_eq!(remove(&mut map, &key), model.remove(&key));
                     }
                     r if r < 8 => {
                         assert_eq!(map.insert(&key, step), model.insert(key, step));
                     }
                     8 => {
-                        if let Some(slot) = map.get_mut(&key) {
-                            *slot += 1;
+                        if let Some(at) = map.find(&key) {
+                            *map.at_mut(at) += 1;
                         }
                         if let Some(slot) = model.get_mut(&key) {
                             *slot += 1;

@@ -2,8 +2,8 @@
 //!
 //! Paths are `/`-separated, absolute, and name nodes in the store tree,
 //! e.g. `/local/domain/3/device/vif/0/state` or `/conduit/http_server/listen`.
-//! Path components may contain ASCII letters, digits, `-`, `_`, `.`, `@` and
-//! `:` (the character set accepted by the real store).
+//! Path components may contain ASCII letters, digits, `-`, `_`, `.`, `@`,
+//! `:` and `+` (the character set accepted by the real store).
 
 use crate::error::{Error, Result};
 use std::cmp::Ordering;

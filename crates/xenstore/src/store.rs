@@ -185,12 +185,24 @@ impl XenStore {
 
     /// Refuse `dom` a node at `path` it would have to create when it owns
     /// its quota of nodes already. Dom0 has no quota, so for the toolstack
-    /// the store is not even searched.
-    fn check_node_quota(&self, dom: DomId, path: &Path) -> Result<()> {
-        if dom.is_privileged() || self.tree.exists(path) {
+    /// the store is not even searched. A transactional op is checked against
+    /// the tree it runs on, the transaction's snapshot, and the domain owns
+    /// there what it owns in the live store plus what the transaction has
+    /// gained it so far.
+    fn check_node_quota(&self, dom: DomId, tx: Option<TxId>, path: &Path) -> Result<()> {
+        if dom.is_privileged() {
             return Ok(());
         }
-        if self.owned_nodes(dom) >= self.quota.max_nodes {
+        let (tree, gained) = match tx.map(|id| self.transactions.get(&id.0)) {
+            None => (&self.tree, 0),
+            Some(Some(txn)) if txn.dom == dom => (&txn.snapshot, txn.node_gain()),
+            // The op itself refuses an unknown or a foreign transaction.
+            Some(_) => return Ok(()),
+        };
+        if tree.exists(path) {
+            return Ok(());
+        }
+        if self.owned_nodes(dom).saturating_add_signed(gained) >= self.quota.max_nodes {
             return Err(Error::QuotaExceeded("nodes"));
         }
         Ok(())
@@ -202,26 +214,6 @@ impl XenStore {
         self.owned.get(&dom.0).copied().unwrap_or(0)
     }
 
-    /// Every node-ownership change `diff` implies, reported one node at a
-    /// time as the domain and +1 or −1: creations, removals, and ownership
-    /// transfers via permission changes (dom0 handing a guest its home
-    /// directory). Shared by the commit-time quota check and the
-    /// post-mutation bookkeeping so the two can never drift.
-    fn owner_changes(diff: &TreeDiff, mut change: impl FnMut(DomId, isize)) {
-        for (_, owner) in &diff.added {
-            change(*owner, 1);
-        }
-        for (_, owner) in &diff.removed {
-            change(*owner, -1);
-        }
-        for (_, old_owner, new_owner) in &diff.perms_changed {
-            if old_owner != new_owner {
-                change(*old_owner, -1);
-                change(*new_owner, 1);
-            }
-        }
-    }
-
     /// Enforce the node quota at commit time: per-op checks inside the
     /// transaction ran against the store as it was *then*, so the net
     /// ownership delta of the merged result must be re-checked against the
@@ -231,7 +223,7 @@ impl XenStore {
         // Dom0 has no quota, and a commit that touches only its nodes —
         // the toolstack's all do — leaves this map empty and unallocated.
         let mut gained: BTreeMap<u32, isize> = BTreeMap::new();
-        Self::owner_changes(diff, |dom, by| {
+        diff.owner_changes(|dom, by| {
             if !dom.is_privileged() {
                 *gained.entry(dom.0).or_insert(0) += by;
             }
@@ -258,7 +250,7 @@ impl XenStore {
     /// direct op's record of no entry or one costs what it holds.
     fn settle(&mut self, diff: &TreeDiff, fire: bool, also_fire: Option<&Path>) {
         let owned = &mut self.owned;
-        Self::owner_changes(diff, |dom, by| {
+        diff.owner_changes(|dom, by| {
             let count = owned.get(&dom.0).copied().unwrap_or(0);
             // A domain that owns nothing has no entry: domids are never
             // reused, so zero counts would otherwise pile up for ever.
@@ -310,7 +302,10 @@ impl XenStore {
 
     /// Read a value as a UTF-8 string (lossy).
     pub fn read_string(&mut self, dom: DomId, tx: Option<TxId>, path: &str) -> Result<String> {
-        Ok(String::from_utf8_lossy(&self.read(dom, tx, path)?).into_owned())
+        // Valid UTF-8 becomes the string without a copy; only a value with
+        // invalid bytes is copied, with each replaced.
+        Ok(String::from_utf8(self.read(dom, tx, path)?)
+            .unwrap_or_else(|bytes| String::from_utf8_lossy(bytes.as_bytes()).into_owned()))
     }
 
     /// True if the path exists (without error on absence).
@@ -392,7 +387,7 @@ impl XenStore {
     /// Write a value (creating the node and missing ancestors if needed).
     pub fn write(&mut self, dom: DomId, tx: Option<TxId>, path: &str, value: &[u8]) -> Result<()> {
         let path = Self::parse(path)?;
-        self.check_node_quota(dom, &path)?;
+        self.check_node_quota(dom, tx, &path)?;
         self.apply(
             dom,
             tx,
@@ -406,7 +401,7 @@ impl XenStore {
     /// Create an empty node.
     pub fn mkdir(&mut self, dom: DomId, tx: Option<TxId>, path: &str) -> Result<()> {
         let path = Self::parse(path)?;
-        self.check_node_quota(dom, &path)?;
+        self.check_node_quota(dom, tx, &path)?;
         self.apply(dom, tx, TxnOp::Mkdir { path })
     }
 
@@ -1159,6 +1154,79 @@ mod tests {
         );
         assert!(!xs.exists(DomId::DOM0, None, "/local/domain/7/txn").unwrap());
         assert_eq!(xs.owned_nodes(DomId(7)), max);
+    }
+
+    /// A store with `Quota::tiny()` where dom7 owns its home and `extra`
+    /// nodes under it, `/local/domain/7/k0` up.
+    fn guest_owning(extra: usize) -> XenStore {
+        let mut xs = XenStore::with_quota(EngineKind::JitsuMerge, Quota::tiny());
+        xs.mkdir(DomId::DOM0, None, "/local/domain/7").unwrap();
+        xs.set_perms(
+            DomId::DOM0,
+            None,
+            "/local/domain/7",
+            Permissions::owned_by(DomId(7)),
+        )
+        .unwrap();
+        for i in 0..extra {
+            xs.write(DomId(7), None, &format!("/local/domain/7/k{i}"), b"v")
+                .unwrap();
+        }
+        assert_eq!(xs.owned_nodes(DomId(7)), extra + 1);
+        xs
+    }
+
+    #[test]
+    fn a_transactional_write_to_a_node_its_transaction_made_creates_nothing() {
+        let max = Quota::tiny().max_nodes;
+        let mut xs = guest_owning(0);
+        let t = xs.transaction_start(DomId(7)).unwrap();
+        xs.write(DomId(7), Some(t), "/local/domain/7/x", b"1")
+            .unwrap();
+        // Direct writes use up the domain's quota in the live store…
+        for i in 0..max - 1 {
+            xs.write(DomId(7), None, &format!("/local/domain/7/k{i}"), b"v")
+                .unwrap();
+        }
+        assert_eq!(xs.owned_nodes(DomId(7)), max);
+        // …but `x` exists in the snapshot the transaction writes to, so a
+        // second write of it creates nothing and passes the per-op check,
+        xs.write(DomId(7), Some(t), "/local/domain/7/x", b"2")
+            .unwrap();
+        // while a node that would be new there is still refused.
+        assert_eq!(
+            xs.write(DomId(7), Some(t), "/local/domain/7/y", b"1"),
+            Err(Error::QuotaExceeded("nodes"))
+        );
+        // The commit-time check still refuses the transaction's net gain.
+        assert_eq!(
+            xs.transaction_end(DomId(7), t, true),
+            Err(Error::QuotaExceeded("nodes"))
+        );
+    }
+
+    #[test]
+    fn re_creating_a_node_its_transaction_removed_counts_against_the_quota() {
+        let max = Quota::tiny().max_nodes;
+        let mut xs = guest_owning(max - 2);
+        let t = xs.transaction_start(DomId(7)).unwrap();
+        // One slot is left. The transaction frees `k0`, and spends that
+        // and the last slot on two new nodes.
+        xs.rm(DomId(7), Some(t), "/local/domain/7/k0").unwrap();
+        for name in ["y", "z"] {
+            xs.write(DomId(7), Some(t), &format!("/local/domain/7/{name}"), b"1")
+                .unwrap();
+        }
+        assert_eq!(xs.txn_mut(t).unwrap().node_gain(), 1);
+        // `k0` still exists in the live store, but not in the snapshot,
+        // where re-creating it would take the domain past its quota.
+        assert_eq!(
+            xs.write(DomId(7), Some(t), "/local/domain/7/k0", b"again"),
+            Err(Error::QuotaExceeded("nodes"))
+        );
+        xs.transaction_end(DomId(7), t, true).unwrap();
+        assert_eq!(xs.owned_nodes(DomId(7)), max);
+        assert_eq!(xs.tree().owned_count(DomId(7)), max);
     }
 
     #[test]

@@ -146,9 +146,11 @@ pub struct Transaction {
     pub read_set: BTreeMap<Path, ReadKind>,
     /// The mutations applied, in order.
     pub write_log: Vec<TxnOp>,
-    /// Number of times this logical transaction has been retried after
-    /// `EAGAIN` (maintained by the store for diagnostics).
-    pub retries: u32,
+    /// How many nodes the operations have given the transaction's domain,
+    /// net — created or handed to it, less removed or taken from it — as
+    /// the effects they reported show. The per-op node quota counts this on
+    /// top of what the domain owns in the live store.
+    node_gain: i32,
     /// How many effects of each kind the operations have reported as they
     /// ran (added, removed, value changed, permissions changed) — or `None`
     /// once one of them stamped a node without changing it (a write of the
@@ -171,7 +173,7 @@ impl Transaction {
             snapshot: tree.clone(),
             read_set: BTreeMap::new(),
             write_log: Vec::new(),
-            retries: 0,
+            node_gain: 0,
             reported: Some([0; 4]),
         }
     }
@@ -231,12 +233,26 @@ impl Transaction {
         // A creation depends on the child list of the deepest directory
         // that existed before it — the parent of the topmost node it
         // created — and a removal on that of the removed node's parent.
+        let dom = self.dom;
+        let node_gain = &mut self.node_gain;
+        effects.owner_changes(|owner, by| {
+            if owner == dom {
+                *node_gain += if by > 0 { 1 } else { -1 };
+            }
+        });
         let topmost = effects.added.first().or(effects.removed.first());
         if let Some(dir) = topmost.and_then(|(path, _)| path.parent()) {
             self.note_dir_read(&dir);
         }
         self.write_log.push(op);
         Ok(())
+    }
+
+    /// How many nodes the operations so far have given the transaction's
+    /// domain, net: negative if they removed more of its nodes than they
+    /// created.
+    pub(crate) fn node_gain(&self) -> isize {
+        self.node_gain as isize
     }
 
     /// True if `path` was created by this transaction (it exists in the

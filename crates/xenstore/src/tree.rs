@@ -22,10 +22,18 @@
 //! [`TreeDiff`] it is handed exactly what it changed — created ancestors
 //! and the node, the removed subtree, a value or permission change — in
 //! the order and content [`Tree::diff`] of the tree before and after the
-//! call would yield (nothing, for a call that fails: the mutators decide
-//! before they touch). The store settles quotas and fires watches for
-//! a direct op from that record, so it holds no pre-image of the tree, and
-//! a tree nobody else holds is mutated in place: no node is copied.
+//! call would yield. The store settles quotas and fires watches for a
+//! direct op from that record, so it holds no pre-image of the tree, and a
+//! tree nobody else holds is mutated in place: no node is copied.
+//!
+//! Each mutator walks its path once: one child-map search and one
+//! copy-on-write step a level, down to the node or to the deepest ancestor
+//! that exists, and only then decides. Nodes a write creates are built off
+//! the tree and linked in with one insertion. A call that fails — refused,
+//! or on a missing path — reports nothing, advances no generation and
+//! changes no value, permission or stamp; but where a snapshot shared the
+//! nodes (or child-map chunks) it walked through, it may have copied them,
+//! so the tree is equal to what it was without being the same allocation.
 //!
 //! [`Tree::diff`] computes the structural difference between two trees,
 //! skipping shared subtrees — and, inside a directory, whole shared chunks
@@ -46,6 +54,9 @@ use crate::path::Path;
 use crate::perms::{Access, DomId, Permissions};
 use std::borrow::Cow;
 use std::sync::Arc;
+
+#[cfg(test)]
+mod two_walks;
 
 /// A permission-checked hierarchical store with generation tracking.
 ///
@@ -133,6 +144,26 @@ impl TreeDiff {
             }
             Some(least)
         })
+    }
+
+    /// Every node-ownership change this record implies, reported one node
+    /// at a time as the domain and +1 or −1: creations, removals, and
+    /// ownership transfers via permission changes (dom0 handing a guest its
+    /// home directory). The one rule the store's quota counts, its checks
+    /// and a transaction's own count are all kept by, so they never drift.
+    pub(crate) fn owner_changes(&self, mut change: impl FnMut(DomId, isize)) {
+        for (_, owner) in &self.added {
+            change(*owner, 1);
+        }
+        for (_, owner) in &self.removed {
+            change(*owner, -1);
+        }
+        for (_, old_owner, new_owner) in &self.perms_changed {
+            if old_owner != new_owner {
+                change(*old_owner, -1);
+                change(*new_owner, 1);
+            }
+        }
     }
 
     /// The topmost removed paths: removed nodes whose ancestors all still
@@ -245,11 +276,6 @@ impl Tree {
         spine
     }
 
-    fn bump(&mut self) -> u64 {
-        self.generation += 1;
-        self.generation
-    }
-
     /// Immutable lookup.
     pub fn get(&self, path: &Path) -> Option<&Node> {
         let mut node = &*self.root;
@@ -299,21 +325,19 @@ impl Tree {
         perms: Permissions,
         effects: &mut TreeDiff,
     ) -> Result<()> {
-        let node = self
-            .get(path)
-            .ok_or_else(|| Error::NoEntry(path.to_string()))?;
+        let (node, _, None) = descend_mut(&mut self.root, &mut path.components()) else {
+            return Err(Error::NoEntry(path.to_string()));
+        };
         if !dom.is_privileged() && node.perms.owner() != dom {
             return Err(Error::PermissionDenied(path.to_string()));
         }
-        let gen = self.bump();
-        #[expect(clippy::expect_used, reason = "presence checked by the lookup above")]
-        let node = descend_mut(&mut self.root, path.components()).expect("checked above");
+        self.generation += 1;
         if node.perms != perms {
             let change = (path.clone(), node.perms.owner(), perms.owner());
             effects.perms_changed.push(change);
             node.perms = perms;
         }
-        node.modified_gen = gen;
+        node.modified_gen = self.generation;
         Ok(())
     }
 
@@ -341,6 +365,12 @@ impl Tree {
     /// The body of [`Tree::write`] (`value` given) and [`Tree::mkdir`]
     /// (`None`: an existing node is left alone, a new one is empty). A value
     /// the caller owns is moved into the node, a borrowed one copied.
+    ///
+    /// One descent, copying on the way down whatever a snapshot shares,
+    /// reaches the node or else the deepest ancestor that exists (the
+    /// anchor). The missing nodes are built off the tree, each as the only
+    /// child of the one before, and linked in with one insertion under the
+    /// anchor: no node is searched for after it is made.
     fn put(
         &mut self,
         dom: DomId,
@@ -348,33 +378,18 @@ impl Tree {
         value: Option<Cow<'_, [u8]>>,
         effects: &mut TreeDiff,
     ) -> Result<()> {
-        // One descent finds the node, or else the deepest ancestor that
-        // exists (`anchor`, `found` components down) and the first name
-        // missing under it; `below` is left holding the names after that.
+        // `node` is the node itself, or else the anchor, `found` components
+        // down; `below` is left holding the names after the first missing.
         let mut below = path.components();
-        let mut anchor = &*self.root;
-        let mut found = 0;
-        let mut first_missing = None;
-        for name in below.by_ref() {
-            match anchor.children.get(name) {
-                Some(child) => anchor = child,
-                None => {
-                    first_missing = Some(name);
-                    break;
-                }
-            }
-            found += 1;
-        }
+        let (node, found, first_missing) = descend_mut(&mut self.root, &mut below);
         let Some(first_missing) = first_missing else {
             let Some(value) = value else {
                 return Ok(());
             };
-            if !anchor.perms.check(dom, Access::Write) {
+            if !node.perms.check(dom, Access::Write) {
                 return Err(Error::PermissionDenied(path.to_string()));
             }
-            let gen = self.bump();
-            #[expect(clippy::expect_used, reason = "the descent above found this node")]
-            let node = descend_mut(&mut self.root, path.components()).expect("found above");
+            self.generation += 1;
             if node.value != *value {
                 effects.value_changed.push(path.clone());
                 match value {
@@ -382,48 +397,62 @@ impl Tree {
                     Cow::Borrowed(value) => value.clone_into(&mut node.value),
                 }
             }
-            node.modified_gen = gen;
+            node.modified_gen = self.generation;
             return Ok(());
         };
         // Whether each missing node may be created depends on permissions
         // alone — its parent's, which for all but the first is the node
         // created just before it — and only the first can refuse: whoever
         // creates a directory may write to it. So the first decides for the
-        // whole spine before anything is touched, and a refusal creates
+        // whole spine before anything is created, and a refusal creates
         // nothing.
-        let Some(mut perms) = Self::new_child_perms(dom, &anchor.perms) else {
+        let Some(perms) = Self::new_child_perms(dom, &node.perms) else {
             return Err(Error::PermissionDenied(path.ancestor(found).to_string()));
         };
-        // Each creation is its own generation, stamped on the new node and
-        // on its parent's child list.
-        let mut gen = self.generation;
-        let mut depth = found;
         effects.added.reserve(path.depth() - found);
-        #[expect(clippy::expect_used, reason = "the descent above ended at this node")]
-        let mut node = descend_mut(&mut self.root, path.components().take(found)).expect("found");
-        #[expect(clippy::expect_used, reason = "the child was inserted two lines up")]
-        for name in std::iter::once(first_missing).chain(below) {
-            gen += 1;
-            depth += 1;
-            effects.added.push((path.ancestor(depth), perms.owner()));
-            #[expect(
-                clippy::expect_used,
-                reason = "permissions derived for a creator let that creator write"
-            )]
-            let next = Self::new_child_perms(dom, &perms)
-                .expect("a creator may create under what it created");
-            node.children.insert(
-                name,
-                Arc::new(Node::new(std::mem::replace(&mut perms, next), gen)),
-            );
-            node.children_gen = gen;
-            node = Arc::make_mut(node.children.get_mut(name).expect("just inserted"));
-        }
-        if let Some(value) = value {
-            node.value = value.into_owned();
-        }
-        self.generation = gen;
+        let mut top = Node::new(perms, self.generation + 1);
+        self.generation = Self::grow(&mut top, dom, path, found + 1, &mut below, value, effects);
+        node.children_gen = top.created_gen;
+        node.children.insert(first_missing, Arc::new(top));
         Ok(())
+    }
+
+    /// Complete `node`, which [`Tree::put`] created at depth `depth` of
+    /// `path` and has not linked into the tree yet: report it, then give it
+    /// the rest of the missing suffix — one new node per name left in
+    /// `names`, each the only child of the one before — or, at the end of
+    /// the path, the value. Each creation is its own generation, one after
+    /// its parent's, stamped on the new node and on its parent's child
+    /// list. Returns the last generation stamped.
+    fn grow<'p>(
+        node: &mut Node,
+        dom: DomId,
+        path: &Path,
+        depth: usize,
+        names: &mut impl Iterator<Item = &'p str>,
+        value: Option<Cow<'_, [u8]>>,
+        effects: &mut TreeDiff,
+    ) -> u64 {
+        effects
+            .added
+            .push((path.ancestor(depth), node.perms.owner()));
+        let Some(name) = names.next() else {
+            if let Some(value) = value {
+                node.value = value.into_owned();
+            }
+            return node.created_gen;
+        };
+        #[expect(
+            clippy::expect_used,
+            reason = "permissions derived for a creator let that creator write"
+        )]
+        let perms = Self::new_child_perms(dom, &node.perms)
+            .expect("a creator may create under what it created");
+        let mut child = Node::new(perms, node.created_gen + 1);
+        let last = Self::grow(&mut child, dom, path, depth + 1, names, value, effects);
+        node.children_gen = child.created_gen;
+        node.children.insert(name, Arc::new(child));
+        last
     }
 
     /// Write a value, creating the node (and any missing ancestors) if
@@ -473,21 +502,25 @@ impl Tree {
         let (Some(parent), Some(name)) = (path.parent(), path.basename()) else {
             return Err(Error::Invalid("cannot remove the root node".into()));
         };
-        self.checked(dom, path, Access::Write)?;
-        let gen = self.bump();
-        #[expect(
-            clippy::expect_used,
-            reason = "the child was found, so its parent is present"
-        )]
-        let parent_node = descend_mut(&mut self.root, parent.components()).expect("parent exists");
-        if let Some(removed) = parent_node.children.remove(name) {
-            effects.removed.push((path.clone(), removed.perms.owner()));
-            if !removed.is_leaf() {
-                let mut text = scratch_text(path);
-                record_children(&removed, &mut text, &mut effects.removed);
-            }
+        let missing = || Error::NoEntry(path.to_string());
+        let (parent_node, _, None) = descend_mut(&mut self.root, &mut parent.components()) else {
+            return Err(missing());
+        };
+        let at = parent_node.children.find(name).ok_or_else(missing)?;
+        // The removal copies the chunk holding the node if a snapshot shares
+        // it, so reading the node's permissions through it costs nothing.
+        let target = parent_node.children.at_mut(at);
+        if !target.perms.check(dom, Access::Write) {
+            return Err(Error::PermissionDenied(path.to_string()));
         }
-        parent_node.children_gen = gen;
+        let removed = parent_node.children.remove_at(at);
+        self.generation += 1;
+        parent_node.children_gen = self.generation;
+        effects.removed.push((path.clone(), removed.perms.owner()));
+        if !removed.is_leaf() {
+            let mut text = scratch_text(path);
+            record_children(&removed, &mut text, &mut effects.removed);
+        }
         Ok(())
     }
 
@@ -603,20 +636,31 @@ impl Tree {
     }
 }
 
-/// Mutable descent via path copying: every node from `root` down
-/// `components` that is still shared with a snapshot is copied (shallowly —
-/// its child *pointers* are cloned, not the subtrees), so the mutation never
-/// disturbs other trees holding the old nodes. Nodes nobody else holds are
-/// handed out as they are: a tree with no snapshot is mutated in place.
+/// Mutable descent via path copying: every node from `root` down `names`
+/// that is still shared with a snapshot is copied (shallowly — its child
+/// *pointers* are cloned, not the subtrees), so the mutation never disturbs
+/// other trees holding the old nodes. Nodes nobody else holds are handed out
+/// as they are: a tree with no snapshot is mutated in place. Each level costs
+/// one search of its parent's child map and one `Arc::make_mut`.
+///
+/// The descent goes as far as the path exists and returns the deepest node
+/// reached, how many names led to it, and the first name missing under it —
+/// `None` if the whole path exists — leaving `names` holding the names after
+/// that one. A caller that then refuses has copied what it walked through.
 fn descend_mut<'a, 'p>(
     root: &'a mut Arc<Node>,
-    components: impl Iterator<Item = &'p str>,
-) -> Option<&'a mut Node> {
+    names: &mut impl Iterator<Item = &'p str>,
+) -> (&'a mut Node, usize, Option<&'p str>) {
     let mut node = Arc::make_mut(root);
-    for comp in components {
-        node = Arc::make_mut(node.children.get_mut(comp)?);
+    let mut depth = 0;
+    for name in names {
+        let Some(at) = node.children.find(name) else {
+            return (node, depth, Some(name));
+        };
+        node = Arc::make_mut(node.children.at_mut(at));
+        depth += 1;
     }
-    Some(node)
+    (node, depth, None)
 }
 
 /// Room for the text of most paths in a store: what a scratch buffer starts
