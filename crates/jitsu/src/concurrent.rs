@@ -46,7 +46,7 @@
 //! XenStore, a drain of every connection record over the conduit vchan,
 //! and a `Committed` phase flip.
 
-use crate::config::{JitsuConfig, ServiceConfig};
+use crate::config::JitsuConfig;
 use crate::directory::{DirectoryAction, DirectoryService};
 use crate::handoff::{HandoffCoordinator, HandoffPhase};
 use crate::launcher::Launcher;
@@ -72,11 +72,11 @@ use xenstore::DomId;
 
 /// One client whose first connection is parked on a booting service.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QueuedClient {
+struct QueuedClient {
     /// Engine-wide client id (used to derive a unique IP/MAC).
-    pub id: u32,
+    id: u32,
     /// When the client's DNS query arrived.
-    pub arrived: SimTime,
+    arrived: SimTime,
 }
 
 /// One client's live TCP flow: a real [`Interface`] that completes its
@@ -118,28 +118,27 @@ impl ClientFlow {
 }
 
 /// The unikernel side of one service's data plane: the packet-level
-/// instance (network stack + appliance) plus the handoff bookkeeping the
-/// two-phase commit needs.
+/// instance (network stack + appliance) plus the TCBs the two-phase commit
+/// carries from `Prepare` to `Committed`.
 #[derive(Debug)]
 struct DataPlane {
-    /// The domain the instance runs in.
-    dom: DomId,
     instance: UnikernelInstance,
     /// TCBs reconstructed from the conduit vchan drain at `Prepare`,
     /// adopted into the instance at `Committed`.
     drained: Vec<Tcb>,
-    /// Phase 2 of the two-phase commit has run.
-    committed: bool,
-    /// The application has come up (`on_app_ready` fired).
-    app_ready: bool,
-    /// Clients whose exchanges could not be accounted at app-ready because
-    /// the commit had not happened yet (the rare reversed ordering).
-    awaiting_account: Vec<QueuedClient>,
+}
+
+/// One configured service, at its index in [`JitsuConfig::services`]: its
+/// lifecycle and, from summon to retire, its unikernel's data plane.
+#[derive(Debug)]
+struct Service {
+    lifecycle: Lifecycle,
+    plane: Option<DataPlane>,
 }
 
 /// The lifecycle state machine of one configured service.
 #[derive(Debug)]
-pub enum Lifecycle {
+enum Lifecycle {
     /// No domain exists and nothing is in flight.
     Idle,
     /// Admitted (memory reserved) but waiting for a launch slot.
@@ -157,6 +156,11 @@ pub enum Lifecycle {
         network_ready_at: SimTime,
         /// When the application can serve requests.
         app_ready_at: SimTime,
+        /// The boot-registration transaction, held open for the whole
+        /// construction window so overlapping builds genuinely overlap
+        /// their store transactions (committed, and taken, at
+        /// construction-done; merged, not aborted, on the Jitsu engine).
+        boot_tx: Option<xenstore::TxId>,
     },
     /// The unikernel is serving requests. Its idle clock is the
     /// directory's: every query for the name refreshes it.
@@ -403,16 +407,12 @@ pub struct ConcurrentJitsud {
     handoff_probe: HandoffCoordinator,
     /// Live client TCP flows, by client id.
     clients: BTreeMap<u32, ClientFlow>,
-    /// Per-service unikernel data planes, while launching or running.
-    planes: BTreeMap<String, DataPlane>,
-    services: BTreeMap<String, Lifecycle>,
-    /// The per-boot service-registration transaction, held open for the
-    /// whole domain-construction window so overlapping builds genuinely
-    /// overlap their store transactions (committed at construction-done;
-    /// merged, not aborted, on the Jitsu engine).
-    boot_txns: BTreeMap<String, xenstore::TxId>,
-    /// Services admitted and waiting for a launch slot, FIFO.
-    launch_queue: VecDeque<String>,
+    /// One record per configured service, at its index in
+    /// `config.services`: the index trace records and scheduled events
+    /// carry.
+    services: Vec<Service>,
+    /// Indices of the services admitted and waiting for a launch slot, FIFO.
+    launch_queue: VecDeque<u16>,
     /// Memory reserved for admitted-but-not-yet-built domains, in MiB.
     reserved_mib: u32,
     metrics: StormMetrics,
@@ -462,6 +462,18 @@ impl ConcurrentJitsud {
         let launcher = Launcher::new(toolstack, config.boot);
         let directory = DirectoryService::new(config.clone());
         let slots = LaunchSlots::new(config.launch_slots);
+        assert!(
+            config.services.len() <= usize::from(u16::MAX) + 1,
+            "a service's index must fit the u16 trace records carry"
+        );
+        let services = config
+            .services
+            .iter()
+            .map(|_| Service {
+                lifecycle: Lifecycle::Idle,
+                plane: None,
+            })
+            .collect();
         ConcurrentJitsud {
             directory,
             launcher,
@@ -470,9 +482,7 @@ impl ConcurrentJitsud {
             conduit,
             handoff_probe: HandoffCoordinator::new(),
             clients: BTreeMap::new(),
-            planes: BTreeMap::new(),
-            services: BTreeMap::new(),
-            boot_txns: BTreeMap::new(),
+            services,
             launch_queue: VecDeque::new(),
             reserved_mib: 0,
             metrics: StormMetrics::default(),
@@ -516,22 +526,26 @@ impl ConcurrentJitsud {
         &self.slots
     }
 
-    /// The current lifecycle phase of a service.
+    /// The current lifecycle phase of a service (`Idle` for a name that is
+    /// not configured).
     pub fn phase(&self, name: &str) -> LifecyclePhase {
-        match self.services.get(name.trim_matches('.')) {
-            None | Some(Lifecycle::Idle) => LifecyclePhase::Idle,
-            Some(Lifecycle::AwaitingSlot { .. }) => LifecyclePhase::AwaitingSlot,
-            Some(Lifecycle::Launching { .. }) => LifecyclePhase::Launching,
-            Some(Lifecycle::Running { .. }) => LifecyclePhase::Running,
-            Some(Lifecycle::Draining { .. }) => LifecyclePhase::Draining,
+        let lifecycle = self.service_of(name).map_or(&Lifecycle::Idle, |ix| {
+            &self.services[usize::from(ix)].lifecycle
+        });
+        match lifecycle {
+            Lifecycle::Idle => LifecyclePhase::Idle,
+            Lifecycle::AwaitingSlot { .. } => LifecyclePhase::AwaitingSlot,
+            Lifecycle::Launching { .. } => LifecyclePhase::Launching,
+            Lifecycle::Running { .. } => LifecyclePhase::Running,
+            Lifecycle::Draining { .. } => LifecyclePhase::Draining,
         }
     }
 
     /// Number of services currently in the `Running` phase.
     pub fn running_count(&self) -> usize {
         self.services
-            .values()
-            .filter(|s| matches!(s, Lifecycle::Running { .. }))
+            .iter()
+            .filter(|s| matches!(s.lifecycle, Lifecycle::Running { .. }))
             .count()
     }
 
@@ -573,10 +587,13 @@ impl ConcurrentJitsud {
         &self.trace
     }
 
-    /// `name`'s index in `config.services`, as trace records carry it.
-    fn service_ix(config: &JitsuConfig, name: &str) -> u16 {
-        let ix = config.services.iter().position(|s| s.name == name);
-        ix.and_then(|i| u16::try_from(i).ok()).unwrap_or(u16::MAX)
+    /// The index in `config.services` of the service `name` names, if any
+    /// (trailing dots ignored). The one name lookup: a query makes it as it
+    /// enters, and everything after carries the index.
+    fn service_of(&self, name: &str) -> Option<u16> {
+        let name = name.trim_matches('.');
+        let ix = self.config.services.iter().position(|s| s.name == name)?;
+        u16::try_from(ix).ok()
     }
 
     fn next_seed(&mut self) -> u64 {
@@ -657,10 +674,11 @@ impl ConcurrentJitsud {
     /// interface, remember the HTTP request it will send once connected,
     /// and route the SYN into whichever side of the handoff currently owns
     /// the service's traffic.
-    fn open_client_flow(world: &mut ConcurrentJitsud, svc: &ServiceConfig, client: QueuedClient) {
+    fn open_client_flow(world: &mut ConcurrentJitsud, ix: u16, client: QueuedClient) {
         if !world.config.use_synjitsu {
             return;
         }
+        let svc = &world.config.services[usize::from(ix)];
         let mut iface = Interface::new(Self::client_mac(client.id), Self::client_ip(client.id));
         iface.add_arp_entry(svc.ip, svc.mac());
         let syn = iface.tcp_connect(svc.ip, svc.port);
@@ -673,7 +691,7 @@ impl ConcurrentJitsud {
                 sent_request: false,
             },
         );
-        Self::route_client_frames(world, &svc.name, client.id, vec![syn]);
+        Self::route_client_frames(world, ix, client.id, vec![syn]);
     }
 
     /// Deliver client frames to exactly one handler, per the handoff phase:
@@ -681,16 +699,17 @@ impl ConcurrentJitsud {
     /// unikernel replays them after `Committed`), the unikernel afterwards.
     fn route_client_frames(
         world: &mut ConcurrentJitsud,
-        name: &str,
+        ix: u16,
         client_id: u32,
         frames: Vec<FrameBuf>,
     ) {
         if frames.is_empty() {
             return;
         }
+        let name = &world.config.services[usize::from(ix)].name;
         let xs = &mut world.launcher.toolstack.xenstore;
         match world.handoff_probe.phase(xs, name) {
-            HandoffPhase::Proxying => Self::pump_via_synjitsu(world, name, client_id, frames),
+            HandoffPhase::Proxying => Self::pump_via_synjitsu(world, ix, client_id, frames),
             HandoffPhase::Prepare => {
                 // The race window between the phases: park every frame.
                 // Synjitsu queues it into the handoff area and answers
@@ -707,7 +726,9 @@ impl ConcurrentJitsud {
                         .expect("synjitsu parks frames during prepare");
                 }
             }
-            HandoffPhase::Committed => Self::pump_via_unikernel(world, name, client_id, frames),
+            HandoffPhase::Committed => {
+                Self::pump_via_unikernel(world, ix, client_id, frames, Vec::new());
+            }
         }
     }
 
@@ -717,13 +738,14 @@ impl ConcurrentJitsud {
     /// request data) and mirrors every connection into XenStore.
     fn pump_via_synjitsu(
         world: &mut ConcurrentJitsud,
-        name: &str,
+        ix: u16,
         client_id: u32,
         mut to_proxy: Vec<FrameBuf>,
     ) {
         let Some(flow) = world.clients.get_mut(&client_id) else {
             return;
         };
+        let name = &world.config.services[usize::from(ix)].name;
         let xs = &mut world.launcher.toolstack.xenstore;
         let synjitsu = &mut world.synjitsu;
         for _ in 0..16 {
@@ -748,47 +770,23 @@ impl ConcurrentJitsud {
         }
     }
 
-    /// Exchange frames between one client flow and the booted unikernel.
+    /// Exchange frames between one client flow and the booted unikernel —
+    /// client frames `to_server`, unikernel-originated ones (replayed
+    /// responses) `to_client` — until quiescent, accumulating the client's
+    /// response stream.
     fn pump_via_unikernel(
         world: &mut ConcurrentJitsud,
-        name: &str,
+        ix: u16,
         client_id: u32,
-        to_server: Vec<FrameBuf>,
-    ) {
-        let Some(plane) = world.planes.get_mut(name) else {
-            return;
-        };
-        let Some(flow) = world.clients.get_mut(&client_id) else {
-            return;
-        };
-        Self::exchange(plane, flow, to_server, Vec::new());
-    }
-
-    /// Deliver unikernel-originated frames (e.g. replayed responses) to the
-    /// client that owns them, pumping any ACK traffic back.
-    fn deliver_to_client(
-        world: &mut ConcurrentJitsud,
-        name: &str,
-        client_id: u32,
-        to_client: Vec<FrameBuf>,
-    ) {
-        let Some(plane) = world.planes.get_mut(name) else {
-            return;
-        };
-        let Some(flow) = world.clients.get_mut(&client_id) else {
-            return;
-        };
-        Self::exchange(plane, flow, Vec::new(), to_client);
-    }
-
-    /// Pump frames both ways between a client flow and a unikernel instance
-    /// until quiescent, accumulating the client's response stream.
-    fn exchange(
-        plane: &mut DataPlane,
-        flow: &mut ClientFlow,
         mut to_server: Vec<FrameBuf>,
         mut to_client: Vec<FrameBuf>,
     ) {
+        let Some(plane) = world.services[usize::from(ix)].plane.as_mut() else {
+            return;
+        };
+        let Some(flow) = world.clients.get_mut(&client_id) else {
+            return;
+        };
         for _ in 0..32 {
             if to_server.is_empty() && to_client.is_empty() {
                 break;
@@ -817,29 +815,20 @@ impl ConcurrentJitsud {
         let world = sim.world_mut();
         world.metrics.queries += 1;
         let qid = (world.metrics.queries & 0xffff) as u16;
+        let ix = world.service_of(&name);
         // Admission: memory for the service, net of reservations for boots
         // still waiting on a slot. A draining service is exempt — the drain
         // is about to free exactly the memory it needs.
-        let draining = matches!(
-            world.services.get(name.trim_matches('.')),
-            Some(Lifecycle::Draining { .. })
-        );
-        let resources = draining
-            || match world.config.service(&name) {
-                Some(svc) => world.effective_free_mib() >= svc.image.memory_mib,
-                None => true,
-            };
+        let resources = ix.is_none_or(|ix| {
+            let i = usize::from(ix);
+            matches!(world.services[i].lifecycle, Lifecycle::Draining { .. })
+                || world.effective_free_mib() >= world.config.services[i].image.memory_mib
+        });
         let query = DnsMessage::query(qid, &name);
         let (response, action) = world.directory.handle_query(&query, now, resources);
-        match action {
-            DirectoryAction::None => {
-                if response.rcode != Rcode::NoError {
-                    world.metrics.unknown += 1;
-                }
-            }
-            DirectoryAction::ResourceExhausted { name } => {
+        match (action, ix) {
+            (DirectoryAction::ResourceExhausted { name }, Some(service)) => {
                 world.metrics.servfails += 1;
-                let service = Self::service_ix(&world.config, &name);
                 world.trace.push(now, JitsuEvent::ServFail { service });
                 // §3.3.2's other half: in a fleet the SERVFAIL makes the
                 // client retry against the next board. Parked here; the
@@ -854,49 +843,47 @@ impl ConcurrentJitsud {
                     }
                 }
             }
-            DirectoryAction::AlreadyRunning { name } => Self::on_alive_query(sim, name),
-            DirectoryAction::Launch { name } => Self::on_admitted(sim, name),
+            (DirectoryAction::AlreadyRunning { .. }, Some(ix)) => Self::on_alive_query(sim, ix),
+            (DirectoryAction::Launch { .. }, Some(ix)) => Self::on_admitted(sim, ix),
+            // Not a configured service: the directory answered for the
+            // nameserver itself, or refused the name.
+            _ => {
+                if response.rcode != Rcode::NoError {
+                    world.metrics.unknown += 1;
+                }
+            }
         }
     }
 
     /// A query for a service the directory considers alive (mid-launch or
     /// running) — coalesce or serve warm.
-    fn on_alive_query<S: Scheduler<World = ConcurrentJitsud>>(sim: &mut S, name: String) {
+    fn on_alive_query<S: Scheduler<World = ConcurrentJitsud>>(sim: &mut S, ix: u16) {
         let now = sim.now();
         let world = sim.world_mut();
         let client = world.new_client(now);
-        #[expect(
-            clippy::expect_used,
-            reason = "queries reaching here matched a configured service name"
-        )]
-        let svc = world
-            .config
-            .service(&name)
-            .cloned()
-            .expect("directory only answers configured names");
-        match world.services.get_mut(&name) {
-            Some(Lifecycle::AwaitingSlot { queued, .. }) => {
+        match &mut world.services[usize::from(ix)].lifecycle {
+            Lifecycle::AwaitingSlot { queued } => {
                 queued.push(client);
                 world.metrics.coalesced += 1;
-                Self::open_client_flow(world, &svc, client);
+                Self::open_client_flow(world, ix, client);
             }
-            Some(Lifecycle::Launching { queued, dom, .. }) => {
+            Lifecycle::Launching { queued, dom, .. } => {
                 queued.push(client);
                 world.metrics.coalesced += 1;
                 let event = JitsuEvent::Coalesced {
-                    service: Self::service_ix(&world.config, &name),
+                    service: ix,
                     dom: *dom,
                 };
                 world.trace.push(now, event);
-                Self::open_client_flow(world, &svc, client);
+                Self::open_client_flow(world, ix, client);
             }
-            Some(Lifecycle::Draining { queued, .. }) => {
+            Lifecycle::Draining { queued, .. } => {
                 // A relaunch is already committed (the query that triggered
                 // it marked the directory); ride along.
                 queued.push(client);
                 world.metrics.coalesced += 1;
             }
-            Some(Lifecycle::Running { .. }) => {
+            Lifecycle::Running { .. } => {
                 // Warm hit: DNS round plus handshake, request and response
                 // against the running unikernel (the ≈5 ms local path, §3).
                 let ttfb = world.dns_processing
@@ -907,43 +894,47 @@ impl ConcurrentJitsud {
                 world.metrics.warm_hits += 1;
                 // `handle_query` just refreshed the idle clock; re-arm the
                 // reaper from it.
-                Self::schedule_reap_check(sim, name, now);
+                Self::schedule_reap_check(sim, ix, now);
             }
-            None | Some(Lifecycle::Idle) => {
-                debug_assert!(false, "directory alive but engine idle for {name}");
+            Lifecycle::Idle => {
+                debug_assert!(false, "directory alive but service {ix} idle");
             }
         }
     }
 
-    /// A query the directory admitted for launch: reserve memory, start
-    /// Synjitsu proxying, and queue for a launch slot.
-    fn on_admitted<S: Scheduler<World = ConcurrentJitsud>>(sim: &mut S, name: String) {
+    /// A query the directory admitted for launch: park the client and, unless
+    /// the old domain is still draining, admit the service.
+    fn on_admitted<S: Scheduler<World = ConcurrentJitsud>>(sim: &mut S, ix: u16) {
         let now = sim.now();
         let world = sim.world_mut();
-        #[expect(
-            clippy::expect_used,
-            reason = "launch actions are only emitted for configured services"
-        )]
-        let svc = world
-            .config
-            .service(&name)
-            .cloned()
-            .expect("directory only launches configured names");
-        if matches!(world.services.get(&name), Some(Lifecycle::Draining { .. })) {
+        let client = world.new_client(now);
+        let lifecycle = &mut world.services[usize::from(ix)].lifecycle;
+        if let Lifecycle::Draining { queued, .. } = lifecycle {
             // Reap/resummon race: the domain is still tearing down; the
             // relaunch starts the moment the drain completes.
-            let client = world.new_client(now);
-            if let Some(Lifecycle::Draining { queued, .. }) = world.services.get_mut(&name) {
-                queued.push(client);
-            }
+            queued.push(client);
             world.metrics.coalesced += 1;
             return;
         }
         debug_assert!(
-            matches!(world.services.get(&name), None | Some(Lifecycle::Idle)),
-            "Launch action for {name} in a non-idle state"
+            matches!(lifecycle, Lifecycle::Idle),
+            "Launch action for service {ix} in a non-idle state"
         );
-        let client = world.new_client(now);
+        Self::admit(sim, ix, vec![client]);
+    }
+
+    /// Admit a service with `queued` parked on it: reserve its memory, start
+    /// Synjitsu proxying (each parked client opens its flow), and queue for
+    /// a launch slot.
+    fn admit<S: Scheduler<World = ConcurrentJitsud>>(
+        sim: &mut S,
+        ix: u16,
+        queued: Vec<QueuedClient>,
+    ) {
+        let world = sim.world_mut();
+        let i = usize::from(ix);
+        let svc = &world.config.services[i];
+        world.reserved_mib += svc.image.memory_mib;
         if world.config.use_synjitsu {
             #[expect(
                 clippy::expect_used,
@@ -951,18 +942,14 @@ impl ConcurrentJitsud {
             )]
             world
                 .synjitsu
-                .start_proxying(&mut world.launcher.toolstack.xenstore, &svc)
+                .start_proxying(&mut world.launcher.toolstack.xenstore, svc)
                 .expect("synjitsu can begin proxying");
-            Self::open_client_flow(world, &svc, client);
+            for client in &queued {
+                Self::open_client_flow(world, ix, *client);
+            }
         }
-        world.reserved_mib += svc.image.memory_mib;
-        world.services.insert(
-            name.clone(),
-            Lifecycle::AwaitingSlot {
-                queued: vec![client],
-            },
-        );
-        world.launch_queue.push_back(name);
+        world.services[i].lifecycle = Lifecycle::AwaitingSlot { queued };
+        world.launch_queue.push_back(ix);
         Self::dispatch(sim);
     }
 
@@ -972,35 +959,26 @@ impl ConcurrentJitsud {
         loop {
             let now = sim.now();
             let world = sim.world_mut();
-            if world.launch_queue.is_empty() || !world.slots.try_acquire() {
+            let Some(&ix) = world.launch_queue.front() else {
+                return;
+            };
+            if !world.slots.try_acquire() {
                 return;
             }
-            #[expect(
-                clippy::expect_used,
-                reason = "guarded by the non-empty check on the previous line"
-            )]
-            let name = world
-                .launch_queue
-                .pop_front()
-                .expect("checked non-empty above");
-            let Some(Lifecycle::AwaitingSlot { queued, .. }) = world.services.remove(&name) else {
-                // The service left AwaitingSlot some other way (launch
-                // failure cleanup); give the slot back and keep going.
+            world.launch_queue.pop_front();
+            let i = usize::from(ix);
+            let Lifecycle::AwaitingSlot { queued } = &mut world.services[i].lifecycle else {
+                // Only a service awaiting a slot is queued; give the slot
+                // back and keep going.
+                debug_assert!(false, "queued service {ix} is not awaiting a slot");
                 world.slots.release();
                 continue;
             };
-            #[expect(
-                clippy::expect_used,
-                reason = "queued service names were validated at admission"
-            )]
-            let svc = world
-                .config
-                .service(&name)
-                .cloned()
-                .expect("queued services are configured");
-            world.reserved_mib = world.reserved_mib.saturating_sub(svc.image.memory_mib);
+            let queued = std::mem::take(queued);
             let seed = world.next_seed();
-            match world.launcher.summon(&svc, now, seed) {
+            let svc = &world.config.services[i];
+            world.reserved_mib = world.reserved_mib.saturating_sub(svc.image.memory_mib);
+            match world.launcher.summon(svc, now, seed) {
                 Ok((outcome, instance)) => {
                     world.metrics.launches += 1;
                     // Register the boot in the store inside a transaction
@@ -1019,57 +997,51 @@ impl ConcurrentJitsud {
                         clippy::expect_used,
                         reason = "boot registration writes go to fresh per-service paths"
                     )]
-                    Self::write_boot_record(xs, boot_tx, &name, outcome.dom)
+                    Self::write_boot_record(xs, boot_tx, &svc.name, outcome.dom)
                         .expect("boot registration writes succeed");
-                    world.boot_txns.insert(name.clone(), boot_tx);
-                    // Keep the packet-level instance: it is the unikernel
-                    // side of the data plane once the handoff commits.
-                    world.planes.insert(
-                        name.clone(),
-                        DataPlane {
-                            dom: outcome.dom,
-                            instance,
-                            drained: Vec::new(),
-                            committed: false,
-                            app_ready: false,
-                            awaiting_account: Vec::new(),
-                        },
-                    );
                     let construction_done_at = now + outcome.construction.total;
                     let network_ready_at = outcome.network_ready_at();
                     let app_ready_at = outcome.app_ready_at();
+                    // The handoff commits one `handoff_cost` after
+                    // network-ready; the application comes up a whole boot
+                    // stage later, so it always finds the commit done.
+                    debug_assert!(network_ready_at + world.handoff_cost < app_ready_at);
                     let event = JitsuEvent::Summoning {
-                        service: Self::service_ix(&world.config, &name),
+                        service: ix,
                         dom: outcome.dom,
                         queued: queued.len() as u32,
                     };
                     world.trace.push(now, event);
-                    world.services.insert(
-                        name.clone(),
-                        Lifecycle::Launching {
+                    world.services[i] = Service {
+                        lifecycle: Lifecycle::Launching {
                             queued,
                             dom: outcome.dom,
                             network_ready_at,
                             app_ready_at,
+                            boot_tx: Some(boot_tx),
                         },
-                    );
+                        // The packet-level instance is the unikernel side
+                        // of the data plane once the handoff commits.
+                        plane: Some(DataPlane {
+                            instance,
+                            drained: Vec::new(),
+                        }),
+                    };
                     // The slot covers dom0's construction work only; the
                     // guest boots on its own vcpu.
-                    let built_name = name.clone();
                     sim.schedule_at(construction_done_at, move |sim| {
-                        Self::on_construction_done(sim, built_name);
+                        Self::on_construction_done(sim, ix);
                     });
-                    let handoff_name = name.clone();
                     sim.schedule_at(network_ready_at, move |sim| {
-                        Self::on_network_ready(sim, handoff_name);
+                        Self::on_network_ready(sim, ix);
                     });
-                    sim.schedule_at(app_ready_at, move |sim| Self::on_app_ready(sim, name));
+                    sim.schedule_at(app_ready_at, move |sim| Self::on_app_ready(sim, ix));
                 }
                 Err(_) => {
                     // Reservations should make this unreachable; degrade to
                     // SERVFAIL for every parked client rather than wedging.
                     let event = JitsuEvent::LaunchFailed {
-                        service: Self::service_ix(&world.config, &name),
+                        service: ix,
                         queued: queued.len() as u32,
                     };
                     world.trace.push(now, event);
@@ -1077,8 +1049,8 @@ impl ConcurrentJitsud {
                     for client in &queued {
                         world.clients.remove(&client.id);
                     }
-                    world.directory.mark_stopped(&name);
-                    world.services.insert(name, Lifecycle::Idle);
+                    world.directory.mark_stopped(&svc.name);
+                    world.services[i].lifecycle = Lifecycle::Idle;
                     world.slots.release();
                 }
             }
@@ -1104,61 +1076,54 @@ impl ConcurrentJitsud {
         Ok(())
     }
 
-    /// The domain a service currently maps to, whatever lifecycle phase it
-    /// is in.
-    fn dom_of(&self, name: &str) -> Option<DomId> {
-        match self.services.get(name) {
-            Some(
-                Lifecycle::Launching { dom, .. }
-                | Lifecycle::Running { dom, .. }
-                | Lifecycle::Draining { dom, .. },
-            ) => Some(*dom),
-            _ => None,
-        }
-    }
-
-    /// Event: dom0's construction work for `name` finished. Commit the
+    /// Event: dom0's construction work for a service finished. Commit the
     /// boot-registration transaction that has been open since the slot was
     /// granted — on the merge engines a concurrent build's commit merges;
     /// on the serialising engine it aborts with `EAGAIN` and the whole
     /// registration is redone, the "cancel and retry a large set of domain
     /// building RPCs" cost §3.1 describes. Then release the launch slot.
-    fn on_construction_done<S: Scheduler<World = ConcurrentJitsud>>(sim: &mut S, name: String) {
+    fn on_construction_done<S: Scheduler<World = ConcurrentJitsud>>(sim: &mut S, ix: u16) {
         let world = sim.world_mut();
-        if let Some(tx) = world.boot_txns.remove(&name) {
-            let dom = world.dom_of(&name);
-            let xs = &mut world.launcher.toolstack.xenstore;
-            let state_path = format!("/jitsu/service/{name}/state");
-            #[expect(
-                clippy::expect_used,
-                reason = "transactional write inside an open boot transaction"
-            )]
-            xs.write(DomId::DOM0, Some(tx), &state_path, b"built")
-                .expect("transactional write succeeds");
-            match xs.transaction_end(DomId::DOM0, tx, true) {
-                Ok(()) => {}
-                Err(xenstore::Error::Again) => {
-                    if let Some(dom) = dom {
-                        #[expect(
-                            clippy::expect_used,
-                            reason = "the retry re-registers on a conflict-free snapshot"
-                        )]
-                        xs.with_transaction(DomId::DOM0, 8, |xs, t| {
-                            Self::write_boot_record(xs, t, &name, dom)?;
-                            xs.write(DomId::DOM0, Some(t), &state_path, b"built")
-                        })
-                        .expect("boot-registration retry succeeds");
-                    }
-                }
-                #[expect(
-                    clippy::panic,
-                    reason = "commit failures other than EAGAIN mean a corrupted store; fail the experiment loudly"
-                )]
-                Err(e) => panic!("boot registration commit failed: {e}"),
+        let i = usize::from(ix);
+        if let Lifecycle::Launching { dom, boot_tx, .. } = &mut world.services[i].lifecycle {
+            if let Some(tx) = boot_tx.take() {
+                let name = &world.config.services[i].name;
+                Self::commit_boot_record(&mut world.launcher.toolstack.xenstore, tx, name, *dom);
             }
         }
         world.slots.release();
         Self::dispatch(sim);
+    }
+
+    /// Mark `name`'s boot record built and commit its transaction `tx`,
+    /// redoing the whole registration if the commit aborts with `EAGAIN`.
+    fn commit_boot_record(xs: &mut xenstore::XenStore, tx: xenstore::TxId, name: &str, dom: DomId) {
+        let state_path = format!("/jitsu/service/{name}/state");
+        #[expect(
+            clippy::expect_used,
+            reason = "transactional write inside an open boot transaction"
+        )]
+        xs.write(DomId::DOM0, Some(tx), &state_path, b"built")
+            .expect("transactional write succeeds");
+        match xs.transaction_end(DomId::DOM0, tx, true) {
+            Ok(()) => {}
+            Err(xenstore::Error::Again) => {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the retry re-registers on a conflict-free snapshot"
+                )]
+                xs.with_transaction(DomId::DOM0, 8, |xs, t| {
+                    Self::write_boot_record(xs, t, name, dom)?;
+                    xs.write(DomId::DOM0, Some(t), &state_path, b"built")
+                })
+                .expect("boot-registration retry succeeds");
+            }
+            #[expect(
+                clippy::panic,
+                reason = "commit failures other than EAGAIN mean a corrupted store; fail the experiment loudly"
+            )]
+            Err(e) => panic!("boot registration commit failed: {e}"),
+        }
     }
 
     /// Event: the booting unikernel's network stack attached — phase 1 of
@@ -1168,14 +1133,17 @@ impl ConcurrentJitsud {
     /// connection record — `Tcb` plus buffered request bytes, serialised
     /// with `to_sexp` — through a vchan. The commit itself runs one handoff
     /// window later, in [`Self::on_commit_handoff`].
-    fn on_network_ready<S: Scheduler<World = ConcurrentJitsud>>(sim: &mut S, name: String) {
+    fn on_network_ready<S: Scheduler<World = ConcurrentJitsud>>(sim: &mut S, ix: u16) {
         let now = sim.now();
         let world = sim.world_mut();
-        if !world.config.use_synjitsu || !world.synjitsu.is_proxying(&name) {
+        let name = &world.config.services[usize::from(ix)].name;
+        if !world.config.use_synjitsu || !world.synjitsu.is_proxying(name) {
             return;
         }
-        let Some(Lifecycle::Launching { dom, .. }) = world.services.get(&name) else {
-            debug_assert!(false, "network-ready without a Launching {name}");
+        let svc = &mut world.services[usize::from(ix)];
+        let (Lifecycle::Launching { dom, .. }, Some(plane)) = (&svc.lifecycle, &mut svc.plane)
+        else {
+            debug_assert!(false, "network-ready without a launching service {ix}");
             return;
         };
         let dom = *dom;
@@ -1185,12 +1153,12 @@ impl ConcurrentJitsud {
         )]
         let flushed = world
             .synjitsu
-            .prepare_handoff(&mut world.launcher.toolstack.xenstore, &name)
+            .prepare_handoff(&mut world.launcher.toolstack.xenstore, name)
             .expect("prepare flushes the final records");
 
         // The unikernel connects to Synjitsu's conduit endpoint and drains
         // the records over a freshly established vchan.
-        let records = world.synjitsu.connection_records(&name);
+        let records = world.synjitsu.connection_records(name);
         let conn_name = name.replace('.', "_");
         let (xs, grants, evtchn) = world.launcher.toolstack.conduit_parts();
         #[expect(
@@ -1260,26 +1228,16 @@ impl ConcurrentJitsud {
             )]
             drained.push(Tcb::from_sexp(sexp).expect("records round-trip"));
         }
-        #[expect(
-            clippy::expect_used,
-            reason = "a Launching service always owns a data plane"
-        )]
-        let plane = world
-            .planes
-            .get_mut(&name)
-            .expect("launching services have a data plane");
         plane.drained = drained;
         let event = JitsuEvent::Prepared {
-            service: Self::service_ix(&world.config, &name),
+            service: ix,
             dom,
             flushed: flushed as u32,
             drained_bytes: drained_bytes.len() as u32,
         };
         world.trace.push(now, event);
         let handoff_cost = world.handoff_cost;
-        sim.schedule_in(handoff_cost, move |sim| {
-            Self::on_commit_handoff(sim, name);
-        });
+        sim.schedule_in(handoff_cost, move |sim| Self::on_commit_handoff(sim, ix));
     }
 
     /// Event: phase 2 of the two-phase commit. The unikernel atomically
@@ -1287,22 +1245,27 @@ impl ConcurrentJitsud {
     /// drained connection — replaying buffered requests straight away — and
     /// replays any frames that were parked during the `Prepare` window.
     /// From this moment Synjitsu never touches the service's traffic again.
-    fn on_commit_handoff<S: Scheduler<World = ConcurrentJitsud>>(sim: &mut S, name: String) {
+    fn on_commit_handoff<S: Scheduler<World = ConcurrentJitsud>>(sim: &mut S, ix: u16) {
         let now = sim.now();
         let world = sim.world_mut();
+        let i = usize::from(ix);
         #[expect(
             clippy::expect_used,
             reason = "takeover transaction operates on paths this engine owns"
         )]
         let pending = world
             .synjitsu
-            .commit_handoff(&mut world.launcher.toolstack.xenstore, &name)
+            .commit_handoff(
+                &mut world.launcher.toolstack.xenstore,
+                &world.config.services[i].name,
+            )
             .expect("the takeover commits");
-        let Some(plane) = world.planes.get_mut(&name) else {
+        let svc = &mut world.services[i];
+        let (Lifecycle::Launching { dom, .. }, Some(plane)) = (&svc.lifecycle, &mut svc.plane)
+        else {
             return;
         };
-        plane.committed = true;
-        let dom = plane.dom;
+        let dom = *dom;
         let adopted = std::mem::take(&mut plane.drained);
         let migrated = adopted.len() as u64;
         let mut response_frames = Vec::new();
@@ -1315,9 +1278,8 @@ impl ConcurrentJitsud {
         }
         world.metrics.handoff.migrated += migrated;
         world.metrics.syn_handoffs += migrated;
-        let service = Self::service_ix(&world.config, &name);
         let event = JitsuEvent::HandedOver {
-            service,
+            service: ix,
             dom,
             connections: migrated as u32,
         };
@@ -1326,7 +1288,7 @@ impl ConcurrentJitsud {
         // Replayed responses go back to the clients that were mid-request.
         for frame in response_frames {
             if let Some(id) = Self::frame_client_dst(&frame) {
-                Self::deliver_to_client(world, &name, id, vec![frame]);
+                Self::pump_via_unikernel(world, ix, id, Vec::new(), vec![frame]);
             }
         }
         // Frames parked during the Prepare window replay against the
@@ -1336,25 +1298,16 @@ impl ConcurrentJitsud {
         world.metrics.handoff.replayed_after_commit += replayed;
         for frame in pending {
             if let Some(id) = Self::frame_client_src(&frame) {
-                Self::pump_via_unikernel(world, &name, id, vec![frame]);
+                Self::pump_via_unikernel(world, ix, id, vec![frame], Vec::new());
             }
         }
         if replayed > 0 {
             let event = JitsuEvent::Replayed {
-                service,
+                service: ix,
                 dom,
                 frames: replayed as u32,
             };
             world.trace.push(now, event);
-        }
-        // If the app came up before the commit (short boots), the exchange
-        // accounting waited for us.
-        let waiting = match world.planes.get_mut(&name) {
-            Some(plane) if plane.app_ready => std::mem::take(&mut plane.awaiting_account),
-            _ => Vec::new(),
-        };
-        if !waiting.is_empty() {
-            Self::account_exchanges(world, &name, &waiting);
         }
     }
 
@@ -1362,11 +1315,11 @@ impl ConcurrentJitsud {
     /// exact response the unikernel serves, and fold the result into the
     /// handoff accounting: byte-exact streams count as `completed`, missing
     /// suffixes as dropped bytes, diverging or extra bytes as duplicated.
-    fn account_exchanges(world: &mut ConcurrentJitsud, name: &str, clients: &[QueuedClient]) {
+    fn account_exchanges(world: &mut ConcurrentJitsud, ix: u16, clients: &[QueuedClient]) {
         if !world.config.use_synjitsu {
             return;
         }
-        let expected = Self::expected_response(name);
+        let expected = Self::expected_response(&world.config.services[usize::from(ix)].name);
         for client in clients {
             let Some(flow) = world.clients.remove(&client.id) else {
                 continue;
@@ -1386,22 +1339,27 @@ impl ConcurrentJitsud {
         }
     }
 
-    /// Event: the application is up — serve the queued clients, enter
-    /// `Running`, and arm the idle reaper.
-    fn on_app_ready<S: Scheduler<World = ConcurrentJitsud>>(sim: &mut S, name: String) {
+    /// Event: the application is up — serve the queued clients, settle their
+    /// exchanges' accounting (the handoff committed before this, see
+    /// `dispatch`), enter `Running`, and arm the idle reaper.
+    fn on_app_ready<S: Scheduler<World = ConcurrentJitsud>>(sim: &mut S, ix: u16) {
         let now = sim.now();
         let world = sim.world_mut();
-        let Some(Lifecycle::Launching {
+        let i = usize::from(ix);
+        let Lifecycle::Launching {
             queued,
             dom,
             network_ready_at,
             app_ready_at,
-        }) = world.services.remove(&name)
+            ..
+        } = std::mem::replace(&mut world.services[i].lifecycle, Lifecycle::Idle)
         else {
-            debug_assert!(false, "app-ready without a Launching {name}");
+            debug_assert!(false, "app-ready without a launching service {ix}");
             return;
         };
-        world.directory.mark_ready(&name, now);
+        world
+            .directory
+            .mark_ready(&world.config.services[i].name, now);
         for client in &queued {
             let ttfb = world.cold_ttfb(client.arrived, network_ready_at, app_ready_at);
             world.metrics.ttfb.record(ttfb);
@@ -1414,31 +1372,14 @@ impl ConcurrentJitsud {
         }
         world.metrics.cold_served += queued.len() as u64;
         let event = JitsuEvent::Ready {
-            service: Self::service_ix(&world.config, &name),
+            service: ix,
             dom,
             requests: queued.len() as u32,
         };
         world.trace.push(now, event);
-        // Data plane: settle the zero-drop/zero-dup accounting for every
-        // parked client, once the commit has also happened (it almost
-        // always has — the handoff window is shorter than the app boot
-        // tail; otherwise the commit event settles it).
-        let mut account_now = false;
-        if let Some(plane) = world.planes.get_mut(&name) {
-            plane.app_ready = true;
-            if plane.committed {
-                account_now = true;
-            } else {
-                plane.awaiting_account = queued.clone();
-            }
-        }
-        if account_now {
-            Self::account_exchanges(world, &name, &queued);
-        }
-        world
-            .services
-            .insert(name.clone(), Lifecycle::Running { dom });
-        Self::schedule_reap_check(sim, name, now);
+        Self::account_exchanges(world, ix, &queued);
+        world.services[i].lifecycle = Lifecycle::Running { dom };
+        Self::schedule_reap_check(sim, ix, now);
     }
 
     /// Time from a client's DNS query to its first response byte, for a
@@ -1475,53 +1416,60 @@ impl ConcurrentJitsud {
     /// saw traffic in the meantime, or was already reaped) fizzle.
     fn schedule_reap_check<S: Scheduler<World = ConcurrentJitsud>>(
         sim: &mut S,
-        name: String,
+        ix: u16,
         activity_at: SimTime,
     ) {
         let Some(ttl) = sim.world().config.idle_timeout else {
             return;
         };
-        sim.schedule_at(activity_at + ttl, move |sim| Self::on_reap_check(sim, name));
+        sim.schedule_at(activity_at + ttl, move |sim| Self::on_reap_check(sim, ix));
     }
 
     /// Event: an idle check fires.
-    fn on_reap_check<S: Scheduler<World = ConcurrentJitsud>>(sim: &mut S, name: String) {
+    fn on_reap_check<S: Scheduler<World = ConcurrentJitsud>>(sim: &mut S, ix: u16) {
         let now = sim.now();
         let world = sim.world_mut();
         let Some(ttl) = world.config.idle_timeout else {
             return;
         };
-        let Some(&Lifecycle::Running { dom }) = world.services.get(&name) else {
+        let i = usize::from(ix);
+        let Lifecycle::Running { dom } = world.services[i].lifecycle else {
             return;
         };
-        let idle_since = world.directory.last_activity(&name).unwrap_or(now);
+        let name = &world.config.services[i].name;
+        let idle_since = world.directory.last_activity(name).unwrap_or(now);
         if now.duration_since(idle_since) < ttl {
             return; // refreshed since this check was armed; a newer one is pending
         }
-        world.services.insert(
-            name.clone(),
-            Lifecycle::Draining {
-                dom,
-                queued: Vec::new(),
-            },
-        );
-        world.directory.mark_stopped(&name);
+        world.services[i].lifecycle = Lifecycle::Draining {
+            dom,
+            queued: Vec::new(),
+        };
+        world.directory.mark_stopped(name);
         world.metrics.reaps += 1;
-        let service = Self::service_ix(&world.config, &name);
-        world.trace.push(now, JitsuEvent::Reaping { service, dom });
+        world
+            .trace
+            .push(now, JitsuEvent::Reaping { service: ix, dom });
         let teardown = world.launcher.teardown_time();
-        sim.schedule_in(teardown, move |sim| Self::on_drain_done(sim, name));
+        sim.schedule_in(teardown, move |sim| Self::on_drain_done(sim, ix));
     }
 
     /// Event: teardown finished — free the domain and either go idle or
     /// immediately relaunch for clients that arrived mid-drain.
-    fn on_drain_done<S: Scheduler<World = ConcurrentJitsud>>(sim: &mut S, name: String) {
+    fn on_drain_done<S: Scheduler<World = ConcurrentJitsud>>(sim: &mut S, ix: u16) {
         let now = sim.now();
         let world = sim.world_mut();
-        let Some(Lifecycle::Draining { dom, queued }) = world.services.remove(&name) else {
-            debug_assert!(false, "drain-done without a Draining {name}");
+        let i = usize::from(ix);
+        let svc = &mut world.services[i];
+        let Lifecycle::Draining { dom, queued } =
+            std::mem::replace(&mut svc.lifecycle, Lifecycle::Idle)
+        else {
+            debug_assert!(false, "drain-done without a draining service {ix}");
             return;
         };
+        // The unikernel's data plane dies with the domain, and so does its
+        // lifecycle record in the store.
+        svc.plane = None;
         #[expect(
             clippy::expect_used,
             reason = "Draining lifecycle holds the domain until retirement"
@@ -1530,9 +1478,7 @@ impl ConcurrentJitsud {
             .launcher
             .retire(dom)
             .expect("draining domain exists until retired");
-        // The unikernel's data plane dies with the domain, and so does its
-        // lifecycle record in the store.
-        world.planes.remove(&name);
+        let name = &world.config.services[i].name;
         #[expect(
             clippy::let_underscore_must_use,
             reason = "lifecycle record removal is best-effort; the path is gone if a racing retire won"
@@ -1542,42 +1488,14 @@ impl ConcurrentJitsud {
             None,
             &format!("/jitsu/service/{name}"),
         );
-        let service = Self::service_ix(&world.config, &name);
-        world.trace.push(now, JitsuEvent::Retired { service, dom });
-        if queued.is_empty() {
-            world.services.insert(name, Lifecycle::Idle);
-            return;
-        }
+        world
+            .trace
+            .push(now, JitsuEvent::Retired { service: ix, dom });
         // Re-entry: waiters arrived while the old domain drained. Launch
         // again from scratch (the directory already shows it as launching).
-        #[expect(
-            clippy::expect_used,
-            reason = "drained service names come from the config map"
-        )]
-        let svc = world
-            .config
-            .service(&name)
-            .cloned()
-            .expect("drained services are configured");
-        if world.config.use_synjitsu {
-            #[expect(
-                clippy::expect_used,
-                reason = "relaunch repeats a proxy setup that already succeeded"
-            )]
-            world
-                .synjitsu
-                .start_proxying(&mut world.launcher.toolstack.xenstore, &svc)
-                .expect("synjitsu can begin proxying");
-            for client in &queued {
-                Self::open_client_flow(world, &svc, *client);
-            }
+        if !queued.is_empty() {
+            Self::admit(sim, ix, queued);
         }
-        world.reserved_mib += svc.image.memory_mib;
-        world
-            .services
-            .insert(name.clone(), Lifecycle::AwaitingSlot { queued });
-        world.launch_queue.push_back(name);
-        Self::dispatch(sim);
     }
 }
 
@@ -1672,6 +1590,7 @@ impl fmt::Display for ConcurrentJitsud {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ServiceConfig;
     use platform::BoardKind;
 
     const ALICE: &str = "alice.family.name";
@@ -1701,6 +1620,41 @@ mod tests {
     /// The trace's events, oldest first.
     fn events(sim: &StormSim) -> Vec<JitsuEvent> {
         sim.world().trace().records().map(|(_, e)| e).collect()
+    }
+
+    /// When the launching service `name`'s network stack attaches.
+    fn network_ready_at(sim: &StormSim, name: &str) -> SimTime {
+        let world = sim.world();
+        let ix = world.service_of(name).expect("configured service");
+        match world.services[usize::from(ix)].lifecycle {
+            Lifecycle::Launching {
+                network_ready_at, ..
+            } => network_ready_at,
+            ref other => panic!("expected Launching, got {other:?}"),
+        }
+    }
+
+    /// The handoff commits `handoff_cost` after network-ready, and the
+    /// daemon settles a boot's exchanges at app-ready on the assumption that
+    /// the commit came first. Every board and image kind must keep the
+    /// stretch of boot between network-ready and app-ready longer than the
+    /// handoff window.
+    #[test]
+    fn app_ready_always_follows_the_handoff_commit() {
+        use unikernel::boot::BootPipeline;
+        use unikernel::image::ImageKind;
+        for kind in BoardKind::ALL {
+            let board = kind.board();
+            let handoff_cost = ConcurrentJitsud::world(config(), board.clone(), 7).handoff_cost;
+            for image in [ImageKind::MirageUnikernel, ImageKind::LinuxVm] {
+                let pipeline = BootPipeline::for_image(image, &board);
+                let tail = pipeline.total() - pipeline.time_to_network_ready();
+                assert!(
+                    tail > handoff_cost,
+                    "{kind:?}/{image:?}: app-ready {tail} after network-ready, handoff {handoff_cost}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -2003,12 +1957,7 @@ mod tests {
         let mut sim = sim(config());
         ConcurrentJitsud::inject_query(&mut sim, SimTime::ZERO, ALICE);
         sim.run_until(SimTime::from_millis(50));
-        let network_ready_at = match sim.world().services.get(ALICE) {
-            Some(Lifecycle::Launching {
-                network_ready_at, ..
-            }) => *network_ready_at,
-            other => panic!("expected Launching, got {other:?}"),
-        };
+        let network_ready_at = network_ready_at(&sim, ALICE);
         // A second client's query lands exactly at network-ready. Its event
         // is scheduled after the prepare event (same timestamp, later
         // sequence number), so its SYN arrives inside the Prepare window:
@@ -2042,12 +1991,7 @@ mod tests {
         let mut sim = sim(config());
         ConcurrentJitsud::inject_query(&mut sim, SimTime::ZERO, ALICE);
         sim.run_until(SimTime::from_millis(50));
-        let network_ready_at = match sim.world().services.get(ALICE) {
-            Some(Lifecycle::Launching {
-                network_ready_at, ..
-            }) => *network_ready_at,
-            other => panic!("expected Launching, got {other:?}"),
-        };
+        let network_ready_at = network_ready_at(&sim, ALICE);
         // Run past the commit (one handoff window after network-ready) but
         // not to app-ready, then land a new client.
         let after_commit =

@@ -97,9 +97,11 @@ impl<Ctx> EventQueue<Ctx> {
 ///
 /// System logic written against this trait (for example the
 /// `jitsu::concurrent` lifecycle handlers) runs unchanged on the flat
-/// single-queue engine and on any domain of a [`crate::shard::ShardedSim`]:
-/// the flat `Sim` is literally the 1-shard special case. Implementors must
-/// preserve the engine's determinism contract — events fire in `(time,
+/// single-queue engine and on any domain of a [`crate::shard::ShardedSim`].
+/// The two engines are separate implementations — `Sim` has its own run
+/// loop, an inclusive-deadline [`Sim::run_until`] and its own event-limit
+/// handling — that share `EventQueue`'s `(time, seq)` order. Implementors
+/// must preserve that determinism contract: events fire in `(time,
 /// scheduling order)` and scheduling in the past clamps to "now".
 pub trait Scheduler: Sized {
     /// The world type mutated by events.
@@ -191,11 +193,6 @@ impl<W> Sim<W> {
     /// Mutable access to the world.
     pub fn world_mut(&mut self) -> &mut W {
         &mut self.world
-    }
-
-    /// Consume the simulator, returning the world.
-    pub fn into_world(self) -> W {
-        self.world
     }
 
     /// Schedule `f` to run at absolute time `at`. Scheduling in the past is
@@ -503,8 +500,8 @@ mod tests {
     #[test]
     fn scheduler_generic_logic_drives_the_flat_engine() {
         // System logic written against the Scheduler trait (the way
-        // jitsu::concurrent is) must run unchanged on Sim — the flat
-        // engine is the 1-shard special case of the sharded engine.
+        // jitsu::concurrent is) must run unchanged on Sim, the flat engine
+        // that implements it beside the sharded one.
         fn chain<S: Scheduler<World = Vec<u64>>>(s: &mut S, n: u64) {
             let t = s.now().as_millis();
             s.world_mut().push(t);
@@ -516,13 +513,5 @@ mod tests {
         sim.schedule_at(SimTime::ZERO, |s| chain(s, 3));
         sim.run();
         assert_eq!(sim.world(), &vec![0, 2, 4, 6]);
-    }
-
-    #[test]
-    fn into_world_returns_state() {
-        let mut sim = Sim::new(String::new());
-        sim.schedule_at(SimTime::ZERO, |s| s.world_mut().push_str("done"));
-        sim.run();
-        assert_eq!(sim.into_world(), "done");
     }
 }

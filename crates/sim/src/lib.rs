@@ -3,7 +3,7 @@
 //! This crate provides the discrete-event simulation substrate used by the
 //! Jitsu reproduction: a virtual clock, an event engine, a deterministic
 //! random number generator with a small library of latency distributions,
-//! metric collection (histograms, CDFs, summary statistics) and report
+//! metric collection (CDFs, summary statistics, latency recorders) and report
 //! rendering (ASCII tables and CSV) used by the benchmark harness to
 //! regenerate the paper's figures and tables.
 //!
@@ -60,7 +60,7 @@ pub mod trace;
 
 pub use dist::Distribution;
 pub use engine::{Scheduler, Sim};
-pub use metrics::{Cdf, Histogram, LatencyRecorder, SummaryStats};
+pub use metrics::{Cdf, LatencyRecorder, SummaryStats};
 pub use report::{Figure, Table};
 pub use rng::SimRng;
 pub use series::{DataPoint, Series};

@@ -1,4 +1,4 @@
-//! Measurement collection: histograms, summary statistics and CDFs.
+//! Measurement collection: summary statistics, CDFs and latency recorders.
 //!
 //! The benchmark harness records per-request latencies (HTTP response
 //! times, domain build times, ICMP RTTs, …) into these structures and then
@@ -50,12 +50,6 @@ impl SummaryStats {
             p95: percentile_sorted(&sorted, 95.0),
             p99: percentile_sorted(&sorted, 99.0),
         })
-    }
-
-    /// Compute summary statistics over durations, expressed in milliseconds.
-    pub fn from_durations_ms(durations: &[SimDuration]) -> Option<SummaryStats> {
-        let values: Vec<f64> = durations.iter().map(|d| d.as_millis_f64()).collect();
-        SummaryStats::from_values(&values)
     }
 
     /// The statistics as `(field name, value)` pairs, in a fixed order — the
@@ -112,111 +106,6 @@ pub fn percentile(values: &[f64], pct: f64) -> f64 {
     let mut sorted: Vec<f64> = values.to_vec();
     sorted.sort_by(f64::total_cmp);
     percentile_sorted(&sorted, pct)
-}
-
-/// A fixed-bucket histogram over `f64` values.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    buckets: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-    nan: u64,
-    count: u64,
-    sum: f64,
-}
-
-impl Histogram {
-    /// Create a histogram covering the closed range `[lo, hi]` with
-    /// `buckets` equal-width buckets (a value exactly equal to `hi` lands in
-    /// the top bucket, not in overflow). Panics if `buckets == 0` or
-    /// `hi <= lo`.
-    pub fn new(lo: f64, hi: f64, buckets: usize) -> Histogram {
-        assert!(buckets > 0, "histogram needs at least one bucket");
-        assert!(hi > lo, "histogram range must be non-empty");
-        Histogram {
-            lo,
-            hi,
-            buckets: vec![0; buckets],
-            underflow: 0,
-            overflow: 0,
-            nan: 0,
-            count: 0,
-            sum: 0.0,
-        }
-    }
-
-    /// Record a value.
-    ///
-    /// NaN values are counted in [`Histogram::nan_count`] (and in the total
-    /// [`Histogram::count`]) but excluded from the running sum, so one bad
-    /// sample cannot poison [`Histogram::mean`] for the rest of the run.
-    pub fn record(&mut self, value: f64) {
-        self.count += 1;
-        if value.is_nan() {
-            self.nan += 1;
-            return;
-        }
-        self.sum += value;
-        if value < self.lo {
-            self.underflow += 1;
-        } else if value > self.hi {
-            self.overflow += 1;
-        } else {
-            let width = (self.hi - self.lo) / self.buckets.len() as f64;
-            let idx = ((value - self.lo) / width) as usize;
-            // `value == hi` computes idx == buckets.len(); clamp it into the
-            // top bucket so the range is closed at both ends.
-            let idx = idx.min(self.buckets.len() - 1);
-            self.buckets[idx] += 1;
-        }
-    }
-
-    /// Record a duration in milliseconds.
-    pub fn record_ms(&mut self, d: SimDuration) {
-        self.record(d.as_millis_f64());
-    }
-
-    /// Total number of recorded values (including under/overflow).
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean of the recorded non-NaN values (0.0 when none have been
-    /// recorded).
-    pub fn mean(&self) -> f64 {
-        let numeric = self.count - self.nan;
-        if numeric == 0 {
-            0.0
-        } else {
-            self.sum / numeric as f64
-        }
-    }
-
-    /// Number of values below the histogram range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Number of values above the histogram range (`hi` itself is in range).
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Number of NaN samples recorded (excluded from buckets and the mean).
-    pub fn nan_count(&self) -> u64 {
-        self.nan
-    }
-
-    /// Iterate over `(bucket_lower_bound, bucket_upper_bound, count)`.
-    pub fn iter_buckets(&self) -> impl Iterator<Item = (f64, f64, u64)> + '_ {
-        let width = (self.hi - self.lo) / self.buckets.len() as f64;
-        self.buckets.iter().enumerate().map(move |(i, &c)| {
-            let lo = self.lo + width * i as f64;
-            (lo, lo + width, c)
-        })
-    }
 }
 
 /// An empirical cumulative distribution function built from samples.
@@ -311,9 +200,8 @@ impl Cdf {
 /// percentiles the boot-storm experiment cares about (p50/p95/p99
 /// time-to-first-byte).
 ///
-/// Unlike [`Histogram`] it keeps the raw samples, so percentiles are exact
-/// regardless of range, and unlike [`Cdf`] it speaks [`SimDuration`]
-/// natively.
+/// It keeps the raw samples, so percentiles are exact regardless of range,
+/// and unlike [`Cdf`] it speaks [`SimDuration`] natively.
 #[derive(Debug, Clone, Default)]
 pub struct LatencyRecorder {
     samples_ms: Vec<f64>,
@@ -401,17 +289,6 @@ mod tests {
     }
 
     #[test]
-    fn summary_from_durations() {
-        let ds = [
-            SimDuration::from_millis(10),
-            SimDuration::from_millis(20),
-            SimDuration::from_millis(30),
-        ];
-        let s = SummaryStats::from_durations_ms(&ds).unwrap();
-        assert!((s.mean - 20.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn summary_fields_serialize_in_a_fixed_order() {
         let s = SummaryStats::from_values(&[1.0, 2.0, 3.0]).unwrap();
         let fields = s.fields();
@@ -466,70 +343,6 @@ mod tests {
         let numeric: Vec<usize> = (0..sorted.len()).filter(|&i| !sorted[i].is_nan()).collect();
         assert_eq!(numeric, [1, 2, 3, 4], "numbers contiguous: {sorted:?}");
         assert_eq!(sorted[1..5], [0.5, 1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn histogram_buckets_and_flows() {
-        let mut h = Histogram::new(0.0, 100.0, 10);
-        for v in [5.0, 15.0, 15.5, 99.9, -1.0, 100.0, 150.0] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 7);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 1); // 150.0 only: 100.0 is in range
-        let buckets: Vec<(f64, f64, u64)> = h.iter_buckets().collect();
-        assert_eq!(buckets.len(), 10);
-        assert_eq!(buckets[0].2, 1); // 5.0
-        assert_eq!(buckets[1].2, 2); // 15.0, 15.5
-        assert_eq!(buckets[9].2, 2); // 99.9 and the boundary value 100.0
-    }
-
-    #[test]
-    fn histogram_hi_boundary_lands_in_the_top_bucket() {
-        // Regression: a value exactly equal to `hi` used to be counted as
-        // overflow, silently dropping the closed upper edge of the range.
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        h.record(10.0);
-        assert_eq!(h.overflow(), 0);
-        let buckets: Vec<(f64, f64, u64)> = h.iter_buckets().collect();
-        assert_eq!(buckets[4].2, 1);
-        // The open side just past `hi` still overflows.
-        h.record(10.0 + f64::EPSILON * 16.0);
-        assert_eq!(h.overflow(), 1);
-    }
-
-    #[test]
-    fn histogram_nan_does_not_corrupt_the_mean() {
-        // Regression: NaN used to be added to the running sum, turning
-        // `mean()` into NaN for every later sample.
-        let mut h = Histogram::new(0.0, 100.0, 10);
-        h.record(10.0);
-        h.record(f64::NAN);
-        h.record(30.0);
-        assert_eq!(h.count(), 3);
-        assert_eq!(h.nan_count(), 1);
-        assert!((h.mean() - 20.0).abs() < 1e-12, "mean = {}", h.mean());
-        assert_eq!(h.underflow() + h.overflow(), 0);
-        // A histogram fed only NaN still reports a finite (zero) mean.
-        let mut only_nan = Histogram::new(0.0, 1.0, 1);
-        only_nan.record(f64::NAN);
-        assert_eq!(only_nan.mean(), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one bucket")]
-    fn histogram_rejects_zero_buckets() {
-        Histogram::new(0.0, 1.0, 0);
-    }
-
-    #[test]
-    fn histogram_mean_and_record_ms() {
-        let mut h = Histogram::new(0.0, 1000.0, 10);
-        h.record_ms(SimDuration::from_millis(100));
-        h.record_ms(SimDuration::from_millis(300));
-        assert!((h.mean() - 200.0).abs() < 1e-9);
-        let empty = Histogram::new(0.0, 1.0, 1);
-        assert_eq!(empty.mean(), 0.0);
     }
 
     #[test]

@@ -32,14 +32,6 @@ impl SimRng {
         self.seed
     }
 
-    /// Fork a new, independent generator derived from this one. The child's
-    /// stream is a deterministic function of the parent seed and the draw
-    /// position, so forking in a fixed order yields reproducible children.
-    pub fn fork(&mut self) -> SimRng {
-        let child_seed = self.inner.gen::<u64>() ^ 0x9e37_79b9_7f4a_7c15;
-        SimRng::seed_from_u64(child_seed)
-    }
-
     /// Uniform `f64` in `[0, 1)`.
     pub fn uniform01(&mut self) -> f64 {
         self.inner.gen::<f64>()
@@ -155,17 +147,6 @@ mod tests {
         let va: Vec<u64> = (0..16).map(|_| a.next_u64()).collect();
         let vb: Vec<u64> = (0..16).map(|_| b.next_u64()).collect();
         assert_ne!(va, vb);
-    }
-
-    #[test]
-    fn fork_is_deterministic_and_independent() {
-        let mut a = SimRng::seed_from_u64(7);
-        let mut b = SimRng::seed_from_u64(7);
-        let mut ca = a.fork();
-        let mut cb = b.fork();
-        assert_eq!(ca.next_u64(), cb.next_u64());
-        // Parent and child streams differ.
-        assert_ne!(a.next_u64(), ca.next_u64());
     }
 
     #[test]

@@ -105,12 +105,27 @@ impl EngineKind {
         }
     }
 
-    /// Build the engine implementation.
-    pub fn build(self) -> Box<dyn TxnEngine> {
-        match self {
-            EngineKind::Serial => Box::new(SerialEngine),
-            EngineKind::Merge => Box::new(MergeEngine),
-            EngineKind::JitsuMerge => Box::new(JitsuMergeEngine),
+    /// Decide whether `txn` may commit against the current `live` tree.
+    pub fn reconcile(self, live: &Tree, txn: &Transaction) -> Reconcile {
+        let conflict = match self {
+            // C `xenstored`: any interleaved commit conflicts.
+            EngineKind::Serial => (live.generation() != txn.start_gen).then(|| {
+                format!(
+                    "store advanced from generation {} to {} during the transaction",
+                    txn.start_gen,
+                    live.generation()
+                )
+            }),
+            // OCaml `oxenstored`: only overlapping read/write sets conflict,
+            // directory-listing dependencies included.
+            EngineKind::Merge => merge_conflicts(live, txn, false),
+            // Jitsu's merge: sibling creations under a common directory root
+            // do not conflict; only genuine value/write overlaps do.
+            EngineKind::JitsuMerge => merge_conflicts(live, txn, true),
+        };
+        match conflict {
+            Some(reason) => Reconcile::Conflict { reason },
+            None => Reconcile::Commit,
         }
     }
 }
@@ -125,39 +140,6 @@ pub enum Reconcile {
         /// Human-readable reason, for diagnostics and tests.
         reason: String,
     },
-}
-
-/// A transaction reconciliation policy.
-pub trait TxnEngine: Send + Sync {
-    /// The engine's kind.
-    fn kind(&self) -> EngineKind;
-
-    /// Decide whether `txn` may commit against the current `live` tree.
-    fn reconcile(&self, live: &Tree, txn: &Transaction) -> Reconcile;
-}
-
-/// C `xenstored` behaviour: any interleaved commit conflicts.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SerialEngine;
-
-impl TxnEngine for SerialEngine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Serial
-    }
-
-    fn reconcile(&self, live: &Tree, txn: &Transaction) -> Reconcile {
-        if live.generation() != txn.start_gen {
-            Reconcile::Conflict {
-                reason: format!(
-                    "store advanced from generation {} to {} during the transaction",
-                    txn.start_gen,
-                    live.generation()
-                ),
-            }
-        } else {
-            Reconcile::Commit
-        }
-    }
 }
 
 /// Shared logic for the two merge engines: a three-way comparison between
@@ -222,42 +204,6 @@ fn merge_conflicts(live: &Tree, txn: &Transaction, ignore_directory_deps: bool) 
     None
 }
 
-/// OCaml `oxenstored` behaviour: conflict only on overlapping read/write
-/// sets, including directory-listing dependencies.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MergeEngine;
-
-impl TxnEngine for MergeEngine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Merge
-    }
-
-    fn reconcile(&self, live: &Tree, txn: &Transaction) -> Reconcile {
-        match merge_conflicts(live, txn, false) {
-            Some(reason) => Reconcile::Conflict { reason },
-            None => Reconcile::Commit,
-        }
-    }
-}
-
-/// Jitsu's merge: sibling creations under a common directory root do not
-/// conflict; only genuine value/write overlaps do.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct JitsuMergeEngine;
-
-impl TxnEngine for JitsuMergeEngine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::JitsuMerge
-    }
-
-    fn reconcile(&self, live: &Tree, txn: &Transaction) -> Reconcile {
-        match merge_conflicts(live, txn, true) {
-            Some(reason) => Reconcile::Conflict { reason },
-            None => Reconcile::Commit,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -316,12 +262,10 @@ mod tests {
     #[test]
     fn serial_engine_aborts_on_any_concurrent_commit() {
         let (live, txn) = parallel_domain_build();
-        let engine = SerialEngine;
         assert!(matches!(
-            engine.reconcile(&live, &txn),
+            EngineKind::Serial.reconcile(&live, &txn),
             Reconcile::Conflict { .. }
         ));
-        assert_eq!(engine.kind(), EngineKind::Serial);
     }
 
     #[test]
@@ -333,7 +277,7 @@ mod tests {
             value: vec![1],
         })
         .unwrap();
-        assert_eq!(SerialEngine.reconcile(&live, &txn), Reconcile::Commit);
+        assert_eq!(EngineKind::Serial.reconcile(&live, &txn), Reconcile::Commit);
     }
 
     #[test]
@@ -342,7 +286,7 @@ mod tests {
         // sees the directory dependency and aborts the later one.
         let (live, txn) = parallel_domain_build();
         assert!(matches!(
-            MergeEngine.reconcile(&live, &txn),
+            EngineKind::Merge.reconcile(&live, &txn),
             Reconcile::Conflict { .. }
         ));
     }
@@ -351,8 +295,10 @@ mod tests {
     fn jitsu_engine_allows_sibling_domain_creation() {
         // The Jitsu merge recognises the created subtrees are disjoint.
         let (live, txn) = parallel_domain_build();
-        assert_eq!(JitsuMergeEngine.reconcile(&live, &txn), Reconcile::Commit);
-        assert_eq!(JitsuMergeEngine.kind(), EngineKind::JitsuMerge);
+        assert_eq!(
+            EngineKind::JitsuMerge.reconcile(&live, &txn),
+            Reconcile::Commit
+        );
     }
 
     #[test]
@@ -375,9 +321,8 @@ mod tests {
         )
         .unwrap();
         for kind in EngineKind::ALL {
-            let engine = kind.build();
             assert!(
-                matches!(engine.reconcile(&live, &txn), Reconcile::Conflict { .. }),
+                matches!(kind.reconcile(&live, &txn), Reconcile::Conflict { .. }),
                 "{kind:?} must detect a write-write conflict"
             );
         }
@@ -398,11 +343,11 @@ mod tests {
         live.write(DomId::DOM0, &p("/config"), b"v2", &mut TreeDiff::default())
             .unwrap();
         assert!(matches!(
-            MergeEngine.reconcile(&live, &txn),
+            EngineKind::Merge.reconcile(&live, &txn),
             Reconcile::Conflict { .. }
         ));
         assert!(matches!(
-            JitsuMergeEngine.reconcile(&live, &txn),
+            EngineKind::JitsuMerge.reconcile(&live, &txn),
             Reconcile::Conflict { .. }
         ));
     }
@@ -436,10 +381,7 @@ mod tests {
         .unwrap();
         for kind in [EngineKind::Merge, EngineKind::JitsuMerge] {
             assert!(
-                matches!(
-                    kind.build().reconcile(&live, &txn),
-                    Reconcile::Conflict { .. }
-                ),
+                matches!(kind.reconcile(&live, &txn), Reconcile::Conflict { .. }),
                 "{kind:?} must conflict on concurrent create of a read-miss path"
             );
         }
@@ -462,8 +404,11 @@ mod tests {
         // commit.
         live.write(DomId::DOM0, &p("/other"), b"2", &mut TreeDiff::default())
             .unwrap();
-        assert_eq!(MergeEngine.reconcile(&live, &txn), Reconcile::Commit);
-        assert_eq!(JitsuMergeEngine.reconcile(&live, &txn), Reconcile::Commit);
+        assert_eq!(EngineKind::Merge.reconcile(&live, &txn), Reconcile::Commit);
+        assert_eq!(
+            EngineKind::JitsuMerge.reconcile(&live, &txn),
+            Reconcile::Commit
+        );
     }
 
     #[test]
@@ -483,7 +428,7 @@ mod tests {
         live.mkdir(DomId::DOM0, &p("/conduit/flows"), &mut TreeDiff::default())
             .unwrap();
         assert!(matches!(
-            JitsuMergeEngine.reconcile(&live, &txn),
+            EngineKind::JitsuMerge.reconcile(&live, &txn),
             Reconcile::Conflict { .. }
         ));
     }
@@ -504,10 +449,7 @@ mod tests {
             .unwrap();
         for kind in [EngineKind::Merge, EngineKind::JitsuMerge] {
             assert!(
-                matches!(
-                    kind.build().reconcile(&live, &txn),
-                    Reconcile::Conflict { .. }
-                ),
+                matches!(kind.reconcile(&live, &txn), Reconcile::Conflict { .. }),
                 "{kind:?}"
             );
         }
@@ -531,11 +473,14 @@ mod tests {
         // Unrelated concurrent commit.
         live.write(DomId::DOM0, &p("/c/y"), b"2", &mut TreeDiff::default())
             .unwrap();
-        assert_eq!(MergeEngine.reconcile(&live, &txn), Reconcile::Commit);
-        assert_eq!(JitsuMergeEngine.reconcile(&live, &txn), Reconcile::Commit);
+        assert_eq!(EngineKind::Merge.reconcile(&live, &txn), Reconcile::Commit);
+        assert_eq!(
+            EngineKind::JitsuMerge.reconcile(&live, &txn),
+            Reconcile::Commit
+        );
         // The serial engine still aborts.
         assert!(matches!(
-            SerialEngine.reconcile(&live, &txn),
+            EngineKind::Serial.reconcile(&live, &txn),
             Reconcile::Conflict { .. }
         ));
     }
@@ -549,12 +494,5 @@ mod tests {
         let j = EngineKind::JitsuMerge.cost_model();
         assert!(c.op > j.op, "filesystem-backed C daemon is slower per op");
         assert!(c.txn_commit > j.txn_commit);
-    }
-
-    #[test]
-    fn engine_kind_build_round_trips() {
-        for kind in EngineKind::ALL {
-            assert_eq!(kind.build().kind(), kind);
-        }
     }
 }

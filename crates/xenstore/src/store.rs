@@ -33,7 +33,7 @@
 //! notifies nobody, because from any observer's point of view nothing
 //! happened atomically. Use a direct write for touch-to-notify.
 
-use crate::engine::{EngineKind, Reconcile, TxnEngine};
+use crate::engine::{EngineKind, Reconcile};
 use crate::error::{Error, Result};
 use crate::path::Path;
 use crate::perms::{DomId, Permissions};
@@ -93,7 +93,7 @@ impl StoreStats {
 pub struct XenStore {
     tree: Tree,
     watches: WatchManager,
-    engine: Box<dyn TxnEngine>,
+    engine: EngineKind,
     quota: Quota,
     transactions: BTreeMap<u32, Transaction>,
     next_tx_id: u32,
@@ -109,7 +109,7 @@ pub struct XenStore {
 impl std::fmt::Debug for XenStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("XenStore")
-            .field("engine", &self.engine.kind())
+            .field("engine", &self.engine)
             .field("nodes", &self.tree.node_count())
             .field("open_transactions", &self.transactions.len())
             .field("stats", &self.stats)
@@ -138,7 +138,7 @@ impl XenStore {
         XenStore {
             tree,
             watches: WatchManager::new(),
-            engine: engine.build(),
+            engine,
             quota,
             transactions: BTreeMap::new(),
             next_tx_id: 1,
@@ -150,7 +150,7 @@ impl XenStore {
 
     /// The engine this store reconciles transactions with.
     pub fn engine_kind(&self) -> EngineKind {
-        self.engine.kind()
+        self.engine
     }
 
     /// Activity counters.

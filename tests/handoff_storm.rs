@@ -5,7 +5,7 @@
 //! Deterministic: the storm is a pure function of its seed, so a failure
 //! here always reproduces locally with `cargo test --test handoff_storm`.
 
-use jitsu_repro::jitsu::concurrent::ConcurrentJitsud;
+use jitsu_repro::jitsu::concurrent::{ConcurrentJitsud, StormMetrics};
 use jitsu_repro::jitsu::config::{JitsuConfig, ServiceConfig};
 use jitsu_repro::netstack::ipv4::Ipv4Addr;
 use jitsu_repro::platform::BoardKind;
@@ -50,8 +50,30 @@ struct Outcome {
     events: u64,
 }
 
-fn run_storm() -> Outcome {
-    let mut sim = ConcurrentJitsud::sim(storm_config(), BoardKind::Cubieboard2.board(), SEED);
+impl Outcome {
+    fn new(m: &StormMetrics, events: u64) -> Outcome {
+        Outcome {
+            queries: m.queries,
+            cold_served: m.cold_served,
+            warm_hits: m.warm_hits,
+            servfails: m.servfails,
+            migrated: m.handoff.migrated,
+            queued_prepare: m.handoff.queued_during_prepare,
+            replayed: m.handoff.replayed_after_commit,
+            completed: m.handoff.completed,
+            dropped_bytes: m.handoff.dropped_bytes,
+            duplicated_bytes: m.handoff.duplicated_bytes,
+            latency_count: m.handoff.request_latency.count(),
+            p50_bits: m.handoff.request_latency.p50_ms().to_bits(),
+            p99_bits: m.handoff.request_latency.p99_ms().to_bits(),
+            events,
+        }
+    }
+}
+
+/// The storm's Poisson arrivals over the window, each handed to `inject`
+/// as its arrival time and the service name it queries.
+fn for_each_arrival(mut inject: impl FnMut(SimTime, &str)) {
     let mut rng = SimRng::seed_from_u64(SEED ^ 0x4A0D_0FF5);
     let mut t = 0.0;
     loop {
@@ -61,30 +83,15 @@ fn run_storm() -> Outcome {
         }
         let service = rng.index(SERVICES);
         let name = format!("svc{service:02}.handoff.example");
-        ConcurrentJitsud::inject_query(
-            &mut sim,
-            SimTime::ZERO + SimDuration::from_secs_f64(t),
-            &name,
-        );
+        inject(SimTime::ZERO + SimDuration::from_secs_f64(t), &name);
     }
+}
+
+fn run_storm() -> Outcome {
+    let mut sim = ConcurrentJitsud::sim(storm_config(), BoardKind::Cubieboard2.board(), SEED);
+    for_each_arrival(|at, name| ConcurrentJitsud::inject_query(&mut sim, at, name));
     sim.run();
-    let m = sim.world().metrics();
-    Outcome {
-        queries: m.queries,
-        cold_served: m.cold_served,
-        warm_hits: m.warm_hits,
-        servfails: m.servfails,
-        migrated: m.handoff.migrated,
-        queued_prepare: m.handoff.queued_during_prepare,
-        replayed: m.handoff.replayed_after_commit,
-        completed: m.handoff.completed,
-        dropped_bytes: m.handoff.dropped_bytes,
-        duplicated_bytes: m.handoff.duplicated_bytes,
-        latency_count: m.handoff.request_latency.count(),
-        p50_bits: m.handoff.request_latency.p50_ms().to_bits(),
-        p99_bits: m.handoff.request_latency.p99_ms().to_bits(),
-        events: sim.events_executed(),
-    }
+    Outcome::new(sim.world().metrics(), sim.events_executed())
 }
 
 #[test]
@@ -148,47 +155,18 @@ fn storm_counters_match_the_pre_zero_copy_golden_values() {
 ///
 /// `board_seed(seed, 0) == seed` and a lone board keeps fail-over off, so
 /// at *any* shard count this must reproduce [`run_storm`]'s world
-/// bit-for-bit — the flat `Sim` is literally the 1-shard special case.
+/// bit-for-bit: the two engines are separate implementations of
+/// `Scheduler` that share one `(time, seq)` event order.
 fn run_storm_sharded(shards: u32) -> Outcome {
     let mut sim: ShardedSim<ConcurrentJitsud> =
         ShardedSim::new(shards, SimDuration::from_millis(50));
     let world = ConcurrentJitsud::world(storm_config(), BoardKind::Cubieboard2.board(), SEED);
     let board = sim.add_domain(world, SEED);
-    let mut rng = SimRng::seed_from_u64(SEED ^ 0x4A0D_0FF5);
-    let mut t = 0.0;
-    loop {
-        t += rng.exponential(1.0 / RATE_PER_SEC);
-        if t >= WINDOW_SECS as f64 {
-            break;
-        }
-        let service = rng.index(SERVICES);
-        let name = format!("svc{service:02}.handoff.example");
-        jitsu_repro::jitsu::fleet::inject_query(
-            &mut sim,
-            board,
-            SimTime::ZERO + SimDuration::from_secs_f64(t),
-            &name,
-        );
-    }
+    for_each_arrival(|at, name| {
+        jitsu_repro::jitsu::fleet::inject_query(&mut sim, board, at, name);
+    });
     sim.run();
-    let events = sim.events_executed();
-    let m = sim.domain(board).metrics();
-    Outcome {
-        queries: m.queries,
-        cold_served: m.cold_served,
-        warm_hits: m.warm_hits,
-        servfails: m.servfails,
-        migrated: m.handoff.migrated,
-        queued_prepare: m.handoff.queued_during_prepare,
-        replayed: m.handoff.replayed_after_commit,
-        completed: m.handoff.completed,
-        dropped_bytes: m.handoff.dropped_bytes,
-        duplicated_bytes: m.handoff.duplicated_bytes,
-        latency_count: m.handoff.request_latency.count(),
-        p50_bits: m.handoff.request_latency.p50_ms().to_bits(),
-        p99_bits: m.handoff.request_latency.p99_ms().to_bits(),
-        events,
-    }
+    Outcome::new(sim.domain(board).metrics(), sim.events_executed())
 }
 
 /// The PR's acceptance anchor: the sharded engine at 4 shards reproduces

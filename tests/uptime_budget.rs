@@ -282,15 +282,20 @@ fn the_last_cycle_costs_what_the_first_did_and_leaves_the_host_as_it_found_it() 
     // string: a lossy conversion copied every non-empty value the device
     // handshakes, Synjitsu's handoff and Conduit's accept read, eight a
     // cycle.
-    assert_eq!(cycle_before, 680);
+    // 680 until the daemon kept one record per service, found by its index:
+    // a cycle cloned the service's name into eight map keys and event
+    // closures and its `ServiceConfig`, two `String`s, twice.
+    assert_eq!(cycle_before, 668);
     // Inside the storm, allocations per launch follow the mix of queries —
     // a warm hit or a coalesced query allocates and launches nothing, and
     // the first tenth saw 2.148 queries per launch, the last 2.203 — so the
     // two tenths are pinned side by side rather than held equal; the third
-    // tenth, with 2.198, reads 794. (Before HTTP messages became views the
+    // tenth, with 2.198, reads 778. (Before HTTP messages became views the
     // three read 821, 826 and 831, 798, 802 and 807 until static pages were
-    // served as pre-built responses, and 793, 798 and 802 until
-    // `read_string` stopped copying the values it reads.)
+    // served as pre-built responses, 793, 798 and 802 until `read_string`
+    // stopped copying the values it reads, and 784, 788 and 793 until the
+    // daemon kept one record per service and stopped cloning its name and
+    // `ServiceConfig` for every query, launch and reap.)
     let tenth = |from: usize| {
         let (a, b) = (marks[from], marks[from + TENTH]);
         (b.allocations - a.allocations, b.launches - a.launches)
@@ -298,7 +303,7 @@ fn the_last_cycle_costs_what_the_first_did_and_leaves_the_host_as_it_found_it() 
     let (first, last) = (tenth(0), tenth(SLICES - TENTH));
     assert_eq!(
         (first, last),
-        ((1_413_208, 1_801), (1_358_590, 1_722)),
+        ((1_386_863, 1_801), (1_333_150, 1_722)),
         "{} and {} allocations per launch",
         first.0 / first.1,
         last.0 / last.1
@@ -312,18 +317,21 @@ fn the_last_cycle_costs_what_the_first_did_and_leaves_the_host_as_it_found_it() 
     // records allocated in full when the daemon was built; it has held its
     // last `TRACE_CAPACITY` records since early in the storm and is the same
     // size at both ends of the interval. `elsewhere` is not a leak but
-    // high-water marks, reached once (it reads 7,792 at 9,600 virtual
+    // high-water marks, reached once (it reads 7,704 at 9,600 virtual
     // seconds too): the engine's event queue grown from 32 to 256 entries to
-    // take a slice's arrivals at once (7,168), and six small buffers (624).
+    // take a slice's arrivals at once (7,168), and six small buffers (536).
+    // They took 624 until the daemon's launch queue held service indices:
+    // its growth from four entries to eight kept 96 bytes of `String`s and
+    // keeps 8 of `u16`s.
     assert_eq!(
         (retained, retained.elsewhere()),
         (
             Heap {
-                live: 793_712,
+                live: 793_624,
                 recorder_ttfb: 524_032,
                 recorder_request_latency: 261_888,
             },
-            7_792
+            7_704
         ),
         "{} bytes retained per launch over {launches} launches",
         retained.live / launches as i64
