@@ -1,9 +1,8 @@
 //! # baselines — the systems Jitsu is compared against
 //!
-//! §4 compares on-demand unikernel launch against two alternatives on the
-//! same hardware: Docker containers started from `inetd` (Figure 9b) and
-//! full Linux VMs (whose >5 s boot is not even plotted). This crate models
-//! both baselines:
+//! §4 compares on-demand unikernel launch against Docker containers started
+//! from `inetd` on the same hardware (Figure 9b). This crate models that
+//! baseline:
 //!
 //! * [`docker`] — the container start pipeline (image metadata, layer
 //!   mounts, union filesystem setup, namespace/cgroup creation, process
@@ -11,17 +10,13 @@
 //!   occasional ext4/VFS failure observed for the devicemapper-on-tmpfs
 //!   workaround;
 //! * [`inetd`] — the trigger path shared by the baselines: a listening
-//!   super-server that forks a handler per incoming connection;
-//! * [`linux_vm`] — cold-starting a service inside a freshly booted Linux
-//!   guest.
+//!   super-server that forks a handler per incoming connection.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod docker;
 pub mod inetd;
-pub mod linux_vm;
 
 pub use docker::{ContainerRuntime, ContainerStart, DockerConfig};
 pub use inetd::Inetd;
-pub use linux_vm::LinuxVmBaseline;

@@ -22,12 +22,11 @@
 //! Everything is scheduled on the deterministic `jitsu_sim` engine, so a
 //! fixed seed reproduces the storm byte for byte.
 
-use crate::fleet::{board_seed, FLEET_EPOCH};
+use crate::fleet::{run_fleet, FleetStormResult};
 use jitsu::concurrent::ConcurrentJitsud;
 use jitsu::config::{JitsuConfig, ServiceConfig};
-use jitsu_sim::{DomainId, ShardedSim, SimDuration, SimRng, SimTime, Table};
+use jitsu_sim::{SimDuration, SimRng, SimTime, Table};
 use netstack::ipv4::Ipv4Addr;
-use platform::BoardKind;
 
 /// One sweep cell: a storm configuration.
 #[derive(Debug, Clone)]
@@ -141,8 +140,7 @@ fn host_config(cfg: &StormConfig) -> JitsuConfig {
 }
 
 /// The Poisson arrival times and service names of one board's storm, a
-/// pure function of `(cfg, seed)` — shared between the flat single-board
-/// run and every board of a fleet so the two agree bit-for-bit.
+/// pure function of `(cfg, seed)`.
 fn arrivals(cfg: &StormConfig, seed: u64) -> Vec<(SimTime, String)> {
     let mut rng = SimRng::seed_from_u64(seed ^ 0xB007_5708);
     let mean_gap = 1.0 / cfg.rate_per_sec;
@@ -161,25 +159,26 @@ fn arrivals(cfg: &StormConfig, seed: u64) -> Vec<(SimTime, String)> {
     out
 }
 
-/// Run one storm cell to quiescence and collect its metrics.
-pub fn run_storm(cfg: &StormConfig) -> StormResult {
-    let board = BoardKind::Cubieboard2.board();
-    let mut sim = ConcurrentJitsud::sim(host_config(cfg), board, cfg.seed);
-
-    // Open-loop Poisson arrivals: exponential inter-arrival times at the
-    // offered rate, each query aimed at a uniformly random service. The
-    // arrival process never waits for the system (that is what makes the
-    // overload regimes visible).
-    for (at, name) in arrivals(cfg, cfg.seed) {
-        ConcurrentJitsud::inject_query(&mut sim, at, &name);
-    }
-    // Drain: every in-flight boot completes, every idle unikernel is
-    // reaped, and the event queue empties.
-    sim.run();
-    collect_result(cfg, sim.world())
+/// Run one cell as a fleet of `boards` boards at `shards` shards.
+fn cell_fleet(cfg: &StormConfig, boards: u32, shards: u32) -> FleetStormResult<StormResult> {
+    run_fleet(
+        &host_config(cfg),
+        |seed| arrivals(cfg, seed),
+        |world| collect_result(cfg, world),
+        cfg.seed,
+        boards,
+        shards,
+    )
 }
 
-/// Build a cell's [`StormResult`] from a finished world (flat or fleet).
+/// Run one storm cell on a single board — a one-board fleet — to
+/// quiescence and collect its metrics. Arrivals are open-loop: they never
+/// wait for the system, which is what makes the overload regimes visible.
+pub fn run_storm(cfg: &StormConfig) -> StormResult {
+    cell_fleet(cfg, 1, 1).boards.remove(0)
+}
+
+/// Build a cell's [`StormResult`] from one quiesced board.
 fn collect_result(cfg: &StormConfig, world: &ConcurrentJitsud) -> StormResult {
     let xs = world.xenstore_stats();
     let m = world.metrics();
@@ -264,60 +263,6 @@ pub fn table(seed: u64) -> Table {
     table
 }
 
-/// The outcome of one storm cell run as a fleet of boards on the sharded
-/// engine: per-board results plus fleet-wide fail-over and engine counters.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FleetStormResult {
-    /// Per-board cell results, in board-id order.
-    pub boards: Vec<StormResult>,
-    /// `SERVFAIL`ed queries forwarded to a peer board at an epoch barrier.
-    pub failovers: u64,
-    /// Queries dropped after every board in the ring refused them.
-    pub failover_dropped: u64,
-    /// Total events executed by the sharded engine (shard-count-invariant).
-    pub events: u64,
-    /// Epoch barriers processed (shard-count-invariant).
-    pub barriers: u64,
-}
-
-/// Run one cell as a fleet of `boards` boards at `shards` shards.
-///
-/// Each board gets its own world and its own arrival stream (derived from
-/// [`board_seed`], so board 0 of a 1-board fleet reproduces [`run_storm`]
-/// bit-for-bit), and `SERVFAIL`ed queries fail over around the board ring
-/// at epoch barriers. The result is invariant in `shards` — the CI
-/// shard-invariance gate diffs rendered outputs at 1 and 4 shards.
-pub fn run_fleet(cfg: &StormConfig, boards: u32, shards: u32) -> FleetStormResult {
-    let boards = boards.max(1);
-    let mut sim = ShardedSim::new(shards, FLEET_EPOCH);
-    for b in 0..boards {
-        let seed = board_seed(cfg.seed, b);
-        let mut host = host_config(cfg);
-        // A single standalone board keeps fail-over off so its behaviour
-        // is bit-identical to the classic flat-engine run.
-        host.failover = boards > 1;
-        let mut world = ConcurrentJitsud::world(host, BoardKind::Cubieboard2.board(), seed);
-        world.set_failover_hops(boards - 1);
-        sim.add_domain(world, seed);
-    }
-    for b in 0..boards {
-        for (at, name) in arrivals(cfg, board_seed(cfg.seed, b)) {
-            jitsu::fleet::inject_query(&mut sim, DomainId(b), at, &name);
-        }
-    }
-    sim.run();
-    let events = sim.events_executed();
-    let barriers = sim.barriers();
-    let worlds = sim.into_worlds();
-    FleetStormResult {
-        failovers: worlds.iter().map(|w| w.metrics().failovers).sum(),
-        failover_dropped: worlds.iter().map(|w| w.metrics().failover_dropped).sum(),
-        boards: worlds.iter().map(|w| collect_result(cfg, w)).collect(),
-        events,
-        barriers,
-    }
-}
-
 /// The fleet sweep: one slot-bound and one memory-bound cell (the latter is
 /// where `SERVFAIL` fail-over between boards actually fires), shortened to
 /// a 10 s window per board.
@@ -356,7 +301,7 @@ pub fn fleet_table(seed: u64, boards: u32, shards: u32) -> Table {
         ],
     );
     for cfg in fleet_sweep(seed) {
-        let r = run_fleet(&cfg, boards, shards);
+        let r = cell_fleet(&cfg, boards, shards);
         for (b, br) in r.boards.iter().enumerate() {
             table.add_row(&[
                 br.label.to_string(),
@@ -513,24 +458,11 @@ mod tests {
     }
 
     #[test]
-    fn one_board_fleet_reproduces_the_classic_run() {
-        // board_seed(seed, 0) == seed and fail-over is off for a lone
-        // board, so the sharded engine must reproduce the flat engine
-        // bit-for-bit.
-        let cfg = quick(10.0, 2, 12, 1);
-        let fleet = run_fleet(&cfg, 1, 1);
-        assert_eq!(fleet.boards.len(), 1);
-        assert_eq!(fleet.boards[0], run_storm(&cfg));
-        assert_eq!(fleet.failovers, 0);
-        assert_eq!(fleet.failover_dropped, 0);
-    }
-
-    #[test]
     fn fleet_counters_are_invariant_across_shard_counts() {
         let cfg = quick(10.0, 2, 12, 1);
-        let one = run_fleet(&cfg, 3, 1);
+        let one = cell_fleet(&cfg, 3, 1);
         for shards in [2, 4, 8] {
-            assert_eq!(run_fleet(&cfg, 3, shards), one, "shards={shards}");
+            assert_eq!(cell_fleet(&cfg, 3, shards), one, "shards={shards}");
         }
     }
 }

@@ -20,12 +20,11 @@
 //! Everything runs on the deterministic `jitsu_sim` engine: a fixed seed
 //! reproduces the storm byte for byte.
 
-use crate::fleet::{board_seed, FLEET_EPOCH};
+use crate::fleet::{run_fleet, FleetStormResult};
 use jitsu::concurrent::ConcurrentJitsud;
 use jitsu::config::{JitsuConfig, ServiceConfig};
-use jitsu_sim::{DomainId, ShardedSim, SimDuration, SimRng, SimTime, Table};
+use jitsu_sim::{SimDuration, SimRng, SimTime, Table};
 use netstack::ipv4::Ipv4Addr;
-use platform::BoardKind;
 
 /// One sweep cell: a handoff-storm configuration.
 #[derive(Debug, Clone)]
@@ -110,10 +109,9 @@ fn host_config(cfg: &HandoffStormConfig) -> JitsuConfig {
     host
 }
 
-/// The open-loop Poisson arrival schedule of one cell (or one board of a
-/// fleet): absolute arrival times and service names, uniformly spread
-/// across the services. A pure function of `(cfg, seed)`, shared by the
-/// flat and fleet runners so a 1-board fleet replays the classic stream.
+/// The open-loop Poisson arrival schedule of one board: absolute arrival
+/// times and service names, uniformly spread across the services. A pure
+/// function of `(cfg, seed)`.
 fn arrivals(cfg: &HandoffStormConfig, seed: u64) -> Vec<(SimTime, String)> {
     let mut rng = SimRng::seed_from_u64(seed ^ 0x4A0D_0FF5);
     let mean_gap = 1.0 / cfg.rate_per_sec;
@@ -159,64 +157,26 @@ fn collect_cell(cfg: &HandoffStormConfig, world: &ConcurrentJitsud) -> HandoffSt
     }
 }
 
-/// Run one cell to quiescence and collect its handoff metrics.
+/// Run one cell as a fleet of `boards` boards at `shards` shards.
+fn cell_fleet(
+    cfg: &HandoffStormConfig,
+    boards: u32,
+    shards: u32,
+) -> FleetStormResult<HandoffStormResult> {
+    run_fleet(
+        &host_config(cfg),
+        |seed| arrivals(cfg, seed),
+        |world| collect_cell(cfg, world),
+        cfg.seed,
+        boards,
+        shards,
+    )
+}
+
+/// Run one cell on a single board — a one-board fleet — to quiescence and
+/// collect its handoff metrics.
 pub fn run_cell(cfg: &HandoffStormConfig) -> HandoffStormResult {
-    let board = BoardKind::Cubieboard2.board();
-    let mut sim = ConcurrentJitsud::sim(host_config(cfg), board, cfg.seed);
-    for (at, name) in arrivals(cfg, cfg.seed) {
-        ConcurrentJitsud::inject_query(&mut sim, at, &name);
-    }
-    sim.run();
-    collect_cell(cfg, sim.world())
-}
-
-/// The outcome of one handoff-storm cell run as a fleet of boards on the
-/// sharded engine.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FleetHandoffResult {
-    /// Per-board cell results, in board-id order.
-    pub boards: Vec<HandoffStormResult>,
-    /// `SERVFAIL`ed queries forwarded to a peer board at an epoch barrier.
-    pub failovers: u64,
-    /// Queries dropped after every board in the ring refused them.
-    pub failover_dropped: u64,
-    /// Total events executed by the sharded engine (shard-count-invariant).
-    pub events: u64,
-    /// Epoch barriers processed (shard-count-invariant).
-    pub barriers: u64,
-}
-
-/// Run one cell as a fleet of `boards` boards at `shards` shards, each
-/// board driving its own arrival stream (seeded via [`board_seed`], so a
-/// 1-board fleet reproduces [`run_cell`] bit-for-bit). The result is
-/// invariant in `shards`.
-pub fn run_fleet(cfg: &HandoffStormConfig, boards: u32, shards: u32) -> FleetHandoffResult {
-    let boards = boards.max(1);
-    let mut sim = ShardedSim::new(shards, FLEET_EPOCH);
-    for b in 0..boards {
-        let seed = board_seed(cfg.seed, b);
-        let mut host = host_config(cfg);
-        host.failover = boards > 1;
-        let mut world = ConcurrentJitsud::world(host, BoardKind::Cubieboard2.board(), seed);
-        world.set_failover_hops(boards - 1);
-        sim.add_domain(world, seed);
-    }
-    for b in 0..boards {
-        for (at, name) in arrivals(cfg, board_seed(cfg.seed, b)) {
-            jitsu::fleet::inject_query(&mut sim, DomainId(b), at, &name);
-        }
-    }
-    sim.run();
-    let events = sim.events_executed();
-    let barriers = sim.barriers();
-    let worlds = sim.into_worlds();
-    FleetHandoffResult {
-        failovers: worlds.iter().map(|w| w.metrics().failovers).sum(),
-        failover_dropped: worlds.iter().map(|w| w.metrics().failover_dropped).sum(),
-        boards: worlds.iter().map(|w| collect_cell(cfg, w)).collect(),
-        events,
-        barriers,
-    }
+    cell_fleet(cfg, 1, 1).boards.remove(0)
 }
 
 /// Render a fleet run of the storm cell (`rate 24/s, 2 slots`) as a report
@@ -242,7 +202,7 @@ pub fn fleet_table(seed: u64, boards: u32, shards: u32) -> Table {
         ],
     );
     let cfg = HandoffStormConfig::cell(24.0, 2, seed);
-    let r = run_fleet(&cfg, boards, shards);
+    let r = cell_fleet(&cfg, boards, shards);
     for (b, br) in r.boards.iter().enumerate() {
         table.add_row(&[
             b.to_string(),
@@ -390,16 +350,6 @@ mod tests {
         let a = table(0x4A0D).render();
         let b = table(0x4A0D).render();
         assert_eq!(a, b, "the experiment is a pure function of its seed");
-    }
-
-    #[test]
-    fn one_board_fleet_reproduces_the_classic_cell() {
-        let cfg = quick(12.0, 2);
-        let fleet = run_fleet(&cfg, 1, 1);
-        assert_eq!(fleet.boards.len(), 1);
-        assert_eq!(fleet.boards[0], run_cell(&cfg));
-        assert_eq!(fleet.failovers, 0);
-        assert_eq!(fleet.failover_dropped, 0);
     }
 
     #[test]

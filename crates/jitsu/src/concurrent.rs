@@ -446,7 +446,7 @@ impl ConcurrentJitsud {
 
     /// Build the bare world (one board's jitsud). Used directly by the
     /// sharded fleet, where each board is one [`jitsu_sim::shard::Domain`]
-    /// rather than the owner of its own flat simulator.
+    /// rather than the owner of its own standalone simulator.
     pub fn world(config: JitsuConfig, board: Board, seed: u64) -> ConcurrentJitsud {
         let mut toolstack = Toolstack::new(board.clone(), config.engine, seed);
         // Synjitsu registers its conduit endpoint up front: every booting

@@ -55,8 +55,8 @@ impl Domain for ConcurrentJitsud {
         let parked = std::mem::take(&mut ctx.world_mut().pending_failover);
         // Ring order: the client retries against the next board. With a
         // single board the ring degenerates to self-delivery, but a
-        // standalone board never parks (failover_hops_default is 0), so
-        // single-board runs stay bit-identical to the flat engine.
+        // standalone board never parks (failover_hops_default is 0), so a
+        // one-board fleet stays bit-identical to a standalone `Sim` run.
         let next = DomainId((ctx.id().0 + 1) % ctx.domain_count());
         for (name, hops_left) in parked {
             ctx.send(next, FleetMsg::Query { name, hops_left });

@@ -51,15 +51,6 @@ impl Ipv4Addr {
             None
         }
     }
-
-    /// True if this address is within `network/prefix_len`.
-    pub fn in_subnet(&self, network: Ipv4Addr, prefix_len: u8) -> bool {
-        if prefix_len == 0 {
-            return true;
-        }
-        let mask = u32::MAX << (32 - prefix_len.min(32));
-        (u32::from_be_bytes(self.0) & mask) == (u32::from_be_bytes(network.0) & mask)
-    }
 }
 
 impl fmt::Display for Ipv4Addr {
@@ -367,15 +358,5 @@ mod tests {
                 assert_eq!(x.partial_cmp(y), Some(x.0.cmp(&y.0)));
             }
         }
-    }
-
-    #[test]
-    fn subnet_membership() {
-        let net = Ipv4Addr::new(192, 168, 1, 0);
-        assert!(Ipv4Addr::new(192, 168, 1, 200).in_subnet(net, 24));
-        assert!(!Ipv4Addr::new(192, 168, 2, 1).in_subnet(net, 24));
-        assert!(Ipv4Addr::new(8, 8, 8, 8).in_subnet(net, 0));
-        assert!(Ipv4Addr::new(192, 168, 1, 1).in_subnet(Ipv4Addr::new(192, 168, 1, 1), 32));
-        assert!(!Ipv4Addr::new(192, 168, 1, 2).in_subnet(Ipv4Addr::new(192, 168, 1, 1), 32));
     }
 }

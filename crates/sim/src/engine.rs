@@ -1,28 +1,28 @@
 //! Discrete-event simulation engine.
 //!
-//! The engine owns a user-supplied *world* (the mutable state of the
-//! simulated system) and a priority queue of scheduled events. An event is a
-//! boxed closure that receives `&mut Sim<W>` so it can mutate the world,
-//! advance no time itself, and schedule further events. Events fire in
-//! timestamp order; ties break in scheduling order so runs are fully
-//! deterministic.
+//! [`Sim`] is the crate's one event executor. It owns a user-supplied
+//! *world* (the mutable state of the simulated system), a virtual clock, an
+//! event count and a priority queue of scheduled events. An event is a boxed
+//! closure that receives the executor so it can mutate the world, advance no
+//! time itself, and schedule further events. Events fire in timestamp order;
+//! ties break in scheduling order so runs are fully deterministic.
+//!
+//! A standalone simulation is a `Sim<W>`. Every domain of a
+//! [`ShardedSim`](crate::shard::ShardedSim) is a `Sim` too — a
+//! [`DomainCtx`](crate::shard::DomainCtx), which carries its
+//! [`Member`](crate::shard::Member) record beside its world — and runs its
+//! epoch windows through the same pop-and-run loop.
 
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
-/// A boxed event callback, generic over the context handed to events.
-///
-/// For the flat engine the context is [`Sim<W>`]; for the sharded engine it
-/// is a per-domain [`crate::shard::DomainCtx`]. Sharing the alias (and the
-/// queue below) keeps the two engines' (time, seq) ordering semantics
-/// identical by construction.
-pub(crate) type EventFn<Ctx> = Box<dyn FnOnce(&mut Ctx)>;
-
+/// A pending event: its timestamp, its scheduling sequence number (the
+/// tie-break) and the callback, which receives the executor `Ctx`.
 struct Scheduled<Ctx> {
     at: SimTime,
     seq: u64,
-    run: EventFn<Ctx>,
+    run: Box<dyn FnOnce(&mut Ctx)>,
 }
 
 impl<Ctx> PartialEq for Scheduled<Ctx> {
@@ -46,63 +46,14 @@ impl<Ctx> Ord for Scheduled<Ctx> {
     }
 }
 
-/// The ordered event queue shared by [`Sim`] and the sharded engine.
-///
-/// Events pop in `(timestamp, scheduling sequence)` order: time first, ties
-/// broken by the order in which they were scheduled. The queue owns the
-/// sequence counter so every consumer gets the same deterministic tie-break.
-pub(crate) struct EventQueue<Ctx> {
-    heap: BinaryHeap<Scheduled<Ctx>>,
-    seq: u64,
-}
-
-impl<Ctx> EventQueue<Ctx> {
-    pub(crate) fn new() -> Self {
-        EventQueue {
-            heap: BinaryHeap::new(),
-            seq: 0,
-        }
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Timestamp of the earliest pending event, if any.
-    pub(crate) fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
-    }
-
-    pub(crate) fn push(&mut self, at: SimTime, run: EventFn<Ctx>) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Scheduled { at, seq, run });
-    }
-
-    pub(crate) fn pop(&mut self) -> Option<(SimTime, EventFn<Ctx>)> {
-        self.heap.pop().map(|e| (e.at, e.run))
-    }
-
-    /// Pop the earliest event only if it fires strictly before `bound`.
-    pub(crate) fn pop_before(&mut self, bound: SimTime) -> Option<(SimTime, EventFn<Ctx>)> {
-        match self.peek_time() {
-            Some(at) if at < bound => self.pop(),
-            _ => None,
-        }
-    }
-}
-
-/// The scheduling surface shared by [`Sim`] and the sharded engine's
-/// per-domain contexts.
+/// The scheduling surface of [`Sim`], standalone or as a domain of a
+/// [`crate::shard::ShardedSim`].
 ///
 /// System logic written against this trait (for example the
-/// `jitsu::concurrent` lifecycle handlers) runs unchanged on the flat
-/// single-queue engine and on any domain of a [`crate::shard::ShardedSim`].
-/// The two engines are separate implementations — `Sim` has its own run
-/// loop, an inclusive-deadline [`Sim::run_until`] and its own event-limit
-/// handling — that share `EventQueue`'s `(time, seq)` order. Implementors
-/// must preserve that determinism contract: events fire in `(time,
-/// scheduling order)` and scheduling in the past clamps to "now".
+/// `jitsu::concurrent` lifecycle handlers) runs unchanged on a standalone
+/// `Sim<W>` and on any domain of a sharded simulation: both are the same
+/// executor, so events fire in `(time, scheduling order)` and scheduling in
+/// the past clamps to "now" on either.
 pub trait Scheduler: Sized {
     /// The world type mutated by events.
     type World;
@@ -132,29 +83,80 @@ pub trait Scheduler: Sized {
     }
 }
 
-/// The discrete-event simulator.
+/// The discrete-event executor.
 ///
 /// `W` is the world type: all simulated state lives there and is reachable
-/// from event callbacks through [`Sim::world_mut`].
-pub struct Sim<W> {
-    now: SimTime,
+/// from event callbacks through [`Sim::world_mut`]. `X` is what the executor
+/// carries besides its world: `()` for a standalone simulation, a
+/// [`Member`](crate::shard::Member) for a domain of a sharded one.
+pub struct Sim<W, X = ()> {
+    pub(crate) now: SimTime,
     executed: u64,
-    queue: EventQueue<Sim<W>>,
-    world: W,
+    seq: u64,
+    heap: BinaryHeap<Scheduled<Sim<W, X>>>,
+    pub(crate) world: W,
     /// Hard cap on executed events, to catch accidental livelock in tests.
     event_limit: u64,
+    pub(crate) member: X,
+}
+
+impl<W, X> Sim<W, X> {
+    /// An executor at time zero owning `world` and carrying `member`.
+    pub(crate) fn with_member(world: W, member: X) -> Self {
+        Sim {
+            now: SimTime::ZERO,
+            executed: 0,
+            seq: 0,
+            heap: BinaryHeap::new(),
+            world,
+            event_limit: u64::MAX,
+            member,
+        }
+    }
+
+    /// Number of events executed so far.
+    pub fn events_executed(&self) -> u64 {
+        self.executed
+    }
+
+    /// The timestamp of the next pending event, if any.
+    pub fn next_event_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|e| e.at)
+    }
+
+    /// Whether an event is pending at or before `last`.
+    pub(crate) fn due(&self, last: SimTime) -> bool {
+        self.heap.peek().is_some_and(|e| e.at <= last)
+    }
+
+    /// Pop and run every event due at or before `last`, in `(time, seq)`
+    /// order, stopping after `budget` events. Returns how many ran. This is
+    /// the crate's one pop-and-run loop: the standalone drivers and every
+    /// domain's epoch window go through it.
+    pub(crate) fn drain_through(&mut self, last: SimTime, budget: u64) -> u64 {
+        let mut ran = 0;
+        while ran < budget {
+            let Some(next) = self.heap.peek_mut() else {
+                break;
+            };
+            if next.at > last {
+                break;
+            }
+            let Scheduled { at, run, .. } = PeekMut::pop(next);
+            debug_assert!(at >= self.now, "event queue went backwards");
+            self.now = at;
+            self.executed += 1;
+            ran += 1;
+            run(self);
+        }
+        ran
+    }
 }
 
 impl<W> Sim<W> {
     /// Create a simulator at time zero owning `world`.
     pub fn new(world: W) -> Self {
-        Sim {
-            now: SimTime::ZERO,
-            executed: 0,
-            queue: EventQueue::new(),
-            world,
-            event_limit: u64::MAX,
-        }
+        Sim::with_member(world, ())
     }
 
     /// Set a hard limit on the number of events executed.
@@ -175,14 +177,9 @@ impl<W> Sim<W> {
         self.now
     }
 
-    /// Number of events executed so far.
-    pub fn events_executed(&self) -> u64 {
-        self.executed
-    }
-
     /// Number of events still pending.
     pub fn events_pending(&self) -> usize {
-        self.queue.len()
+        self.heap.len()
     }
 
     /// Shared access to the world.
@@ -201,8 +198,7 @@ impl<W> Sim<W> {
     where
         F: FnOnce(&mut Sim<W>) + 'static,
     {
-        let at = at.max(self.now);
-        self.queue.push(at, Box::new(f));
+        Scheduler::schedule_at(self, at, f);
     }
 
     /// Schedule `f` to run `delay` after the current time.
@@ -210,38 +206,40 @@ impl<W> Sim<W> {
     where
         F: FnOnce(&mut Sim<W>) + 'static,
     {
-        let at = self.now + delay;
-        self.schedule_at(at, f);
+        Scheduler::schedule_in(self, delay, f);
     }
 
-    /// Execute a single event if one is pending. Returns `false` when the
-    /// queue is empty.
+    /// Run up to `max` events due at or before `last` under the event
+    /// limit, returning how many ran.
+    ///
+    /// # Panics
+    /// Panics when the limit, not `max`, stopped the run with an event
+    /// still due: the experiment is livelocked.
     #[expect(
         clippy::panic,
         reason = "livelock tripwire: exceeding the event limit means the experiment is unsound and must abort"
     )]
-    pub fn step(&mut self) -> bool {
-        match self.queue.pop() {
-            None => false,
-            Some((at, run)) => {
-                debug_assert!(at >= self.now, "event queue went backwards");
-                self.now = at;
-                self.executed += 1;
-                if self.executed > self.event_limit {
-                    panic!(
-                        "simulation exceeded event limit of {} events (possible livelock)",
-                        self.event_limit
-                    );
-                }
-                run(self);
-                true
-            }
+    fn run_limited(&mut self, last: SimTime, max: u64) -> u64 {
+        let budget = self.event_limit.saturating_sub(self.executed);
+        let ran = self.drain_through(last, budget.min(max));
+        if ran == budget && budget < max && self.due(last) {
+            panic!(
+                "simulation exceeded event limit of {} events (possible livelock)",
+                self.event_limit
+            );
         }
+        ran
+    }
+
+    /// Execute a single event if one is pending. Returns `false` when the
+    /// queue is empty.
+    pub fn step(&mut self) -> bool {
+        self.run_limited(SimTime::MAX, 1) == 1
     }
 
     /// Run until the event queue is empty.
     pub fn run(&mut self) {
-        while self.step() {}
+        self.run_limited(SimTime::MAX, u64::MAX);
     }
 
     /// Run until the event queue is empty or virtual time would pass
@@ -258,24 +256,15 @@ impl<W> Sim<W> {
     /// clock stays at the last executed event instead of jumping to the
     /// deadline.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
-        let before = self.executed;
-        while let Some(at) = self.queue.peek_time() {
-            if at > deadline {
-                break;
-            }
-            if self.executed >= self.event_limit {
-                // Stopped mid-window: do not advance the clock past the
-                // last executed event — the rest of the window never ran.
-                return self.executed - before;
-            }
-            self.step();
-        }
+        let budget = self.event_limit.saturating_sub(self.executed);
+        let ran = self.drain_through(deadline, budget);
         // Advance the clock to the deadline even if nothing fired at it, so
-        // callers can interleave run_until with manual inspection.
-        if self.now < deadline {
-            self.now = deadline;
+        // callers can interleave run_until with manual inspection — unless
+        // the limit stopped the run and the rest of the window never ran.
+        if !self.due(deadline) {
+            self.now = self.now.max(deadline);
         }
-        self.executed - before
+        ran
     }
 
     /// Run for `duration` of virtual time from the current clock, then stop
@@ -294,39 +283,36 @@ impl<W> Sim<W> {
     /// (events/sec): the caller drives a fixed, exactly-known number of
     /// events without reasoning about virtual deadlines.
     pub fn run_steps(&mut self, max_events: u64) -> u64 {
-        let mut n = 0;
-        while n < max_events && self.step() {
-            n += 1;
-        }
-        n
-    }
-
-    /// The timestamp of the next pending event, if any.
-    pub fn next_event_time(&self) -> Option<SimTime> {
-        self.queue.peek_time()
+        self.run_limited(SimTime::MAX, max_events)
     }
 }
 
-impl<W> Scheduler for Sim<W> {
+impl<W, X> Scheduler for Sim<W, X> {
     type World = W;
 
     fn now(&self) -> SimTime {
-        Sim::now(self)
+        self.now
     }
 
     fn world(&self) -> &W {
-        Sim::world(self)
+        &self.world
     }
 
     fn world_mut(&mut self) -> &mut W {
-        Sim::world_mut(self)
+        &mut self.world
     }
 
     fn schedule_at<F>(&mut self, at: SimTime, f: F)
     where
         F: FnOnce(&mut Self) + 'static,
     {
-        Sim::schedule_at(self, at, f);
+        let seq = self.seq;
+        self.seq += 1;
+        self.heap.push(Scheduled {
+            at: at.max(self.now),
+            seq,
+            run: Box::new(f),
+        });
     }
 }
 
@@ -339,6 +325,12 @@ impl<W: Default> Default for Sim<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::{Domain, DomainCtx, ShardedSim};
+
+    impl Domain for Vec<u64> {
+        type Msg = ();
+        fn on_message(_: &mut DomainCtx<Self>, (): ()) {}
+    }
 
     #[test]
     fn events_fire_in_time_order() {
@@ -498,10 +490,42 @@ mod tests {
     }
 
     #[test]
+    fn a_run_needing_exactly_the_limit_completes() {
+        let mut sim = Sim::new(0u64).with_event_limit(3);
+        for ms in 0..3 {
+            sim.schedule_at(SimTime::from_millis(ms), |s| *s.world_mut() += 1);
+        }
+        sim.run();
+        assert_eq!((*sim.world(), sim.events_executed()), (3, 3));
+    }
+
+    #[test]
+    #[should_panic(expected = "simulation exceeded event limit of 3 events")]
+    fn a_run_needing_one_more_than_the_limit_panics() {
+        let mut sim = Sim::new(0u64).with_event_limit(3);
+        for ms in 0..4 {
+            sim.schedule_at(SimTime::from_millis(ms), |s| *s.world_mut() += 1);
+        }
+        sim.run();
+    }
+
+    #[test]
+    fn an_event_at_the_end_of_time_drains() {
+        let mut sim = Sim::new(Vec::<SimTime>::new());
+        sim.schedule_at(SimTime::MAX, |s| {
+            let t = s.now();
+            s.world_mut().push(t);
+        });
+        sim.run();
+        assert_eq!(sim.world(), &vec![SimTime::MAX]);
+        assert_eq!(sim.events_pending(), 0);
+    }
+
+    #[test]
     fn scheduler_generic_logic_drives_the_flat_engine() {
         // System logic written against the Scheduler trait (the way
-        // jitsu::concurrent is) must run unchanged on Sim, the flat engine
-        // that implements it beside the sharded one.
+        // jitsu::concurrent is) must log the same run standalone and as the
+        // one domain of a ShardedSim: both are the same executor.
         fn chain<S: Scheduler<World = Vec<u64>>>(s: &mut S, n: u64) {
             let t = s.now().as_millis();
             s.world_mut().push(t);
@@ -513,5 +537,11 @@ mod tests {
         sim.schedule_at(SimTime::ZERO, |s| chain(s, 3));
         sim.run();
         assert_eq!(sim.world(), &vec![0, 2, 4, 6]);
+
+        let mut sharded = ShardedSim::new(1, SimDuration::from_millis(3));
+        let only = sharded.add_domain(Vec::new(), 0);
+        sharded.schedule_at(only, SimTime::ZERO, |s| chain(s, 3));
+        sharded.run();
+        assert_eq!(sharded.domain(only), sim.world());
     }
 }

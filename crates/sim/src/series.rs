@@ -59,30 +59,6 @@ impl Series {
         self.points.iter().find(|p| p.x == x).map(|p| p.y)
     }
 
-    /// Linear interpolation of y at an arbitrary x inside the series range.
-    /// Returns `None` when the series is empty or x is outside its range.
-    pub fn interpolate(&self, x: f64) -> Option<f64> {
-        if self.points.is_empty() {
-            return None;
-        }
-        let mut pts = self.points.clone();
-        pts.sort_by(|a, b| a.x.total_cmp(&b.x));
-        if x < pts[0].x || x > pts[pts.len() - 1].x {
-            return None;
-        }
-        for w in pts.windows(2) {
-            let (a, b) = (w[0], w[1]);
-            if (a.x..=b.x).contains(&x) {
-                if (b.x - a.x).abs() < f64::EPSILON {
-                    return Some(a.y);
-                }
-                let t = (x - a.x) / (b.x - a.x);
-                return Some(a.y * (1.0 - t) + b.y * t);
-            }
-        }
-        Some(pts[pts.len() - 1].y)
-    }
-
     /// Maximum y value in the series.
     pub fn max_y(&self) -> Option<f64> {
         self.points
@@ -120,23 +96,6 @@ mod tests {
         let s = Series::from_points("l", [(0.0, 1.0), (1.0, 2.0)]);
         assert_eq!(s.len(), 2);
         assert_eq!(s.points[1], DataPoint { x: 1.0, y: 2.0 });
-    }
-
-    #[test]
-    fn interpolation() {
-        let s = Series::from_points("l", [(0.0, 0.0), (10.0, 100.0)]);
-        assert_eq!(s.interpolate(5.0), Some(50.0));
-        assert_eq!(s.interpolate(0.0), Some(0.0));
-        assert_eq!(s.interpolate(10.0), Some(100.0));
-        assert_eq!(s.interpolate(-1.0), None);
-        assert_eq!(s.interpolate(11.0), None);
-        assert_eq!(Series::new("e").interpolate(1.0), None);
-    }
-
-    #[test]
-    fn interpolation_with_duplicate_x() {
-        let s = Series::from_points("l", [(1.0, 5.0), (1.0, 7.0)]);
-        assert_eq!(s.interpolate(1.0), Some(5.0));
     }
 
     #[test]

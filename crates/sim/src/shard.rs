@@ -1,14 +1,15 @@
 //! Sharded discrete-event engine with deterministic virtual-time barriers.
 //!
-//! The flat [`Sim`](crate::Sim) engine funnels every event through one
-//! ordered queue, so wall-clock cost scales with total event count. This
-//! module partitions the world into isolated **domains** (a board, a
+//! This module partitions the world into isolated **domains** (a board, a
 //! service, any unit that owns its own state), groups domains into
 //! **shards**, and executes shards in a fixed order within **virtual-time
-//! epochs**. Cross-domain messages are collected during an epoch and
-//! delivered only at the epoch barrier, in a canonical order that does not
-//! depend on how domains were grouped into shards — so an N-shard run is
-//! bit-for-bit identical to a 1-shard run at any shard count.
+//! epochs**. Each domain is a [`Sim`] of its own — a [`DomainCtx`] — and an
+//! epoch runs it through the same pop-and-run loop a standalone `Sim` uses,
+//! up to the epoch's last nanosecond. Cross-domain messages are collected
+//! during an epoch and delivered only at the epoch barrier, in a canonical
+//! order that does not depend on how domains were grouped into shards — so
+//! an N-shard run is bit-for-bit identical to a 1-shard run at any shard
+//! count.
 //!
 //! Three properties make the invariance hold *by construction* rather than
 //! by testing alone:
@@ -53,7 +54,7 @@
 //! assert_eq!(sim.domain(b).0, 7);
 //! ```
 
-use crate::engine::{EventQueue, Scheduler};
+use crate::engine::{Scheduler, Sim};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 
@@ -92,57 +93,37 @@ pub trait Domain: Sized + 'static {
     fn at_barrier(_ctx: &mut DomainCtx<Self>) {}
 }
 
-/// The per-domain execution context: the domain's own clock, event queue,
-/// RNG stream, outbox and world.
-///
-/// `DomainCtx` implements [`Scheduler`], so system logic written against
-/// that trait runs identically under the flat [`Sim`](crate::Sim) engine
-/// and inside a sharded domain.
-pub struct DomainCtx<D: Domain> {
+/// What a domain's executor carries besides its world: its id, the domain
+/// count, its RNG stream and its outbox.
+pub struct Member<D: Domain> {
     id: DomainId,
     domain_count: u32,
-    now: SimTime,
-    executed: u64,
-    queue: EventQueue<DomainCtx<D>>,
     rng: SimRng,
     outbox: Vec<(DomainId, D::Msg)>,
-    state: D,
 }
 
-impl<D: Domain> DomainCtx<D> {
-    fn new(id: DomainId, state: D, seed: u64) -> Self {
-        DomainCtx {
-            id,
-            domain_count: 0,
-            now: SimTime::ZERO,
-            executed: 0,
-            queue: EventQueue::new(),
-            rng: SimRng::seed_from_u64(seed),
-            outbox: Vec::new(),
-            state,
-        }
-    }
+/// The per-domain executor: a [`Sim`] over the domain's world that carries
+/// its [`Member`] record. It implements [`Scheduler`] like any `Sim`, so
+/// system logic written against that trait runs identically standalone and
+/// inside a sharded domain.
+pub type DomainCtx<D> = Sim<D, Member<D>>;
 
+impl<D: Domain> DomainCtx<D> {
     /// This domain's id.
     pub fn id(&self) -> DomainId {
-        self.id
+        self.member.id
     }
 
     /// Total number of domains in the simulation (fixed once running).
     pub fn domain_count(&self) -> u32 {
-        self.domain_count
+        self.member.domain_count
     }
 
     /// This domain's private deterministic RNG stream. Draws consumed here
     /// never perturb any other domain's stream, which is what keeps final
     /// states bit-identical across shard counts.
     pub fn rng(&mut self) -> &mut SimRng {
-        &mut self.rng
-    }
-
-    /// Number of events this domain has executed.
-    pub fn events_executed(&self) -> u64 {
-        self.executed
+        &mut self.member.rng
     }
 
     /// Queue a message to another domain (or to self). It is delivered at
@@ -158,37 +139,14 @@ impl<D: Domain> DomainCtx<D> {
         reason = "a message to a domain that does not exist is a bug in the sender; delivery cannot route it"
     )]
     pub fn send(&mut self, to: DomainId, msg: D::Msg) {
-        if to.0 >= self.domain_count {
+        let m = &mut self.member;
+        if to.0 >= m.domain_count {
             panic!(
                 "domain {} sent a message to domain {}, but the simulation has {} domains",
-                self.id.0, to.0, self.domain_count
+                m.id.0, to.0, m.domain_count
             );
         }
-        self.outbox.push((to, msg));
-    }
-}
-
-impl<D: Domain> Scheduler for DomainCtx<D> {
-    type World = D;
-
-    fn now(&self) -> SimTime {
-        self.now
-    }
-
-    fn world(&self) -> &D {
-        &self.state
-    }
-
-    fn world_mut(&mut self) -> &mut D {
-        &mut self.state
-    }
-
-    fn schedule_at<F>(&mut self, at: SimTime, f: F)
-    where
-        F: FnOnce(&mut Self) + 'static,
-    {
-        let at = at.max(self.now);
-        self.queue.push(at, Box::new(f));
+        m.outbox.push((to, msg));
     }
 }
 
@@ -207,7 +165,7 @@ pub struct ShardedSim<D: Domain> {
     barriers: u64,
     executed: u64,
     /// Hard cap on executed events, to catch accidental livelock (matching
-    /// the flat engine's tripwire).
+    /// the standalone `Sim`'s tripwire).
     event_limit: u64,
 }
 
@@ -237,7 +195,13 @@ impl<D: Domain> ShardedSim<D> {
     /// the stream, so results do not depend on shard count.
     pub fn add_domain(&mut self, state: D, seed: u64) -> DomainId {
         let id = DomainId(self.domains.len() as u32);
-        self.domains.push(DomainCtx::new(id, state, seed));
+        let member = Member {
+            id,
+            domain_count: 0,
+            rng: SimRng::seed_from_u64(seed),
+            outbox: Vec::new(),
+        };
+        self.domains.push(Sim::with_member(state, member));
         id
     }
 
@@ -255,12 +219,12 @@ impl<D: Domain> ShardedSim<D> {
 
     /// Shared access to a domain's world.
     pub fn domain(&self, id: DomainId) -> &D {
-        &self.domains[id.index()].state
+        &self.domains[id.index()].world
     }
 
     /// Consume the engine, returning every domain's world in id order.
     pub fn into_worlds(self) -> Vec<D> {
-        self.domains.into_iter().map(|d| d.state).collect()
+        self.domains.into_iter().map(|d| d.world).collect()
     }
 
     /// Schedule an event on a domain at absolute virtual time `at`
@@ -270,28 +234,23 @@ impl<D: Domain> ShardedSim<D> {
     where
         F: FnOnce(&mut DomainCtx<D>) + 'static,
     {
-        let ctx = &mut self.domains[dom.index()];
-        let at = at.max(ctx.now);
-        ctx.queue.push(at, Box::new(f));
+        self.domains[dom.index()].schedule_at(at, f);
     }
 
     /// Earliest pending event time across all domains, if any.
     pub fn next_event_time(&self) -> Option<SimTime> {
-        self.domains
-            .iter()
-            .filter_map(|d| d.queue.peek_time())
-            .min()
+        self.domains.iter().filter_map(Sim::next_event_time).min()
     }
 
     /// Run until every domain's queue is empty and no messages are in
     /// flight.
     ///
     /// Each iteration jumps to the epoch containing the earliest pending
-    /// event (empty epochs cost nothing), executes shard 0, shard 1, … over
-    /// the epoch window `[start, end)`, synchronises every domain's clock
-    /// to the barrier time `end`, runs [`Domain::at_barrier`] hooks in id
-    /// order, then drains outboxes in id order, enqueueing each message on
-    /// its destination at time `end`.
+    /// event (empty epochs cost nothing), runs shard 0, shard 1, … through
+    /// the epoch's last nanosecond, synchronises every domain's clock to the
+    /// barrier time `end`, runs [`Domain::at_barrier`] hooks in id order,
+    /// then drains outboxes in id order, scheduling each message on its
+    /// destination at time `end`.
     #[expect(
         clippy::panic,
         reason = "livelock tripwire: exceeding the event limit means the experiment is unsound and must abort"
@@ -299,21 +258,18 @@ impl<D: Domain> ShardedSim<D> {
     pub fn run(&mut self) {
         let count = self.domains.len() as u32;
         for d in &mut self.domains {
-            d.domain_count = count;
+            d.member.domain_count = count;
         }
         let epoch_ns = u128::from(self.epoch.as_nanos().max(1));
         while let Some(first) = self.next_event_time() {
-            // The epoch window containing the earliest pending event. The
-            // end bound is exclusive; an event exactly at `end` belongs to
-            // the next epoch. Near the top of the u64 range the bound
-            // saturates and the final window becomes inclusive, so events
-            // at SimTime::MAX still drain instead of spinning forever.
-            let k = u128::from(first.as_nanos()) / epoch_ns;
-            let end_ns = (k + 1) * epoch_ns;
-            let (end, inclusive) = if end_ns > u128::from(u64::MAX) {
-                (SimTime::MAX, true)
-            } else {
-                (SimTime::from_nanos(end_ns as u64), false)
+            // The epoch window containing the earliest pending event runs
+            // through `last`; an event exactly at `end` belongs to the next
+            // epoch. Near the top of the u64 range the end saturates and the
+            // window runs through SimTime::MAX, so events there still drain.
+            let end_ns = (u128::from(first.as_nanos()) / epoch_ns + 1) * epoch_ns;
+            let (last, end) = match u64::try_from(end_ns) {
+                Ok(end) => (SimTime::from_nanos(end - 1), SimTime::from_nanos(end)),
+                Err(_) => (SimTime::MAX, SimTime::MAX),
             };
 
             // Execute shards in fixed ascending order, domains within a
@@ -322,41 +278,29 @@ impl<D: Domain> ShardedSim<D> {
             for shard in 0..stride {
                 for idx in (shard..self.domains.len()).step_by(stride) {
                     let dom = &mut self.domains[idx];
-                    loop {
-                        let next = if inclusive {
-                            dom.queue.pop()
-                        } else {
-                            dom.queue.pop_before(end)
-                        };
-                        let Some((at, run)) = next else { break };
-                        dom.now = dom.now.max(at);
-                        dom.executed += 1;
-                        self.executed += 1;
-                        if self.executed > self.event_limit {
-                            panic!(
-                                "sharded simulation exceeded event limit of {} events (possible livelock)",
-                                self.event_limit
-                            );
-                        }
-                        run(dom);
+                    let budget = self.event_limit.saturating_sub(self.executed);
+                    let ran = dom.drain_through(last, budget);
+                    self.executed += ran;
+                    if ran == budget && dom.due(last) {
+                        panic!(
+                            "sharded simulation exceeded event limit of {} events (possible livelock)",
+                            self.event_limit
+                        );
                     }
                 }
             }
 
             // Barrier: synchronise clocks, run hooks, deliver messages —
-            // all in domain id order, independent of sharding.
+            // all in domain id order, independent of sharding. A hook sees
+            // only its own domain, so each runs as soon as its clock is set.
             for dom in &mut self.domains {
                 dom.now = end;
-            }
-            for idx in 0..self.domains.len() {
-                D::at_barrier(&mut self.domains[idx]);
+                D::at_barrier(dom);
             }
             for src in 0..self.domains.len() {
-                let outbox = std::mem::take(&mut self.domains[src].outbox);
+                let outbox = std::mem::take(&mut self.domains[src].member.outbox);
                 for (to, msg) in outbox {
-                    let dest = &mut self.domains[to.index()];
-                    dest.queue
-                        .push(end, Box::new(move |ctx| D::on_message(ctx, msg)));
+                    self.domains[to.index()].schedule_at(end, move |ctx| D::on_message(ctx, msg));
                 }
             }
             self.barriers += 1;
@@ -487,6 +431,73 @@ mod tests {
         let b = sim.add_domain(Pong, 2);
         sim.schedule_at(a, SimTime::ZERO, move |c| c.send(b, ()));
         sim.run();
+    }
+
+    /// Two domains with `events` one-microsecond-apart local events
+    /// between them, under an event limit of 3.
+    fn limited_run(events: u64) -> ShardedSim<Logger> {
+        let (sim, a, b) = two_domain_sim(2);
+        let mut sim = sim.with_event_limit(3);
+        for i in 0..events {
+            let dom = if i % 2 == 0 { a } else { b };
+            sim.schedule_at(dom, SimTime::from_micros(i), move |c| {
+                c.world_mut().log.push((i, i));
+            });
+        }
+        sim.run();
+        sim
+    }
+
+    #[test]
+    fn a_run_needing_exactly_the_limit_completes() {
+        assert_eq!(limited_run(3).events_executed(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "sharded simulation exceeded event limit of 3 events")]
+    fn a_run_needing_one_more_than_the_limit_panics() {
+        limited_run(4);
+    }
+
+    #[test]
+    fn an_event_at_the_end_of_time_drains_in_the_saturating_window() {
+        let (mut sim, a, _) = two_domain_sim(1);
+        sim.schedule_at(a, SimTime::MAX, |c| {
+            let t = c.now().as_nanos();
+            c.world_mut().log.push((t, 1));
+        });
+        sim.run();
+        assert_eq!(sim.domain(a).log, vec![(u64::MAX, 1)]);
+        assert_eq!(sim.barriers(), 1);
+    }
+
+    #[test]
+    fn a_local_event_at_a_barrier_time_runs_after_that_barriers_hook() {
+        // Tag 0 is a local event, tag 1 the at_barrier hook.
+        struct Hooked(Vec<(u64, u64)>);
+        impl Domain for Hooked {
+            type Msg = ();
+            fn on_message(_: &mut DomainCtx<Self>, (): ()) {}
+            fn at_barrier(ctx: &mut DomainCtx<Self>) {
+                let t = ctx.now().as_micros();
+                ctx.world_mut().0.push((t, 1));
+            }
+        }
+        let mut sim = ShardedSim::new(1, SimDuration::from_millis(1));
+        let a = sim.add_domain(Hooked(Vec::new()), 1);
+        for at in [SimTime::ZERO, SimTime::from_millis(1)] {
+            sim.schedule_at(a, at, |c| {
+                let t = c.now().as_micros();
+                c.world_mut().0.push((t, 0));
+            });
+        }
+        sim.run();
+        assert_eq!(
+            sim.domain(a).0,
+            vec![(0, 0), (1_000, 1), (1_000, 0), (2_000, 1)],
+            "the 1 ms event belongs to the [1 ms, 2 ms) epoch"
+        );
+        assert_eq!(sim.barriers(), 2);
     }
 
     #[test]

@@ -24,8 +24,6 @@ pub struct ConsoleDevice {
     pub ring_ref: GrantRef,
     /// The guest-side event channel port.
     pub port: Port,
-    /// Buffered output not yet drained by `xenconsoled`.
-    buffer: Vec<u8>,
 }
 
 impl ConsoleDevice {
@@ -54,7 +52,6 @@ impl ConsoleDevice {
             dom,
             ring_ref,
             port,
-            buffer: Vec::new(),
         })
     }
 
@@ -79,21 +76,6 @@ impl ConsoleDevice {
             &mut Self::keys(self.dom),
             XenbusState::Connected,
         )
-    }
-
-    /// Guest writes bytes to its console.
-    pub fn guest_write(&mut self, bytes: &[u8]) {
-        self.buffer.extend_from_slice(bytes);
-    }
-
-    /// `xenconsoled` drains buffered output for logging.
-    pub fn drain(&mut self) -> Vec<u8> {
-        std::mem::take(&mut self.buffer)
-    }
-
-    /// Bytes currently buffered.
-    pub fn buffered(&self) -> usize {
-        self.buffer.len()
     }
 }
 
@@ -145,21 +127,5 @@ mod tests {
         let x86 = ConsoleDevice::attach_time(&BoardKind::X86Server.board());
         assert!((45..60).contains(&arm.as_millis()), "arm={arm}");
         assert!(x86 < arm / 5);
-    }
-
-    #[test]
-    fn guest_output_buffers_until_drained() {
-        let (mut xs, mut gt, mut ec) = setup_env();
-        let mut console = ConsoleDevice::setup(&mut xs, &mut gt, &mut ec, DomId(5)).unwrap();
-        console.guest_write(b"MirageOS booting...\n");
-        console.guest_write(b"TCP/IP ready\n");
-        assert_eq!(
-            console.buffered(),
-            "MirageOS booting...\nTCP/IP ready\n".len()
-        );
-        let out = console.drain();
-        assert!(out.starts_with(b"MirageOS"));
-        assert_eq!(console.buffered(), 0);
-        assert!(console.drain().is_empty());
     }
 }

@@ -6,15 +6,12 @@
 //! grant reference) and an event channel, and advance through the XenBus
 //! state machine until both are `Connected`. This module implements the
 //! state machine and the key layout; [`console`] and [`vif`] provide the two
-//! devices every Jitsu unikernel attaches, and [`vbd`] a block device (no
-//! appliance attaches one yet).
+//! devices every Jitsu unikernel attaches.
 
 pub mod console;
-pub mod vbd;
 pub mod vif;
 
 pub use console::ConsoleDevice;
-pub use vbd::VbdDevice;
 pub use vif::VifDevice;
 
 use xenstore::{DomId, Result as XsResult, XenStore};

@@ -213,22 +213,6 @@ impl Path {
         self.cut(slashes(self.text()).nth(depth).unwrap_or(self.len))
     }
 
-    /// The first component, or `None` for the root.
-    pub fn top_level(&self) -> Option<&str> {
-        self.components().next()
-    }
-
-    /// The common-root prefix of two paths: the longest shared ancestry.
-    pub fn common_prefix(&self, other: &Path) -> Path {
-        let shared: usize = self
-            .components()
-            .zip(other.components())
-            .take_while(|(a, b)| a == b)
-            .map(|(a, _)| 1 + a.len())
-            .sum();
-        self.cut(shared)
-    }
-
     /// The conventional per-domain home directory, `/local/domain/<domid>`.
     pub fn domain_home(domid: u32) -> Path {
         Path::from_canonical(&format!("/local/domain/{domid}"))
@@ -384,17 +368,6 @@ mod tests {
     }
 
     #[test]
-    fn top_level_and_common_prefix() {
-        let a = Path::parse("/local/domain/3/vchan").unwrap();
-        let b = Path::parse("/local/domain/7/vchan").unwrap();
-        assert_eq!(a.top_level(), Some("local"));
-        assert_eq!(Path::root().top_level(), None);
-        assert_eq!(a.common_prefix(&b).to_string(), "/local/domain");
-        let c = Path::parse("/conduit/x").unwrap();
-        assert_eq!(a.common_prefix(&c), Path::root());
-    }
-
-    #[test]
     fn domain_home_convention() {
         assert_eq!(Path::domain_home(12).to_string(), "/local/domain/12");
     }
@@ -476,7 +449,6 @@ mod tests {
             assert_eq!(a.depth(), parts.len());
             assert_eq!(a.is_root(), parts.is_empty());
             assert_eq!(a.basename(), parts.last().map(String::as_str));
-            assert_eq!(a.top_level(), parts.first().map(String::as_str));
             assert_eq!(
                 a.parent().map(|p| model(&p)),
                 parts.split_last().map(|(_, rest)| rest.to_vec())
@@ -495,10 +467,6 @@ mod tests {
             for b in &paths {
                 let other = model(b);
                 assert_eq!(a.is_prefix_of(b), other.starts_with(&parts), "{a} {b}");
-                let shared = parts.iter().zip(&other).take_while(|(x, y)| x == y);
-                assert_eq!(model(&a.common_prefix(b)).len(), shared.count());
-                assert!(a.common_prefix(b).is_prefix_of(a));
-                assert!(a.common_prefix(b).is_prefix_of(b));
             }
         }
     }

@@ -155,8 +155,8 @@ fn storm_counters_match_the_pre_zero_copy_golden_values() {
 ///
 /// `board_seed(seed, 0) == seed` and a lone board keeps fail-over off, so
 /// at *any* shard count this must reproduce [`run_storm`]'s world
-/// bit-for-bit: the two engines are separate implementations of
-/// `Scheduler` that share one `(time, seq)` event order.
+/// bit-for-bit: a domain is the same `Sim` executor as the standalone
+/// one, and a lone board without fail-over does nothing at a barrier.
 fn run_storm_sharded(shards: u32) -> Outcome {
     let mut sim: ShardedSim<ConcurrentJitsud> =
         ShardedSim::new(shards, SimDuration::from_millis(50));
@@ -170,7 +170,7 @@ fn run_storm_sharded(shards: u32) -> Outcome {
 }
 
 /// The PR's acceptance anchor: the sharded engine at 4 shards reproduces
-/// the 1-shard (and flat-engine) golden counters for seed `0x4A0D`
+/// the 1-shard (and standalone `Sim`) golden counters for seed `0x4A0D`
 /// bit-exactly — 462 queries, 146 migrated, 0 dropped, 0 duplicated.
 #[test]
 fn four_shard_storm_reproduces_the_flat_engine_golden_counters() {
@@ -194,7 +194,8 @@ fn four_shard_storm_reproduces_the_flat_engine_golden_counters() {
             "sharded storm counters moved for seed {SEED:#x} at {shards} shards"
         );
     }
-    // And the latency tail, down to the bit, against the flat engine.
+    // And the latency tail, down to the bit, against the standalone
+    // `ConcurrentJitsud::sim` run.
     let flat = run_storm();
     let sharded = run_storm_sharded(4);
     assert_eq!(sharded.p50_bits, flat.p50_bits);
