@@ -1,5 +1,5 @@
 //! Handoff-storm experiment: live TCP flows migrated from Synjitsu to
-//! booted unikernels mid-request (see `bench::handoff_storm` and README
+//! booted unikernels mid-request (see `bench::storm` and README
 //! § "The handoff-storm experiment").
 //!
 //! Arguments: an optional hexadecimal seed (default `4A0D`), plus
@@ -10,19 +10,19 @@
 //! so the CI shard-invariance gate can diff stdout byte-for-byte across
 //! shard counts.
 fn main() {
-    let (seed, boards, shards) = bench::fleet::parse_storm_args(0x4A0D);
+    let (seed, boards, shards) = bench::storm::parse_storm_args(0x4A0D);
     println!("seed = {seed:#x}\n");
     if boards > 1 {
         eprintln!("fleet: {boards} boards, {shards} shards");
         println!("boards = {boards}\n");
         println!(
             "{}",
-            bench::handoff_storm::fleet_table(seed, boards, shards).render()
+            bench::storm::handoff_fleet(seed, boards, shards).render()
         );
         println!("fo-sent counts SERVFAILs retried against the next board in the ring;");
         println!("'dropped B' and 'dup B' must stay zero on every board of the fleet.");
     } else {
-        println!("{}", bench::handoff_storm::table(seed).render());
+        println!("{}", bench::storm::handoff_sweep(seed).render());
         println!("'dropped B' and 'dup B' are the result: zero means every migrated");
         println!("connection completed its HTTP exchange against the unikernel with no");
         println!("payload byte lost or duplicated across the two-phase commit.");

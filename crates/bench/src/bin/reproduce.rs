@@ -10,8 +10,8 @@ fn main() {
     println!("{}", bench::fig8::figure(100, 0x51CA).render());
     println!("{}", bench::fig9a::figure(25, 0x9A).render());
     println!("{}", bench::fig9b::figure(100, 0x9B).render());
-    println!("{}", bench::boot_storm::table(0xB007).render());
-    println!("{}", bench::handoff_storm::table(0x4A0D).render());
+    println!("{}", bench::storm::boot_sweep(0xB007).render());
+    println!("{}", bench::storm::handoff_sweep(0x4A0D).render());
     println!("{}", bench::xenstore_storm::merge_table(0x5707).render());
     println!("{}", bench::xenstore_storm::snapshot_table().render());
     println!("{}", bench::table1::table().render());

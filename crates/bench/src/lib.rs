@@ -2,23 +2,24 @@
 //!
 //! Each module reproduces one artefact of the paper's evaluation and returns
 //! it as a [`jitsu_sim::Figure`] or [`jitsu_sim::Table`]; the `src/bin/*`
-//! binaries print them, and the Criterion benches exercise the hot paths the
-//! experiments depend on. See `EXPERIMENTS.md` at the repository root for
-//! the paper-vs-measured comparison.
+//! binaries print them, and `reproduce` prints them all (its output is held
+//! byte for byte against `tests/golden/reproduce.txt`). [`storm`] runs the
+//! boot and handoff storms on one cell type and one fleet runner, and
+//! [`snapshot`] collects the exact counters `bench_snapshot` gates against
+//! `BENCH_BASELINE.json`. Host time is measured by the standalone
+//! `benchmark/` package, never here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod boot_storm;
 pub mod fig3;
 pub mod fig4;
 pub mod fig8;
 pub mod fig9a;
 pub mod fig9b;
-pub mod fleet;
-pub mod handoff_storm;
 pub mod json;
 pub mod snapshot;
+pub mod storm;
 pub mod table1;
 pub mod table2;
 pub mod throughput;

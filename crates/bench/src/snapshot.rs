@@ -20,7 +20,7 @@
 //! and nowhere else.
 
 use crate::json::Value;
-use crate::{handoff_storm, xenstore_storm};
+use crate::{storm, xenstore_storm};
 use conduit::vchan::{Side, VchanPair};
 use jitsu::config::{JitsuConfig, ServiceConfig};
 use jitsu_sim::shard::{Domain, DomainCtx};
@@ -571,59 +571,31 @@ fn suite_frame_path(cfg: &BenchConfig, out: &mut Vec<Metric>) {
     ));
 }
 
-/// Full TCB handoff under storm: the handoff_storm cell, with its
+/// Full TCB handoff under storm: a handoff-storm cell, with its
 /// virtual-time latency tail as exact metrics.
 fn suite_handoff(cfg: &BenchConfig, out: &mut Vec<Metric>) {
     const SUITE: &str = "handoff";
     // One launch slot: boots queue behind each other, so the cold-path
     // latency has a tail (with two slots no boot waits and p99 == p50).
-    let cell = handoff_storm::HandoffStormConfig {
-        services: 8,
-        rate_per_sec: 12.0,
-        launch_slots: 1,
-        idle_ttl: SimDuration::from_secs(1),
-        duration: SimDuration::from_secs(5),
-        seed: cfg.seed,
-    };
-    let r = handoff_storm::run_cell(&cell);
-    out.push(Metric::new(
-        SUITE,
-        "migrated_connections",
-        "connections",
-        r.migrated as f64,
-    ));
-    out.push(Metric::new(
-        SUITE,
-        "completed_exchanges",
-        "exchanges",
-        r.completed as f64,
-    ));
-    out.push(Metric::new(
-        SUITE,
-        "dropped_bytes",
-        "bytes",
-        r.dropped_bytes as f64,
-    ));
-    out.push(Metric::new(
-        SUITE,
-        "duplicated_bytes",
-        "bytes",
-        r.duplicated_bytes as f64,
-    ));
-    out.push(Metric::new(SUITE, "latency_p50", "ms", r.p50_ms));
-    out.push(Metric::new(SUITE, "latency_p99", "ms", r.p99_ms));
-    out.push(Metric::new(
-        SUITE,
-        "xs_merged",
-        "commits",
-        r.xs_merged as f64,
-    ));
-    out.push(Metric::new(
-        SUITE,
-        "xs_conflicts",
-        "aborts",
-        r.xs_conflicts as f64,
-    ));
+    let mut cell = storm::Cell::handoff(12.0, 1, cfg.seed);
+    cell.services = 8;
+    cell.duration = SimDuration::from_secs(5);
+    let fleet = storm::run_fleet(&cell, 1, 1);
+    let world = &fleet.boards[0];
+    let (h, xs) = (&world.metrics().handoff, world.xenstore_stats());
+    let latency = &h.request_latency;
+    for (name, unit, value) in [
+        ("migrated_connections", "connections", h.migrated as f64),
+        ("completed_exchanges", "exchanges", h.completed as f64),
+        ("dropped_bytes", "bytes", h.dropped_bytes as f64),
+        ("duplicated_bytes", "bytes", h.duplicated_bytes as f64),
+        ("latency_p50", "ms", latency.p50_ms()),
+        ("latency_p99", "ms", latency.p99_ms()),
+        ("xs_merged", "commits", xs.merged as f64),
+        ("xs_conflicts", "aborts", xs.conflicts as f64),
+    ] {
+        out.push(Metric::new(SUITE, name, unit, value));
+    }
 }
 
 /// End-to-end cold start: DNS query through Synjitsu to the adopted

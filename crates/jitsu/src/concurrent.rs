@@ -48,7 +48,7 @@
 
 use crate::config::JitsuConfig;
 use crate::directory::{DirectoryAction, DirectoryService};
-use crate::handoff::{HandoffCoordinator, HandoffPhase};
+use crate::handoff::{self, HandoffPhase};
 use crate::launcher::Launcher;
 use crate::synjitsu::Synjitsu;
 use conduit::flows::FlowTable;
@@ -403,8 +403,6 @@ pub struct ConcurrentJitsud {
     slots: LaunchSlots,
     /// The conduit rendezvous registry (Synjitsu's handoff endpoint).
     conduit: ConduitRegistry,
-    /// Stateless probe into the XenStore handoff area (phase lookups).
-    handoff_probe: HandoffCoordinator,
     /// Live client TCP flows, by client id.
     clients: BTreeMap<u32, ClientFlow>,
     /// One record per configured service, at its index in
@@ -480,7 +478,6 @@ impl ConcurrentJitsud {
             synjitsu: Synjitsu::new(),
             slots,
             conduit,
-            handoff_probe: HandoffCoordinator::new(),
             clients: BTreeMap::new(),
             services,
             launch_queue: VecDeque::new(),
@@ -708,7 +705,7 @@ impl ConcurrentJitsud {
         }
         let name = &world.config.services[usize::from(ix)].name;
         let xs = &mut world.launcher.toolstack.xenstore;
-        match world.handoff_probe.phase(xs, name) {
+        match handoff::phase(xs, name) {
             HandoffPhase::Proxying => Self::pump_via_synjitsu(world, ix, client_id, frames),
             HandoffPhase::Prepare => {
                 // The race window between the phases: park every frame.

@@ -52,6 +52,6 @@ pub use concurrent::{ConcurrentJitsud, JitsuEvent, LifecyclePhase, StormMetrics,
 pub use config::{JitsuConfig, Protocol, ServiceConfig};
 pub use directory::{DirectoryAction, DirectoryService, ServicePhase};
 pub use fleet::{FleetMsg, FleetSim};
-pub use handoff::{HandoffCoordinator, HandoffPhase};
+pub use handoff::HandoffPhase;
 pub use launcher::{LaunchOutcome, Launcher};
 pub use synjitsu::Synjitsu;

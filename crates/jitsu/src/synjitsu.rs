@@ -10,14 +10,14 @@
 //! same stack the unikernels use) configured with the *booting service's*
 //! IP and MAC, accepts handshakes, buffers request bytes, and mirrors every
 //! connection's [`Tcb`] into the XenStore handoff area via
-//! [`HandoffCoordinator`]. When the unikernel's network stack comes up, the
+//! [`crate::handoff`]. When the unikernel's network stack comes up, the
 //! handoff runs in two phases: [`Synjitsu::prepare_handoff`] stops the
 //! proxy answering, the unikernel drains [`Synjitsu::connection_records`]
 //! over the conduit vchan, and [`Synjitsu::commit_handoff`] flips
 //! ownership, after which Synjitsu never touches that service's traffic.
 
 use crate::config::ServiceConfig;
-use crate::handoff::{HandoffCoordinator, HandoffPhase};
+use crate::handoff::{self, HandoffPhase};
 use netstack::iface::{IfaceEvent, Interface};
 use netstack::ipv4::Ipv4Addr;
 use netstack::tcp::Tcb;
@@ -41,7 +41,6 @@ struct ProxiedService {
 #[derive(Debug, Default)]
 pub struct Synjitsu {
     services: BTreeMap<String, ProxiedService>,
-    handoff: HandoffCoordinator,
     syns_intercepted: u64,
 }
 
@@ -68,7 +67,7 @@ impl Synjitsu {
     /// Begin proxying for a service that has just been summoned: Synjitsu
     /// impersonates the service's IP/MAC on the bridge until handoff.
     pub fn start_proxying(&mut self, xs: &mut XenStore, service: &ServiceConfig) -> XsResult<()> {
-        self.handoff.begin_proxying(xs, &service.name)?;
+        handoff::begin_proxying(xs, &service.name)?;
         let mut iface = Interface::new(service.mac(), service.ip);
         iface.listen_tcp(service.port);
         self.services.insert(
@@ -116,9 +115,9 @@ impl Synjitsu {
         // replay after `Committed` — dropping it here would break the
         // "only one of them ever handles any given packet" guarantee by
         // turning the phase flip into silent loss.
-        match self.handoff.phase(xs, name) {
+        match handoff::phase(xs, name) {
             HandoffPhase::Prepare if self.services.contains_key(name) => {
-                self.handoff.queue_pending_frame(xs, name, frame)?;
+                handoff::queue_pending_frame(xs, name, frame)?;
                 return Ok(Vec::new());
             }
             HandoffPhase::Proxying => {}
@@ -150,7 +149,7 @@ impl Synjitsu {
         )]
         let to_record = Self::collect_records(self.services.get_mut(name).expect("present above"));
         for (id, tcb) in &to_record {
-            self.handoff.record_connection(xs, name, *id, tcb)?;
+            handoff::record_connection(xs, name, *id, tcb)?;
         }
         Ok(out)
     }
@@ -189,7 +188,7 @@ impl Synjitsu {
         };
         let to_record = Self::collect_records(svc);
         for (id, tcb) in &to_record {
-            self.handoff.record_connection(xs, name, *id, tcb)?;
+            handoff::record_connection(xs, name, *id, tcb)?;
         }
         Ok(to_record.len())
     }
@@ -210,7 +209,7 @@ impl Synjitsu {
     /// queue), and Synjitsu flushes the final state of every proxied
     /// connection into the store. Returns the number of flushed records.
     pub fn prepare_handoff(&mut self, xs: &mut XenStore, name: &str) -> XsResult<usize> {
-        self.handoff.request_takeover(xs, name)?;
+        handoff::request_takeover(xs, name)?;
         self.snapshot_connections(xs, name)
     }
 
@@ -221,8 +220,8 @@ impl Synjitsu {
     /// window for replay. Synjitsu forgets the service — from this point
     /// only the unikernel touches its traffic.
     pub fn commit_handoff(&mut self, xs: &mut XenStore, name: &str) -> XsResult<Vec<FrameBuf>> {
-        self.handoff.commit_phase_only(xs, name)?;
-        let pending = self.handoff.drain_pending_frames(xs, name)?;
+        handoff::commit_phase_only(xs, name)?;
+        let pending = handoff::drain_pending_frames(xs, name)?;
         self.services.remove(name);
         Ok(pending)
     }
@@ -303,8 +302,7 @@ mod tests {
             .unwrap_or(false));
         assert_eq!(synjitsu.syns_intercepted(), 1);
         // And the embryonic connection is visible in the store.
-        let h = HandoffCoordinator::new();
-        assert_eq!(h.recorded_connections(&mut xs, &svc.name), 1);
+        assert_eq!(handoff::recorded_connections(&mut xs, &svc.name), 1);
     }
 
     #[test]
@@ -329,7 +327,7 @@ mod tests {
         assert_eq!(tcbs[0].remote_ip, CLIENT_IP);
         // The proxy has withdrawn.
         assert!(!synjitsu.is_proxying(&svc.name));
-        assert!(HandoffCoordinator::new().unikernel_should_handle(&mut xs, &svc.name));
+        assert!(handoff::unikernel_should_handle(&mut xs, &svc.name));
     }
 
     #[test]
@@ -373,7 +371,7 @@ mod tests {
         let pending = synjitsu.commit_handoff(&mut xs, &svc.name).unwrap();
         assert_eq!(pending, vec![racing_syn]);
         assert!(!synjitsu.is_proxying(&svc.name));
-        assert!(HandoffCoordinator::new().unikernel_should_handle(&mut xs, &svc.name));
+        assert!(handoff::unikernel_should_handle(&mut xs, &svc.name));
     }
 
     /// A one-shot handoff would adopt what the store's Figure 7 mirror
@@ -410,9 +408,8 @@ mod tests {
         let pending = synjitsu.commit_handoff(&mut xs, &svc.name).unwrap();
         assert!(pending.is_empty());
         assert!(!synjitsu.is_proxying(&svc.name));
-        let h = HandoffCoordinator::new();
-        assert!(h.unikernel_should_handle(&mut xs, &svc.name));
-        assert_eq!(h.recorded_connections(&mut xs, &svc.name), 0);
+        assert!(handoff::unikernel_should_handle(&mut xs, &svc.name));
+        assert_eq!(handoff::recorded_connections(&mut xs, &svc.name), 0);
     }
 
     #[test]

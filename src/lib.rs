@@ -55,7 +55,7 @@ pub mod prelude {
     };
     pub use crate::jitsu::config::{JitsuConfig, Protocol, ServiceConfig};
     pub use crate::jitsu::directory::{DirectoryAction, DirectoryService, ServicePhase};
-    pub use crate::jitsu::handoff::{HandoffCoordinator, HandoffPhase};
+    pub use crate::jitsu::handoff::HandoffPhase;
     pub use crate::jitsu::launcher::Launcher;
     pub use crate::jitsu::synjitsu::Synjitsu;
     pub use crate::netstack::dns::DnsMessage;

@@ -7,33 +7,22 @@
 //! deterministic — a failure here always reproduces locally with the same
 //! command.
 
+use bench::storm::Cell;
 use jitsu_repro::jitsu::concurrent::ConcurrentJitsud;
-use jitsu_repro::jitsu::config::{JitsuConfig, ServiceConfig};
-use jitsu_repro::netstack::ipv4::Ipv4Addr;
 use jitsu_repro::platform::BoardKind;
 use jitsu_repro::prelude::*;
 
-const SERVICES: usize = 60;
-const RATE_PER_SEC: f64 = 32.0;
-const WINDOW_SECS: u64 = 30;
 const SEED: u64 = 0x5708;
 
-fn storm_config() -> JitsuConfig {
-    // 60 × 16 MiB = 960 MiB against 832 MiB of guest memory: the storm
-    // crosses the admission limit, so SERVFAIL, reaping and re-entry all
-    // occur within one run.
-    let mut cfg = JitsuConfig::new("storm.example")
-        .with_launch_slots(2)
-        .with_idle_timeout(SimDuration::from_secs(2));
-    for i in 0..SERVICES {
-        let mut svc = ServiceConfig::http_site(
-            &format!("svc{i:03}.storm.example"),
-            Ipv4Addr::new(192, 168, 2, 20 + i as u8),
-        );
-        svc.image.memory_mib = 16;
-        cfg = cfg.with_service(svc);
-    }
-    cfg
+/// 60 × 16 MiB = 960 MiB against 832 MiB of guest memory, queried at
+/// 32/s for 30 s with a 2 s idle TTL: the storm crosses the admission
+/// limit, so SERVFAIL, reaping and re-entry all occur within one run.
+fn cell() -> Cell {
+    let mut cell = Cell::memory_bound(60, SEED);
+    cell.rate_per_sec = 32.0;
+    cell.idle_ttl = SimDuration::from_secs(2);
+    cell.duration = SimDuration::from_secs(30);
+    cell
 }
 
 struct StormOutcome {
@@ -53,21 +42,10 @@ struct StormOutcome {
 }
 
 fn run_storm() -> StormOutcome {
-    let mut sim = ConcurrentJitsud::sim(storm_config(), BoardKind::Cubieboard2.board(), SEED);
-    let mut rng = SimRng::seed_from_u64(SEED ^ 0xB007_5708);
-    let mut t = 0.0;
-    loop {
-        t += rng.exponential(1.0 / RATE_PER_SEC);
-        if t >= WINDOW_SECS as f64 {
-            break;
-        }
-        let service = rng.index(SERVICES);
-        let name = format!("svc{service:03}.storm.example");
-        ConcurrentJitsud::inject_query(
-            &mut sim,
-            SimTime::ZERO + SimDuration::from_secs_f64(t),
-            &name,
-        );
+    let cell = cell();
+    let mut sim = ConcurrentJitsud::sim(cell.host_config(), BoardKind::Cubieboard2.board(), SEED);
+    for (at, name) in cell.arrivals(SEED) {
+        ConcurrentJitsud::inject_query(&mut sim, at, &name);
     }
     sim.run();
     let m = sim.world().metrics();
@@ -134,10 +112,11 @@ fn large_storm_is_deterministic_and_accounts_for_every_query() {
 /// without `--include-ignored`.
 #[test]
 fn small_storm_smoke() {
-    let mut sim = ConcurrentJitsud::sim(storm_config(), BoardKind::Cubieboard2.board(), SEED);
-    for i in 0..10u64 {
-        let name = format!("svc{:03}.storm.example", i % 4);
-        ConcurrentJitsud::inject_query(&mut sim, SimTime::from_millis(i * 50), &name);
+    let cell = cell();
+    let mut sim = ConcurrentJitsud::sim(cell.host_config(), BoardKind::Cubieboard2.board(), SEED);
+    for i in 0..10 {
+        let at = SimTime::from_millis(i as u64 * 50);
+        ConcurrentJitsud::inject_query(&mut sim, at, &cell.name(i % 4));
     }
     sim.run();
     let m = sim.world().metrics();

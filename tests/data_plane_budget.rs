@@ -13,11 +13,14 @@
 //! response and compare the body. The loop's own `Vec`s are part of the
 //! count, as they are part of what the benchmark times.
 //!
-//! This file holds the workspace's only `unsafe`: integration tests are
-//! their own crate, so the allocator shim lives here and everything under
-//! `crates/` stays `#![forbid(unsafe_code)]`. It must stay a single
-//! `#[test]`: a second test thread would allocate into the same counters.
+//! It counts with `tests/support/counting_alloc.rs`, so it must stay a
+//! single `#[test]`: a second test thread would allocate into the same
+//! counters.
 
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+
+use counting_alloc::counted;
 use jitsu_repro::conduit::vchan::{Side, VchanPair};
 use jitsu_repro::netstack::dns::DnsMessage;
 use jitsu_repro::netstack::http::{HttpRequest, HttpResponse};
@@ -27,60 +30,6 @@ use jitsu_repro::prelude::*;
 use jitsu_repro::unikernel::instance::UnikernelInstance;
 use jitsu_repro::xen::event_channel::EventChannelTable;
 use jitsu_repro::xen::grant_table::GrantTable;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
-
-/// The system allocator, counting every block it hands out (a `realloc` is
-/// one more block of the new size).
-struct Counting;
-
-fn count(bytes: usize) {
-    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-    ALLOCATED_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counters touch no allocator state.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        // SAFETY: the caller's obligations are passed through as they came.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        // SAFETY: as for `alloc`.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size);
-        // SAFETY: as for `alloc`; `ptr` and `layout` describe a live block of
-        // this allocator because `System` handed it out above.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: as for `realloc`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
-/// `(allocations, bytes)` made while `f` ran.
-fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed);
-    let bytes = ALLOCATED_BYTES.load(Ordering::Relaxed);
-    let value = f();
-    (
-        value,
-        ALLOCATIONS.load(Ordering::Relaxed) - allocations,
-        ALLOCATED_BYTES.load(Ordering::Relaxed) - bytes,
-    )
-}
 
 const SITE: &str = "warm.example";
 const BIG_PATH: &str = "/big";

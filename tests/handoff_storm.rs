@@ -5,32 +5,20 @@
 //! Deterministic: the storm is a pure function of its seed, so a failure
 //! here always reproduces locally with `cargo test --test handoff_storm`.
 
+use bench::storm::{run_fleet, Cell};
 use jitsu_repro::jitsu::concurrent::{ConcurrentJitsud, StormMetrics};
-use jitsu_repro::jitsu::config::{JitsuConfig, ServiceConfig};
-use jitsu_repro::netstack::ipv4::Ipv4Addr;
 use jitsu_repro::platform::BoardKind;
 use jitsu_repro::prelude::*;
 
-const SERVICES: usize = 16;
-const RATE_PER_SEC: f64 = 24.0;
-const WINDOW_SECS: u64 = 20;
 const SEED: u64 = 0x4A0D;
 
-fn storm_config() -> JitsuConfig {
-    // A short idle TTL keeps relaunching the services, so connections keep
-    // crossing the Synjitsu → unikernel handoff throughout the run.
-    let mut cfg = JitsuConfig::new("handoff.example")
-        .with_launch_slots(2)
-        .with_idle_timeout(SimDuration::from_secs(1));
-    for i in 0..SERVICES {
-        let mut svc = ServiceConfig::http_site(
-            &format!("svc{i:02}.handoff.example"),
-            Ipv4Addr::new(192, 168, 3, 20 + i as u8),
-        );
-        svc.image.memory_mib = 16;
-        cfg = cfg.with_service(svc);
-    }
-    cfg
+/// The handoff storm's `24/s, 2 slots` cell over a 20 s window. Its 1 s
+/// idle TTL keeps relaunching the services, so connections keep crossing
+/// the Synjitsu → unikernel handoff throughout the run.
+fn cell() -> Cell {
+    let mut cell = Cell::handoff(24.0, 2, SEED);
+    cell.duration = SimDuration::from_secs(20);
+    cell
 }
 
 struct Outcome {
@@ -71,25 +59,14 @@ impl Outcome {
     }
 }
 
-/// The storm's Poisson arrivals over the window, each handed to `inject`
-/// as its arrival time and the service name it queries.
-fn for_each_arrival(mut inject: impl FnMut(SimTime, &str)) {
-    let mut rng = SimRng::seed_from_u64(SEED ^ 0x4A0D_0FF5);
-    let mut t = 0.0;
-    loop {
-        t += rng.exponential(1.0 / RATE_PER_SEC);
-        if t >= WINDOW_SECS as f64 {
-            break;
-        }
-        let service = rng.index(SERVICES);
-        let name = format!("svc{service:02}.handoff.example");
-        inject(SimTime::ZERO + SimDuration::from_secs_f64(t), &name);
-    }
-}
-
+/// The storm on the standalone `Sim`: the reference every other path is
+/// held against.
 fn run_storm() -> Outcome {
-    let mut sim = ConcurrentJitsud::sim(storm_config(), BoardKind::Cubieboard2.board(), SEED);
-    for_each_arrival(|at, name| ConcurrentJitsud::inject_query(&mut sim, at, name));
+    let cell = cell();
+    let mut sim = ConcurrentJitsud::sim(cell.host_config(), BoardKind::Cubieboard2.board(), SEED);
+    for (at, name) in cell.arrivals(SEED) {
+        ConcurrentJitsud::inject_query(&mut sim, at, &name);
+    }
     sim.run();
     Outcome::new(sim.world().metrics(), sim.events_executed())
 }
@@ -158,20 +135,13 @@ fn storm_counters_match_the_pre_zero_copy_golden_values() {
 /// bit-for-bit: a domain is the same `Sim` executor as the standalone
 /// one, and a lone board without fail-over does nothing at a barrier.
 fn run_storm_sharded(shards: u32) -> Outcome {
-    let mut sim: ShardedSim<ConcurrentJitsud> =
-        ShardedSim::new(shards, SimDuration::from_millis(50));
-    let world = ConcurrentJitsud::world(storm_config(), BoardKind::Cubieboard2.board(), SEED);
-    let board = sim.add_domain(world, SEED);
-    for_each_arrival(|at, name| {
-        jitsu_repro::jitsu::fleet::inject_query(&mut sim, board, at, name);
-    });
-    sim.run();
-    Outcome::new(sim.domain(board).metrics(), sim.events_executed())
+    let fleet = run_fleet(&cell(), 1, shards);
+    Outcome::new(fleet.boards[0].metrics(), fleet.events)
 }
 
-/// The PR's acceptance anchor: the sharded engine at 4 shards reproduces
-/// the 1-shard (and standalone `Sim`) golden counters for seed `0x4A0D`
-/// bit-exactly — 462 queries, 146 migrated, 0 dropped, 0 duplicated.
+/// The bench fleet runner at 1 and 4 shards reproduces the standalone
+/// `Sim`'s golden counters for seed `0x4A0D` bit-exactly — 462 queries,
+/// 146 migrated, 0 dropped, 0 duplicated.
 #[test]
 fn four_shard_storm_reproduces_the_flat_engine_golden_counters() {
     for shards in [1u32, 4] {
@@ -220,13 +190,40 @@ fn handoff_storm_is_deterministic_under_a_fixed_seed() {
     assert_eq!(a.events, b.events);
 }
 
-/// Golden seed-stability for the rendered experiment (what `reproduce`
-/// prints): two renders with the same seed must be byte-identical.
+/// The storm reports, rendered in-process, against the goldens recorded on
+/// an earlier commit: both sweeps as `reproduce` prints them, and both
+/// fleet tables at 4 boards, at 1 and at 4 shards. A moved row, column or
+/// count fails here, not only in CI's shell diffs.
 #[test]
-fn handoff_storm_report_is_seed_stable() {
-    let a = bench::handoff_storm::table(0x4A0D).render();
-    let b = bench::handoff_storm::table(0x4A0D).render();
-    assert_eq!(a, b);
-    assert!(a.contains("migrated"));
-    assert!(a.contains("dropped B"));
+fn storm_reports_match_their_goldens() {
+    let golden = |name: &str| {
+        let path = format!("{}/tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+    };
+    let reproduce = golden("reproduce.txt");
+    for (name, table) in [
+        ("boot", bench::storm::boot_sweep(0xB007)),
+        ("handoff", bench::storm::handoff_sweep(0x4A0D)),
+    ] {
+        assert!(
+            reproduce.contains(&table.render()),
+            "{name} storm sweep differs from tests/golden/reproduce.txt"
+        );
+    }
+    let (boot, handoff) = (
+        golden("boot_storm_fleet.txt"),
+        golden("handoff_storm_fleet.txt"),
+    );
+    for shards in [1, 4] {
+        let table = bench::storm::boot_fleet(0x4A0D, 4, shards);
+        assert!(
+            boot.contains(&table.render()),
+            "boot fleet, {shards} shards"
+        );
+        let table = bench::storm::handoff_fleet(0x4A0D, 4, shards);
+        assert!(
+            handoff.contains(&table.render()),
+            "handoff fleet, {shards} shards"
+        );
+    }
 }

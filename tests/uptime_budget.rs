@@ -24,54 +24,14 @@
 //!   it holds the same heap at both ends of the interval.
 //!
 //! The arrivals come from a generator of this file's own, like
-//! `tests/launch_budget.rs`, and for the same reason as that file this one
-//! holds an `unsafe impl` and must stay a single `#[test]`.
+//! `tests/launch_budget.rs`, and like that file this one counts with
+//! `tests/support/counting_alloc.rs` and must stay a single `#[test]`.
+
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
 
 use jitsu_repro::prelude::*;
 use jitsu_repro::sim::TRACE_CAPACITY;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
-
-/// The system allocator, counting every block it hands out (a `realloc` is
-/// one more block) and the bytes currently handed out.
-struct Counting;
-
-fn count(taken: usize, given_back: usize) {
-    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-    LIVE_BYTES.fetch_add(taken as i64 - given_back as i64, Ordering::Relaxed);
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counters touch no allocator state.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size(), 0);
-        // SAFETY: the caller's obligations are passed through as they came.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count(layout.size(), 0);
-        // SAFETY: as for `alloc`.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size, layout.size());
-        // SAFETY: as for `alloc`; `ptr` and `layout` describe a live block of
-        // this allocator because `System` handed it out above.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE_BYTES.fetch_sub(layout.size() as i64, Ordering::Relaxed);
-        // SAFETY: as for `realloc`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
 
 const SERVICES: usize = 24;
 const SLICE_S: u64 = 5;
@@ -152,7 +112,7 @@ fn pushed_vec_bytes(len: usize, element: usize) -> i64 {
 fn heap(world: &ConcurrentJitsud) -> Heap {
     let m = world.metrics();
     Heap {
-        live: LIVE_BYTES.load(Ordering::Relaxed),
+        live: counting_alloc::live_bytes(),
         recorder_ttfb: pushed_vec_bytes(m.ttfb.count(), 8),
         recorder_request_latency: pushed_vec_bytes(m.handoff.request_latency.count(), 8),
     }
@@ -167,7 +127,7 @@ struct Mark {
 
 fn mark(sim: &StormSim) -> Mark {
     Mark {
-        allocations: ALLOCATIONS.load(Ordering::Relaxed),
+        allocations: counting_alloc::allocations(),
         launches: sim.world().metrics().launches,
     }
 }

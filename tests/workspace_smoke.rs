@@ -4,7 +4,7 @@
 //! deterministically from a fixed seed.
 
 use jitsu_repro::prelude::*;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// The crates whose code runs inside the simulation: non-test code there
 /// may not panic, discard a `Result` or silence a lint without a reason.
@@ -71,6 +71,38 @@ fn every_crate_root_carries_its_lint_policy() {
             policy_attribute(crate_dir)
         );
     }
+}
+
+/// Unsafe code lives in one file: the budget tests' counting allocator.
+/// Crate roots forbid it; this covers the integration tests and examples,
+/// which carry no root attribute of their own.
+#[test]
+fn the_counting_allocator_is_the_only_unsafe_code() {
+    let workspace = Path::new(env!("CARGO_MANIFEST_DIR"));
+    // Spelled out at run time so that this file does not match itself.
+    let markers = ["{", "fn", "impl"].map(|next| format!("{} {next}", "unsafe"));
+    let mut dirs: Vec<PathBuf> = ["crates", "src", "tests", "examples"]
+        .map(|dir| workspace.join(dir))
+        .into();
+    let mut found = Vec::new();
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(&dir).unwrap_or_else(|e| panic!("{dir:?}: {e}")) {
+            let path = entry.expect("a directory entry").path();
+            if path.is_dir() {
+                dirs.push(path);
+            } else if path.extension().is_some_and(|ext| ext == "rs") {
+                let text = std::fs::read_to_string(&path).expect("a readable source file");
+                let code = text.lines().filter(|l| !l.trim_start().starts_with("//"));
+                if code
+                    .into_iter()
+                    .any(|l| markers.iter().any(|m| l.contains(m)))
+                {
+                    found.push(path.strip_prefix(workspace).expect("inside").to_path_buf());
+                }
+            }
+        }
+    }
+    assert_eq!(found, [Path::new("tests/support/counting_alloc.rs")]);
 }
 
 /// One symbol from each of the ten re-exported crates, referenced through

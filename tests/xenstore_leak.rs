@@ -4,6 +4,7 @@
 //! home (`/local/domain/0/backend/vif/<domid>`) where removing the guest's
 //! home cannot reach it and which once leaked six nodes per domain.
 
+use bench::storm::Cell;
 use jitsu_repro::prelude::*;
 use jitsu_repro::xen::domain::DomainConfig;
 use jitsu_repro::xenstore::Path;
@@ -44,48 +45,38 @@ fn two_hundred_create_destroy_cycles_return_the_store_to_its_starting_size() {
 
 #[test]
 fn a_drained_storm_leaves_the_store_as_it_found_it() {
-    const SERVICES: usize = 12;
-    let name = |i: usize| format!("svc{i:02}.leak.example");
-    let mut cfg = JitsuConfig::new("leak.example")
-        .with_launch_slots(2)
-        .with_idle_timeout(SimDuration::from_secs(1));
-    for i in 0..SERVICES {
-        let mut svc = ServiceConfig::http_site(&name(i), Ipv4Addr::new(192, 168, 3, 20 + i as u8));
-        svc.image.memory_mib = 16;
-        cfg = cfg.with_service(svc);
-    }
-    let mut sim = ConcurrentJitsud::sim(cfg, BoardKind::Cubieboard2.board(), 0x1EAC);
+    // Twelve handoff-storm services with a 1 s idle TTL, queried at 8/s
+    // for 10 virtual seconds: services are summoned, reaped and summoned
+    // again many times over.
+    let mut cell = Cell::handoff(8.0, 2, 0x1EAC);
+    cell.services = 12;
+    let mut sim = ConcurrentJitsud::sim(
+        cell.host_config(),
+        BoardKind::Cubieboard2.board(),
+        cell.seed,
+    );
 
     // Registration is lazy: the first launch of a service creates its
     // handoff area under `/conduit`, the first launch of all the shared
     // directories. One drained round that summons every service once puts
     // the store in its steady state; no later launch may add to it.
-    for i in 0..SERVICES {
+    for i in 0..cell.services {
         let at = SimTime::ZERO + SimDuration::from_millis(300 * i as u64);
-        ConcurrentJitsud::inject_query(&mut sim, at, &name(i));
+        ConcurrentJitsud::inject_query(&mut sim, at, &cell.name(i));
     }
     sim.run();
-    assert_eq!(sim.world().metrics().reaps, SERVICES as u64);
+    assert_eq!(sim.world().metrics().reaps, cell.services as u64);
     let steady = sim.world().xenstore().tree().all_paths();
 
-    // 8 queries/s for 10 virtual seconds against the 1 s idle TTL: services
-    // are summoned, reaped and summoned again many times over.
-    let mut rng = SimRng::seed_from_u64(0x1EAC ^ 0xB007);
     let start = sim.now() + SimDuration::from_secs(1);
-    let mut t = 0.0;
-    loop {
-        t += rng.exponential(1.0 / 8.0);
-        if t >= 10.0 {
-            break;
-        }
-        let at = start + SimDuration::from_secs_f64(t);
-        ConcurrentJitsud::inject_query(&mut sim, at, &name(rng.index(SERVICES)));
+    for (at, name) in cell.arrivals(cell.seed) {
+        ConcurrentJitsud::inject_query(&mut sim, start + (at - SimTime::ZERO), &name);
     }
     sim.run();
     let world = sim.world();
     let m = world.metrics();
     assert!(
-        m.launches > 3 * SERVICES as u64,
+        m.launches > 3 * cell.services as u64,
         "launches = {}",
         m.launches
     );
