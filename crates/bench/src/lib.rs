@@ -5,9 +5,9 @@
 //! binaries print them, and `reproduce` prints them all (its output is held
 //! byte for byte against `tests/golden/reproduce.txt`). [`storm`] runs the
 //! boot and handoff storms on one cell type and one fleet runner, and
-//! [`snapshot`] collects the exact counters `bench_snapshot` gates against
-//! `BENCH_BASELINE.json`. Host time is measured by the standalone
-//! `benchmark/` package, never here.
+//! [`snapshot`] collects the exact counters `bench_snapshot` prints, held
+//! byte for byte against `tests/golden/bench_snapshot.txt`. Host time is
+//! measured by the standalone `benchmark/` package, never here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -17,7 +17,6 @@ pub mod fig4;
 pub mod fig8;
 pub mod fig9a;
 pub mod fig9b;
-pub mod json;
 pub mod snapshot;
 pub mod storm;
 pub mod table1;

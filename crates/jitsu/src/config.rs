@@ -13,15 +13,6 @@ use unikernel::image::UnikernelImage;
 use xen_sim::toolstack::BootOptimisations;
 use xenstore::EngineKind;
 
-/// The transport protocol a service speaks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Protocol {
-    /// TCP (HTTP sites, the persistent queue, SSL/TLS endpoints).
-    Tcp,
-    /// UDP (DNS and similar request/response services).
-    Udp,
-}
-
 /// One service Jitsu is responsible for.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServiceConfig {
@@ -31,8 +22,6 @@ pub struct ServiceConfig {
     pub image: UnikernelImage,
     /// The external IP assigned on the bridge.
     pub ip: Ipv4Addr,
-    /// Protocol.
-    pub protocol: Protocol,
     /// Listening port.
     pub port: u16,
 }
@@ -44,7 +33,6 @@ impl ServiceConfig {
             name: name.to_string(),
             image: UnikernelImage::mirage(name),
             ip,
-            protocol: Protocol::Tcp,
             port: 80,
         }
     }
@@ -162,7 +150,6 @@ mod tests {
     fn http_site_defaults() {
         let s = ServiceConfig::http_site("alice.family.name", Ipv4Addr::new(192, 168, 1, 20));
         assert_eq!(s.port, 80);
-        assert_eq!(s.protocol, Protocol::Tcp);
         assert_eq!(s.image.memory_mib, 16);
         let mac = s.mac();
         assert_eq!(mac.0[0] & 0x01, 0, "unicast");

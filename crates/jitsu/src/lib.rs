@@ -5,7 +5,7 @@
 //! latency.
 //!
 //! * [`config`] — service configuration: which DNS name maps to which
-//!   unikernel image, external IP, protocol and port (§3.3.2);
+//!   unikernel image, external IP and port (§3.3.2);
 //! * [`directory`] — the Jitsu directory service: an authoritative DNS
 //!   responder that returns the address of a running unikernel, triggers a
 //!   launch for a known-but-not-running one, or answers `SERVFAIL` when the
@@ -49,7 +49,7 @@ pub mod launcher;
 pub mod synjitsu;
 
 pub use concurrent::{ConcurrentJitsud, JitsuEvent, LifecyclePhase, StormMetrics, StormSim};
-pub use config::{JitsuConfig, Protocol, ServiceConfig};
+pub use config::{JitsuConfig, ServiceConfig};
 pub use directory::{DirectoryAction, DirectoryService, ServicePhase};
 pub use fleet::{FleetMsg, FleetSim};
 pub use handoff::HandoffPhase;

@@ -53,7 +53,7 @@ pub mod prelude {
     pub use crate::jitsu::concurrent::{
         ConcurrentJitsud, HandoffStats, JitsuEvent, LifecyclePhase, StormMetrics, StormSim,
     };
-    pub use crate::jitsu::config::{JitsuConfig, Protocol, ServiceConfig};
+    pub use crate::jitsu::config::{JitsuConfig, ServiceConfig};
     pub use crate::jitsu::directory::{DirectoryAction, DirectoryService, ServicePhase};
     pub use crate::jitsu::handoff::HandoffPhase;
     pub use crate::jitsu::launcher::Launcher;
