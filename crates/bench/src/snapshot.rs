@@ -545,8 +545,16 @@ mod tests {
                 "{text}"
             );
         }
-        // One unit in the last place is drift too: there is no tolerance.
+    }
+
+    #[test]
+    fn any_virtual_drift_fails_regardless_of_size() {
+        let line = |value: f64| render(&[Metric::new("handoff", "latency_p99", "ms", value)]);
         let p99 = 451.36316111999986_f64;
+        assert_eq!(line(p99), line(p99));
+        assert_ne!(line(p99), line(p99 + 1.0));
+        // One unit in the last place is drift too: there is no tolerance.
         assert_ne!(line(p99), line(p99.next_up()));
+        assert_ne!(line(p99), line(p99.next_down()));
     }
 }
