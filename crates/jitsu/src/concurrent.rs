@@ -33,11 +33,17 @@
 //!   reservations for launches still waiting on a slot); a query that
 //!   cannot fit is answered `SERVFAIL` so the client fails over to another
 //!   board (§3.3.2).
-//! * **Idle reaping** — a service idle longer than the configured TTL is
+//! * **Idle reaping** — a service idle longer than the configured TTL (its
+//!   `Running` record's clock, which every warm query refreshes) is
 //!   drained: its domain is torn down (taking
 //!   [`Toolstack::teardown_time`](xen_sim::toolstack::Toolstack) of
 //!   virtual time) and its memory returns to the pool, after which the name
 //!   can be summoned again from scratch.
+//!
+//! A query is decided by one `match` on its service's lifecycle record —
+//! `Idle` admits (or answers `SERVFAIL`), `AwaitingSlot`, `Launching` and
+//! `Draining` coalesce, `Running` serves warm — and that record is the
+//! daemon's only copy of which services are alive.
 //!
 //! The SYN queue is not a counter: while a service boots, each queued
 //! client completes a real TCP handshake against the real
@@ -47,7 +53,6 @@
 //! and a `Committed` phase flip.
 
 use crate::config::JitsuConfig;
-use crate::directory::{DirectoryAction, DirectoryService};
 use crate::handoff::{self, HandoffPhase};
 use crate::launcher::Launcher;
 use crate::synjitsu::Synjitsu;
@@ -55,7 +60,6 @@ use conduit::flows::FlowTable;
 use conduit::rendezvous::ConduitRegistry;
 use conduit::vchan::Side;
 use jitsu_sim::{LatencyRecorder, Scheduler, Sim, SimDuration, SimRng, SimTime, Trace};
-use netstack::dns::{DnsMessage, Rcode};
 use netstack::ethernet::{EthernetFrame, MacAddr};
 use netstack::http::HttpRequest;
 use netstack::iface::{IfaceEvent, Interface};
@@ -162,11 +166,13 @@ enum Lifecycle {
         /// construction-done; merged, not aborted, on the Jitsu engine).
         boot_tx: Option<xenstore::TxId>,
     },
-    /// The unikernel is serving requests. Its idle clock is the
-    /// directory's: every query for the name refreshes it.
+    /// The unikernel is serving requests.
     Running {
         /// The serving domain.
         dom: DomId,
+        /// The idle clock the reaper reads: app-ready, then every warm
+        /// query for the name.
+        last_activity: SimTime,
     },
     /// Reaped: the domain is being torn down; memory frees when it is done.
     Draining {
@@ -397,7 +403,6 @@ impl StormMetrics {
 /// [`Sim<ConcurrentJitsud>`].
 pub struct ConcurrentJitsud {
     config: JitsuConfig,
-    directory: DirectoryService,
     launcher: Launcher,
     synjitsu: Synjitsu,
     slots: LaunchSlots,
@@ -458,7 +463,6 @@ impl ConcurrentJitsud {
             .register(&mut toolstack.xenstore, "synjitsu", DomId::DOM0)
             .expect("conduit registration succeeds on a fresh store");
         let launcher = Launcher::new(toolstack, config.boot);
-        let directory = DirectoryService::new(config.clone());
         let slots = LaunchSlots::new(config.launch_slots);
         assert!(
             config.services.len() <= usize::from(u16::MAX) + 1,
@@ -473,7 +477,6 @@ impl ConcurrentJitsud {
             })
             .collect();
         ConcurrentJitsud {
-            directory,
             launcher,
             synjitsu: Synjitsu::new(),
             slots,
@@ -526,9 +529,12 @@ impl ConcurrentJitsud {
     /// The current lifecycle phase of a service (`Idle` for a name that is
     /// not configured).
     pub fn phase(&self, name: &str) -> LifecyclePhase {
-        let lifecycle = self.service_of(name).map_or(&Lifecycle::Idle, |ix| {
-            &self.services[usize::from(ix)].lifecycle
-        });
+        let lifecycle = self
+            .config
+            .service_index(name)
+            .map_or(&Lifecycle::Idle, |ix| {
+                &self.services[usize::from(ix)].lifecycle
+            });
         match lifecycle {
             Lifecycle::Idle => LifecyclePhase::Idle,
             Lifecycle::AwaitingSlot { .. } => LifecyclePhase::AwaitingSlot,
@@ -582,15 +588,6 @@ impl ConcurrentJitsud {
     /// The daemon's trace, oldest record first. `Display` renders it.
     pub fn trace(&self) -> &Trace<JitsuEvent> {
         &self.trace
-    }
-
-    /// The index in `config.services` of the service `name` names, if any
-    /// (trailing dots ignored). The one name lookup: a query makes it as it
-    /// enters, and everything after carries the index.
-    fn service_of(&self, name: &str) -> Option<u16> {
-        let name = name.trim_matches('.');
-        let ix = self.config.services.iter().position(|s| s.name == name)?;
-        u16::try_from(ix).ok()
     }
 
     fn next_seed(&mut self) -> u64 {
@@ -798,11 +795,14 @@ impl ConcurrentJitsud {
         }
     }
 
-    /// Event: a DNS query for `name` arrives. `hops` is how many further
-    /// boards a query forwarded by a peer may still try; `None` for a fresh
-    /// arrival, which starts from `failover_hops_default`. Crate-visible so
-    /// the fleet layer (`crate::fleet`) can route failed-over queries into
-    /// a board's domain context directly.
+    /// Event: a DNS query for `name` arrives, and its service's lifecycle
+    /// decides it: an idle service is admitted, or answered `SERVFAIL` if it
+    /// does not fit; a booting or draining one coalesces the query; a
+    /// running one serves it warm. `hops` is how many further boards a
+    /// query forwarded by a peer may still try; `None` for a fresh arrival,
+    /// which starts from `failover_hops_default`. Crate-visible so the fleet
+    /// layer (`crate::fleet`) can route failed-over queries into a board's
+    /// domain context directly.
     pub(crate) fn on_query<S: Scheduler<World = ConcurrentJitsud>>(
         sim: &mut S,
         name: String,
@@ -811,54 +811,39 @@ impl ConcurrentJitsud {
         let now = sim.now();
         let world = sim.world_mut();
         world.metrics.queries += 1;
-        let qid = (world.metrics.queries & 0xffff) as u16;
-        let ix = world.service_of(&name);
-        // Admission: memory for the service, net of reservations for boots
-        // still waiting on a slot. A draining service is exempt — the drain
-        // is about to free exactly the memory it needs.
-        let resources = ix.is_none_or(|ix| {
-            let i = usize::from(ix);
-            matches!(world.services[i].lifecycle, Lifecycle::Draining { .. })
-                || world.effective_free_mib() >= world.config.services[i].image.memory_mib
-        });
-        let query = DnsMessage::query(qid, &name);
-        let (response, action) = world.directory.handle_query(&query, now, resources);
-        match (action, ix) {
-            (DirectoryAction::ResourceExhausted { name }, Some(service)) => {
-                world.metrics.servfails += 1;
-                world.trace.push(now, JitsuEvent::ServFail { service });
-                // §3.3.2's other half: in a fleet the SERVFAIL makes the
-                // client retry against the next board. Parked here; the
-                // fleet layer forwards it at the next epoch barrier.
-                if world.config.failover {
-                    let hops = hops.unwrap_or(world.failover_hops_default);
-                    if hops > 0 {
-                        world.metrics.failovers += 1;
-                        world.pending_failover.push((name, hops - 1));
-                    } else {
-                        world.metrics.failover_dropped += 1;
-                    }
-                }
-            }
-            (DirectoryAction::AlreadyRunning { .. }, Some(ix)) => Self::on_alive_query(sim, ix),
-            (DirectoryAction::Launch { .. }, Some(ix)) => Self::on_admitted(sim, ix),
-            // Not a configured service: the directory answered for the
-            // nameserver itself, or refused the name.
-            _ => {
-                if response.rcode != Rcode::NoError {
-                    world.metrics.unknown += 1;
-                }
-            }
+        if world.config.is_nameserver(&name) {
+            return; // answered with the nameserver's own address
         }
-    }
-
-    /// A query for a service the directory considers alive (mid-launch or
-    /// running) — coalesce or serve warm.
-    fn on_alive_query<S: Scheduler<World = ConcurrentJitsud>>(sim: &mut S, ix: u16) {
-        let now = sim.now();
-        let world = sim.world_mut();
+        let Some(ix) = world.config.service_index(&name) else {
+            // NXDOMAIN inside the zone, SERVFAIL outside it.
+            world.metrics.unknown += 1;
+            return;
+        };
+        let i = usize::from(ix);
+        // Admission: memory for the service, net of reservations for boots
+        // still waiting on a slot.
+        if matches!(world.services[i].lifecycle, Lifecycle::Idle)
+            && world.effective_free_mib() < world.config.services[i].image.memory_mib
+        {
+            world.metrics.servfails += 1;
+            world.trace.push(now, JitsuEvent::ServFail { service: ix });
+            // §3.3.2's other half: in a fleet the SERVFAIL makes the
+            // client retry against the next board. Parked here; the fleet
+            // layer forwards it at the next epoch barrier.
+            if world.config.failover {
+                let hops = hops.unwrap_or(world.failover_hops_default);
+                if hops > 0 {
+                    world.metrics.failovers += 1;
+                    world.pending_failover.push((name, hops - 1));
+                } else {
+                    world.metrics.failover_dropped += 1;
+                }
+            }
+            return;
+        }
         let client = world.new_client(now);
-        match &mut world.services[usize::from(ix)].lifecycle {
+        match &mut world.services[i].lifecycle {
+            Lifecycle::Idle => Self::admit(sim, ix, vec![client]),
             Lifecycle::AwaitingSlot { queued } => {
                 queued.push(client);
                 world.metrics.coalesced += 1;
@@ -875,49 +860,25 @@ impl ConcurrentJitsud {
                 Self::open_client_flow(world, ix, client);
             }
             Lifecycle::Draining { queued, .. } => {
-                // A relaunch is already committed (the query that triggered
-                // it marked the directory); ride along.
+                // Reap/resummon race: no memory check, since the drain is
+                // about to free exactly the memory the service needs. The
+                // relaunch starts the moment the drain completes.
                 queued.push(client);
                 world.metrics.coalesced += 1;
             }
-            Lifecycle::Running { .. } => {
+            Lifecycle::Running { last_activity, .. } => {
                 // Warm hit: DNS round plus handshake, request and response
                 // against the running unikernel (the ≈5 ms local path, §3).
+                *last_activity = now;
                 let ttfb = world.dns_processing
                     + world.one_way_delay * 6
                     + world.service_cost
                     + world.one_way_delay;
                 world.metrics.ttfb.record(ttfb);
                 world.metrics.warm_hits += 1;
-                // `handle_query` just refreshed the idle clock; re-arm the
-                // reaper from it.
                 Self::schedule_reap_check(sim, ix, now);
             }
-            Lifecycle::Idle => {
-                debug_assert!(false, "directory alive but service {ix} idle");
-            }
         }
-    }
-
-    /// A query the directory admitted for launch: park the client and, unless
-    /// the old domain is still draining, admit the service.
-    fn on_admitted<S: Scheduler<World = ConcurrentJitsud>>(sim: &mut S, ix: u16) {
-        let now = sim.now();
-        let world = sim.world_mut();
-        let client = world.new_client(now);
-        let lifecycle = &mut world.services[usize::from(ix)].lifecycle;
-        if let Lifecycle::Draining { queued, .. } = lifecycle {
-            // Reap/resummon race: the domain is still tearing down; the
-            // relaunch starts the moment the drain completes.
-            queued.push(client);
-            world.metrics.coalesced += 1;
-            return;
-        }
-        debug_assert!(
-            matches!(lifecycle, Lifecycle::Idle),
-            "Launch action for service {ix} in a non-idle state"
-        );
-        Self::admit(sim, ix, vec![client]);
     }
 
     /// Admit a service with `queued` parked on it: reserve its memory, start
@@ -1046,7 +1007,6 @@ impl ConcurrentJitsud {
                     for client in &queued {
                         world.clients.remove(&client.id);
                     }
-                    world.directory.mark_stopped(&svc.name);
                     world.services[i].lifecycle = Lifecycle::Idle;
                     world.slots.release();
                 }
@@ -1354,9 +1314,6 @@ impl ConcurrentJitsud {
             debug_assert!(false, "app-ready without a launching service {ix}");
             return;
         };
-        world
-            .directory
-            .mark_ready(&world.config.services[i].name, now);
         for client in &queued {
             let ttfb = world.cold_ttfb(client.arrived, network_ready_at, app_ready_at);
             world.metrics.ttfb.record(ttfb);
@@ -1375,7 +1332,10 @@ impl ConcurrentJitsud {
         };
         world.trace.push(now, event);
         Self::account_exchanges(world, ix, &queued);
-        world.services[i].lifecycle = Lifecycle::Running { dom };
+        world.services[i].lifecycle = Lifecycle::Running {
+            dom,
+            last_activity: now,
+        };
         Self::schedule_reap_check(sim, ix, now);
     }
 
@@ -1430,19 +1390,16 @@ impl ConcurrentJitsud {
             return;
         };
         let i = usize::from(ix);
-        let Lifecycle::Running { dom } = world.services[i].lifecycle else {
+        let Lifecycle::Running { dom, last_activity } = world.services[i].lifecycle else {
             return;
         };
-        let name = &world.config.services[i].name;
-        let idle_since = world.directory.last_activity(name).unwrap_or(now);
-        if now.duration_since(idle_since) < ttl {
+        if now.duration_since(last_activity) < ttl {
             return; // refreshed since this check was armed; a newer one is pending
         }
         world.services[i].lifecycle = Lifecycle::Draining {
             dom,
             queued: Vec::new(),
         };
-        world.directory.mark_stopped(name);
         world.metrics.reaps += 1;
         world
             .trace
@@ -1489,7 +1446,7 @@ impl ConcurrentJitsud {
             .trace
             .push(now, JitsuEvent::Retired { service: ix, dom });
         // Re-entry: waiters arrived while the old domain drained. Launch
-        // again from scratch (the directory already shows it as launching).
+        // again from scratch.
         if !queued.is_empty() {
             Self::admit(sim, ix, queued);
         }
@@ -1622,7 +1579,10 @@ mod tests {
     /// When the launching service `name`'s network stack attaches.
     fn network_ready_at(sim: &StormSim, name: &str) -> SimTime {
         let world = sim.world();
-        let ix = world.service_of(name).expect("configured service");
+        let ix = world
+            .config
+            .service_index(name)
+            .expect("configured service");
         match world.services[usize::from(ix)].lifecycle {
             Lifecycle::Launching {
                 network_ready_at, ..
@@ -1845,14 +1805,18 @@ mod tests {
             guard += 1;
             assert!(guard < 1_000, "service never entered Draining");
         }
-        // A query lands mid-drain: it must wait out the teardown, then boot.
+        // Two queries land mid-drain: both wait out the teardown, then ride
+        // one boot.
         let mid_drain = sim.now();
+        ConcurrentJitsud::inject_query(&mut sim, mid_drain, ALICE);
         ConcurrentJitsud::inject_query(&mut sim, mid_drain, ALICE);
         sim.run_until(mid_drain + SimDuration::from_millis(600));
         assert_eq!(sim.world().phase(ALICE), LifecyclePhase::Running);
-        assert_eq!(sim.world().metrics().launches, 2);
-        assert_eq!(sim.world().metrics().cold_served, 2);
-        assert_eq!(sim.world().metrics().reaps, 1);
+        let m = sim.world().metrics();
+        assert_eq!(m.coalesced, 2);
+        assert_eq!(m.launches, 2);
+        assert_eq!(m.cold_served, 3);
+        assert_eq!(m.reaps, 1);
     }
 
     #[test]
@@ -1912,11 +1876,16 @@ mod tests {
         let mut sim = sim(config());
         ConcurrentJitsud::inject_query(&mut sim, SimTime::ZERO, "carol.family.name");
         ConcurrentJitsud::inject_query(&mut sim, SimTime::ZERO, "example.com");
+        // The nameserver's own name is answered: neither unknown nor a
+        // service, so no launch and no client.
+        ConcurrentJitsud::inject_query(&mut sim, SimTime::ZERO, "ns.family.name");
+        ConcurrentJitsud::inject_query(&mut sim, SimTime::ZERO, "ns.family.name.");
         sim.run();
         let m = sim.world().metrics();
         assert_eq!(m.unknown, 2);
         assert_eq!(m.launches, 0);
-        assert_eq!(m.queries, 2);
+        assert_eq!(m.queries, 4);
+        assert_eq!(sim.world().next_client_id, 0, "no client was drawn");
     }
 
     #[test]

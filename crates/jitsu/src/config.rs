@@ -129,16 +129,19 @@ impl JitsuConfig {
         self
     }
 
-    /// Find a service by DNS name.
-    pub fn service(&self, name: &str) -> Option<&ServiceConfig> {
+    /// The index in [`Self::services`] of the service `name` names, if any
+    /// (trailing dots ignored). A query makes this one lookup as it enters,
+    /// and everything after carries the index.
+    pub fn service_index(&self, name: &str) -> Option<u16> {
         let name = name.trim_matches('.');
-        self.services.iter().find(|s| s.name == name)
+        let ix = self.services.iter().position(|s| s.name == name)?;
+        u16::try_from(ix).ok()
     }
 
-    /// The nameserver's own name (`ns.<zone>`), as registered in the public
-    /// DNS (§3.3.2).
-    pub fn nameserver_name(&self) -> String {
-        format!("ns.{}", self.zone)
+    /// Whether `name` is the nameserver's own (`ns.<zone>`), as registered
+    /// in the public DNS (§3.3.2). Trailing dots are ignored.
+    pub fn is_nameserver(&self, name: &str) -> bool {
+        name.trim_matches('.').strip_prefix("ns.") == Some(self.zone.as_str())
     }
 }
 
@@ -168,10 +171,12 @@ mod tests {
                 Ipv4Addr::new(192, 168, 1, 21),
             ));
         assert_eq!(cfg.zone, "family.name");
-        assert_eq!(cfg.nameserver_name(), "ns.family.name");
-        assert!(cfg.service("alice.family.name").is_some());
-        assert!(cfg.service("alice.family.name.").is_some());
-        assert!(cfg.service("carol.family.name").is_none());
+        assert!(cfg.is_nameserver("ns.family.name"));
+        assert!(cfg.is_nameserver("ns.family.name."));
+        assert!(!cfg.is_nameserver("family.name"));
+        assert_eq!(cfg.service_index("alice.family.name"), Some(0));
+        assert_eq!(cfg.service_index("bob.family.name."), Some(1));
+        assert_eq!(cfg.service_index("carol.family.name"), None);
         assert!(cfg.use_synjitsu);
         assert_eq!(cfg.engine, EngineKind::JitsuMerge);
     }

@@ -8,6 +8,10 @@
 //! simultaneously returning an appropriate endpoint" (§3.3). Resource
 //! exhaustion is reported as `SERVFAIL` so clients fail over to another
 //! board.
+//!
+//! [`ConcurrentJitsud`](crate::concurrent::ConcurrentJitsud) makes the same
+//! decision from its own per-service lifecycle records and keeps no
+//! `DirectoryService`; this is the decision standing alone.
 
 use crate::config::JitsuConfig;
 use jitsu_sim::SimTime;
@@ -53,20 +57,13 @@ pub enum ServicePhase {
     Running,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct ServiceStatus {
-    phase: ServicePhase,
-    last_activity: SimTime,
-}
-
 /// The directory service state: configured services plus which are alive
 /// (mid-launch or running).
 #[derive(Debug)]
 pub struct DirectoryService {
     config: JitsuConfig,
-    /// Alive services: their lifecycle phase and when they last served a
-    /// request (for the idle retirement policy).
-    services: BTreeMap<String, ServiceStatus>,
+    /// Alive services and their lifecycle phase.
+    services: BTreeMap<String, ServicePhase>,
     queries_handled: u64,
     launches_triggered: u64,
 }
@@ -83,15 +80,11 @@ impl DirectoryService {
     }
 
     /// Record that a service's unikernel is now serving requests (called
-    /// when the launch completes).
-    pub fn mark_ready(&mut self, name: &str, now: SimTime) {
-        self.services.insert(
-            name.trim_matches('.').to_string(),
-            ServiceStatus {
-                phase: ServicePhase::Running,
-                last_activity: now,
-            },
-        );
+    /// when the launch completes). The directory keeps no clock: `_now` is
+    /// kept for callers that pass it.
+    pub fn mark_ready(&mut self, name: &str, _now: SimTime) {
+        self.services
+            .insert(name.trim_matches('.').to_string(), ServicePhase::Running);
     }
 
     /// Record that a service has been retired (or that its launch failed).
@@ -107,47 +100,37 @@ impl DirectoryService {
 
     /// The service's lifecycle phase, if it is alive.
     pub fn phase(&self, name: &str) -> Option<ServicePhase> {
-        self.services.get(name.trim_matches('.')).map(|s| s.phase)
-    }
-
-    /// When a live service last saw a query: its launch trigger while it
-    /// launches, then the later of its app-ready and its latest query. The
-    /// daemon's idle reaper reads this clock.
-    pub(crate) fn last_activity(&self, name: &str) -> Option<SimTime> {
-        self.services
-            .get(name.trim_matches('.'))
-            .map(|s| s.last_activity)
+        self.services.get(name.trim_matches('.')).copied()
     }
 
     /// Handle a DNS query, given whether the host currently has resources to
     /// summon another unikernel. Returns the response to send immediately
-    /// and the action the caller (jitsud) should take.
+    /// and the action the caller should take. The directory keeps no clock:
+    /// `_now` is kept for callers that pass it.
     pub fn handle_query(
         &mut self,
         query: &DnsMessage,
-        now: SimTime,
+        _now: SimTime,
         resources_available: bool,
     ) -> (DnsMessage, DirectoryAction) {
         self.queries_handled += 1;
-        let Some(name) = query
-            .queried_name()
-            .map(|s| s.trim_matches('.').to_string())
-        else {
+        let Some(name) = query.queried_name() else {
             return (
                 DnsMessage::error(query, Rcode::ServFail),
                 DirectoryAction::None,
             );
         };
         // The nameserver's own record.
-        if name == self.config.nameserver_name() {
+        if self.config.is_nameserver(name) {
             return (
                 DnsMessage::answer(query, Ipv4Addr::new(192, 168, 1, 1), self.config.dns_ttl),
                 DirectoryAction::None,
             );
         }
-        let Some(service) = self.config.service(&name).cloned() else {
+        let Some(ix) = self.config.service_index(name) else {
             // Inside our zone but unknown → NXDOMAIN; outside → refuse with
             // SERVFAIL (we are not a recursive resolver in this model).
+            let name = name.trim_matches('.');
             let zone = &self.config.zone;
             let in_zone = name == *zone
                 || name
@@ -160,17 +143,18 @@ impl DirectoryService {
             };
             return (DnsMessage::error(query, rcode), DirectoryAction::None);
         };
-        if let Some(status) = self.services.get_mut(&service.name) {
-            status.last_activity = now;
+        let service = &self.config.services[usize::from(ix)];
+        let name = service.name.clone();
+        if self.services.contains_key(&name) {
             return (
                 DnsMessage::answer(query, service.ip, self.config.dns_ttl),
-                DirectoryAction::AlreadyRunning { name: service.name },
+                DirectoryAction::AlreadyRunning { name },
             );
         }
         if !resources_available {
             return (
                 DnsMessage::error(query, Rcode::ServFail),
-                DirectoryAction::ResourceExhausted { name: service.name },
+                DirectoryAction::ResourceExhausted { name },
             );
         }
         // Launch while simultaneously answering with the (future) address.
@@ -178,16 +162,10 @@ impl DirectoryService {
         // coalesce onto this boot (AlreadyRunning) instead of double-
         // launching, and the idle reaper leaves it alone until it is ready.
         self.launches_triggered += 1;
-        self.services.insert(
-            service.name.clone(),
-            ServiceStatus {
-                phase: ServicePhase::Launching,
-                last_activity: now,
-            },
-        );
+        self.services.insert(name.clone(), ServicePhase::Launching);
         (
             DnsMessage::answer(query, service.ip, self.config.dns_ttl),
-            DirectoryAction::Launch { name: service.name },
+            DirectoryAction::Launch { name },
         )
     }
 
@@ -290,14 +268,10 @@ mod tests {
             dir.phase("alice.family.name"),
             Some(ServicePhase::Launching)
         );
-        // Every query refreshes the idle clock; app-ready restarts it.
-        let clock = |dir: &DirectoryService| dir.last_activity("alice.family.name");
-        assert_eq!(clock(&dir), Some(SimTime::from_millis(40)));
         dir.mark_ready("alice.family.name", SimTime::from_millis(350));
         assert_eq!(dir.phase("alice.family.name"), Some(ServicePhase::Running));
-        assert_eq!(clock(&dir), Some(SimTime::from_millis(350)));
         dir.mark_stopped("alice.family.name");
-        assert_eq!(clock(&dir), None);
+        assert_eq!(dir.phase("alice.family.name"), None);
     }
 
     #[test]

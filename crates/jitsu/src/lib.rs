@@ -6,10 +6,11 @@
 //!
 //! * [`config`] — service configuration: which DNS name maps to which
 //!   unikernel image, external IP and port (§3.3.2);
-//! * [`directory`] — the Jitsu directory service: an authoritative DNS
-//!   responder that returns the address of a running unikernel, triggers a
-//!   launch for a known-but-not-running one, or answers `SERVFAIL` when the
-//!   host is out of resources;
+//! * [`directory`] — the Jitsu directory service standing alone: an
+//!   authoritative DNS responder that returns the address of a running
+//!   unikernel, triggers a launch for a known-but-not-running one, or
+//!   answers `SERVFAIL` when the host is out of resources (jitsud makes the
+//!   same decision from its own per-service records and keeps no directory);
 //! * [`launcher`] — summoning and retiring unikernels through the
 //!   (optimised) `xen-sim` toolstack, composing domain construction with the
 //!   guest boot pipeline;

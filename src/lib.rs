@@ -15,7 +15,7 @@
 //! | [`platform`] | boards, storage, power and battery models (Table 1) |
 //! | [`baselines`] | Docker, inetd and Linux-VM baselines (Figure 9b) |
 //! | [`security`] | the CVE dataset and Jitsu-impact classification (Table 2) |
-//! | [`jitsu`] | the directory service, launcher, Synjitsu and jitsud (Figures 6 and 9a) |
+//! | [`jitsu`] | jitsud, which decides each DNS query from its service's lifecycle record (Figures 6 and 9a), the launcher, Synjitsu, and the stand-alone directory service |
 //!
 //! ## Quickstart
 //!
@@ -54,7 +54,6 @@ pub mod prelude {
         ConcurrentJitsud, HandoffStats, JitsuEvent, LifecyclePhase, StormMetrics, StormSim,
     };
     pub use crate::jitsu::config::{JitsuConfig, ServiceConfig};
-    pub use crate::jitsu::directory::{DirectoryAction, DirectoryService, ServicePhase};
     pub use crate::jitsu::handoff::HandoffPhase;
     pub use crate::jitsu::launcher::Launcher;
     pub use crate::jitsu::synjitsu::Synjitsu;
