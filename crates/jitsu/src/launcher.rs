@@ -109,7 +109,7 @@ impl Launcher {
             .unpause(report.dom)
             .map_err(|e| LaunchError::Toolstack(format!("{e:?}")))?;
 
-        let appliance: Box<dyn Appliance + Send> =
+        let appliance: Box<dyn Appliance> =
             Box::new(StaticSiteAppliance::new(service.name.clone()));
         let instance = UnikernelInstance::new(
             service.image.clone(),

@@ -12,10 +12,11 @@
 //! - **Composing a frame copies its payload once**, into the one buffer that
 //!   holds `eth | ip | l4 | payload` (`Interface` sizes it up front; the
 //!   codecs' header writers append to it).
-//! - **Sealing is free.** The backing store is an `Arc<Box<[u8]>>`: sealing
-//!   moves the builder's allocation behind a reference count. (An
-//!   `Arc<[u8]>` would be one allocation instead of two, but it cannot adopt
-//!   a `Vec`'s allocation: `Arc::from(vec)` allocates again and copies,
+//! - **Sealing is free.** The backing store is an `Rc<Box<[u8]>>`: sealing
+//!   moves the builder's allocation behind a reference count, a plain one
+//!   because frames never leave the simulator's thread. (An
+//!   `Rc<[u8]>` would be one allocation instead of two, but it cannot adopt
+//!   a `Vec`'s allocation: `Rc::from(vec)` allocates again and copies,
 //!   where a search for `.clone()` / `.to_vec()` cannot see it; and safe
 //!   code can only fill one in place after zeroing it,
 //!   which measures slower than the second allocation at every frame size.)
@@ -36,7 +37,7 @@
 //! what one exchange allocates, exactly.
 
 use std::ops::{Bound, Deref, RangeBounds};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// An immutable, cheaply cloneable view into shared frame bytes.
 ///
@@ -48,7 +49,7 @@ pub struct FrameBuf {
     /// `None` iff the buffer is empty — the empty view never allocates. The
     /// boxed slice is exactly as long as the bytes it was sealed with: a
     /// sealed buffer keeps no spare capacity alive.
-    data: Option<Arc<Box<[u8]>>>,
+    data: Option<Rc<Box<[u8]>>>,
     start: usize,
     end: usize,
 }
@@ -73,7 +74,7 @@ impl FrameBuf {
         }
         let end = bytes.len();
         FrameBuf {
-            data: Some(Arc::new(bytes.into_boxed_slice())),
+            data: Some(Rc::new(bytes.into_boxed_slice())),
             start: 0,
             end,
         }
@@ -133,7 +134,7 @@ impl FrameBuf {
         }
         match &self.data {
             Some(d) => FrameBuf {
-                data: Some(Arc::clone(d)),
+                data: Some(Rc::clone(d)),
                 start: self.start + start,
                 end: self.start + end,
             },
@@ -176,7 +177,7 @@ impl FrameBuf {
     /// copies with.
     pub fn shares_allocation(&self, other: &FrameBuf) -> bool {
         match (&self.data, &other.data) {
-            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            (Some(a), Some(b)) => Rc::ptr_eq(a, b),
             _ => false,
         }
     }

@@ -13,11 +13,13 @@
 //! buffer too. Either way `emit()` is the view that spans both and copies
 //! nothing (see [`FrameBuf::concat`]).
 //!
-//! Heads are split into lines at each CRLF found with a `\r` search, which
-//! is memchr-backed, and not with a substring searcher.
+//! A head's end, and each CRLF inside it, is found with a memchr-backed
+//! search for `\r` and a look at the bytes after it, not with a substring
+//! searcher or a compare at every offset.
 
 use crate::buf::{FrameBuf, FrameBufMut};
 use crate::{parse_decimal, NetError, Result};
+use std::io::BufRead;
 use std::ops::Range;
 
 /// A built response's headers, in name order as they always went out, up
@@ -246,13 +248,30 @@ fn write_head<const N: usize>(
 /// The head at the front of `buf`, through its blank line, checked to be
 /// UTF-8; `Ok(None)` until the blank line has arrived.
 fn head_text(buf: &[u8]) -> Result<Option<&str>> {
-    let Some(end) = buf.windows(4).position(|w| w == b"\r\n\r\n") else {
-        return Ok(None);
+    let mut from = 0;
+    let end = loop {
+        let Some(at) = find_cr(&buf[from..]).map(|found| from + found) else {
+            return Ok(None);
+        };
+        if buf.get(at + 1..at + 4) == Some(b"\n\r\n") {
+            break at + 4;
+        }
+        from = at + 1;
     };
-    match std::str::from_utf8(&buf[..end + 4]) {
+    match std::str::from_utf8(&buf[..end]) {
         Ok(text) => Ok(Some(text)),
         Err(e) => Err(malformed(format!("head is not UTF-8: {e}"))),
     }
+}
+
+/// The index of the first `\r` in `bytes`. The head is not text until it
+/// is whole, and std's one stable memchr over bytes is `BufRead` on a
+/// slice: `skip_until` consumes through the first `\r`, or to the end when
+/// there is none.
+fn find_cr(mut bytes: &[u8]) -> Option<usize> {
+    let whole = bytes;
+    let consumed = bytes.skip_until(b'\r').ok()?;
+    consumed.checked_sub(1).filter(|&at| whole[at] == b'\r')
 }
 
 /// The body after `head` in `buf`, as long as the last Content-Length says
@@ -521,6 +540,40 @@ mod tests {
             let ours: Vec<&str> = crlf_lines(text).collect();
             let std: Vec<&str> = text.split("\r\n").collect();
             assert_eq!(ours, std, "{text:?}");
+        }
+    }
+
+    #[test]
+    fn the_head_ends_at_the_first_blank_line_however_it_arrives() {
+        let get = b"GET / HTTP/1.1\r\nhost: x\r\n\r\n";
+        // The terminator is exactly the buffer's last four bytes.
+        assert_eq!(
+            head_text(get).unwrap(),
+            Some("GET / HTTP/1.1\r\nhost: x\r\n\r\n")
+        );
+        // Every shorter prefix, `\r\n\r` with its last `\n` still to come
+        // included, is not a head yet; nor is a buffer with no terminator.
+        for cut in 0..get.len() {
+            assert_eq!(head_text(&get[..cut]).unwrap(), None, "{cut}");
+        }
+        assert_eq!(head_text(b"GET / HTTP/1.1\r\nhost: x\r\n\r").unwrap(), None);
+        assert_eq!(head_text(b"no terminator here").unwrap(), None);
+        // Stray `\r`s and `\r\n\r`s before the real end are stepped over,
+        // and what follows the end is not part of the head.
+        let raw = b"a\rb\r\r\nc\r\n\rd\r\n\r\r\n\r\nbody\r\n\r\n";
+        assert_eq!(
+            head_text(raw).unwrap(),
+            Some("a\rb\r\r\nc\r\n\rd\r\n\r\r\n\r\n")
+        );
+        for raw in [
+            &get[..],
+            &raw[..],
+            b"\r\r\n\r\r\n\r\n\r",
+            b"x\r",
+            b"\r\n\r\n",
+        ] {
+            let expected = raw.windows(4).position(|w| w == b"\r\n\r\n").map(|e| e + 4);
+            assert_eq!(head_text(raw).unwrap().map(str::len), expected, "{raw:?}");
         }
     }
 

@@ -27,7 +27,7 @@ pub struct UnikernelInstance {
     pub image: UnikernelImage,
     /// The network interface (external IP on the bridge).
     pub iface: Interface,
-    appliance: Box<dyn Appliance + Send>,
+    appliance: Box<dyn Appliance>,
     /// The HTTP port the appliance listens on.
     pub port: u16,
     rng: SimRng,
@@ -47,7 +47,7 @@ impl UnikernelInstance {
         mac: MacAddr,
         ip: Ipv4Addr,
         port: u16,
-        appliance: Box<dyn Appliance + Send>,
+        appliance: Box<dyn Appliance>,
         seed: u64,
     ) -> UnikernelInstance {
         let mut iface = Interface::new(mac, ip);

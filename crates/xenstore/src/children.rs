@@ -1,10 +1,11 @@
 //! The persistent ordered child map of a store node.
 //!
 //! A directory's children live in a *chunked sorted vector*: a spine of
-//! [`Arc`]-shared chunks, each a sorted run of at most `CHUNK_MAX` (64) entries
-//! keyed by `Arc<str>`. Cloning the map copies the spine — one pointer per
+//! [`Rc`]-shared chunks, each a sorted run of at most `CHUNK_MAX` (64) entries
+//! keyed by `Rc<str>`. Cloning the map copies the spine — one pointer per
 //! chunk, never a key or an entry — and a mutation copies only the one chunk
-//! it lands in, and only while that chunk is still shared with another map.
+//! it lands in, and only while that chunk is still shared with another map
+//! (a non-atomic [`Rc`] count decides that; see [`crate::node`]).
 //! A write under a directory of *n* children therefore path-copies
 //! *n* / `CHUNK_MAX` pointers plus at most `CHUNK_MAX` entries, where a
 //! per-node `BTreeMap<String, _>` cloned all *n* keys.
@@ -29,13 +30,13 @@
 //! `get_mut` returning `Option<&mut V>` cannot give the borrow checker.
 
 use std::cmp::Ordering;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Entries per chunk before it splits in two. Directories up to this size
 /// are a single sorted vector, found without searching the spine.
 pub(crate) const CHUNK_MAX: usize = 64;
 
-type Chunk<V> = Vec<(Arc<str>, V)>;
+type Chunk<V> = Vec<(Rc<str>, V)>;
 
 /// Where [`ChildMap::find`] found an entry: the index of its chunk and its
 /// index within that chunk. Valid for the map it came from until that map is
@@ -61,20 +62,20 @@ pub struct ChildMap<V> {
 #[derive(Clone)]
 enum Spine<V> {
     /// No chunk or one, held in place.
-    Short(Option<Arc<Chunk<V>>>),
+    Short(Option<Rc<Chunk<V>>>),
     /// Two chunks or more.
-    Long(Vec<Arc<Chunk<V>>>),
+    Long(Vec<Rc<Chunk<V>>>),
 }
 
 impl<V> Spine<V> {
-    fn as_slice(&self) -> &[Arc<Chunk<V>>] {
+    fn as_slice(&self) -> &[Rc<Chunk<V>>] {
         match self {
             Spine::Short(chunk) => chunk.as_slice(),
             Spine::Long(chunks) => chunks,
         }
     }
 
-    fn as_mut_slice(&mut self) -> &mut [Arc<Chunk<V>>] {
+    fn as_mut_slice(&mut self) -> &mut [Rc<Chunk<V>>] {
         match self {
             Spine::Short(chunk) => chunk.as_mut_slice(),
             Spine::Long(chunks) => chunks,
@@ -82,7 +83,7 @@ impl<V> Spine<V> {
     }
 
     /// Insert `chunk` as the `at`-th.
-    fn insert(&mut self, at: usize, chunk: Arc<Chunk<V>>) {
+    fn insert(&mut self, at: usize, chunk: Rc<Chunk<V>>) {
         *self = match std::mem::replace(self, Spine::Short(None)) {
             Spine::Short(None) => Spine::Short(Some(chunk)),
             Spine::Short(Some(only)) if at == 0 => Spine::Long(vec![chunk, only]),
@@ -95,7 +96,7 @@ impl<V> Spine<V> {
     }
 
     /// Remove and return the `at`-th chunk.
-    fn remove(&mut self, at: usize) -> Option<Arc<Chunk<V>>> {
+    fn remove(&mut self, at: usize) -> Option<Rc<Chunk<V>>> {
         match self {
             Spine::Short(chunk) => chunk.take_if(|_| at == 0),
             Spine::Long(chunks) => {
@@ -141,7 +142,7 @@ impl<V: Eq> Eq for ChildMap<V> {}
 /// one before it, and on the short keys and small directories of a store
 /// tree that made a lookup several times dearer than in the `BTreeMap` this
 /// map replaced. Predicted branches let the comparisons overlap.
-fn search<V>(chunk: &[(Arc<str>, V)], name: &str) -> Result<usize, usize> {
+fn search<V>(chunk: &[(Rc<str>, V)], name: &str) -> Result<usize, usize> {
     let (mut lo, mut hi) = (0, chunk.len());
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
@@ -235,12 +236,20 @@ impl<V> ChildMap<V> {
         self.shared_chunks(other).map(|chunk| chunk.len()).sum()
     }
 
-    fn shared_chunks<'a>(&'a self, other: &'a Self) -> impl Iterator<Item = &'a Arc<Chunk<V>>> {
+    fn shared_chunks<'a>(&'a self, other: &'a Self) -> impl Iterator<Item = &'a Rc<Chunk<V>>> {
         self.chunks.as_slice().iter().filter(|chunk| {
             chunk
                 .first()
                 .and_then(|(key, _)| other.chunks.as_slice().get(other.locate(key)))
-                .is_some_and(|theirs| Arc::ptr_eq(chunk, theirs))
+                .is_some_and(|theirs| Rc::ptr_eq(chunk, theirs))
+        })
+    }
+
+    /// True if this map is the only holder of each of its chunks and keys,
+    /// so a mutation copies none of them.
+    pub(crate) fn holds_alone(&self) -> bool {
+        self.chunks.as_slice().iter().all(|chunk| {
+            Rc::strong_count(chunk) == 1 && chunk.iter().all(|(key, _)| Rc::strong_count(key) == 1)
         })
     }
 
@@ -259,27 +268,27 @@ impl<V: Clone> ChildMap<V> {
     /// since it last changed. Copies the chunk holding it if another map
     /// still shares it; no other chunk is touched.
     pub fn at_mut(&mut self, at: Position) -> &mut V {
-        &mut Arc::make_mut(&mut self.chunks.as_mut_slice()[at.chunk])[at.entry].1
+        &mut Rc::make_mut(&mut self.chunks.as_mut_slice()[at.chunk])[at.entry].1
     }
 
     /// Insert or replace a child, returning the previous value if any.
     pub fn insert(&mut self, name: &str, value: V) -> Option<V> {
         let at_chunk = self.locate(name);
         let Some(shared) = self.chunks.as_mut_slice().get_mut(at_chunk) else {
-            self.chunks = Spine::Short(Some(Arc::new(vec![(Arc::from(name), value)])));
+            self.chunks = Spine::Short(Some(Rc::new(vec![(Rc::from(name), value)])));
             self.len = 1;
             return None;
         };
         let at = match search(shared, name) {
-            Ok(at) => return Some(std::mem::replace(&mut Arc::make_mut(shared)[at].1, value)),
+            Ok(at) => return Some(std::mem::replace(&mut Rc::make_mut(shared)[at].1, value)),
             Err(at) => at,
         };
-        let chunk = Arc::make_mut(shared);
-        chunk.insert(at, (Arc::from(name), value));
+        let chunk = Rc::make_mut(shared);
+        chunk.insert(at, (Rc::from(name), value));
         self.len += 1;
         if chunk.len() > CHUNK_MAX {
             let upper = chunk.split_off(chunk.len() / 2);
-            self.chunks.insert(at_chunk + 1, Arc::new(upper));
+            self.chunks.insert(at_chunk + 1, Rc::new(upper));
         }
         None
     }
@@ -287,7 +296,7 @@ impl<V: Clone> ChildMap<V> {
     /// Remove and return the child at `at`, which [`ChildMap::find`]
     /// returned for this map since it last changed.
     pub fn remove_at(&mut self, at: Position) -> V {
-        let chunk = Arc::make_mut(&mut self.chunks.as_mut_slice()[at.chunk]);
+        let chunk = Rc::make_mut(&mut self.chunks.as_mut_slice()[at.chunk]);
         let (_, value) = chunk.remove(at.entry);
         self.len -= 1;
         if chunk.is_empty() {
@@ -311,7 +320,7 @@ impl<V: Clone> ChildMap<V> {
         }
         if let Some(upper) = self.chunks.remove(lower + 1) {
             if let Some(into) = self.chunks.as_mut_slice().get_mut(lower) {
-                Arc::make_mut(into).extend(upper.iter().cloned());
+                Rc::make_mut(into).extend(upper.iter().cloned());
             }
         }
         true
@@ -321,7 +330,7 @@ impl<V: Clone> ChildMap<V> {
 /// A forward cursor over a [`ChildMap`]'s entries in key order.
 pub struct Cursor<'a, V> {
     /// The chunks not yet fully consumed; `at` indexes into the first.
-    chunks: &'a [Arc<Chunk<V>>],
+    chunks: &'a [Rc<Chunk<V>>],
     at: usize,
 }
 
@@ -350,7 +359,7 @@ impl<'a, V> Cursor<'a, V> {
             return false;
         }
         match (self.chunks.split_first(), other.chunks.split_first()) {
-            (Some((mine, my_rest)), Some((theirs, their_rest))) if Arc::ptr_eq(mine, theirs) => {
+            (Some((mine, my_rest)), Some((theirs, their_rest))) if Rc::ptr_eq(mine, theirs) => {
                 self.chunks = my_rest;
                 other.chunks = their_rest;
                 true
@@ -466,18 +475,18 @@ mod tests {
         let at = copy.find("k500").unwrap();
         assert_eq!(copy.shared_chunk_counts(&map), (chunks, chunks));
         *copy.at_mut(at) = 9;
-        let same = |a: &Arc<Chunk<usize>>, b: &Arc<Chunk<usize>>| Arc::ptr_eq(a, b);
+        let same = |a: &Rc<Chunk<usize>>, b: &Rc<Chunk<usize>>| Rc::ptr_eq(a, b);
         let copied: Vec<usize> = (0..chunks)
             .filter(|&i| !same(&copy.chunks.as_slice()[i], &map.chunks.as_slice()[i]))
             .collect();
         assert_eq!(copied, [at.chunk], "only the chunk holding k500 is copied");
         // Once copied, the chunk is the copy's own: a second access there
         // copies nothing more.
-        let own = Arc::as_ptr(&copy.chunks.as_slice()[at.chunk]);
+        let own = Rc::as_ptr(&copy.chunks.as_slice()[at.chunk]);
         let neighbour = copy.find(&format!("k{}", 500 + 1)).unwrap();
         assert_eq!(neighbour.chunk, at.chunk);
         *copy.at_mut(neighbour) = 10;
-        assert_eq!(Arc::as_ptr(&copy.chunks.as_slice()[at.chunk]), own);
+        assert_eq!(Rc::as_ptr(&copy.chunks.as_slice()[at.chunk]), own);
         assert_eq!(copy.shared_chunk_counts(&map), (chunks - 1, chunks));
         assert_eq!((copy.get("k500"), map.get("k500")), (Some(&9), Some(&500)));
         assert_eq!((copy.get("k501"), map.get("k501")), (Some(&10), Some(&501)));
@@ -486,6 +495,10 @@ mod tests {
         assert_eq!(copy.remove_at(at), 7);
         assert_eq!(copy.get("k7"), None);
         check_invariants(&copy);
+        // A copied chunk still shares its keys until the original goes.
+        assert!(!copy.holds_alone() && !map.holds_alone());
+        drop(map);
+        assert!(copy.holds_alone());
     }
 
     #[test]

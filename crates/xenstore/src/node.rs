@@ -1,7 +1,7 @@
 //! Store tree nodes.
 //!
 //! Nodes are the unit of structural sharing in the persistent store tree:
-//! children are held behind [`Arc`]s, so cloning a node (or a whole
+//! children are held behind [`Rc`]s, so cloning a node (or a whole
 //! [`crate::tree::Tree`]) copies pointers, not subtrees. A transaction
 //! snapshot is therefore an O(1) root copy, and a mutation copies only the
 //! nodes on the root-to-leaf path it touches (path copying) while every
@@ -15,10 +15,18 @@
 //! moved in rather than copied. Creating a node costs that allocation and
 //! its name in the parent's map — plus, for the first child of a leaf, the
 //! parent's first chunk.
+//!
+//! The counts are [`Rc`]'s plain ones, not `Arc`'s atomic ones: the store
+//! lives on the simulator's one thread. Every level of a write's descent
+//! asks `Rc::make_mut` whether the node is shared, and on a node nobody
+//! else holds — every node, while no transaction is open (see
+//! [`crate::tree::Tree::shared_paths`]) — that is a load and a compare,
+//! not a locked compare-exchange; copying or dropping a chunk adjusts each
+//! entry's count with a plain add.
 
 use crate::children::ChildMap;
 use crate::perms::Permissions;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Maximum size of a node's value, matching the classic XenStore payload
 /// limit of 4096 bytes.
@@ -30,10 +38,10 @@ pub const MAX_VALUE_LEN: usize = 4096;
 pub struct Node {
     /// The node's value (may be empty — directories usually are).
     pub value: Vec<u8>,
-    /// Children keyed by component name, each behind an [`Arc`] so sibling
+    /// Children keyed by component name, each behind an [`Rc`] so sibling
     /// subtrees are structurally shared across snapshots. The map iterates
     /// in name order, which keeps directory listings deterministic.
-    pub children: ChildMap<Arc<Node>>,
+    pub children: ChildMap<Rc<Node>>,
     /// Access control for this node.
     pub perms: Permissions,
     /// Store generation at which this node was created.
@@ -101,12 +109,12 @@ mod tests {
         let mut a = Node::new(Permissions::owned_by(DomId::DOM0), 1);
         a.children.insert(
             "x",
-            Arc::new(Node::new(Permissions::owned_by(DomId::DOM0), 2)),
+            Rc::new(Node::new(Permissions::owned_by(DomId::DOM0), 2)),
         );
-        root.children.insert("a", Arc::new(a));
+        root.children.insert("a", Rc::new(a));
         root.children.insert(
             "b",
-            Arc::new(Node::new(Permissions::owned_by(DomId::DOM0), 3)),
+            Rc::new(Node::new(Permissions::owned_by(DomId::DOM0), 3)),
         );
         assert_eq!(root.subtree_size(), 4);
         assert_eq!(root.child_names(), vec!["a".to_string(), "b".to_string()]);
@@ -116,15 +124,15 @@ mod tests {
     #[test]
     fn cloning_a_node_shares_child_subtrees() {
         let mut root = Node::new(Permissions::owned_by(DomId::DOM0), 0);
-        let child = Arc::new(Node::new(Permissions::owned_by(DomId::DOM0), 1));
-        root.children.insert("a", Arc::clone(&child));
+        let child = Rc::new(Node::new(Permissions::owned_by(DomId::DOM0), 1));
+        root.children.insert("a", Rc::clone(&child));
         let copy = root.clone();
         // Both nodes hold a pointer to the one child allocation.
         for node in [&root, &copy] {
             assert!(node
                 .children
                 .get("a")
-                .is_some_and(|c| Arc::ptr_eq(c, &child)));
+                .is_some_and(|c| Rc::ptr_eq(c, &child)));
         }
     }
 }

@@ -9,7 +9,7 @@ use crate::error::{Error, Result};
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Maximum length of a path accepted by the store, matching the classic
 /// XenStore limit.
@@ -21,12 +21,12 @@ pub const MAX_PATH_LEN: usize = 3072;
 /// text (`/a/b/c`: every component preceded by one slash, the root the
 /// empty string). Parsing allocates that buffer once; cloning, and taking
 /// [`Path::parent`] or any other ancestor, only shortens the prefix and
-/// bumps a reference count. Paths compare, sort and hash component-wise,
-/// exactly as the list of their components would.
+/// bumps a (non-atomic, [`Rc`]) reference count. Paths compare, sort and
+/// hash component-wise, exactly as the list of their components would.
 #[derive(Clone)]
 pub struct Path {
     /// Canonical text of this path or of a descendant it was cut from.
-    buf: Arc<str>,
+    buf: Rc<str>,
     /// The path is `buf[..len]`; `len` is 0 or sits just before a `/` or at
     /// the end of `buf`.
     len: usize,
@@ -66,7 +66,7 @@ impl Path {
     /// followed by names read back out of the tree is).
     pub(crate) fn from_canonical(text: &str) -> Path {
         Path {
-            buf: Arc::from(text),
+            buf: Rc::from(text),
             len: text.len(),
         }
     }
@@ -80,7 +80,7 @@ impl Path {
     /// this path's buffer.
     pub(crate) fn cut(&self, len: usize) -> Path {
         Path {
-            buf: Arc::clone(&self.buf),
+            buf: Rc::clone(&self.buf),
             len,
         }
     }
@@ -88,7 +88,7 @@ impl Path {
     /// True if the two paths are cut from one buffer.
     #[cfg(test)]
     pub(crate) fn shares_buffer_with(&self, other: &Path) -> bool {
-        Arc::ptr_eq(&self.buf, &other.buf)
+        Rc::ptr_eq(&self.buf, &other.buf)
     }
 
     /// Parse and validate an absolute path string.
@@ -474,11 +474,11 @@ mod tests {
     #[test]
     fn ancestors_share_the_parsed_buffer() {
         let p = Path::parse("/local/domain/3/device/vif/0/state").unwrap();
-        let before = Arc::strong_count(&p.buf);
+        let before = Rc::strong_count(&p.buf);
         let derived = [p.clone(), p.parent().unwrap(), p.ancestor(2)];
-        assert_eq!(Arc::strong_count(&p.buf), before + derived.len());
-        assert!(derived.iter().all(|d| Arc::ptr_eq(&d.buf, &p.buf)));
-        assert!((0..=p.depth()).all(|d| Arc::ptr_eq(&p.ancestor(d).buf, &p.buf)));
+        assert_eq!(Rc::strong_count(&p.buf), before + derived.len());
+        assert!(derived.iter().all(|d| Rc::ptr_eq(&d.buf, &p.buf)));
+        assert!((0..=p.depth()).all(|d| Rc::ptr_eq(&p.ancestor(d).buf, &p.buf)));
         assert!(p.child("").is_err(), "a component is never empty");
     }
 

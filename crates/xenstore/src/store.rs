@@ -959,6 +959,63 @@ mod tests {
         assert_eq!(xs.pending_watch_events(DomId(9)), 0);
     }
 
+    /// With no transaction open the live tree must hold every node, chunk
+    /// and key alone; a shared one would be copied by every later write
+    /// through it.
+    fn assert_held_alone(xs: &XenStore) {
+        assert_eq!(xs.open_transactions(), 0);
+        assert_eq!(xs.tree().shared_paths(), Vec::<Path>::new());
+    }
+
+    #[test]
+    fn with_no_transaction_open_the_live_tree_shares_nothing() {
+        let mut xs = store();
+        // Direct ops, under a directory of more than one chunk.
+        for i in 0..2 * crate::children::CHUNK_MAX {
+            xs.write(DomId::DOM0, None, &format!("/local/domain/{i}/name"), b"v")
+                .unwrap();
+        }
+        xs.rm(DomId::DOM0, None, "/local/domain/7").unwrap();
+        xs.mkdir(DomId::DOM0, None, "/vm/3").unwrap();
+        xs.set_perms(DomId::DOM0, None, "/vm/3", Permissions::owned_by(DomId(3)))
+            .unwrap();
+        assert_held_alone(&xs);
+        // An open transaction's snapshot shares the root, and the walk
+        // names it.
+        let t = xs.transaction_start(DomId::DOM0).unwrap();
+        assert_eq!(xs.tree().shared_paths(), vec![Path::root()]);
+        // A commit nothing ran beside adopts the snapshot as it stands.
+        xs.write(DomId::DOM0, Some(t), "/local/domain/3/device/vif/0", b"1")
+            .unwrap();
+        xs.rm(DomId::DOM0, Some(t), "/local/domain/4").unwrap();
+        xs.transaction_end(DomId::DOM0, t, true).unwrap();
+        assert_eq!((xs.stats().commits, xs.stats().merged), (1, 0));
+        assert_held_alone(&xs);
+        // A commit a direct write ran beside is merged onto the live tree.
+        let t = xs.transaction_start(DomId::DOM0).unwrap();
+        xs.write(DomId::DOM0, Some(t), "/local/domain/5/state", b"4")
+            .unwrap();
+        xs.write(DomId::DOM0, None, "/local/domain/6/state", b"4")
+            .unwrap();
+        xs.transaction_end(DomId::DOM0, t, true).unwrap();
+        assert_eq!((xs.stats().commits, xs.stats().merged), (2, 1));
+        assert_held_alone(&xs);
+        // A conflicting commit and an abort leave nothing behind either.
+        let t = xs.transaction_start(DomId::DOM0).unwrap();
+        assert!(!xs.exists(DomId::DOM0, Some(t), "/claim").unwrap());
+        xs.write(DomId::DOM0, Some(t), "/winner", b"me").unwrap();
+        xs.write(DomId::DOM0, None, "/claim", b"them").unwrap();
+        assert_eq!(xs.transaction_end(DomId::DOM0, t, true), Err(Error::Again));
+        let t = xs.transaction_start(DomId::DOM0).unwrap();
+        xs.write(DomId::DOM0, Some(t), "/aborted", b"x").unwrap();
+        xs.transaction_end(DomId::DOM0, t, false).unwrap();
+        assert_held_alone(&xs);
+        // Destroying a domain drops its open transaction with its home.
+        xs.transaction_start(DomId(9)).unwrap();
+        xs.domain_destroyed(DomId(9));
+        assert_held_alone(&xs);
+    }
+
     #[test]
     fn merged_commits_are_counted_separately_from_serial_ones() {
         let mut xs = store();

@@ -2,9 +2,9 @@
 //! generation tracking, built on persistent (structurally shared) nodes.
 //!
 //! `Tree` implements the data model shared by the live store and by
-//! transaction snapshots. The root is held behind an [`Arc`], so cloning a
+//! transaction snapshots. The root is held behind an [`Rc`], so cloning a
 //! tree — which is how transaction snapshots are taken — is an O(1) pointer
-//! copy regardless of store size. Mutations use *path copying*: only the
+//! copy and one non-atomic count increment, regardless of store size. Mutations use *path copying*: only the
 //! nodes from the root down to the mutated node are copied (and only when
 //! they are still shared with a snapshot); every sibling subtree stays
 //! shared. This is what makes transactions cheap enough to open per
@@ -53,7 +53,7 @@ use crate::node::{Node, MAX_VALUE_LEN};
 use crate::path::Path;
 use crate::perms::{Access, DomId, Permissions};
 use std::borrow::Cow;
-use std::sync::Arc;
+use std::rc::Rc;
 
 #[cfg(test)]
 mod two_walks;
@@ -64,7 +64,7 @@ mod two_walks;
 /// until one of the two is mutated.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Tree {
-    root: Arc<Node>,
+    root: Rc<Node>,
     generation: u64,
 }
 
@@ -193,7 +193,7 @@ impl Tree {
     pub fn new() -> Tree {
         let perms = Permissions::with_default(DomId::DOM0, crate::perms::PermLevel::Read);
         Tree {
-            root: Arc::new(Node::new(perms, 0)),
+            root: Rc::new(Node::new(perms, 0)),
             generation: 0,
         }
     }
@@ -212,7 +212,7 @@ impl Tree {
     /// case immediately after a snapshot, before either side has mutated.
     /// A shared root means the snapshot copied *zero* nodes.
     pub fn shares_root_with(&self, other: &Tree) -> bool {
-        Arc::ptr_eq(&self.root, &other.root)
+        Rc::ptr_eq(&self.root, &other.root)
     }
 
     /// Number of nodes of `self` that are structurally shared (same
@@ -220,8 +220,8 @@ impl Tree {
     /// measures how many nodes a sequence of mutations actually copied:
     /// `copied = node_count() - shared_node_count(snapshot)`.
     pub fn shared_node_count(&self, other: &Tree) -> usize {
-        fn walk(a: &Arc<Node>, b: &Arc<Node>) -> usize {
-            if Arc::ptr_eq(a, b) {
+        fn walk(a: &Rc<Node>, b: &Rc<Node>) -> usize {
+            if Rc::ptr_eq(a, b) {
                 return a.subtree_size();
             }
             let mut shared = 0;
@@ -243,8 +243,8 @@ impl Tree {
     /// mutations copied — the cost [`Tree::shared_node_count`] cannot see,
     /// because copying one directory node copies some of its entries.
     pub fn shared_entry_count(&self, other: &Tree) -> usize {
-        fn walk(a: &Arc<Node>, b: &Arc<Node>) -> usize {
-            if Arc::ptr_eq(a, b) {
+        fn walk(a: &Rc<Node>, b: &Rc<Node>) -> usize {
+            if Rc::ptr_eq(a, b) {
                 return a.subtree_size() - 1;
             }
             let mut shared = a.children.shared_len(&b.children);
@@ -256,6 +256,26 @@ impl Tree {
             shared
         }
         walk(&self.root, &other.root)
+    }
+
+    /// The nodes this tree does not hold alone: a node another tree holds
+    /// too, or a directory whose child map shares a chunk or a key with
+    /// another map. A write copies each such node or chunk on its path, so
+    /// while no snapshot of the tree is alive (no transaction is open) this
+    /// is empty and every write mutates in place. Below a node listed here
+    /// the walk goes on, so a shared subtree is named by its top node.
+    pub fn shared_paths(&self) -> Vec<Path> {
+        fn walk(node: &Rc<Node>, path: &Path, out: &mut Vec<Path>) {
+            if Rc::strong_count(node) > 1 || !node.children.holds_alone() {
+                out.push(path.clone());
+            }
+            for (name, child) in node.children.iter() {
+                walk(child, &child_path(path, name), out);
+            }
+        }
+        let mut out = Vec::new();
+        walk(&self.root, &Path::root(), &mut out);
+        out
     }
 
     /// The node allocations from the root down `path`, as far as it exists:
@@ -413,7 +433,7 @@ impl Tree {
         let mut top = Node::new(perms, self.generation + 1);
         self.generation = Self::grow(&mut top, dom, path, found + 1, &mut below, value, effects);
         node.children_gen = top.created_gen;
-        node.children.insert(first_missing, Arc::new(top));
+        node.children.insert(first_missing, Rc::new(top));
         Ok(())
     }
 
@@ -451,7 +471,7 @@ impl Tree {
         let mut child = Node::new(perms, node.created_gen + 1);
         let last = Self::grow(&mut child, dom, path, depth + 1, names, value, effects);
         node.children_gen = child.created_gen;
-        node.children.insert(name, Arc::new(child));
+        node.children.insert(name, Rc::new(child));
         last
     }
 
@@ -553,7 +573,7 @@ impl Tree {
 
     /// Compute the structural difference from `old` to `new`.
     ///
-    /// Subtrees shared between the two trees (same `Arc` allocation) are
+    /// Subtrees shared between the two trees (same `Rc` allocation) are
     /// skipped without descending, and so is every child-map chunk the two
     /// versions of a directory share, so diffing a tree against a snapshot
     /// it was mutated from costs O(changed paths), not O(store size) and
@@ -605,7 +625,7 @@ impl Tree {
                 match (gone, came) {
                     (None, None) => break,
                     (Some((name, old_child)), Some((_, new_child))) => {
-                        if !Arc::ptr_eq(old_child, new_child) {
+                        if !Rc::ptr_eq(old_child, new_child) {
                             push_component(text, here, name);
                             walk(old_child, new_child, text, diff);
                         }
@@ -628,7 +648,7 @@ impl Tree {
             }
             text.truncate(here);
         }
-        if !Arc::ptr_eq(&old.root, &new.root) {
+        if !Rc::ptr_eq(&old.root, &new.root) {
             let mut text = String::with_capacity(SCRATCH_TEXT_LEN);
             walk(&old.root, &new.root, &mut text, &mut diff);
         }
@@ -641,23 +661,23 @@ impl Tree {
 /// *pointers* are cloned, not the subtrees), so the mutation never disturbs
 /// other trees holding the old nodes. Nodes nobody else holds are handed out
 /// as they are: a tree with no snapshot is mutated in place. Each level costs
-/// one search of its parent's child map and one `Arc::make_mut`.
+/// one search of its parent's child map and one `Rc::make_mut`.
 ///
 /// The descent goes as far as the path exists and returns the deepest node
 /// reached, how many names led to it, and the first name missing under it —
 /// `None` if the whole path exists — leaving `names` holding the names after
 /// that one. A caller that then refuses has copied what it walked through.
 fn descend_mut<'a, 'p>(
-    root: &'a mut Arc<Node>,
+    root: &'a mut Rc<Node>,
     names: &mut impl Iterator<Item = &'p str>,
 ) -> (&'a mut Node, usize, Option<&'p str>) {
-    let mut node = Arc::make_mut(root);
+    let mut node = Rc::make_mut(root);
     let mut depth = 0;
     for name in names {
         let Some(at) = node.children.find(name) else {
             return (node, depth, Some(name));
         };
-        node = Arc::make_mut(node.children.at_mut(at));
+        node = Rc::make_mut(node.children.at_mut(at));
         depth += 1;
     }
     (node, depth, None)

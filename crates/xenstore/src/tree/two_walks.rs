@@ -96,11 +96,11 @@ impl Tree {
                 .expect("a creator may create under what it created");
             node.children.insert(
                 name,
-                Arc::new(Node::new(std::mem::replace(&mut perms, next), gen)),
+                Rc::new(Node::new(std::mem::replace(&mut perms, next), gen)),
             );
             node.children_gen = gen;
             let at = node.children.find(name).expect("just inserted");
-            node = Arc::make_mut(node.children.at_mut(at));
+            node = Rc::make_mut(node.children.at_mut(at));
         }
         if let Some(value) = value {
             node.value = value.into_owned();
@@ -133,13 +133,13 @@ impl Tree {
 /// The copying descent of a path already found to exist: every level is
 /// searched a second time.
 fn descend_mut_again<'a, 'p>(
-    root: &'a mut Arc<Node>,
+    root: &'a mut Rc<Node>,
     components: impl Iterator<Item = &'p str>,
 ) -> Option<&'a mut Node> {
-    let mut node = Arc::make_mut(root);
+    let mut node = Rc::make_mut(root);
     for comp in components {
         let at = node.children.find(comp)?;
-        node = Arc::make_mut(node.children.at_mut(at));
+        node = Rc::make_mut(node.children.at_mut(at));
     }
     Some(node)
 }
@@ -230,7 +230,7 @@ fn one_walk_mutators_equal_the_two_walk_reference_with_and_without_a_snapshot() 
             // in place; on the other half `held` does, and it path-copies.
             let before = reference.clone();
             let held = rng.chance(0.5).then(|| tree.clone());
-            let in_place = Arc::strong_count(&tree.root) == 1;
+            let in_place = Rc::strong_count(&tree.root) == 1;
             assert_eq!(in_place, held.is_none());
             let (mut effects, mut expected) = (TreeDiff::default(), TreeDiff::default());
             let (result, reference_result) = match &op {

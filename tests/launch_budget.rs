@@ -320,7 +320,7 @@ fn a_cold_start_stays_inside_its_allocation_budget() {
     );
     assert!(cell.allocations <= 900 * cell.launches);
     // What is left of a write to an existing key is the parsed path and the
-    // value; a created node is its `Arc`, its name, and for a directory the
+    // value; a created node is its `Rc`, its name, and for a directory the
     // chunk and buffer of its first child; a record is its one buffer.
     assert_eq!(
         ops,

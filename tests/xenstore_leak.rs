@@ -89,3 +89,27 @@ fn a_drained_storm_leaves_the_store_as_it_found_it() {
         Ok(Vec::new())
     );
 }
+
+#[test]
+fn a_drained_summon_sweep_cell_leaves_no_node_or_chunk_shared() {
+    // The benchmark's `summon_sweep` cell shape: 24 services, 2 launch
+    // slots, a 1 s idle TTL, 16 queries/s for 20 virtual seconds. With
+    // every transaction closed, the live tree must hold each node, chunk
+    // and key alone, or every later write would copy its whole path.
+    let cell = Cell::slot_bound(16.0, 2, 0x4A17_5001);
+    let mut sim = ConcurrentJitsud::sim(
+        cell.host_config(),
+        BoardKind::Cubieboard2.board(),
+        cell.seed,
+    );
+    for (at, name) in cell.arrivals(cell.seed) {
+        ConcurrentJitsud::inject_query(&mut sim, at, &name);
+    }
+    sim.run();
+    let world = sim.world();
+    let m = world.metrics();
+    assert!(m.launches > 100, "launches = {}", m.launches);
+    assert_eq!(m.reaps, m.launches, "drained: every summons was reaped");
+    assert_eq!(world.xenstore().open_transactions(), 0);
+    assert_eq!(world.xenstore().tree().shared_paths(), Vec::<Path>::new());
+}
