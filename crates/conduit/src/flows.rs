@@ -5,7 +5,7 @@
 //! tools. Flow entries are written by the server side as connections are
 //! accepted and updated as they progress.
 
-use xenstore::{DomId, Result as XsResult, XenStore};
+use xenstore::{DomId, Path, Result as XsResult, XenStore};
 
 /// Lifecycle states of a flow, as stored in the flows table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,8 +55,8 @@ impl FlowTable {
         FlowTable { next_id: 1 }
     }
 
-    fn path(id: u64) -> String {
-        format!("{}/{}", Self::ROOT, id)
+    fn path(id: u64) -> XsResult<Path> {
+        Path::root().join(format_args!("{}/{id}", Self::ROOT))
     }
 
     /// Allocate a flow id and record it in the given state with free-form
@@ -71,31 +71,35 @@ impl FlowTable {
         let id = self.next_id;
         self.next_id += 1;
         let value = format!("({} ({metadata}))", state.token());
-        xs.write(actor, None, &Self::path(id), value.as_bytes())?;
+        xs.write(actor, None, Self::path(id)?, value.as_bytes())?;
         Ok(id)
     }
 
     /// Update the state of a flow, preserving its metadata.
     pub fn set_state(xs: &mut XenStore, actor: DomId, id: u64, state: FlowState) -> XsResult<()> {
-        let current = xs.read_string(actor, None, &Self::path(id))?;
+        let path = Self::path(id)?;
+        let current = xs.read_string(actor, None, &path)?;
         let metadata = current
             .split_once(' ')
             .map(|(_, rest)| rest.trim_end_matches(')').to_string())
             .unwrap_or_default();
         let value = format!("({} {metadata})", state.token());
-        xs.write(actor, None, &Self::path(id), value.as_bytes())
+        xs.write(actor, None, path, value.as_bytes())
     }
 
     /// Read the state of a flow.
     pub fn state(xs: &mut XenStore, actor: DomId, id: u64) -> XsResult<Option<FlowState>> {
-        let value = xs.read_string(actor, None, &Self::path(id))?;
-        let token = value
-            .trim_start_matches('(')
-            .split_whitespace()
-            .next()
-            .unwrap_or_default()
-            .to_string();
-        Ok(FlowState::from_token(&token))
+        Self::state_at(xs, actor, &Self::path(id)?)
+    }
+
+    /// Read the state of the flow whose entry is `path`. The value is only
+    /// looked at, not copied.
+    fn state_at(xs: &mut XenStore, actor: DomId, path: &Path) -> XsResult<Option<FlowState>> {
+        xs.read_with(actor, None, path, |value| {
+            let value = String::from_utf8_lossy(value);
+            let token = value.trim_start_matches('(').split_whitespace().next();
+            FlowState::from_token(token.unwrap_or_default())
+        })
     }
 
     /// List all flow ids currently recorded.
@@ -109,7 +113,7 @@ impl FlowTable {
 
     /// Remove a flow entry.
     pub fn remove(xs: &mut XenStore, actor: DomId, id: u64) -> XsResult<()> {
-        xs.rm(actor, None, &Self::path(id))
+        xs.rm(actor, None, Self::path(id)?)
     }
 
     /// Remove every flow entry already in [`FlowState::Closed`], returning
@@ -119,8 +123,11 @@ impl FlowTable {
     pub fn prune_closed(xs: &mut XenStore, actor: DomId) -> usize {
         let mut pruned = 0;
         for id in Self::list(xs, actor) {
-            if let Ok(Some(FlowState::Closed)) = Self::state(xs, actor, id) {
-                if Self::remove(xs, actor, id).is_ok() {
+            let Ok(path) = Self::path(id) else {
+                continue;
+            };
+            if let Ok(Some(FlowState::Closed)) = Self::state_at(xs, actor, &path) {
+                if xs.rm(actor, None, path).is_ok() {
                     pruned += 1;
                 }
             }

@@ -20,9 +20,10 @@
 
 use crate::flows::{FlowState, FlowTable};
 use crate::vchan::VchanPair;
+use std::fmt;
 use xen_sim::event_channel::EventChannelTable;
 use xen_sim::grant_table::GrantTable;
-use xenstore::{DomId, Error as XsError, PermLevel, Permissions, XenStore};
+use xenstore::{DomId, Error as XsError, Path, PermLevel, Permissions, XenStore};
 
 /// Errors from rendezvous operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,20 +79,20 @@ impl ConduitRegistry {
         }
     }
 
-    fn service_path(name: &str) -> String {
-        format!("/conduit/{name}")
+    /// `/conduit/<name>`.
+    fn service_path(name: &str) -> Result<Path, XsError> {
+        Path::root().join(format_args!("conduit/{name}"))
     }
 
-    fn listen_path(name: &str) -> String {
-        format!("/conduit/{name}/listen")
+    /// `/conduit/<name>/<tail>`: the `listen` and `established`
+    /// directories and their entries.
+    fn service_key(name: &str, tail: impl fmt::Display) -> Result<Path, XsError> {
+        Path::root().join(format_args!("conduit/{name}/{tail}"))
     }
 
-    fn established_path(name: &str) -> String {
-        format!("/conduit/{name}/established")
-    }
-
-    fn vchan_path(server: DomId, conn: &str) -> String {
-        format!("/local/domain/{}/vchan/{}", server.0, conn)
+    /// `/local/domain/<server>/vchan/<conn>`.
+    fn vchan_path(server: DomId, conn: &str) -> Result<Path, XsError> {
+        Path::root().join(format_args!("local/domain/{}/vchan/{conn}", server.0))
     }
 
     /// The watch token a server should use on its listen directory.
@@ -110,7 +111,7 @@ impl ConduitRegistry {
         name: &str,
         server: DomId,
     ) -> Result<Endpoint, ConduitError> {
-        let base = Self::service_path(name);
+        let base = Self::service_path(name)?;
         xs.write(DomId::DOM0, None, &base, server.0.to_string().as_bytes())?;
         // The service node itself is world-readable so clients can resolve it.
         xs.set_perms(
@@ -119,21 +120,23 @@ impl ConduitRegistry {
             &base,
             Permissions::with_default(server, PermLevel::Read),
         )?;
-        xs.mkdir(DomId::DOM0, None, &Self::listen_path(name))?;
+        let listen = base.child("listen")?;
+        xs.mkdir(DomId::DOM0, None, &listen)?;
         xs.set_perms(
             DomId::DOM0,
             None,
-            &Self::listen_path(name),
+            &listen,
             Permissions::owned_by(server).create_restricted(),
         )?;
-        xs.mkdir(DomId::DOM0, None, &Self::established_path(name))?;
+        let established = base.child("established")?;
+        xs.mkdir(DomId::DOM0, None, &established)?;
         xs.set_perms(
             DomId::DOM0,
             None,
-            &Self::established_path(name),
+            established,
             Permissions::with_default(server, PermLevel::Read),
         )?;
-        xs.watch(server, &Self::listen_path(name), &Self::listen_token(name))?;
+        xs.watch(server, listen, &Self::listen_token(name))?;
         // Drain the initial synthetic event so later events mean real work.
         let _ = xs.take_watch_events(server);
         Ok(Endpoint {
@@ -148,7 +151,7 @@ impl ConduitRegistry {
         requester: DomId,
         name: &str,
     ) -> Result<Endpoint, ConduitError> {
-        match xs.read_string(requester, None, &Self::service_path(name)) {
+        match xs.read_string(requester, None, Self::service_path(name)?) {
             Ok(v) => {
                 let dom = v
                     .trim()
@@ -183,8 +186,8 @@ impl ConduitRegistry {
         conn: &str,
     ) -> Result<Endpoint, ConduitError> {
         let endpoint = Self::resolve(xs, client, service)?;
-        let path = format!("{}/{}", Self::listen_path(service), conn);
-        xs.write(client, None, &path, client.0.to_string().as_bytes())?;
+        let entry = Self::service_key(service, format_args!("listen/{conn}"))?;
+        xs.write(client, None, entry, client.0.to_string().as_bytes())?;
         Ok(endpoint)
     }
 
@@ -202,8 +205,7 @@ impl ConduitRegistry {
     ) -> Result<Vec<AcceptedConnection>, ConduitError> {
         // Consume any pending watch events (their content only tells us to look).
         let _ = xs.take_watch_events(server);
-        let listen = Self::listen_path(name);
-        let pending = xs.directory(server, None, &listen)?;
+        let pending = xs.directory(server, None, Self::service_key(name, "listen")?)?;
         let mut accepted = Vec::new();
         for conn in pending {
             if let Some(c) = self.accept_entry(xs, grants, evtchn, name, server, &conn)? {
@@ -229,7 +231,7 @@ impl ConduitRegistry {
     ) -> Result<AcceptedConnection, ConduitError> {
         let _ = xs.take_watch_events(server);
         self.accept_entry(xs, grants, evtchn, name, server, conn)?
-            .ok_or_else(|| ConduitError::UnknownService(format!("{name}/{conn}")))
+            .ok_or_else(|| ConduitError::UnknownService([name, "/", conn].concat()))
     }
 
     /// Establish one listen entry: vchan, published metadata, flow record.
@@ -243,8 +245,7 @@ impl ConduitRegistry {
         server: DomId,
         conn: &str,
     ) -> Result<Option<AcceptedConnection>, ConduitError> {
-        let listen = Self::listen_path(name);
-        let entry = format!("{listen}/{conn}");
+        let entry = Self::service_key(name, format_args!("listen/{conn}"))?;
         let client_str = xs.read_string(server, None, &entry)?;
         let Ok(client_id) = client_str.trim().parse::<u32>() else {
             // Malformed request: drop it.
@@ -261,36 +262,29 @@ impl ConduitRegistry {
 
         // Publish the shared-memory endpoint details where only the two
         // participants (and dom0) can read them.
-        let vchan_base = Self::vchan_path(server, conn);
+        let vchan = Self::vchan_path(server, conn)?;
+        let ring_ref = vchan.child("ring-ref")?;
+        let event_channel = vchan.child("event-channel")?;
+        let domid = vchan.child("domid")?;
         xs.write(
             DomId::DOM0,
             None,
-            &format!("{vchan_base}/ring-ref"),
+            &ring_ref,
             channel.server_ring_gref.0.to_string().as_bytes(),
         )?;
         xs.write(
             DomId::DOM0,
             None,
-            &format!("{vchan_base}/event-channel"),
+            &event_channel,
             channel.client_port.0.to_string().as_bytes(),
         )?;
-        xs.write(
-            DomId::DOM0,
-            None,
-            &format!("{vchan_base}/domid"),
-            client.0.to_string().as_bytes(),
-        )?;
+        xs.write(DomId::DOM0, None, &domid, client.0.to_string().as_bytes())?;
         // The endpoint details are readable only by the two participants
         // (and dom0); every key must carry the grant, not just the
         // directory, since permissions are per node.
         let participant_perms = Permissions::owned_by(server).granting(client, PermLevel::Read);
-        for key in ["", "/ring-ref", "/event-channel", "/domid"] {
-            xs.set_perms(
-                DomId::DOM0,
-                None,
-                &format!("{vchan_base}{key}"),
-                participant_perms.clone(),
-            )?;
+        for key in [vchan, ring_ref, event_channel, domid] {
+            xs.set_perms(DomId::DOM0, None, key, participant_perms.clone())?;
         }
 
         let flow_id = self.flows.create(
@@ -302,10 +296,10 @@ impl ConduitRegistry {
         xs.write(
             DomId::DOM0,
             None,
-            &format!("{}/{}", Self::established_path(name), conn),
+            Self::service_key(name, format_args!("established/{conn}"))?,
             flow_id.to_string().as_bytes(),
         )?;
-        xs.rm(server, None, &entry)?;
+        xs.rm(server, None, entry)?;
         Ok(Some(AcceptedConnection {
             conn: conn.to_string(),
             client,
@@ -322,20 +316,19 @@ impl ConduitRegistry {
         conn: &str,
         flow_id: u64,
     ) -> Result<(), ConduitError> {
-        #[expect(
-            clippy::let_underscore_must_use,
-            reason = "teardown is best-effort: the paths may already be gone if the peer cleaned up first"
-        )]
-        let _ = xs.rm(DomId::DOM0, None, &Self::vchan_path(server, conn));
-        #[expect(
-            clippy::let_underscore_must_use,
-            reason = "teardown is best-effort: the paths may already be gone if the peer cleaned up first"
-        )]
-        let _ = xs.rm(
-            DomId::DOM0,
-            None,
-            &format!("{}/{}", Self::established_path(name), conn),
-        );
+        // Teardown is best-effort: the paths may already be gone if the peer
+        // cleaned up first.
+        let established = Self::service_key(name, format_args!("established/{conn}"));
+        for path in [Self::vchan_path(server, conn), established]
+            .into_iter()
+            .flatten()
+        {
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "a path already gone needs no removal"
+            )]
+            let _ = xs.rm(DomId::DOM0, None, path);
+        }
         FlowTable::set_state(xs, DomId::DOM0, flow_id, FlowState::Closed)?;
         Ok(())
     }

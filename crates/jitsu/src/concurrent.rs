@@ -72,7 +72,7 @@ use std::fmt;
 use unikernel::appliance::{Appliance, StaticSiteAppliance};
 use unikernel::instance::UnikernelInstance;
 use xen_sim::toolstack::{LaunchSlots, Toolstack};
-use xenstore::DomId;
+use xenstore::{DomId, Path};
 
 /// One client whose first connection is parked on a booting service.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,6 +138,36 @@ struct DataPlane {
 struct Service {
     lifecycle: Lifecycle,
     plane: Option<DataPlane>,
+    /// The store keys the service's every boot, frame and reap names,
+    /// built with the daemon; the error building them gave, for a name that
+    /// is not a valid path component, which fails the service's first
+    /// launch.
+    keys: xenstore::Result<ServiceKeys>,
+}
+
+/// The store keys of one service. A board configures many more services
+/// than it runs, so these are two buffers a service: a key named once a
+/// launch (the record's `dom`) is built when it is written.
+#[derive(Debug)]
+struct ServiceKeys {
+    /// `/jitsu/service/<name>`, the service's lifecycle record: the parent
+    /// of `state`, sharing its buffer.
+    record: Path,
+    /// The record's `state` key.
+    state: Path,
+    /// The handoff phase key, which routes every client frame.
+    phase: Path,
+}
+
+impl ServiceKeys {
+    fn new(name: &str) -> xenstore::Result<ServiceKeys> {
+        let state = Path::root().join(format_args!("jitsu/service/{name}/state"))?;
+        Ok(ServiceKeys {
+            record: state.parent().unwrap_or_else(Path::root),
+            state,
+            phase: handoff::phase_key(name)?,
+        })
+    }
 }
 
 /// The lifecycle state machine of one configured service.
@@ -471,9 +501,10 @@ impl ConcurrentJitsud {
         let services = config
             .services
             .iter()
-            .map(|_| Service {
+            .map(|svc| Service {
                 lifecycle: Lifecycle::Idle,
                 plane: None,
+                keys: ServiceKeys::new(&svc.name),
             })
             .collect();
         ConcurrentJitsud {
@@ -702,7 +733,11 @@ impl ConcurrentJitsud {
         }
         let name = &world.config.services[usize::from(ix)].name;
         let xs = &mut world.launcher.toolstack.xenstore;
-        match handoff::phase(xs, name) {
+        let phase = match &world.services[usize::from(ix)].keys {
+            Ok(keys) => handoff::phase(xs, &keys.phase),
+            Err(_) => HandoffPhase::Committed,
+        };
+        match phase {
             HandoffPhase::Proxying => Self::pump_via_synjitsu(world, ix, client_id, frames),
             HandoffPhase::Prepare => {
                 // The race window between the phases: park every frame.
@@ -951,12 +986,16 @@ impl ConcurrentJitsud {
                     let boot_tx = xs
                         .transaction_start(DomId::DOM0)
                         .expect("dom0 transactions are not quota-limited");
+                    let service = &mut world.services[i];
+                    let registered = match &service.keys {
+                        Ok(keys) => Self::write_boot_record(xs, boot_tx, keys, outcome.dom),
+                        Err(e) => Err(e.clone()),
+                    };
                     #[expect(
                         clippy::expect_used,
                         reason = "boot registration writes go to fresh per-service paths"
                     )]
-                    Self::write_boot_record(xs, boot_tx, &svc.name, outcome.dom)
-                        .expect("boot registration writes succeed");
+                    registered.expect("boot registration writes succeed");
                     let construction_done_at = now + outcome.construction.total;
                     let network_ready_at = outcome.network_ready_at();
                     let app_ready_at = outcome.app_ready_at();
@@ -970,21 +1009,19 @@ impl ConcurrentJitsud {
                         queued: queued.len() as u32,
                     };
                     world.trace.push(now, event);
-                    world.services[i] = Service {
-                        lifecycle: Lifecycle::Launching {
-                            queued,
-                            dom: outcome.dom,
-                            network_ready_at,
-                            app_ready_at,
-                            boot_tx: Some(boot_tx),
-                        },
-                        // The packet-level instance is the unikernel side
-                        // of the data plane once the handoff commits.
-                        plane: Some(DataPlane {
-                            instance,
-                            drained: Vec::new(),
-                        }),
+                    service.lifecycle = Lifecycle::Launching {
+                        queued,
+                        dom: outcome.dom,
+                        network_ready_at,
+                        app_ready_at,
+                        boot_tx: Some(boot_tx),
                     };
+                    // The packet-level instance is the unikernel side of the
+                    // data plane once the handoff commits.
+                    service.plane = Some(DataPlane {
+                        instance,
+                        drained: Vec::new(),
+                    });
                     // The slot covers dom0's construction work only; the
                     // guest boots on its own vcpu.
                     sim.schedule_at(construction_done_at, move |sim| {
@@ -1019,15 +1056,14 @@ impl ConcurrentJitsud {
     fn write_boot_record(
         xs: &mut xenstore::XenStore,
         tx: xenstore::TxId,
-        name: &str,
+        keys: &ServiceKeys,
         dom: DomId,
     ) -> Result<(), xenstore::Error> {
-        let base = format!("/jitsu/service/{name}");
-        xs.write(DomId::DOM0, Some(tx), &format!("{base}/state"), b"booting")?;
+        xs.write(DomId::DOM0, Some(tx), &keys.state, b"booting")?;
         xs.write(
             DomId::DOM0,
             Some(tx),
-            &format!("{base}/dom"),
+            keys.record.child("dom")?,
             dom.0.to_string().as_bytes(),
         )?;
         Ok(())
@@ -1042,25 +1078,33 @@ impl ConcurrentJitsud {
     fn on_construction_done<S: Scheduler<World = ConcurrentJitsud>>(sim: &mut S, ix: u16) {
         let world = sim.world_mut();
         let i = usize::from(ix);
-        if let Lifecycle::Launching { dom, boot_tx, .. } = &mut world.services[i].lifecycle {
+        let svc = &mut world.services[i];
+        if let (Lifecycle::Launching { dom, boot_tx, .. }, Ok(keys)) =
+            (&mut svc.lifecycle, &svc.keys)
+        {
+            // A boot transaction is open only once the keys wrote the record.
             if let Some(tx) = boot_tx.take() {
-                let name = &world.config.services[i].name;
-                Self::commit_boot_record(&mut world.launcher.toolstack.xenstore, tx, name, *dom);
+                Self::commit_boot_record(&mut world.launcher.toolstack.xenstore, tx, keys, *dom);
             }
         }
         world.slots.release();
         Self::dispatch(sim);
     }
 
-    /// Mark `name`'s boot record built and commit its transaction `tx`,
-    /// redoing the whole registration if the commit aborts with `EAGAIN`.
-    fn commit_boot_record(xs: &mut xenstore::XenStore, tx: xenstore::TxId, name: &str, dom: DomId) {
-        let state_path = format!("/jitsu/service/{name}/state");
+    /// Mark the service's boot record built and commit its transaction
+    /// `tx`, redoing the whole registration if the commit aborts with
+    /// `EAGAIN`.
+    fn commit_boot_record(
+        xs: &mut xenstore::XenStore,
+        tx: xenstore::TxId,
+        keys: &ServiceKeys,
+        dom: DomId,
+    ) {
         #[expect(
             clippy::expect_used,
             reason = "transactional write inside an open boot transaction"
         )]
-        xs.write(DomId::DOM0, Some(tx), &state_path, b"built")
+        xs.write(DomId::DOM0, Some(tx), &keys.state, b"built")
             .expect("transactional write succeeds");
         match xs.transaction_end(DomId::DOM0, tx, true) {
             Ok(()) => {}
@@ -1070,8 +1114,8 @@ impl ConcurrentJitsud {
                     reason = "the retry re-registers on a conflict-free snapshot"
                 )]
                 xs.with_transaction(DomId::DOM0, 8, |xs, t| {
-                    Self::write_boot_record(xs, t, name, dom)?;
-                    xs.write(DomId::DOM0, Some(t), &state_path, b"built")
+                    Self::write_boot_record(xs, t, keys, dom)?;
+                    xs.write(DomId::DOM0, Some(t), &keys.state, b"built")
                 })
                 .expect("boot-registration retry succeeds");
             }
@@ -1432,16 +1476,17 @@ impl ConcurrentJitsud {
             .launcher
             .retire(dom)
             .expect("draining domain exists until retired");
-        let name = &world.config.services[i].name;
-        #[expect(
-            clippy::let_underscore_must_use,
-            reason = "lifecycle record removal is best-effort; the path is gone if a racing retire won"
-        )]
-        let _ = world.launcher.toolstack.xenstore.rm(
-            DomId::DOM0,
-            None,
-            &format!("/jitsu/service/{name}"),
-        );
+        if let Ok(keys) = &world.services[i].keys {
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "lifecycle record removal is best-effort; the path is gone if a racing retire won"
+            )]
+            let _ = world
+                .launcher
+                .toolstack
+                .xenstore
+                .rm(DomId::DOM0, None, &keys.record);
+        }
         world
             .trace
             .push(now, JitsuEvent::Retired { service: ix, dom });

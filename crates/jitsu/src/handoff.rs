@@ -21,8 +21,8 @@
 use netstack::tcp::tcb::{hex_decode, hex_encode};
 use netstack::tcp::Tcb;
 use netstack::FrameBuf;
-use xen_sim::devices::KeyDir;
-use xenstore::{DomId, Result as XsResult, XenStore};
+use std::fmt;
+use xenstore::{DomId, Path, Result as XsResult, XenStore};
 
 /// The phase of the handoff for one service.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,72 +54,126 @@ impl HandoffPhase {
     }
 }
 
-/// `/conduit/<service>/<tail>` — the service's dots become underscores,
-/// a store path component being no place for a DNS name.
-fn conduit_path(name: &str, tail: &str) -> String {
-    const TOP: &str = "/conduit/";
-    let mut path = String::with_capacity(TOP.len() + name.len() + 1 + tail.len());
-    path.push_str(TOP);
-    path.extend(name.chars().map(|c| if c == '.' { '_' } else { c }));
-    path.push('/');
-    path.push_str(tail);
-    path
+/// A service's name as a store path component: its dots become
+/// underscores, a store path component being no place for a DNS name.
+struct Underscored<'a>(&'a str);
+
+impl fmt::Display for Underscored<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (i, piece) in self.0.split('.').enumerate() {
+            if i > 0 {
+                f.write_str("_")?;
+            }
+            f.write_str(piece)?;
+        }
+        Ok(())
+    }
 }
 
-fn base(name: &str) -> String {
-    conduit_path(name, "tcpv4")
+/// The store keys of one service's handoff area under
+/// `/conduit/<service>`, built once and kept by whoever drives the handoff:
+/// every frame reads the phase, so no frame formats or parses a path.
+#[derive(Debug, Clone)]
+pub struct HandoffKeys {
+    /// `synjitsu-phase`: who answers the service's traffic.
+    phase: Path,
+    /// `tcpv4`: one numbered record per proxied connection.
+    records: Path,
+    /// `pending`: frames parked during [`HandoffPhase::Prepare`].
+    pending: Path,
 }
 
-fn phase_path(name: &str) -> String {
-    conduit_path(name, "synjitsu-phase")
+/// `/conduit/<service>/<tail>`.
+fn conduit_key(name: &str, tail: &str) -> XsResult<Path> {
+    Path::root().join(format_args!("conduit/{}/{tail}", Underscored(name)))
 }
 
-fn pending_path(name: &str) -> String {
-    conduit_path(name, "pending")
+/// The key of `name`'s handoff phase, which says who answers its traffic.
+pub fn phase_key(name: &str) -> XsResult<Path> {
+    conduit_key(name, "synjitsu-phase")
+}
+
+impl HandoffKeys {
+    /// The keys of `name`'s handoff area.
+    pub fn new(name: &str) -> XsResult<HandoffKeys> {
+        Ok(HandoffKeys {
+            records: conduit_key(name, "tcpv4")?,
+            phase: phase_key(name)?,
+            pending: conduit_key(name, "pending")?,
+        })
+    }
+
+    /// The phase key.
+    pub fn phase(&self) -> &Path {
+        &self.phase
+    }
+
+    /// The keys of connection record `index`.
+    pub fn record(&self, index: u32) -> XsResult<RecordKeys> {
+        let entry = self.records.child(index)?;
+        Ok(RecordKeys {
+            state: entry.child("state")?,
+            tcb: entry.child("tcb")?,
+            packets: entry.child("packets")?,
+        })
+    }
+}
+
+/// The keys of one connection record, Figure 7's `state`, `tcb` and
+/// `packets`: built when the connection is first recorded and kept while
+/// it is proxied, since every frame on it rewrites them.
+#[derive(Debug, Clone)]
+pub struct RecordKeys {
+    state: Path,
+    tcb: Path,
+    packets: Path,
 }
 
 /// Initialise the handoff area for a service that is being summoned.
-pub fn begin_proxying(xs: &mut XenStore, name: &str) -> XsResult<()> {
-    xs.mkdir(DomId::DOM0, None, &base(name))?;
+pub fn begin_proxying(xs: &mut XenStore, keys: &HandoffKeys) -> XsResult<()> {
+    xs.mkdir(DomId::DOM0, None, &keys.records)?;
     xs.write(
         DomId::DOM0,
         None,
-        &phase_path(name),
+        &keys.phase,
         HandoffPhase::Proxying.token().as_bytes(),
     )
 }
 
-/// The current phase (defaults to `Committed` when no handoff area
-/// exists — i.e. the unikernel is simply running normally).
-pub fn phase(xs: &mut XenStore, name: &str) -> HandoffPhase {
-    match xs.read_string(DomId::DOM0, None, &phase_path(name)) {
-        Ok(s) => HandoffPhase::from_token(s.trim()).unwrap_or(HandoffPhase::Committed),
-        Err(_) => HandoffPhase::Committed,
-    }
+/// The current phase, read at the [`phase_key`] `key` (defaults to
+/// `Committed` when no handoff area exists — i.e. the unikernel is simply
+/// running normally).
+pub fn phase(xs: &mut XenStore, key: &Path) -> HandoffPhase {
+    xs.read_with(DomId::DOM0, None, key, |value| {
+        HandoffPhase::from_token(String::from_utf8_lossy(value).trim())
+    })
+    .ok()
+    .flatten()
+    .unwrap_or(HandoffPhase::Committed)
 }
 
 /// True if the unikernel should answer packets for this service.
-pub fn unikernel_should_handle(xs: &mut XenStore, name: &str) -> bool {
-    phase(xs, name) == HandoffPhase::Committed
+pub fn unikernel_should_handle(xs: &mut XenStore, key: &Path) -> bool {
+    phase(xs, key) == HandoffPhase::Committed
 }
 
 /// Record (or update) one embryonic connection, Figure 7 style: a
 /// numbered entry with `state`, `tcb` and `packets` keys.
-pub fn record_connection(xs: &mut XenStore, name: &str, index: u32, tcb: &Tcb) -> XsResult<()> {
-    let mut entry = KeyDir::under(format!("{}/{index}", base(name)));
-    entry.publish(xs, "state", tcb.state.as_token().as_bytes())?;
-    entry.publish(xs, "tcb", tcb.to_sexp().as_bytes())?;
+pub fn record_connection(xs: &mut XenStore, keys: &RecordKeys, tcb: &Tcb) -> XsResult<()> {
+    let mut publish = |key: &Path, value: &[u8]| xs.write(DomId::DOM0, None, key, value);
+    publish(&keys.state, tcb.state.as_token().as_bytes())?;
+    publish(&keys.tcb, tcb.to_sexp().as_bytes())?;
     if tcb.buffered.is_empty() {
-        entry.publish(xs, "packets", b"()")
+        publish(&keys.packets, b"()")
     } else {
         let packets = format!("((data {} bytes))", tcb.buffered.len());
-        entry.publish(xs, "packets", packets.as_bytes())
+        publish(&keys.packets, packets.as_bytes())
     }
 }
 
 /// Number of connections currently recorded for a service.
-pub fn recorded_connections(xs: &mut XenStore, name: &str) -> usize {
-    xs.directory(DomId::DOM0, None, &base(name))
+pub fn recorded_connections(xs: &mut XenStore, keys: &HandoffKeys) -> usize {
+    xs.directory(DomId::DOM0, None, &keys.records)
         .map(|entries| entries.len())
         .unwrap_or(0)
 }
@@ -130,25 +184,24 @@ pub fn recorded_connections(xs: &mut XenStore, name: &str) -> usize {
 /// handoff area and replayed by the unikernel after `Committed`. This is
 /// what makes "only one of them ever handles any given packet" hold
 /// *across* the phase flip, not just within each phase.
-pub fn queue_pending_frame(xs: &mut XenStore, name: &str, frame: &[u8]) -> XsResult<u32> {
-    let base = pending_path(name);
+pub fn queue_pending_frame(xs: &mut XenStore, keys: &HandoffKeys, frame: &[u8]) -> XsResult<u32> {
     let index = xs
-        .directory(DomId::DOM0, None, &base)
+        .directory(DomId::DOM0, None, &keys.pending)
         .map(|entries| entries.len() as u32)
         .unwrap_or(0);
     // Zero-padded so the directory's lexical order is arrival order.
     xs.write(
         DomId::DOM0,
         None,
-        &format!("{base}/{index:06}"),
+        keys.pending.child(format_args!("{index:06}"))?,
         hex_encode(frame).as_bytes(),
     )?;
     Ok(index)
 }
 
 /// Number of frames currently parked for replay.
-pub fn pending_frames(xs: &mut XenStore, name: &str) -> usize {
-    xs.directory(DomId::DOM0, None, &pending_path(name))
+pub fn pending_frames(xs: &mut XenStore, keys: &HandoffKeys) -> usize {
+    xs.directory(DomId::DOM0, None, &keys.pending)
         .map(|entries| entries.len())
         .unwrap_or(0)
 }
@@ -157,33 +210,35 @@ pub fn pending_frames(xs: &mut XenStore, name: &str) -> usize {
 /// unikernel right after it commits the takeover. Each frame is decoded
 /// into a fresh shared buffer, replayed downstream without further
 /// copies.
-pub fn drain_pending_frames(xs: &mut XenStore, name: &str) -> XsResult<Vec<FrameBuf>> {
-    let base = pending_path(name);
-    let mut entries = xs.directory(DomId::DOM0, None, &base).unwrap_or_default();
+pub fn drain_pending_frames(xs: &mut XenStore, keys: &HandoffKeys) -> XsResult<Vec<FrameBuf>> {
+    let mut entries = xs
+        .directory(DomId::DOM0, None, &keys.pending)
+        .unwrap_or_default();
     entries.sort();
     let mut frames = Vec::new();
     for entry in entries {
-        if let Ok(hex) = xs.read_string(DomId::DOM0, None, &format!("{base}/{entry}")) {
-            if let Some(frame) = hex_decode(hex.trim()) {
-                frames.push(FrameBuf::from_vec(frame));
-            }
+        let frame = xs.read_with(DomId::DOM0, None, keys.pending.child(&entry)?, |hex| {
+            hex_decode(String::from_utf8_lossy(hex).trim())
+        });
+        if let Ok(Some(frame)) = frame {
+            frames.push(FrameBuf::from_vec(frame));
         }
     }
     #[expect(
         clippy::let_underscore_must_use,
         reason = "the pending directory may be absent when no frames were parked; rm is best-effort"
     )]
-    let _ = xs.rm(DomId::DOM0, None, &base);
+    let _ = xs.rm(DomId::DOM0, None, &keys.pending);
     Ok(frames)
 }
 
 /// Step 1 of the takeover, performed by the unikernel once its network
 /// stack is attached.
-pub fn request_takeover(xs: &mut XenStore, name: &str) -> XsResult<()> {
+pub fn request_takeover(xs: &mut XenStore, keys: &HandoffKeys) -> XsResult<()> {
     xs.write(
         DomId::DOM0,
         None,
-        &phase_path(name),
+        &keys.phase,
         HandoffPhase::Prepare.token().as_bytes(),
     )
 }
@@ -193,18 +248,19 @@ pub fn request_takeover(xs: &mut XenStore, name: &str) -> XsResult<()> {
 /// record directory in one XenStore transaction, so no observer (and no
 /// racing packet) can ever see the phase flipped while records still
 /// exist, or records gone while the phase still says `prepare`.
-pub fn commit_phase_only(xs: &mut XenStore, name: &str) -> XsResult<()> {
-    let base = base(name);
-    let phase_path = phase_path(name);
+pub fn commit_phase_only(xs: &mut XenStore, keys: &HandoffKeys) -> XsResult<()> {
     xs.with_transaction(DomId::DOM0, 8, |xs, t| {
         xs.write(
             DomId::DOM0,
             Some(t),
-            &phase_path,
+            &keys.phase,
             HandoffPhase::Committed.token().as_bytes(),
         )?;
-        if xs.exists(DomId::DOM0, Some(t), &base).unwrap_or(false) {
-            xs.rm(DomId::DOM0, Some(t), &base)?;
+        if xs
+            .exists(DomId::DOM0, Some(t), &keys.records)
+            .unwrap_or(false)
+        {
+            xs.rm(DomId::DOM0, Some(t), &keys.records)?;
         }
         Ok(())
     })?;
@@ -234,39 +290,50 @@ mod tests {
     }
 
     /// The TCB a record holds in the store, as Figure 7 lays it out.
-    fn stored_tcb(xs: &mut XenStore, name: &str, index: u32) -> Option<Tcb> {
-        let path = format!("{}/{index}/tcb", base(name));
-        Tcb::from_sexp(&xs.read_string(DomId::DOM0, None, &path).ok()?)
+    fn stored_tcb(xs: &mut XenStore, keys: &HandoffKeys, index: u32) -> Option<Tcb> {
+        let path = &keys.record(index).unwrap().tcb;
+        Tcb::from_sexp(&xs.read_string(DomId::DOM0, None, path).ok()?)
+    }
+
+    fn keys(name: &str) -> HandoffKeys {
+        HandoffKeys::new(name).unwrap()
+    }
+
+    /// Record `tcb` as connection `index`.
+    fn record(xs: &mut XenStore, keys: &HandoffKeys, index: u32, tcb: &Tcb) -> XsResult<()> {
+        record_connection(xs, &keys.record(index)?, tcb)
     }
 
     #[test]
     fn phase_progression_guarantees_single_handler() {
         let mut xs = XenStore::new(EngineKind::JitsuMerge);
-        begin_proxying(&mut xs, "alice.family.name").unwrap();
-        assert_eq!(phase(&mut xs, "alice.family.name"), HandoffPhase::Proxying);
-        assert!(!unikernel_should_handle(&mut xs, "alice.family.name"));
+        let k = keys("alice.family.name");
+        begin_proxying(&mut xs, &k).unwrap();
+        assert_eq!(phase(&mut xs, k.phase()), HandoffPhase::Proxying);
+        assert!(!unikernel_should_handle(&mut xs, k.phase()));
 
-        request_takeover(&mut xs, "alice.family.name").unwrap();
-        assert_eq!(phase(&mut xs, "alice.family.name"), HandoffPhase::Prepare);
+        request_takeover(&mut xs, &k).unwrap();
+        assert_eq!(phase(&mut xs, k.phase()), HandoffPhase::Prepare);
         // During prepare, *neither* side answers new packets.
-        assert_ne!(phase(&mut xs, "alice.family.name"), HandoffPhase::Proxying);
-        assert!(!unikernel_should_handle(&mut xs, "alice.family.name"));
+        assert_ne!(phase(&mut xs, k.phase()), HandoffPhase::Proxying);
+        assert!(!unikernel_should_handle(&mut xs, k.phase()));
 
-        commit_phase_only(&mut xs, "alice.family.name").unwrap();
-        assert!(unikernel_should_handle(&mut xs, "alice.family.name"));
-        assert_ne!(phase(&mut xs, "alice.family.name"), HandoffPhase::Proxying);
+        commit_phase_only(&mut xs, &k).unwrap();
+        assert!(unikernel_should_handle(&mut xs, k.phase()));
+        assert_ne!(phase(&mut xs, k.phase()), HandoffPhase::Proxying);
     }
 
     #[test]
     fn records_round_trip_through_the_store() {
         let mut xs = XenStore::new(EngineKind::JitsuMerge);
-        begin_proxying(&mut xs, "alice.family.name").unwrap();
+        let k = keys("alice.family.name");
+        begin_proxying(&mut xs, &k).unwrap();
         let t1 = tcb(51000, b"GET / HTTP/1.1\r\n\r\n");
         let mut t2 = tcb(51001, b"");
         t2.state = TcpState::SynReceived;
-        record_connection(&mut xs, "alice.family.name", 1, &t1).unwrap();
-        record_connection(&mut xs, "alice.family.name", 2, &t2).unwrap();
-        assert_eq!(recorded_connections(&mut xs, "alice.family.name"), 2);
+        record(&mut xs, &k, 1, &t1).unwrap();
+        record(&mut xs, &k, 2, &t2).unwrap();
+        assert_eq!(recorded_connections(&mut xs, &k), 2);
 
         // The store holds Figure 7's structure.
         let state = xs
@@ -285,74 +352,76 @@ mod tests {
             )
             .unwrap();
         assert!(packets.contains("18 bytes"));
-        assert_eq!(stored_tcb(&mut xs, "alice.family.name", 1), Some(t1));
-        assert_eq!(stored_tcb(&mut xs, "alice.family.name", 2), Some(t2));
+        assert_eq!(stored_tcb(&mut xs, &k, 1), Some(t1));
+        assert_eq!(stored_tcb(&mut xs, &k, 2), Some(t2));
 
-        request_takeover(&mut xs, "alice.family.name").unwrap();
-        commit_phase_only(&mut xs, "alice.family.name").unwrap();
+        request_takeover(&mut xs, &k).unwrap();
+        commit_phase_only(&mut xs, &k).unwrap();
         // Records are gone afterwards.
-        assert_eq!(recorded_connections(&mut xs, "alice.family.name"), 0);
+        assert_eq!(recorded_connections(&mut xs, &k), 0);
     }
 
     #[test]
     fn updating_a_record_overwrites_it() {
         let mut xs = XenStore::new(EngineKind::JitsuMerge);
-        begin_proxying(&mut xs, "q").unwrap();
+        let k = keys("q");
+        begin_proxying(&mut xs, &k).unwrap();
         let mut t = tcb(51000, b"");
         t.state = TcpState::SynReceived;
-        record_connection(&mut xs, "q", 1, &t).unwrap();
+        record(&mut xs, &k, 1, &t).unwrap();
         t.state = TcpState::Established;
         t.buffered = b"data".to_vec();
-        record_connection(&mut xs, "q", 1, &t).unwrap();
-        assert_eq!(recorded_connections(&mut xs, "q"), 1);
-        assert_eq!(stored_tcb(&mut xs, "q", 1), Some(t));
+        record(&mut xs, &k, 1, &t).unwrap();
+        assert_eq!(recorded_connections(&mut xs, &k), 1);
+        assert_eq!(stored_tcb(&mut xs, &k, 1), Some(t));
     }
 
     #[test]
     fn frames_parked_during_prepare_replay_in_arrival_order() {
         let mut xs = XenStore::new(EngineKind::JitsuMerge);
-        begin_proxying(&mut xs, "alice.family.name").unwrap();
-        request_takeover(&mut xs, "alice.family.name").unwrap();
+        let k = keys("alice.family.name");
+        begin_proxying(&mut xs, &k).unwrap();
+        request_takeover(&mut xs, &k).unwrap();
         // The race window: frames arrive while neither side may answer.
         for i in 0..12u8 {
-            queue_pending_frame(&mut xs, "alice.family.name", &[0xEE, i, i, i]).unwrap();
+            queue_pending_frame(&mut xs, &k, &[0xEE, i, i, i]).unwrap();
         }
-        assert_eq!(pending_frames(&mut xs, "alice.family.name"), 12);
-        commit_phase_only(&mut xs, "alice.family.name").unwrap();
-        let frames = drain_pending_frames(&mut xs, "alice.family.name").unwrap();
+        assert_eq!(pending_frames(&mut xs, &k), 12);
+        commit_phase_only(&mut xs, &k).unwrap();
+        let frames = drain_pending_frames(&mut xs, &k).unwrap();
         assert_eq!(frames.len(), 12);
         for (i, frame) in frames.iter().enumerate() {
             assert_eq!(frame, &vec![0xEE, i as u8, i as u8, i as u8], "order kept");
         }
         // Drained means gone: a second drain yields nothing.
-        assert_eq!(pending_frames(&mut xs, "alice.family.name"), 0);
-        assert!(drain_pending_frames(&mut xs, "alice.family.name")
-            .unwrap()
-            .is_empty());
+        assert_eq!(pending_frames(&mut xs, &k), 0);
+        assert!(drain_pending_frames(&mut xs, &k).unwrap().is_empty());
     }
 
     #[test]
     fn commit_is_atomic_phase_flip_and_record_clear() {
         let mut xs = XenStore::new(EngineKind::JitsuMerge);
-        begin_proxying(&mut xs, "q").unwrap();
-        record_connection(&mut xs, "q", 1, &tcb(51000, b"GET /")).unwrap();
-        request_takeover(&mut xs, "q").unwrap();
-        assert_eq!(recorded_connections(&mut xs, "q"), 1);
-        commit_phase_only(&mut xs, "q").unwrap();
+        let k = keys("q");
+        begin_proxying(&mut xs, &k).unwrap();
+        record(&mut xs, &k, 1, &tcb(51000, b"GET /")).unwrap();
+        request_takeover(&mut xs, &k).unwrap();
+        assert_eq!(recorded_connections(&mut xs, &k), 1);
+        commit_phase_only(&mut xs, &k).unwrap();
         // Post-commit the store can never show the intermediate state:
         // phase committed *and* records cleared, together.
-        assert_eq!(phase(&mut xs, "q"), HandoffPhase::Committed);
-        assert_eq!(recorded_connections(&mut xs, "q"), 0);
+        assert_eq!(phase(&mut xs, k.phase()), HandoffPhase::Committed);
+        assert_eq!(recorded_connections(&mut xs, &k), 0);
     }
 
     #[test]
     fn services_without_handoff_area_default_to_unikernel_handling() {
         let mut xs = XenStore::new(EngineKind::JitsuMerge);
-        assert_eq!(phase(&mut xs, "never.summoned"), HandoffPhase::Committed);
-        assert!(unikernel_should_handle(&mut xs, "never.summoned"));
-        assert_eq!(recorded_connections(&mut xs, "never.summoned"), 0);
+        let k = keys("never.summoned");
+        assert_eq!(phase(&mut xs, k.phase()), HandoffPhase::Committed);
+        assert!(unikernel_should_handle(&mut xs, k.phase()));
+        assert_eq!(recorded_connections(&mut xs, &k), 0);
         // Committing with no records is a no-op, not an error.
-        commit_phase_only(&mut xs, "never.summoned").unwrap();
-        assert_eq!(recorded_connections(&mut xs, "never.summoned"), 0);
+        commit_phase_only(&mut xs, &k).unwrap();
+        assert_eq!(recorded_connections(&mut xs, &k), 0);
     }
 }

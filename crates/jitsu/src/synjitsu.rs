@@ -17,12 +17,13 @@
 //! ownership, after which Synjitsu never touches that service's traffic.
 
 use crate::config::ServiceConfig;
-use crate::handoff::{self, HandoffPhase};
+use crate::handoff::{self, HandoffKeys, HandoffPhase, RecordKeys};
 use netstack::iface::{IfaceEvent, Interface};
 use netstack::ipv4::Ipv4Addr;
 use netstack::tcp::Tcb;
 use netstack::FrameBuf;
-use std::collections::BTreeMap;
+use std::borrow::Cow;
+use std::collections::btree_map::{BTreeMap, Entry};
 use xenstore::{Result as XsResult, XenStore};
 
 /// Per-service proxy state.
@@ -35,6 +36,21 @@ struct ProxiedService {
     record_ids: BTreeMap<(Ipv4Addr, u16), u32>,
     next_record: u32,
     port: u16,
+    /// The service's handoff area, whose phase every frame reads.
+    keys: HandoffKeys,
+    /// Each record's keys, by record index, built when it is first written.
+    records: BTreeMap<u32, RecordKeys>,
+}
+
+impl ProxiedService {
+    /// Write connection record `id` into the handoff area.
+    fn record(&mut self, xs: &mut XenStore, id: u32, tcb: &Tcb) -> XsResult<()> {
+        let keys = match self.records.entry(id) {
+            Entry::Occupied(entry) => entry.into_mut(),
+            Entry::Vacant(entry) => entry.insert(self.keys.record(id)?),
+        };
+        handoff::record_connection(xs, keys, tcb)
+    }
 }
 
 /// The Synjitsu proxy.
@@ -67,7 +83,8 @@ impl Synjitsu {
     /// Begin proxying for a service that has just been summoned: Synjitsu
     /// impersonates the service's IP/MAC on the bridge until handoff.
     pub fn start_proxying(&mut self, xs: &mut XenStore, service: &ServiceConfig) -> XsResult<()> {
-        handoff::begin_proxying(xs, &service.name)?;
+        let keys = HandoffKeys::new(&service.name)?;
+        handoff::begin_proxying(xs, &keys)?;
         let mut iface = Interface::new(service.mac(), service.ip);
         iface.listen_tcp(service.port);
         self.services.insert(
@@ -78,9 +95,20 @@ impl Synjitsu {
                 record_ids: BTreeMap::new(),
                 next_record: 1,
                 port: service.port,
+                keys,
+                records: BTreeMap::new(),
             },
         );
         Ok(())
+    }
+
+    /// The handoff keys of `name`: the ones kept while it is proxied, else
+    /// built for the one call.
+    fn handoff_keys(&self, name: &str) -> XsResult<Cow<'_, HandoffKeys>> {
+        match self.services.get(name) {
+            Some(svc) => Ok(Cow::Borrowed(&svc.keys)),
+            None => HandoffKeys::new(name).map(Cow::Owned),
+        }
     }
 
     /// True if Synjitsu is currently proxying the named service.
@@ -115,17 +143,21 @@ impl Synjitsu {
         // replay after `Committed` — dropping it here would break the
         // "only one of them ever handles any given packet" guarantee by
         // turning the phase flip into silent loss.
-        match handoff::phase(xs, name) {
-            HandoffPhase::Prepare if self.services.contains_key(name) => {
-                handoff::queue_pending_frame(xs, name, frame)?;
-                return Ok(Vec::new());
-            }
-            HandoffPhase::Proxying => {}
-            _ => return Ok(Vec::new()),
-        }
+        let phase = match self.handoff_keys(name) {
+            Ok(keys) => handoff::phase(xs, keys.phase()),
+            Err(_) => HandoffPhase::Committed,
+        };
         let Some(svc) = self.services.get_mut(name) else {
             return Ok(Vec::new());
         };
+        match phase {
+            HandoffPhase::Prepare => {
+                handoff::queue_pending_frame(xs, &svc.keys, frame)?;
+                return Ok(Vec::new());
+            }
+            HandoffPhase::Proxying => {}
+            HandoffPhase::Committed => return Ok(Vec::new()),
+        }
         let before = svc.iface.connection_count();
         let (out, events) = svc.iface.handle_frame(frame);
         if svc.iface.connection_count() > before {
@@ -143,13 +175,8 @@ impl Synjitsu {
         }
         // Mirror every live connection's TCB (with buffered bytes) into the
         // store, Figure 7 style.
-        #[expect(
-            clippy::expect_used,
-            reason = "presence checked by the caller's lookup above"
-        )]
-        let to_record = Self::collect_records(self.services.get_mut(name).expect("present above"));
-        for (id, tcb) in &to_record {
-            handoff::record_connection(xs, name, *id, tcb)?;
+        for (id, tcb) in Self::collect_records(svc) {
+            svc.record(xs, id, &tcb)?;
         }
         Ok(out)
     }
@@ -188,7 +215,7 @@ impl Synjitsu {
         };
         let to_record = Self::collect_records(svc);
         for (id, tcb) in &to_record {
-            handoff::record_connection(xs, name, *id, tcb)?;
+            svc.record(xs, *id, tcb)?;
         }
         Ok(to_record.len())
     }
@@ -209,7 +236,8 @@ impl Synjitsu {
     /// queue), and Synjitsu flushes the final state of every proxied
     /// connection into the store. Returns the number of flushed records.
     pub fn prepare_handoff(&mut self, xs: &mut XenStore, name: &str) -> XsResult<usize> {
-        handoff::request_takeover(xs, name)?;
+        let keys = self.handoff_keys(name)?;
+        handoff::request_takeover(xs, &keys)?;
         self.snapshot_connections(xs, name)
     }
 
@@ -220,8 +248,9 @@ impl Synjitsu {
     /// window for replay. Synjitsu forgets the service — from this point
     /// only the unikernel touches its traffic.
     pub fn commit_handoff(&mut self, xs: &mut XenStore, name: &str) -> XsResult<Vec<FrameBuf>> {
-        handoff::commit_phase_only(xs, name)?;
-        let pending = handoff::drain_pending_frames(xs, name)?;
+        let keys = self.handoff_keys(name)?;
+        handoff::commit_phase_only(xs, &keys)?;
+        let pending = handoff::drain_pending_frames(xs, &keys)?;
         self.services.remove(name);
         Ok(pending)
     }
@@ -302,7 +331,10 @@ mod tests {
             .unwrap_or(false));
         assert_eq!(synjitsu.syns_intercepted(), 1);
         // And the embryonic connection is visible in the store.
-        assert_eq!(handoff::recorded_connections(&mut xs, &svc.name), 1);
+        assert_eq!(
+            handoff::recorded_connections(&mut xs, &HandoffKeys::new(&svc.name).unwrap()),
+            1
+        );
     }
 
     #[test]
@@ -327,7 +359,10 @@ mod tests {
         assert_eq!(tcbs[0].remote_ip, CLIENT_IP);
         // The proxy has withdrawn.
         assert!(!synjitsu.is_proxying(&svc.name));
-        assert!(handoff::unikernel_should_handle(&mut xs, &svc.name));
+        assert!(handoff::unikernel_should_handle(
+            &mut xs,
+            &handoff::phase_key(&svc.name).unwrap()
+        ));
     }
 
     #[test]
@@ -371,7 +406,10 @@ mod tests {
         let pending = synjitsu.commit_handoff(&mut xs, &svc.name).unwrap();
         assert_eq!(pending, vec![racing_syn]);
         assert!(!synjitsu.is_proxying(&svc.name));
-        assert!(handoff::unikernel_should_handle(&mut xs, &svc.name));
+        assert!(handoff::unikernel_should_handle(
+            &mut xs,
+            &handoff::phase_key(&svc.name).unwrap()
+        ));
     }
 
     /// A one-shot handoff would adopt what the store's Figure 7 mirror
@@ -408,8 +446,14 @@ mod tests {
         let pending = synjitsu.commit_handoff(&mut xs, &svc.name).unwrap();
         assert!(pending.is_empty());
         assert!(!synjitsu.is_proxying(&svc.name));
-        assert!(handoff::unikernel_should_handle(&mut xs, &svc.name));
-        assert_eq!(handoff::recorded_connections(&mut xs, &svc.name), 0);
+        assert!(handoff::unikernel_should_handle(
+            &mut xs,
+            &handoff::phase_key(&svc.name).unwrap()
+        ));
+        assert_eq!(
+            handoff::recorded_connections(&mut xs, &HandoffKeys::new(&svc.name).unwrap()),
+            0
+        );
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::event_channel::{EventChannelTable, Port};
 use crate::grant_table::{GrantRef, GrantTable};
 use jitsu_sim::SimDuration;
 use platform::Board;
-use xenstore::{DomId, Result as XsResult, XenStore};
+use xenstore::{DomId, Path, Result as XsResult, XenStore};
 
 /// A guest console: one shared ring page plus an event channel, drained by
 /// dom0's `xenconsoled`.
@@ -24,6 +24,8 @@ pub struct ConsoleDevice {
     pub ring_ref: GrantRef,
     /// The guest-side event channel port.
     pub port: Port,
+    /// The console's `state` key, built at setup for the writes after it.
+    state: Path,
 }
 
 impl ConsoleDevice {
@@ -43,21 +45,19 @@ impl ConsoleDevice {
             .grant(dom, DomId::DOM0)
             .expect("fresh domain has grant capacity");
         let port = evtchn.alloc_unbound(dom, DomId::DOM0);
-        let mut dir = Self::keys(dom);
+        // The console's one directory is the frontend's.
+        let dir = KeyDir::under(frontend_path(dom, DeviceKind::Console, 0)?);
         dir.publish(xs, "ring-ref", ring_ref.0.to_string().as_bytes())?;
         dir.publish(xs, "port", port.0.to_string().as_bytes())?;
         dir.publish(xs, "type", b"xenconsoled")?;
-        write_state(xs, DomId::DOM0, &mut dir, XenbusState::Initialised)?;
+        let state = dir.key("state")?;
+        write_state(xs, DomId::DOM0, &state, XenbusState::Initialised)?;
         Ok(ConsoleDevice {
             dom,
             ring_ref,
             port,
+            state,
         })
-    }
-
-    /// The keys of the console's one directory, the frontend's.
-    fn keys(dom: DomId) -> KeyDir {
-        KeyDir::under(frontend_path(dom, DeviceKind::Console, 0))
     }
 
     /// The time `xenconsoled` takes to notice and attach the new console on
@@ -70,12 +70,7 @@ impl ConsoleDevice {
 
     /// Mark the console connected (what `xenconsoled` does once attached).
     pub fn mark_connected(&self, xs: &mut XenStore) -> XsResult<()> {
-        write_state(
-            xs,
-            DomId::DOM0,
-            &mut Self::keys(self.dom),
-            XenbusState::Connected,
-        )
+        write_state(xs, DomId::DOM0, &self.state, XenbusState::Connected)
     }
 }
 
@@ -98,25 +93,26 @@ mod tests {
     fn setup_publishes_keys() {
         let (mut xs, mut gt, mut ec) = setup_env();
         let console = ConsoleDevice::setup(&mut xs, &mut gt, &mut ec, DomId(5)).unwrap();
-        let dir = frontend_path(DomId(5), DeviceKind::Console, 0);
+        let dir = KeyDir::under(frontend_path(DomId(5), DeviceKind::Console, 0).unwrap());
         assert_eq!(
-            xs.read_string(DomId::DOM0, None, &format!("{dir}/ring-ref"))
+            xs.read_string(DomId::DOM0, None, dir.key("ring-ref").unwrap())
                 .unwrap(),
             console.ring_ref.0.to_string()
         );
         assert_eq!(
-            xs.read_string(DomId::DOM0, None, &format!("{dir}/port"))
+            xs.read_string(DomId::DOM0, None, dir.key("port").unwrap())
                 .unwrap(),
             console.port.0.to_string()
         );
-        let mut end = KeyDir::under(dir);
+        let state = dir.key("state").unwrap();
+        assert_eq!(console.state, state);
         assert_eq!(
-            read_state(&mut xs, DomId::DOM0, &mut end),
+            read_state(&mut xs, DomId::DOM0, &state),
             XenbusState::Initialised
         );
         console.mark_connected(&mut xs).unwrap();
         assert_eq!(
-            read_state(&mut xs, DomId::DOM0, &mut end),
+            read_state(&mut xs, DomId::DOM0, &state),
             XenbusState::Connected
         );
     }

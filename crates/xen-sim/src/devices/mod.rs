@@ -14,7 +14,7 @@ pub mod vif;
 pub use console::ConsoleDevice;
 pub use vif::VifDevice;
 
-use xenstore::{DomId, Result as XsResult, XenStore};
+use xenstore::{DomId, Path, Result as XsResult, XenStore};
 
 /// The kinds of split device the toolstack attaches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -88,63 +88,59 @@ impl XenbusState {
 
 /// The XenStore path of a device frontend directory:
 /// `/local/domain/<domid>/device/<kind>/<index>`.
-pub fn frontend_path(dom: DomId, kind: DeviceKind, index: u32) -> String {
-    format!(
-        "/local/domain/{}/device/{}/{}",
+pub fn frontend_path(dom: DomId, kind: DeviceKind, index: u32) -> XsResult<Path> {
+    Path::root().join(format_args!(
+        "local/domain/{}/device/{}/{index}",
         dom.0,
-        kind.dir_name(),
-        index
-    )
+        kind.dir_name()
+    ))
 }
 
 /// The XenStore path of a device backend directory:
 /// `/local/domain/<backend>/backend/<kind>/<frontend-domid>/<index>`.
-pub fn backend_path(backend: DomId, frontend: DomId, kind: DeviceKind, index: u32) -> String {
-    format!(
-        "/local/domain/{}/backend/{}/{}/{}",
+pub fn backend_path(
+    backend: DomId,
+    frontend: DomId,
+    kind: DeviceKind,
+    index: u32,
+) -> XsResult<Path> {
+    Path::root().join(format_args!(
+        "local/domain/{}/backend/{}/{}/{index}",
         backend.0,
         kind.dir_name(),
-        frontend.0,
-        index
-    )
+        frontend.0
+    ))
 }
 
 /// The keys of one store directory — an end of a device, a domain's home —
-/// named one at a time in one buffer: the directory is written once and each
-/// key behind it in turn, so publishing a dozen keys builds one string, not
-/// a dozen.
+/// built off the directory's [`Path`], which is built once: a key costs the
+/// one allocation of its own path, and nothing is formatted or parsed again.
+/// A key written more than once is built once and kept by its owner (a
+/// device keeps each end's `state` key).
 #[derive(Debug, Clone)]
 pub struct KeyDir {
-    path: String,
-    /// `path[..dir]` is the directory and its trailing slash.
-    dir: usize,
+    dir: Path,
 }
 
 impl KeyDir {
     /// The keys under `dir` (a [`frontend_path`], say, or a [`backend_path`]).
-    pub fn under(mut dir: String) -> KeyDir {
-        dir.push('/');
-        KeyDir {
-            dir: dir.len(),
-            path: dir,
-        }
+    pub fn under(dir: Path) -> KeyDir {
+        KeyDir { dir }
     }
 
-    /// The directory itself, without a trailing slash.
-    pub fn dir(&self) -> &str {
-        &self.path[..self.dir - 1]
+    /// The directory itself.
+    pub fn dir(&self) -> &Path {
+        &self.dir
     }
 
-    /// The path of `key` in the directory; good until the next call.
-    pub fn key(&mut self, key: &str) -> &str {
-        self.path.truncate(self.dir);
-        self.path.push_str(key);
-        &self.path
+    /// The path of `key` (one component or several) in the directory.
+    pub fn key(&self, key: &str) -> XsResult<Path> {
+        self.dir.join(key)
     }
 
     /// Write `key` as dom0, which is who publishes a device's keys.
-    pub fn publish(&mut self, xs: &mut XenStore, key: &str, value: &[u8]) -> XsResult<()> {
-        xs.write(DomId::DOM0, None, self.key(key), value)
+    pub fn publish(&self, xs: &mut XenStore, key: &str, value: &[u8]) -> XsResult<()> {
+        xs.write(DomId::DOM0, None, self.key(key)?, value)
     }
 }
 
@@ -159,22 +155,22 @@ pub(crate) fn format_sized(capacity: usize, args: std::fmt::Arguments<'_>) -> St
     s
 }
 
-/// Read an end's XenBus state key (missing keys read as `Unknown`).
-pub fn read_state(xs: &mut XenStore, reader: DomId, end: &mut KeyDir) -> XenbusState {
-    match xs.read_string(reader, None, end.key("state")) {
-        Ok(s) => XenbusState::from_u8(s.trim().parse::<u8>().unwrap_or(0)),
-        Err(_) => XenbusState::Unknown,
-    }
+/// Read an end's XenBus `state` key (missing keys read as `Unknown`).
+pub fn read_state(xs: &mut XenStore, reader: DomId, state: &Path) -> XenbusState {
+    let value = xs.read_with(reader, None, state, |value| {
+        String::from_utf8_lossy(value).trim().parse::<u8>().ok()
+    });
+    XenbusState::from_u8(value.ok().flatten().unwrap_or(0))
 }
 
-/// Write an end's XenBus state key.
+/// Write an end's XenBus `state` key.
 pub fn write_state(
     xs: &mut XenStore,
     writer: DomId,
-    end: &mut KeyDir,
-    state: XenbusState,
+    state: &Path,
+    to: XenbusState,
 ) -> XsResult<()> {
-    xs.write(writer, None, end.key("state"), state.as_str().as_bytes())
+    xs.write(writer, None, state, to.as_str().as_bytes())
 }
 
 #[cfg(test)]
@@ -195,15 +191,21 @@ mod tests {
     #[test]
     fn path_layout_matches_xen_convention() {
         assert_eq!(
-            frontend_path(DomId(5), DeviceKind::Vif, 0),
+            frontend_path(DomId(5), DeviceKind::Vif, 0)
+                .unwrap()
+                .as_str(),
             "/local/domain/5/device/vif/0"
         );
         assert_eq!(
-            backend_path(DomId::DOM0, DomId(5), DeviceKind::Vif, 0),
+            backend_path(DomId::DOM0, DomId(5), DeviceKind::Vif, 0)
+                .unwrap()
+                .as_str(),
             "/local/domain/0/backend/vif/5/0"
         );
         assert_eq!(
-            frontend_path(DomId(7), DeviceKind::Console, 1),
+            frontend_path(DomId(7), DeviceKind::Console, 1)
+                .unwrap()
+                .as_str(),
             "/local/domain/7/device/console/1"
         );
         assert_eq!(DeviceKind::Vbd.dir_name(), "vbd");
@@ -212,23 +214,32 @@ mod tests {
     #[test]
     fn state_keys_read_and_write_through_xenstore() {
         let mut xs = XenStore::new(EngineKind::JitsuMerge);
-        let mut end = KeyDir::under(frontend_path(DomId(5), DeviceKind::Vif, 0));
-        assert_eq!(end.dir(), "/local/domain/5/device/vif/0");
-        assert_eq!(end.key("mac"), "/local/domain/5/device/vif/0/mac");
+        let end = KeyDir::under(frontend_path(DomId(5), DeviceKind::Vif, 0).unwrap());
+        assert_eq!(end.dir().as_str(), "/local/domain/5/device/vif/0");
         assert_eq!(
-            read_state(&mut xs, DomId::DOM0, &mut end),
+            end.key("mac").unwrap().as_str(),
+            "/local/domain/5/device/vif/0/mac"
+        );
+        let state = end.key("state").unwrap();
+        assert_eq!(
+            read_state(&mut xs, DomId::DOM0, &state),
             XenbusState::Unknown
         );
-        write_state(&mut xs, DomId::DOM0, &mut end, XenbusState::Initialised).unwrap();
+        write_state(&mut xs, DomId::DOM0, &state, XenbusState::Initialised).unwrap();
         assert_eq!(
-            read_state(&mut xs, DomId::DOM0, &mut end),
+            read_state(&mut xs, DomId::DOM0, &state),
             XenbusState::Initialised
         );
-        write_state(&mut xs, DomId::DOM0, &mut end, XenbusState::Connected).unwrap();
+        write_state(&mut xs, DomId::DOM0, &state, XenbusState::Connected).unwrap();
         assert_eq!(
-            read_state(&mut xs, DomId::DOM0, &mut end),
+            read_state(&mut xs, DomId::DOM0, &state),
             XenbusState::Connected
         );
-        assert_eq!(end.dir(), "/local/domain/5/device/vif/0");
+        // A value that is not a state number reads as `Unknown`.
+        xs.write(DomId::DOM0, None, &state, b"\xff").unwrap();
+        assert_eq!(
+            read_state(&mut xs, DomId::DOM0, &state),
+            XenbusState::Unknown
+        );
     }
 }

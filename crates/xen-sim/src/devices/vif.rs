@@ -17,7 +17,7 @@ use crate::event_channel::{EventChannelTable, Port};
 use crate::grant_table::{GrantRef, GrantTable};
 use jitsu_sim::SimDuration;
 use platform::Board;
-use xenstore::{DomId, Result as XsResult, XenStore};
+use xenstore::{DomId, Path, Result as XsResult, XenStore};
 
 /// A guest network interface and its backend.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,6 +38,11 @@ pub struct VifDevice {
     pub backend_port: Option<Port>,
     /// The bridge port of the backend, once the hotplug step has run.
     pub bridge_port: Option<PortId>,
+    /// The frontend's `state` key, built at setup: every later handshake
+    /// step writes or reads it.
+    frontend_state: Path,
+    /// The backend's `state` key, likewise.
+    backend_state: Path,
 }
 
 impl VifDevice {
@@ -78,23 +83,26 @@ impl VifDevice {
         let rx_ring = grants.grant(dom, DomId::DOM0).expect("grant capacity");
         let port = evtchn.alloc_unbound(dom, DomId::DOM0);
 
-        let (mut fe, mut be) = Self::ends(dom, index);
+        let fe = KeyDir::under(frontend_path(dom, DeviceKind::Vif, index)?);
+        let be = KeyDir::under(backend_path(DomId::DOM0, dom, DeviceKind::Vif, index)?);
         let mac_str = format!(
             "{:02x}:{:02x}:{:02x}:{:02x}:{:02x}:{:02x}",
             mac[0], mac[1], mac[2], mac[3], mac[4], mac[5]
         );
 
         fe.publish(xs, "mac", mac_str.as_bytes())?;
-        fe.publish(xs, "backend", be.dir().as_bytes())?;
+        fe.publish(xs, "backend", be.dir().as_str().as_bytes())?;
         fe.publish(xs, "tx-ring-ref", tx_ring.0.to_string().as_bytes())?;
         fe.publish(xs, "rx-ring-ref", rx_ring.0.to_string().as_bytes())?;
         fe.publish(xs, "event-channel", port.0.to_string().as_bytes())?;
-        write_state(xs, DomId::DOM0, &mut fe, XenbusState::Initialised)?;
+        let frontend_state = fe.key("state")?;
+        write_state(xs, DomId::DOM0, &frontend_state, XenbusState::Initialised)?;
 
-        be.publish(xs, "frontend", fe.dir().as_bytes())?;
+        be.publish(xs, "frontend", fe.dir().as_str().as_bytes())?;
         be.publish(xs, "mac", mac_str.as_bytes())?;
         be.publish(xs, "bridge", b"xenbr0")?;
-        write_state(xs, DomId::DOM0, &mut be, XenbusState::InitWait)?;
+        let backend_state = be.key("state")?;
+        write_state(xs, DomId::DOM0, &backend_state, XenbusState::InitWait)?;
 
         Ok(VifDevice {
             dom,
@@ -105,15 +113,9 @@ impl VifDevice {
             port,
             backend_port: None,
             bridge_port: None,
+            frontend_state,
+            backend_state,
         })
-    }
-
-    /// The keys of the frontend's directory and of the backend's.
-    fn ends(dom: DomId, index: u32) -> (KeyDir, KeyDir) {
-        (
-            KeyDir::under(frontend_path(dom, DeviceKind::Vif, index)),
-            KeyDir::under(backend_path(DomId::DOM0, dom, DeviceKind::Vif, index)),
-        )
     }
 
     /// Run the backend side: map the rings, bind the event channel, attach
@@ -156,17 +158,20 @@ impl VifDevice {
         let port = bridge.attach(name);
         self.bridge_port = Some(port);
 
-        let (mut fe, mut be) = Self::ends(self.dom, self.index);
-        write_state(xs, DomId::DOM0, &mut be, XenbusState::Connected)?;
-        write_state(xs, DomId::DOM0, &mut fe, XenbusState::Connected)?;
+        write_state(xs, DomId::DOM0, &self.backend_state, XenbusState::Connected)?;
+        write_state(
+            xs,
+            DomId::DOM0,
+            &self.frontend_state,
+            XenbusState::Connected,
+        )?;
         Ok(())
     }
 
     /// True once both ends report `Connected`.
     pub fn is_connected(&self, xs: &mut XenStore) -> bool {
-        let (mut fe, mut be) = Self::ends(self.dom, self.index);
-        read_state(xs, DomId::DOM0, &mut fe) == XenbusState::Connected
-            && read_state(xs, DomId::DOM0, &mut be) == XenbusState::Connected
+        read_state(xs, DomId::DOM0, &self.frontend_state) == XenbusState::Connected
+            && read_state(xs, DomId::DOM0, &self.backend_state) == XenbusState::Connected
     }
 
     /// The blocking XenStore RPC overhead the frontend experiences while the
@@ -185,17 +190,14 @@ impl VifDevice {
         board.scale_cpu(SimDuration::from_micros(830))
     }
 
-    /// The dom0 directory holding every vif backend of `dom`:
+    /// The dom0 directory holding every vif backend of the guest:
     /// `/local/domain/0/backend/vif/<domid>`. It sits under dom0's home, so
     /// removing the guest's home when the guest is destroyed leaves it
-    /// behind; the toolstack removes it by name.
-    pub fn backend_home(dom: DomId) -> String {
-        format!(
-            "/local/domain/{}/backend/{}/{}",
-            DomId::DOM0.0,
-            DeviceKind::Vif.dir_name(),
-            dom.0
-        )
+    /// behind; the toolstack removes it by name. It is an ancestor of the
+    /// backend's `state` key, so naming it builds nothing.
+    pub fn backend_home(&self) -> Path {
+        // local/domain/0/backend/vif/<domid>/<index>/state
+        self.backend_state.ancestor(6)
     }
 
     /// Tear the device down (guest shutdown): detach from the bridge, close
@@ -221,9 +223,8 @@ impl VifDevice {
             )]
             let _ = evtchn.close(DomId::DOM0, port);
         }
-        let (mut fe, mut be) = Self::ends(self.dom, self.index);
-        write_state(xs, DomId::DOM0, &mut fe, XenbusState::Closed)?;
-        write_state(xs, DomId::DOM0, &mut be, XenbusState::Closed)?;
+        write_state(xs, DomId::DOM0, &self.frontend_state, XenbusState::Closed)?;
+        write_state(xs, DomId::DOM0, &self.backend_state, XenbusState::Closed)?;
         Ok(())
     }
 }
@@ -258,29 +259,30 @@ mod tests {
     fn setup_writes_frontend_and_backend_keys() {
         let (mut xs, mut gt, mut ec, _br) = env();
         let vif = VifDevice::setup(&mut xs, &mut gt, &mut ec, DomId(5), 0).unwrap();
-        let fe = frontend_path(DomId(5), DeviceKind::Vif, 0);
-        let be = backend_path(DomId::DOM0, DomId(5), DeviceKind::Vif, 0);
+        let fe = frontend_path(DomId(5), DeviceKind::Vif, 0).unwrap();
+        let be = backend_path(DomId::DOM0, DomId(5), DeviceKind::Vif, 0).unwrap();
         assert!(xs
-            .read_string(DomId::DOM0, None, &format!("{fe}/mac"))
+            .read_string(DomId::DOM0, None, fe.child("mac").unwrap())
             .unwrap()
             .contains(':'));
         assert_eq!(
-            xs.read_string(DomId::DOM0, None, &format!("{fe}/backend"))
+            xs.read_string(DomId::DOM0, None, fe.child("backend").unwrap())
                 .unwrap(),
-            be
+            be.as_str()
         );
         assert_eq!(
-            xs.read_string(DomId::DOM0, None, &format!("{be}/bridge"))
+            xs.read_string(DomId::DOM0, None, be.child("bridge").unwrap())
                 .unwrap(),
             "xenbr0"
         );
-        let (mut fe, mut be) = VifDevice::ends(DomId(5), 0);
+        assert_eq!(vif.frontend_state, fe.child("state").unwrap());
+        assert_eq!(vif.backend_state, be.child("state").unwrap());
         assert_eq!(
-            read_state(&mut xs, DomId::DOM0, &mut fe),
+            read_state(&mut xs, DomId::DOM0, &vif.frontend_state),
             XenbusState::Initialised
         );
         assert_eq!(
-            read_state(&mut xs, DomId::DOM0, &mut be),
+            read_state(&mut xs, DomId::DOM0, &vif.backend_state),
             XenbusState::InitWait
         );
         assert!(!vif.is_connected(&mut xs));
@@ -315,20 +317,21 @@ mod tests {
             Err(crate::event_channel::EventChannelError::NotBindable),
             "the guest's end stays, hung up, until the guest goes"
         );
-        let (mut fe, _) = VifDevice::ends(DomId(5), 0);
         assert_eq!(
-            read_state(&mut xs, DomId::DOM0, &mut fe),
+            read_state(&mut xs, DomId::DOM0, &vif.frontend_state),
             XenbusState::Closed
         );
     }
 
     #[test]
     fn backend_home_is_the_parent_of_every_backend_path() {
-        let home = VifDevice::backend_home(DomId(5));
-        assert_eq!(home, "/local/domain/0/backend/vif/5");
+        let (mut xs, mut gt, mut ec, _br) = env();
         for index in [0, 1] {
-            let be = backend_path(DomId::DOM0, DomId(5), DeviceKind::Vif, index);
-            assert_eq!(be, format!("{home}/{index}"));
+            let vif = VifDevice::setup(&mut xs, &mut gt, &mut ec, DomId(5), index).unwrap();
+            let home = vif.backend_home();
+            assert_eq!(home.as_str(), "/local/domain/0/backend/vif/5");
+            let be = backend_path(DomId::DOM0, DomId(5), DeviceKind::Vif, index).unwrap();
+            assert_eq!(be, home.child(index).unwrap());
         }
     }
 

@@ -29,7 +29,7 @@ use crate::hotplug::HotplugStyle;
 use jitsu_sim::{SimDuration, SimRng};
 use platform::Board;
 use std::collections::BTreeMap;
-use xenstore::{DomId, EngineKind, Error as XsError, XenStore};
+use xenstore::{DomId, EngineKind, Error as XsError, Path, XenStore};
 
 /// The set of toolstack optimisations §3.1 describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -322,25 +322,27 @@ impl Toolstack {
         let build = self.builder.build(&mut domain, &config)?;
 
         // The real XenStore writes the toolstack performs for a new domain.
-        let mut home = KeyDir::under(format!("/local/domain/{}", dom.0));
+        // Each key is built once, outside the transaction body, so a retry
+        // after `EAGAIN` builds nothing again.
+        let home = KeyDir::under(Path::domain_home(dom.0));
+        let (name, memory, vm) = (
+            home.key("name")?,
+            home.key("memory/target")?,
+            home.key("vm")?,
+        );
         self.xenstore
             .with_transaction(DomId::DOM0, 8, |xs, t| {
+                xs.write(DomId::DOM0, Some(t), &name, config.name.as_bytes())?;
                 xs.write(
                     DomId::DOM0,
                     Some(t),
-                    home.key("name"),
-                    config.name.as_bytes(),
-                )?;
-                xs.write(
-                    DomId::DOM0,
-                    Some(t),
-                    home.key("memory/target"),
+                    &memory,
                     (config.memory_mib as u64 * 1024).to_string().as_bytes(),
                 )?;
                 xs.write(
                     DomId::DOM0,
                     Some(t),
-                    home.key("vm"),
+                    &vm,
                     format_sized("/vm/4294967295".len(), format_args!("/vm/{}", dom.0)).as_bytes(),
                 )?;
                 Ok(())
@@ -471,9 +473,7 @@ impl Toolstack {
                 clippy::let_underscore_must_use,
                 reason = "teardown must run to the end; a backend directory that is already gone needs no removal"
             )]
-            let _ = self
-                .xenstore
-                .rm(DomId::DOM0, None, &VifDevice::backend_home(dom));
+            let _ = self.xenstore.rm(DomId::DOM0, None, vif.backend_home());
         }
         self.consoles.remove(&dom);
         self.builder.release(dom);

@@ -79,7 +79,7 @@ pub use children::ChildMap;
 pub use engine::{CostModel, EngineKind};
 pub use error::{Error, Result};
 pub use node::Node;
-pub use path::Path;
+pub use path::{Path, StorePath};
 pub use perms::{DomId, PermLevel, Permission, Permissions};
 pub use quota::Quota;
 pub use store::{StoreStats, TxId, XenStore};

@@ -4,24 +4,31 @@
 //! e.g. `/local/domain/3/device/vif/0/state` or `/conduit/http_server/listen`.
 //! Path components may contain ASCII letters, digits, `-`, `_`, `.`, `@`,
 //! `:` and `+` (the character set accepted by the real store).
+//!
+//! A path is a value: build it once — [`Path::parse`] a text, or take
+//! [`Path::child`] or [`Path::join`] of a path already built — and hand it
+//! to every store operation that names it. Every operation accepts a
+//! [`StorePath`]: text is parsed and validated on each call, a [`Path`] is
+//! used as it stands.
 
 use crate::error::{Error, Result};
+use std::cell::RefCell;
 use std::cmp::Ordering;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::hash::{Hash, Hasher};
 use std::rc::Rc;
 
 /// Maximum length of a path accepted by the store, matching the classic
-/// XenStore limit.
+/// XenStore limit. Every constructor enforces it.
 pub const MAX_PATH_LEN: usize = 3072;
 
 /// An absolute, validated XenStore path.
 ///
 /// A path is a prefix of one shared, immutable buffer holding canonical
 /// text (`/a/b/c`: every component preceded by one slash, the root the
-/// empty string). Parsing allocates that buffer once; cloning, and taking
-/// [`Path::parent`] or any other ancestor, only shortens the prefix and
-/// bumps a (non-atomic, [`Rc`]) reference count. Paths compare, sort and
+/// empty string). Building a path allocates that buffer once; cloning, and
+/// taking [`Path::parent`] or any other ancestor, only shortens the prefix
+/// and bumps a (non-atomic, [`Rc`]) reference count. Paths compare, sort and
 /// hash component-wise, exactly as the list of their components would.
 #[derive(Clone)]
 pub struct Path {
@@ -30,6 +37,115 @@ pub struct Path {
     /// The path is `buf[..len]`; `len` is 0 or sits just before a `/` or at
     /// the end of `buf`.
     len: usize,
+}
+
+/// The path argument of a [`crate::XenStore`] operation.
+///
+/// Text (`&str`, `&String`) is parsed and validated by [`Path::parse`] on
+/// every call, and fails the operation with the error that gives. A
+/// [`Path`], owned or borrowed, was validated when it was built; the
+/// operation takes it (or a clone of its [`Rc`]) and checks nothing.
+pub trait StorePath {
+    /// The path this argument names.
+    fn into_path(self) -> Result<Path>;
+}
+
+impl StorePath for &str {
+    fn into_path(self) -> Result<Path> {
+        Path::parse(self)
+    }
+}
+
+impl StorePath for &String {
+    fn into_path(self) -> Result<Path> {
+        Path::parse(self)
+    }
+}
+
+impl StorePath for &Path {
+    fn into_path(self) -> Result<Path> {
+        Ok(self.clone())
+    }
+}
+
+impl StorePath for Path {
+    fn into_path(self) -> Result<Path> {
+        Ok(self)
+    }
+}
+
+thread_local! {
+    /// Where [`Path::child`], [`Path::join`] and [`Path::domain_home`]
+    /// assemble a path's text before copying it into the path's buffer.
+    static SCRATCH: RefCell<String> = const { RefCell::new(String::new()) };
+    /// What [`Path::root`] hands out.
+    static ROOT: Path = Path::from_canonical("");
+}
+
+/// The path whose canonical text `write` puts into an empty buffer. The
+/// buffer is scratch space kept between calls, so the path's own buffer is
+/// the one allocation: a `String` built for the purpose and then copied into
+/// an `Rc<str>` would be a second.
+fn assemble<E>(
+    write: impl FnOnce(&mut String) -> std::result::Result<(), E>,
+) -> std::result::Result<Path, E> {
+    SCRATCH.with(|scratch| match scratch.try_borrow_mut() {
+        Ok(mut text) => {
+            text.clear();
+            write(&mut text)?;
+            Ok(Path::from_canonical(&text))
+        }
+        // Only a component whose `Display` builds a path itself lands here.
+        Err(_) => {
+            let mut text = String::new();
+            write(&mut text)?;
+            Ok(Path::from_canonical(&text))
+        }
+    })
+}
+
+/// Refuse a path of `len` bytes if it is over the store's limit.
+fn check_length(len: usize) -> Result<()> {
+    if len > MAX_PATH_LEN {
+        return Err(Error::Invalid(format!(
+            "path longer than {MAX_PATH_LEN} bytes"
+        )));
+    }
+    Ok(())
+}
+
+/// Drop the empty components of `text`, a path's canonical text followed
+/// by more components: doubled slashes become one, and a trailing slash
+/// goes.
+fn drop_empty_components(text: &mut String) {
+    let mut after_slash = false;
+    text.retain(|c| {
+        let doubled = after_slash && c == '/';
+        after_slash = c == '/';
+        !doubled
+    });
+    if text.ends_with('/') {
+        text.pop();
+    }
+}
+
+/// The bytes a component may hold, by value.
+const ALLOWED: [bool; 256] = {
+    let mut allowed = [false; 256];
+    let mut b: u8 = 0;
+    loop {
+        allowed[b as usize] =
+            b.is_ascii_alphanumeric() || matches!(b, b'-' | b'_' | b'.' | b'@' | b':' | b'+');
+        if b == u8::MAX {
+            break allowed;
+        }
+        b += 1;
+    }
+};
+
+/// The error of a component whose `Display` failed.
+fn unformattable(_: fmt::Error) -> Error {
+    Error::Invalid("path component failed to format".into())
 }
 
 /// `text` cut at every slash, like `str::split('/')` but a plain byte scan:
@@ -56,9 +172,11 @@ fn slashes(text: &str) -> impl DoubleEndedIterator<Item = usize> + '_ {
 }
 
 impl Path {
-    /// The root path `/`.
+    /// The root path `/`: a clone of one kept per thread, since even an
+    /// empty `Rc<str>` is an allocation, and every path built from its
+    /// components is joined onto the root.
     pub fn root() -> Path {
-        Path::from_canonical("")
+        ROOT.with(Path::clone)
     }
 
     /// The path whose canonical text is `text`: empty, or validated
@@ -96,11 +214,7 @@ impl Path {
         if s.is_empty() {
             return Err(Error::Invalid("empty path".into()));
         }
-        if s.len() > MAX_PATH_LEN {
-            return Err(Error::Invalid(format!(
-                "path longer than {MAX_PATH_LEN} bytes"
-            )));
-        }
+        check_length(s.len())?;
         if !s.starts_with('/') {
             return Err(Error::Invalid(format!("path must be absolute: {s}")));
         }
@@ -132,9 +246,7 @@ impl Path {
         }
         // Every allowed character is one ASCII byte, so the bytes decide;
         // only the error message needs the offending character decoded.
-        let allowed = |b: u8| {
-            b.is_ascii_alphanumeric() || matches!(b, b'-' | b'_' | b'.' | b'@' | b':' | b'+')
-        };
+        let allowed = |b: u8| ALLOWED[usize::from(b)];
         if comp.bytes().all(allowed) {
             return Ok(());
         }
@@ -177,28 +289,53 @@ impl Path {
             .map(|slash| self.cut(slash))
     }
 
-    /// Append a single validated component.
-    pub fn child(&self, component: &str) -> Result<Path> {
-        Self::validate_component(component)?;
-        Ok(Path::from_canonical(
-            &[self.text(), "/", component].concat(),
-        ))
+    /// Append a single validated component: `component` as it displays,
+    /// so a number needs no `String` of its own.
+    pub fn child(&self, component: impl fmt::Display) -> Result<Path> {
+        assemble(|text| {
+            text.push_str(self.text());
+            text.push('/');
+            let start = text.len();
+            write!(text, "{component}").map_err(unformattable)?;
+            check_length(text.len())?;
+            Self::validate_component(&text[start..])
+        })
     }
 
     /// Join with a relative suffix that may contain multiple components
-    /// (e.g. `"device/vif/0"`).
-    pub fn join(&self, suffix: &str) -> Result<Path> {
-        let mut text = String::with_capacity(self.len + 1 + suffix.len());
-        text.push_str(self.text());
-        for comp in Pieces(Some(suffix)) {
-            if comp.is_empty() {
-                continue;
+    /// (e.g. `"device/vif/0"`), as it displays. Empty components — doubled,
+    /// leading or trailing slashes — are dropped, as [`Path::parse`] drops
+    /// them.
+    pub fn join(&self, suffix: impl fmt::Display) -> Result<Path> {
+        assemble(|text| {
+            text.push_str(self.text());
+            let start = text.len();
+            write!(text, "/{suffix}").map_err(unformattable)?;
+            // Within the limit as written, the path is within it once its
+            // empty components are dropped too, so one pass validates the
+            // rest; over it, the limit is checked on what is left first, as
+            // `parse` checks it before any component.
+            if text.len() <= MAX_PATH_LEN {
+                let mut canonical = true;
+                for comp in Pieces(Some(&text[start + 1..])) {
+                    if comp.is_empty() {
+                        canonical = false;
+                    } else {
+                        Self::validate_component(comp)?;
+                    }
+                }
+                if !canonical {
+                    drop_empty_components(text);
+                }
+                return Ok(());
             }
-            Self::validate_component(comp)?;
-            text.push('/');
-            text.push_str(comp);
-        }
-        Ok(Path::from_canonical(&text))
+            drop_empty_components(text);
+            check_length(text.len())?;
+            match text.get(start + 1..) {
+                Some(added) => Pieces(Some(added)).try_for_each(Self::validate_component),
+                None => Ok(()),
+            }
+        })
     }
 
     /// True if `self` is `other` or an ancestor of `other`.
@@ -214,8 +351,21 @@ impl Path {
     }
 
     /// The conventional per-domain home directory, `/local/domain/<domid>`.
+    #[expect(
+        clippy::expect_used,
+        reason = "writing a number into a String cannot fail"
+    )]
     pub fn domain_home(domid: u32) -> Path {
-        Path::from_canonical(&format!("/local/domain/{domid}"))
+        assemble(|text| write!(text, "/local/domain/{domid}")).expect("a String accepts any text")
+    }
+
+    /// This path's text, `/` for the root, as it displays.
+    pub fn as_str(&self) -> &str {
+        if self.is_root() {
+            "/"
+        } else {
+            self.text()
+        }
     }
 }
 
@@ -272,7 +422,7 @@ impl fmt::Debug for Path {
 
 impl fmt::Display for Path {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(if self.is_root() { "/" } else { self.text() })
+        f.write_str(self.as_str())
     }
 }
 
@@ -311,6 +461,70 @@ mod tests {
         assert!(Path::parse("/a/./b").is_err());
         let long = format!("/{}", "x".repeat(MAX_PATH_LEN + 1));
         assert!(Path::parse(&long).is_err());
+    }
+
+    #[test]
+    fn every_constructor_enforces_the_length_limit() {
+        let base = Path::parse("/a").unwrap();
+        for len in [MAX_PATH_LEN, MAX_PATH_LEN + 1] {
+            // `/a/` and a name filling the rest.
+            let name = "x".repeat(len - 3);
+            let built = [
+                Path::parse(&format!("/a/{name}")),
+                base.child(&name),
+                base.join(&name),
+                Path::root().join(format_args!("a/{name}")),
+                base.join(format_args!("/{name}/")),
+            ];
+            for path in built {
+                if len <= MAX_PATH_LEN {
+                    assert_eq!(path.unwrap().as_str().len(), len);
+                } else {
+                    assert_eq!(
+                        path.unwrap_err(),
+                        Error::Invalid(format!("path longer than {MAX_PATH_LEN} bytes"))
+                    );
+                }
+            }
+        }
+        // A child of a path at the limit is over it, however short.
+        let full = Path::parse(&format!("/{}", "x".repeat(MAX_PATH_LEN - 1))).unwrap();
+        assert!(full.child("y").is_err());
+        assert!(full.join("y").is_err());
+        assert_eq!(full.join("/").unwrap(), full);
+    }
+
+    #[test]
+    fn child_and_join_fail_as_parse_fails() {
+        let base = Path::parse("/local/domain").unwrap();
+        for name in ["bad name", ".", "..", "tab\tx", "\u{e9}", "a/b", ""] {
+            let text = format!("/local/domain/{name}");
+            match Path::parse(&text) {
+                Ok(parsed) => assert_eq!(base.join(name).unwrap(), parsed, "{name:?}"),
+                Err(e) => assert_eq!(base.join(name).unwrap_err(), e, "{name:?}"),
+            }
+            if !name.contains('/') && !name.is_empty() {
+                assert_eq!(
+                    base.child(name).map_err(|e| e.to_string()),
+                    Path::parse(&text).map_err(|e| e.to_string())
+                );
+            }
+        }
+        assert_eq!(base.child(7).unwrap(), base.child("7").unwrap());
+        // A component whose `Display` builds a path itself gets a buffer of
+        // its own rather than the one being filled.
+        struct Built;
+        impl fmt::Display for Built {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.write_str(Path::root().child("inner").unwrap().basename().unwrap())
+            }
+        }
+        assert_eq!(base.child(Built).unwrap().as_str(), "/local/domain/inner");
+        assert_eq!(
+            base.join(format_args!("{}/x", 7)).unwrap().as_str(),
+            "/local/domain/7/x"
+        );
+        assert_eq!(Path::root().as_str(), "/");
     }
 
     #[test]

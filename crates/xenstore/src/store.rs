@@ -35,7 +35,7 @@
 
 use crate::engine::{EngineKind, Reconcile};
 use crate::error::{Error, Result};
-use crate::path::Path;
+use crate::path::{Path, StorePath};
 use crate::perms::{DomId, Permissions};
 use crate::quota::Quota;
 use crate::transaction::{Transaction, TxnOp};
@@ -173,10 +173,6 @@ impl XenStore {
         &self.tree
     }
 
-    fn parse(path: &str) -> Result<Path> {
-        Path::parse(path)
-    }
-
     fn txn_mut(&mut self, id: TxId) -> Result<&mut Transaction> {
         self.transactions
             .get_mut(&id.0)
@@ -284,24 +280,41 @@ impl XenStore {
     // ------------------------------------------------------------------
 
     /// Read a value.
-    pub fn read(&mut self, dom: DomId, tx: Option<TxId>, path: &str) -> Result<Vec<u8>> {
+    pub fn read(&mut self, dom: DomId, tx: Option<TxId>, path: impl StorePath) -> Result<Vec<u8>> {
+        self.read_with(dom, tx, path, <[u8]>::to_vec)
+    }
+
+    /// Read a value and return what `f` makes of it, for a caller that only
+    /// compares or parses the value: the value is lent to `f`, not copied.
+    pub fn read_with<R>(
+        &mut self,
+        dom: DomId,
+        tx: Option<TxId>,
+        path: impl StorePath,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<R> {
         self.stats.ops += 1;
-        let path = Self::parse(path)?;
+        let path = path.into_path()?;
         match tx {
-            None => self.tree.read(dom, &path),
+            None => self.tree.read_with(dom, &path, f),
             Some(id) => {
                 let txn = self.txn_mut(id)?;
                 if txn.dom != dom {
                     return Err(Error::PermissionDenied(path.to_string()));
                 }
                 txn.note_read(&path);
-                txn.snapshot.read(dom, &path)
+                txn.snapshot.read_with(dom, &path, f)
             }
         }
     }
 
     /// Read a value as a UTF-8 string (lossy).
-    pub fn read_string(&mut self, dom: DomId, tx: Option<TxId>, path: &str) -> Result<String> {
+    pub fn read_string(
+        &mut self,
+        dom: DomId,
+        tx: Option<TxId>,
+        path: impl StorePath,
+    ) -> Result<String> {
         // Valid UTF-8 becomes the string without a copy; only a value with
         // invalid bytes is copied, with each replaced.
         Ok(String::from_utf8(self.read(dom, tx, path)?)
@@ -309,18 +322,23 @@ impl XenStore {
     }
 
     /// True if the path exists (without error on absence).
-    pub fn exists(&mut self, dom: DomId, tx: Option<TxId>, path: &str) -> Result<bool> {
-        match self.read(dom, tx, path) {
-            Ok(_) => Ok(true),
+    pub fn exists(&mut self, dom: DomId, tx: Option<TxId>, path: impl StorePath) -> Result<bool> {
+        match self.read_with(dom, tx, path, |_| ()) {
+            Ok(()) => Ok(true),
             Err(Error::NoEntry(_)) => Ok(false),
             Err(e) => Err(e),
         }
     }
 
     /// List a node's children.
-    pub fn directory(&mut self, dom: DomId, tx: Option<TxId>, path: &str) -> Result<Vec<String>> {
+    pub fn directory(
+        &mut self,
+        dom: DomId,
+        tx: Option<TxId>,
+        path: impl StorePath,
+    ) -> Result<Vec<String>> {
         self.stats.ops += 1;
-        let path = Self::parse(path)?;
+        let path = path.into_path()?;
         match tx {
             None => self.tree.directory(dom, &path),
             Some(id) => {
@@ -335,9 +353,14 @@ impl XenStore {
     }
 
     /// Read a node's permissions.
-    pub fn get_perms(&mut self, dom: DomId, tx: Option<TxId>, path: &str) -> Result<Permissions> {
+    pub fn get_perms(
+        &mut self,
+        dom: DomId,
+        tx: Option<TxId>,
+        path: impl StorePath,
+    ) -> Result<Permissions> {
         self.stats.ops += 1;
-        let path = Self::parse(path)?;
+        let path = path.into_path()?;
         match tx {
             None => self.tree.get_perms(dom, &path),
             Some(id) => {
@@ -385,8 +408,14 @@ impl XenStore {
     }
 
     /// Write a value (creating the node and missing ancestors if needed).
-    pub fn write(&mut self, dom: DomId, tx: Option<TxId>, path: &str, value: &[u8]) -> Result<()> {
-        let path = Self::parse(path)?;
+    pub fn write(
+        &mut self,
+        dom: DomId,
+        tx: Option<TxId>,
+        path: impl StorePath,
+        value: &[u8],
+    ) -> Result<()> {
+        let path = path.into_path()?;
         self.check_node_quota(dom, tx, &path)?;
         self.apply(
             dom,
@@ -399,15 +428,15 @@ impl XenStore {
     }
 
     /// Create an empty node.
-    pub fn mkdir(&mut self, dom: DomId, tx: Option<TxId>, path: &str) -> Result<()> {
-        let path = Self::parse(path)?;
+    pub fn mkdir(&mut self, dom: DomId, tx: Option<TxId>, path: impl StorePath) -> Result<()> {
+        let path = path.into_path()?;
         self.check_node_quota(dom, tx, &path)?;
         self.apply(dom, tx, TxnOp::Mkdir { path })
     }
 
     /// Remove a subtree.
-    pub fn rm(&mut self, dom: DomId, tx: Option<TxId>, path: &str) -> Result<()> {
-        let path = Self::parse(path)?;
+    pub fn rm(&mut self, dom: DomId, tx: Option<TxId>, path: impl StorePath) -> Result<()> {
+        let path = path.into_path()?;
         self.apply(dom, tx, TxnOp::Rm { path })
     }
 
@@ -416,10 +445,10 @@ impl XenStore {
         &mut self,
         dom: DomId,
         tx: Option<TxId>,
-        path: &str,
+        path: impl StorePath,
         perms: Permissions,
     ) -> Result<()> {
-        let path = Self::parse(path)?;
+        let path = path.into_path()?;
         self.apply(dom, tx, TxnOp::SetPerms { path, perms })
     }
 
@@ -428,17 +457,17 @@ impl XenStore {
     // ------------------------------------------------------------------
 
     /// Register a watch on a subtree.
-    pub fn watch(&mut self, dom: DomId, path: &str, token: &str) -> Result<()> {
+    pub fn watch(&mut self, dom: DomId, path: impl StorePath, token: &str) -> Result<()> {
         if !dom.is_privileged() && self.watches.count_for(dom) >= self.quota.max_watches {
             return Err(Error::QuotaExceeded("watches"));
         }
-        let path = Self::parse(path)?;
+        let path = path.into_path()?;
         self.watches.watch(dom, path, token)
     }
 
     /// Remove a previously registered watch.
-    pub fn unwatch(&mut self, dom: DomId, path: &str, token: &str) -> Result<()> {
-        let path = Self::parse(path)?;
+    pub fn unwatch(&mut self, dom: DomId, path: impl StorePath, token: &str) -> Result<()> {
+        let path = path.into_path()?;
         self.watches.unwatch(dom, &path, token)
     }
 

@@ -324,7 +324,12 @@ impl Tree {
 
     /// Read a node's value.
     pub fn read(&self, dom: DomId, path: &Path) -> Result<Vec<u8>> {
-        Ok(self.checked(dom, path, Access::Read)?.value.clone())
+        self.read_with(dom, path, <[u8]>::to_vec)
+    }
+
+    /// What `f` makes of a node's value, lent to it.
+    pub fn read_with<R>(&self, dom: DomId, path: &Path, f: impl FnOnce(&[u8]) -> R) -> Result<R> {
+        Ok(f(&self.checked(dom, path, Access::Read)?.value))
     }
 
     /// List a node's children (sorted).

@@ -26,6 +26,7 @@ use counting_alloc::counted;
 use jitsu_repro::netstack::tcp::{Tcb, TcpState};
 use jitsu_repro::prelude::*;
 use jitsu_repro::xen::domain::DomainConfig;
+use jitsu_repro::xenstore::Path;
 
 /// Allocations made while `f` ran.
 fn allocations(f: impl FnOnce()) -> u64 {
@@ -115,14 +116,20 @@ fn run_cell() -> Cell {
 /// that the operation does what its name says and nothing else.
 #[derive(Debug, PartialEq, Eq)]
 struct Operations {
-    /// A direct write to an existing depth-7 key.
+    /// A direct write to an existing depth-7 key, its path given as text.
     write_existing: u64,
+    /// The same write, its path given as a built `Path`.
+    write_existing_path: u64,
     /// A direct write that creates a leaf under an existing directory.
     write_new_leaf: u64,
     /// A direct write that creates a leaf and its four missing ancestors.
     write_new_leaf_and_four_ancestors: u64,
-    /// A direct read of a depth-7 key.
+    /// A direct read of a depth-7 key, its path given as text.
     read: u64,
+    /// The same read, its path given as a built `Path`.
+    read_path: u64,
+    /// `read_with` of that key by that `Path`, the value only looked at.
+    read_with: u64,
     /// The toolstack's transaction: three writes that create five nodes.
     txn_three_writes_five_nodes: u64,
     /// A direct `rm` of a six-node subtree.
@@ -151,6 +158,11 @@ fn price_operations() -> Operations {
     write(&mut xs, STATE, b"1");
     write(&mut xs, STATE, b"2");
     let write_existing = write(&mut xs, STATE, b"4");
+    let state = Path::parse(STATE).expect("a valid path");
+    let write_existing_path = allocations(|| {
+        xs.write(DomId::DOM0, None, &state, b"5")
+            .expect("dom0 may write anywhere")
+    });
     let write_new_leaf = write(
         &mut xs,
         "/local/domain/3/device/vif/0/mac",
@@ -159,6 +171,13 @@ fn price_operations() -> Operations {
     let write_new_leaf_and_four_ancestors = write(&mut xs, "/local/domain/3/data/a/b/c/leaf", b"v");
     let read = allocations(|| {
         xs.read(DomId::DOM0, None, STATE).expect("written above");
+    });
+    let read_path = allocations(|| {
+        xs.read(DomId::DOM0, None, &state).expect("written above");
+    });
+    let read_with = allocations(|| {
+        let state = xs.read_with(DomId::DOM0, None, &state, |value| value == b"5");
+        assert_eq!(state, Ok(true));
     });
     let txn_three_writes_five_nodes = allocations(|| {
         xs.with_transaction(DomId::DOM0, 8, |xs, t| {
@@ -213,9 +232,12 @@ fn price_operations() -> Operations {
 
     Operations {
         write_existing,
+        write_existing_path,
         write_new_leaf,
         write_new_leaf_and_four_ancestors,
         read,
+        read_path,
+        read_with,
         txn_three_writes_five_nodes,
         rm_six_nodes,
         tcb_to_sexp,
@@ -306,11 +328,24 @@ fn a_cold_start_stays_inside_its_allocation_budget() {
     // builds a DNS message and its answer, trims its name into a `String`,
     // clones the service's `ServiceConfig` or its name into a directory
     // map, and no app-ready inserts into that map again.
+    //
+    // Store operations taking a built `Path` moved it down from 117,287
+    // allocations and 10,594,378 bytes by 19,289 allocations and 753,277
+    // bytes (122 and 4,768 bytes a launch), at the same 11,861 operations:
+    // the devices keep each end's `state` key from setup, the daemon its
+    // service's record `state` and handoff phase keys, Synjitsu each proxied
+    // connection's record keys, so most operations name a path nobody
+    // formats or parses again; a path built from its parts is one
+    // allocation, where a `format!`ed string parsed into a path was two or
+    // three; the root path is one kept per thread, not a fresh empty
+    // buffer per join; and the handoff phase, a XenBus state and a flow's
+    // state are read in place with `read_with`, not copied out
+    // (`create_domain` 211 -> 204, `destroy_domain` 29 -> 22).
     assert_eq!(
         cell,
         Cell {
-            allocations: 117_287,
-            bytes: 10_594_378,
+            allocations: 97_998,
+            bytes: 9_841_101,
             launches: 158,
             xenstore_ops: 11_861,
         },
@@ -319,22 +354,28 @@ fn a_cold_start_stays_inside_its_allocation_budget() {
         cell.bytes / cell.launches
     );
     assert!(cell.allocations <= 900 * cell.launches);
-    // What is left of a write to an existing key is the parsed path and the
-    // value; a created node is its `Rc`, its name, and for a directory the
-    // chunk and buffer of its first child; a record is its one buffer.
+    // What is left of a write to an existing key is the value, and the
+    // path when it is given as text and parsed; a read is the copied value,
+    // and the parsed path likewise, and `read_with` lends the value out
+    // and allocates nothing. A created node is its `Rc`, its name, and for
+    // a directory the chunk and buffer of its first child; a record is its
+    // one buffer.
     assert_eq!(
         ops,
         Operations {
             write_existing: 2,
+            write_existing_path: 1,
             write_new_leaf: 5,
             write_new_leaf_and_four_ancestors: 21,
             read: 2,
+            read_path: 1,
+            read_with: 0,
             txn_three_writes_five_nodes: 46,
             rm_six_nodes: 8,
             tcb_to_sexp: 1,
             tcb_from_sexp: 1,
-            create_domain: 211,
-            destroy_domain: 29,
+            create_domain: 204,
+            destroy_domain: 22,
         }
     );
     let per_created_ancestor =

@@ -29,6 +29,128 @@ fn arb_xs_label() -> impl Strategy<Value = String> {
     })
 }
 
+/// One piece of a generated store path: names that hit the nodes
+/// [`routes_store`] made, names nothing made, and what `Path::parse`
+/// refuses or drops — an empty piece (a doubled slash), `.` and `..`, bad
+/// characters — and names long enough to cross the length limit.
+fn arb_path_piece() -> impl Strategy<Value = String> {
+    prop_oneof![
+        "[abcg]{1,2}",
+        "[a.@:+_-]{1,3}",
+        Just(String::new()),
+        Just("..".to_string()),
+        Just("a b".to_string()),
+        Just("x\u{e9}".to_string()),
+        Just("y".repeat(3066)),
+        Just("z".repeat(3072)),
+    ]
+}
+
+/// A path-taking `XenStore` operation.
+#[derive(Debug, Clone, Copy)]
+enum PathOp {
+    Read,
+    ReadString,
+    ReadWith,
+    Exists,
+    Directory,
+    GetPerms,
+    Write,
+    Mkdir,
+    Rm,
+    SetPerms,
+    Watch,
+    Unwatch,
+}
+
+impl PathOp {
+    const ALL: [PathOp; 12] = [
+        PathOp::Read,
+        PathOp::ReadString,
+        PathOp::ReadWith,
+        PathOp::Exists,
+        PathOp::Directory,
+        PathOp::GetPerms,
+        PathOp::Write,
+        PathOp::Mkdir,
+        PathOp::Rm,
+        PathOp::SetPerms,
+        PathOp::Watch,
+        PathOp::Unwatch,
+    ];
+
+    /// Whether the operation counts an op before it parses its path, so
+    /// that text that does not parse still costs one. The mutators count
+    /// nothing when the parse fails, and the watch calls count no op at
+    /// all; `xenstore.ops` is pinned, so the difference is kept.
+    fn counts_before_parsing(self) -> bool {
+        matches!(
+            self,
+            PathOp::Read
+                | PathOp::ReadString
+                | PathOp::ReadWith
+                | PathOp::Exists
+                | PathOp::Directory
+                | PathOp::GetPerms
+        )
+    }
+
+    /// Run the operation with `path`, its result rendered as text.
+    fn run(
+        self,
+        xs: &mut XenStore,
+        dom: DomId,
+        tx: Option<jitsu_repro::xenstore::TxId>,
+        path: impl jitsu_repro::xenstore::StorePath,
+    ) -> jitsu_repro::xenstore::Result<String> {
+        use jitsu_repro::xenstore::Permissions;
+        Ok(match self {
+            PathOp::Read => format!("{:?}", xs.read(dom, tx, path)?),
+            PathOp::ReadString => xs.read_string(dom, tx, path)?,
+            PathOp::ReadWith => format!("{:?}", xs.read_with(dom, tx, path, <[u8]>::len)?),
+            PathOp::Exists => format!("{:?}", xs.exists(dom, tx, path)?),
+            PathOp::Directory => format!("{:?}", xs.directory(dom, tx, path)?),
+            PathOp::GetPerms => format!("{:?}", xs.get_perms(dom, tx, path)?),
+            PathOp::Write => format!("{:?}", xs.write(dom, tx, path, b"v")?),
+            PathOp::Mkdir => format!("{:?}", xs.mkdir(dom, tx, path)?),
+            PathOp::Rm => format!("{:?}", xs.rm(dom, tx, path)?),
+            PathOp::SetPerms => {
+                format!(
+                    "{:?}",
+                    xs.set_perms(dom, tx, path, Permissions::owned_by(dom))?
+                )
+            }
+            PathOp::Watch => format!("{:?}", xs.watch(dom, path, "new")?),
+            PathOp::Unwatch => format!("{:?}", xs.unwatch(dom, path, "old")?),
+        })
+    }
+}
+
+/// The guest of [`routes_store`].
+const GUEST: DomId = DomId(7);
+
+/// A store with values, directories, a node the guest owns and a watch of
+/// each domain's, all events taken.
+fn routes_store() -> XenStore {
+    let mut xs = XenStore::new(EngineKind::JitsuMerge);
+    xs.write(DomId::DOM0, None, "/a/b", b"1").unwrap();
+    xs.write(DomId::DOM0, None, "/a/c/a", b"2").unwrap();
+    xs.mkdir(DomId::DOM0, None, "/g").unwrap();
+    xs.set_perms(
+        DomId::DOM0,
+        None,
+        "/g",
+        jitsu_repro::xenstore::Permissions::owned_by(GUEST),
+    )
+    .unwrap();
+    xs.watch(DomId::DOM0, "/a", "old").unwrap();
+    xs.watch(GUEST, "/g", "old").unwrap();
+    for dom in [DomId::DOM0, GUEST] {
+        xs.take_watch_events(dom);
+    }
+    xs
+}
+
 fn arb_tcp_state() -> impl Strategy<Value = TcpState> {
     prop_oneof![
         Just(TcpState::Listen),
@@ -334,6 +456,45 @@ proptest! {
         let path = XsPath::parse(&text).unwrap();
         prop_assert_eq!(path.to_string(), text);
         prop_assert_eq!(path.depth(), labels.len());
+    }
+
+    #[test]
+    fn text_and_built_paths_behave_alike(pieces in proptest::collection::vec(arb_path_piece(), 0..4),
+                                         shape in 0u8..4, guest in any::<bool>(), in_tx in any::<bool>()) {
+        let joined = pieces.join("/");
+        let text = match shape {
+            0 => format!("/{joined}"),
+            1 => format!("/{joined}/"),
+            2 => format!("//{joined}"),
+            _ => joined,
+        };
+        let parsed = XsPath::parse(&text);
+        let dom = if guest { GUEST } else { DomId::DOM0 };
+        for op in PathOp::ALL {
+            let (mut by_text, mut by_path) = (routes_store(), routes_store());
+            let tx_text = in_tx.then(|| by_text.transaction_start(dom).unwrap());
+            let tx_path = in_tx.then(|| by_path.transaction_start(dom).unwrap());
+            let text_result = op.run(&mut by_text, dom, tx_text, text.as_str());
+            let path_result = match &parsed {
+                Ok(path) => op.run(&mut by_path, dom, tx_path, path),
+                Err(e) => Err(e.clone()),
+            };
+            prop_assert_eq!(&text_result, &path_result);
+            // Text that does not parse costs the readers one op before it
+            // fails; a path that did not parse never reaches the store.
+            let uncounted = u64::from(parsed.is_err() && op.counts_before_parsing());
+            prop_assert_eq!(by_text.stats().ops, by_path.stats().ops + uncounted);
+            if let (Some(a), Some(b)) = (tx_text, tx_path) {
+                prop_assert_eq!(by_text.transaction_end(dom, a, true), by_path.transaction_end(dom, b, true));
+            }
+            let mut stats = by_path.stats();
+            stats.ops += uncounted;
+            prop_assert_eq!(by_text.stats(), stats);
+            for watcher in [DomId::DOM0, GUEST] {
+                prop_assert_eq!(by_text.take_watch_events(watcher), by_path.take_watch_events(watcher));
+            }
+            prop_assert!(jitsu_repro::xenstore::Tree::diff(by_text.tree(), by_path.tree()).is_empty(), "{op:?} {text:?}");
+        }
     }
 
     #[test]

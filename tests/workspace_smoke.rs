@@ -105,6 +105,94 @@ fn the_counting_allocator_is_the_only_unsafe_code() {
     assert_eq!(found, [Path::new("tests/support/counting_alloc.rs")]);
 }
 
+/// The crates whose callers name store paths on the summon's path.
+const STORE_CALLERS: [&str; 3] = ["xen-sim", "conduit", "jitsu"];
+
+/// `text` without its comment lines and without the items under
+/// `#[cfg(test)]`: each such item runs from the attribute to the line that
+/// closes its first brace, or to its first `;` if it opens none.
+fn non_test_code(text: &str) -> String {
+    let mut code = String::new();
+    let mut lines = text.lines();
+    while let Some(line) = lines.next() {
+        if line.trim() == "#[cfg(test)]" {
+            let (mut depth, mut opened) = (0i32, false);
+            for line in lines.by_ref() {
+                for c in line.chars() {
+                    match c {
+                        '{' => (depth, opened) = (depth + 1, true),
+                        '}' => depth -= 1,
+                        _ => {}
+                    }
+                }
+                if (opened && depth <= 0) || (!opened && line.trim_end().ends_with(';')) {
+                    break;
+                }
+            }
+        } else if !line.trim_start().starts_with("//") {
+            code.push_str(line);
+            code.push('\n');
+        }
+    }
+    code
+}
+
+/// The literals of the `format!`s in `code` that build a store path: the
+/// literal starts with `/` or with a `{…}/` placeholder.
+fn formatted_store_paths(code: &str) -> Vec<&str> {
+    code.match_indices("format!(")
+        .filter_map(|(at, call)| {
+            let literal = code[at + call.len()..].trim_start().strip_prefix('"')?;
+            let after_placeholder = || Some(&literal[literal.strip_prefix('{')?.find('}')? + 2..]);
+            let is_path = literal.starts_with('/')
+                || after_placeholder().is_some_and(|rest| rest.starts_with('/'));
+            is_path.then(|| literal.lines().next().unwrap_or_default())
+        })
+        .collect()
+}
+
+/// Store operations take a built `Path`, and the daemon, the devices, the
+/// handoff and the conduit rendezvous build each key once and keep it (or,
+/// for a key named once, build it from its parts in one allocation). A
+/// `format!`ed path string would be formatted and then parsed again on
+/// every operation, so non-test code in those crates has none.
+#[test]
+fn no_store_path_is_formatted_outside_tests() {
+    let sample = "let a = format!(\n    \"/local/{d}\");\nformat!(\"{base}/state\");\nformat!(\"{a} {b}/c\");";
+    assert_eq!(
+        formatted_store_paths(sample),
+        ["/local/{d}\");", "{base}/state\");"]
+    );
+    let test_module = "fn f() {}\n#[cfg(test)]\nmod tests {\n    fn g() {\n        format!(\"/x\");\n    }\n}\nfn h() {}\n";
+    assert_eq!(non_test_code(test_module), "fn f() {}\nfn h() {}\n");
+
+    let workspace = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut dirs: Vec<PathBuf> = STORE_CALLERS
+        .map(|krate| workspace.join("crates").join(krate).join("src"))
+        .into();
+    let mut found = Vec::new();
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(&dir).unwrap_or_else(|e| panic!("{dir:?}: {e}")) {
+            let path = entry.expect("a directory entry").path();
+            if path.is_dir() {
+                dirs.push(path);
+            } else if path.extension().is_some_and(|ext| ext == "rs") {
+                let text = std::fs::read_to_string(&path).expect("a readable source file");
+                let code = non_test_code(&text);
+                for literal in formatted_store_paths(&code) {
+                    let file = path.strip_prefix(workspace).unwrap_or(&path);
+                    found.push(format!("{}: {literal}", file.display()));
+                }
+            }
+        }
+    }
+    assert!(
+        found.is_empty(),
+        "store paths built with format!:\n{}",
+        found.join("\n")
+    );
+}
+
 /// One symbol from each of the ten re-exported crates, referenced through
 /// the facade paths. Compiling this function is the assertion: if a
 /// workspace edge or `[lib] name` mapping regresses, this fails to build.
