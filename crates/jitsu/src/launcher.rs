@@ -20,8 +20,6 @@ use xenstore::DomId;
 pub struct LaunchOutcome {
     /// The domain created.
     pub dom: DomId,
-    /// The service name.
-    pub name: String,
     /// When the launch started.
     pub started_at: SimTime,
     /// Domain construction (toolstack) report.
@@ -122,7 +120,6 @@ impl Launcher {
         let pipeline = instance.boot_pipeline(self.toolstack.board());
         let outcome = LaunchOutcome {
             dom: report.dom,
-            name: service.name.clone(),
             started_at: now,
             construction: report,
             network_ready_after: pipeline.time_to_network_ready(),

@@ -126,7 +126,12 @@ impl ArpPacket {
     }
 }
 
-/// A simple ARP cache (no expiry policy beyond an entry cap).
+/// A simple ARP cache: one entry per peer IP, learned or refreshed from
+/// every ARP packet and every IPv4 frame for this interface, and never
+/// expired or capped. A long-lived interface keeps an entry for every peer
+/// it has heard from for its whole life (`warm_traffic`'s server learns one
+/// per batch of exchanges). There is deliberately no cap: evicting an entry
+/// would send that peer's frames to the broadcast MAC.
 #[derive(Debug, Default, Clone)]
 pub struct ArpCache {
     entries: BTreeMap<Ipv4Addr, MacAddr>,

@@ -5,12 +5,14 @@
 //! work is to initialise and zero out physical memory pages, thus guests with
 //! less memory are naturally built more quickly" (§3.1). The builder here
 //! allocates and scrubs pages from the [`PageAllocator`], loads the kernel at
-//! the zImage offset 0x8000, constructs the Flattened Device Tree handed to
-//! the guest in `r2` (§2.3), and reports the time spent in each stage so the
-//! toolstack can compose Figure 4.
+//! the zImage offset 0x8000, writes the Flattened Device Tree handed to the
+//! guest in `r2` (§2.3) straight into its DTB bytes with
+//! [`fdt::standard_guest`], and reports the time spent in each stage so the
+//! toolstack can compose Figure 4. A build allocates that one buffer and,
+//! on a fresh page pool, the pool's record of the assignment.
 
 use crate::domain::{Domain, DomainConfig, DomainState};
-use crate::fdt::FdtBuilder;
+use crate::fdt;
 use crate::memory::{MemoryLayout, PageAllocator};
 use jitsu_sim::SimDuration;
 use platform::{Arch, Board};
@@ -41,9 +43,9 @@ pub struct BuildReport {
     pub zeroing: SimDuration,
     /// Loading the kernel image at offset 0x8000.
     pub kernel_load: SimDuration,
-    /// Building and writing the FDT.
+    /// Writing the FDT.
     pub fdt_build: SimDuration,
-    /// The encoded device tree handed to the guest.
+    /// Length of the DTB handed to the guest, in bytes.
     pub fdt_bytes: usize,
     /// The guest memory layout configured for the boot code.
     pub layout: MemoryLayout,
@@ -126,25 +128,24 @@ impl DomainBuilder {
 
         let ram_bytes = config.memory_mib as u64 * 1024 * 1024;
         let layout = MemoryLayout::mirage_arm(ram_bytes.min(u32::MAX as u64) as u32);
-        let cmdline = match config.arch {
-            Arch::Arm => format!("console=hvc0 jitsu.name={}", config.name),
-            Arch::X86 => format!("console=hvc0 root=/dev/xvda1 jitsu.name={}", config.name),
+        let cmdline_head = match config.arch {
+            Arch::Arm => "console=hvc0 jitsu.name=",
+            Arch::X86 => "console=hvc0 root=/dev/xvda1 jitsu.name=",
         };
-        let fdt = FdtBuilder::standard_guest(
+        let dtb = fdt::standard_guest(
             layout.ram_base_ipa as u64,
             ram_bytes,
-            &cmdline,
+            &[cmdline_head, &config.name],
             1, // xenstore event channel (bound later)
             2, // console event channel (bound later)
-        )
-        .encode();
+        );
 
         let report = BuildReport {
             descriptor: self.descriptor_time(),
             zeroing,
             kernel_load: self.kernel_load_time(config.kernel_size_bytes),
             fdt_build: self.fdt_time(),
-            fdt_bytes: fdt.len(),
+            fdt_bytes: dtb.len(),
             layout,
         };
         #[expect(
@@ -186,8 +187,27 @@ mod tests {
             report.total()
         );
         assert!(report.zeroing > report.kernel_load);
-        assert!(report.fdt_bytes > 0);
         assert!(report.layout.region_order_is_valid());
+    }
+
+    #[test]
+    fn fdt_bytes_is_the_written_dtbs_length() {
+        let arm = DomainConfig::unikernel("svc003.storm.example");
+        let x86 = DomainConfig {
+            arch: Arch::X86,
+            ..DomainConfig::linux_vm("web.example").with_memory_mib(256)
+        };
+        for (config, bootargs, len) in [
+            (&arm, "console=hvc0 jitsu.name=", 341),
+            (&x86, "console=hvc0 root=/dev/xvda1 jitsu.name=", 348),
+        ] {
+            let mut dom = Domain::new(DomId(3), config.clone());
+            let report = builder().build(&mut dom, config).unwrap();
+            let ram_bytes = config.memory_mib as u64 * 1024 * 1024;
+            let dtb = fdt::standard_guest(0x4000_0000, ram_bytes, &[bootargs, &config.name], 1, 2);
+            assert_eq!(report.fdt_bytes, dtb.len());
+            assert_eq!(report.fdt_bytes, len);
+        }
     }
 
     #[test]

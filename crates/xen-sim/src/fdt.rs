@@ -5,133 +5,10 @@
 //! command line — "a similar key/value store to the one supplied by native
 //! ARM bootloaders ... much simpler than x86 booting, where configuration
 //! information is spread across virtualized BIOS, memory and Xen-specific
-//! interfaces" (§2.3). The domain builder constructs one of these per guest;
-//! this module provides a small tree builder plus a binary encoding (a
-//! simplified DTB: tagged begin/end node and property records), whose size
-//! the builder reports, and a parser that checks those bytes round-trip.
-
-use std::collections::BTreeMap;
-
-/// A device-tree node: properties plus named children.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct FdtNode {
-    /// Property name → value bytes.
-    pub properties: BTreeMap<String, Vec<u8>>,
-    /// Child nodes by name.
-    pub children: BTreeMap<String, FdtNode>,
-}
-
-impl FdtNode {
-    /// Look up a property on this node.
-    pub fn property(&self, name: &str) -> Option<&[u8]> {
-        self.properties.get(name).map(|v| v.as_slice())
-    }
-
-    /// Look up a property and decode it as a big-endian u64 cell pair.
-    pub fn property_u64(&self, name: &str) -> Option<u64> {
-        let v = self.properties.get(name)?;
-        if v.len() != 8 {
-            return None;
-        }
-        Some(u64::from_be_bytes(v.as_slice().try_into().ok()?))
-    }
-
-    /// Look up a property and decode it as a NUL-terminated string.
-    pub fn property_str(&self, name: &str) -> Option<String> {
-        let v = self.properties.get(name)?;
-        let end = v.iter().position(|&b| b == 0).unwrap_or(v.len());
-        Some(String::from_utf8_lossy(&v[..end]).into_owned())
-    }
-
-    /// Find a descendant by `/`-separated path (relative to this node).
-    pub fn find(&self, path: &str) -> Option<&FdtNode> {
-        let mut node = self;
-        for comp in path.split('/').filter(|c| !c.is_empty()) {
-            node = node.children.get(comp)?;
-        }
-        Some(node)
-    }
-
-    /// Total number of nodes in this subtree.
-    pub fn node_count(&self) -> usize {
-        1 + self
-            .children
-            .values()
-            .map(FdtNode::node_count)
-            .sum::<usize>()
-    }
-}
-
-/// Builder for a guest's device tree.
-#[derive(Debug, Clone, Default)]
-pub struct FdtBuilder {
-    root: FdtNode,
-}
-
-impl FdtBuilder {
-    /// Start an empty tree.
-    pub fn new() -> FdtBuilder {
-        FdtBuilder::default()
-    }
-
-    /// Set a property at a `/`-separated path, creating nodes as needed.
-    pub fn set_property(&mut self, path: &str, name: &str, value: &[u8]) -> &mut Self {
-        let mut node = &mut self.root;
-        for comp in path.split('/').filter(|c| !c.is_empty()) {
-            node = node.children.entry(comp.to_string()).or_default();
-        }
-        node.properties.insert(name.to_string(), value.to_vec());
-        self
-    }
-
-    /// Set a string property (NUL-terminated, per DT convention).
-    pub fn set_str(&mut self, path: &str, name: &str, value: &str) -> &mut Self {
-        let mut bytes = value.as_bytes().to_vec();
-        bytes.push(0);
-        self.set_property(path, name, &bytes)
-    }
-
-    /// Set a 64-bit big-endian property (address/size cells).
-    pub fn set_u64(&mut self, path: &str, name: &str, value: u64) -> &mut Self {
-        self.set_property(path, name, &value.to_be_bytes())
-    }
-
-    /// Build the standard tree Xen constructs for an ARM guest: the model
-    /// string, a `/memory` node with the RAM range, a `/hypervisor` node
-    /// with the Xen version and the XenStore/console event channel
-    /// references, and a `/chosen` node carrying the kernel command line.
-    pub fn standard_guest(
-        ram_base: u64,
-        ram_bytes: u64,
-        cmdline: &str,
-        xenstore_port: u32,
-        console_port: u32,
-    ) -> FdtBuilder {
-        let mut b = FdtBuilder::new();
-        b.set_str("/", "compatible", "xen,xenvm-4.5");
-        b.set_str("/", "model", "XENVM-4.5");
-        b.set_u64("/memory", "reg-base", ram_base);
-        b.set_u64("/memory", "reg-size", ram_bytes);
-        b.set_str("/memory", "device_type", "memory");
-        b.set_str("/hypervisor", "compatible", "xen,xen-4.5");
-        b.set_u64("/hypervisor", "xenstore-evtchn", xenstore_port as u64);
-        b.set_u64("/hypervisor", "console-evtchn", console_port as u64);
-        b.set_str("/chosen", "bootargs", cmdline);
-        b
-    }
-
-    /// Finish building, returning the tree.
-    pub fn build(self) -> FdtNode {
-        self.root
-    }
-
-    /// Encode directly to DTB bytes.
-    pub fn encode(&self) -> Vec<u8> {
-        encode(&self.root)
-    }
-}
-
-// --- Binary encoding -----------------------------------------------------
+//! interfaces" (§2.3). The domain builder writes one per guest with
+//! [`standard_guest`]: a simplified DTB of tagged begin/end node and
+//! property records, written in one pass, in encoded order, into a buffer
+//! sized exactly. No tree is built first.
 
 const FDT_MAGIC: u32 = 0xd00dfeed;
 const TAG_BEGIN_NODE: u8 = 1;
@@ -139,182 +16,277 @@ const TAG_END_NODE: u8 = 2;
 const TAG_PROP: u8 = 3;
 const TAG_END: u8 = 9;
 
-fn push_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_be_bytes());
-    out.extend_from_slice(s.as_bytes());
+/// Bytes of the standard guest's DTB besides its command line's text.
+const STANDARD_GUEST_LEN: usize = 297;
+
+/// A record's tag and its length-prefixed name.
+fn record(out: &mut Vec<u8>, tag: u8, name: &str) {
+    out.push(tag);
+    out.extend_from_slice(&(name.len() as u32).to_be_bytes());
+    out.extend_from_slice(name.as_bytes());
 }
 
-fn read_u32(buf: &[u8], pos: &mut usize) -> Option<u32> {
-    if *pos + 4 > buf.len() {
-        return None;
+/// A string property (NUL-terminated, per DT convention) whose value is
+/// `parts` written back to back.
+fn prop_str(out: &mut Vec<u8>, name: &str, parts: &[&str]) {
+    record(out, TAG_PROP, name);
+    let len = parts.iter().map(|p| p.len()).sum::<usize>() + 1;
+    out.extend_from_slice(&(len as u32).to_be_bytes());
+    for part in parts {
+        out.extend_from_slice(part.as_bytes());
     }
-    let v = u32::from_be_bytes(buf[*pos..*pos + 4].try_into().ok()?);
-    *pos += 4;
-    Some(v)
+    out.push(0);
 }
 
-fn read_bytes<'a>(buf: &'a [u8], pos: &mut usize, len: usize) -> Option<&'a [u8]> {
-    if *pos + len > buf.len() {
-        return None;
-    }
-    let s = &buf[*pos..*pos + len];
-    *pos += len;
-    Some(s)
+/// A 64-bit big-endian property (address/size cells).
+fn prop_u64(out: &mut Vec<u8>, name: &str, value: u64) {
+    record(out, TAG_PROP, name);
+    out.extend_from_slice(&8u32.to_be_bytes());
+    out.extend_from_slice(&value.to_be_bytes());
 }
 
-fn encode_node(out: &mut Vec<u8>, name: &str, node: &FdtNode) {
-    out.push(TAG_BEGIN_NODE);
-    push_str(out, name);
-    for (pname, value) in &node.properties {
-        out.push(TAG_PROP);
-        push_str(out, pname);
-        out.extend_from_slice(&(value.len() as u32).to_be_bytes());
-        out.extend_from_slice(value);
-    }
-    for (cname, child) in &node.children {
-        encode_node(out, cname, child);
-    }
-    out.push(TAG_END_NODE);
-}
-
-/// Encode a tree to DTB bytes.
-pub fn encode(root: &FdtNode) -> Vec<u8> {
-    let mut out = Vec::new();
+/// Write the standard DTB Xen hands an ARM guest: the model string, a
+/// `/chosen` node carrying the kernel command line (`bootargs` written back
+/// to back, so a caller need not join its parts), a `/hypervisor` node with
+/// the Xen version and the console/XenStore event channels, and a
+/// `/memory` node with the RAM range, all in name order.
+pub fn standard_guest(
+    ram_base: u64,
+    ram_bytes: u64,
+    bootargs: &[&str],
+    xenstore_port: u32,
+    console_port: u32,
+) -> Vec<u8> {
+    let len = STANDARD_GUEST_LEN + bootargs.iter().map(|a| a.len()).sum::<usize>();
+    let mut out = Vec::with_capacity(len);
     out.extend_from_slice(&FDT_MAGIC.to_be_bytes());
-    encode_node(&mut out, "", root);
-    out.push(TAG_END);
+    record(&mut out, TAG_BEGIN_NODE, "");
+    prop_str(&mut out, "compatible", &["xen,xenvm-4.5"]);
+    prop_str(&mut out, "model", &["XENVM-4.5"]);
+    record(&mut out, TAG_BEGIN_NODE, "chosen");
+    prop_str(&mut out, "bootargs", bootargs);
+    out.push(TAG_END_NODE);
+    record(&mut out, TAG_BEGIN_NODE, "hypervisor");
+    prop_str(&mut out, "compatible", &["xen,xen-4.5"]);
+    prop_u64(&mut out, "console-evtchn", console_port as u64);
+    prop_u64(&mut out, "xenstore-evtchn", xenstore_port as u64);
+    out.push(TAG_END_NODE);
+    record(&mut out, TAG_BEGIN_NODE, "memory");
+    prop_str(&mut out, "device_type", &["memory"]);
+    prop_u64(&mut out, "reg-base", ram_base);
+    prop_u64(&mut out, "reg-size", ram_bytes);
+    out.extend_from_slice(&[TAG_END_NODE, TAG_END_NODE, TAG_END]);
+    debug_assert_eq!(out.len(), len);
     out
-}
-
-fn decode_node(buf: &[u8], pos: &mut usize) -> Option<(String, FdtNode)> {
-    if buf.get(*pos) != Some(&TAG_BEGIN_NODE) {
-        return None;
-    }
-    *pos += 1;
-    let name_len = read_u32(buf, pos)? as usize;
-    let name = String::from_utf8_lossy(read_bytes(buf, pos, name_len)?).into_owned();
-    let mut node = FdtNode::default();
-    loop {
-        match *buf.get(*pos)? {
-            TAG_PROP => {
-                *pos += 1;
-                let pname_len = read_u32(buf, pos)? as usize;
-                let pname = String::from_utf8_lossy(read_bytes(buf, pos, pname_len)?).into_owned();
-                let vlen = read_u32(buf, pos)? as usize;
-                let value = read_bytes(buf, pos, vlen)?.to_vec();
-                node.properties.insert(pname, value);
-            }
-            TAG_BEGIN_NODE => {
-                let (cname, child) = decode_node(buf, pos)?;
-                node.children.insert(cname, child);
-            }
-            TAG_END_NODE => {
-                *pos += 1;
-                return Some((name, node));
-            }
-            _ => return None,
-        }
-    }
-}
-
-/// Decode DTB bytes back into a tree. Returns `None` on malformed input.
-pub fn decode(buf: &[u8]) -> Option<FdtNode> {
-    let mut pos = 0;
-    let magic = read_u32(buf, &mut pos)?;
-    if magic != FDT_MAGIC {
-        return None;
-    }
-    let (_, root) = decode_node(buf, &mut pos)?;
-    if buf.get(pos) != Some(&TAG_END) {
-        return None;
-    }
-    Some(root)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn builder_sets_nested_properties() {
-        let mut b = FdtBuilder::new();
-        b.set_str("/chosen", "bootargs", "console=hvc0");
-        b.set_u64("/memory", "reg-size", 16 * 1024 * 1024);
-        let root = b.build();
-        assert_eq!(
-            root.find("chosen")
-                .unwrap()
-                .property_str("bootargs")
-                .unwrap(),
-            "console=hvc0"
-        );
-        assert_eq!(
-            root.find("memory")
-                .unwrap()
-                .property_u64("reg-size")
-                .unwrap(),
-            16 * 1024 * 1024
-        );
-        assert!(root.find("missing").is_none());
-        assert_eq!(root.node_count(), 3);
+    /// What the tree builder this writer replaced encoded for three guests,
+    /// as hex: a Cubieboard2 unikernel's DTB, an x86 command line, and
+    /// extreme values.
+    const SVC003: &str = concat!(
+        "d00dfeed0100000000030000000a636f6d70617469626c650000000e78656e2c",
+        "78656e766d2d342e350003000000056d6f64656c0000000a58454e564d2d342e",
+        "3500010000000663686f73656e0300000008626f6f74617267730000002d636f",
+        "6e736f6c653d68766330206a697473752e6e616d653d7376633030332e73746f",
+        "726d2e6578616d706c650002010000000a68797065727669736f72030000000a",
+        "636f6d70617469626c650000000c78656e2c78656e2d342e3500030000000e63",
+        "6f6e736f6c652d65767463686e000000080000000000000002030000000f7865",
+        "6e73746f72652d65767463686e0000000800000000000000010201000000066d",
+        "656d6f7279030000000b6465766963655f74797065000000076d656d6f727900",
+        "03000000087265672d6261736500000008000000004000000003000000087265",
+        "672d73697a65000000080000000001000000020209",
+    );
+    const X86: &str = concat!(
+        "d00dfeed0100000000030000000a636f6d70617469626c650000000e78656e2c",
+        "78656e766d2d342e350003000000056d6f64656c0000000a58454e564d2d342e",
+        "3500010000000663686f73656e0300000008626f6f746172677300000034636f",
+        "6e736f6c653d6876633020726f6f743d2f6465762f7876646131206a69747375",
+        "2e6e616d653d7765622e6578616d706c650002010000000a6879706572766973",
+        "6f72030000000a636f6d70617469626c650000000c78656e2c78656e2d342e35",
+        "00030000000e636f6e736f6c652d65767463686e000000080000000000000002",
+        "030000000f78656e73746f72652d65767463686e000000080000000000000001",
+        "0201000000066d656d6f7279030000000b6465766963655f7479706500000007",
+        "6d656d6f72790003000000087265672d62617365000000080000000040000000",
+        "03000000087265672d73697a65000000080000000010000000020209",
+    );
+    const EXTREMES: &str = concat!(
+        "d00dfeed0100000000030000000a636f6d70617469626c650000000e78656e2c",
+        "78656e766d2d342e350003000000056d6f64656c0000000a58454e564d2d342e",
+        "3500010000000663686f73656e0300000008626f6f746172677300000019636f",
+        "6e736f6c653d68766330206a697473752e6e616d653d0002010000000a687970",
+        "65727669736f72030000000a636f6d70617469626c650000000c78656e2c7865",
+        "6e2d342e3500030000000e636f6e736f6c652d65767463686e00000008000000",
+        "000000ffff030000000f78656e73746f72652d65767463686e00000008000000",
+        "00000000000201000000066d656d6f7279030000000b6465766963655f747970",
+        "65000000076d656d6f72790003000000087265672d6261736500000008000000",
+        "000000000003000000087265672d73697a650000000800000100000000000202",
+        "09",
+    );
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    fn svc003() -> Vec<u8> {
+        standard_guest(
+            0x4000_0000,
+            16 << 20,
+            &["console=hvc0 jitsu.name=", "svc003.storm.example"],
+            1,
+            2,
+        )
+    }
+
+    fn x86() -> Vec<u8> {
+        standard_guest(
+            0x4000_0000,
+            256 << 20,
+            &["console=hvc0 root=/dev/xvda1 jitsu.name=", "web.example"],
+            1,
+            2,
+        )
+    }
+
+    fn extremes() -> Vec<u8> {
+        standard_guest(0, 1 << 40, &["console=hvc0 jitsu.name=", ""], 0, 65_535)
+    }
+
+    fn read_u32(buf: &[u8], pos: &mut usize) -> Option<u32> {
+        let v = u32::from_be_bytes(buf.get(*pos..*pos + 4)?.try_into().ok()?);
+        *pos += 4;
+        Some(v)
+    }
+
+    fn read_str(buf: &[u8], pos: &mut usize) -> Option<String> {
+        let len = read_u32(buf, pos)? as usize;
+        let s = std::str::from_utf8(buf.get(*pos..*pos + len)?).ok()?;
+        *pos += len;
+        Some(s.to_string())
+    }
+
+    /// Walk one node, appending each property as its `/`-joined path (from
+    /// below the root) and value.
+    fn decode_node(
+        buf: &[u8],
+        pos: &mut usize,
+        parent: &str,
+        props: &mut Vec<(String, Vec<u8>)>,
+    ) -> Option<()> {
+        if buf.get(*pos) != Some(&TAG_BEGIN_NODE) {
+            return None;
+        }
+        *pos += 1;
+        let name = read_str(buf, pos)?;
+        let path = match (parent, name.as_str()) {
+            ("", name) => name.to_string(),
+            (parent, name) => format!("{parent}/{name}"),
+        };
+        loop {
+            match *buf.get(*pos)? {
+                TAG_PROP => {
+                    *pos += 1;
+                    let pname = read_str(buf, pos)?;
+                    let len = read_u32(buf, pos)? as usize;
+                    let value = buf.get(*pos..*pos + len)?.to_vec();
+                    *pos += len;
+                    let key = match path.as_str() {
+                        "" => pname,
+                        path => format!("{path}/{pname}"),
+                    };
+                    props.push((key, value));
+                }
+                TAG_BEGIN_NODE => decode_node(buf, pos, &path, props)?,
+                TAG_END_NODE => {
+                    *pos += 1;
+                    return Some(());
+                }
+                _ => return None,
+            }
+        }
+    }
+
+    /// Every property of a DTB in the order written, or `None` if the bytes
+    /// are malformed or do not end where the tree does.
+    fn decode(buf: &[u8]) -> Option<Vec<(String, Vec<u8>)>> {
+        let mut pos = 0;
+        if read_u32(buf, &mut pos)? != FDT_MAGIC {
+            return None;
+        }
+        let mut props = Vec::new();
+        decode_node(buf, &mut pos, "", &mut props)?;
+        (pos + 1 == buf.len() && buf[pos] == TAG_END).then_some(props)
+    }
+
+    /// Every property the standard guest's DTB should hold, in order.
+    fn expected(bootargs: &str, base: u64, size: u64, xs: u64, con: u64) -> Vec<(String, Vec<u8>)> {
+        let string = |s: &str| [s.as_bytes(), &[0]].concat();
+        let cell = |v: u64| v.to_be_bytes().to_vec();
+        [
+            ("compatible", string("xen,xenvm-4.5")),
+            ("model", string("XENVM-4.5")),
+            ("chosen/bootargs", string(bootargs)),
+            ("hypervisor/compatible", string("xen,xen-4.5")),
+            ("hypervisor/console-evtchn", cell(con)),
+            ("hypervisor/xenstore-evtchn", cell(xs)),
+            ("memory/device_type", string("memory")),
+            ("memory/reg-base", cell(base)),
+            ("memory/reg-size", cell(size)),
+        ]
+        .into_iter()
+        .map(|(k, v)| (k.to_string(), v))
+        .collect()
     }
 
     #[test]
     fn standard_guest_tree_has_required_nodes() {
-        let fdt = FdtBuilder::standard_guest(0x4000_0000, 16 << 20, "jitsu=1", 1, 2).build();
-        assert_eq!(fdt.property_str("compatible").unwrap(), "xen,xenvm-4.5");
-        let mem = fdt.find("memory").unwrap();
-        assert_eq!(mem.property_u64("reg-base").unwrap(), 0x4000_0000);
-        assert_eq!(mem.property_u64("reg-size").unwrap(), 16 << 20);
-        let hyp = fdt.find("hypervisor").unwrap();
-        assert_eq!(hyp.property_u64("xenstore-evtchn").unwrap(), 1);
-        assert_eq!(hyp.property_u64("console-evtchn").unwrap(), 2);
         assert_eq!(
-            fdt.find("chosen")
-                .unwrap()
-                .property_str("bootargs")
-                .unwrap(),
-            "jitsu=1"
+            decode(&svc003()),
+            Some(expected(
+                "console=hvc0 jitsu.name=svc003.storm.example",
+                0x4000_0000,
+                16 << 20,
+                1,
+                2
+            ))
         );
     }
 
     #[test]
     fn encode_decode_round_trip() {
-        let fdt =
-            FdtBuilder::standard_guest(0x4000_0000, 256 << 20, "root=/dev/xvda1", 3, 4).build();
-        let bytes = encode(&fdt);
-        let decoded = decode(&bytes).unwrap();
-        assert_eq!(decoded, fdt);
+        let x86_args = "console=hvc0 root=/dev/xvda1 jitsu.name=web.example";
+        assert_eq!(
+            decode(&x86()),
+            Some(expected(x86_args, 0x4000_0000, 256 << 20, 1, 2))
+        );
+        assert_eq!(
+            decode(&extremes()),
+            Some(expected("console=hvc0 jitsu.name=", 0, 1 << 40, 0, 65_535))
+        );
     }
 
     #[test]
     fn decode_rejects_bad_magic_and_truncation() {
-        let fdt = FdtBuilder::standard_guest(0, 8 << 20, "", 1, 2).build();
-        let mut bytes = encode(&fdt);
+        let mut bytes = extremes();
         assert!(decode(&bytes[..bytes.len() - 2]).is_none(), "truncated");
+        assert!(decode(&[bytes.as_slice(), &[TAG_END]].concat()).is_none());
         bytes[0] = 0xff;
         assert!(decode(&bytes).is_none(), "bad magic");
         assert!(decode(&[]).is_none());
     }
 
     #[test]
-    fn property_accessors_handle_wrong_types() {
-        let mut b = FdtBuilder::new();
-        b.set_str("/", "name", "hello");
-        let root = b.build();
-        assert_eq!(root.property_u64("name"), None, "string is not a u64 cell");
-        assert_eq!(root.property("missing"), None);
+    fn standard_guest_writes_the_recorded_bytes_into_an_exact_buffer() {
+        for (bytes, recorded) in [(svc003(), SVC003), (x86(), X86), (extremes(), EXTREMES)] {
+            assert_eq!(hex(&bytes), recorded);
+            assert_eq!(bytes.capacity(), bytes.len(), "sized exactly");
+        }
         assert_eq!(
-            root.property("name").unwrap().last(),
-            Some(&0u8),
-            "NUL terminated"
+            [svc003().len(), x86().len(), extremes().len()],
+            [341, 348, 321]
         );
-    }
-
-    #[test]
-    fn builder_encode_matches_module_encode() {
-        let mut b = FdtBuilder::new();
-        b.set_str("/chosen", "bootargs", "x");
-        assert_eq!(b.encode(), encode(&b.clone().build()));
     }
 }

@@ -13,9 +13,10 @@
 //!   layout of §2.3;
 //! * [`grant_table`] / [`event_channel`] — the page-sharing permission and
 //!   notification primitives that vchan (and hence Conduit) builds on;
-//! * [`fdt`] — the Flattened Device Tree handed to ARM guests at boot;
+//! * [`fdt`] — the Flattened Device Tree handed to ARM guests at boot,
+//!   written in one pass straight into its DTB bytes;
 //! * [`domain_builder`] — loads a kernel image, assigns and zeroes RAM,
-//!   writes the FDT and produces per-stage timings;
+//!   writes the DTB and produces per-stage timings;
 //! * [`devices`] — the split-driver (XenBus) state machine for console,
 //!   network and block devices;
 //! * [`hotplug`] — the dom0 vif hotplug path in its three variants
@@ -59,7 +60,6 @@ pub use devices::{DeviceKind, XenbusState};
 pub use domain::{Domain, DomainConfig, DomainState};
 pub use domain_builder::{BuildReport, DomainBuilder};
 pub use event_channel::{EventChannelTable, Port};
-pub use fdt::FdtBuilder;
 pub use grant_table::{GrantRef, GrantTable};
 pub use hotplug::HotplugStyle;
 pub use memory::{MemoryLayout, PageAllocator, PAGE_SIZE};

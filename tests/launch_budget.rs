@@ -25,7 +25,8 @@ mod counting_alloc;
 use counting_alloc::counted;
 use jitsu_repro::netstack::tcp::{Tcb, TcpState};
 use jitsu_repro::prelude::*;
-use jitsu_repro::xen::domain::DomainConfig;
+use jitsu_repro::xen::domain::{Domain, DomainConfig};
+use jitsu_repro::xen::domain_builder::DomainBuilder;
 use jitsu_repro::xenstore::Path;
 
 /// Allocations made while `f` ran.
@@ -138,6 +139,8 @@ struct Operations {
     tcb_to_sexp: u64,
     /// `Tcb::from_sexp` of that record.
     tcb_from_sexp: u64,
+    /// `DomainBuilder::build` of a unikernel on a fresh builder.
+    domain_build: u64,
     /// `Toolstack::create_domain` of a unikernel with console and vif.
     create_domain: u64,
     /// `Toolstack::destroy` of it.
@@ -217,6 +220,15 @@ fn price_operations() -> Operations {
     let (parsed, tcb_from_sexp, _) = counted(|| Tcb::from_sexp(&record));
     assert_eq!(parsed, Some(tcb));
 
+    let mut builder = DomainBuilder::new(BoardKind::Cubieboard2.board());
+    let config = DomainConfig::unikernel("svc003.storm.example");
+    let mut domain = Domain::new(DomId(3), config.clone());
+    let domain_build = allocations(|| {
+        builder
+            .build(&mut domain, &config)
+            .expect("the board is empty");
+    });
+
     let mut ts = Toolstack::new(BoardKind::Cubieboard2.board(), EngineKind::JitsuMerge, 7);
     let mut cycle = || {
         let (report, create_domain, _) = counted(|| {
@@ -242,6 +254,7 @@ fn price_operations() -> Operations {
         rm_six_nodes,
         tcb_to_sexp,
         tcb_from_sexp,
+        domain_build,
         create_domain,
         destroy_domain,
     }
@@ -341,11 +354,21 @@ fn a_cold_start_stays_inside_its_allocation_budget() {
     // buffer per join; and the handoff phase, a XenBus state and a flow's
     // state are read in place with `read_with`, not copied out
     // (`create_domain` 211 -> 204, `destroy_domain` 29 -> 22).
+    //
+    // The domain builder writing the guest's device tree straight into its
+    // DTB bytes moved it down from 97,998 allocations and 9,841,101 bytes by
+    // 7,584 allocations and 669,762 bytes (48 and 4,239 bytes a launch): a
+    // build no longer fills `BTreeMap`s of `String` names and `Vec` values,
+    // encodes them into a buffer grown six times and drops both, nor
+    // `format!`s the kernel command line first; it writes one buffer sized
+    // exactly (`create_domain` 204 -> 157; one build is that buffer and
+    // the page pool's assignment). The launcher no longer clones the
+    // service's name into a `LaunchOutcome` field nothing read.
     assert_eq!(
         cell,
         Cell {
-            allocations: 97_998,
-            bytes: 9_841_101,
+            allocations: 90_414,
+            bytes: 9_171_339,
             launches: 158,
             xenstore_ops: 11_861,
         },
@@ -359,7 +382,7 @@ fn a_cold_start_stays_inside_its_allocation_budget() {
     // and the parsed path likewise, and `read_with` lends the value out
     // and allocates nothing. A created node is its `Rc`, its name, and for
     // a directory the chunk and buffer of its first child; a record is its
-    // one buffer.
+    // one buffer, and so is a built domain's device tree.
     assert_eq!(
         ops,
         Operations {
@@ -374,7 +397,8 @@ fn a_cold_start_stays_inside_its_allocation_budget() {
             rm_six_nodes: 8,
             tcb_to_sexp: 1,
             tcb_from_sexp: 1,
-            create_domain: 204,
+            domain_build: 2,
+            create_domain: 157,
             destroy_domain: 22,
         }
     );

@@ -253,20 +253,28 @@ fn the_last_cycle_costs_what_the_first_did_and_leaves_the_host_as_it_found_it() 
     // daemon record, handoff and conduit rendezvous formatted a path string
     // and parsed it into a second allocation for nearly every operation,
     // and now name keys built once, each in one allocation.
-    assert_eq!(cycle_before, 541);
+    // 541 until the domain builder wrote the guest's device tree straight
+    // into its DTB bytes: the cycle's build filled a tree of `BTreeMap`s,
+    // `String`s and `Vec`s, encoded it into a growing buffer and dropped
+    // both, and `format!`ed the command line; and until the launcher
+    // stopped cloning the service's name into a field nothing read.
+    assert_eq!(cycle_before, 493);
     // Inside the storm, allocations per launch follow the mix of queries —
     // a warm hit or a coalesced query allocates and launches nothing, and
     // the first tenth saw 2.148 queries per launch, the last 2.203 — so the
     // two tenths are pinned side by side rather than held equal; the third
-    // tenth, with 2.198, reads 627. (Before HTTP messages became views the
+    // tenth, with 2.198, reads 579. (Before HTTP messages became views the
     // three read 821, 826 and 831, 798, 802 and 807 until static pages were
     // served as pre-built responses, 793, 798 and 802 until `read_string`
     // stopped copying the values it reads, 784, 788 and 793 until the
     // daemon kept one record per service and stopped cloning its name and
     // `ServiceConfig` for every query, launch and reap, and 770, 774 and 778
     // until it decided each query from that record instead of a directory's
-    // copy answered with a DNS message, and 744, 747 and 752 until store
-    // operations took built `Path`s instead of formatted and parsed text.)
+    // copy answered with a DNS message, 744, 747 and 752 until store
+    // operations took built `Path`s instead of formatted and parsed text,
+    // and 621, 624 and 627 until a domain build wrote its device tree
+    // straight into its DTB bytes and a launch stopped cloning the
+    // service's name into a field nothing read.)
     let tenth = |from: usize| {
         let (a, b) = (marks[from], marks[from + TENTH]);
         (b.allocations - a.allocations, b.launches - a.launches)
@@ -274,7 +282,7 @@ fn the_last_cycle_costs_what_the_first_did_and_leaves_the_host_as_it_found_it() 
     let (first, last) = (tenth(0), tenth(SLICES - TENTH));
     assert_eq!(
         (first, last),
-        ((1_119_576, 1_801), (1_074_725, 1_722)),
+        ((1_033_128, 1_801), (992_069, 1_722)),
         "{} and {} allocations per launch",
         first.0 / first.1,
         last.0 / last.1
