@@ -115,7 +115,7 @@ pub fn start_container(config: &DockerConfig, board: &Board, rng: &mut SimRng) -
     // round trips and the double fork/exec are CPU-bound: ≈95 ms on the x86
     // reference, scaled to the board (≈570 ms on the Cubieboard2), which is
     // the floor under even the tmpfs configuration.
-    let process_setup = board.scale_cpu(SimDuration::from_micros(95_000));
+    let process_setup = board.costs.docker_process_setup;
     let virtualisation_overhead = match config.runtime {
         ContainerRuntime::NativeLinux => SimDuration::ZERO,
         // Running in dom0 adds ~8% to the I/O-heavy phases (the paper's 1.1s

@@ -8,34 +8,30 @@
 //! the same trigger cost the paper measured.
 
 use jitsu_sim::SimDuration;
-use platform::Board;
+use platform::{Board, CostModel};
 
 /// The inetd super-server model.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Inetd {
-    /// Cost of accepting the connection and looking up the service entry.
-    pub accept_cost: SimDuration,
-    /// Cost of fork+exec of the configured handler.
-    pub spawn_cost: SimDuration,
+    costs: &'static CostModel,
     connections_handled: u64,
 }
 
 impl Inetd {
-    /// The calibrated model for a board (≈0.5 ms accept + ≈2 ms fork/exec on
-    /// the x86 reference, scaled).
+    /// The super-server on a board.
     pub fn for_board(board: &Board) -> Inetd {
         Inetd {
-            accept_cost: board.scale_cpu(SimDuration::from_micros(500)),
-            spawn_cost: board.scale_cpu(SimDuration::from_micros(2_000)),
+            costs: board.costs,
             connections_handled: 0,
         }
     }
 
     /// Handle one incoming connection, returning the trigger overhead that
-    /// elapses before the handler process starts doing real work.
+    /// elapses before the handler process starts doing real work: accepting
+    /// the connection, then fork+exec of the configured handler.
     pub fn trigger(&mut self) -> SimDuration {
         self.connections_handled += 1;
-        self.accept_cost + self.spawn_cost
+        self.costs.inetd_accept + self.costs.inetd_spawn
     }
 
     /// Number of connections handled so far.

@@ -24,11 +24,6 @@ const TXNS_PER_SEQUENCE: usize = 7;
 const OPS_PER_TXN: usize = 8;
 /// How many toolstack threads overlap their transactions at any instant.
 const OVERLAP_GROUP: usize = 6;
-/// CPU work accompanying each VM start/stop sequence (domain building,
-/// device RPCs, hotplug) — redone in part when a commit conflicts.
-const SEQUENCE_CPU: SimDuration = SimDuration::from_millis(1_200);
-/// CPU work redone per conflicted commit.
-const CONFLICT_REDO_CPU: SimDuration = SimDuration::from_millis(350);
 
 /// The result of running the workload for one engine at one parallelism.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,11 +38,35 @@ pub struct Fig3Point {
     pub commits: u64,
 }
 
-/// Run the parallel start/stop workload for one engine.
+/// Run the parallel start/stop workload for one engine. Each sequence
+/// carries toolstack CPU work (domain building, device RPCs, hotplug), part
+/// of which a conflicted commit redoes.
 pub fn run_workload(engine: EngineKind, parallel_sequences: usize) -> Fig3Point {
     let mut xs = XenStore::new(engine);
-    let cost = engine.cost_model();
     let board = BoardKind::Cubieboard2.board();
+    let costs = &board.costs;
+    let (op_cost, txn_begin, txn_commit, conflict_penalty) = match engine {
+        EngineKind::Serial => (
+            costs.xenstored_c_op,
+            costs.xenstored_c_txn_begin,
+            costs.xenstored_c_txn_commit,
+            costs.xenstored_c_conflict,
+        ),
+        EngineKind::Merge => (
+            costs.oxenstored_op,
+            costs.oxenstored_txn_begin,
+            costs.oxenstored_txn_commit,
+            costs.oxenstored_conflict,
+        ),
+        // The Jitsu store is the OCaml one with its own merge, which never
+        // conflicts in this workload; a conflict would cost the same.
+        EngineKind::JitsuMerge => (
+            costs.jitsu_xenstored_op,
+            costs.jitsu_xenstored_txn_begin,
+            costs.jitsu_xenstored_txn_commit,
+            costs.oxenstored_conflict,
+        ),
+    };
     let cores = board.cores as u64;
 
     // Remaining transactions per worker. Transaction index 0 is the
@@ -61,7 +80,7 @@ pub fn run_workload(engine: EngineKind, parallel_sequences: usize) -> Fig3Point 
     let mut commits = 0u64;
 
     // Fixed per-sequence toolstack CPU work.
-    toolstack_cpu += SEQUENCE_CPU * parallel_sequences as u64;
+    toolstack_cpu += costs.fig3_sequence_cpu * parallel_sequences as u64;
 
     while remaining.iter().any(|&r| r > 0) {
         // Workers with work left, processed in overlapping groups.
@@ -75,7 +94,7 @@ pub fn run_workload(engine: EngineKind, parallel_sequences: usize) -> Fig3Point 
             for &worker in group {
                 let txn_index = TXNS_PER_SEQUENCE - remaining[worker];
                 let tx = xs.transaction_start(DomId::DOM0).expect("dom0 unlimited");
-                store_busy += cost.txn_begin;
+                store_busy += txn_begin;
                 for op in 0..OPS_PER_TXN {
                     let path = if txn_index == 0 {
                         // The conflict-prone creation under the shared parent.
@@ -85,12 +104,12 @@ pub fn run_workload(engine: EngineKind, parallel_sequences: usize) -> Fig3Point 
                     };
                     xs.write(DomId::DOM0, Some(tx), &path, b"v")
                         .expect("txn write");
-                    store_busy += cost.op;
+                    store_busy += op_cost;
                 }
                 open.push((worker, tx));
             }
             for (worker, tx) in open {
-                store_busy += cost.txn_commit;
+                store_busy += txn_commit;
                 match xs.transaction_end(DomId::DOM0, tx, true) {
                     Ok(()) => {
                         commits += 1;
@@ -98,8 +117,8 @@ pub fn run_workload(engine: EngineKind, parallel_sequences: usize) -> Fig3Point 
                     }
                     Err(XsError::Again) => {
                         conflicts += 1;
-                        store_busy += cost.conflict_penalty;
-                        toolstack_cpu += CONFLICT_REDO_CPU;
+                        store_busy += conflict_penalty;
+                        toolstack_cpu += costs.fig3_conflict_redo;
                         // The worker retries the same transaction next round.
                     }
                     Err(e) => panic!("unexpected store error: {e}"),

@@ -6,8 +6,10 @@
 //! byte for byte against `tests/golden/reproduce.txt`). [`storm`] runs the
 //! boot and handoff storms on one cell type and one fleet runner, and
 //! [`snapshot`] collects the exact counters `bench_snapshot` prints, held
-//! byte for byte against `tests/golden/bench_snapshot.txt`. Host time is
-//! measured by the standalone `benchmark/` package, never here.
+//! byte for byte against `tests/golden/bench_snapshot.txt`. [`cost_model`]
+//! renders every board's cost model, held against
+//! `tests/golden/cost_model.txt`. Host time is measured by the standalone
+//! `benchmark/` package, never here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,3 +25,12 @@ pub mod table1;
 pub mod table2;
 pub mod throughput;
 pub mod xenstore_storm;
+
+/// Every board's calibrated cost model, `{:#?}`-rendered after its kind:
+/// the text `tests/golden/cost_model.txt` holds.
+pub fn cost_model() -> String {
+    platform::BoardKind::ALL
+        .iter()
+        .map(|kind| format!("{kind:?} {:#?}\n", kind.board().costs))
+        .collect()
+}

@@ -44,8 +44,7 @@ pub fn queue_throughput(
         // transmitting the previous response, so each request costs the
         // *maximum* of its storage time and its network time — "disk bound"
         // means the storage term dominates.
-        let network =
-            board.wire_time(resp.body.len() + 256) + board.scale_cpu(SimDuration::from_micros(60));
+        let network = board.wire_time(resp.body.len() + 256) + board.costs.http_stack;
         total += cost.max(network);
     }
     ThroughputResult {

@@ -35,10 +35,10 @@
 //!   board (§3.3.2).
 //! * **Idle reaping** — a service idle longer than the configured TTL (its
 //!   `Running` record's clock, which every warm query refreshes) is
-//!   drained: its domain is torn down (taking
-//!   [`Toolstack::teardown_time`](xen_sim::toolstack::Toolstack) of
-//!   virtual time) and its memory returns to the pool, after which the name
-//!   can be summoned again from scratch.
+//!   drained: its domain is torn down (taking the board's
+//!   [`domain_teardown`](platform::CostModel::domain_teardown) of virtual
+//!   time) and its memory returns to the pool, after which the name can be
+//!   summoned again from scratch.
 //!
 //! A query is decided by one `match` on its service's lifecycle record —
 //! `Idle` admits (or answers `SERVFAIL`), `AwaitingSlot`, `Launching` and
@@ -66,7 +66,7 @@ use netstack::iface::{IfaceEvent, Interface};
 use netstack::ipv4::{Ipv4Addr, Ipv4Packet};
 use netstack::tcp::Tcb;
 use netstack::FrameBuf;
-use platform::Board;
+use platform::{Board, CostModel};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use unikernel::appliance::{Appliance, StaticSiteAppliance};
@@ -449,12 +449,6 @@ pub struct ConcurrentJitsud {
     /// Memory reserved for admitted-but-not-yet-built domains, in MiB.
     reserved_mib: u32,
     metrics: StormMetrics,
-    one_way_delay: SimDuration,
-    dns_processing: SimDuration,
-    handoff_cost: SimDuration,
-    /// Application-level cost of producing one response.
-    service_cost: SimDuration,
-    syn_rto: SimDuration,
     next_client_id: u32,
     seed_counter: u64,
     /// `SERVFAIL`ed queries waiting for the next epoch barrier, where the
@@ -517,11 +511,6 @@ impl ConcurrentJitsud {
             launch_queue: VecDeque::new(),
             reserved_mib: 0,
             metrics: StormMetrics::default(),
-            one_way_delay: SimDuration::from_micros(2_500),
-            dns_processing: board.scale_cpu(SimDuration::from_micros(150)),
-            handoff_cost: board.scale_cpu(SimDuration::from_micros(700)),
-            service_cost: board.scale_cpu(SimDuration::from_micros(700)),
-            syn_rto: SimDuration::from_secs(1),
             next_client_id: 0,
             seed_counter: seed,
             pending_failover: Vec::new(),
@@ -545,6 +534,12 @@ impl ConcurrentJitsud {
     ) {
         let name = name.to_string();
         sim.schedule_at(at, move |sim| Self::on_query(sim, name, None));
+    }
+
+    /// The board's calibrated costs: network delay, query processing, the
+    /// handoff commit, responses, retransmission and teardown.
+    fn costs(&self) -> &'static CostModel {
+        self.launcher.toolstack.board().costs
     }
 
     /// Accumulated metrics.
@@ -905,10 +900,11 @@ impl ConcurrentJitsud {
                 // Warm hit: DNS round plus handshake, request and response
                 // against the running unikernel (the ≈5 ms local path, §3).
                 *last_activity = now;
-                let ttfb = world.dns_processing
-                    + world.one_way_delay * 6
-                    + world.service_cost
-                    + world.one_way_delay;
+                let costs = world.costs();
+                let ttfb = costs.dns_processing
+                    + costs.one_way_delay * 6
+                    + costs.service_response
+                    + costs.one_way_delay;
                 world.metrics.ttfb.record(ttfb);
                 world.metrics.warm_hits += 1;
                 Self::schedule_reap_check(sim, ix, now);
@@ -999,10 +995,13 @@ impl ConcurrentJitsud {
                     let construction_done_at = now + outcome.construction.total;
                     let network_ready_at = outcome.network_ready_at();
                     let app_ready_at = outcome.app_ready_at();
-                    // The handoff commits one `handoff_cost` after
+                    // The handoff commits one `handoff_commit` after
                     // network-ready; the application comes up a whole boot
                     // stage later, so it always finds the commit done.
-                    debug_assert!(network_ready_at + world.handoff_cost < app_ready_at);
+                    debug_assert!(
+                        network_ready_at + world.launcher.toolstack.board().costs.handoff_commit
+                            < app_ready_at
+                    );
                     let event = JitsuEvent::Summoning {
                         service: ix,
                         dom: outcome.dom,
@@ -1237,8 +1236,8 @@ impl ConcurrentJitsud {
             drained_bytes: drained_bytes.len() as u32,
         };
         world.trace.push(now, event);
-        let handoff_cost = world.handoff_cost;
-        sim.schedule_in(handoff_cost, move |sim| Self::on_commit_handoff(sim, ix));
+        let handoff_commit = world.costs().handoff_commit;
+        sim.schedule_in(handoff_commit, move |sim| Self::on_commit_handoff(sim, ix));
     }
 
     /// Event: phase 2 of the two-phase commit. The unikernel atomically
@@ -1391,25 +1390,26 @@ impl ConcurrentJitsud {
         network_ready_at: SimTime,
         app_ready_at: SimTime,
     ) -> SimDuration {
+        let costs = self.costs();
         if self.config.use_synjitsu {
             // Synjitsu completes the handshake immediately; the unikernel
             // replays the buffered request right after adopting it.
-            let request_buffered = arrived + self.dns_processing + self.one_way_delay * 4;
-            let handoff_done = network_ready_at + self.handoff_cost;
-            let first_byte_sent = handoff_done.max(request_buffered) + self.service_cost;
-            (first_byte_sent + self.one_way_delay).duration_since(arrived)
+            let request_buffered = arrived + costs.dns_processing + costs.one_way_delay * 4;
+            let handoff_done = network_ready_at + costs.handoff_commit;
+            let first_byte_sent = handoff_done.max(request_buffered) + costs.service_response;
+            (first_byte_sent + costs.one_way_delay).duration_since(arrived)
         } else {
             // The SYN is lost until the app listens; the client retransmits
             // with exponential backoff (1 s, 2 s, 4 s, …).
-            let mut attempt = arrived + self.dns_processing + self.one_way_delay * 2;
+            let mut attempt = arrived + costs.dns_processing + costs.one_way_delay * 2;
             let mut retransmissions = 0u32;
             while attempt < app_ready_at {
                 retransmissions += 1;
-                let backoff = self.syn_rto * (1u64 << (retransmissions - 1).min(6));
+                let backoff = costs.syn_rto * (1u64 << (retransmissions - 1).min(6));
                 attempt += backoff;
             }
-            let first_byte_sent = attempt + self.one_way_delay * 4 + self.service_cost;
-            (first_byte_sent + self.one_way_delay).duration_since(arrived)
+            let first_byte_sent = attempt + costs.one_way_delay * 4 + costs.service_response;
+            (first_byte_sent + costs.one_way_delay).duration_since(arrived)
         }
     }
 
@@ -1448,7 +1448,7 @@ impl ConcurrentJitsud {
         world
             .trace
             .push(now, JitsuEvent::Reaping { service: ix, dom });
-        let teardown = world.launcher.teardown_time();
+        let teardown = world.costs().domain_teardown;
         sim.schedule_in(teardown, move |sim| Self::on_drain_done(sim, ix));
     }
 
@@ -1636,26 +1636,22 @@ mod tests {
         }
     }
 
-    /// The handoff commits `handoff_cost` after network-ready, and the
+    /// The handoff commits `handoff_commit` after network-ready, and the
     /// daemon settles a boot's exchanges at app-ready on the assumption that
-    /// the commit came first. Every board and image kind must keep the
-    /// stretch of boot between network-ready and app-ready longer than the
-    /// handoff window.
+    /// the commit came first. Every board must keep the stretch of boot
+    /// between network-ready and app-ready longer than the handoff window.
     #[test]
     fn app_ready_always_follows_the_handoff_commit() {
         use unikernel::boot::BootPipeline;
-        use unikernel::image::ImageKind;
         for kind in BoardKind::ALL {
             let board = kind.board();
-            let handoff_cost = ConcurrentJitsud::world(config(), board.clone(), 7).handoff_cost;
-            for image in [ImageKind::MirageUnikernel, ImageKind::LinuxVm] {
-                let pipeline = BootPipeline::for_image(image, &board);
-                let tail = pipeline.total() - pipeline.time_to_network_ready();
-                assert!(
-                    tail > handoff_cost,
-                    "{kind:?}/{image:?}: app-ready {tail} after network-ready, handoff {handoff_cost}"
-                );
-            }
+            let handoff_commit = board.costs.handoff_commit;
+            let pipeline = BootPipeline::new(&board);
+            let tail = pipeline.total() - pipeline.time_to_network_ready();
+            assert!(
+                tail > handoff_commit,
+                "{kind:?}: app-ready {tail} after network-ready, handoff {handoff_commit}"
+            );
         }
     }
 
@@ -2006,7 +2002,7 @@ mod tests {
         // Run past the commit (one handoff window after network-ready) but
         // not to app-ready, then land a new client.
         let after_commit =
-            network_ready_at + sim.world().handoff_cost + SimDuration::from_micros(1);
+            network_ready_at + sim.world().costs().handoff_commit + SimDuration::from_micros(1);
         sim.run_until(after_commit);
         assert_eq!(sim.world().phase(ALICE), LifecyclePhase::Launching);
         ConcurrentJitsud::inject_query(&mut sim, after_commit, ALICE);

@@ -78,12 +78,6 @@ impl Launcher {
         self.toolstack.free_mib()
     }
 
-    /// Time to tear down a retired domain (the `Draining` window of the
-    /// lifecycle state machine).
-    pub fn teardown_time(&self) -> jitsu_sim::SimDuration {
-        self.toolstack.teardown_time()
-    }
-
     /// Summon a unikernel for a service at virtual time `now`. Returns the
     /// launch timeline and a runnable [`UnikernelInstance`] (with a static
     /// site appliance by default; callers may construct their own instance

@@ -1,5 +1,6 @@
 //! Evaluation boards and their CPU/memory/NIC characteristics.
 
+use crate::cost::CostModel;
 use jitsu_sim::SimDuration;
 
 /// Processor architecture of a board.
@@ -46,7 +47,7 @@ impl BoardKind {
     ];
 
     /// Construct the full board description.
-    pub fn board(self) -> Board {
+    pub const fn board(self) -> Board {
         Board::new(self)
     }
 }
@@ -66,64 +67,37 @@ pub struct Board {
     pub ram_mib: u32,
     /// NIC line rate in Mb/s.
     pub nic_mbps: u32,
-    /// CPU speed relative to the x86 server (1.0); used to scale CPU-bound
-    /// toolstack costs. The paper reports the most-optimised domain build at
-    /// 120 ms on ARM versus 20 ms on x86 — a factor of six.
-    pub cpu_scale: f64,
-    /// Approximate price in GBP, for the cost discussion in §1.
-    pub price_gbp: f64,
+    /// Every calibrated virtual-time cost on this board.
+    pub costs: &'static CostModel,
 }
 
 impl Board {
-    /// Describe a board.
-    pub fn new(kind: BoardKind) -> Board {
-        match kind {
-            BoardKind::Cubieboard2 => Board {
-                kind,
-                name: "Cubieboard2",
-                arch: Arch::Arm,
-                cores: 2,
-                ram_mib: 1024,
-                nic_mbps: 100,
-                cpu_scale: 6.0,
-                price_gbp: 39.0,
-            },
-            BoardKind::Cubietruck => Board {
-                kind,
-                name: "Cubietruck",
-                arch: Arch::Arm,
-                cores: 2,
-                ram_mib: 2048,
-                nic_mbps: 1000,
-                cpu_scale: 6.0,
-                price_gbp: 69.0,
-            },
-            BoardKind::X86Server => Board {
-                kind,
-                name: "x86-64 server (2.4GHz quad-core AMD)",
-                arch: Arch::X86,
-                cores: 4,
-                ram_mib: 16 * 1024,
-                nic_mbps: 1000,
-                cpu_scale: 1.0,
-                price_gbp: 600.0,
-            },
-            BoardKind::IntelNuc => Board {
-                kind,
-                name: "Intel Haswell NUC",
-                arch: Arch::X86,
-                cores: 4,
-                ram_mib: 8 * 1024,
-                nic_mbps: 1000,
-                cpu_scale: 1.2,
-                price_gbp: 350.0,
-            },
+    /// Describe a board. Its CPU speed relative to the x86 server scales
+    /// the CPU-bound costs: the paper reports the most-optimised domain
+    /// build at 120 ms on ARM versus 20 ms on x86, a factor of six.
+    pub const fn new(kind: BoardKind) -> Board {
+        // One model per CPU speed, built at compile time.
+        const ARM: CostModel = CostModel::new(6.0);
+        const X86: CostModel = CostModel::new(1.0);
+        const NUC: CostModel = CostModel::new(1.2);
+        let (name, arch, cores, ram_mib, nic_mbps, costs) = match kind {
+            BoardKind::Cubieboard2 => ("Cubieboard2", Arch::Arm, 2, 1024, 100, &ARM),
+            BoardKind::Cubietruck => ("Cubietruck", Arch::Arm, 2, 2048, 1000, &ARM),
+            BoardKind::X86Server => {
+                let name = "x86-64 server (2.4GHz quad-core AMD)";
+                (name, Arch::X86, 4, 16 * 1024, 1000, &X86)
+            }
+            BoardKind::IntelNuc => ("Intel Haswell NUC", Arch::X86, 4, 8 * 1024, 1000, &NUC),
+        };
+        Board {
+            kind,
+            name,
+            arch,
+            cores,
+            ram_mib,
+            nic_mbps,
+            costs,
         }
-    }
-
-    /// Scale a CPU-bound duration measured on the x86 server to this board.
-    pub fn scale_cpu(&self, x86_duration: SimDuration) -> SimDuration {
-        x86_duration.mul_f64(self.cpu_scale)
     }
 
     /// Time to transmit `bytes` at the NIC line rate (excluding protocol
@@ -132,11 +106,6 @@ impl Board {
         let bits = bytes as f64 * 8.0;
         let seconds = bits / (self.nic_mbps as f64 * 1e6);
         SimDuration::from_secs_f64(seconds)
-    }
-
-    /// True for the resource-constrained embedded boards.
-    pub fn is_embedded(&self) -> bool {
-        matches!(self.kind, BoardKind::Cubieboard2 | BoardKind::Cubietruck)
     }
 }
 
@@ -151,18 +120,13 @@ mod tests {
         assert_eq!(cb2.nic_mbps, 100);
         assert_eq!(cb2.cores, 2);
         assert_eq!(cb2.arch, Arch::Arm);
-        assert!((cb2.price_gbp - 39.0).abs() < 1e-9);
-        assert!(cb2.is_embedded());
 
         let ct = BoardKind::Cubietruck.board();
         assert_eq!(ct.ram_mib, 2048);
         assert_eq!(ct.nic_mbps, 1000);
-        assert!(ct.is_embedded());
 
         let x86 = BoardKind::X86Server.board();
         assert_eq!(x86.arch, Arch::X86);
-        assert!(!x86.is_embedded());
-        assert_eq!(x86.cpu_scale, 1.0);
 
         assert_eq!(BoardKind::ALL.len(), 4);
     }
@@ -170,9 +134,11 @@ mod tests {
     #[test]
     fn arm_is_about_six_times_slower() {
         // §3.1: 20 ms most-optimised build on x86 vs 120 ms on ARM.
-        let arm = BoardKind::Cubieboard2.board();
-        let scaled = arm.scale_cpu(SimDuration::from_millis(20));
-        assert_eq!(scaled.as_millis(), 120);
+        let arm = BoardKind::Cubieboard2.board().costs;
+        let x86 = BoardKind::X86Server.board().costs;
+        assert_eq!(x86.domain_descriptor.as_millis(), 1);
+        assert_eq!(arm.domain_descriptor, x86.domain_descriptor * 6);
+        assert_eq!(arm.boot_language_runtime, x86.boot_language_runtime * 6);
     }
 
     #[test]

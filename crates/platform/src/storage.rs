@@ -18,17 +18,14 @@ pub enum StorageKind {
     Ssd,
     /// An ext4 loopback file inside a RAM-backed tmpfs.
     TmpfsLoopback,
-    /// The on-board eMMC flash used for unikernel images.
-    Mmc,
 }
 
 impl StorageKind {
     /// All storage kinds.
-    pub const ALL: [StorageKind; 4] = [
+    pub const ALL: [StorageKind; 3] = [
         StorageKind::SdCard,
         StorageKind::Ssd,
         StorageKind::TmpfsLoopback,
-        StorageKind::Mmc,
     ];
 
     /// Build the device model.
@@ -42,12 +39,13 @@ impl StorageKind {
             StorageKind::SdCard => "ext4 on SD card",
             StorageKind::Ssd => "ext4 on SSD",
             StorageKind::TmpfsLoopback => "ext4 on tmpfs",
-            StorageKind::Mmc => "internal MMC flash",
         }
     }
 }
 
-/// A storage device with a simple throughput + access-latency cost model.
+/// A storage device with a simple throughput + access-latency cost model;
+/// [`StorageDevice::new`] holds the calibrated table, beside the
+/// [`CostModel`](crate::CostModel).
 #[derive(Debug, Clone)]
 pub struct StorageDevice {
     /// Which device this is.
@@ -65,53 +63,6 @@ pub struct StorageDevice {
 }
 
 impl StorageDevice {
-    /// Build the calibrated model for a device kind.
-    pub fn new(kind: StorageKind) -> StorageDevice {
-        match kind {
-            StorageKind::SdCard => StorageDevice {
-                kind,
-                read_mbps: 10.0,
-                write_mbps: 6.0,
-                access_latency: Distribution::LogNormal {
-                    median: SimDuration::from_millis(2),
-                    sigma: 0.6,
-                },
-                io_error_rate: 0.0,
-            },
-            StorageKind::Ssd => StorageDevice {
-                kind,
-                read_mbps: 180.0,
-                write_mbps: 120.0,
-                access_latency: Distribution::LogNormal {
-                    median: SimDuration::from_micros(150),
-                    sigma: 0.4,
-                },
-                io_error_rate: 0.0,
-            },
-            StorageKind::TmpfsLoopback => StorageDevice {
-                kind,
-                read_mbps: 400.0,
-                write_mbps: 350.0,
-                access_latency: Distribution::LogNormal {
-                    median: SimDuration::from_micros(40),
-                    sigma: 0.3,
-                },
-                // The loopback-on-tmpfs workaround is fragile on ARM (§4).
-                io_error_rate: 0.08,
-            },
-            StorageKind::Mmc => StorageDevice {
-                kind,
-                read_mbps: 25.0,
-                write_mbps: 12.0,
-                access_latency: Distribution::LogNormal {
-                    median: SimDuration::from_millis(1),
-                    sigma: 0.5,
-                },
-                io_error_rate: 0.0,
-            },
-        }
-    }
-
     /// Time to read `bytes` sequentially, including one access latency draw.
     pub fn read_time(&self, bytes: usize, rng: &mut SimRng) -> SimDuration {
         let transfer = SimDuration::from_secs_f64(bytes as f64 / (self.read_mbps * 1e6));
@@ -211,7 +162,7 @@ mod tests {
     fn labels_and_throughput() {
         assert_eq!(StorageKind::SdCard.label(), "ext4 on SD card");
         assert_eq!(StorageKind::TmpfsLoopback.label(), "ext4 on tmpfs");
-        assert_eq!(StorageKind::ALL.len(), 4);
+        assert_eq!(StorageKind::ALL.len(), 3);
         // 10 MB/s is 80 Mb/s — just above what the disk-bound HTTP queue
         // service achieved (57.92 Mb/s) once protocol overheads are added.
         assert!((StorageKind::SdCard.device().read_mbps * 8.0 - 80.0).abs() < 1e-9);

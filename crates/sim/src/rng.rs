@@ -37,14 +37,6 @@ impl SimRng {
         self.inner.gen::<f64>()
     }
 
-    /// Uniform `f64` in `[lo, hi)` (returns `lo` if the range is empty).
-    pub fn uniform(&mut self, lo: f64, hi: f64) -> f64 {
-        if hi <= lo {
-            return lo;
-        }
-        lo + self.uniform01() * (hi - lo)
-    }
-
     /// Uniform integer in `[lo, hi]` inclusive.
     pub fn uniform_u64(&mut self, lo: u64, hi: u64) -> u64 {
         if hi <= lo {
@@ -100,16 +92,6 @@ impl SimRng {
     pub fn log_normal(&mut self, mu: f64, sigma: f64) -> f64 {
         self.normal(mu, sigma).exp()
     }
-
-    /// Pick a reference to a random element, or `None` if empty.
-    pub fn choose<'a, T>(&mut self, items: &'a [T]) -> Option<&'a T> {
-        if items.is_empty() {
-            None
-        } else {
-            let i = self.index(items.len());
-            Some(&items[i])
-        }
-    }
 }
 
 impl RngCore for SimRng {
@@ -153,12 +135,9 @@ mod tests {
     fn uniform_bounds() {
         let mut r = SimRng::seed_from_u64(3);
         for _ in 0..1000 {
-            let x = r.uniform(2.0, 5.0);
-            assert!((2.0..5.0).contains(&x));
             let y = r.uniform_u64(10, 20);
             assert!((10..=20).contains(&y));
         }
-        assert_eq!(r.uniform(5.0, 2.0), 5.0);
         assert_eq!(r.uniform_u64(9, 3), 9);
         assert_eq!(r.index(0), 0);
     }
@@ -201,13 +180,5 @@ mod tests {
         for _ in 0..1000 {
             assert!(r.log_normal(0.0, 0.5) > 0.0);
         }
-    }
-
-    #[test]
-    fn choose_handles_empty_and_singleton() {
-        let mut r = SimRng::seed_from_u64(10);
-        let empty: [u8; 0] = [];
-        assert!(r.choose(&empty).is_none());
-        assert_eq!(r.choose(&[42]).copied(), Some(42));
     }
 }

@@ -109,17 +109,17 @@ impl SimDuration {
     }
 
     /// Construct from fractional milliseconds. Negative inputs clamp to zero.
-    pub fn from_millis_f64(ms: f64) -> Self {
+    pub const fn from_millis_f64(ms: f64) -> Self {
         Self::from_secs_f64(ms / 1e3)
     }
 
     /// Construct from fractional microseconds. Negative inputs clamp to zero.
-    pub fn from_micros_f64(us: f64) -> Self {
+    pub const fn from_micros_f64(us: f64) -> Self {
         Self::from_secs_f64(us / 1e6)
     }
 
     /// Construct from fractional seconds. Negative inputs clamp to zero.
-    pub fn from_secs_f64(s: f64) -> Self {
+    pub const fn from_secs_f64(s: f64) -> Self {
         if s.is_nan() || s <= 0.0 {
             return SimDuration(0);
         }
@@ -152,7 +152,7 @@ impl SimDuration {
     }
 
     /// The duration in fractional seconds.
-    pub fn as_secs_f64(self) -> f64 {
+    pub const fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
     }
 
@@ -167,7 +167,7 @@ impl SimDuration {
     }
 
     /// Multiply by a non-negative floating-point factor (saturating).
-    pub fn mul_f64(self, factor: f64) -> SimDuration {
+    pub const fn mul_f64(self, factor: f64) -> SimDuration {
         SimDuration::from_secs_f64(self.as_secs_f64() * factor)
     }
 

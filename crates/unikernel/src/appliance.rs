@@ -10,8 +10,11 @@
 use jitsu_sim::{SimDuration, SimRng};
 use netstack::http::{HttpRequest, HttpResponse};
 use netstack::FrameBuf;
-use platform::StorageDevice;
+use platform::{BoardKind, CostModel, StorageDevice};
 use std::collections::VecDeque;
+
+/// The appliances' costs: the Cubieboard2's, where §4 measured them.
+const COSTS: &CostModel = BoardKind::Cubieboard2.board().costs;
 
 /// Application logic hosted inside a unikernel.
 pub trait Appliance: std::fmt::Debug {
@@ -80,8 +83,7 @@ impl Appliance for StaticSiteAppliance {
             Some(_) => HttpResponse::with_status(405, "Method Not Allowed", FrameBuf::empty()),
             None => HttpResponse::not_found(),
         };
-        // Serving from the OCaml heap costs microseconds.
-        (response, SimDuration::from_micros(200))
+        (response, COSTS.static_page)
     }
 }
 
@@ -150,30 +152,27 @@ impl Appliance for QueueAppliance {
                 let io = self.backing.write_time(size, rng);
                 (
                     HttpResponse::with_status(201, "Created", b"queued\n"),
-                    io + SimDuration::from_micros(300),
+                    io + COSTS.queue_request,
                 )
             }
             "GET" => match self.items.pop_front() {
                 Some(size) => {
                     self.bytes_served += size as u64;
                     let io = if rng.chance(self.cache_hit_rate) {
-                        SimDuration::from_micros(50)
+                        COSTS.queue_cache_hit
                     } else {
                         self.backing.read_time(size, rng)
                     };
-                    (
-                        HttpResponse::ok(vec![0x51; size]),
-                        io + SimDuration::from_micros(300),
-                    )
+                    (HttpResponse::ok(vec![0x51; size]), io + COSTS.queue_request)
                 }
                 None => (
                     HttpResponse::with_status(204, "No Content", FrameBuf::empty()),
-                    SimDuration::from_micros(100),
+                    SimDuration::ZERO,
                 ),
             },
             _ => (
                 HttpResponse::with_status(405, "Method Not Allowed", FrameBuf::empty()),
-                SimDuration::from_micros(100),
+                SimDuration::ZERO,
             ),
         }
     }

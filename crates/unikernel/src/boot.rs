@@ -7,12 +7,11 @@
 //! controllers), binding interrupt handlers / memory allocators /
 //! timekeeping / grant tables into the language runtime, then jumping into
 //! OCaml where the memory-safe libraries attach netfront and start the
-//! application. The calibrated stage costs below put an optimised cold start
+//! application. The stage costs in the board's
+//! [`CostModel`](platform::CostModel) put an optimised cold start
 //! (construction + boot + first response) at roughly 300–350 ms on the
-//! Cubieboard2 and 20–30 ms on x86, matching §3.3/§6, while a legacy Linux
-//! guest needs several seconds.
+//! Cubieboard2 and 20–30 ms on x86, matching §3.3/§6.
 
-use crate::image::ImageKind;
 use jitsu_sim::SimDuration;
 use platform::Board;
 
@@ -33,9 +32,6 @@ pub enum BootStage {
     NetfrontAttach,
     /// Application initialisation (reading configuration, binding sockets).
     ApplicationStart,
-    /// Linux-only: kernel decompression, driver probing, init system and
-    /// userspace services — the reason legacy VM boot takes seconds.
-    LinuxUserspace,
 }
 
 impl BootStage {
@@ -48,7 +44,6 @@ impl BootStage {
             BootStage::LanguageRuntime => "language runtime start",
             BootStage::NetfrontAttach => "netfront attach + TCP/IP up",
             BootStage::ApplicationStart => "application start",
-            BootStage::LinuxUserspace => "Linux kernel + userspace boot",
         }
     }
 }
@@ -60,30 +55,17 @@ pub struct BootPipeline {
 }
 
 impl BootPipeline {
-    /// The pipeline for an image kind on a board. Stage costs are expressed
-    /// on the x86 reference machine and scaled by the board's CPU factor.
-    pub fn for_image(kind: ImageKind, board: &Board) -> BootPipeline {
-        let scale = |us: u64| board.scale_cpu(SimDuration::from_micros(us));
-        let stages = match kind {
-            ImageKind::MirageUnikernel => vec![
-                (BootStage::AssemblerSetup, scale(300)),
-                (BootStage::EarlyCInit, scale(1_200)),
-                (BootStage::RuntimeBind, scale(6_000)),
-                (BootStage::LanguageRuntime, scale(10_000)),
-                (BootStage::NetfrontAttach, scale(8_000)),
-                (BootStage::ApplicationStart, scale(5_000)),
-            ],
-            ImageKind::LinuxVm => vec![
-                (BootStage::AssemblerSetup, scale(500)),
-                (BootStage::EarlyCInit, scale(5_000)),
-                (BootStage::RuntimeBind, scale(20_000)),
-                (BootStage::NetfrontAttach, scale(30_000)),
-                // Kernel + init + userspace dominates: ~600 ms on x86,
-                // several seconds on the ARM board.
-                (BootStage::LinuxUserspace, scale(600_000)),
-                (BootStage::ApplicationStart, scale(40_000)),
-            ],
-        };
+    /// The pipeline of a MirageOS unikernel on a board.
+    pub fn new(board: &Board) -> BootPipeline {
+        let costs = &board.costs;
+        let stages = vec![
+            (BootStage::AssemblerSetup, costs.boot_assembler),
+            (BootStage::EarlyCInit, costs.boot_early_c),
+            (BootStage::RuntimeBind, costs.boot_runtime_bind),
+            (BootStage::LanguageRuntime, costs.boot_language_runtime),
+            (BootStage::NetfrontAttach, costs.boot_netfront),
+            (BootStage::ApplicationStart, costs.boot_application),
+        ];
         BootPipeline { stages }
     }
 
@@ -120,7 +102,7 @@ mod tests {
     #[test]
     fn mirage_arm_boot_is_a_few_hundred_ms() {
         let board = BoardKind::Cubieboard2.board();
-        let p = BootPipeline::for_image(ImageKind::MirageUnikernel, &board);
+        let p = BootPipeline::new(&board);
         let total = p.total();
         // §3.3: unikernel boot takes ~350 ms on ARM including construction;
         // the guest-side portion here is the remainder after the ~120 ms
@@ -134,7 +116,7 @@ mod tests {
     #[test]
     fn mirage_x86_boot_is_about_ten_ms() {
         let board = BoardKind::X86Server.board();
-        let p = BootPipeline::for_image(ImageKind::MirageUnikernel, &board);
+        let p = BootPipeline::new(&board);
         assert!(
             (20..40).contains(&p.total().as_millis()),
             "total={}",
@@ -143,25 +125,12 @@ mod tests {
     }
 
     #[test]
-    fn linux_boot_takes_seconds_on_arm() {
-        let board = BoardKind::Cubieboard2.board();
-        let p = BootPipeline::for_image(ImageKind::LinuxVm, &board);
-        let secs = p.total().as_secs_f64();
-        assert!(
-            (3.0..6.0).contains(&secs),
-            "paper: 3-5 s Linux VM boot, got {secs}"
-        );
-        let mirage = BootPipeline::for_image(ImageKind::MirageUnikernel, &board);
-        assert!(p.total() > mirage.total() * 10);
-    }
-
-    #[test]
     fn cold_start_budget_matches_paper() {
         // Optimised construction (~120 ms, from xen-sim) plus guest boot
         // must land in the 300–350 ms cold-start envelope of §3.3/§6.
         let board = BoardKind::Cubieboard2.board();
         let construction = SimDuration::from_millis(120);
-        let boot = BootPipeline::for_image(ImageKind::MirageUnikernel, &board).total();
+        let boot = BootPipeline::new(&board).total();
         let cold_start = construction + boot;
         assert!(
             (280..380).contains(&cold_start.as_millis()),
@@ -171,9 +140,7 @@ mod tests {
 
     #[test]
     fn stage_labels_are_descriptive() {
-        for (stage, _) in
-            BootPipeline::for_image(ImageKind::LinuxVm, &BoardKind::X86Server.board()).stages()
-        {
+        for (stage, _) in BootPipeline::new(&BoardKind::X86Server.board()).stages() {
             assert!(!stage.label().is_empty());
         }
         assert!(BootStage::AssemblerSetup.label().contains("MMU"));
@@ -183,7 +150,7 @@ mod tests {
     #[test]
     fn network_ready_before_application_start_for_mirage() {
         let board = BoardKind::Cubieboard2.board();
-        let p = BootPipeline::for_image(ImageKind::MirageUnikernel, &board);
+        let p = BootPipeline::new(&board);
         let app_total = p.total();
         let net_ready = p.time_to_network_ready();
         assert!(net_ready < app_total);

@@ -1,36 +1,21 @@
-//! Unikernel and legacy-VM images.
+//! Unikernel images.
 //!
 //! "the small binary size of unikernels (around 1MB) means that in many
 //! cases we do not require a lot of space beyond that provided by the
 //! internal MMC flash" (§4). Image descriptors capture the size and memory
-//! requirements that drive both the domain-build time (Figure 4) and the
-//! storage footprint comparison with containers and Linux VMs.
+//! requirements that drive the domain-build time (Figure 4).
 
 use xen_sim::domain::DomainConfig;
 
-/// What kind of guest an image boots into.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ImageKind {
-    /// A MirageOS unikernel (single-purpose appliance).
-    MirageUnikernel,
-    /// A full Linux distribution image (the legacy-VM baseline).
-    LinuxVm,
-}
-
-/// An image stored on the board, ready to be summoned.
+/// A MirageOS unikernel image stored on the board, ready to be summoned.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UnikernelImage {
     /// Service name (also the DNS label Jitsu maps to it).
     pub name: String,
-    /// Image kind.
-    pub kind: ImageKind,
     /// Size of the kernel image in bytes.
     pub kernel_bytes: usize,
     /// Memory the guest needs, in MiB.
     pub memory_mib: u32,
-    /// Whether the appliance needs a block device (e.g. the persistent
-    /// queue); pure network appliances do not.
-    pub needs_storage: bool,
 }
 
 impl UnikernelImage {
@@ -38,35 +23,17 @@ impl UnikernelImage {
     pub fn mirage(name: impl Into<String>) -> UnikernelImage {
         UnikernelImage {
             name: name.into(),
-            kind: ImageKind::MirageUnikernel,
             kernel_bytes: 1024 * 1024,
             memory_mib: 16,
-            needs_storage: false,
-        }
-    }
-
-    /// A full Ubuntu 14.04 guest, the legacy-VM comparison point: hundreds
-    /// of MiB of disk and at least 128 MiB of RAM.
-    pub fn ubuntu(name: impl Into<String>) -> UnikernelImage {
-        UnikernelImage {
-            name: name.into(),
-            kind: ImageKind::LinuxVm,
-            kernel_bytes: 12 * 1024 * 1024,
-            memory_mib: 128,
-            needs_storage: true,
         }
     }
 
     /// The domain configuration needed to build this image.
     pub fn domain_config(&self) -> DomainConfig {
-        let base = match self.kind {
-            ImageKind::MirageUnikernel => DomainConfig::unikernel(self.name.clone()),
-            ImageKind::LinuxVm => DomainConfig::linux_vm(self.name.clone()),
-        };
         DomainConfig {
             memory_mib: self.memory_mib,
             kernel_size_bytes: self.kernel_bytes,
-            ..base
+            ..DomainConfig::unikernel(self.name.clone())
         }
     }
 }
@@ -80,10 +47,6 @@ mod tests {
         let img = UnikernelImage::mirage("www-alice");
         assert_eq!(img.kernel_bytes, 1024 * 1024);
         assert_eq!(img.memory_mib, 16);
-        assert!(!img.needs_storage);
-        let ubuntu = UnikernelImage::ubuntu("legacy");
-        assert!(ubuntu.kernel_bytes > 10 * img.kernel_bytes);
-        assert!(ubuntu.memory_mib >= 128);
     }
 
     #[test]
@@ -93,8 +56,11 @@ mod tests {
         assert_eq!(cfg.memory_mib, 16);
         assert_eq!(cfg.kernel_size_bytes, 1024 * 1024);
         assert_eq!(cfg.name, "www");
-        let ucfg = UnikernelImage::ubuntu("u").domain_config();
-        assert_eq!(ucfg.memory_mib, 128);
+        let big = UnikernelImage {
+            memory_mib: 128,
+            ..UnikernelImage::mirage("big")
+        };
+        assert_eq!(big.domain_config().memory_mib, 128);
     }
 
     #[test]

@@ -65,7 +65,7 @@ impl UnikernelInstance {
 
     /// The guest boot pipeline for this instance on a board.
     pub fn boot_pipeline(&self, board: &Board) -> BootPipeline {
-        BootPipeline::for_image(self.image.kind, board)
+        BootPipeline::new(board)
     }
 
     /// The service name.
@@ -135,7 +135,7 @@ impl UnikernelInstance {
             }
             Err(_) => (
                 HttpResponse::with_status(400, "Bad Request", FrameBuf::empty()),
-                SimDuration::from_micros(100),
+                SimDuration::ZERO,
             ),
         };
         if let Some(i) = idx {
@@ -199,7 +199,6 @@ impl UnikernelInstance {
 mod tests {
     use super::*;
     use crate::appliance::StaticSiteAppliance;
-    use crate::image::ImageKind;
     use netstack::ethernet::{EtherType, EthernetFrame};
     use netstack::http::HttpResponse;
     use netstack::ipv4::{Ipv4Packet, Protocol};
@@ -453,7 +452,7 @@ mod tests {
         let board = BoardKind::Cubieboard2.board();
         let pipeline = server.boot_pipeline(&board);
         assert!(pipeline.total() < SimDuration::from_millis(300));
-        assert_eq!(server.image.kind, ImageKind::MirageUnikernel);
+        assert_eq!(pipeline, BootPipeline::new(&board));
         assert_eq!(server.name(), "alice");
     }
 }

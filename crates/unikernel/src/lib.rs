@@ -6,12 +6,11 @@
 //! on:
 //!
 //! * [`image`] — the on-disk artefact: ~1 MB images, 8–16 MiB memory
-//!   requirements, versus a multi-hundred-MiB Linux guest;
+//!   requirements;
 //! * [`boot`] — the guest-side boot pipeline of §2.3 (assembler boot tasks,
 //!   MMU and exception setup, the C `arch_init`, binding the OCaml runtime,
 //!   then attaching netfront and starting the application), with calibrated
-//!   per-stage costs for ARM and x86 and the equivalent multi-second Linux
-//!   boot used as the legacy-VM baseline;
+//!   per-stage costs for ARM and x86;
 //! * [`appliance`] — the application logic the evaluation runs inside
 //!   unikernels: a static personal-site HTTP server and the disk-backed
 //!   persistent HTTP queue whose throughput §4 reports;
@@ -40,5 +39,5 @@ pub mod instance;
 
 pub use appliance::{Appliance, QueueAppliance, StaticSiteAppliance};
 pub use boot::{BootPipeline, BootStage};
-pub use image::{ImageKind, UnikernelImage};
+pub use image::UnikernelImage;
 pub use instance::UnikernelInstance;

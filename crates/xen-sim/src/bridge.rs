@@ -12,7 +12,11 @@
 //! queues.
 
 use jitsu_sim::SimDuration;
+use platform::{BoardKind, CostModel};
 use std::collections::{BTreeMap, VecDeque};
+
+/// The bridge's costs: the Cubieboard2's, where its latency was calibrated.
+const COSTS: &CostModel = BoardKind::Cubieboard2.board().costs;
 
 /// A port handle on the bridge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -34,8 +38,6 @@ pub struct Bridge {
     ports: BTreeMap<PortId, PortState>,
     /// MAC address → port map learned from source addresses.
     fdb: BTreeMap<[u8; 6], PortId>,
-    /// Per-frame forwarding latency (software bridge hop in dom0).
-    forward_latency: SimDuration,
     frames_forwarded: u64,
     frames_flooded: u64,
 }
@@ -47,18 +49,15 @@ struct PortState {
 }
 
 impl Bridge {
-    /// Create a bridge with the default dom0 forwarding latency (~50 µs of
-    /// softirq and bridge processing per frame on the Cubieboard2).
+    /// Create a bridge with no ports.
     pub fn new() -> Bridge {
-        Bridge {
-            forward_latency: SimDuration::from_micros(50),
-            ..Bridge::default()
-        }
+        Bridge::default()
     }
 
-    /// The per-frame forwarding latency.
+    /// The per-frame forwarding latency: dom0's softirq and bridge
+    /// processing, calibrated on the Cubieboard2.
     pub fn forward_latency(&self) -> SimDuration {
-        self.forward_latency
+        COSTS.bridge_forward
     }
 
     /// Attach a new port (a vif backend or the physical NIC).
@@ -143,7 +142,7 @@ impl Bridge {
                 self.frames_flooded += 1;
             }
         }
-        Ok(self.forward_latency)
+        Ok(COSTS.bridge_forward)
     }
 
     /// Receive the next queued frame on a port, if any.

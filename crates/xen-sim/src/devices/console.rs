@@ -10,8 +10,6 @@
 use super::{frontend_path, write_state, DeviceKind, KeyDir, XenbusState};
 use crate::event_channel::{EventChannelTable, Port};
 use crate::grant_table::{GrantRef, GrantTable};
-use jitsu_sim::SimDuration;
-use platform::Board;
 use xenstore::{DomId, Path, Result as XsResult, XenStore};
 
 /// A guest console: one shared ring page plus an event channel, drained by
@@ -58,14 +56,6 @@ impl ConsoleDevice {
             port,
             state,
         })
-    }
-
-    /// The time `xenconsoled` takes to notice and attach the new console on
-    /// a given board. This is the cost the "Remove primary console"
-    /// optimisation takes off the critical path.
-    pub fn attach_time(board: &Board) -> SimDuration {
-        // ≈8.3 ms on the x86 server → ≈50 ms on the Cubieboard2.
-        board.scale_cpu(SimDuration::from_micros(8_300))
     }
 
     /// Mark the console connected (what `xenconsoled` does once attached).
@@ -119,8 +109,8 @@ mod tests {
 
     #[test]
     fn attach_time_scales_with_board() {
-        let arm = ConsoleDevice::attach_time(&BoardKind::Cubieboard2.board());
-        let x86 = ConsoleDevice::attach_time(&BoardKind::X86Server.board());
+        let arm = BoardKind::Cubieboard2.board().costs.console_attach;
+        let x86 = BoardKind::X86Server.board().costs.console_attach;
         assert!((45..60).contains(&arm.as_millis()), "arm={arm}");
         assert!(x86 < arm / 5);
     }

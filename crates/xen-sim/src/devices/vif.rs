@@ -15,8 +15,6 @@ use super::{
 use crate::bridge::{Bridge, PortId};
 use crate::event_channel::{EventChannelTable, Port};
 use crate::grant_table::{GrantRef, GrantTable};
-use jitsu_sim::SimDuration;
-use platform::Board;
 use xenstore::{DomId, Path, Result as XsResult, XenStore};
 
 /// A guest network interface and its backend.
@@ -174,22 +172,6 @@ impl VifDevice {
             && read_state(xs, DomId::DOM0, &self.backend_state) == XenbusState::Connected
     }
 
-    /// The blocking XenStore RPC overhead the frontend experiences while the
-    /// backend/hotplug machinery completes, when it is *not* overlapped with
-    /// the domain build (§3.1 optimisation (ii) removes this from the
-    /// critical path).
-    pub fn blocking_rpc_time(board: &Board) -> SimDuration {
-        // ≈3.3 ms on x86 → ≈20 ms on the Cubieboard2.
-        board.scale_cpu(SimDuration::from_micros(3_300))
-    }
-
-    /// The in-dom0 work of creating the vif backend device itself (netback
-    /// allocation), excluding the hotplug script.
-    pub fn backend_create_time(board: &Board) -> SimDuration {
-        // ≈0.8 ms on x86 → ≈5 ms on ARM.
-        board.scale_cpu(SimDuration::from_micros(830))
-    }
-
     /// The dom0 directory holding every vif backend of the guest:
     /// `/local/domain/0/backend/vif/<domid>`. It sits under dom0's home, so
     /// removing the guest's home when the guest is destroyed leaves it
@@ -337,11 +319,11 @@ mod tests {
 
     #[test]
     fn timing_constants_scale_with_board() {
-        let arm = BoardKind::Cubieboard2.board();
-        let x86 = BoardKind::X86Server.board();
-        assert!((15..30).contains(&VifDevice::blocking_rpc_time(&arm).as_millis()));
-        assert!((3..9).contains(&VifDevice::backend_create_time(&arm).as_millis()));
-        assert!(VifDevice::blocking_rpc_time(&x86) < VifDevice::blocking_rpc_time(&arm));
+        let arm = BoardKind::Cubieboard2.board().costs;
+        let x86 = BoardKind::X86Server.board().costs;
+        assert!((15..30).contains(&arm.vif_blocking_rpc.as_millis()));
+        assert!((3..9).contains(&arm.vif_backend_create.as_millis()));
+        assert!(x86.vif_blocking_rpc < arm.vif_blocking_rpc);
     }
 
     #[test]

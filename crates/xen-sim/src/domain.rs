@@ -2,9 +2,8 @@
 //!
 //! A Xen *domain* is one virtual machine: dom0 is the privileged control
 //! domain that owns the hardware drivers and runs the toolstack; unprivileged
-//! guests (domUs) hold the unikernels and legacy VMs that Jitsu manages.
+//! guests (domUs) hold the unikernels that Jitsu manages.
 
-use platform::Arch;
 use xenstore::DomId;
 
 /// The lifecycle of a domain as seen by the toolstack.
@@ -31,12 +30,9 @@ pub struct DomainConfig {
     /// Human-readable name (also written to XenStore).
     pub name: String,
     /// Memory assigned to the guest, in MiB. Unikernels are happy with 8–16;
-    /// Linux guests typically need at least 64.
+    /// Linux guests typically need at least 64. Every guest is an ARM guest
+    /// with one vCPU, as the paper's are.
     pub memory_mib: u32,
-    /// Number of virtual CPUs.
-    pub vcpus: u32,
-    /// Guest architecture.
-    pub arch: Arch,
     /// Size of the kernel image to load, in bytes (a MirageOS unikernel is
     /// around 1 MB; a Linux kernel plus initrd an order of magnitude more).
     pub kernel_size_bytes: usize,
@@ -53,22 +49,7 @@ impl DomainConfig {
         DomainConfig {
             name: name.into(),
             memory_mib: 16,
-            vcpus: 1,
-            arch: Arch::Arm,
             kernel_size_bytes: 1024 * 1024,
-            with_vif: true,
-            with_console: true,
-        }
-    }
-
-    /// A typical small Linux guest (64 MiB minimum, 128 MiB recommended).
-    pub fn linux_vm(name: impl Into<String>) -> DomainConfig {
-        DomainConfig {
-            name: name.into(),
-            memory_mib: 128,
-            vcpus: 1,
-            arch: Arch::Arm,
-            kernel_size_bytes: 12 * 1024 * 1024,
             with_vif: true,
             with_console: true,
         }
@@ -175,12 +156,8 @@ mod tests {
     fn unikernel_config_is_small() {
         let c = DomainConfig::unikernel("www-alice");
         assert_eq!(c.memory_mib, 16);
-        assert_eq!(c.vcpus, 1);
         assert_eq!(c.kernel_size_bytes, 1024 * 1024);
         assert!(c.with_vif);
-        let l = DomainConfig::linux_vm("ubuntu");
-        assert!(l.memory_mib >= 64, "Linux needs at least 64MiB");
-        assert!(l.kernel_size_bytes > c.kernel_size_bytes);
     }
 
     #[test]

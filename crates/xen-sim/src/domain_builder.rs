@@ -15,7 +15,7 @@ use crate::domain::{Domain, DomainConfig, DomainState};
 use crate::fdt;
 use crate::memory::{MemoryLayout, PageAllocator};
 use jitsu_sim::SimDuration;
-use platform::{Arch, Board};
+use platform::Board;
 use xenstore::DomId;
 
 /// Why a build failed.
@@ -93,21 +93,6 @@ impl DomainBuilder {
         self.allocator.free_mib() >= mib
     }
 
-    fn descriptor_time(&self) -> SimDuration {
-        self.board.scale_cpu(SimDuration::from_micros(1_000))
-    }
-
-    fn kernel_load_time(&self, kernel_bytes: usize) -> SimDuration {
-        // ≈1 ms/MB on the x86 server (reading from page cache and copying
-        // into the guest), scaled to the board.
-        let per_mb = self.board.scale_cpu(SimDuration::from_micros(1_000));
-        per_mb.mul_f64(kernel_bytes as f64 / (1024.0 * 1024.0))
-    }
-
-    fn fdt_time(&self) -> SimDuration {
-        self.board.scale_cpu(SimDuration::from_micros(200))
-    }
-
     /// Build a domain: assign and zero memory, load the kernel, write the
     /// FDT and advance the domain to [`DomainState::Built`].
     pub fn build(
@@ -128,23 +113,23 @@ impl DomainBuilder {
 
         let ram_bytes = config.memory_mib as u64 * 1024 * 1024;
         let layout = MemoryLayout::mirage_arm(ram_bytes.min(u32::MAX as u64) as u32);
-        let cmdline_head = match config.arch {
-            Arch::Arm => "console=hvc0 jitsu.name=",
-            Arch::X86 => "console=hvc0 root=/dev/xvda1 jitsu.name=",
-        };
         let dtb = fdt::standard_guest(
             layout.ram_base_ipa as u64,
             ram_bytes,
-            &[cmdline_head, &config.name],
+            &["console=hvc0 jitsu.name=", &config.name],
             1, // xenstore event channel (bound later)
             2, // console event channel (bound later)
         );
 
+        // Loading reads the image from the page cache and copies it into
+        // the guest.
+        let costs = &self.board.costs;
+        let kernel_mib = config.kernel_size_bytes as f64 / (1024.0 * 1024.0);
         let report = BuildReport {
-            descriptor: self.descriptor_time(),
+            descriptor: costs.domain_descriptor,
             zeroing,
-            kernel_load: self.kernel_load_time(config.kernel_size_bytes),
-            fdt_build: self.fdt_time(),
+            kernel_load: costs.kernel_load_per_mib.mul_f64(kernel_mib),
+            fdt_build: costs.fdt_write,
             fdt_bytes: dtb.len(),
             layout,
         };
@@ -192,22 +177,13 @@ mod tests {
 
     #[test]
     fn fdt_bytes_is_the_written_dtbs_length() {
-        let arm = DomainConfig::unikernel("svc003.storm.example");
-        let x86 = DomainConfig {
-            arch: Arch::X86,
-            ..DomainConfig::linux_vm("web.example").with_memory_mib(256)
-        };
-        for (config, bootargs, len) in [
-            (&arm, "console=hvc0 jitsu.name=", 341),
-            (&x86, "console=hvc0 root=/dev/xvda1 jitsu.name=", 348),
-        ] {
-            let mut dom = Domain::new(DomId(3), config.clone());
-            let report = builder().build(&mut dom, config).unwrap();
-            let ram_bytes = config.memory_mib as u64 * 1024 * 1024;
-            let dtb = fdt::standard_guest(0x4000_0000, ram_bytes, &[bootargs, &config.name], 1, 2);
-            assert_eq!(report.fdt_bytes, dtb.len());
-            assert_eq!(report.fdt_bytes, len);
-        }
+        let config = DomainConfig::unikernel("svc003.storm.example");
+        let mut dom = Domain::new(DomId(3), config.clone());
+        let report = builder().build(&mut dom, &config).unwrap();
+        let bootargs = ["console=hvc0 jitsu.name=", &config.name];
+        let dtb = fdt::standard_guest(0x4000_0000, 16 << 20, &bootargs, 1, 2);
+        assert_eq!(report.fdt_bytes, dtb.len());
+        assert_eq!(report.fdt_bytes, 341);
     }
 
     #[test]
@@ -239,10 +215,10 @@ mod tests {
     #[test]
     fn out_of_memory_is_reported_for_servfail() {
         let mut b = builder(); // Cubieboard2: ~832 MiB of guest RAM
-        let big_cfg = DomainConfig::linux_vm("hog").with_memory_mib(700);
+        let big_cfg = DomainConfig::unikernel("hog").with_memory_mib(700);
         let mut hog = Domain::new(DomId(1), big_cfg.clone());
         b.build(&mut hog, &big_cfg).unwrap();
-        let cfg = DomainConfig::linux_vm("second").with_memory_mib(700);
+        let cfg = DomainConfig::unikernel("second").with_memory_mib(700);
         let mut second = Domain::new(DomId(2), cfg.clone());
         match b.build(&mut second, &cfg) {
             Err(BuildError::OutOfMemory {
@@ -276,7 +252,11 @@ mod tests {
     fn linux_kernel_takes_longer_to_load() {
         let mut b = builder();
         let ucfg = DomainConfig::unikernel("u");
-        let lcfg = DomainConfig::linux_vm("l").with_memory_mib(16);
+        // A Linux kernel plus initrd: an order of magnitude bigger.
+        let lcfg = DomainConfig {
+            kernel_size_bytes: 12 * 1024 * 1024,
+            ..DomainConfig::unikernel("l")
+        };
         let mut ud = Domain::new(DomId(1), ucfg.clone());
         let mut ld = Domain::new(DomId(2), lcfg.clone());
         let ur = b.build(&mut ud, &ucfg).unwrap();

@@ -8,8 +8,9 @@
 //! optimisations: switch the script to the lightweight `dash`, then eliminate
 //! the shell entirely by performing the equivalent `ioctl()` calls in-process.
 //!
-//! The model gives each variant a calibrated duration so the Figure 4
-//! harness reproduces the 650 ms → 300 ms → 200 ms progression.
+//! Each variant's calibrated duration lives in the board's
+//! [`CostModel`](platform::CostModel), so the Figure 4 harness reproduces
+//! the 650 ms → 300 ms → 200 ms progression.
 
 use jitsu_sim::{Distribution, SimDuration, SimRng};
 use platform::Board;
@@ -42,25 +43,16 @@ impl HotplugStyle {
         }
     }
 
-    /// Mean duration of the attachment on the x86 reference machine.
-    /// ARM durations are obtained by scaling with the board's CPU factor,
-    /// reproducing §3.1: ≈450 ms for bash, ≈100 ms for dash and effectively
-    /// free for inline ioctls on the Cubieboard2.
-    fn x86_mean(self) -> SimDuration {
-        match self {
-            HotplugStyle::BashScript => SimDuration::from_micros(75_000),
-            HotplugStyle::DashScript => SimDuration::from_micros(16_700),
-            HotplugStyle::InlineIoctl => SimDuration::from_micros(800),
-        }
-    }
-
-    /// The duration distribution on a given board (mild log-normal jitter:
-    /// script execution time varies with SD-card cache state).
+    /// The duration distribution on a given board, reproducing §3.1:
+    /// ≈450 ms for bash, ≈100 ms for dash and effectively free for inline
+    /// ioctls on the Cubieboard2 (mild log-normal jitter: script execution
+    /// time varies with SD-card cache state).
     pub fn duration_dist(self, board: &Board) -> Distribution {
-        let median = board.scale_cpu(self.x86_mean());
-        Distribution::LogNormal {
-            median,
-            sigma: 0.08,
+        let costs = &board.costs;
+        match self {
+            HotplugStyle::BashScript => costs.hotplug_bash,
+            HotplugStyle::DashScript => costs.hotplug_dash,
+            HotplugStyle::InlineIoctl => costs.hotplug_ioctl,
         }
     }
 

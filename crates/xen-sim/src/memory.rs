@@ -47,17 +47,14 @@ impl PageAllocator {
         }
     }
 
-    /// A pool sized for a board, reserving 192 MiB for Xen and dom0, with a
-    /// zeroing rate scaled by the board's CPU speed.
+    /// A pool sized for a board, reserving 192 MiB for Xen and dom0, with
+    /// the board's zeroing rate: ~175 pages/ms on ARM, so zeroing costs
+    /// ≈23 ms for a 16 MiB unikernel and ≈375 ms for a 256 MiB guest, the
+    /// memory-dependent component of Figure 4.
     pub fn for_board(board: &Board) -> PageAllocator {
         let reserved = 192u32;
         let guest_mib = board.ram_mib.saturating_sub(reserved).max(64);
-        // Calibration: the x86 server scrubs ~1050 pages/ms; the ARM boards
-        // are ~6x slower, giving ~175 pages/ms — so zeroing costs ≈23 ms for
-        // a 16 MiB unikernel and ≈375 ms for a 256 MiB guest on ARM, the
-        // memory-dependent component of Figure 4.
-        let x86_rate = 1050.0;
-        PageAllocator::new(guest_mib, x86_rate / board.cpu_scale)
+        PageAllocator::new(guest_mib, board.costs.zero_pages_per_ms)
     }
 
     /// Total pages in the pool.

@@ -207,7 +207,6 @@ impl From<XsError> for ToolstackError {
 
 /// The host toolstack: all control-plane state for one Xen host.
 pub struct Toolstack {
-    board: Board,
     /// The shared store (public so Jitsu and Conduit can use the same one).
     pub xenstore: XenStore,
     /// Grant tables (public for vchan construction).
@@ -228,8 +227,7 @@ impl Toolstack {
     /// Create a toolstack for a board using the given XenStore engine.
     pub fn new(board: Board, engine: EngineKind, seed: u64) -> Toolstack {
         Toolstack {
-            builder: DomainBuilder::new(board.clone()),
-            board,
+            builder: DomainBuilder::new(board),
             xenstore: XenStore::new(engine),
             grants: GrantTable::new(),
             event_channels: EventChannelTable::new(),
@@ -244,7 +242,7 @@ impl Toolstack {
 
     /// The board this host runs on.
     pub fn board(&self) -> &Board {
-        &self.board
+        self.builder.board()
     }
 
     /// Split-borrow the three tables a conduit rendezvous needs — the
@@ -301,14 +299,6 @@ impl Toolstack {
         self.vifs.get(&dom)
     }
 
-    /// XenStore coordination overhead for one domain creation: the
-    /// transactions and blocking RPC round trips between the builder, the
-    /// device backends and `xenstored` (§3.1 optimisation (iii) attacks the
-    /// transaction-conflict part of this; the fixed part is modelled here).
-    fn coordination_time(&self) -> SimDuration {
-        self.board.scale_cpu(SimDuration::from_micros(13_000))
-    }
-
     /// Create (but do not unpause) a domain, returning the per-stage report.
     pub fn create_domain(
         &mut self,
@@ -361,7 +351,7 @@ impl Toolstack {
             console.mark_connected(&mut self.xenstore)?;
             self.consoles.insert(dom, console);
             if !opts.async_console {
-                console_attach = ConsoleDevice::attach_time(&self.board);
+                console_attach = self.builder.board().costs.console_attach;
             }
         }
 
@@ -383,16 +373,17 @@ impl Toolstack {
                 &mut self.event_channels,
                 &mut self.bridge,
             )?;
-            vif_backend_create = VifDevice::backend_create_time(&self.board);
-            vif_hotplug = opts.hotplug.sample_duration(&self.board, &mut self.rng);
+            let board = self.builder.board();
+            vif_backend_create = board.costs.vif_backend_create;
+            vif_hotplug = opts.hotplug.sample_duration(board, &mut self.rng);
             if !opts.parallel_device_attach {
-                vif_blocking_rpc = VifDevice::blocking_rpc_time(&self.board);
+                vif_blocking_rpc = board.costs.vif_blocking_rpc;
             }
             self.vifs.insert(dom, vif);
         }
 
         // --- compose the end-to-end construction time ---------------------
-        let coordination = self.coordination_time();
+        let coordination = self.builder.board().costs.xenstore_coordination;
         let builder_path = build.total();
         let vif_path = vif_backend_create + vif_hotplug + vif_blocking_rpc;
         let serial_paths = if opts.parallel_device_attach {
@@ -433,16 +424,6 @@ impl Toolstack {
         d.transition(DomainState::Running)
             .map_err(|_| ToolstackError::UnknownDomain(dom))?;
         Ok(())
-    }
-
-    /// Time to tear a domain down: deschedule its vcpu, close and unplug
-    /// the vif, release grants/event channels and return its pages to the
-    /// allocator. §3.3 reaps idle unikernels to reclaim memory; teardown is
-    /// much cheaper than construction but not free, so a reaped service
-    /// passes through a short `Draining` window before its memory is
-    /// reusable.
-    pub fn teardown_time(&self) -> SimDuration {
-        self.board.scale_cpu(SimDuration::from_micros(5_000))
     }
 
     /// Destroy a domain, releasing its memory, devices and XenStore state.
@@ -639,7 +620,7 @@ mod tests {
         let mut created = Vec::new();
         loop {
             match ts.create_domain(
-                DomainConfig::linux_vm("hog").with_memory_mib(256),
+                DomainConfig::unikernel("hog").with_memory_mib(256),
                 BootOptimisations::jitsu(),
             ) {
                 Ok(r) => created.push(r.dom),
@@ -681,14 +662,13 @@ mod tests {
     #[test]
     fn teardown_is_cheaper_than_construction_and_scales_with_board() {
         let mut arm = arm_toolstack();
-        let arm_teardown = arm.teardown_time();
+        let arm_teardown = arm.board().costs.domain_teardown;
         let create = arm
             .create_domain(DomainConfig::unikernel("www"), BootOptimisations::jitsu())
             .unwrap()
             .total;
         assert!(arm_teardown < create, "teardown {arm_teardown} < {create}");
-        let x86 = Toolstack::new(BoardKind::X86Server.board(), EngineKind::JitsuMerge, 42);
-        assert!(x86.teardown_time() < arm_teardown);
+        assert!(BoardKind::X86Server.board().costs.domain_teardown < arm_teardown);
     }
 
     #[test]

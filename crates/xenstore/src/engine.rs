@@ -21,31 +21,14 @@
 //!   whereas the Jitsu merge recognises the child sets are disjoint and lets
 //!   both commit.
 //!
-//! Each engine also exposes a calibrated [`CostModel`] describing how long
-//! its operations take on the ARM evaluation board (the C daemon's
-//! filesystem-backed transactions are notably slower per operation); the
-//! Figure 3 harness combines conflict behaviour with these costs.
+//! How long each engine's operations take on the ARM evaluation board (the
+//! C daemon's filesystem-backed transactions are notably slower per
+//! operation) is part of the board's cost model in `platform::cost`; the
+//! Figure 3 harness combines the conflict behaviour decided here with those
+//! costs.
 
 use crate::transaction::Transaction;
 use crate::tree::Tree;
-use jitsu_sim::SimDuration;
-
-/// Calibrated per-operation costs for a XenStore implementation, used by
-/// the Figure 3 harness. These model the relative cost of the C daemon's
-/// filesystem-backed transactions versus the in-memory OCaml store, on
-/// the Cubieboard2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CostModel {
-    /// Cost of a single read/write/mkdir/rm request.
-    pub op: SimDuration,
-    /// Fixed cost of opening a transaction.
-    pub txn_begin: SimDuration,
-    /// Fixed cost of committing (successfully or not).
-    pub txn_commit: SimDuration,
-    /// Additional penalty paid when a commit fails and the whole batch
-    /// of toolstack RPCs must be retried.
-    pub conflict_penalty: SimDuration,
-}
 
 /// Which reconciliation engine a store uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -73,35 +56,6 @@ impl EngineKind {
             EngineKind::Serial => "Xen 4.4.0 C Xenstored",
             EngineKind::Merge => "Xen 4.4.0 OCaml Xenstored",
             EngineKind::JitsuMerge => "Jitsu Xenstored",
-        }
-    }
-
-    /// Calibrated per-operation costs on the ARM evaluation board.
-    ///
-    /// The C daemon stores transaction state on the (SD-card backed)
-    /// filesystem, so both individual operations and commits are markedly
-    /// more expensive than the in-memory OCaml implementations.
-    pub fn cost_model(self) -> CostModel {
-        use SimDuration as D;
-        match self {
-            EngineKind::Serial => CostModel {
-                op: D::from_micros(250),
-                txn_begin: D::from_micros(800),
-                txn_commit: D::from_micros(1500),
-                conflict_penalty: D::from_millis(6),
-            },
-            EngineKind::Merge => CostModel {
-                op: D::from_micros(60),
-                txn_begin: D::from_micros(120),
-                txn_commit: D::from_micros(300),
-                conflict_penalty: D::from_millis(4),
-            },
-            EngineKind::JitsuMerge => CostModel {
-                op: D::from_micros(60),
-                txn_begin: D::from_micros(120),
-                txn_commit: D::from_micros(320),
-                conflict_penalty: D::from_millis(4),
-            },
         }
     }
 
@@ -486,13 +440,9 @@ mod tests {
     }
 
     #[test]
-    fn labels_and_cost_models() {
+    fn labels() {
         assert!(EngineKind::Serial.label().contains("C Xenstored"));
         assert!(EngineKind::Merge.label().contains("OCaml"));
         assert!(EngineKind::JitsuMerge.label().contains("Jitsu"));
-        let c = EngineKind::Serial.cost_model();
-        let j = EngineKind::JitsuMerge.cost_model();
-        assert!(c.op > j.op, "filesystem-backed C daemon is slower per op");
-        assert!(c.txn_commit > j.txn_commit);
     }
 }

@@ -76,7 +76,7 @@ pub mod tree;
 pub mod watch;
 
 pub use children::ChildMap;
-pub use engine::{CostModel, EngineKind};
+pub use engine::EngineKind;
 pub use error::{Error, Result};
 pub use node::Node;
 pub use path::{Path, StorePath};

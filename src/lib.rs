@@ -80,7 +80,7 @@ mod tests {
     #[test]
     fn facade_reexports_compose() {
         let board = BoardKind::Cubieboard2.board();
-        assert!(board.is_embedded());
+        assert_eq!(board.ram_mib, 1024);
         let xs = XenStore::new(EngineKind::JitsuMerge);
         assert_eq!(xs.engine_kind(), EngineKind::JitsuMerge);
         let img = UnikernelImage::mirage("smoke");
