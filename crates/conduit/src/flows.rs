@@ -79,10 +79,11 @@ impl FlowTable {
     pub fn set_state(xs: &mut XenStore, actor: DomId, id: u64, state: FlowState) -> XsResult<()> {
         let path = Self::path(id)?;
         let current = xs.read_string(actor, None, &path)?;
+        // `(state metadata)`: the metadata is what follows the state, less
+        // the one parenthesis that closes the record.
         let metadata = current
             .split_once(' ')
-            .map(|(_, rest)| rest.trim_end_matches(')').to_string())
-            .unwrap_or_default();
+            .map_or("", |(_, rest)| rest.strip_suffix(')').unwrap_or(rest));
         let value = format!("({} {metadata})", state.token());
         xs.write(actor, None, path, value.as_bytes())
     }
@@ -192,6 +193,32 @@ mod tests {
         assert!(raw.contains("domid 7"), "raw={raw}");
         FlowTable::remove(&mut xs, DomId::DOM0, id1).unwrap();
         assert_eq!(FlowTable::list(&mut xs, DomId::DOM0), vec![2]);
+    }
+
+    #[test]
+    fn a_state_change_keeps_the_record_balanced() {
+        let mut xs = XenStore::new(EngineKind::JitsuMerge);
+        let mut flows = FlowTable::new();
+        let metadata = "client http_client domid 7";
+        let id = flows
+            .create(&mut xs, DomId::DOM0, FlowState::Connecting, metadata)
+            .unwrap();
+        let record = |xs: &mut XenStore| {
+            xs.read_string(DomId::DOM0, None, "/conduit/flows/1")
+                .unwrap()
+        };
+        assert_eq!(record(&mut xs), "(connecting (client http_client domid 7))");
+        FlowTable::set_state(&mut xs, DomId::DOM0, id, FlowState::Established).unwrap();
+        assert_eq!(
+            record(&mut xs),
+            "(established (client http_client domid 7))"
+        );
+        FlowTable::set_state(&mut xs, DomId::DOM0, id, FlowState::Closed).unwrap();
+        assert_eq!(record(&mut xs), "(closed (client http_client domid 7))");
+        assert_eq!(
+            FlowTable::state(&mut xs, DomId::DOM0, id).unwrap(),
+            Some(FlowState::Closed)
+        );
     }
 
     #[test]

@@ -1,26 +1,32 @@
 //! The persistent ordered child map of a store node.
 //!
-//! A directory's children live in a *chunked sorted vector*: a spine of
-//! [`Rc`]-shared chunks, each a sorted run of at most `CHUNK_MAX` (64) entries
-//! keyed by `Rc<str>`. Cloning the map copies the spine — one pointer per
-//! chunk, never a key or an entry — and a mutation copies only the one chunk
-//! it lands in, and only while that chunk is still shared with another map
-//! (a non-atomic [`Rc`] count decides that; see [`crate::node`]).
-//! A write under a directory of *n* children therefore path-copies
-//! *n* / `CHUNK_MAX` pointers plus at most `CHUNK_MAX` entries, where a
-//! per-node `BTreeMap<String, _>` cloned all *n* keys.
+//! A directory of up to `CHUNK_MAX` (64) children — nearly every directory
+//! of a store — holds its entries itself: one sorted vector keyed by
+//! `Rc<str>`, inside the node. Copying the node, which is what a write's
+//! path copy does to every level still shared with a snapshot, copies those
+//! entries (a name pointer and a child pointer each, never a name or a
+//! subtree), and the descent reaches them without another pointer hop.
 //!
-//! Most nodes are leaves and most directories fit one chunk, so the spine is
-//! allocated only from the second chunk on: a map of no chunk or one holds
-//! it in place, an empty map owns no memory at all, and giving a leaf its
-//! first child allocates the chunk and nothing else.
+//! A wider directory splits into a spine of [`Rc`]-shared *chunks*, each a
+//! sorted run of at most `CHUNK_MAX` entries. Copying such a map copies the
+//! spine, one pointer per chunk, and a mutation copies only the one chunk it
+//! lands in, and only while that chunk is still shared with another map (a
+//! non-atomic [`Rc`] count decides that; see [`crate::node`]). A write under
+//! a directory of *n* children therefore path-copies *n* / `CHUNK_MAX`
+//! pointers plus at most `CHUNK_MAX` entries, where a per-node
+//! `BTreeMap<String, _>` cloned all *n* keys. A wide map that shrinks back
+//! to one chunk holds its entries itself again.
+//!
+//! A new map owns no memory at all, and giving a leaf its first child
+//! allocates room for four entries and nothing else; a directory whose
+//! children all go keeps that room for the next.
 //!
 //! Iteration is in key order (byte-wise, the order [`crate::path::Path`]
 //! sorts its components in), which the determinism contract relies on:
 //! directory listings, [`crate::tree::Tree::all_paths`] and every
 //! [`crate::tree::TreeDiff`] list come out sorted because this map does.
 //! [`Cursor`] is the merge-iteration primitive `Tree::diff` uses; it can step
-//! over a whole chunk that two maps share without looking inside it.
+//! over a whole chunk that two wide maps share without looking inside it.
 //!
 //! A mutable lookup is two steps: [`ChildMap::find`] searches once and
 //! returns a [`Position`] — the chunk, and the entry within it — and
@@ -33,14 +39,21 @@ use std::cmp::Ordering;
 use std::rc::Rc;
 
 /// Entries per chunk before it splits in two. Directories up to this size
-/// are a single sorted vector, found without searching the spine.
+/// hold their entries themselves, found without searching a spine.
 pub(crate) const CHUNK_MAX: usize = 64;
 
-type Chunk<V> = Vec<(Rc<str>, V)>;
+/// Room a directory's first entry buffer is given: growing a one-entry
+/// buffer would reallocate at the second child, to this.
+const FIRST_CAPACITY: usize = 4;
 
-/// Where [`ChildMap::find`] found an entry: the index of its chunk and its
-/// index within that chunk. Valid for the map it came from until that map is
-/// next changed.
+/// A child's name and value.
+type Entry<V> = (Rc<str>, V);
+
+type Chunk<V> = Vec<Entry<V>>;
+
+/// Where [`ChildMap::find`] found an entry: the index of its chunk (0 in a
+/// map of one) and its index within that chunk. Valid for the map it came
+/// from until that map is next changed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Position {
     chunk: usize,
@@ -49,72 +62,34 @@ pub struct Position {
 
 /// A persistent sorted map from child name to `V`.
 ///
-/// Invariants: every chunk is non-empty and sorted, chunks are in key order,
-/// and any two neighbouring chunks hold more than `CHUNK_MAX / 2` entries
-/// between them (so the spine is never longer than `len / (CHUNK_MAX / 4)`).
+/// Invariants: a short map holds at most `CHUNK_MAX` entries; a long map
+/// holds two chunks or more, every chunk is
+/// non-empty and sorted, chunks are in key order, and any two neighbouring
+/// chunks hold more than `CHUNK_MAX / 2` entries between them (so the spine
+/// is never longer than `len / (CHUNK_MAX / 4)`).
 #[derive(Clone)]
 pub struct ChildMap<V> {
-    chunks: Spine<V>,
-    len: usize,
+    spine: Spine<V>,
 }
 
-/// The chunks of a map, in key order.
+/// The entries of a map, in key order.
 #[derive(Clone)]
 enum Spine<V> {
-    /// No chunk or one, held in place.
-    Short(Option<Rc<Chunk<V>>>),
-    /// Two chunks or more.
-    Long(Vec<Rc<Chunk<V>>>),
-}
-
-impl<V> Spine<V> {
-    fn as_slice(&self) -> &[Rc<Chunk<V>>] {
-        match self {
-            Spine::Short(chunk) => chunk.as_slice(),
-            Spine::Long(chunks) => chunks,
-        }
-    }
-
-    fn as_mut_slice(&mut self) -> &mut [Rc<Chunk<V>>] {
-        match self {
-            Spine::Short(chunk) => chunk.as_mut_slice(),
-            Spine::Long(chunks) => chunks,
-        }
-    }
-
-    /// Insert `chunk` as the `at`-th.
-    fn insert(&mut self, at: usize, chunk: Rc<Chunk<V>>) {
-        *self = match std::mem::replace(self, Spine::Short(None)) {
-            Spine::Short(None) => Spine::Short(Some(chunk)),
-            Spine::Short(Some(only)) if at == 0 => Spine::Long(vec![chunk, only]),
-            Spine::Short(Some(only)) => Spine::Long(vec![only, chunk]),
-            Spine::Long(mut chunks) => {
-                chunks.insert(at, chunk);
-                Spine::Long(chunks)
-            }
-        };
-    }
-
-    /// Remove and return the `at`-th chunk.
-    fn remove(&mut self, at: usize) -> Option<Rc<Chunk<V>>> {
-        match self {
-            Spine::Short(chunk) => chunk.take_if(|_| at == 0),
-            Spine::Long(chunks) => {
-                let removed = (at < chunks.len()).then(|| chunks.remove(at));
-                if chunks.len() == 1 {
-                    *self = Spine::Short(chunks.pop());
-                }
-                removed
-            }
-        }
-    }
+    /// Up to `CHUNK_MAX` entries, held in place: a map of this shape is
+    /// never shared, so it is copied with the node that holds it.
+    Short(Chunk<V>),
+    /// Two chunks or more, each shared until a mutation lands in it.
+    Long {
+        chunks: Vec<Rc<Chunk<V>>>,
+        /// Entries over all chunks.
+        len: usize,
+    },
 }
 
 impl<V> Default for ChildMap<V> {
     fn default() -> Self {
         ChildMap {
-            chunks: Spine::Short(None),
-            len: 0,
+            spine: Spine::Short(Vec::new()),
         }
     }
 }
@@ -129,7 +104,7 @@ impl<V: std::fmt::Debug> std::fmt::Debug for ChildMap<V> {
 /// however those entries are chunked.
 impl<V: PartialEq> PartialEq for ChildMap<V> {
     fn eq(&self, other: &Self) -> bool {
-        self.len == other.len && self.iter().eq(other.iter())
+        self.len() == other.len() && self.iter().eq(other.iter())
     }
 }
 
@@ -142,7 +117,7 @@ impl<V: Eq> Eq for ChildMap<V> {}
 /// one before it, and on the short keys and small directories of a store
 /// tree that made a lookup several times dearer than in the `BTreeMap` this
 /// map replaced. Predicted branches let the comparisons overlap.
-fn search<V>(chunk: &[(Rc<str>, V)], name: &str) -> Result<usize, usize> {
+fn search<V>(chunk: &[Entry<V>], name: &str) -> Result<usize, usize> {
     let (mut lo, mut hi) = (0, chunk.len());
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
@@ -155,6 +130,23 @@ fn search<V>(chunk: &[(Rc<str>, V)], name: &str) -> Result<usize, usize> {
     Err(lo)
 }
 
+/// Index of the only chunk of a long map that may hold `name`: the last one
+/// whose first key is not greater (the first chunk if there is none).
+fn locate<V>(chunks: &[Rc<Chunk<V>>], name: &str) -> usize {
+    // Chunks below `lo` start at or before `name`, chunks from `hi` on
+    // start after it.
+    let (mut lo, mut hi) = (1, chunks.len());
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if chunks[mid].first().is_some_and(|(key, _)| **key <= *name) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo - 1
+}
+
 impl<V> ChildMap<V> {
     /// An empty map.
     pub fn new() -> Self {
@@ -163,52 +155,56 @@ impl<V> ChildMap<V> {
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.len
+        match &self.spine {
+            Spine::Short(entries) => entries.len(),
+            Spine::Long { len, .. } => *len,
+        }
     }
 
     /// True if the map holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Index of the only chunk that may hold `name`: the last one whose
-    /// first key is not greater (the first chunk if there is none).
-    fn locate(&self, name: &str) -> usize {
-        // Chunks below `lo` start at or before `name`, chunks from `hi` on
-        // start after it. A one-chunk directory never enters the loop.
-        let chunks = self.chunks.as_slice();
-        let (mut lo, mut hi) = (1, chunks.len());
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if chunks[mid].first().is_some_and(|(key, _)| **key <= *name) {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo - 1
+        self.len() == 0
     }
 
     /// Where the child `name` is, if it is present.
     pub fn find(&self, name: &str) -> Option<Position> {
-        let chunk = self.locate(name);
-        let entry = search(self.chunks.as_slice().get(chunk)?, name).ok()?;
-        Some(Position { chunk, entry })
+        match &self.spine {
+            Spine::Short(entries) => {
+                let entry = search(entries, name).ok()?;
+                Some(Position { chunk: 0, entry })
+            }
+            Spine::Long { chunks, .. } => {
+                let chunk = locate(chunks, name);
+                let entry = search(&chunks[chunk], name).ok()?;
+                Some(Position { chunk, entry })
+            }
+        }
     }
 
     /// Look a child up by name.
     pub fn get(&self, name: &str) -> Option<&V> {
-        let chunk = self.chunks.as_slice().get(self.locate(name))?;
-        let at = search(chunk, name).ok()?;
-        Some(&chunk[at].1)
+        let entries = match &self.spine {
+            Spine::Short(entries) => entries,
+            Spine::Long { chunks, .. } => &**chunks[locate(chunks, name)],
+        };
+        let at = search(entries, name).ok()?;
+        Some(&entries[at].1)
+    }
+
+    /// The entries of a short map, or else the chunks of a long one.
+    fn parts(&self) -> (&[Entry<V>], &[Rc<Chunk<V>>]) {
+        match &self.spine {
+            Spine::Short(entries) => (entries, &[]),
+            Spine::Long { chunks, .. } => (&[], chunks),
+        }
     }
 
     /// Entries in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &V)> {
-        self.chunks
-            .as_slice()
+        let (entries, chunks) = self.parts();
+        entries
             .iter()
-            .flat_map(|chunk| chunk.iter())
+            .chain(chunks.iter().flat_map(|chunk| chunk.iter()))
             .map(|(key, value)| (&**key, value))
     }
 
@@ -224,23 +220,31 @@ impl<V> ChildMap<V> {
 
     /// A cursor at the first entry.
     pub fn cursor(&self) -> Cursor<'_, V> {
-        Cursor {
-            chunks: self.chunks.as_slice(),
+        let (entries, chunks) = self.parts();
+        let mut cursor = Cursor {
+            entries,
             at: 0,
+            rest: chunks,
+        };
+        if entries.is_empty() {
+            cursor.next_chunk();
         }
+        cursor
     }
 
     /// Number of entries held in chunks that `other` holds too (the same
-    /// allocation) — what a clone-then-mutate sequence did *not* copy.
+    /// allocation) — what a clone-then-mutate sequence did *not* copy. A
+    /// short map's entries are its own, so it shares none.
     pub fn shared_len(&self, other: &Self) -> usize {
         self.shared_chunks(other).map(|chunk| chunk.len()).sum()
     }
 
     fn shared_chunks<'a>(&'a self, other: &'a Self) -> impl Iterator<Item = &'a Rc<Chunk<V>>> {
-        self.chunks.as_slice().iter().filter(|chunk| {
+        let theirs = other.parts().1;
+        self.parts().1.iter().filter(move |chunk| {
             chunk
                 .first()
-                .and_then(|(key, _)| other.chunks.as_slice().get(other.locate(key)))
+                .and_then(|(key, _)| theirs.get(locate(theirs, key)))
                 .is_some_and(|theirs| Rc::ptr_eq(chunk, theirs))
         })
     }
@@ -248,47 +252,75 @@ impl<V> ChildMap<V> {
     /// True if this map is the only holder of each of its chunks and keys,
     /// so a mutation copies none of them.
     pub(crate) fn holds_alone(&self) -> bool {
-        self.chunks.as_slice().iter().all(|chunk| {
-            Rc::strong_count(chunk) == 1 && chunk.iter().all(|(key, _)| Rc::strong_count(key) == 1)
-        })
+        let (entries, chunks) = self.parts();
+        let keys_alone =
+            |entries: &[Entry<V>]| entries.iter().all(|(key, _)| Rc::strong_count(key) == 1);
+        keys_alone(entries)
+            && chunks
+                .iter()
+                .all(|chunk| Rc::strong_count(chunk) == 1 && keys_alone(chunk))
     }
 
-    /// `(shared, total)` chunk counts against `other`.
+    /// `(shared, total)` chunk counts against `other`; a short map is one
+    /// chunk, shared with nobody.
     #[cfg(test)]
     pub(crate) fn shared_chunk_counts(&self, other: &Self) -> (usize, usize) {
-        (
-            self.shared_chunks(other).count(),
-            self.chunks.as_slice().len(),
-        )
+        let total = match &self.spine {
+            Spine::Short(entries) => usize::from(!entries.is_empty()),
+            Spine::Long { chunks, .. } => chunks.len(),
+        };
+        (self.shared_chunks(other).count(), total)
     }
 }
 
 impl<V: Clone> ChildMap<V> {
     /// The value at `at`, which [`ChildMap::find`] returned for this map
-    /// since it last changed. Copies the chunk holding it if another map
-    /// still shares it; no other chunk is touched.
+    /// since it last changed. In a long map, copies the chunk holding it if
+    /// another map still shares it; no other chunk is touched.
     pub fn at_mut(&mut self, at: Position) -> &mut V {
-        &mut Rc::make_mut(&mut self.chunks.as_mut_slice()[at.chunk])[at.entry].1
+        let entries = match &mut self.spine {
+            Spine::Short(entries) => entries,
+            Spine::Long { chunks, .. } => Rc::make_mut(&mut chunks[at.chunk]),
+        };
+        &mut entries[at.entry].1
     }
 
     /// Insert or replace a child, returning the previous value if any.
     pub fn insert(&mut self, name: &str, value: V) -> Option<V> {
-        let at_chunk = self.locate(name);
-        let Some(shared) = self.chunks.as_mut_slice().get_mut(at_chunk) else {
-            self.chunks = Spine::Short(Some(Rc::new(vec![(Rc::from(name), value)])));
-            self.len = 1;
-            return None;
+        let (entries, at_chunk, found) = match &mut self.spine {
+            Spine::Short(entries) => {
+                let found = search(entries, name);
+                (entries, 0, found)
+            }
+            Spine::Long { chunks, .. } => {
+                let at_chunk = locate(chunks, name);
+                let found = search(&chunks[at_chunk], name);
+                (Rc::make_mut(&mut chunks[at_chunk]), at_chunk, found)
+            }
         };
-        let at = match search(shared, name) {
-            Ok(at) => return Some(std::mem::replace(&mut Rc::make_mut(shared)[at].1, value)),
+        let at = match found {
+            Ok(at) => return Some(std::mem::replace(&mut entries[at].1, value)),
             Err(at) => at,
         };
-        let chunk = Rc::make_mut(shared);
-        chunk.insert(at, (Rc::from(name), value));
-        self.len += 1;
-        if chunk.len() > CHUNK_MAX {
-            let upper = chunk.split_off(chunk.len() / 2);
-            self.chunks.insert(at_chunk + 1, Rc::new(upper));
+        if entries.capacity() == 0 {
+            entries.reserve_exact(FIRST_CAPACITY);
+        }
+        entries.insert(at, (Rc::from(name), value));
+        if entries.len() > CHUNK_MAX {
+            let upper = entries.split_off(entries.len() / 2);
+            match &mut self.spine {
+                Spine::Short(lower) => {
+                    let lower = std::mem::take(lower);
+                    let len = lower.len() + upper.len();
+                    let chunks = vec![Rc::new(lower), Rc::new(upper)];
+                    self.spine = Spine::Long { chunks, len };
+                    return None;
+                }
+                Spine::Long { chunks, .. } => chunks.insert(at_chunk + 1, Rc::new(upper)),
+            }
+        }
+        if let Spine::Long { len, .. } = &mut self.spine {
+            *len += 1;
         }
         None
     }
@@ -296,76 +328,95 @@ impl<V: Clone> ChildMap<V> {
     /// Remove and return the child at `at`, which [`ChildMap::find`]
     /// returned for this map since it last changed.
     pub fn remove_at(&mut self, at: Position) -> V {
-        let chunk = Rc::make_mut(&mut self.chunks.as_mut_slice()[at.chunk]);
+        let (chunks, len) = match &mut self.spine {
+            Spine::Short(entries) => {
+                // An emptied directory keeps its buffer for the next child.
+                return entries.remove(at.entry).1;
+            }
+            Spine::Long { chunks, len } => (chunks, len),
+        };
+        let chunk = Rc::make_mut(&mut chunks[at.chunk]);
         let (_, value) = chunk.remove(at.entry);
-        self.len -= 1;
+        *len -= 1;
         if chunk.is_empty() {
-            self.chunks.remove(at.chunk);
-        } else if !self.merge_if_small(at.chunk) && at.chunk > 0 {
-            self.merge_if_small(at.chunk - 1);
+            chunks.remove(at.chunk);
+        } else if !merge_if_small(chunks, at.chunk) && at.chunk > 0 {
+            merge_if_small(chunks, at.chunk - 1);
+        }
+        // Down to one chunk, the map holds its entries itself again.
+        if chunks.len() == 1 {
+            if let Some(only) = chunks.pop() {
+                self.spine = Spine::Short(Rc::unwrap_or_clone(only));
+            }
         }
         value
     }
+}
 
-    /// Fold chunk `lower + 1` into chunk `lower` if the pair has shrunk to
-    /// half a chunk or less, keeping the spine proportional to `len`.
-    fn merge_if_small(&mut self, lower: usize) -> bool {
-        let chunks = self.chunks.as_slice();
-        let small = match (chunks.get(lower), chunks.get(lower + 1)) {
-            (Some(a), Some(b)) => a.len() + b.len() <= CHUNK_MAX / 2,
-            _ => false,
-        };
-        if !small {
-            return false;
-        }
-        if let Some(upper) = self.chunks.remove(lower + 1) {
-            if let Some(into) = self.chunks.as_mut_slice().get_mut(lower) {
-                Rc::make_mut(into).extend(upper.iter().cloned());
-            }
-        }
-        true
+/// Fold chunk `lower + 1` into chunk `lower` if the pair has shrunk to half a
+/// chunk or less, keeping the spine proportional to the map's length.
+fn merge_if_small<V: Clone>(chunks: &mut Vec<Rc<Chunk<V>>>, lower: usize) -> bool {
+    let small = match (chunks.get(lower), chunks.get(lower + 1)) {
+        (Some(a), Some(b)) => a.len() + b.len() <= CHUNK_MAX / 2,
+        _ => false,
+    };
+    if small {
+        let upper = Rc::unwrap_or_clone(chunks.remove(lower + 1));
+        Rc::make_mut(&mut chunks[lower]).extend(upper);
     }
+    small
 }
 
 /// A forward cursor over a [`ChildMap`]'s entries in key order.
 pub struct Cursor<'a, V> {
-    /// The chunks not yet fully consumed; `at` indexes into the first.
-    chunks: &'a [Rc<Chunk<V>>],
+    /// The entries of the current chunk; `at` indexes into them.
+    entries: &'a [Entry<V>],
     at: usize,
+    /// The chunks after the current one.
+    rest: &'a [Rc<Chunk<V>>],
 }
 
 impl<'a, V> Cursor<'a, V> {
+    /// Make the next chunk, if there is one, the current one.
+    fn next_chunk(&mut self) {
+        if let Some((next, rest)) = self.rest.split_first() {
+            self.entries = next;
+            self.rest = rest;
+        } else {
+            self.entries = &[];
+        }
+        self.at = 0;
+    }
+
     /// The entry under the cursor, or `None` at the end.
     pub fn peek(&self) -> Option<(&'a str, &'a V)> {
-        let (key, value) = self.chunks.first()?.get(self.at)?;
+        let (key, value) = self.entries.get(self.at)?;
         Some((&**key, value))
     }
 
     /// Step to the next entry.
     pub fn advance(&mut self) {
         self.at += 1;
-        if self.chunks.first().is_some_and(|c| self.at >= c.len()) {
-            self.chunks = &self.chunks[1..];
-            self.at = 0;
+        if self.at >= self.entries.len() {
+            self.next_chunk();
         }
     }
 
     /// If both cursors stand at the start of the *same* chunk (one
-    /// allocation shared by the two maps), step both past it and return
-    /// true. A merge-iteration would find every entry of that chunk equal
-    /// on both sides, so skipping it changes nothing but the cost.
+    /// allocation two long maps share), step both past it and return true.
+    /// A merge-iteration would find every entry of that chunk equal on both
+    /// sides, so skipping it changes nothing but the cost. A short map's
+    /// entries are its own and never match another map's.
     pub fn skip_shared_chunk(&mut self, other: &mut Cursor<'a, V>) -> bool {
-        if self.at != 0 || other.at != 0 {
-            return false;
+        let shared = self.at == 0
+            && other.at == 0
+            && !self.entries.is_empty()
+            && std::ptr::eq(self.entries, other.entries);
+        if shared {
+            self.next_chunk();
+            other.next_chunk();
         }
-        match (self.chunks.split_first(), other.chunks.split_first()) {
-            (Some((mine, my_rest)), Some((theirs, their_rest))) if Rc::ptr_eq(mine, theirs) => {
-                self.chunks = my_rest;
-                other.chunks = their_rest;
-                true
-            }
-            _ => false,
-        }
+        shared
     }
 }
 
@@ -377,23 +428,38 @@ mod tests {
 
     /// Structural invariants the lookup and the spine bound rely on.
     fn check_invariants<V>(map: &ChildMap<V>) {
+        match &map.spine {
+            Spine::Short(entries) => {
+                assert!(entries.len() <= CHUNK_MAX, "a short map fits one chunk");
+            }
+            Spine::Long { chunks, .. } => {
+                assert!(chunks.len() >= 2, "a spine holds two chunks or more");
+                for chunk in chunks {
+                    assert!(!chunk.is_empty(), "no empty chunks");
+                    assert!(chunk.len() <= CHUNK_MAX);
+                }
+                for pair in chunks.windows(2) {
+                    assert!(pair[0].len() + pair[1].len() > CHUNK_MAX / 2);
+                }
+            }
+        }
         let mut total = 0;
         let mut last: Option<&str> = None;
-        for chunk in map.chunks.as_slice() {
-            assert!(!chunk.is_empty(), "no empty chunks");
-            assert!(chunk.len() <= CHUNK_MAX);
-            for (key, _) in chunk.iter() {
-                assert!(last.is_none_or(|l| l < &**key), "keys strictly ascend");
-                last = Some(key);
-            }
-            total += chunk.len();
+        for key in map.keys() {
+            assert!(last.is_none_or(|l| l < key), "keys strictly ascend");
+            last = Some(key);
+            total += 1;
         }
         assert_eq!(total, map.len());
-        // A spine is allocated only for two chunks or more.
-        assert!(!matches!(&map.chunks, Spine::Long(chunks) if chunks.len() < 2));
-        for pair in map.chunks.as_slice().windows(2) {
-            assert!(pair[0].len() + pair[1].len() > CHUNK_MAX / 2);
-        }
+    }
+
+    /// The chunks of a long map; none for a short one.
+    fn chunks<V>(map: &ChildMap<V>) -> &[Rc<Chunk<V>>] {
+        map.parts().1
+    }
+
+    fn is_short<V>(map: &ChildMap<V>) -> bool {
+        matches!(map.spine, Spine::Short(_))
     }
 
     /// Remove the child `name` if it is present, as `BTreeMap::remove`.
@@ -425,7 +491,7 @@ mod tests {
     fn iteration_is_sorted_across_chunk_boundaries() {
         let map = filled(1_000);
         check_invariants(&map);
-        assert!(map.chunks.as_slice().len() > 1);
+        assert!(chunks(&map).len() > 1);
         let keys: Vec<&str> = map.keys().collect();
         let mut sorted = keys.clone();
         sorted.sort_unstable();
@@ -442,17 +508,87 @@ mod tests {
     #[test]
     fn small_directories_are_one_chunk() {
         let map = filled(CHUNK_MAX);
-        assert_eq!(map.chunks.as_slice().len(), 1);
+        assert!(is_short(&map));
+        assert_eq!(map.shared_chunk_counts(&map), (0, 1));
+        // A first child gets room for four: the second to fourth allocate
+        // nothing more.
+        let mut map = ChildMap::new();
+        for i in 0..FIRST_CAPACITY {
+            map.insert(&format!("k{i}"), i);
+            let Spine::Short(entries) = &map.spine else {
+                panic!("short")
+            };
+            assert_eq!(entries.capacity(), FIRST_CAPACITY);
+        }
+    }
+
+    #[test]
+    fn a_map_splits_past_one_chunk_and_holds_its_entries_again_below_it() {
+        for (order, seed) in [("ascending", 0), ("descending", 1), ("shuffled", 2)] {
+            let mut rng = SimRng::seed_from_u64(0x5B17 ^ seed);
+            let mut keys: Vec<usize> = (0..=CHUNK_MAX).collect();
+            match order {
+                "descending" => keys.reverse(),
+                "shuffled" => {
+                    for i in (1..keys.len()).rev() {
+                        keys.swap(i, rng.index(i + 1));
+                    }
+                }
+                _ => {}
+            }
+            let mut map = ChildMap::new();
+            let mut model = BTreeMap::new();
+            for (step, &k) in keys.iter().enumerate() {
+                let key = format!("k{k:02}");
+                assert_eq!(
+                    map.insert(&key, step as u64),
+                    model.insert(key, step as u64)
+                );
+                assert_matches_model(&map, &model);
+                // Short up to a full chunk; one entry more splits it.
+                assert_eq!(is_short(&map), map.len() <= CHUNK_MAX, "{order}");
+            }
+            assert_eq!(chunks(&map).len(), 2);
+            // A snapshot shares both chunks; shrinking the map back to one
+            // copies what it keeps, and the snapshot still reads as it was.
+            let snapshot = (map.clone(), model.clone());
+            assert_eq!(map.shared_len(&snapshot.0), CHUNK_MAX + 1);
+            let mut went_short = None;
+            for (step, &k) in keys.iter().rev().enumerate() {
+                let key = format!("k{k:02}");
+                assert_eq!(remove(&mut map, &key), model.remove(&key));
+                assert_matches_model(&map, &model);
+                if is_short(&map) {
+                    went_short.get_or_insert(step);
+                } else {
+                    assert!(went_short.is_none(), "{order}: a short map stays short");
+                }
+            }
+            assert!(
+                went_short.is_some_and(|step| step <= CHUNK_MAX / 2),
+                "{order}"
+            );
+            assert_matches_model(&snapshot.0, &snapshot.1);
+            assert!(map.is_empty() && is_short(&map));
+        }
+        // Unshared, the last chunk becomes the map's own without a copy.
+        let mut map = filled(CHUNK_MAX + 1);
+        let kept = chunks(&map)[1].as_ptr();
+        while !is_short(&map) {
+            let key = map.keys().next().unwrap().to_string();
+            remove(&mut map, &key);
+        }
+        let Spine::Short(entries) = &map.spine else {
+            panic!("short")
+        };
+        assert_eq!(entries.as_ptr(), kept);
     }
 
     #[test]
     fn clone_shares_every_chunk_and_a_write_copies_one() {
         let map = filled(4_096);
         let mut copy = map.clone();
-        assert_eq!(
-            copy.shared_chunk_counts(&map).0,
-            map.chunks.as_slice().len()
-        );
+        assert_eq!(copy.shared_chunk_counts(&map).0, chunks(&map).len());
         assert_eq!(copy.shared_len(&map), 4_096);
         let at = copy.find("k2000").unwrap();
         *copy.at_mut(at) = 7;
@@ -468,26 +604,26 @@ mod tests {
     fn find_then_at_mut_copies_only_the_addressed_chunk() {
         let map = filled(1_000);
         let mut copy = map.clone();
-        let chunks = copy.chunks.as_slice().len();
-        assert!(chunks > 2);
+        let spine = chunks(&copy).len();
+        assert!(spine > 2);
         // A search, hit or miss, copies nothing.
         assert_eq!(copy.find("k1000"), None);
         let at = copy.find("k500").unwrap();
-        assert_eq!(copy.shared_chunk_counts(&map), (chunks, chunks));
+        assert_eq!(copy.shared_chunk_counts(&map), (spine, spine));
         *copy.at_mut(at) = 9;
         let same = |a: &Rc<Chunk<usize>>, b: &Rc<Chunk<usize>>| Rc::ptr_eq(a, b);
-        let copied: Vec<usize> = (0..chunks)
-            .filter(|&i| !same(&copy.chunks.as_slice()[i], &map.chunks.as_slice()[i]))
+        let copied: Vec<usize> = (0..spine)
+            .filter(|&i| !same(&chunks(&copy)[i], &chunks(&map)[i]))
             .collect();
         assert_eq!(copied, [at.chunk], "only the chunk holding k500 is copied");
         // Once copied, the chunk is the copy's own: a second access there
         // copies nothing more.
-        let own = Rc::as_ptr(&copy.chunks.as_slice()[at.chunk]);
+        let own = Rc::as_ptr(&chunks(&copy)[at.chunk]);
         let neighbour = copy.find(&format!("k{}", 500 + 1)).unwrap();
         assert_eq!(neighbour.chunk, at.chunk);
         *copy.at_mut(neighbour) = 10;
-        assert_eq!(Rc::as_ptr(&copy.chunks.as_slice()[at.chunk]), own);
-        assert_eq!(copy.shared_chunk_counts(&map), (chunks - 1, chunks));
+        assert_eq!(Rc::as_ptr(&chunks(&copy)[at.chunk]), own);
+        assert_eq!(copy.shared_chunk_counts(&map), (spine - 1, spine));
         assert_eq!((copy.get("k500"), map.get("k500")), (Some(&9), Some(&500)));
         assert_eq!((copy.get("k501"), map.get("k501")), (Some(&10), Some(&501)));
         // `remove_at` takes the entry `find` named.
@@ -511,12 +647,11 @@ mod tests {
             }
         }
         assert_eq!(map.len(), 20);
-        assert_eq!(map.chunks.as_slice().len(), 1);
+        assert!(is_short(&map));
         for i in (0..1_000).step_by(50) {
             assert_eq!(remove(&mut map, &format!("k{i}")), Some(i));
         }
-        assert!(map.is_empty());
-        assert!(matches!(map.chunks, Spine::Short(None)));
+        assert!(map.is_empty() && is_short(&map));
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! * a **persistent, structurally shared** path/tree model with per-node
 //!   permissions ([`path`], [`node`], [`children`], [`tree`], [`perms`]) —
 //!   snapshots are O(1) pointer copies, mutations copy only the
-//!   root-to-leaf path (and of each directory on it one chunk of entries,
-//!   whatever its fan-out), and [`tree::TreeDiff`] computes structural
+//!   root-to-leaf path (and of each directory on it at most one chunk of
+//!   64 entries, whatever its fan-out), a removal records the removed
+//!   subtree once, by its root, and [`tree::TreeDiff`] computes structural
 //!   diffs that skip shared subtrees in O(1) — including Jitsu's
 //!   *create-restricted* directory extension (§3.2.3 of the paper,
 //!   analogous to POSIX setgid+sticky),

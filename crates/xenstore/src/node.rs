@@ -6,15 +6,16 @@
 //! snapshot is therefore an O(1) root copy, and a mutation copies only the
 //! nodes on the root-to-leaf path it touches (path copying) while every
 //! untouched sibling subtree stays shared between the snapshot and the live
-//! tree. Copying a node copies its [`ChildMap`]'s chunk pointers, not its
-//! entries, so the cost of a write does not grow with the fan-out of the
-//! directories above it.
+//! tree. Copying a node copies a directory's entries — a name pointer and
+//! a child pointer each, which the node holds itself for up to 64 children
+//! — and of a wider directory only its chunk pointers, so the cost of a
+//! write grows with the fan-out of the directories above it only up to one
+//! chunk a level ([`ChildMap`]).
 //!
-//! A node is one allocation: a leaf's child map owns no memory, permissions
-//! hold their owner entry inline, and a value the writer already owned is
-//! moved in rather than copied. Creating a node costs that allocation and
-//! its name in the parent's map — plus, for the first child of a leaf, the
-//! parent's first chunk.
+//! A node is one allocation: a leaf's child map owns no memory and
+//! permissions hold their owner entry inline. Creating a node costs that
+//! allocation, its value and its name in the parent's map — plus, for the
+//! first child of a leaf, the parent's entry buffer.
 //!
 //! The counts are [`Rc`]'s plain ones, not `Arc`'s atomic ones: the store
 //! lives on the simulator's one thread. Every level of a write's descent

@@ -340,7 +340,12 @@ impl Path {
 
     /// True if `self` is `other` or an ancestor of `other`.
     pub fn is_prefix_of(&self, other: &Path) -> bool {
-        let (mine, theirs) = (self.text(), other.text());
+        self.is_prefix_of_text(other.text())
+    }
+
+    /// [`Path::is_prefix_of`] the path whose canonical text is `theirs`.
+    pub(crate) fn is_prefix_of_text(&self, theirs: &str) -> bool {
+        let mine = self.text();
         theirs.starts_with(mine) && matches!(theirs.as_bytes().get(mine.len()), None | Some(b'/'))
     }
 

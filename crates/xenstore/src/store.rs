@@ -257,11 +257,15 @@ impl XenStore {
         });
         if fire {
             let mut also_fire = also_fire;
-            for path in diff.changed_paths() {
+            for (path, removed) in diff.changed() {
                 if also_fire == Some(path) {
                     also_fire = None;
                 }
-                self.stats.watch_events += self.watches.fire(path) as u64;
+                let queued = match removed {
+                    Some(subtree) => self.watches.fire_removed(path, subtree),
+                    None => self.watches.fire(path),
+                };
+                self.stats.watch_events += queued as u64;
             }
             if let Some(path) = also_fire {
                 self.stats.watch_events += self.watches.fire(path) as u64;
@@ -378,36 +382,44 @@ impl XenStore {
     // Writes
     // ------------------------------------------------------------------
 
-    fn apply_live(&mut self, dom: DomId, op: TxnOp) -> Result<()> {
+    /// Run `mutate`, a direct op on `path`, on the live tree, and settle
+    /// what it changed.
+    fn apply_live(
+        &mut self,
+        path: &Path,
+        mutate: impl FnOnce(&mut Tree, &mut TreeDiff) -> Result<()>,
+    ) -> Result<()> {
+        self.stats.ops += 1;
         // The mutator reports what it changed; that record drives both
         // watch delivery and quota accounting.
         let mut effects = std::mem::take(&mut self.effects);
-        let path = op.path().clone();
-        let result = op.apply_into(&mut self.tree, dom, &mut effects);
+        let result = mutate(&mut self.tree, &mut effects);
         // Watches fire only for completed ops — and always for the op's
         // own path, even when the op was a no-op (same-value write, mkdir
         // of an existing node), as in the real protocol. A failed op
         // changed nothing, so it has nothing to settle either.
-        self.settle(&effects, result.is_ok(), Some(&path));
+        self.settle(&effects, result.is_ok(), Some(path));
         self.recycle(effects);
         result
     }
 
     fn apply(&mut self, dom: DomId, tx: Option<TxId>, op: TxnOp) -> Result<()> {
+        let Some(id) = tx else {
+            let path = op.path().clone();
+            return self.apply_live(&path, |tree, effects| op.apply_into(tree, dom, effects));
+        };
         self.stats.ops += 1;
-        match tx {
-            None => self.apply_live(dom, op),
-            Some(id) => {
-                let txn = self.txn_mut(id)?;
-                if txn.dom != dom {
-                    return Err(Error::PermissionDenied(op.path().to_string()));
-                }
-                txn.apply(op)
-            }
+        let txn = self.txn_mut(id)?;
+        if txn.dom != dom {
+            return Err(Error::PermissionDenied(op.path().to_string()));
         }
+        txn.apply(op)
     }
 
     /// Write a value (creating the node and missing ancestors if needed).
+    /// A direct write lends the value to the tree, which copies it into the
+    /// node's own buffer, and not at all if the node holds it already; a
+    /// transaction logs its own copy.
     pub fn write(
         &mut self,
         dom: DomId,
@@ -417,14 +429,15 @@ impl XenStore {
     ) -> Result<()> {
         let path = path.into_path()?;
         self.check_node_quota(dom, tx, &path)?;
-        self.apply(
-            dom,
-            tx,
-            TxnOp::Write {
-                path,
-                value: value.to_vec(),
-            },
-        )
+        match tx {
+            None => self.apply_live(&path, |tree, effects| {
+                tree.write(dom, &path, value, effects)
+            }),
+            Some(_) => {
+                let value = value.to_vec();
+                self.apply(dom, tx, TxnOp::Write { path, value })
+            }
+        }
     }
 
     /// Create an empty node.
@@ -1042,6 +1055,14 @@ mod tests {
         // Destroying a domain drops its open transaction with its home.
         xs.transaction_start(DomId(9)).unwrap();
         xs.domain_destroyed(DomId(9));
+        assert_held_alone(&xs);
+        // A wide directory shrunk back to one chunk while a snapshot shared
+        // it holds that chunk's copy alone once the snapshot goes.
+        let t = xs.transaction_start(DomId::DOM0).unwrap();
+        for i in 20..2 * crate::children::CHUNK_MAX {
+            drop(xs.rm(DomId::DOM0, None, &format!("/local/domain/{i}")));
+        }
+        xs.transaction_end(DomId::DOM0, t, false).unwrap();
         assert_held_alone(&xs);
     }
 

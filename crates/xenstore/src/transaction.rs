@@ -26,7 +26,6 @@ use crate::error::Result;
 use crate::path::Path;
 use crate::perms::{DomId, Permissions};
 use crate::tree::{Tree, TreeDiff};
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// The kind of dependency a transaction recorded on a path.
@@ -111,13 +110,10 @@ impl TxnOp {
     }
 
     /// [`TxnOp::apply_to`] for an operation nobody needs afterwards: the
-    /// value or permissions it carries move into the tree instead of being
-    /// copied into it.
+    /// permissions it carries move into the tree instead of being copied
+    /// into it.
     pub fn apply_into(self, tree: &mut Tree, dom: DomId, effects: &mut TreeDiff) -> Result<()> {
         match self {
-            TxnOp::Write { path, value } => {
-                tree.write_value(dom, &path, Cow::Owned(value), effects)
-            }
             TxnOp::SetPerms { path, perms } => tree.set_perms(dom, &path, perms, effects),
             op => op.apply_to(tree, dom, effects),
         }
@@ -240,8 +236,9 @@ impl Transaction {
                 *node_gain += if by > 0 { 1 } else { -1 };
             }
         });
-        let topmost = effects.added.first().or(effects.removed.first());
-        if let Some(dir) = topmost.and_then(|(path, _)| path.parent()) {
+        let added = effects.added.first().map(|(path, _)| path);
+        let topmost = added.or(effects.removed.first().map(|(path, _)| path));
+        if let Some(dir) = topmost.and_then(Path::parent) {
             self.note_dir_read(&dir);
         }
         self.write_log.push(op);
@@ -297,7 +294,7 @@ impl Transaction {
     /// advanced concurrently. The engines decide *whether* the merge is
     /// safe; this method performs it.
     ///
-    /// Removals are applied first (topmost removed node per subtree), then
+    /// Removals are applied first (the root of each removed subtree), then
     /// creations and value updates in depth-first order (parents before
     /// children) — writes to concurrently removed nodes recreate them with
     /// the snapshot's permissions, matching the remove-then-write serial
@@ -314,7 +311,7 @@ impl Transaction {
         // What each step changes in `live` is the caller's to work out, once
         // for the whole merge.
         let unused = &mut TreeDiff::default();
-        for path in diff.removed_roots() {
+        for (path, _) in &diff.removed {
             match live.rm(self.dom, path, unused) {
                 Ok(()) | Err(crate::error::Error::NoEntry(_)) => {}
                 Err(e) => return Err(e),

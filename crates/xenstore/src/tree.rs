@@ -32,27 +32,30 @@
 //! the tree and linked in with one insertion. A call that fails — refused,
 //! or on a missing path — reports nothing, advances no generation and
 //! changes no value, permission or stamp; but where a snapshot shared the
-//! nodes (or child-map chunks) it walked through, it may have copied them,
-//! so the tree is equal to what it was without being the same allocation.
+//! nodes (or a wide directory's chunks) it walked through, it may have
+//! copied them, so the tree is equal to what it was without being the same
+//! allocation.
 //!
 //! [`Tree::diff`] computes the structural difference between two trees,
-//! skipping shared subtrees — and, inside a directory, whole shared chunks
-//! of its [`crate::children::ChildMap`] — in O(1) via pointer equality. It
-//! is for the case no single call can report: a transaction's net effect
-//! (`base → snapshot`), and what a three-way merge onto a tree that moved
-//! meanwhile actually changed.
+//! skipping shared subtrees — and, inside a wide directory, whole shared
+//! chunks of its [`crate::children::ChildMap`] — in O(1) via pointer
+//! equality. It is for the case no single call can report: a
+//! transaction's net effect (`base → snapshot`), and what a three-way merge
+//! onto a tree that moved meanwhile actually changed.
 //!
-//! Naming what changed is kept proportional to it. A [`Path`] is a prefix of
-//! a shared buffer, so the ancestors a write creates are cut from the
-//! written path, and a removed or added subtree allocates one buffer per run
-//! of first children — a node is a prefix of its first child — not one per
-//! node; the diff builds a path only for a node it reports.
+//! Naming what changed is kept proportional to it. A removed subtree is
+//! recorded once, as its root's path and the removed node itself, which
+//! carries the rest: nobody names its descendants unless a watch asks for
+//! them. A [`Path`] is a prefix of a shared buffer, so the ancestors a write
+//! creates are cut from the written path, and an added subtree allocates
+//! one buffer per run of first children — a node is a prefix of its first
+//! child — not one per node; the diff builds a path only for a node it
+//! reports.
 
 use crate::error::{Error, Result};
 use crate::node::{Node, MAX_VALUE_LEN};
 use crate::path::Path;
 use crate::perms::{Access, DomId, Permissions};
-use std::borrow::Cow;
 use std::rc::Rc;
 
 #[cfg(test)]
@@ -72,7 +75,8 @@ pub struct Tree {
 /// [`Tree::diff`] or recorded by one mutator call. Every list is in
 /// depth-first (sorted-by-component) order, which for [`Path`]'s
 /// component-wise ordering means each list is sorted (binary-searchable)
-/// and parents always precede their descendants in `added` and `removed`.
+/// and parents always precede their descendants in `added`. `removed` holds
+/// only the roots of removed subtrees, each with the subtree.
 /// (A record that several mutator calls appended to is a log of their
 /// effects in call order, not a net difference.)
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -80,9 +84,10 @@ pub struct TreeDiff {
     /// Nodes present in `new` but not in `old`, with their owning domain in
     /// `new`.
     pub added: Vec<(Path, DomId)>,
-    /// Nodes present in `old` but not in `new`, with their owning domain in
-    /// `old`. A removed subtree contributes every removed descendant.
-    pub removed: Vec<(Path, DomId)>,
+    /// Subtrees present in `old` but not in `new`, each once: the path of
+    /// its root, whose parent is in `new`, and the root node as it was in
+    /// `old`, which holds the removed descendants.
+    pub removed: Vec<(Path, Rc<Node>)>,
     /// Nodes present in both whose value differs.
     pub value_changed: Vec<Path>,
     /// Nodes present in both whose permissions differ, with their owning
@@ -100,9 +105,9 @@ impl TreeDiff {
     }
 
     /// Total number of recorded changes (a node changing both value and
-    /// permissions counts twice).
+    /// permissions counts twice, and a removed subtree once per node).
     pub fn len(&self) -> usize {
-        self.added.len() + self.removed.len() + self.value_changed.len() + self.perms_changed.len()
+        self.counts().iter().sum()
     }
 
     /// Forget every recorded change, keeping the lists' buffers.
@@ -113,27 +118,34 @@ impl TreeDiff {
         self.perms_changed.clear();
     }
 
-    /// Number of recorded changes of each kind: added, removed, value
-    /// changed, permissions changed.
+    /// Number of recorded changes of each kind, node by node: added,
+    /// removed, value changed, permissions changed.
     pub fn counts(&self) -> [usize; 4] {
         [
             self.added.len(),
-            self.removed.len(),
+            self.removed
+                .iter()
+                .map(|(_, node)| node.subtree_size())
+                .sum(),
             self.value_changed.len(),
             self.perms_changed.len(),
         ]
     }
 
     /// Every path that changed in any way, in sorted order, each once — the
-    /// paths the store fires watches for after a mutation. A merge of the
-    /// four lists, so each must be sorted and hold a path once, as
-    /// [`Tree::diff`] and any single mutator call leave them.
-    pub fn changed_paths(&self) -> impl Iterator<Item = &Path> {
+    /// paths the store fires watches for after a mutation — with the
+    /// removed subtree for a removed root. Every node of that subtree
+    /// changed too, and its paths come next in sorted order: nothing else
+    /// recorded lies below a removed root. A merge of the four lists, so
+    /// each must be sorted and hold a path once, as [`Tree::diff`] and any
+    /// single mutator call leave them.
+    pub fn changed(&self) -> impl Iterator<Item = (&Path, Option<&Node>)> {
         let mut at = [0; 4];
         std::iter::from_fn(move || {
+            let removed = self.removed.get(at[1]);
             let heads = [
                 self.added.get(at[0]).map(|(path, _)| path),
-                self.removed.get(at[1]).map(|(path, _)| path),
+                removed.map(|(path, _)| path),
                 self.value_changed.get(at[2]),
                 self.perms_changed.get(at[3]).map(|(path, _, _)| path),
             ];
@@ -142,7 +154,8 @@ impl TreeDiff {
             for (at, head) in at.iter_mut().zip(heads) {
                 *at += usize::from(head == Some(least));
             }
-            Some(least)
+            let subtree = removed.filter(|(path, _)| path == least);
+            Some((least, subtree.map(|(_, node)| &**node)))
         })
     }
 
@@ -155,8 +168,8 @@ impl TreeDiff {
         for (_, owner) in &self.added {
             change(*owner, 1);
         }
-        for (_, owner) in &self.removed {
-            change(*owner, -1);
+        for (_, node) in &self.removed {
+            for_each_owner(node, &mut |owner| change(owner, -1));
         }
         for (_, old_owner, new_owner) in &self.perms_changed {
             if old_owner != new_owner {
@@ -164,21 +177,6 @@ impl TreeDiff {
                 change(*new_owner, 1);
             }
         }
-    }
-
-    /// The topmost removed paths: removed nodes whose ancestors all still
-    /// exist. Removing exactly these (as subtrees) reproduces every entry
-    /// of `removed`. Linear: `removed` is emitted depth-first with each
-    /// subtree contiguous and root-first, so a path belongs to the current
-    /// root's subtree iff that root is a prefix of it.
-    pub fn removed_roots(&self) -> Vec<&Path> {
-        let mut roots: Vec<&Path> = Vec::new();
-        for (path, _) in &self.removed {
-            if !roots.last().is_some_and(|root| root.is_prefix_of(path)) {
-                roots.push(path);
-            }
-        }
-        roots
     }
 }
 
@@ -388,8 +386,9 @@ impl Tree {
     }
 
     /// The body of [`Tree::write`] (`value` given) and [`Tree::mkdir`]
-    /// (`None`: an existing node is left alone, a new one is empty). A value
-    /// the caller owns is moved into the node, a borrowed one copied.
+    /// (`None`: an existing node is left alone, a new one is empty). The
+    /// value is copied into a new node, and into an existing one's own
+    /// buffer unless it holds the value already.
     ///
     /// One descent, copying on the way down whatever a snapshot shares,
     /// reaches the node or else the deepest ancestor that exists (the
@@ -400,7 +399,7 @@ impl Tree {
         &mut self,
         dom: DomId,
         path: &Path,
-        value: Option<Cow<'_, [u8]>>,
+        value: Option<&[u8]>,
         effects: &mut TreeDiff,
     ) -> Result<()> {
         // `node` is the node itself, or else the anchor, `found` components
@@ -415,12 +414,9 @@ impl Tree {
                 return Err(Error::PermissionDenied(path.to_string()));
             }
             self.generation += 1;
-            if node.value != *value {
+            if node.value != value {
                 effects.value_changed.push(path.clone());
-                match value {
-                    Cow::Owned(value) => node.value = value,
-                    Cow::Borrowed(value) => value.clone_into(&mut node.value),
-                }
+                value.clone_into(&mut node.value);
             }
             node.modified_gen = self.generation;
             return Ok(());
@@ -455,7 +451,7 @@ impl Tree {
         path: &Path,
         depth: usize,
         names: &mut impl Iterator<Item = &'p str>,
-        value: Option<Cow<'_, [u8]>>,
+        value: Option<&[u8]>,
         effects: &mut TreeDiff,
     ) -> u64 {
         effects
@@ -463,7 +459,7 @@ impl Tree {
             .push((path.ancestor(depth), node.perms.owner()));
         let Some(name) = names.next() else {
             if let Some(value) = value {
-                node.value = value.into_owned();
+                node.value = value.to_vec();
             }
             return node.created_gen;
         };
@@ -490,18 +486,6 @@ impl Tree {
         value: &[u8],
         effects: &mut TreeDiff,
     ) -> Result<()> {
-        self.write_value(dom, path, Cow::Borrowed(value), effects)
-    }
-
-    /// [`Tree::write`] for a value the caller may already own: an owned
-    /// value becomes the node's without being copied again.
-    pub(crate) fn write_value(
-        &mut self,
-        dom: DomId,
-        path: &Path,
-        value: Cow<'_, [u8]>,
-        effects: &mut TreeDiff,
-    ) -> Result<()> {
         if path.is_root() {
             return Err(Error::Invalid("cannot write to the root node".into()));
         }
@@ -520,9 +504,9 @@ impl Tree {
         self.put(dom, path, None, effects)
     }
 
-    /// Remove a node and its entire subtree, appending every removed node
-    /// to `effects`. Removing a missing node returns `ENOENT`; removing
-    /// the root is invalid.
+    /// Remove a node and its entire subtree, appending the subtree to
+    /// `effects`. Removing a missing node returns `ENOENT`; removing the
+    /// root is invalid.
     pub fn rm(&mut self, dom: DomId, path: &Path, effects: &mut TreeDiff) -> Result<()> {
         let (Some(parent), Some(name)) = (path.parent(), path.basename()) else {
             return Err(Error::Invalid("cannot remove the root node".into()));
@@ -532,8 +516,9 @@ impl Tree {
             return Err(missing());
         };
         let at = parent_node.children.find(name).ok_or_else(missing)?;
-        // The removal copies the chunk holding the node if a snapshot shares
-        // it, so reading the node's permissions through it costs nothing.
+        // In a wide directory the removal copies the chunk holding the node
+        // if a snapshot shares it, so reading the node's permissions through
+        // it costs nothing more.
         let target = parent_node.children.at_mut(at);
         if !target.perms.check(dom, Access::Write) {
             return Err(Error::PermissionDenied(path.to_string()));
@@ -541,11 +526,7 @@ impl Tree {
         let removed = parent_node.children.remove_at(at);
         self.generation += 1;
         parent_node.children_gen = self.generation;
-        effects.removed.push((path.clone(), removed.perms.owner()));
-        if !removed.is_leaf() {
-            let mut text = scratch_text(path);
-            record_children(&removed, &mut text, &mut effects.removed);
-        }
+        effects.removed.push((path.clone(), removed));
         Ok(())
     }
 
@@ -637,7 +618,8 @@ impl Tree {
                     }
                     (Some((name, old_child)), None) => {
                         push_component(text, here, name);
-                        record_subtree(old_child, text, &mut diff.removed);
+                        let root = Path::from_canonical(text);
+                        diff.removed.push((root, Rc::clone(old_child)));
                     }
                     (None, Some((name, new_child))) => {
                         push_component(text, here, name);
@@ -748,13 +730,26 @@ fn record_run(
     }
 }
 
-/// Append every descendant of `node`, whose path has the canonical text
-/// `text`, to `out`, depth-first in name order.
-fn record_children(node: &Node, text: &mut String, out: &mut Vec<(Path, DomId)>) {
-    let here = text.len();
-    for (name, child) in node.children.iter() {
-        push_component(text, here, name);
-        record_subtree(child, text, out);
+/// Call `f` with the canonical text of every node of the subtree `node`,
+/// whose path is `root`, depth-first in name order.
+pub(crate) fn for_each_path(root: &Path, node: &Node, mut f: impl FnMut(&str)) {
+    fn walk(node: &Node, text: &mut String, f: &mut impl FnMut(&str)) {
+        f(text);
+        let here = text.len();
+        for (name, child) in node.children.iter() {
+            push_component(text, here, name);
+            walk(child, text, f);
+        }
+        text.truncate(here);
+    }
+    walk(node, &mut scratch_text(root), &mut f);
+}
+
+/// Call `f` with the owner of every node of the subtree `node`.
+fn for_each_owner(node: &Node, f: &mut impl FnMut(DomId)) {
+    f(node.perms.owner());
+    for child in node.children.values() {
+        for_each_owner(child, f);
     }
 }
 
@@ -777,6 +772,21 @@ mod tests {
 
     fn p(s: &str) -> Path {
         Path::parse(s).unwrap()
+    }
+
+    /// Every removed node, each with its owner, as a record that named each
+    /// node would list them: the removed subtrees expanded by the walk that
+    /// names an added subtree.
+    fn per_node(removed: &[(Path, Rc<Node>)]) -> Vec<(Path, DomId)> {
+        let mut out = Vec::new();
+        for (root, node) in removed {
+            record_subtree(node, &mut scratch_text(root), &mut out);
+        }
+        out
+    }
+
+    fn texts<'a>(paths: impl IntoIterator<Item = &'a Path>) -> Vec<String> {
+        paths.into_iter().map(Path::to_string).collect()
     }
 
     #[test]
@@ -1258,27 +1268,41 @@ mod tests {
         .unwrap();
 
         let d = Tree::diff(&old, &t);
-        let added: Vec<String> = d.added.iter().map(|(p, _)| p.to_string()).collect();
-        let removed: Vec<String> = d.removed.iter().map(|(p, _)| p.to_string()).collect();
-        assert_eq!(added, vec!["/fresh", "/fresh/y"]);
-        assert_eq!(removed, vec!["/gone", "/gone/x"]);
+        assert_eq!(
+            texts(d.added.iter().map(|(p, _)| p)),
+            ["/fresh", "/fresh/y"]
+        );
+        // A removed subtree is its root, holding the rest.
+        assert_eq!(texts(d.removed.iter().map(|(p, _)| p)), ["/gone"]);
+        assert!(Rc::ptr_eq(
+            &d.removed[0].1,
+            old.root.children.get("gone").unwrap()
+        ));
+        assert_eq!(
+            texts(per_node(&d.removed).iter().map(|(p, _)| p)),
+            ["/gone", "/gone/x"]
+        );
+        assert_eq!(d.counts(), [2, 2, 1, 1]);
+        assert_eq!(d.len(), 6);
         assert_eq!(d.value_changed, vec![p("/edit")]);
         assert_eq!(
             d.perms_changed,
             vec![(p("/keep"), DomId::DOM0, DomId::DOM0)]
         );
-        // Removed roots collapse the subtree to its topmost node.
-        assert_eq!(d.removed_roots(), vec![&p("/gone")]);
-        // changed_paths is the sorted union.
+        // `changed` is the sorted union, the removed root carrying its
+        // subtree.
+        let changed: Vec<(String, Option<usize>)> = d
+            .changed()
+            .map(|(path, removed)| (path.to_string(), removed.map(Node::subtree_size)))
+            .collect();
         assert_eq!(
-            d.changed_paths().cloned().collect::<Vec<_>>(),
-            vec![
-                p("/edit"),
-                p("/fresh"),
-                p("/fresh/y"),
-                p("/gone"),
-                p("/gone/x"),
-                p("/keep")
+            changed,
+            [
+                ("/edit".to_string(), None),
+                ("/fresh".to_string(), None),
+                ("/fresh/y".to_string(), None),
+                ("/gone".to_string(), Some(2)),
+                ("/keep".to_string(), None)
             ]
         );
     }
@@ -1317,9 +1341,7 @@ mod tests {
         assert_eq!(d.added, sorted);
         assert!(d.value_changed.is_sorted());
         assert!(d.perms_changed.is_sorted());
-        let mut sorted = d.removed.clone();
-        sorted.sort();
-        assert_eq!(d.removed, sorted);
+        assert!(d.removed.is_sorted_by_key(|(path, _)| path));
     }
 
     #[test]
@@ -1340,12 +1362,16 @@ mod tests {
             .unwrap();
         let d = Tree::diff(&old, &t);
         // /a/x (+deep) and /b (+z) removed; /a/y and /keep untouched.
-        assert_eq!(d.removed.len(), 4);
-        assert_eq!(d.removed_roots(), vec![&p("/a/x"), &p("/b")]);
+        assert_eq!(texts(d.removed.iter().map(|(p, _)| p)), ["/a/x", "/b"]);
+        assert_eq!(d.counts()[1], 4);
+        assert_eq!(
+            texts(per_node(&d.removed).iter().map(|(p, _)| p)),
+            ["/a/x", "/a/x/deep", "/b", "/b/z"]
+        );
     }
 
     #[test]
-    fn a_removed_subtree_names_each_run_of_first_children_from_one_buffer() {
+    fn a_removal_names_one_path_and_an_added_subtree_one_buffer_per_run() {
         let mut t = Tree::new();
         for leaf in ["a/b/c", "a/b/d", "a/e", "f"] {
             let path = p(&format!("/top/r/{leaf}"));
@@ -1353,11 +1379,17 @@ mod tests {
                 .unwrap();
         }
         let before = t.clone();
+        let r = p("/top/r");
         let mut effects = TreeDiff::default();
-        t.rm(DomId::DOM0, &p("/top/r"), &mut effects).unwrap();
-        let removed: Vec<String> = effects.removed.iter().map(|(p, _)| p.to_string()).collect();
+        t.rm(DomId::DOM0, &r, &mut effects).unwrap();
+        // One entry: the op's own path and the node it unlinked, not a copy.
+        assert_eq!(effects.removed.len(), 1);
+        assert_eq!(effects.removed[0].0, r);
+        let node = before.get(&r).unwrap();
+        assert!(std::ptr::eq(&*effects.removed[0].1, node));
+        assert_eq!(effects.counts(), [0, 7, 0, 0]);
         assert_eq!(
-            removed,
+            texts(per_node(&effects.removed).iter().map(|(p, _)| p)),
             [
                 "/top/r",
                 "/top/r/a",
@@ -1368,19 +1400,16 @@ mod tests {
                 "/top/r/f"
             ]
         );
-        let shares = |a: usize, b: usize| {
-            effects.removed[a]
-                .0
-                .shares_buffer_with(&effects.removed[b].0)
-        };
-        // a, a/b and a/b/c are one run; d, e and f each start their own.
-        assert!(shares(1, 2) && shares(2, 3));
+        // The structural diff records it the same way.
+        assert_eq!(Tree::diff(&before, &t), effects);
+        // Added the other way round, the subtree is named node by node:
+        // a, a/b and a/b/c are one run cut from the buffer of r's; d, e and
+        // f each start their own.
+        let added = Tree::diff(&t, &before).added;
+        assert_eq!(added, per_node(&effects.removed));
+        let shares = |a: usize, b: usize| added[a].0.shares_buffer_with(&added[b].0);
+        assert!(shares(0, 1) && shares(1, 2) && shares(2, 3));
         assert!(!shares(3, 4) && !shares(4, 5) && !shares(5, 6) && !shares(1, 6));
-        // The structural diff names them the same way, from the root down.
-        let diff = Tree::diff(&before, &t);
-        assert_eq!(diff.removed, effects.removed);
-        let shares = |a: usize, b: usize| diff.removed[a].0.shares_buffer_with(&diff.removed[b].0);
-        assert!(shares(0, 1) && shares(1, 3) && !shares(3, 4));
     }
 
     #[test]
@@ -1406,7 +1435,7 @@ mod tests {
         let d = Tree::diff(&old, &t);
         assert_eq!(d.added, vec![(p("/local/domain/7/k"), DomId(7))]);
         let back = Tree::diff(&t, &old);
-        assert_eq!(back.removed, vec![(p("/local/domain/7/k"), DomId(7))]);
+        assert_eq!(per_node(&back.removed), d.added);
     }
 
     #[test]
@@ -1426,13 +1455,15 @@ mod tests {
 
     /// The diff with no shortcuts: every path of either tree, looked up in
     /// both. `all_paths` is depth-first in sorted order, so the lists come
-    /// out in the order `Tree::diff` promises.
+    /// out in the order `Tree::diff` promises. A removed node whose parent
+    /// is still there is a removed subtree's root.
     fn reference_diff(old: &Tree, new: &Tree) -> TreeDiff {
         let mut diff = TreeDiff::default();
         for path in old.all_paths() {
             let before = old.get(&path).unwrap();
             match new.get(&path) {
-                None => diff.removed.push((path, before.perms.owner())),
+                None if path.parent().is_some_and(|parent| !new.exists(&parent)) => {}
+                None => diff.removed.push((path, Rc::new(before.clone()))),
                 Some(after) => {
                     if before.value != after.value {
                         diff.value_changed.push(path.clone());
@@ -1500,24 +1531,26 @@ mod tests {
                     let diff = Tree::diff(from, to);
                     assert_eq!(diff, reference_diff(from, to), "seed {seed}");
                     assert!(diff.added.is_sorted());
-                    assert!(diff.removed.is_sorted());
+                    assert!(diff.removed.is_sorted_by_key(|(path, _)| path));
                     assert!(diff.value_changed.is_sorted());
                     assert!(diff.perms_changed.is_sorted());
-                    // Contiguity: the roots, each with its whole subtree
-                    // right behind it, are all of `removed`.
-                    let regrown: usize = diff
-                        .removed_roots()
-                        .iter()
-                        .map(|root| {
-                            let at = diff.removed.binary_search_by(|(p, _)| p.cmp(root));
-                            let subtree = &diff.removed[at.unwrap()..];
-                            subtree
-                                .iter()
-                                .take_while(|(p, _)| root.is_prefix_of(p))
-                                .count()
-                        })
-                        .sum();
-                    assert_eq!(regrown, diff.removed.len());
+                    // Each removed subtree is the node `from` held there.
+                    for (root, node) in &diff.removed {
+                        assert!(std::ptr::eq(&**node, from.get(root).unwrap()));
+                    }
+                    // Expanded node by node, the subtrees are every path of
+                    // `from` that `to` lacks.
+                    let gone: Vec<Path> = from
+                        .all_paths()
+                        .into_iter()
+                        .filter(|path| !to.exists(path))
+                        .collect();
+                    let expanded: Vec<Path> = per_node(&diff.removed)
+                        .into_iter()
+                        .map(|(p, _)| p)
+                        .collect();
+                    assert_eq!(expanded, gone);
+                    assert_eq!(diff.counts()[1], gone.len());
                 }
             }
         }

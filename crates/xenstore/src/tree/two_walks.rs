@@ -44,7 +44,7 @@ impl Tree {
         &mut self,
         dom: DomId,
         path: &Path,
-        value: Option<Cow<'_, [u8]>>,
+        value: Option<&[u8]>,
         effects: &mut TreeDiff,
     ) -> Result<()> {
         let mut below = path.components();
@@ -70,12 +70,9 @@ impl Tree {
             }
             let gen = self.bump();
             let node = descend_mut_again(&mut self.root, path.components()).expect("found above");
-            if node.value != *value {
+            if node.value != value {
                 effects.value_changed.push(path.clone());
-                match value {
-                    Cow::Owned(value) => node.value = value,
-                    Cow::Borrowed(value) => value.clone_into(&mut node.value),
-                }
+                value.clone_into(&mut node.value);
             }
             node.modified_gen = gen;
             return Ok(());
@@ -103,7 +100,7 @@ impl Tree {
             node = Rc::make_mut(node.children.at_mut(at));
         }
         if let Some(value) = value {
-            node.value = value.into_owned();
+            node.value = value.to_vec();
         }
         self.generation = gen;
         Ok(())
@@ -119,11 +116,7 @@ impl Tree {
             descend_mut_again(&mut self.root, parent.components()).expect("parent exists");
         let at = parent_node.children.find(name);
         if let Some(removed) = at.map(|at| parent_node.children.remove_at(at)) {
-            effects.removed.push((path.clone(), removed.perms.owner()));
-            if !removed.is_leaf() {
-                let mut text = scratch_text(path);
-                record_children(&removed, &mut text, &mut effects.removed);
-            }
+            effects.removed.push((path.clone(), removed));
         }
         parent_node.children_gen = gen;
         Ok(())
@@ -236,12 +229,7 @@ fn one_walk_mutators_equal_the_two_walk_reference_with_and_without_a_snapshot() 
             let (result, reference_result) = match &op {
                 Op::Write(path, value) => (
                     tree.write(dom, path, &[*value], &mut effects),
-                    reference.put_two_walks(
-                        dom,
-                        path,
-                        Some(Cow::Borrowed(&[*value])),
-                        &mut expected,
-                    ),
+                    reference.put_two_walks(dom, path, Some(&[*value]), &mut expected),
                 ),
                 Op::Mkdir(path) => (
                     tree.mkdir(dom, path, &mut effects),

@@ -12,8 +12,10 @@
 //! state.
 
 use crate::error::{Error, Result};
+use crate::node::Node;
 use crate::path::Path;
 use crate::perms::DomId;
+use crate::tree::for_each_path;
 use std::collections::{BTreeMap, VecDeque};
 
 /// A registered watch.
@@ -97,19 +99,31 @@ impl WatchManager {
     /// Queues an event for every watch whose path is a prefix of `changed`.
     /// Returns the number of events queued.
     pub fn fire(&mut self, changed: &Path) -> usize {
-        let mut queued = 0;
-        // Registration order, so each domain's queue fills in the order
-        // its watches were registered.
-        for watch in &self.watches {
-            if watch.path.is_prefix_of(changed) {
-                let event = WatchEvent {
-                    path: changed.clone(),
-                    token: watch.token.clone(),
-                };
-                self.queues.entry(watch.dom).or_default().push_back(event);
-                queued += 1;
-            }
+        queue_events(&self.watches, &mut self.queues, changed.text(), || {
+            changed.clone()
+        })
+    }
+
+    /// Notify the manager that the subtree `node`, whose root was at `root`,
+    /// was removed: [`WatchManager::fire`] for each node of it, depth-first
+    /// in name order. Returns the number of events queued. A subtree that no
+    /// watch is on, above or below queues nothing and names no node.
+    pub fn fire_removed(&mut self, root: &Path, node: &Node) -> usize {
+        let concerned = |w: &Watch| w.path.is_prefix_of(root) || root.is_prefix_of(&w.path);
+        if !self.watches.iter().any(concerned) {
+            return 0;
         }
+        let (watches, queues) = (&self.watches, &mut self.queues);
+        let mut queued = 0;
+        for_each_path(root, node, |text| {
+            queued += queue_events(watches, queues, text, || {
+                if text.len() == root.text().len() {
+                    root.clone()
+                } else {
+                    Path::from_canonical(text)
+                }
+            });
+        });
         queued
     }
 
@@ -132,6 +146,37 @@ impl WatchManager {
         self.watches.retain(|w| w.dom != dom);
         self.queues.remove(&dom);
     }
+}
+
+/// Queue an event for every watch on the path whose canonical text is
+/// `text` or above it, naming the path with the one `path` builds (once, and
+/// only if a watch is there). Returns the number of events queued.
+fn queue_events(
+    watches: &[Watch],
+    queues: &mut BTreeMap<DomId, VecDeque<WatchEvent>>,
+    text: &str,
+    path: impl FnOnce() -> Path,
+) -> usize {
+    let mut matching = watches
+        .iter()
+        .filter(|watch| watch.path.is_prefix_of_text(text))
+        .peekable();
+    if matching.peek().is_none() {
+        return 0;
+    }
+    let changed = path();
+    let mut queued = 0;
+    // Registration order, so each domain's queue fills in the order its
+    // watches were registered.
+    for watch in matching {
+        let event = WatchEvent {
+            path: changed.clone(),
+            token: watch.token.clone(),
+        };
+        queues.entry(watch.dom).or_default().push_back(event);
+        queued += 1;
+    }
+    queued
 }
 
 #[cfg(test)]

@@ -369,11 +369,27 @@ fn a_cold_start_stays_inside_its_allocation_budget() {
     // outside tests, moved the bytes down from 9,171,339 by 2,552: a
     // `Domain` is 8 bytes smaller, and the toolstack's map of domains
     // allocates its B-tree nodes during the run.
+    //
+    // A store directory holding its entries itself, and a removal recording
+    // each removed subtree once, moved it down from 90,414 allocations and
+    // 9,168,787 bytes to 76,291 and 8,478,619 (572 to 482 a launch): a
+    // directory of up to 64 children is its node's own entry buffer, not a
+    // buffer behind an `Rc` the path copy shares and the next mutation
+    // copies, and a new directory's buffer starts with room for four; a
+    // removal names its root and keeps the node it unlinked, where it named
+    // every node of the subtree (`create_domain` 157 -> 138,
+    // `destroy_domain` 22 -> 3, the `rm` 8 -> 2).
+    // A direct write lending its value to the tree instead of copying it
+    // into a logged op, and a flow's state change no longer copying its
+    // metadata, moved it on to 73,561 and 8,362,485 (465 a launch): an
+    // overwrite copies into the node's own buffer, and not at all when the
+    // node holds the value already (`create_domain` 138 -> 135,
+    // `destroy_domain` 3 -> 1).
     assert_eq!(
         cell,
         Cell {
-            allocations: 90_414,
-            bytes: 9_168_787,
+            allocations: 73_561,
+            bytes: 8_362_485,
             launches: 158,
             xenstore_ops: 11_861,
         },
@@ -382,29 +398,34 @@ fn a_cold_start_stays_inside_its_allocation_budget() {
         cell.bytes / cell.launches
     );
     assert!(cell.allocations <= 900 * cell.launches);
-    // What is left of a write to an existing key is the value, and the
-    // path when it is given as text and parsed; a read is the copied value,
-    // and the parsed path likewise, and `read_with` lends the value out
-    // and allocates nothing. A created node is its `Rc`, its name, and for
-    // a directory the chunk and buffer of its first child; a record is its
-    // one buffer, and so is a built domain's device tree.
+    // What is left of a write to an existing key is the path when it is
+    // given as text and parsed: the value is copied into the node's buffer.
+    // A read is the copied value, and the parsed path likewise, and
+    // `read_with` lends the value out and allocates nothing. A created node
+    // is its `Rc`, its name, its value, and for a directory the entry
+    // buffer of its first child; a removal is the parsed path and the
+    // record's buffer, whatever the subtree; a TCB record is its one buffer,
+    // and so is a built domain's device tree. (2, 1, 5, 21, 46 and 8 for the
+    // writes, the transaction and the `rm` until a directory held its own
+    // entries, a direct write lent its value and a removal named its root
+    // alone.)
     assert_eq!(
         ops,
         Operations {
-            write_existing: 2,
-            write_existing_path: 1,
-            write_new_leaf: 5,
-            write_new_leaf_and_four_ancestors: 21,
+            write_existing: 1,
+            write_existing_path: 0,
+            write_new_leaf: 4,
+            write_new_leaf_and_four_ancestors: 16,
             read: 2,
             read_path: 1,
             read_with: 0,
-            txn_three_writes_five_nodes: 46,
-            rm_six_nodes: 8,
+            txn_three_writes_five_nodes: 40,
+            rm_six_nodes: 2,
             tcb_to_sexp: 1,
             tcb_from_sexp: 1,
             domain_build: 2,
-            create_domain: 157,
-            destroy_domain: 22,
+            create_domain: 135,
+            destroy_domain: 1,
         }
     );
     let per_created_ancestor =

@@ -258,12 +258,18 @@ fn the_last_cycle_costs_what_the_first_did_and_leaves_the_host_as_it_found_it() 
     // `String`s and `Vec`s, encoded it into a growing buffer and dropped
     // both, and `format!`ed the command line; and until the launcher
     // stopped cloning the service's name into a field nothing read.
-    assert_eq!(cycle_before, 493);
+    // 493 until a store directory held its own entries, a removal recorded
+    // each removed subtree by its root instead of naming every node, and a
+    // direct write lent its value to the tree: the cycle's directories no
+    // longer put their entries behind an `Rc` a mutation copies, its domain
+    // teardown names no removed node, and its overwrites copy into the
+    // node's own buffer.
+    assert_eq!(cycle_before, 400);
     // Inside the storm, allocations per launch follow the mix of queries —
     // a warm hit or a coalesced query allocates and launches nothing, and
     // the first tenth saw 2.148 queries per launch, the last 2.203 — so the
     // two tenths are pinned side by side rather than held equal; the third
-    // tenth, with 2.198, reads 579. (Before HTTP messages became views the
+    // tenth, with 2.198, reads 472. (Before HTTP messages became views the
     // three read 821, 826 and 831, 798, 802 and 807 until static pages were
     // served as pre-built responses, 793, 798 and 802 until `read_string`
     // stopped copying the values it reads, 784, 788 and 793 until the
@@ -274,7 +280,9 @@ fn the_last_cycle_costs_what_the_first_did_and_leaves_the_host_as_it_found_it() 
     // operations took built `Path`s instead of formatted and parsed text,
     // and 621, 624 and 627 until a domain build wrote its device tree
     // straight into its DTB bytes and a launch stopped cloning the
-    // service's name into a field nothing read.)
+    // service's name into a field nothing read, and 573, 576 and 579 until
+    // a store directory held its own entries, a removal named its root
+    // alone and a direct write lent its value to the tree.)
     let tenth = |from: usize| {
         let (a, b) = (marks[from], marks[from + TENTH]);
         (b.allocations - a.allocations, b.launches - a.launches)
@@ -282,7 +290,7 @@ fn the_last_cycle_costs_what_the_first_did_and_leaves_the_host_as_it_found_it() 
     let (first, last) = (tenth(0), tenth(SLICES - TENTH));
     assert_eq!(
         (first, last),
-        ((1_033_128, 1_801), (992_069, 1_722)),
+        ((841_614, 1_801), (807_824, 1_722)),
         "{} and {} allocations per launch",
         first.0 / first.1,
         last.0 / last.1
@@ -296,21 +304,25 @@ fn the_last_cycle_costs_what_the_first_did_and_leaves_the_host_as_it_found_it() 
     // records allocated in full when the daemon was built; it has held its
     // last `TRACE_CAPACITY` records since early in the storm and is the same
     // size at both ends of the interval. `elsewhere` is not a leak but
-    // high-water marks, reached once (it reads 7,704 at 9,600 virtual
-    // seconds too): the engine's event queue grown from 32 to 256 entries to
-    // take a slice's arrivals at once (7,168), and six small buffers (536).
-    // They took 624 until the daemon's launch queue held service indices:
-    // its growth from four entries to eight kept 96 bytes of `String`s and
+    // high-water marks, reached once: the engine's event queue grown from 32
+    // to 256 entries to take a slice's arrivals at once (7,168), six small
+    // buffers (536), and the entry buffers of two store directories that
+    // grew to 22 and 8 children at the storm's peak and are empty at the
+    // drain (480). A directory whose last child goes keeps its buffer for
+    // the next one, which saves four allocations a launch; until it did,
+    // this read 7,704, at 9,600 virtual seconds too. The small buffers
+    // took 624 until the daemon's launch queue held service indices: its
+    // growth from four entries to eight kept 96 bytes of `String`s and
     // keeps 8 of `u16`s.
     assert_eq!(
         (retained, retained.elsewhere()),
         (
             Heap {
-                live: 793_624,
+                live: 794_104,
                 recorder_ttfb: 524_032,
                 recorder_request_latency: 261_888,
             },
-            7_704
+            8_184
         ),
         "{} bytes retained per launch over {launches} launches",
         retained.live / launches as i64

@@ -9,6 +9,7 @@
 
 use jitsu_repro::prelude::*;
 use jitsu_repro::xenstore::{Path, PermLevel, Permissions, Tree, TreeDiff};
+use std::rc::Rc;
 
 const GUESTS: [DomId; 3] = [DomId(3), DomId(7), DomId(9)];
 
@@ -113,11 +114,16 @@ fn recorded_effects_equal_the_structural_diff() {
                     &mut effects,
                 ),
             };
+            let diff = Tree::diff(&before, &tree);
             assert_eq!(
-                effects,
-                Tree::diff(&before, &tree),
+                effects, diff,
                 "seed {seed} step {step}: {dom} {op:?} -> {result:?}"
             );
+            // A removed subtree is recorded as the node the tree held there,
+            // by the op and by the diff alike: neither copies it.
+            for ((_, reported), (_, found)) in effects.removed.iter().zip(&diff.removed) {
+                assert!(Rc::ptr_eq(reported, found), "seed {seed} step {step}");
+            }
             match result {
                 Err(_) => {
                     assert!(effects.is_empty(), "a refused op changes nothing");

@@ -9,13 +9,15 @@
 //! reference that re-derives both from the tree before and after: a
 //! whole-tree walk for the counts, and for the events the old recipe — every
 //! changed path sorted and deduplicated, then the op's own path if it is not
-//! among them.
+//! among them. A removed subtree, which the store records once by its root,
+//! is named there node by node, as the store's record once named it.
 
 use jitsu_repro::prelude::*;
 use jitsu_repro::xenstore::perms::Access;
 use jitsu_repro::xenstore::{
-    Path, PermLevel, Permission, Permissions, Tree, WatchEvent, WatchManager,
+    Node, Path, PermLevel, Permission, Permissions, Tree, TxId, WatchEvent, WatchManager,
 };
+use std::rc::Rc;
 
 const LEVELS: [PermLevel; 4] = [
     PermLevel::None,
@@ -99,6 +101,23 @@ fn permissions_answer_as_the_list_of_entries_they_stand_for() {
 
 const DOMS: [DomId; 3] = [DomId::DOM0, DomId(3), DomId(7)];
 
+/// Every node of the removed subtrees, each named by its own path,
+/// depth-first in name order: what the store's record of a removal listed
+/// when it named every node.
+fn per_node(removed: &[(Path, Rc<Node>)]) -> Vec<Path> {
+    fn walk(path: Path, node: &Node, out: &mut Vec<Path>) {
+        out.push(path.clone());
+        for (name, child) in node.children.iter() {
+            walk(path.child(name).expect("a stored name"), child, out);
+        }
+    }
+    let mut out = Vec::new();
+    for (root, node) in removed {
+        walk(root.clone(), node, &mut out);
+    }
+    out
+}
+
 /// A store and the reference that shadows it.
 struct Shadowed {
     xs: XenStore,
@@ -107,18 +126,23 @@ struct Shadowed {
 
 impl Shadowed {
     fn new() -> Shadowed {
-        let mut shadowed = Shadowed {
-            xs: XenStore::new(EngineKind::JitsuMerge),
-            watches: WatchManager::new(),
-        };
-        for (dom, path, token) in [
+        Shadowed::watching(&[
             (DomId::DOM0, "/", "all"),
             (DomId::DOM0, "/local/domain/3", "home3"),
             (DomId(3), "/local/domain/3", "mine"),
             (DomId(3), "/local/domain/3/data/k", "key"),
             (DomId(7), "/tool", "tool"),
             (DomId(7), "/local/domain/3/data", "peek"),
-        ] {
+        ])
+    }
+
+    /// A store with `watches` registered, and its reference.
+    fn watching(watches: &[(DomId, &str, &str)]) -> Shadowed {
+        let mut shadowed = Shadowed {
+            xs: XenStore::new(EngineKind::JitsuMerge),
+            watches: WatchManager::new(),
+        };
+        for &(dom, path, token) in watches {
             shadowed.xs.watch(dom, path, token).expect("under quota");
             let path = Path::parse(path).expect("a valid path");
             shadowed.watches.watch(dom, path, token).expect("distinct");
@@ -152,8 +176,8 @@ impl Shadowed {
         let mut changed: Vec<Path> = diff
             .added
             .iter()
-            .chain(&diff.removed)
             .map(|(path, _)| path.clone())
+            .chain(per_node(&diff.removed))
             .chain(diff.value_changed.iter().cloned())
             .chain(diff.perms_changed.iter().map(|(path, _, _)| path.clone()))
             .collect();
@@ -346,4 +370,112 @@ fn counts_and_watch_queues_follow_a_random_mix_of_direct_ops() {
             "seed {seed}: {refused} refused"
         );
     }
+}
+
+/// Where a watch may stand against the subtrees the ops below remove: on a
+/// root, above it, below it, or beside it.
+const PLACES: [(DomId, &str, &str); 10] = [
+    (DomId::DOM0, "/local", "above"),
+    (DomId::DOM0, "/local/domain/3", "home"),
+    (DomId(3), "/local/domain/3/a", "a"),
+    (DomId(3), "/local/domain/3/a/b", "a/b"),
+    (DomId(7), "/local/domain/3/a/b/k", "a/b/k"),
+    (DomId(7), "/local/domain/3/b", "b"),
+    (DomId::DOM0, "/tool", "tool"),
+    (DomId(3), "/tool/a/a", "tool/a/a"),
+    (DomId(7), "/tool/k", "tool/k"),
+    (DomId(7), "/local/domain/7", "beside"),
+];
+
+/// One random store op by `dom` on a path under the guest's home or dom0's
+/// `/tool`, one to four levels deep, so that removals take subtrees of many
+/// shapes.
+fn random_op(
+    rng: &mut SimRng,
+    xs: &mut XenStore,
+    dom: DomId,
+    tx: Option<TxId>,
+) -> (String, Outcome) {
+    let mut path = ["/local/domain/3", "/tool"][rng.index(2)].to_string();
+    for _ in 0..1 + rng.index(4) {
+        path.push_str(["/a", "/b", "/k"][rng.index(3)]);
+    }
+    let value = [rng.index(3) as u8];
+    let owner = DOMS[rng.index(2)];
+    let outcome = match rng.index(7) {
+        0 | 1 => xs.rm(dom, tx, &path),
+        2 => xs.mkdir(dom, tx, &path),
+        3 => xs.set_perms(dom, tx, &path, Permissions::owned_by(owner)),
+        _ => xs.write(dom, tx, &path, &value),
+    };
+    (path, outcome)
+}
+
+#[test]
+fn a_removed_subtree_fires_what_naming_every_node_fired() {
+    let (mut subtrees, mut wide, mut concerned_none) = (0, 0, 0);
+    for seed in 0..16 {
+        let mut rng = SimRng::seed_from_u64(0x5B7E_E000 ^ seed);
+        // Each seed watches its own few places, so that some removals have
+        // a watch on, above or below them and some have none.
+        let watches: Vec<_> = PLACES.into_iter().filter(|_| rng.chance(0.3)).collect();
+        let mut s = Shadowed::watching(&watches);
+        s.ok("a home", "/local/domain/3", |xs, p| {
+            xs.mkdir(DomId::DOM0, None, p)
+        });
+        s.ok("handed over", "/local/domain/3", |xs, p| {
+            xs.set_perms(DomId::DOM0, None, p, Permissions::owned_by(DomId(3)))
+        });
+        // A dom0 transaction is open now and then, so direct ops run on a
+        // shared tree too, and its commit lands unmoved or merged.
+        let mut open: Option<TxId> = None;
+        for step in 0..400 {
+            let what = format!("seed {seed} step {step}");
+            match rng.index(10) {
+                0 if open.is_none() => {
+                    let t = s.xs.transaction_start(DomId::DOM0).expect("dom0");
+                    for _ in 0..1 + rng.index(4) {
+                        let _ = random_op(&mut rng, &mut s.xs, DomId::DOM0, Some(t));
+                    }
+                    open = Some(t);
+                }
+                1 if open.is_some() => {
+                    let t = open.take().expect("open");
+                    // A conflict is a legitimate outcome; it changes nothing.
+                    s.batch(&what, |xs| {
+                        let _ = xs.transaction_end(DomId::DOM0, t, true);
+                    });
+                }
+                _ => {
+                    let dom = DOMS[rng.index(2)];
+                    let before = s.xs.tree().clone();
+                    // A direct op's own path fires if it succeeded.
+                    let _ = s.check(
+                        &what,
+                        |xs| random_op(&mut rng, xs, dom, None),
+                        |(path, outcome)| outcome.as_ref().ok().and(Path::parse(path).ok()),
+                    );
+                    for (root, node) in Tree::diff(&before, s.xs.tree()).removed {
+                        subtrees += 1;
+                        wide += usize::from(!node.is_leaf());
+                        let concerned = |(_, watched, _): &(DomId, &str, &str)| {
+                            let watched = Path::parse(watched).expect("valid");
+                            watched.is_prefix_of(&root) || root.is_prefix_of(&watched)
+                        };
+                        concerned_none += usize::from(!watches.iter().any(concerned));
+                    }
+                }
+            }
+        }
+    }
+    // Removals of leaves and of subtrees come up, with and without a watch
+    // concerned.
+    assert!(
+        subtrees > 400 && wide > 300,
+        "{wide} of {subtrees} removals took subtrees"
+    );
+    assert!(
+        (100..subtrees - 100).contains(&concerned_none),
+        "{concerned_none} of {subtrees} removals concerned no watch"
+    );
 }
