@@ -12,9 +12,10 @@
 //! - **Composing a frame copies its payload once**, into the one buffer that
 //!   holds `eth | ip | l4 | payload` (`Interface` sizes it up front; the
 //!   codecs' header writers append to it).
-//! - **Sealing is free.** The backing store is an `Rc<Box<[u8]>>`: sealing
-//!   moves the builder's allocation behind a reference count, a plain one
-//!   because frames never leave the simulator's thread. (An
+//! - **Sealing is free.** The backing store is an `Rc` holding the
+//!   `Box<[u8]>` and its sum's memo: sealing moves the builder's allocation
+//!   behind a reference count, a plain one because frames never leave the
+//!   simulator's thread. (An
 //!   `Rc<[u8]>` would be one allocation instead of two, but it cannot adopt
 //!   a `Vec`'s allocation: `Rc::from(vec)` allocates again and copies,
 //!   where a search for `.clone()` / `.to_vec()` cannot see it; and safe
@@ -30,14 +31,31 @@
 //!   windows that follow one another in one allocation is the view that
 //!   spans them, so a message built or parsed as head plus body emits
 //!   without a copy.
+//! - **A sealed buffer is summed at most once.** [`FrameBuf::sum`] of a view
+//!   spanning its whole allocation computes the Internet checksum's
+//!   one's-complement sum on first use and keeps it beside the bytes, which
+//!   never change; the transport writers add it instead of reading the
+//!   payload again. A stored response sent a million times is summed once.
+//!   A view of part of an allocation is summed on every call, and no
+//!   receiver consults the memo: a parser verifies every byte it is given.
 //!
 //! Copies that *must* happen (reassembly of a request split over segments)
 //! go through [`FrameBuf::copy_from_slice`] or [`FrameBuf::concat`] so the
 //! intent is visible at the call site. `tests/data_plane_budget.rs` pins
 //! what one exchange allocates, exactly.
 
+use crate::checksum;
+use std::cell::Cell;
 use std::ops::{Bound, Deref, RangeBounds};
 use std::rc::Rc;
+
+/// One sealed allocation: its bytes, exactly as long as they were sealed
+/// with (no spare capacity is kept alive), and their one's-complement sum
+/// once [`FrameBuf::sum`] has computed it.
+struct Sealed {
+    bytes: Box<[u8]>,
+    sum: Cell<Option<u32>>,
+}
 
 /// An immutable, cheaply cloneable view into shared frame bytes.
 ///
@@ -46,10 +64,8 @@ use std::rc::Rc;
 /// [`FrameBuf::empty`] is free and `const`.
 #[derive(Clone)]
 pub struct FrameBuf {
-    /// `None` iff the buffer is empty — the empty view never allocates. The
-    /// boxed slice is exactly as long as the bytes it was sealed with: a
-    /// sealed buffer keeps no spare capacity alive.
-    data: Option<Rc<Box<[u8]>>>,
+    /// `None` iff the buffer is empty — the empty view never allocates.
+    data: Option<Rc<Sealed>>,
     start: usize,
     end: usize,
 }
@@ -74,7 +90,10 @@ impl FrameBuf {
         }
         let end = bytes.len();
         FrameBuf {
-            data: Some(Rc::new(bytes.into_boxed_slice())),
+            data: Some(Rc::new(Sealed {
+                bytes: bytes.into_boxed_slice(),
+                sum: Cell::new(None),
+            })),
             start: 0,
             end,
         }
@@ -103,8 +122,26 @@ impl FrameBuf {
     /// The visible bytes as a plain slice.
     pub fn as_slice(&self) -> &[u8] {
         match &self.data {
-            Some(d) => &d[self.start..self.end],
+            Some(d) => &d.bytes[self.start..self.end],
             None => &[],
+        }
+    }
+
+    /// The one's-complement sum of the visible bytes, as
+    /// [`checksum::partial`] from a zero sum gives it. A view of its whole
+    /// allocation sums it on the first call and answers every later call,
+    /// from any view of the whole, from the sum it kept; a view of part of
+    /// an allocation is summed on every call and remembers nothing.
+    pub fn sum(&self) -> u32 {
+        match &self.data {
+            Some(d) if self.start == 0 && self.end == d.bytes.len() => {
+                d.sum.get().unwrap_or_else(|| {
+                    let sum = checksum::partial(0, &d.bytes);
+                    d.sum.set(Some(sum));
+                    sum
+                })
+            }
+            _ => checksum::partial(0, self.as_slice()),
         }
     }
 

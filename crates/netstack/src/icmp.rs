@@ -84,15 +84,16 @@ impl IcmpEcho {
     /// Append this message — header, then payload — to `out` with its
     /// checksum filled in. The one definition of the header layout:
     /// [`IcmpEcho::emit`] and `Interface`'s composed frames both write it
-    /// here.
+    /// here. The payload is read once, by the copy; its sum is
+    /// [`FrameBuf::sum`], kept by a payload that spans its whole buffer.
     pub fn write(&self, out: &mut FrameBufMut) {
         let mut header = [0u8; HEADER_LEN];
         header[0] = if self.is_request { 8 } else { 0 };
         header[4..6].copy_from_slice(&self.ident.to_be_bytes());
         header[6..8].copy_from_slice(&self.seq.to_be_bytes());
-        // The header is an even number of bytes, so summing it and the
-        // payload in turn equals summing the message.
-        let sum = checksum::partial(checksum::partial(0, &header), &self.payload);
+        // The header is an even number of bytes, so adding the payload's
+        // own sum to the header's equals summing the message.
+        let sum = checksum::partial(0, &header) + self.payload.sum();
         header[2..4].copy_from_slice(&checksum::finish(sum).to_be_bytes());
         out.extend_from_slice(&header);
         out.extend_from_slice(&self.payload);

@@ -192,8 +192,9 @@ impl TcpSegment {
     /// computed under the pseudo-header for `src`/`dst`. `len` is
     /// [`TcpSegment::wire_len`] as the caller checked it. The one definition
     /// of the header layout: [`TcpSegment::emit`] and `Interface`'s composed
-    /// frames both write it here; the payload is read twice (checksum, copy)
-    /// and written once.
+    /// frames both write it here. The payload is read once, by the copy: its
+    /// sum is [`FrameBuf::sum`], which a payload spanning its whole buffer
+    /// (a stored response) computes only the first time it is sent.
     pub fn write(&self, out: &mut FrameBufMut, src: Ipv4Addr, dst: Ipv4Addr, len: PayloadLen) {
         debug_assert_eq!(usize::from(len.get()), self.wire_len());
         let mut header = [0u8; HEADER_LEN];
@@ -204,10 +205,10 @@ impl TcpSegment {
         header[12] = HEADER_WORDS << 4;
         header[13] = self.flags.to_bits();
         header[14..16].copy_from_slice(&self.window.to_be_bytes());
-        // The header is an even number of bytes, so summing it and the
-        // payload in turn equals summing the segment.
+        // The header is an even number of bytes, so adding the payload's
+        // own sum to the header's equals summing the segment.
         let sum = checksum::pseudo_header(src.0, dst.0, 6, len.get());
-        let sum = checksum::partial(checksum::partial(sum, &header), &self.payload);
+        let sum = checksum::partial(sum, &header) + self.payload.sum();
         header[16..18].copy_from_slice(&checksum::finish(sum).to_be_bytes());
         out.extend_from_slice(&header);
         out.extend_from_slice(&self.payload);

@@ -76,17 +76,19 @@ impl UdpDatagram {
     /// computed under the pseudo-header for `src`/`dst`. `len` is
     /// [`UdpDatagram::wire_len`] as the caller checked it. The one
     /// definition of the header layout: [`UdpDatagram::emit`] and
-    /// `Interface`'s composed frames both write it here.
+    /// `Interface`'s composed frames both write it here. The payload is read
+    /// once, by the copy; its sum is [`FrameBuf::sum`], kept by a payload
+    /// that spans its whole buffer.
     pub fn write(&self, out: &mut FrameBufMut, src: Ipv4Addr, dst: Ipv4Addr, len: PayloadLen) {
         debug_assert_eq!(usize::from(len.get()), self.wire_len());
         let mut header = [0u8; HEADER_LEN];
         header[0..2].copy_from_slice(&self.src_port.to_be_bytes());
         header[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
         header[4..6].copy_from_slice(&len.get().to_be_bytes());
-        // The header is an even number of bytes, so summing it and the
-        // payload in turn equals summing the datagram.
+        // The header is an even number of bytes, so adding the payload's
+        // own sum to the header's equals summing the datagram.
         let sum = checksum::pseudo_header(src.0, dst.0, 17, len.get());
-        let sum = checksum::partial(checksum::partial(sum, &header), &self.payload);
+        let sum = checksum::partial(sum, &header) + self.payload.sum();
         let mut c = checksum::finish(sum);
         if c == 0 {
             c = 0xffff; // 0 is reserved for "no checksum"

@@ -3,25 +3,6 @@
 use crate::cost::CostModel;
 use jitsu_sim::SimDuration;
 
-/// Processor architecture of a board.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Arch {
-    /// ARM v7-A with the Virtualization Extensions (Cubieboards).
-    Arm,
-    /// x86-64 with VT-x (the comparison server and the NUC).
-    X86,
-}
-
-impl Arch {
-    /// Short label used in figures.
-    pub fn label(self) -> &'static str {
-        match self {
-            Arch::Arm => "ARM",
-            Arch::X86 => "x86",
-        }
-    }
-}
-
 /// The specific hardware platforms used in the paper's evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BoardKind {
@@ -59,8 +40,6 @@ pub struct Board {
     pub kind: BoardKind,
     /// Marketing name used in tables.
     pub name: &'static str,
-    /// Processor architecture.
-    pub arch: Arch,
     /// Number of physical CPU cores.
     pub cores: u32,
     /// RAM in MiB.
@@ -80,19 +59,18 @@ impl Board {
         const ARM: CostModel = CostModel::new(6.0);
         const X86: CostModel = CostModel::new(1.0);
         const NUC: CostModel = CostModel::new(1.2);
-        let (name, arch, cores, ram_mib, nic_mbps, costs) = match kind {
-            BoardKind::Cubieboard2 => ("Cubieboard2", Arch::Arm, 2, 1024, 100, &ARM),
-            BoardKind::Cubietruck => ("Cubietruck", Arch::Arm, 2, 2048, 1000, &ARM),
+        let (name, cores, ram_mib, nic_mbps, costs) = match kind {
+            BoardKind::Cubieboard2 => ("Cubieboard2", 2, 1024, 100, &ARM),
+            BoardKind::Cubietruck => ("Cubietruck", 2, 2048, 1000, &ARM),
             BoardKind::X86Server => {
                 let name = "x86-64 server (2.4GHz quad-core AMD)";
-                (name, Arch::X86, 4, 16 * 1024, 1000, &X86)
+                (name, 4, 16 * 1024, 1000, &X86)
             }
-            BoardKind::IntelNuc => ("Intel Haswell NUC", Arch::X86, 4, 8 * 1024, 1000, &NUC),
+            BoardKind::IntelNuc => ("Intel Haswell NUC", 4, 8 * 1024, 1000, &NUC),
         };
         Board {
             kind,
             name,
-            arch,
             cores,
             ram_mib,
             nic_mbps,
@@ -119,14 +97,10 @@ mod tests {
         assert_eq!(cb2.ram_mib, 1024);
         assert_eq!(cb2.nic_mbps, 100);
         assert_eq!(cb2.cores, 2);
-        assert_eq!(cb2.arch, Arch::Arm);
 
         let ct = BoardKind::Cubietruck.board();
         assert_eq!(ct.ram_mib, 2048);
         assert_eq!(ct.nic_mbps, 1000);
-
-        let x86 = BoardKind::X86Server.board();
-        assert_eq!(x86.arch, Arch::X86);
 
         assert_eq!(BoardKind::ALL.len(), 4);
     }
@@ -151,11 +125,5 @@ mod tests {
         // 1500 bytes at 100 Mb/s = 120 us.
         assert_eq!(t_cb2.as_micros(), 120);
         assert_eq!(ct.wire_time(0), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn arch_labels() {
-        assert_eq!(Arch::Arm.label(), "ARM");
-        assert_eq!(Arch::X86.label(), "x86");
     }
 }

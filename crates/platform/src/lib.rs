@@ -24,7 +24,7 @@ pub mod power;
 pub mod storage;
 
 pub use battery::Battery;
-pub use board::{Arch, Board, BoardKind};
+pub use board::{Board, BoardKind};
 pub use cost::CostModel;
 pub use power::{PowerComponent, PowerModel, PowerState};
 pub use storage::{StorageDevice, StorageKind};

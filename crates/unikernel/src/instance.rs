@@ -426,6 +426,60 @@ mod tests {
     }
 
     #[test]
+    fn a_page_served_again_from_its_kept_sum_is_the_same_frame_and_parses() {
+        // The page's response is summed when it is first sent and its sum
+        // kept; a second send of the same segment must be the same bytes,
+        // and a send to another peer (another pseudo-header and header)
+        // must still carry a checksum the client accepts.
+        let mut site = StaticSiteAppliance::new("alice");
+        let body: Vec<u8> = (0..16_385u32).map(|i| (i * 7 + i / 251) as u8).collect();
+        site.add_page("/big", body.clone());
+        let mut server = UnikernelInstance::new(
+            UnikernelImage::mirage("alice"),
+            SERVER_MAC,
+            SERVER_IP,
+            80,
+            Box::new(site),
+            99,
+        );
+        let request = HttpRequest::get("/big", "alice").emit();
+        let tcb = |remote_port| Tcb {
+            state: netstack::tcp::TcpState::Established,
+            local_ip: SERVER_IP,
+            local_port: 80,
+            remote_ip: CLIENT_IP,
+            remote_port,
+            isn: 7_000,
+            snd_nxt: 7_001,
+            snd_una: 7_001,
+            rcv_nxt: 90_000 + request.len() as u32,
+            buffered: request.to_vec(),
+        };
+        let mut serve = |remote_port| {
+            let (frames, _) = server.adopt_handoff(tcb(remote_port), CLIENT_MAC);
+            assert_eq!(frames.len(), 1);
+            let frame = frames[0].clone();
+            let eth = EthernetFrame::parse(&frame).unwrap();
+            let ip = Ipv4Packet::parse(&eth.payload).unwrap();
+            let seg = TcpSegment::parse(&ip.payload, ip.src, ip.dst)
+                .expect("the client accepts the segment's checksum");
+            assert_eq!(seg.dst_port, remote_port);
+            let response = HttpResponse::parse(&seg.payload).unwrap().unwrap();
+            assert_eq!(response.body, body);
+            (frame, seg.payload)
+        };
+        let (first, first_payload) = serve(51_000);
+        let (again, _) = serve(51_000);
+        assert_eq!(
+            first, again,
+            "the same segment, sent again, is the same frame"
+        );
+        let (other, other_payload) = serve(51_001);
+        assert_ne!(first, other);
+        assert_eq!(first_payload, other_payload);
+    }
+
+    #[test]
     fn adopt_handoff_without_buffered_data_is_quiet() {
         let tcb = Tcb {
             state: netstack::tcp::TcpState::Established,

@@ -102,13 +102,16 @@ pub enum Reconcile {
 /// node the transaction depended on actually changed underneath it.
 fn merge_conflicts(live: &Tree, txn: &Transaction, ignore_directory_deps: bool) -> Option<String> {
     // Read-set dependencies.
-    for (path, kind) in &txn.read_set {
-        // Dependencies on nodes the transaction itself created are not
-        // dependencies on shared state (the write-set check below still
-        // catches a concurrent create of the same path).
-        if txn.created_by_txn(path) {
+    for (path, read) in &txn.read_set {
+        // A read of a node the transaction had already created read its own
+        // write, not shared state. A read that saw the path absent keeps its
+        // dependency even if the transaction created the path afterwards:
+        // the write-set check below does not see the ancestors a write
+        // creates, so only this check catches a concurrent create of one.
+        if read.saw_node() && txn.created_by_txn(path) {
             continue;
         }
+        let kind = read.kind();
         match (txn.base.get(path), live.get(path)) {
             // Observed missing and still missing: the dependency holds.
             (None, None) => {}
@@ -288,7 +291,7 @@ mod tests {
         live.write(DomId::DOM0, &p("/config"), b"v1", &mut TreeDiff::default())
             .unwrap();
         let mut txn = Transaction::begin(1, DomId::DOM0, &live);
-        txn.note_read(&p("/config"));
+        txn.note_read(&p("/config"), true);
         txn.apply(TxnOp::Write {
             path: p("/derived"),
             value: b"from-v1".to_vec(),
@@ -315,7 +318,7 @@ mod tests {
         // not yet registered" and both claiming the slot).
         let mut live = Tree::new();
         let mut txn = Transaction::begin(1, DomId::DOM0, &live);
-        txn.note_read(&p("/conduit/http_server"));
+        txn.note_read(&p("/conduit/http_server"), false);
         assert!(txn
             .snapshot
             .read(DomId::DOM0, &p("/conduit/http_server"))
@@ -347,7 +350,7 @@ mod tests {
         live.write(DomId::DOM0, &p("/other"), b"1", &mut TreeDiff::default())
             .unwrap();
         let mut txn = Transaction::begin(1, DomId::DOM0, &live);
-        txn.note_read(&p("/conduit/http_server"));
+        txn.note_read(&p("/conduit/http_server"), false);
         txn.apply(TxnOp::Write {
             path: p("/decision"),
             value: b"claim".to_vec(),
@@ -373,7 +376,7 @@ mod tests {
         // directory being created concurrently.
         let mut live = Tree::new();
         let mut txn = Transaction::begin(1, DomId::DOM0, &live);
-        txn.note_dir_read(&p("/conduit/flows"));
+        txn.note_dir_read(&p("/conduit/flows"), false);
         txn.apply(TxnOp::Write {
             path: p("/decision"),
             value: vec![1],
@@ -393,7 +396,7 @@ mod tests {
         live.write(DomId::DOM0, &p("/config"), b"v1", &mut TreeDiff::default())
             .unwrap();
         let mut txn = Transaction::begin(1, DomId::DOM0, &live);
-        txn.note_read(&p("/config"));
+        txn.note_read(&p("/config"), true);
         txn.apply(TxnOp::Write {
             path: p("/derived"),
             value: vec![1],

@@ -117,6 +117,12 @@ impl std::fmt::Debug for XenStore {
     }
 }
 
+/// Whether a read in a snapshot found its node: only a missing node is
+/// `NoEntry`, which a read reports before it checks permissions.
+fn found<T>(read: &Result<T>) -> bool {
+    !matches!(read, Err(Error::NoEntry(_)))
+}
+
 impl XenStore {
     /// Create a store with the given reconciliation engine and default
     /// quotas.
@@ -306,8 +312,9 @@ impl XenStore {
                 if txn.dom != dom {
                     return Err(Error::PermissionDenied(path.to_string()));
                 }
-                txn.note_read(&path);
-                txn.snapshot.read_with(dom, &path, f)
+                let read = txn.snapshot.read_with(dom, &path, f);
+                txn.note_read(&path, found(&read));
+                read
             }
         }
     }
@@ -350,8 +357,9 @@ impl XenStore {
                 if txn.dom != dom {
                     return Err(Error::PermissionDenied(path.to_string()));
                 }
-                txn.note_dir_read(&path);
-                txn.snapshot.directory(dom, &path)
+                let read = txn.snapshot.directory(dom, &path);
+                txn.note_dir_read(&path, found(&read));
+                read
             }
         }
     }
@@ -372,8 +380,9 @@ impl XenStore {
                 if txn.dom != dom {
                     return Err(Error::PermissionDenied(path.to_string()));
                 }
-                txn.note_read(&path);
-                txn.snapshot.get_perms(dom, &path)
+                let read = txn.snapshot.get_perms(dom, &path);
+                txn.note_read(&path, found(&read));
+                read
             }
         }
     }

@@ -34,7 +34,8 @@ pub enum ReadKind {
     /// The transaction read the node's value (or its permissions, or checked
     /// its existence). Reads of *missing* paths are recorded too: a read
     /// that observed absence conflicts with a concurrent create of that
-    /// path.
+    /// path, even when the transaction goes on to create the path itself
+    /// ([`ReadDep::saw_node`] tells the two reads apart).
     Value,
     /// The transaction listed the node's children, or depended on the child
     /// list by creating/removing a child beneath it.
@@ -55,6 +56,35 @@ impl ReadKind {
     /// True if the dependency includes the node's child list.
     pub fn depends_on_children(self) -> bool {
         matches!(self, ReadKind::Directory | ReadKind::Both)
+    }
+}
+
+/// One read-set entry: the [`ReadKind`] of the dependencies a transaction
+/// took on a path, and whether the first of its reads there saw the node in
+/// its snapshot. One byte of flags, as wide as the bare kind, so the read
+/// set's map nodes keep their size.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReadDep(u8);
+
+impl ReadDep {
+    const VALUE: u8 = 1;
+    const CHILDREN: u8 = 2;
+    const SAW_NODE: u8 = 4;
+
+    /// The dependencies recorded so far.
+    pub fn kind(self) -> ReadKind {
+        match self.0 & (ReadDep::VALUE | ReadDep::CHILDREN) {
+            ReadDep::VALUE => ReadKind::Value,
+            ReadDep::CHILDREN => ReadKind::Directory,
+            _ => ReadKind::Both,
+        }
+    }
+
+    /// True if the transaction's first read of the path found the node. A
+    /// later read cannot change this: what the first read saw absent stays
+    /// a dependency on that absence.
+    pub fn saw_node(self) -> bool {
+        self.0 & ReadDep::SAW_NODE != 0
     }
 }
 
@@ -137,9 +167,10 @@ pub struct Transaction {
     /// The isolated snapshot all in-transaction operations run against.
     /// Starts as another O(1) copy of `base`; mutations path-copy.
     pub snapshot: Tree,
-    /// Paths read (and how) during the transaction, including reads that
-    /// observed a path to be *missing*.
-    pub read_set: BTreeMap<Path, ReadKind>,
+    /// Paths read (and how, and whether the first read saw the node) during
+    /// the transaction, including reads that observed a path to be
+    /// *missing*.
+    pub read_set: BTreeMap<Path, ReadDep>,
     /// The mutations applied, in order.
     pub write_log: Vec<TxnOp>,
     /// How many nodes the operations have given the transaction's domain,
@@ -174,33 +205,27 @@ impl Transaction {
         }
     }
 
-    /// Record a value-read dependency on `path`. Callers must record reads
-    /// of missing paths too — observing absence is a dependency that a
-    /// concurrent create invalidates. Widens an existing directory
-    /// dependency to [`ReadKind::Both`].
-    pub fn note_read(&mut self, path: &Path) {
-        self.read_set
-            .entry(path.clone())
-            .and_modify(|kind| {
-                if *kind == ReadKind::Directory {
-                    *kind = ReadKind::Both;
-                }
-            })
-            .or_insert(ReadKind::Value);
+    /// Record a value-read dependency on `path`, read in the snapshot,
+    /// where the read `found` the node or did not. Callers must record
+    /// reads of missing paths too — observing absence is a dependency that
+    /// a concurrent create invalidates. Widens an existing directory
+    /// dependency to [`ReadKind::Both`]. Only the first read of a path
+    /// records what it found ([`ReadDep::saw_node`]).
+    pub fn note_read(&mut self, path: &Path, found: bool) {
+        self.note(path, ReadDep::VALUE, found);
     }
 
     /// Record a directory (child-list) dependency on `path`. Widens an
     /// existing value dependency to [`ReadKind::Both`] — it must never be
     /// dropped, or a concurrent value change would slip past the engines.
-    pub fn note_dir_read(&mut self, path: &Path) {
-        self.read_set
-            .entry(path.clone())
-            .and_modify(|kind| {
-                if *kind == ReadKind::Value {
-                    *kind = ReadKind::Both;
-                }
-            })
-            .or_insert(ReadKind::Directory);
+    /// `found` is as for [`Transaction::note_read`].
+    pub fn note_dir_read(&mut self, path: &Path, found: bool) {
+        self.note(path, ReadDep::CHILDREN, found);
+    }
+
+    fn note(&mut self, path: &Path, kind: u8, found: bool) {
+        let first = ReadDep(if found { ReadDep::SAW_NODE } else { 0 });
+        self.read_set.entry(path.clone()).or_insert(first).0 |= kind;
     }
 
     /// Paths written by this transaction, in log order (may repeat).
@@ -229,6 +254,7 @@ impl Transaction {
         // A creation depends on the child list of the deepest directory
         // that existed before it — the parent of the topmost node it
         // created — and a removal on that of the removed node's parent.
+        // Either directory is in the snapshot.
         let dom = self.dom;
         let node_gain = &mut self.node_gain;
         effects.owner_changes(|owner, by| {
@@ -239,7 +265,7 @@ impl Transaction {
         let added = effects.added.first().map(|(path, _)| path);
         let topmost = added.or(effects.removed.first().map(|(path, _)| path));
         if let Some(dir) = topmost.and_then(Path::parent) {
-            self.note_dir_read(&dir);
+            self.note_dir_read(&dir, true);
         }
         self.write_log.push(op);
         Ok(())
@@ -637,10 +663,9 @@ mod tests {
             path: p("/local/domain/5"),
         })
         .unwrap();
-        assert_eq!(
-            txn.read_set.get(&p("/local/domain")),
-            Some(&ReadKind::Directory)
-        );
+        let listed = txn.read_set[&p("/local/domain")];
+        assert_eq!(listed.kind(), ReadKind::Directory);
+        assert!(listed.saw_node());
         // A second creation below the new node depends only on state the
         // transaction itself created, so no new shared dependency appears.
         txn.apply(TxnOp::Mkdir {
@@ -659,16 +684,18 @@ mod tests {
     fn read_dependencies_widen_and_never_downgrade() {
         let tree = Tree::new();
         let mut txn = Transaction::begin(1, DomId::DOM0, &tree);
+        let kind = |txn: &Transaction, path: &str| txn.read_set[&p(path)].kind();
         // Directory then value: both dependencies survive.
-        txn.note_dir_read(&p("/a"));
-        txn.note_read(&p("/a"));
-        assert_eq!(txn.read_set.get(&p("/a")), Some(&ReadKind::Both));
+        txn.note_dir_read(&p("/a"), false);
+        txn.note_read(&p("/a"), false);
+        assert_eq!(kind(&txn, "/a"), ReadKind::Both);
         // Value then directory: likewise.
-        txn.note_read(&p("/c"));
-        txn.note_dir_read(&p("/c"));
-        assert_eq!(txn.read_set.get(&p("/c")), Some(&ReadKind::Both));
-        txn.note_read(&p("/b"));
-        assert_eq!(txn.read_set.get(&p("/b")), Some(&ReadKind::Value));
+        txn.note_read(&p("/c"), false);
+        txn.note_dir_read(&p("/c"), false);
+        assert_eq!(kind(&txn, "/c"), ReadKind::Both);
+        txn.note_read(&p("/b"), false);
+        txn.note_read(&p("/b"), true);
+        assert_eq!(kind(&txn, "/b"), ReadKind::Value);
         assert!(ReadKind::Both.depends_on_value() && ReadKind::Both.depends_on_children());
         assert!(!ReadKind::Directory.depends_on_value());
         assert!(!ReadKind::Value.depends_on_children());
@@ -678,14 +705,37 @@ mod tests {
     fn reads_of_missing_paths_are_recorded() {
         let tree = Tree::new();
         let mut txn = Transaction::begin(1, DomId::DOM0, &tree);
-        // The store notes the read before attempting it, so a read that
+        // The store notes a read whatever it returned, so a read that
         // returns ENOENT still lands in the read set.
-        txn.note_read(&p("/not/yet/here"));
         assert!(txn.snapshot.read(DomId::DOM0, &p("/not/yet/here")).is_err());
-        assert_eq!(
-            txn.read_set.get(&p("/not/yet/here")),
-            Some(&ReadKind::Value)
-        );
+        txn.note_read(&p("/not/yet/here"), false);
+        let read = txn.read_set[&p("/not/yet/here")];
+        assert_eq!(read.kind(), ReadKind::Value);
+        assert!(!read.saw_node());
+    }
+
+    #[test]
+    fn the_first_read_decides_whether_the_node_was_seen() {
+        let tree = Tree::new();
+        let mut txn = Transaction::begin(1, DomId::DOM0, &tree);
+        // Read absent, then read again after the transaction created it:
+        // the absence stays what was seen, and the kinds still widen.
+        txn.note_read(&p("/seen/absent"), false);
+        txn.note_dir_read(&p("/seen/absent"), true);
+        let absent = txn.read_set[&p("/seen/absent")];
+        assert!(!absent.saw_node());
+        assert_eq!(absent.kind(), ReadKind::Both);
+        // Created, then read: the transaction read its own write.
+        txn.apply(TxnOp::Write {
+            path: p("/own/write"),
+            value: b"v".to_vec(),
+        })
+        .unwrap();
+        txn.note_read(&p("/own/write"), true);
+        txn.note_read(&p("/own/write"), false);
+        assert!(txn.read_set[&p("/own/write")].saw_node());
+        // The directory a creation depends on is there to be seen.
+        assert!(txn.read_set[&p("/")].saw_node());
     }
 
     #[test]

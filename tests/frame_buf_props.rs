@@ -4,6 +4,7 @@
 //! whether a payload arrives as an owned buffer or as a view deep inside a
 //! larger frame.
 
+use jitsu_repro::netstack::checksum;
 use jitsu_repro::netstack::ethernet::{EtherType, EthernetFrame, MacAddr};
 use jitsu_repro::netstack::http::HttpRequest;
 use jitsu_repro::netstack::icmp::IcmpEcho;
@@ -101,6 +102,41 @@ proptest! {
         prop_assert!(!FrameBuf::empty().has_allocation());
         prop_assert!(!buf.slice(k..k).has_allocation());
         prop_assert!(!FrameBuf::concat(&[]).has_allocation());
+    }
+
+    #[test]
+    fn every_view_sums_its_own_bytes_whichever_asks_first_and_however_often(
+        bytes in proptest::collection::vec(any::<u8>(), 1..512),
+        a in any::<usize>(), b in any::<usize>(), cut in any::<usize>(),
+        asks in proptest::collection::vec(0usize..6, 1..16))
+    {
+        // `sum()` keeps the sum of a whole allocation; every other view
+        // must sum its own bytes. A random order of asks, repeats included,
+        // catches a memo that a window fills or that a window is given.
+        let (mut start, mut end) = (a % (bytes.len() + 1), b % (bytes.len() + 1));
+        if start > end {
+            std::mem::swap(&mut start, &mut end);
+        }
+        let cut = cut % (bytes.len() + 1);
+        let mid = start + (end - start) / 2;
+        let buf = FrameBuf::from_vec(bytes.clone());
+        let views = [
+            ("the buffer", buf.clone()),
+            ("a clone", buf.clone()),
+            ("a window", buf.slice(start..end)),
+            ("a spanning concat", FrameBuf::concat(&[buf.slice(..cut), buf.slice(cut..)])),
+            ("a window's concat", FrameBuf::concat(&[buf.slice(start..mid), buf.slice(mid..end)])),
+            ("the window's tail", buf.slice(start..end).slice(1.min(end - start)..)),
+        ];
+        for ask in asks {
+            let (name, view) = &views[ask];
+            let (got, want) = (view.sum(), checksum::partial(0, view));
+            prop_assert!(
+                got == want,
+                "{name} of {} bytes, window {start}..{end}: sum {got:#x}, bytes sum to {want:#x}",
+                bytes.len()
+            );
+        }
     }
 
     // ------------- codecs: emit∘parse is the identity on wire bytes ------

@@ -88,6 +88,68 @@ fn the_serialising_engine_still_aborts_the_same_interleaving() {
     assert_eq!(xs.stats().merged, 0);
 }
 
+/// Two transactions each see `/local/domain/7` absent and each create it,
+/// on the way to different children. Run one after the other, the second
+/// would have found the node, so it must abort in every engine. The Jitsu
+/// merge, which forgives a shared child list, must not forgive a read that
+/// saw absence because its own write later created the path.
+#[test]
+fn a_read_that_saw_a_path_absent_conflicts_with_its_concurrent_creation_in_every_engine() {
+    for engine in EngineKind::ALL {
+        let mut xs = XenStore::new(engine);
+        let t1 = xs.transaction_start(DomId::DOM0).unwrap();
+        let t2 = xs.transaction_start(DomId::DOM0).unwrap();
+        for t in [t1, t2] {
+            assert_eq!(
+                xs.exists(DomId::DOM0, Some(t), "/local/domain/7"),
+                Ok(false)
+            );
+        }
+        xs.write(DomId::DOM0, Some(t1), "/local/domain/7/name", b"web")
+            .unwrap();
+        xs.write(DomId::DOM0, Some(t2), "/local/domain/7/other", b"x")
+            .unwrap();
+        assert_eq!(
+            xs.transaction_end(DomId::DOM0, t1, true),
+            Ok(()),
+            "{engine:?}"
+        );
+        assert_eq!(
+            xs.transaction_end(DomId::DOM0, t2, true),
+            Err(XsError::Again),
+            "{engine:?}"
+        );
+        assert!(!xs
+            .exists(DomId::DOM0, None, "/local/domain/7/other")
+            .unwrap());
+    }
+}
+
+/// The other side of the same rule: a transaction that creates
+/// `/local/domain/7` and then reads it read its own write, so the Jitsu
+/// merge commits it beside a sibling's concurrent creation of the same
+/// directory, as it commits any two sibling creations.
+#[test]
+fn a_read_of_a_node_the_transaction_created_does_not_conflict_in_the_jitsu_merge() {
+    let mut xs = XenStore::new(EngineKind::JitsuMerge);
+    let t1 = xs.transaction_start(DomId::DOM0).unwrap();
+    xs.write(DomId::DOM0, Some(t1), "/local/domain/7/name", b"web")
+        .unwrap();
+    assert_eq!(
+        xs.exists(DomId::DOM0, Some(t1), "/local/domain/7"),
+        Ok(true)
+    );
+    xs.write(DomId::DOM0, None, "/local/domain/7/other", b"x")
+        .unwrap();
+    assert_eq!(xs.transaction_end(DomId::DOM0, t1, true), Ok(()));
+    assert!(xs
+        .exists(DomId::DOM0, None, "/local/domain/7/name")
+        .unwrap());
+    assert!(xs
+        .exists(DomId::DOM0, None, "/local/domain/7/other")
+        .unwrap());
+}
+
 #[test]
 fn merged_commits_fire_watches_from_the_merged_tree() {
     let mut xs = XenStore::new(EngineKind::JitsuMerge);
