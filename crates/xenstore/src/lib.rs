@@ -84,6 +84,5 @@ pub use path::{Path, StorePath};
 pub use perms::{DomId, PermLevel, Permission, Permissions};
 pub use quota::Quota;
 pub use store::{StoreStats, TxId, XenStore};
-pub use transaction::Transaction;
 pub use tree::{Tree, TreeDiff};
 pub use watch::{Watch, WatchEvent, WatchManager};

@@ -19,7 +19,7 @@
 //! the store has not moved since the transaction began, and otherwise the
 //! diff between the live tree and the three-way merge result — so watches
 //! fire from the *committed merged tree* (one event per path that actually
-//! changed, not one per write-log entry). On a store that has not moved the
+//! changed, not one per operation). On a store that has not moved the
 //! merge result is the transaction's own snapshot over again, and the
 //! snapshot is committed as it stands unless its operations undid or
 //! restamped something, which a merge of the net effect would not show.
@@ -38,7 +38,7 @@ use crate::error::{Error, Result};
 use crate::path::{Path, StorePath};
 use crate::perms::{DomId, Permissions};
 use crate::quota::Quota;
-use crate::transaction::{Transaction, TxnOp};
+use crate::transaction::Transaction;
 use crate::tree::{Tree, TreeDiff};
 use crate::watch::{WatchEvent, WatchManager};
 use std::collections::BTreeMap;
@@ -179,10 +179,18 @@ impl XenStore {
         &self.tree
     }
 
-    fn txn_mut(&mut self, id: TxId) -> Result<&mut Transaction> {
-        self.transactions
+    /// Open transaction `id`, for an op of `dom` on `path`. An unknown id is
+    /// refused, and so is a domain that did not open the transaction, which
+    /// must neither act in its snapshot nor plant entries in its read set.
+    fn txn_for(&mut self, dom: DomId, id: TxId, path: &Path) -> Result<&mut Transaction> {
+        let txn = self
+            .transactions
             .get_mut(&id.0)
-            .ok_or(Error::UnknownTransaction(id.0))
+            .ok_or(Error::UnknownTransaction(id.0))?;
+        if txn.dom != dom {
+            return Err(Error::PermissionDenied(path.to_string()));
+        }
+        Ok(txn)
     }
 
     /// Refuse `dom` a node at `path` it would have to create when it owns
@@ -294,6 +302,28 @@ impl XenStore {
         self.read_with(dom, tx, path, <[u8]>::to_vec)
     }
 
+    /// The route of every read: `read` `path` in the live tree, or in the
+    /// snapshot of `tx`, where `note` records the transaction's dependency
+    /// and whether the read found the node.
+    fn read_in<R>(
+        &mut self,
+        dom: DomId,
+        tx: Option<TxId>,
+        path: impl StorePath,
+        note: fn(&mut Transaction, &Path, bool),
+        read: impl FnOnce(&Tree, &Path) -> Result<R>,
+    ) -> Result<R> {
+        self.stats.ops += 1;
+        let path = path.into_path()?;
+        let Some(id) = tx else {
+            return read(&self.tree, &path);
+        };
+        let txn = self.txn_for(dom, id, &path)?;
+        let result = read(&txn.snapshot, &path);
+        note(txn, &path, found(&result));
+        result
+    }
+
     /// Read a value and return what `f` makes of it, for a caller that only
     /// compares or parses the value: the value is lent to `f`, not copied.
     pub fn read_with<R>(
@@ -303,20 +333,9 @@ impl XenStore {
         path: impl StorePath,
         f: impl FnOnce(&[u8]) -> R,
     ) -> Result<R> {
-        self.stats.ops += 1;
-        let path = path.into_path()?;
-        match tx {
-            None => self.tree.read_with(dom, &path, f),
-            Some(id) => {
-                let txn = self.txn_mut(id)?;
-                if txn.dom != dom {
-                    return Err(Error::PermissionDenied(path.to_string()));
-                }
-                let read = txn.snapshot.read_with(dom, &path, f);
-                txn.note_read(&path, found(&read));
-                read
-            }
-        }
+        self.read_in(dom, tx, path, Transaction::note_read, |tree, path| {
+            tree.read_with(dom, path, f)
+        })
     }
 
     /// Read a value as a UTF-8 string (lossy).
@@ -348,20 +367,9 @@ impl XenStore {
         tx: Option<TxId>,
         path: impl StorePath,
     ) -> Result<Vec<String>> {
-        self.stats.ops += 1;
-        let path = path.into_path()?;
-        match tx {
-            None => self.tree.directory(dom, &path),
-            Some(id) => {
-                let txn = self.txn_mut(id)?;
-                if txn.dom != dom {
-                    return Err(Error::PermissionDenied(path.to_string()));
-                }
-                let read = txn.snapshot.directory(dom, &path);
-                txn.note_dir_read(&path, found(&read));
-                read
-            }
-        }
+        self.read_in(dom, tx, path, Transaction::note_dir_read, |tree, path| {
+            tree.directory(dom, path)
+        })
     }
 
     /// Read a node's permissions.
@@ -371,64 +379,51 @@ impl XenStore {
         tx: Option<TxId>,
         path: impl StorePath,
     ) -> Result<Permissions> {
-        self.stats.ops += 1;
-        let path = path.into_path()?;
-        match tx {
-            None => self.tree.get_perms(dom, &path),
-            Some(id) => {
-                let txn = self.txn_mut(id)?;
-                if txn.dom != dom {
-                    return Err(Error::PermissionDenied(path.to_string()));
-                }
-                let read = txn.snapshot.get_perms(dom, &path);
-                txn.note_read(&path, found(&read));
-                read
-            }
-        }
+        self.read_in(dom, tx, path, Transaction::note_read, |tree, path| {
+            tree.get_perms(dom, path)
+        })
     }
 
     // ------------------------------------------------------------------
     // Writes
     // ------------------------------------------------------------------
 
-    /// Run `mutate`, a direct op on `path`, on the live tree, and settle
-    /// what it changed.
-    fn apply_live(
+    /// The route of every mutation: run `mutate`, an op on `path`, on the
+    /// live tree and settle what it changed, or on the snapshot of `tx`.
+    /// Either way it reports its effects into the store's one record.
+    fn mutate_in(
         &mut self,
+        dom: DomId,
+        tx: Option<TxId>,
         path: &Path,
         mutate: impl FnOnce(&mut Tree, &mut TreeDiff) -> Result<()>,
     ) -> Result<()> {
         self.stats.ops += 1;
-        // The mutator reports what it changed; that record drives both
-        // watch delivery and quota accounting.
         let mut effects = std::mem::take(&mut self.effects);
-        let result = mutate(&mut self.tree, &mut effects);
-        // Watches fire only for completed ops — and always for the op's
-        // own path, even when the op was a no-op (same-value write, mkdir
-        // of an existing node), as in the real protocol. A failed op
-        // changed nothing, so it has nothing to settle either.
-        self.settle(&effects, result.is_ok(), Some(path));
+        let result = match tx {
+            None => {
+                let result = mutate(&mut self.tree, &mut effects);
+                // The record drives both watch delivery and quota
+                // accounting. Watches fire only for completed ops — and
+                // always for the op's own path, even when the op was a
+                // no-op (same-value write, mkdir of an existing node), as
+                // in the real protocol. A failed op changed nothing, so it
+                // has nothing to settle either.
+                self.settle(&effects, result.is_ok(), Some(path));
+                result
+            }
+            Some(id) => self
+                .txn_for(dom, id, path)
+                .and_then(|txn| txn.apply(path, &mut effects, mutate)),
+        };
         self.recycle(effects);
         result
     }
 
-    fn apply(&mut self, dom: DomId, tx: Option<TxId>, op: TxnOp) -> Result<()> {
-        let Some(id) = tx else {
-            let path = op.path().clone();
-            return self.apply_live(&path, |tree, effects| op.apply_into(tree, dom, effects));
-        };
-        self.stats.ops += 1;
-        let txn = self.txn_mut(id)?;
-        if txn.dom != dom {
-            return Err(Error::PermissionDenied(op.path().to_string()));
-        }
-        txn.apply(op)
-    }
-
     /// Write a value (creating the node and missing ancestors if needed).
-    /// A direct write lends the value to the tree, which copies it into the
-    /// node's own buffer, and not at all if the node holds it already; a
-    /// transaction logs its own copy.
+    /// The value is lent to the tree, the live one or the transaction's
+    /// snapshot, which copies it into the node's own buffer, and not at all
+    /// if the node holds it already.
     pub fn write(
         &mut self,
         dom: DomId,
@@ -438,28 +433,24 @@ impl XenStore {
     ) -> Result<()> {
         let path = path.into_path()?;
         self.check_node_quota(dom, tx, &path)?;
-        match tx {
-            None => self.apply_live(&path, |tree, effects| {
-                tree.write(dom, &path, value, effects)
-            }),
-            Some(_) => {
-                let value = value.to_vec();
-                self.apply(dom, tx, TxnOp::Write { path, value })
-            }
-        }
+        self.mutate_in(dom, tx, &path, |tree, effects| {
+            tree.write(dom, &path, value, effects)
+        })
     }
 
     /// Create an empty node.
     pub fn mkdir(&mut self, dom: DomId, tx: Option<TxId>, path: impl StorePath) -> Result<()> {
         let path = path.into_path()?;
         self.check_node_quota(dom, tx, &path)?;
-        self.apply(dom, tx, TxnOp::Mkdir { path })
+        self.mutate_in(dom, tx, &path, |tree, effects| {
+            tree.mkdir(dom, &path, effects)
+        })
     }
 
     /// Remove a subtree.
     pub fn rm(&mut self, dom: DomId, tx: Option<TxId>, path: impl StorePath) -> Result<()> {
         let path = path.into_path()?;
-        self.apply(dom, tx, TxnOp::Rm { path })
+        self.mutate_in(dom, tx, &path, |tree, effects| tree.rm(dom, &path, effects))
     }
 
     /// Replace a node's permissions.
@@ -471,7 +462,9 @@ impl XenStore {
         perms: Permissions,
     ) -> Result<()> {
         let path = path.into_path()?;
-        self.apply(dom, tx, TxnOp::SetPerms { path, perms })
+        self.mutate_in(dom, tx, &path, |tree, effects| {
+            tree.set_perms(dom, &path, perms, effects)
+        })
     }
 
     // ------------------------------------------------------------------
@@ -519,7 +512,7 @@ impl XenStore {
         let id = self.next_tx_id;
         self.next_tx_id = self.next_tx_id.wrapping_add(1).max(1);
         self.transactions
-            .insert(id, Transaction::begin(id, dom, &self.tree));
+            .insert(id, Transaction::begin(dom, &self.tree));
         Ok(TxId(id))
     }
 
@@ -1333,7 +1326,7 @@ mod tests {
             xs.write(DomId(7), Some(t), &format!("/local/domain/7/{name}"), b"1")
                 .unwrap();
         }
-        assert_eq!(xs.txn_mut(t).unwrap().node_gain(), 1);
+        assert_eq!(xs.transactions[&t.0].node_gain(), 1);
         // `k0` still exists in the live store, but not in the snapshot,
         // where re-creating it would take the domain past its quota.
         assert_eq!(

@@ -19,12 +19,12 @@
 //! effect onto its own base rebuilds the snapshot it already holds. The
 //! store then commits the snapshot as it stands — provided it would pass for
 //! the rebuilt tree in every respect a later commit can observe, which
-//! [`Transaction::snapshot_is_merge_of`] decides from what the operations
+//! `Transaction::snapshot_is_merge_of` decides from what the operations
 //! reported as they ran.
 
 use crate::error::Result;
 use crate::path::Path;
-use crate::perms::{DomId, Permissions};
+use crate::perms::DomId;
 use crate::tree::{Tree, TreeDiff};
 use std::collections::BTreeMap;
 
@@ -88,91 +88,29 @@ impl ReadDep {
     }
 }
 
-/// One mutation recorded in a transaction's write log.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TxnOp {
-    /// Write a value (creating the node if needed).
-    Write {
-        /// Target path.
-        path: Path,
-        /// New value.
-        value: Vec<u8>,
-    },
-    /// Create an empty node.
-    Mkdir {
-        /// Target path.
-        path: Path,
-    },
-    /// Remove a subtree.
-    Rm {
-        /// Target path.
-        path: Path,
-    },
-    /// Replace a node's permissions.
-    SetPerms {
-        /// Target path.
-        path: Path,
-        /// New permissions.
-        perms: Permissions,
-    },
-}
-
-impl TxnOp {
-    /// The path this operation touches.
-    pub fn path(&self) -> &Path {
-        match self {
-            TxnOp::Write { path, .. }
-            | TxnOp::Mkdir { path }
-            | TxnOp::Rm { path }
-            | TxnOp::SetPerms { path, .. } => path,
-        }
-    }
-
-    /// Perform this operation on `tree` as `dom`, appending what it changed
-    /// to `effects`.
-    pub fn apply_to(&self, tree: &mut Tree, dom: DomId, effects: &mut TreeDiff) -> Result<()> {
-        match self {
-            TxnOp::Write { path, value } => tree.write(dom, path, value, effects),
-            TxnOp::Mkdir { path } => tree.mkdir(dom, path, effects),
-            TxnOp::Rm { path } => tree.rm(dom, path, effects),
-            TxnOp::SetPerms { path, perms } => tree.set_perms(dom, path, perms.clone(), effects),
-        }
-    }
-
-    /// [`TxnOp::apply_to`] for an operation nobody needs afterwards: the
-    /// permissions it carries move into the tree instead of being copied
-    /// into it.
-    pub fn apply_into(self, tree: &mut Tree, dom: DomId, effects: &mut TreeDiff) -> Result<()> {
-        match self {
-            TxnOp::SetPerms { path, perms } => tree.set_perms(dom, &path, perms, effects),
-            op => op.apply_to(tree, dom, effects),
-        }
-    }
-}
-
 /// An open transaction: the pristine base tree it started from, the mutable
-/// snapshot all in-transaction operations run against, and the recorded
-/// read set and write log.
-#[derive(Debug, Clone)]
-pub struct Transaction {
-    /// The transaction id handed to the client.
-    pub id: u32,
+/// snapshot all in-transaction operations run against, what it read and
+/// the paths its operations wrote.
+#[derive(Debug)]
+pub(crate) struct Transaction {
     /// The domain that opened the transaction.
-    pub dom: DomId,
+    pub(crate) dom: DomId,
     /// Store generation at the time the transaction started.
-    pub start_gen: u64,
+    pub(crate) start_gen: u64,
     /// The tree exactly as it was when the transaction started — the common
     /// ancestor of the three-way merge at commit time. An O(1) copy.
-    pub base: Tree,
+    pub(crate) base: Tree,
     /// The isolated snapshot all in-transaction operations run against.
     /// Starts as another O(1) copy of `base`; mutations path-copy.
-    pub snapshot: Tree,
+    pub(crate) snapshot: Tree,
     /// Paths read (and how, and whether the first read saw the node) during
     /// the transaction, including reads that observed a path to be
     /// *missing*.
-    pub read_set: BTreeMap<Path, ReadDep>,
-    /// The mutations applied, in order.
-    pub write_log: Vec<TxnOp>,
+    pub(crate) read_set: BTreeMap<Path, ReadDep>,
+    /// The path of each operation that succeeded, in order (may repeat):
+    /// all the engines read of what the transaction did, besides the
+    /// snapshot. The values live in the snapshot alone.
+    written: Vec<Path>,
     /// How many nodes the operations have given the transaction's domain,
     /// net — created or handed to it, less removed or taken from it — as
     /// the effects they reported show. The per-op node quota counts this on
@@ -191,15 +129,14 @@ pub struct Transaction {
 impl Transaction {
     /// Open a transaction against the current state of `tree`. O(1): both
     /// the base and the snapshot share every node with `tree`.
-    pub fn begin(id: u32, dom: DomId, tree: &Tree) -> Transaction {
+    pub(crate) fn begin(dom: DomId, tree: &Tree) -> Transaction {
         Transaction {
-            id,
             dom,
             start_gen: tree.generation(),
             base: tree.clone(),
             snapshot: tree.clone(),
             read_set: BTreeMap::new(),
-            write_log: Vec::new(),
+            written: Vec::new(),
             node_gain: 0,
             reported: Some([0; 4]),
         }
@@ -211,7 +148,7 @@ impl Transaction {
     /// a concurrent create invalidates. Widens an existing directory
     /// dependency to [`ReadKind::Both`]. Only the first read of a path
     /// records what it found ([`ReadDep::saw_node`]).
-    pub fn note_read(&mut self, path: &Path, found: bool) {
+    pub(crate) fn note_read(&mut self, path: &Path, found: bool) {
         self.note(path, ReadDep::VALUE, found);
     }
 
@@ -219,7 +156,7 @@ impl Transaction {
     /// existing value dependency to [`ReadKind::Both`] — it must never be
     /// dropped, or a concurrent value change would slip past the engines.
     /// `found` is as for [`Transaction::note_read`].
-    pub fn note_dir_read(&mut self, path: &Path, found: bool) {
+    pub(crate) fn note_dir_read(&mut self, path: &Path, found: bool) {
         self.note(path, ReadDep::CHILDREN, found);
     }
 
@@ -228,22 +165,29 @@ impl Transaction {
         self.read_set.entry(path.clone()).or_insert(first).0 |= kind;
     }
 
-    /// Paths written by this transaction, in log order (may repeat).
-    pub fn written_paths(&self) -> impl Iterator<Item = &Path> {
-        self.write_log.iter().map(|op| op.path())
+    /// Paths written by this transaction, in the order its operations ran
+    /// (may repeat).
+    pub(crate) fn written_paths(&self) -> impl Iterator<Item = &Path> {
+        self.written.iter()
     }
 
-    /// True if the transaction performed no mutations.
-    pub fn is_read_only(&self) -> bool {
-        self.write_log.is_empty()
+    /// True if none of the transaction's mutations succeeded.
+    pub(crate) fn is_read_only(&self) -> bool {
+        self.written.is_empty()
     }
 
-    /// Apply an operation to the snapshot and record it in the write log.
-    /// Mutations that fail permission or validity checks are not recorded.
-    pub fn apply(&mut self, op: TxnOp) -> Result<()> {
-        let mut effects = TreeDiff::default();
+    /// Run `mutate`, an operation on `path`, on the snapshot. It reports
+    /// what it changed into `effects`, which is empty when it is lent here
+    /// and is the caller's to empty again. An operation that fails (a
+    /// permission or validity check) changed nothing and is not recorded.
+    pub(crate) fn apply(
+        &mut self,
+        path: &Path,
+        effects: &mut TreeDiff,
+        mutate: impl FnOnce(&mut Tree, &mut TreeDiff) -> Result<()>,
+    ) -> Result<()> {
         let stamp = self.snapshot.generation();
-        op.apply_to(&mut self.snapshot, self.dom, &mut effects)?;
+        mutate(&mut self.snapshot, effects)?;
         let restamped = effects.is_empty() && self.snapshot.generation() != stamp;
         self.reported = self.reported.filter(|_| !restamped).and_then(|mut sums| {
             for (sum, now) in sums.iter_mut().zip(effects.counts()) {
@@ -267,7 +211,7 @@ impl Transaction {
         if let Some(dir) = topmost.and_then(Path::parent) {
             self.note_dir_read(&dir, true);
         }
-        self.write_log.push(op);
+        self.written.push(path.clone());
         Ok(())
     }
 
@@ -280,7 +224,7 @@ impl Transaction {
 
     /// True if `path` was created by this transaction (it exists in the
     /// snapshot but only came into being after the transaction started).
-    pub fn created_by_txn(&self, path: &Path) -> bool {
+    pub(crate) fn created_by_txn(&self, path: &Path) -> bool {
         self.snapshot
             .get(path)
             .map(|n| n.created_gen > self.start_gen)
@@ -290,7 +234,7 @@ impl Transaction {
     /// The transaction's net effect: the structural diff from the pristine
     /// base to the mutated snapshot. Thanks to structural sharing this costs
     /// O(paths touched), not O(store size).
-    pub fn changes(&self) -> TreeDiff {
+    pub(crate) fn changes(&self) -> TreeDiff {
         Tree::diff(&self.base, &self.snapshot)
     }
 
@@ -308,7 +252,7 @@ impl Transaction {
     /// base's for equality and nothing more, so a store that commits such a
     /// snapshot as it stands decides every later commit as one that merged
     /// would.
-    pub fn snapshot_is_merge_of(&self, net: &TreeDiff) -> bool {
+    pub(crate) fn snapshot_is_merge_of(&self, net: &TreeDiff) -> bool {
         let reported = self
             .reported
             .map(|sums| sums.map(|sum| usize::try_from(sum).ok()));
@@ -333,7 +277,7 @@ impl Transaction {
     ///
     /// If `live` was still the tree the transaction started from, `diff` is
     /// also exactly what the merge changed in `live`.
-    pub fn merge_onto(&self, live: &mut Tree, diff: &TreeDiff) -> Result<()> {
+    pub(crate) fn merge_onto(&self, live: &mut Tree, diff: &TreeDiff) -> Result<()> {
         // What each step changes in `live` is the caller's to work out, once
         // for the whole merge.
         let unused = &mut TreeDiff::default();
@@ -403,20 +347,66 @@ impl Transaction {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::perms::DomId;
+    use crate::perms::{DomId, Permissions};
 
     fn p(s: &str) -> Path {
         Path::parse(s).unwrap()
     }
 
+    /// An operation a test runs in a transaction and keeps, to run it again
+    /// on a tree as the serial reference.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Write(Path, Vec<u8>),
+        Mkdir(Path),
+        Rm(Path),
+        SetPerms(Path, Permissions),
+    }
+
+    impl Op {
+        fn write(path: &str, value: &[u8]) -> Op {
+            Op::Write(p(path), value.to_vec())
+        }
+
+        fn path(&self) -> &Path {
+            match self {
+                Op::Write(path, _) | Op::Mkdir(path) | Op::Rm(path) | Op::SetPerms(path, _) => path,
+            }
+        }
+
+        /// Run the operation on `tree` as `dom`.
+        fn run(&self, tree: &mut Tree, dom: DomId, effects: &mut TreeDiff) -> Result<()> {
+            match self {
+                Op::Write(path, value) => tree.write(dom, path, value, effects),
+                Op::Mkdir(path) => tree.mkdir(dom, path, effects),
+                Op::Rm(path) => tree.rm(dom, path, effects),
+                Op::SetPerms(path, perms) => tree.set_perms(dom, path, perms.clone(), effects),
+            }
+        }
+
+        /// Run the operation in `txn`, as the store does.
+        fn apply(&self, txn: &mut Transaction) -> Result<()> {
+            let dom = txn.dom;
+            let mut effects = TreeDiff::default();
+            txn.apply(self.path(), &mut effects, |tree, effects| {
+                self.run(tree, dom, effects)
+            })
+        }
+    }
+
+    /// Run each of `ops` in `txn`, keeping those that succeeded.
+    fn apply_all(txn: &mut Transaction, ops: Vec<Op>) -> Vec<Op> {
+        ops.into_iter().filter(|op| op.apply(txn).is_ok()).collect()
+    }
+
     /// The op-order-exact reference for [`Transaction::merge_onto`]: replay
-    /// the write log onto `tree`, treating a node a concurrent commit
-    /// removed as already gone.
-    fn replay_onto(txn: &Transaction, tree: &mut Tree) -> Result<()> {
+    /// `ops`, what a transaction ran, onto `tree`, treating a node a
+    /// concurrent commit removed as already gone.
+    fn replay_onto(ops: &[Op], dom: DomId, tree: &mut Tree) -> Result<()> {
         let unused = &mut TreeDiff::default();
-        for op in &txn.write_log {
-            match (op, op.apply_to(tree, txn.dom, unused)) {
-                (TxnOp::Rm { .. }, Err(crate::error::Error::NoEntry(_))) => {}
+        for op in ops {
+            match (op, op.run(tree, dom, unused)) {
+                (Op::Rm(_), Err(crate::error::Error::NoEntry(_))) => {}
                 (_, result) => result?,
             }
         }
@@ -428,7 +418,7 @@ mod tests {
         let mut tree = Tree::new();
         tree.write(DomId::DOM0, &p("/a"), b"1", &mut TreeDiff::default())
             .unwrap();
-        let txn = Transaction::begin(1, DomId::DOM0, &tree);
+        let txn = Transaction::begin(DomId::DOM0, &tree);
         assert_eq!(txn.start_gen, tree.generation());
         assert_eq!(txn.snapshot.read(DomId::DOM0, &p("/a")).unwrap(), b"1");
         assert!(txn.is_read_only());
@@ -446,7 +436,7 @@ mod tests {
             )
             .unwrap();
         }
-        let txn = Transaction::begin(1, DomId::DOM0, &tree);
+        let txn = Transaction::begin(DomId::DOM0, &tree);
         assert!(
             txn.snapshot.shares_root_with(&tree),
             "snapshot must share the live root"
@@ -457,12 +447,10 @@ mod tests {
     #[test]
     fn writes_are_isolated_until_merged() {
         let mut tree = Tree::new();
-        let mut txn = Transaction::begin(1, DomId::DOM0, &tree);
-        txn.apply(TxnOp::Write {
-            path: p("/local/domain/5/name"),
-            value: b"web".to_vec(),
-        })
-        .unwrap();
+        let mut txn = Transaction::begin(DomId::DOM0, &tree);
+        Op::write("/local/domain/5/name", b"web")
+            .apply(&mut txn)
+            .unwrap();
         assert!(
             !tree.exists(&p("/local/domain/5/name")),
             "live tree untouched"
@@ -483,22 +471,17 @@ mod tests {
             .unwrap();
         tree.write(DomId::DOM0, &p("/dead/x"), b"1", &mut TreeDiff::default())
             .unwrap();
-        let mut txn = Transaction::begin(1, DomId::DOM0, &tree);
-        txn.apply(TxnOp::Write {
-            path: p("/a/b"),
-            value: b"2".to_vec(),
-        })
-        .unwrap();
-        txn.apply(TxnOp::Rm { path: p("/dead") }).unwrap();
-        txn.apply(TxnOp::Write {
-            path: p("/keep"),
-            value: b"9".to_vec(),
-        })
-        .unwrap();
+        let mut txn = Transaction::begin(DomId::DOM0, &tree);
+        let ops = vec![
+            Op::write("/a/b", b"2"),
+            Op::Rm(p("/dead")),
+            Op::write("/keep", b"9"),
+        ];
+        assert_eq!(apply_all(&mut txn, ops.clone()).len(), ops.len());
         let mut merged = tree.clone();
         let mut replayed = tree.clone();
         txn.merge_onto(&mut merged, &txn.changes()).unwrap();
-        replay_onto(&txn, &mut replayed).unwrap();
+        replay_onto(&ops, txn.dom, &mut replayed).unwrap();
         assert!(Tree::diff(&merged, &replayed).is_empty());
         assert!(Tree::diff(&merged, &txn.snapshot).is_empty());
     }
@@ -506,7 +489,7 @@ mod tests {
     /// A few random ops over a small path space, so that an op often undoes
     /// or repeats an earlier one: writes of three values (often the one
     /// already there), removals, re-creations, permission changes.
-    fn random_ops(rng: &mut jitsu_sim::SimRng, count: usize) -> Vec<TxnOp> {
+    fn random_ops(rng: &mut jitsu_sim::SimRng, count: usize) -> Vec<Op> {
         (0..count)
             .map(|_| {
                 let mut text = format!("/d{}", rng.index(3));
@@ -515,16 +498,10 @@ mod tests {
                 }
                 let path = p(&text);
                 match rng.index(8) {
-                    0 | 1 => TxnOp::Rm { path },
-                    2 => TxnOp::Mkdir { path },
-                    3 => TxnOp::SetPerms {
-                        path,
-                        perms: Permissions::owned_by(DomId(rng.index(2) as u32)),
-                    },
-                    _ => TxnOp::Write {
-                        path,
-                        value: vec![rng.index(3) as u8],
-                    },
+                    0 | 1 => Op::Rm(path),
+                    2 => Op::Mkdir(path),
+                    3 => Op::SetPerms(path, Permissions::owned_by(DomId(rng.index(2) as u32))),
+                    _ => Op::Write(path, vec![rng.index(3) as u8]),
                 }
             })
             .collect()
@@ -538,19 +515,21 @@ mod tests {
             let mut rng = jitsu_sim::SimRng::seed_from_u64(0xAD07 ^ seed);
             let mut base = Tree::new();
             for op in random_ops(&mut rng, 12) {
-                drop(op.apply_to(&mut base, DomId::DOM0, &mut TreeDiff::default()));
+                drop(op.run(&mut base, DomId::DOM0, &mut TreeDiff::default()));
             }
-            let mut txn = Transaction::begin(1, DomId::DOM0, &base);
+            let mut txn = Transaction::begin(DomId::DOM0, &base);
             let ops = 1 + rng.index(4);
-            for op in random_ops(&mut rng, ops) {
-                drop(txn.apply(op));
-            }
+            let ran = apply_all(&mut txn, random_ops(&mut rng, ops));
             let net = txn.changes();
             let mut merged = base.clone();
             txn.merge_onto(&mut merged, &net).unwrap();
             // On its own base a transaction's snapshot always holds what the
-            // merge builds; what the question is about is the stamps.
+            // merge builds, and what its operations build run one by one;
+            // what the question is about is the stamps.
             assert!(Tree::diff(&merged, &txn.snapshot).is_empty(), "seed {seed}");
+            let mut replayed = base.clone();
+            replay_onto(&ran, DomId::DOM0, &mut replayed).unwrap();
+            assert!(Tree::diff(&merged, &replayed).is_empty(), "seed {seed}");
             if !txn.snapshot_is_merge_of(&net) {
                 refused += 1;
                 continue;
@@ -592,32 +571,23 @@ mod tests {
         let mut base = Tree::new();
         base.write(DomId::DOM0, &p("/a"), b"1", &mut TreeDiff::default())
             .unwrap();
-        let write = |path: &str, value: &[u8]| TxnOp::Write {
-            path: p(path),
-            value: value.to_vec(),
-        };
-        let verdict = |ops: Vec<TxnOp>| {
-            let mut txn = Transaction::begin(1, DomId::DOM0, &base);
+        let write = Op::write;
+        let verdict = |ops: Vec<Op>| {
+            let mut txn = Transaction::begin(DomId::DOM0, &base);
             for op in ops {
-                txn.apply(op).unwrap();
+                op.apply(&mut txn).unwrap();
             }
             txn.snapshot_is_merge_of(&txn.changes())
         };
         assert!(verdict(vec![write("/a", b"2"), write("/b/c", b"3")]));
-        assert!(verdict(vec![TxnOp::Rm { path: p("/a") }]));
-        assert!(verdict(vec![TxnOp::Mkdir { path: p("/a") }]), "no stamp");
+        assert!(verdict(vec![Op::Rm(p("/a"))]));
+        assert!(verdict(vec![Op::Mkdir(p("/a"))]), "no stamp");
         // The value already there: stamped, not changed.
         assert!(!verdict(vec![write("/a", b"1")]));
         // Changed and changed back; created and removed; removed and re-created.
         assert!(!verdict(vec![write("/a", b"2"), write("/a", b"1")]));
-        assert!(!verdict(vec![
-            write("/t", b"x"),
-            TxnOp::Rm { path: p("/t") }
-        ]));
-        assert!(!verdict(vec![
-            TxnOp::Rm { path: p("/a") },
-            write("/a", b"1")
-        ]));
+        assert!(!verdict(vec![write("/t", b"x"), Op::Rm(p("/t"))]));
+        assert!(!verdict(vec![Op::Rm(p("/a")), write("/a", b"1")]));
         // A second write to a node the transaction created itself.
         assert!(!verdict(vec![write("/n", b"1"), write("/n", b"2")]));
     }
@@ -627,30 +597,18 @@ mod tests {
         let mut tree = Tree::new();
         tree.write(DomId::DOM0, &p("/a"), b"1", &mut TreeDiff::default())
             .unwrap();
-        let mut txn = Transaction::begin(1, DomId::DOM0, &tree);
+        let mut txn = Transaction::begin(DomId::DOM0, &tree);
         // Write then remove: net effect on /tmp is nothing.
-        txn.apply(TxnOp::Write {
-            path: p("/tmp"),
-            value: b"x".to_vec(),
-        })
-        .unwrap();
-        txn.apply(TxnOp::Rm { path: p("/tmp") }).unwrap();
+        Op::write("/tmp", b"x").apply(&mut txn).unwrap();
+        Op::Rm(p("/tmp")).apply(&mut txn).unwrap();
         // Overwrite twice: one net value change.
-        txn.apply(TxnOp::Write {
-            path: p("/a"),
-            value: b"2".to_vec(),
-        })
-        .unwrap();
-        txn.apply(TxnOp::Write {
-            path: p("/a"),
-            value: b"3".to_vec(),
-        })
-        .unwrap();
+        Op::write("/a", b"2").apply(&mut txn).unwrap();
+        Op::write("/a", b"3").apply(&mut txn).unwrap();
         let diff = txn.changes();
         assert!(diff.added.is_empty());
         assert!(diff.removed.is_empty());
         assert_eq!(diff.value_changed, vec![p("/a")]);
-        assert_eq!(txn.write_log.len(), 4, "the log still records every op");
+        assert_eq!(txn.written_paths().count(), 4, "every op is still recorded");
     }
 
     #[test]
@@ -658,20 +616,16 @@ mod tests {
         let mut tree = Tree::new();
         tree.mkdir(DomId::DOM0, &p("/local/domain"), &mut TreeDiff::default())
             .unwrap();
-        let mut txn = Transaction::begin(1, DomId::DOM0, &tree);
-        txn.apply(TxnOp::Mkdir {
-            path: p("/local/domain/5"),
-        })
-        .unwrap();
+        let mut txn = Transaction::begin(DomId::DOM0, &tree);
+        Op::Mkdir(p("/local/domain/5")).apply(&mut txn).unwrap();
         let listed = txn.read_set[&p("/local/domain")];
         assert_eq!(listed.kind(), ReadKind::Directory);
         assert!(listed.saw_node());
         // A second creation below the new node depends only on state the
         // transaction itself created, so no new shared dependency appears.
-        txn.apply(TxnOp::Mkdir {
-            path: p("/local/domain/5/device"),
-        })
-        .unwrap();
+        Op::Mkdir(p("/local/domain/5/device"))
+            .apply(&mut txn)
+            .unwrap();
         assert!(
             !txn.read_set.contains_key(&p("/local/domain/5"))
                 || txn.created_by_txn(&p("/local/domain/5"))
@@ -683,7 +637,7 @@ mod tests {
     #[test]
     fn read_dependencies_widen_and_never_downgrade() {
         let tree = Tree::new();
-        let mut txn = Transaction::begin(1, DomId::DOM0, &tree);
+        let mut txn = Transaction::begin(DomId::DOM0, &tree);
         let kind = |txn: &Transaction, path: &str| txn.read_set[&p(path)].kind();
         // Directory then value: both dependencies survive.
         txn.note_dir_read(&p("/a"), false);
@@ -704,7 +658,7 @@ mod tests {
     #[test]
     fn reads_of_missing_paths_are_recorded() {
         let tree = Tree::new();
-        let mut txn = Transaction::begin(1, DomId::DOM0, &tree);
+        let mut txn = Transaction::begin(DomId::DOM0, &tree);
         // The store notes a read whatever it returned, so a read that
         // returns ENOENT still lands in the read set.
         assert!(txn.snapshot.read(DomId::DOM0, &p("/not/yet/here")).is_err());
@@ -717,7 +671,7 @@ mod tests {
     #[test]
     fn the_first_read_decides_whether_the_node_was_seen() {
         let tree = Tree::new();
-        let mut txn = Transaction::begin(1, DomId::DOM0, &tree);
+        let mut txn = Transaction::begin(DomId::DOM0, &tree);
         // Read absent, then read again after the transaction created it:
         // the absence stays what was seen, and the kinds still widen.
         txn.note_read(&p("/seen/absent"), false);
@@ -726,11 +680,7 @@ mod tests {
         assert!(!absent.saw_node());
         assert_eq!(absent.kind(), ReadKind::Both);
         // Created, then read: the transaction read its own write.
-        txn.apply(TxnOp::Write {
-            path: p("/own/write"),
-            value: b"v".to_vec(),
-        })
-        .unwrap();
+        Op::write("/own/write", b"v").apply(&mut txn).unwrap();
         txn.note_read(&p("/own/write"), true);
         txn.note_read(&p("/own/write"), false);
         assert!(txn.read_set[&p("/own/write")].saw_node());
@@ -741,15 +691,11 @@ mod tests {
     #[test]
     fn failed_ops_are_not_logged() {
         let tree = Tree::new();
-        let mut txn = Transaction::begin(1, DomId(5), &tree);
+        let mut txn = Transaction::begin(DomId(5), &tree);
         // dom5 cannot write under dom0's tree.
-        assert!(txn
-            .apply(TxnOp::Write {
-                path: p("/tool/x"),
-                value: b"v".to_vec()
-            })
-            .is_err());
-        assert!(txn.write_log.is_empty());
+        assert!(Op::write("/tool/x", b"v").apply(&mut txn).is_err());
+        assert!(txn.is_read_only());
+        assert_eq!(txn.written_paths().count(), 0);
     }
 
     #[test]
@@ -757,8 +703,8 @@ mod tests {
         let mut tree = Tree::new();
         tree.write(DomId::DOM0, &p("/a/b"), b"1", &mut TreeDiff::default())
             .unwrap();
-        let mut txn = Transaction::begin(1, DomId::DOM0, &tree);
-        txn.apply(TxnOp::Rm { path: p("/a/b") }).unwrap();
+        let mut txn = Transaction::begin(DomId::DOM0, &tree);
+        Op::Rm(p("/a/b")).apply(&mut txn).unwrap();
         // Concurrently, someone else removes it first.
         tree.rm(DomId::DOM0, &p("/a/b"), &mut TreeDiff::default())
             .unwrap();
@@ -769,15 +715,13 @@ mod tests {
     #[test]
     fn written_paths_and_op_path() {
         let tree = Tree::new();
-        let mut txn = Transaction::begin(1, DomId::DOM0, &tree);
-        txn.apply(TxnOp::Write {
-            path: p("/x"),
-            value: vec![1],
-        })
-        .unwrap();
-        txn.apply(TxnOp::Mkdir { path: p("/y") }).unwrap();
+        let mut txn = Transaction::begin(DomId::DOM0, &tree);
+        Op::write("/x", &[1]).apply(&mut txn).unwrap();
+        Op::Mkdir(p("/y")).apply(&mut txn).unwrap();
+        // A removal of what is not there fails and names nothing.
+        assert!(Op::Rm(p("/z")).apply(&mut txn).is_err());
+        Op::Rm(p("/x")).apply(&mut txn).unwrap();
         let paths: Vec<String> = txn.written_paths().map(|p| p.to_string()).collect();
-        assert_eq!(paths, vec!["/x", "/y"]);
-        assert_eq!(TxnOp::Rm { path: p("/z") }.path().to_string(), "/z");
+        assert_eq!(paths, vec!["/x", "/y", "/x"]);
     }
 }

@@ -389,11 +389,20 @@ fn a_cold_start_stays_inside_its_allocation_budget() {
     // A sealed frame buffer keeping the sum of its bytes beside their
     // reference count moved the bytes up from 8,362,485 by 21,304: 8 bytes
     // in each of the 2,663 buffers the cell seals, at the same allocations.
+    //
+    // A transaction keeping the paths its operations wrote, not a log of
+    // the operations with a copy of each value, and its operations
+    // reporting into the store's one effects record, not a new one each,
+    // moved it down from 73,561 allocations and 8,383,789 bytes by 2,370
+    // allocations and 236,152 bytes (15 and 1,495 bytes a launch; a launch
+    // makes 3 transactions): a transactional write lends its value to the
+    // snapshot as a direct write lends it to the live tree
+    // (`create_domain` 135 -> 129).
     assert_eq!(
         cell,
         Cell {
-            allocations: 73_561,
-            bytes: 8_383_789,
+            allocations: 71_191,
+            bytes: 8_147_637,
             launches: 158,
             xenstore_ops: 11_861,
         },
@@ -407,12 +416,14 @@ fn a_cold_start_stays_inside_its_allocation_budget() {
     // A read is the copied value, and the parsed path likewise, and
     // `read_with` lends the value out and allocates nothing. A created node
     // is its `Rc`, its name, its value, and for a directory the entry
-    // buffer of its first child; a removal is the parsed path and the
+    // buffer of its first child, inside a transaction too, which adds the
+    // buffer of the paths it wrote and nothing per write; a removal is the parsed path and the
     // record's buffer, whatever the subtree; a TCB record is its one buffer,
     // and so is a built domain's device tree. (2, 1, 5, 21, 46 and 8 for the
     // writes, the transaction and the `rm` until a directory held its own
     // entries, a direct write lent its value and a removal named its root
-    // alone.)
+    // alone; the transaction 40 until it stopped logging each op with a
+    // copy of its value and reporting each into a record of its own.)
     assert_eq!(
         ops,
         Operations {
@@ -423,12 +434,12 @@ fn a_cold_start_stays_inside_its_allocation_budget() {
             read: 2,
             read_path: 1,
             read_with: 0,
-            txn_three_writes_five_nodes: 40,
+            txn_three_writes_five_nodes: 34,
             rm_six_nodes: 2,
             tcb_to_sexp: 1,
             tcb_from_sexp: 1,
             domain_build: 2,
-            create_domain: 135,
+            create_domain: 129,
             destroy_domain: 1,
         }
     );
