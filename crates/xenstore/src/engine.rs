@@ -51,12 +51,12 @@
 //!   the exact-path write-write rule below (a written path modified
 //!   concurrently) is `oxenstored`'s policy rather than something
 //!   isolation needs; with it disabled the checker still passes.
-//! * Two known gaps in the merge engines, which the checker exempts by
-//!   name. A read of a node that the transaction went on to remove (and
-//!   perhaps create again) keeps no dependency, because the read set is
-//!   judged against the final snapshot. And a child-list dependency does
-//!   not see a concurrent change of the node's permissions, which decide
-//!   whether the listing is allowed at all.
+//! * A read is judged by what it saw when the transaction first read the
+//!   path, not by the snapshot the transaction ends with: a read of a node
+//!   the transaction then removed, or removed and made again, still
+//!   depends on that node. A child-list dependency also depends on the
+//!   node's permissions, which decide whether the listing is allowed at
+//!   all.
 //!
 //! How long each engine's operations take on the ARM evaluation board (the
 //! C daemon's filesystem-backed transactions are notably slower per
@@ -64,7 +64,7 @@
 //! Figure 3 harness combines the conflict behaviour decided here with those
 //! costs.
 
-use crate::transaction::Transaction;
+use crate::transaction::{Seen, Transaction};
 use crate::tree::Tree;
 
 /// Which reconciliation engine a store uses.
@@ -98,15 +98,19 @@ impl EngineKind {
 
     /// Decide whether `txn` may commit against the current `live` tree.
     pub(crate) fn reconcile(self, live: &Tree, txn: &Transaction) -> Reconcile {
+        // Nothing was committed beside the transaction: the live tree is its
+        // base, node for node and stamp for stamp, and no engine finds a
+        // conflict in it.
+        if live.generation() == txn.start_gen {
+            return Reconcile::Commit;
+        }
         let conflict = match self {
             // C `xenstored`: any interleaved commit conflicts.
-            EngineKind::Serial => (live.generation() != txn.start_gen).then(|| {
-                format!(
-                    "store advanced from generation {} to {} during the transaction",
-                    txn.start_gen,
-                    live.generation()
-                )
-            }),
+            EngineKind::Serial => Some(format!(
+                "store advanced from generation {} to {} during the transaction",
+                txn.start_gen,
+                live.generation()
+            )),
             // OCaml `oxenstored`: only overlapping read/write sets conflict,
             // directory-listing dependencies included.
             EngineKind::Merge => merge_conflicts(live, txn, false),
@@ -134,65 +138,64 @@ pub(crate) enum Reconcile {
 }
 
 /// Shared logic for the two merge engines: a three-way comparison between
-/// the transaction's pristine `base` tree, its read/write sets, and the
-/// current `live` tree, at node granularity. A path conflicts only when the
-/// node the transaction depended on actually changed underneath it.
+/// what the transaction's reads saw, the paths it wrote, and the current
+/// `live` tree, at node granularity. A path conflicts only when the node
+/// the transaction depended on actually changed underneath it.
+///
+/// Every stamp made since the transaction started is newer than its start
+/// generation, and a node it started with carries older ones, so "changed
+/// since the base" is "stamped after the start": each path costs one
+/// lookup, in the live tree.
 fn merge_conflicts(live: &Tree, txn: &Transaction, ignore_directory_deps: bool) -> Option<String> {
-    // Read-set dependencies.
+    let since = txn.start_gen;
+    // Read-set dependencies, each judged by what its first read saw.
     for (path, read) in &txn.read_set {
-        // A read of a node the transaction had already created read its own
-        // write, not shared state. A read that saw the path absent keeps its
-        // dependency even if the transaction created the path afterwards:
-        // the write-set check below does not see the ancestors a write
-        // creates, so only this check catches a concurrent create of one.
-        if read.saw_node() && txn.created_by_txn(path) {
-            continue;
-        }
         let kind = read.kind();
-        match (txn.base.get(path), live.get(path)) {
-            // Observed missing and still missing: the dependency holds.
-            (None, None) => {}
+        match (read.seen(), live.get(path)) {
+            // The read read the transaction's own write, not shared state.
+            (Seen::Own, _) => {}
             // Observed missing, created concurrently: a read of a
             // nonexistent node conflicts with a concurrent create of that
-            // path, whatever kind of read it was.
-            (None, Some(_)) => {
+            // path, whatever kind of read it was — even when the
+            // transaction created the path afterwards: the write-set check
+            // below does not see the ancestors a write creates.
+            (Seen::Absent, Some(node)) if node.created_gen > since => {
                 return Some(format!("{path} was created concurrently"));
             }
-            (Some(_), None) => {
-                // The node we depended on has been removed concurrently —
-                // unless the transaction removed it too, in which case the
-                // two sides already agree.
-                if txn.snapshot.exists(path) {
-                    return Some(format!("{path} was removed concurrently"));
-                }
+            (Seen::Absent, _) => {}
+            // The node the read saw has been removed concurrently — whether
+            // or not the transaction went on to remove it too, and perhaps
+            // make it again.
+            (Seen::Shared, None) => {
+                return Some(format!("{path} was removed concurrently"));
             }
-            (Some(base), Some(node)) => {
-                if kind.depends_on_value() && node.modified_gen != base.modified_gen {
+            (Seen::Shared, Some(node)) => {
+                if kind.depends_on_value() && node.modified_gen > since {
                     return Some(format!("{path} was modified concurrently"));
                 }
+                // A child list is read under the node's permissions, which
+                // decide whether the listing (or the creation) is allowed at
+                // all; a change of them stamps `modified_gen`.
                 if kind.depends_on_children()
                     && !ignore_directory_deps
-                    && node.children_gen != base.children_gen
+                    && (node.children_gen > since || node.modified_gen > since)
                 {
                     return Some(format!("children of {path} changed concurrently"));
                 }
             }
         }
     }
-    // Write-write conflicts on exact paths.
+    // Write-write conflicts on exact paths. A concurrently removed write
+    // target does not conflict: the merge recreates (or re-removes) it.
     for path in txn.written_paths() {
-        match (txn.base.get(path), live.get(path)) {
-            (None, Some(_)) => {
+        match live.get(path) {
+            Some(node) if node.created_gen > since => {
                 return Some(format!("{path} was created concurrently"));
             }
-            (Some(base), Some(node)) => {
-                if node.modified_gen != base.modified_gen {
-                    return Some(format!("{path} was written concurrently"));
-                }
+            Some(node) if node.modified_gen > since => {
+                return Some(format!("{path} was written concurrently"));
             }
-            // A concurrently removed write target does not conflict: the
-            // merge recreates (or re-removes) it.
-            (_, None) => {}
+            _ => {}
         }
     }
     None
@@ -320,7 +323,7 @@ mod tests {
         live.write(DomId::DOM0, &p("/config"), b"v1", &mut TreeDiff::default())
             .unwrap();
         let mut txn = Transaction::begin(DomId::DOM0, &live);
-        txn.note_read(&p("/config"), true);
+        txn.note_read(&p("/config"), Seen::Shared);
         write(&mut txn, "/derived", b"from-v1");
         live.write(DomId::DOM0, &p("/config"), b"v2", &mut TreeDiff::default())
             .unwrap();
@@ -343,7 +346,7 @@ mod tests {
         // not yet registered" and both claiming the slot).
         let mut live = Tree::new();
         let mut txn = Transaction::begin(DomId::DOM0, &live);
-        txn.note_read(&p("/conduit/http_server"), false);
+        txn.note_read(&p("/conduit/http_server"), Seen::Absent);
         assert!(txn
             .snapshot
             .read(DomId::DOM0, &p("/conduit/http_server"))
@@ -371,7 +374,7 @@ mod tests {
         live.write(DomId::DOM0, &p("/other"), b"1", &mut TreeDiff::default())
             .unwrap();
         let mut txn = Transaction::begin(DomId::DOM0, &live);
-        txn.note_read(&p("/conduit/http_server"), false);
+        txn.note_read(&p("/conduit/http_server"), Seen::Absent);
         write(&mut txn, "/decision", b"claim");
         // An unrelated concurrent commit advances the store, but the absent
         // path stays absent: the dependency holds and the merge engines
@@ -393,7 +396,7 @@ mod tests {
         // directory being created concurrently.
         let mut live = Tree::new();
         let mut txn = Transaction::begin(DomId::DOM0, &live);
-        txn.note_dir_read(&p("/conduit/flows"), false);
+        txn.note_dir_read(&p("/conduit/flows"), Seen::Absent);
         write(&mut txn, "/decision", &[1]);
         live.mkdir(DomId::DOM0, &p("/conduit/flows"), &mut TreeDiff::default())
             .unwrap();
@@ -409,7 +412,7 @@ mod tests {
         live.write(DomId::DOM0, &p("/config"), b"v1", &mut TreeDiff::default())
             .unwrap();
         let mut txn = Transaction::begin(DomId::DOM0, &live);
-        txn.note_read(&p("/config"), true);
+        txn.note_read(&p("/config"), Seen::Shared);
         write(&mut txn, "/derived", &[1]);
         live.rm(DomId::DOM0, &p("/config"), &mut TreeDiff::default())
             .unwrap();

@@ -394,7 +394,15 @@ impl PartialOrd for Path {
 /// would not do, because `-`, `+` and `.` sort before `/`.
 impl Ord for Path {
     fn cmp(&self, other: &Path) -> Ordering {
-        let (mine, theirs) = (self.text().as_bytes(), other.text().as_bytes());
+        self.cmp_text(other.text())
+    }
+}
+
+impl Path {
+    /// How this path orders against the one whose canonical text is
+    /// `theirs`, as [`Ord`] orders paths.
+    pub(crate) fn cmp_text(&self, theirs: &str) -> Ordering {
+        let (mine, theirs) = (self.text().as_bytes(), theirs.as_bytes());
         match mine.iter().zip(theirs).find(|(a, b)| a != b) {
             // Both texts agree up to here, so the differing bytes sit in
             // the same component; a slash means that side's component has

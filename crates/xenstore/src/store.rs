@@ -13,15 +13,15 @@
 //! with no transaction open the live tree is unshared and the op mutates it
 //! in place — zero nodes copied. While a transaction is open its snapshot
 //! shares the live root, and a direct op path-copies the depth + 1 nodes
-//! from the root to its target, leaving the snapshot untouched. A commit is
-//! the one place a structural diff is computed: the transaction's net
-//! effect (`base → snapshot`), which is also what the commit changed when
-//! the store has not moved since the transaction began, and otherwise the
-//! diff between the live tree and the three-way merge result — so watches
-//! fire from the *committed merged tree* (one event per path that actually
-//! changed, not one per operation). On a store that has not moved the
-//! merge result is the transaction's own snapshot over again, and the
-//! snapshot is committed as it stands unless its operations undid or
+//! from the root to its target, leaving the snapshot untouched. A commit
+//! works out the transaction's net effect (`base → snapshot`) along the
+//! paths its operations named, which is also what the commit changed when
+//! the store has not moved since the transaction began; otherwise the
+//! three-way merge reports what it changed in the live tree as it grafts —
+//! so watches fire from the *committed merged tree* (one event per path
+//! that actually changed, not one per operation). On a store that has not
+//! moved the merge result is the transaction's own snapshot over again, and
+//! the snapshot is committed as it stands unless its operations undid or
 //! restamped something, which a merge of the net effect would not show.
 //!
 //! The two watch models are deliberately asymmetric. *Direct* ops keep the
@@ -35,11 +35,12 @@
 
 use crate::engine::{EngineKind, Reconcile};
 use crate::error::{Error, Result};
+use crate::node::Node;
 use crate::path::{Path, StorePath};
-use crate::perms::{DomId, Permissions};
+use crate::perms::{Access, DomId, Permissions};
 use crate::quota::Quota;
-use crate::transaction::Transaction;
-use crate::tree::{Tree, TreeDiff};
+use crate::transaction::{Seen, Transaction};
+use crate::tree::{permitted, Tree, TreeDiff};
 use crate::watch::{WatchEvent, WatchManager};
 use std::collections::BTreeMap;
 
@@ -115,12 +116,6 @@ impl std::fmt::Debug for XenStore {
             .field("stats", &self.stats)
             .finish()
     }
-}
-
-/// Whether a read in a snapshot found its node: only a missing node is
-/// `NoEntry`, which a read reports before it checks permissions.
-fn found<T>(read: &Result<T>) -> bool {
-    !matches!(read, Err(Error::NoEntry(_)))
 }
 
 impl XenStore {
@@ -302,25 +297,28 @@ impl XenStore {
         self.read_with(dom, tx, path, <[u8]>::to_vec)
     }
 
-    /// The route of every read: `read` `path` in the live tree, or in the
-    /// snapshot of `tx`, where `note` records the transaction's dependency
-    /// and whether the read found the node.
+    /// The route of every read: what `read` makes of the node at `path`,
+    /// checked for `dom`'s read access, in the live tree or in the snapshot
+    /// of `tx`, where `note` records the transaction's dependency and what
+    /// the read saw there.
     fn read_in<R>(
         &mut self,
         dom: DomId,
         tx: Option<TxId>,
         path: impl StorePath,
-        note: fn(&mut Transaction, &Path, bool),
-        read: impl FnOnce(&Tree, &Path) -> Result<R>,
+        note: fn(&mut Transaction, &Path, Seen),
+        read: impl FnOnce(&Node) -> R,
     ) -> Result<R> {
         self.stats.ops += 1;
         let path = path.into_path()?;
         let Some(id) = tx else {
-            return read(&self.tree, &path);
+            return permitted(self.tree.get(&path), dom, &path, Access::Read).map(read);
         };
         let txn = self.txn_for(dom, id, &path)?;
-        let result = read(&txn.snapshot, &path);
-        note(txn, &path, found(&result));
+        let node = txn.snapshot.get(&path);
+        let seen = Seen::of(node, txn.start_gen);
+        let result = permitted(node, dom, &path, Access::Read).map(read);
+        note(txn, &path, seen);
         result
     }
 
@@ -333,9 +331,7 @@ impl XenStore {
         path: impl StorePath,
         f: impl FnOnce(&[u8]) -> R,
     ) -> Result<R> {
-        self.read_in(dom, tx, path, Transaction::note_read, |tree, path| {
-            tree.read_with(dom, path, f)
-        })
+        self.read_in(dom, tx, path, Transaction::note_read, |node| f(&node.value))
     }
 
     /// Read a value as a UTF-8 string (lossy).
@@ -367,9 +363,7 @@ impl XenStore {
         tx: Option<TxId>,
         path: impl StorePath,
     ) -> Result<Vec<String>> {
-        self.read_in(dom, tx, path, Transaction::note_dir_read, |tree, path| {
-            tree.directory(dom, path)
-        })
+        self.read_in(dom, tx, path, Transaction::note_dir_read, Node::child_names)
     }
 
     /// Read a node's permissions.
@@ -379,8 +373,8 @@ impl XenStore {
         tx: Option<TxId>,
         path: impl StorePath,
     ) -> Result<Permissions> {
-        self.read_in(dom, tx, path, Transaction::note_read, |tree, path| {
-            tree.get_perms(dom, path)
+        self.read_in(dom, tx, path, Transaction::note_read, |node| {
+            node.perms.clone()
         })
     }
 
@@ -538,53 +532,53 @@ impl XenStore {
             self.stats.commits += 1;
             return Ok(());
         }
-        match self.engine.reconcile(&self.tree, &txn) {
-            Reconcile::Conflict { .. } => {
-                self.stats.conflicts += 1;
-                Err(Error::Again)
-            }
-            Reconcile::Commit => {
-                // The transaction's net effect, `base → snapshot`: what the
-                // commit changes when the store has not moved since the
-                // transaction began, and what is grafted on when it has.
-                let changes = txn.changes();
-                let unmoved = self.tree.generation() == txn.start_gen;
-                let (committed, diff) = if unmoved && txn.snapshot_is_merge_of(&changes) {
-                    // Nothing ran beside the transaction and it left no
-                    // stamp a merge would not: its snapshot *is* the serial
-                    // result, and is adopted as it stands instead of being
-                    // built a second time, node by node, on the live tree.
-                    (txn.snapshot, changes)
-                } else {
-                    // Three-way merge onto an O(1) scratch copy of the live
-                    // tree: a merge that fails part-way (e.g. a concurrent
-                    // permission revocation on a parent) never mutates live
-                    // state, preserving commit atomicity.
-                    let mut merged = self.tree.clone();
-                    txn.merge_onto(&mut merged, &changes)?;
-                    let diff = if unmoved {
-                        changes
-                    } else {
-                        Tree::diff(&self.tree, &merged)
-                    };
-                    (merged, diff)
-                };
-                // One structural diff serves both the commit-time quota
-                // check and the post-swap bookkeeping. Watches fire from
-                // the committed tree: one event per path that actually
-                // changed, in deterministic order.
-                self.check_commit_quota(&diff)?;
-                self.tree = committed;
-                self.settle(&diff, true, None);
-                self.stats.commits += 1;
-                if !unmoved {
-                    // The base moved underneath the transaction and we
-                    // committed anyway — a merge, not a serial replay.
-                    self.stats.merged += 1;
-                }
-                Ok(())
-            }
+        if let Reconcile::Conflict { .. } = self.engine.reconcile(&self.tree, &txn) {
+            self.stats.conflicts += 1;
+            return Err(Error::Again);
         }
+        // The transaction's net effect, `base → snapshot`: what the commit
+        // changes when the store has not moved since the transaction began,
+        // and what is grafted on when it has.
+        let changes = txn.changes();
+        let unmoved = self.tree.generation() == txn.start_gen;
+        if unmoved && txn.snapshot_is_merge_of(&changes) {
+            // Nothing ran beside the transaction and it left no stamp a
+            // merge would not: its snapshot *is* the serial result, and is
+            // adopted as it stands instead of being built a second time,
+            // node by node, on the live tree.
+            self.install(txn.snapshot, &changes)?;
+        } else {
+            // Three-way merge onto an O(1) scratch copy of the live tree: a
+            // merge that fails part-way (e.g. a concurrent permission
+            // revocation on a parent) never mutates live state, preserving
+            // commit atomicity. The merge reports what it changed into the
+            // store's one record.
+            let mut merged = self.tree.clone();
+            let mut diff = std::mem::take(&mut self.effects);
+            let installed = txn
+                .merge_onto(&mut merged, &changes, &mut diff)
+                .and_then(|()| self.install(merged, &diff));
+            self.recycle(diff);
+            installed?;
+        }
+        self.stats.commits += 1;
+        if !unmoved {
+            // The base moved underneath the transaction and we committed
+            // anyway — a merge, not a serial replay.
+            self.stats.merged += 1;
+        }
+        Ok(())
+    }
+
+    /// Make `committed` the live tree, given `diff`, what it changes there:
+    /// one record serves both the commit-time quota check and the
+    /// post-swap bookkeeping. Watches fire from the committed tree: one
+    /// event per path that actually changed, in deterministic order.
+    fn install(&mut self, committed: Tree, diff: &TreeDiff) -> Result<()> {
+        self.check_commit_quota(diff)?;
+        self.tree = committed;
+        self.settle(diff, true, None);
+        Ok(())
     }
 
     /// Number of transactions currently open.
@@ -1433,6 +1427,97 @@ mod tests {
         let evs = xs.take_watch_events(DomId(3));
         assert_eq!(evs.len(), 1, "one event per net-changed path: {evs:?}");
         assert_eq!(evs[0].path.to_string(), "/svc/state");
+    }
+
+    #[test]
+    fn a_mkdir_of_a_node_the_domain_may_not_write_is_refused() {
+        let mut xs = store();
+        xs.mkdir(DomId::DOM0, None, "/shared").unwrap();
+        let readable = Permissions::with_default(DomId::DOM0, PermLevel::Read);
+        xs.set_perms(DomId::DOM0, None, "/shared", readable)
+            .unwrap();
+        xs.watch(DomId::DOM0, "/shared", "tok").unwrap();
+        xs.take_watch_events(DomId::DOM0);
+        // As C `xenstored`'s `do_mkdir`: the node is there, but dom7 may
+        // not write it.
+        let refused = xs.mkdir(DomId(7), None, "/shared");
+        assert!(
+            matches!(refused, Err(Error::PermissionDenied(_))),
+            "{refused:?}"
+        );
+        assert_eq!(
+            xs.pending_watch_events(DomId::DOM0),
+            0,
+            "a refusal fires nothing"
+        );
+        // Inside a transaction the refusal is no write: the commit is a
+        // read-only one, which no concurrent commit refuses.
+        let xs = &mut XenStore::new(EngineKind::Serial);
+        xs.mkdir(DomId::DOM0, None, "/shared").unwrap();
+        let t = xs.transaction_start(DomId(7)).unwrap();
+        let refused = xs.mkdir(DomId(7), Some(t), "/shared");
+        assert!(
+            matches!(refused, Err(Error::PermissionDenied(_))),
+            "{refused:?}"
+        );
+        assert!(xs.transactions[&t.0].is_read_only());
+        xs.write(DomId::DOM0, None, "/other", b"1").unwrap();
+        assert_eq!(xs.transaction_end(DomId(7), t, true), Ok(()));
+        // A domain that may write the node still makes nothing.
+        let writable = Permissions::with_default(DomId::DOM0, PermLevel::Write);
+        xs.set_perms(DomId::DOM0, None, "/shared", writable)
+            .unwrap();
+        let nodes = xs.node_count();
+        xs.mkdir(DomId(7), None, "/shared").unwrap();
+        assert_eq!(xs.node_count(), nodes);
+    }
+
+    #[test]
+    fn a_read_keeps_its_dependency_whatever_the_transaction_did_after() {
+        for engine in [EngineKind::Merge, EngineKind::JitsuMerge] {
+            // Read, then removed by the transaction and concurrently too:
+            // serially after the concurrent removal the read finds nothing.
+            let mut xs = XenStore::new(engine);
+            xs.write(DomId::DOM0, None, "/a/b", b"1").unwrap();
+            let t = xs.transaction_start(DomId::DOM0).unwrap();
+            assert_eq!(xs.read(DomId::DOM0, Some(t), "/a/b").unwrap(), b"1");
+            xs.rm(DomId::DOM0, Some(t), "/a").unwrap();
+            xs.rm(DomId::DOM0, None, "/a").unwrap();
+            assert_eq!(xs.transaction_end(DomId::DOM0, t, true), Err(Error::Again));
+            // Read, removed and made again by the transaction, rewritten
+            // concurrently: the read saw the old value.
+            xs.write(DomId::DOM0, None, "/c", b"1").unwrap();
+            let t = xs.transaction_start(DomId::DOM0).unwrap();
+            assert_eq!(xs.read(DomId::DOM0, Some(t), "/c").unwrap(), b"1");
+            xs.rm(DomId::DOM0, Some(t), "/c").unwrap();
+            xs.write(DomId::DOM0, Some(t), "/c/d", b"2").unwrap();
+            xs.write(DomId::DOM0, None, "/c", b"3").unwrap();
+            assert_eq!(
+                xs.transaction_end(DomId::DOM0, t, true),
+                Err(Error::Again),
+                "{engine:?}"
+            );
+        }
+        // A listing under `Merge` depends on the permissions that allowed
+        // it: dom7's listing was refused, and would not be after dom0 makes
+        // the node world-readable.
+        let mut xs = XenStore::new(EngineKind::Merge);
+        xs.mkdir(DomId::DOM0, None, "/local/domain/7").unwrap();
+        let home = Permissions::owned_by(DomId(7));
+        xs.set_perms(DomId::DOM0, None, "/local/domain/7", home)
+            .unwrap();
+        let t = xs.transaction_start(DomId(7)).unwrap();
+        let listed = xs.directory(DomId(7), Some(t), "/local/domain");
+        assert!(
+            matches!(listed, Err(Error::PermissionDenied(_))),
+            "{listed:?}"
+        );
+        xs.write(DomId(7), Some(t), "/local/domain/7/x", b"1")
+            .unwrap();
+        let readable = Permissions::with_default(DomId::DOM0, PermLevel::Read);
+        xs.set_perms(DomId::DOM0, None, "/local/domain", readable)
+            .unwrap();
+        assert_eq!(xs.transaction_end(DomId(7), t, true), Err(Error::Again));
     }
 
     #[test]

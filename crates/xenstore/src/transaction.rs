@@ -8,9 +8,15 @@
 //!
 //! Commit is a *three-way merge*: the transaction keeps the pristine tree it
 //! started from (`base`) next to its mutated `snapshot`, so at commit time
-//! the store can compute the transaction's net effect as a structural diff
-//! `base → snapshot` and graft it onto the (possibly concurrently advanced)
-//! live tree. Commit fails with `EAGAIN` only when a concurrent commit
+//! the store can compute the transaction's net effect — what the snapshot
+//! differs from the base in — and graft it onto the (possibly concurrently
+//! advanced) live tree. Every difference lies on the way to, at or below a
+//! path one of its operations named, so the net effect is found by walking
+//! base and snapshot down those paths alone (`Tree::diff_along`), and the
+//! graft reaches each path it changes with one descent of the live tree
+//! (`Tree::graft`), reporting what it changed as it goes. What a commit
+//! costs follows what the transaction touched, not what the directories
+//! above it hold. Commit fails with `EAGAIN` only when a concurrent commit
 //! actually conflicts — *which* interleavings count as conflicts is decided
 //! by the pluggable reconciliation engine ([`crate::engine`]) at node
 //! granularity, and is exactly what Figure 3 of the paper measures.
@@ -22,11 +28,12 @@
 //! `Transaction::snapshot_is_merge_of` decides from what the operations
 //! reported as they ran.
 
-use crate::error::Result;
+use crate::error::{Error, Result};
+use crate::node::Node;
 use crate::path::Path;
 use crate::perms::DomId;
-use crate::tree::{Tree, TreeDiff};
-use std::collections::BTreeMap;
+use crate::tree::{Graft, Tree, TreeDiff};
+use std::collections::btree_map::{BTreeMap, Entry};
 
 /// The kind of dependency a transaction recorded on a path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,7 +42,7 @@ pub enum ReadKind {
     /// its existence). Reads of *missing* paths are recorded too: a read
     /// that observed absence conflicts with a concurrent create of that
     /// path, even when the transaction goes on to create the path itself
-    /// ([`ReadDep::saw_node`] tells the two reads apart).
+    /// ([`ReadDep::seen`] tells the reads apart).
     Value,
     /// The transaction listed the node's children, or depended on the child
     /// list by creating/removing a child beneath it.
@@ -59,17 +66,49 @@ impl ReadKind {
     }
 }
 
+/// What a transaction's first read of a path found there, in its snapshot.
+///
+/// A node's stamps differ from its base's exactly when they are newer than
+/// the transaction's start, so what the first read saw is all the engines
+/// need besides the live node: no read is judged by the base or by the
+/// snapshot as the transaction left it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Seen {
+    /// No node: the read depends on none being made after the transaction
+    /// started (a node the transaction removed itself stays gone for it).
+    Absent,
+    /// A node that was there when the transaction started: the read
+    /// depends on it, whatever the transaction does to it later.
+    Shared,
+    /// A node the transaction had made itself: the read read its own write
+    /// and depends on nothing shared.
+    Own,
+}
+
+impl Seen {
+    /// What a read that found `node` (or none) saw, in the snapshot of a
+    /// transaction that started at generation `start_gen`.
+    pub(crate) fn of(node: Option<&Node>, start_gen: u64) -> Seen {
+        match node {
+            None => Seen::Absent,
+            Some(node) if node.created_gen > start_gen => Seen::Own,
+            Some(_) => Seen::Shared,
+        }
+    }
+}
+
 /// One read-set entry: the [`ReadKind`] of the dependencies a transaction
-/// took on a path, and whether the first of its reads there saw the node in
-/// its snapshot. One byte of flags, as wide as the bare kind, so the read
-/// set's map nodes keep their size.
+/// took on a path, and what the first of its reads there [`Seen`]. One
+/// byte of flags, as wide as the bare kind, so the read set's map nodes
+/// keep their size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReadDep(u8);
 
 impl ReadDep {
     const VALUE: u8 = 1;
     const CHILDREN: u8 = 2;
-    const SAW_NODE: u8 = 4;
+    const SHARED: u8 = 4;
+    const OWN: u8 = 8;
 
     /// The dependencies recorded so far.
     pub fn kind(self) -> ReadKind {
@@ -80,11 +119,26 @@ impl ReadDep {
         }
     }
 
-    /// True if the transaction's first read of the path found the node. A
-    /// later read cannot change this: what the first read saw absent stays
-    /// a dependency on that absence.
-    pub fn saw_node(self) -> bool {
-        self.0 & ReadDep::SAW_NODE != 0
+    /// What the transaction's first read of the path found. A later read
+    /// cannot change this: what the first read saw absent stays a
+    /// dependency on that absence, and a node it saw stays one on that node
+    /// even if the transaction removes it (and makes it again).
+    pub fn seen(self) -> Seen {
+        if self.0 & ReadDep::OWN != 0 {
+            Seen::Own
+        } else if self.0 & ReadDep::SHARED != 0 {
+            Seen::Shared
+        } else {
+            Seen::Absent
+        }
+    }
+
+    fn first(seen: Seen) -> ReadDep {
+        ReadDep(match seen {
+            Seen::Absent => 0,
+            Seen::Shared => ReadDep::SHARED,
+            Seen::Own => ReadDep::OWN,
+        })
     }
 }
 
@@ -103,13 +157,13 @@ pub(crate) struct Transaction {
     /// The isolated snapshot all in-transaction operations run against.
     /// Starts as another O(1) copy of `base`; mutations path-copy.
     pub(crate) snapshot: Tree,
-    /// Paths read (and how, and whether the first read saw the node) during
-    /// the transaction, including reads that observed a path to be
-    /// *missing*.
+    /// Paths read (and how, and what the first read saw) during the
+    /// transaction, including reads that observed a path to be *missing*.
     pub(crate) read_set: BTreeMap<Path, ReadDep>,
-    /// The path of each operation that succeeded, in order (may repeat):
-    /// all the engines read of what the transaction did, besides the
-    /// snapshot. The values live in the snapshot alone.
+    /// The paths of the operations that succeeded, sorted, each once: all
+    /// the engines read of what the transaction did, besides the snapshot,
+    /// and the paths its net effect is found along. The values live in the
+    /// snapshot alone.
     written: Vec<Path>,
     /// How many nodes the operations have given the transaction's domain,
     /// net — created or handed to it, less removed or taken from it — as
@@ -143,30 +197,35 @@ impl Transaction {
     }
 
     /// Record a value-read dependency on `path`, read in the snapshot,
-    /// where the read `found` the node or did not. Callers must record
-    /// reads of missing paths too — observing absence is a dependency that
-    /// a concurrent create invalidates. Widens an existing directory
+    /// where the read [`Seen`] what it found. Callers must record reads of
+    /// missing paths too — observing absence is a dependency that a
+    /// concurrent create invalidates. Widens an existing directory
     /// dependency to [`ReadKind::Both`]. Only the first read of a path
-    /// records what it found ([`ReadDep::saw_node`]).
-    pub(crate) fn note_read(&mut self, path: &Path, found: bool) {
-        self.note(path, ReadDep::VALUE, found);
+    /// records what it saw.
+    pub(crate) fn note_read(&mut self, path: &Path, seen: Seen) {
+        self.note(path, ReadDep::VALUE, |_, _| seen);
     }
 
     /// Record a directory (child-list) dependency on `path`. Widens an
     /// existing value dependency to [`ReadKind::Both`] — it must never be
     /// dropped, or a concurrent value change would slip past the engines.
-    /// `found` is as for [`Transaction::note_read`].
-    pub(crate) fn note_dir_read(&mut self, path: &Path, found: bool) {
-        self.note(path, ReadDep::CHILDREN, found);
+    /// `seen` is as for [`Transaction::note_read`].
+    pub(crate) fn note_dir_read(&mut self, path: &Path, seen: Seen) {
+        self.note(path, ReadDep::CHILDREN, |_, _| seen);
     }
 
-    fn note(&mut self, path: &Path, kind: u8, found: bool) {
-        let first = ReadDep(if found { ReadDep::SAW_NODE } else { 0 });
-        self.read_set.entry(path.clone()).or_insert(first).0 |= kind;
+    /// Record a dependency of `kind` on `path`; `seen` tells, from the
+    /// snapshot and the start generation, what the read saw, and is asked
+    /// only of a first read.
+    fn note(&mut self, path: &Path, kind: u8, seen: impl FnOnce(&Tree, u64) -> Seen) {
+        let dep = match self.read_set.entry(path.clone()) {
+            Entry::Occupied(dep) => dep.into_mut(),
+            Entry::Vacant(dep) => dep.insert(ReadDep::first(seen(&self.snapshot, self.start_gen))),
+        };
+        dep.0 |= kind;
     }
 
-    /// Paths written by this transaction, in the order its operations ran
-    /// (may repeat).
+    /// Paths written by this transaction, sorted, each once.
     pub(crate) fn written_paths(&self) -> impl Iterator<Item = &Path> {
         self.written.iter()
     }
@@ -198,7 +257,8 @@ impl Transaction {
         // A creation depends on the child list of the deepest directory
         // that existed before it — the parent of the topmost node it
         // created — and a removal on that of the removed node's parent.
-        // Either directory is in the snapshot.
+        // Either directory is in the snapshot, as it was or as the
+        // transaction made it.
         let dom = self.dom;
         let node_gain = &mut self.node_gain;
         effects.owner_changes(|owner, by| {
@@ -209,9 +269,13 @@ impl Transaction {
         let added = effects.added.first().map(|(path, _)| path);
         let topmost = added.or(effects.removed.first().map(|(path, _)| path));
         if let Some(dir) = topmost.and_then(Path::parent) {
-            self.note_dir_read(&dir, true);
+            self.note(&dir, ReadDep::CHILDREN, |snapshot, start_gen| {
+                Seen::of(snapshot.get(&dir), start_gen)
+            });
         }
-        self.written.push(path.clone());
+        if let Err(at) = self.written.binary_search(path) {
+            self.written.insert(at, path.clone());
+        }
         Ok(())
     }
 
@@ -222,20 +286,11 @@ impl Transaction {
         self.node_gain as isize
     }
 
-    /// True if `path` was created by this transaction (it exists in the
-    /// snapshot but only came into being after the transaction started).
-    pub(crate) fn created_by_txn(&self, path: &Path) -> bool {
-        self.snapshot
-            .get(path)
-            .map(|n| n.created_gen > self.start_gen)
-            .unwrap_or(false)
-    }
-
-    /// The transaction's net effect: the structural diff from the pristine
-    /// base to the mutated snapshot. Thanks to structural sharing this costs
-    /// O(paths touched), not O(store size).
+    /// The transaction's net effect: what the snapshot differs from the
+    /// pristine base in, found along the paths its operations named — one
+    /// child-map search a level in each tree, nothing off those paths.
     pub(crate) fn changes(&self) -> TreeDiff {
-        Tree::diff(&self.base, &self.snapshot)
+        Tree::diff_along(&self.base, &self.snapshot, &self.written, self.start_gen)
     }
 
     /// True if the snapshot is, node for node and stamp for stamp, what
@@ -248,10 +303,10 @@ impl Transaction {
     /// operations stamped the nodes of the effects they reported, and the
     /// net effect can only be those effects less what cancelled out; equal
     /// counts of each kind therefore mean nothing cancelled, and the two
-    /// stamp the same nodes. The engines compare a node's stamps with its
-    /// base's for equality and nothing more, so a store that commits such a
-    /// snapshot as it stands decides every later commit as one that merged
-    /// would.
+    /// stamp the same nodes, each past the start generation. The engines
+    /// ask of a node's stamps only whether they are newer than a
+    /// transaction's start, so a store that commits such a snapshot as it
+    /// stands decides every later commit as one that merged would.
     pub(crate) fn snapshot_is_merge_of(&self, net: &TreeDiff) -> bool {
         let reported = self
             .reported
@@ -259,86 +314,63 @@ impl Transaction {
         reported == Some(net.counts().map(Some))
     }
 
-    /// Three-way merge: graft the transaction's net effect `diff` (`base →
-    /// snapshot`, [`Transaction::changes`]) onto `live`, which may have
-    /// advanced concurrently. The engines decide *whether* the merge is
-    /// safe; this method performs it.
+    /// Three-way merge: graft the transaction's net effect `net`
+    /// ([`Transaction::changes`]) onto `live`, which may have advanced
+    /// concurrently, and append to `report` what that changed in `live` —
+    /// [`Tree::diff`] of `live` before and after, sorted as it sorts. The
+    /// engines decide *whether* the merge is safe; this method performs it.
     ///
     /// Removals are applied first (the root of each removed subtree), then
-    /// creations and value updates in depth-first order (parents before
-    /// children) — writes to concurrently removed nodes recreate them with
-    /// the snapshot's permissions, matching the remove-then-write serial
-    /// order — then permission updates, where a concurrently removed target
-    /// is treated as already gone (the write-then-remove serial order).
+    /// creations, then value updates, each list in depth-first order
+    /// (parents before children) — writes to concurrently removed nodes
+    /// recreate them with the snapshot's permissions, matching the
+    /// remove-then-write serial order — then permission updates, where a
+    /// concurrently removed target is treated as already gone (the
+    /// write-then-remove serial order). Each path is one descent of `live`
+    /// (`Tree::graft`) and one lookup of its node in the snapshot.
     ///
     /// An error part-way through can leave `live` partially merged; the
     /// store commits onto an O(1) scratch copy and swaps it in only on
     /// success, so a failed commit never mutates the live tree.
-    ///
-    /// If `live` was still the tree the transaction started from, `diff` is
-    /// also exactly what the merge changed in `live`.
-    pub(crate) fn merge_onto(&self, live: &mut Tree, diff: &TreeDiff) -> Result<()> {
-        // What each step changes in `live` is the caller's to work out, once
-        // for the whole merge.
-        let unused = &mut TreeDiff::default();
-        for (path, _) in &diff.removed {
-            match live.rm(self.dom, path, unused) {
-                Ok(()) | Err(crate::error::Error::NoEntry(_)) => {}
+    pub(crate) fn merge_onto(
+        &self,
+        live: &mut Tree,
+        net: &TreeDiff,
+        report: &mut TreeDiff,
+    ) -> Result<()> {
+        let before = live.generation();
+        for (path, _) in &net.removed {
+            match live.rm(self.dom, path, report) {
+                Ok(()) | Err(Error::NoEntry(_)) => {}
                 Err(e) => return Err(e),
             }
         }
-        let added = diff.added.iter().map(|(path, _)| (path, true));
-        let updated = diff.value_changed.iter().map(|path| (path, false));
-        for (path, is_creation) in added.chain(updated) {
-            // A *created* path that already exists in the live tree can only
-            // be an implicit ancestor (explicit creations of an existing
-            // path conflict in the engines): both sides created the same
-            // directory on the way to disjoint children, so the nodes merge
-            // and the live one — possibly carrying a concurrent value —
-            // wins. Never clobber it with the snapshot's empty scaffold.
-            if is_creation && live.exists(path) {
-                continue;
-            }
+        let created = net.added.iter().map(|(path, _)| (path, Graft::Creation));
+        let updated = net.value_changed.iter().map(|path| (path, Graft::Value));
+        // `perms_changed` is disjoint from `added`, and the value pass has
+        // already given the `value_changed` overlap its permissions.
+        let permitted = net.perms_changed.iter().map(|(path, _, _)| path);
+        let permitted = permitted
+            .filter(|path| net.value_changed.binary_search(path).is_err())
+            .map(|path| (path, Graft::Perms));
+        for (path, step) in created.chain(updated).chain(permitted) {
             #[expect(
                 clippy::expect_used,
-                reason = "the diff enumerates paths present in the snapshot"
+                reason = "the net effect names paths present in the snapshot"
             )]
             let node = self
                 .snapshot
                 .get(path)
-                .expect("diff path exists in snapshot");
-            live.write(self.dom, path, &node.value, unused)?;
-            // Fresh nodes (including value-changed nodes recreated after a
-            // concurrent removal) carry whatever permissions the creation
-            // rules derive; restamp the snapshot's if they differ, so e.g.
-            // guest ownership survives a dom0 rewrite.
-            #[expect(
-                clippy::expect_used,
-                reason = "the path was written into the live tree on the previous line"
-            )]
-            let live_perms = &live.get(path).expect("just written").perms;
-            if *live_perms != node.perms {
-                live.set_perms(self.dom, path, node.perms.clone(), unused)?;
-            }
+                .expect("net effect path in snapshot");
+            live.graft(self.dom, path, node, step, before, report)?;
         }
-        for (path, _, _) in &diff.perms_changed {
-            // `perms_changed` is disjoint from `added` by construction and
-            // the write pass above already restamped the `value_changed`
-            // overlap; a node removed concurrently stays gone (the txn only
-            // touched its permissions, and the remove wins that serial
-            // order).
-            if diff.value_changed.binary_search(path).is_ok() || !live.exists(path) {
-                continue;
-            }
-            #[expect(
-                clippy::expect_used,
-                reason = "the diff enumerates paths present in the snapshot"
-            )]
-            let node = self
-                .snapshot
-                .get(path)
-                .expect("diff path exists in snapshot");
-            live.set_perms(self.dom, path, node.perms.clone(), unused)?;
+        // A node the value pass made again, and a permission change there,
+        // can come after later paths of the earlier passes.
+        if !report.added.is_sorted_by(|a, b| a.0 <= b.0) {
+            report.added.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        }
+        if !report.perms_changed.is_sorted_by(|a, b| a.0 <= b.0) {
+            report.perms_changed.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         }
         Ok(())
     }
@@ -456,7 +488,8 @@ mod tests {
             "live tree untouched"
         );
         assert!(txn.snapshot.exists(&p("/local/domain/5/name")));
-        txn.merge_onto(&mut tree, &txn.changes()).unwrap();
+        txn.merge_onto(&mut tree, &txn.changes(), &mut TreeDiff::default())
+            .unwrap();
         assert_eq!(
             tree.read(DomId::DOM0, &p("/local/domain/5/name")).unwrap(),
             b"web"
@@ -480,7 +513,8 @@ mod tests {
         assert_eq!(apply_all(&mut txn, ops.clone()).len(), ops.len());
         let mut merged = tree.clone();
         let mut replayed = tree.clone();
-        txn.merge_onto(&mut merged, &txn.changes()).unwrap();
+        txn.merge_onto(&mut merged, &txn.changes(), &mut TreeDiff::default())
+            .unwrap();
         replay_onto(&ops, txn.dom, &mut replayed).unwrap();
         assert!(Tree::diff(&merged, &replayed).is_empty());
         assert!(Tree::diff(&merged, &txn.snapshot).is_empty());
@@ -522,7 +556,8 @@ mod tests {
             let ran = apply_all(&mut txn, random_ops(&mut rng, ops));
             let net = txn.changes();
             let mut merged = base.clone();
-            txn.merge_onto(&mut merged, &net).unwrap();
+            txn.merge_onto(&mut merged, &net, &mut TreeDiff::default())
+                .unwrap();
             // On its own base a transaction's snapshot always holds what the
             // merge builds, and what its operations build run one by one;
             // what the question is about is the stamps.
@@ -567,6 +602,37 @@ mod tests {
     }
 
     #[test]
+    fn the_net_effect_and_the_merge_report_are_what_tree_diff_finds() {
+        let mut moved = 0;
+        for seed in 0..400 {
+            let mut rng = jitsu_sim::SimRng::seed_from_u64(0xD1A6 ^ seed);
+            let mut base = Tree::new();
+            for op in random_ops(&mut rng, 12) {
+                drop(op.run(&mut base, DomId::DOM0, &mut TreeDiff::default()));
+            }
+            let mut txn = Transaction::begin(DomId::DOM0, &base);
+            let ops = 1 + rng.index(4);
+            apply_all(&mut txn, random_ops(&mut rng, ops));
+            let net = txn.changes();
+            assert_eq!(net, Tree::diff(&base, &txn.snapshot), "seed {seed}");
+            // Onto its own base, or onto a tree concurrent ops have moved.
+            let mut live = base.clone();
+            if rng.chance(0.5) {
+                let ops = 1 + rng.index(3);
+                for op in random_ops(&mut rng, ops) {
+                    drop(op.run(&mut live, DomId::DOM0, &mut TreeDiff::default()));
+                }
+                moved += usize::from(live.generation() != base.generation());
+            }
+            let mut merged = live.clone();
+            let mut report = TreeDiff::default();
+            txn.merge_onto(&mut merged, &net, &mut report).unwrap();
+            assert_eq!(report, Tree::diff(&live, &merged), "seed {seed}");
+        }
+        assert!(moved > 100, "{moved}");
+    }
+
+    #[test]
     fn ops_that_cancel_or_restamp_do_not_pass_for_the_merge() {
         let mut base = Tree::new();
         base.write(DomId::DOM0, &p("/a"), b"1", &mut TreeDiff::default())
@@ -608,7 +674,7 @@ mod tests {
         assert!(diff.added.is_empty());
         assert!(diff.removed.is_empty());
         assert_eq!(diff.value_changed, vec![p("/a")]);
-        assert_eq!(txn.written_paths().count(), 4, "every op is still recorded");
+        assert_eq!(txn.written_paths().count(), 2, "each path is recorded once");
     }
 
     #[test]
@@ -620,18 +686,14 @@ mod tests {
         Op::Mkdir(p("/local/domain/5")).apply(&mut txn).unwrap();
         let listed = txn.read_set[&p("/local/domain")];
         assert_eq!(listed.kind(), ReadKind::Directory);
-        assert!(listed.saw_node());
+        assert_eq!(listed.seen(), Seen::Shared);
         // A second creation below the new node depends only on state the
         // transaction itself created, so no new shared dependency appears.
         Op::Mkdir(p("/local/domain/5/device"))
             .apply(&mut txn)
             .unwrap();
-        assert!(
-            !txn.read_set.contains_key(&p("/local/domain/5"))
-                || txn.created_by_txn(&p("/local/domain/5"))
-        );
-        assert!(txn.created_by_txn(&p("/local/domain/5")));
-        assert!(!txn.created_by_txn(&p("/local/domain")));
+        assert_eq!(txn.read_set[&p("/local/domain/5")].seen(), Seen::Own);
+        assert_eq!(txn.read_set[&p("/local/domain")].seen(), Seen::Shared);
     }
 
     #[test]
@@ -640,15 +702,15 @@ mod tests {
         let mut txn = Transaction::begin(DomId::DOM0, &tree);
         let kind = |txn: &Transaction, path: &str| txn.read_set[&p(path)].kind();
         // Directory then value: both dependencies survive.
-        txn.note_dir_read(&p("/a"), false);
-        txn.note_read(&p("/a"), false);
+        txn.note_dir_read(&p("/a"), Seen::Absent);
+        txn.note_read(&p("/a"), Seen::Absent);
         assert_eq!(kind(&txn, "/a"), ReadKind::Both);
         // Value then directory: likewise.
-        txn.note_read(&p("/c"), false);
-        txn.note_dir_read(&p("/c"), false);
+        txn.note_read(&p("/c"), Seen::Absent);
+        txn.note_dir_read(&p("/c"), Seen::Absent);
         assert_eq!(kind(&txn, "/c"), ReadKind::Both);
-        txn.note_read(&p("/b"), false);
-        txn.note_read(&p("/b"), true);
+        txn.note_read(&p("/b"), Seen::Absent);
+        txn.note_read(&p("/b"), Seen::Own);
         assert_eq!(kind(&txn, "/b"), ReadKind::Value);
         assert!(ReadKind::Both.depends_on_value() && ReadKind::Both.depends_on_children());
         assert!(!ReadKind::Directory.depends_on_value());
@@ -662,30 +724,41 @@ mod tests {
         // The store notes a read whatever it returned, so a read that
         // returns ENOENT still lands in the read set.
         assert!(txn.snapshot.read(DomId::DOM0, &p("/not/yet/here")).is_err());
-        txn.note_read(&p("/not/yet/here"), false);
+        txn.note_read(&p("/not/yet/here"), Seen::Absent);
         let read = txn.read_set[&p("/not/yet/here")];
         assert_eq!(read.kind(), ReadKind::Value);
-        assert!(!read.saw_node());
+        assert_eq!(read.seen(), Seen::Absent);
     }
 
     #[test]
     fn the_first_read_decides_whether_the_node_was_seen() {
-        let tree = Tree::new();
+        let mut tree = Tree::new();
+        tree.write(DomId::DOM0, &p("/shared"), b"1", &mut TreeDiff::default())
+            .unwrap();
         let mut txn = Transaction::begin(DomId::DOM0, &tree);
+        let seen =
+            |txn: &Transaction, path: &str| Seen::of(txn.snapshot.get(&p(path)), txn.start_gen);
         // Read absent, then read again after the transaction created it:
         // the absence stays what was seen, and the kinds still widen.
-        txn.note_read(&p("/seen/absent"), false);
-        txn.note_dir_read(&p("/seen/absent"), true);
+        txn.note_read(&p("/seen/absent"), Seen::Absent);
+        txn.note_dir_read(&p("/seen/absent"), Seen::Own);
         let absent = txn.read_set[&p("/seen/absent")];
-        assert!(!absent.saw_node());
+        assert_eq!(absent.seen(), Seen::Absent);
         assert_eq!(absent.kind(), ReadKind::Both);
         // Created, then read: the transaction read its own write.
         Op::write("/own/write", b"v").apply(&mut txn).unwrap();
-        txn.note_read(&p("/own/write"), true);
-        txn.note_read(&p("/own/write"), false);
-        assert!(txn.read_set[&p("/own/write")].saw_node());
+        assert_eq!(seen(&txn, "/own/write"), Seen::Own);
+        txn.note_read(&p("/own/write"), Seen::Own);
+        txn.note_read(&p("/own/write"), Seen::Absent);
+        assert_eq!(txn.read_set[&p("/own/write")].seen(), Seen::Own);
         // The directory a creation depends on is there to be seen.
-        assert!(txn.read_set[&p("/")].saw_node());
+        assert_eq!(txn.read_set[&p("/")].seen(), Seen::Shared);
+        // Read, then removed and made again: still the node that was there.
+        assert_eq!(seen(&txn, "/shared"), Seen::Shared);
+        txn.note_read(&p("/shared"), Seen::Shared);
+        Op::Rm(p("/shared")).apply(&mut txn).unwrap();
+        Op::write("/shared", b"2").apply(&mut txn).unwrap();
+        assert_eq!(txn.read_set[&p("/shared")].seen(), Seen::Shared);
     }
 
     #[test]
@@ -708,7 +781,8 @@ mod tests {
         // Concurrently, someone else removes it first.
         tree.rm(DomId::DOM0, &p("/a/b"), &mut TreeDiff::default())
             .unwrap();
-        txn.merge_onto(&mut tree, &txn.changes()).unwrap();
+        txn.merge_onto(&mut tree, &txn.changes(), &mut TreeDiff::default())
+            .unwrap();
         assert!(!tree.exists(&p("/a/b")));
     }
 
@@ -721,7 +795,8 @@ mod tests {
         // A removal of what is not there fails and names nothing.
         assert!(Op::Rm(p("/z")).apply(&mut txn).is_err());
         Op::Rm(p("/x")).apply(&mut txn).unwrap();
+        Op::write("/a", &[1]).apply(&mut txn).unwrap();
         let paths: Vec<String> = txn.written_paths().map(|p| p.to_string()).collect();
-        assert_eq!(paths, vec!["/x", "/y", "/x"]);
+        assert_eq!(paths, vec!["/a", "/x", "/y"], "sorted, each once");
     }
 }

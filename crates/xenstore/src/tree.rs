@@ -39,9 +39,12 @@
 //! [`Tree::diff`] computes the structural difference between two trees,
 //! skipping shared subtrees — and, inside a wide directory, whole shared
 //! chunks of its [`crate::children::ChildMap`] — in O(1) via pointer
-//! equality. It is for the case no single call can report: a
-//! transaction's net effect (`base → snapshot`), and what a three-way merge
-//! onto a tree that moved meanwhile actually changed.
+//! equality. No operation of the store calls it: a commit finds its
+//! transaction's net effect (`base → snapshot`) with
+//! `Tree::diff_along`, which walks only the paths the transaction
+//! named, and grafts it onto the live tree with `Tree::graft`, which
+//! reports what it changed. `Tree::diff` is the reference both are checked
+//! against, and what a test or a diagnostic compares two trees with.
 //!
 //! Naming what changed is kept proportional to it. A removed subtree is
 //! recorded once, as its root's path and the removed node itself, which
@@ -310,14 +313,7 @@ impl Tree {
 
     /// The node at `path`, if it exists and `dom` holds `access` to it.
     fn checked(&self, dom: DomId, path: &Path, access: Access) -> Result<&Node> {
-        let node = self
-            .get(path)
-            .ok_or_else(|| Error::NoEntry(path.to_string()))?;
-        if node.perms.check(dom, access) {
-            Ok(node)
-        } else {
-            Err(Error::PermissionDenied(path.to_string()))
-        }
+        permitted(self.get(path), dom, path, access)
     }
 
     /// Read a node's value.
@@ -407,12 +403,14 @@ impl Tree {
         let mut below = path.components();
         let (node, found, first_missing) = descend_mut(&mut self.root, &mut below);
         let Some(first_missing) = first_missing else {
-            let Some(value) = value else {
-                return Ok(());
-            };
+            // Even a `mkdir`, which leaves an existing node alone, needs the
+            // right to write it, as C `xenstored`'s `do_mkdir` does.
             if !node.perms.check(dom, Access::Write) {
                 return Err(Error::PermissionDenied(path.to_string()));
             }
+            let Some(value) = value else {
+                return Ok(());
+            };
             self.generation += 1;
             if node.value != value {
                 effects.value_changed.push(path.clone());
@@ -497,9 +495,10 @@ impl Tree {
         self.put(dom, path, Some(value), effects)
     }
 
-    /// Create an empty node (no-op if it already exists, as in the real
-    /// protocol), with any missing ancestors. What changed is appended to
-    /// `effects`; a call that fails changes nothing.
+    /// Create an empty node (no-op if it already exists and `dom` may write
+    /// it, as in the real protocol; `EACCES` if it may not), with any
+    /// missing ancestors. What changed is appended to `effects`; a call that
+    /// fails changes nothing.
     pub fn mkdir(&mut self, dom: DomId, path: &Path, effects: &mut TreeDiff) -> Result<()> {
         self.put(dom, path, None, effects)
     }
@@ -569,77 +568,332 @@ impl Tree {
     /// existence changes are reported).
     pub fn diff(old: &Tree, new: &Tree) -> TreeDiff {
         let mut diff = TreeDiff::default();
-        /// `text` is the canonical text of the path of `old` and `new`; a
-        /// `Path` is built from it only for what goes into `diff`, so the
-        /// copied-but-equal nodes above a change cost no allocation.
-        fn walk(old: &Node, new: &Node, text: &mut String, diff: &mut TreeDiff) {
-            let value_changed = old.value != new.value;
-            let perms_changed = old.perms != new.perms;
-            if value_changed || perms_changed {
-                let path = Path::from_canonical(text);
-                if perms_changed {
-                    let change = (path.clone(), old.perms.owner(), new.perms.owner());
-                    diff.perms_changed.push(change);
-                }
-                if value_changed {
-                    diff.value_changed.push(path);
-                }
-            }
-            // Children: a single merge-iteration over both sorted maps, so
-            // every diff list comes out in globally sorted DFS order (the
-            // invariant `removed_roots` and the merge's binary searches
-            // rely on). Shared chunks and shared children are stepped over
-            // before any path text is built for them: they hold no
-            // difference, and under a wide directory they are all but one
-            // of the entries.
-            let here = text.len();
-            let mut old_children = old.children.cursor();
-            let mut new_children = new.children.cursor();
-            loop {
-                if old_children.skip_shared_chunk(&mut new_children) {
-                    continue;
-                }
-                // This step consumes the smaller name, or both when equal.
-                let (gone, came) = match (old_children.peek(), new_children.peek()) {
-                    (Some(gone), Some(came)) => match gone.0.cmp(came.0) {
-                        std::cmp::Ordering::Less => (Some(gone), None),
-                        std::cmp::Ordering::Greater => (None, Some(came)),
-                        std::cmp::Ordering::Equal => (Some(gone), Some(came)),
-                    },
-                    ends => ends,
-                };
-                match (gone, came) {
-                    (None, None) => break,
-                    (Some((name, old_child)), Some((_, new_child))) => {
-                        if !Rc::ptr_eq(old_child, new_child) {
-                            push_component(text, here, name);
-                            walk(old_child, new_child, text, diff);
-                        }
-                    }
-                    (Some((name, old_child)), None) => {
-                        push_component(text, here, name);
-                        let root = Path::from_canonical(text);
-                        diff.removed.push((root, Rc::clone(old_child)));
-                    }
-                    (None, Some((name, new_child))) => {
-                        push_component(text, here, name);
-                        record_subtree(new_child, text, &mut diff.added);
-                    }
-                }
-                if gone.is_some() {
-                    old_children.advance();
-                }
-                if came.is_some() {
-                    new_children.advance();
-                }
-            }
-            text.truncate(here);
-        }
         if !Rc::ptr_eq(&old.root, &new.root) {
             let mut text = String::with_capacity(SCRATCH_TEXT_LEN);
-            walk(&old.root, &new.root, &mut text, &mut diff);
+            diff_subtrees(&old.root, &new.root, &mut text, &mut diff);
         }
         diff
+    }
+
+    /// [`Tree::diff`] of two trees that differ only on the way to, at or
+    /// below `paths` — sorted, each given once — found by walking those
+    /// paths alone: a transaction's net effect, `base → snapshot` along the
+    /// paths its operations named.
+    ///
+    /// The walk goes down all the paths at once, one child-map search a
+    /// level in each tree, and looks at no sibling off them, where
+    /// [`Tree::diff`] steps through every entry of each directory above a
+    /// change. It stops where the two trees share a node, and where one of
+    /// them lacks it: a removed or an added subtree. A node of `new` created
+    /// after generation `since` that `old` holds too was removed and made
+    /// again, and below it the two are compared in full, as by
+    /// [`Tree::diff`]: what the removal took lies off the paths.
+    pub(crate) fn diff_along(old: &Tree, new: &Tree, paths: &[Path], since: u64) -> TreeDiff {
+        let mut diff = TreeDiff::default();
+        if !Rc::ptr_eq(&old.root, &new.root) {
+            let mut walk = Along {
+                since,
+                text: String::new(),
+            };
+            walk.node(&old.root, &new.root, paths, 0, &mut diff);
+        }
+        diff
+    }
+
+    /// One step of a three-way merge onto this tree, as `dom`: give the
+    /// node at `path` what `source`, its version in a transaction's
+    /// snapshot, holds — the [`Tree::write`] and [`Tree::set_perms`] calls
+    /// `step` stands for, with their checks and stamps, in one descent.
+    ///
+    /// What changed is appended to `report` as [`Tree::diff`] of the tree
+    /// before the merge and after it records it, where a node the merge
+    /// created — one stamped after generation `before` — is one added
+    /// entry carrying the owner it ends with: a later step that writes it
+    /// or gives it other permissions adds no entry of its own. A failed
+    /// step may leave the tree part-way changed; a merge runs on a copy.
+    pub(crate) fn graft(
+        &mut self,
+        dom: DomId,
+        path: &Path,
+        source: &Node,
+        step: Graft,
+        before: u64,
+        report: &mut TreeDiff,
+    ) -> Result<()> {
+        let refused = || Error::PermissionDenied(path.to_string());
+        let mut below = path.components();
+        let (node, found, first_missing) = descend_mut(&mut self.root, &mut below);
+        let Some(first_missing) = first_missing else {
+            match step {
+                // Both sides created the node on the way to different
+                // children: the one already here wins.
+                Graft::Creation => return Ok(()),
+                Graft::Value => {
+                    if !node.perms.check(dom, Access::Write) {
+                        return Err(refused());
+                    }
+                    self.generation += 1;
+                    if node.value != source.value {
+                        if node.created_gen <= before {
+                            report.value_changed.push(path.clone());
+                        }
+                        source.value.clone_into(&mut node.value);
+                    }
+                    node.modified_gen = self.generation;
+                    if node.perms == source.perms {
+                        return Ok(());
+                    }
+                }
+                Graft::Perms => {}
+            }
+            if !dom.is_privileged() && node.perms.owner() != dom {
+                return Err(refused());
+            }
+            self.generation += 1;
+            if node.perms != source.perms {
+                let owners = (node.perms.owner(), source.perms.owner());
+                if node.created_gen > before {
+                    retag(report, path, owners.1);
+                } else {
+                    report
+                        .perms_changed
+                        .push((path.clone(), owners.0, owners.1));
+                }
+                node.perms = source.perms.clone();
+            }
+            node.modified_gen = self.generation;
+            return Ok(());
+        };
+        if step == Graft::Perms {
+            return Ok(());
+        }
+        // Made as `Tree::write` makes it, and then, if the permissions it
+        // derived are not the snapshot's, given those as `Tree::set_perms`
+        // would: the new node is the last `grow` made, at the end of a
+        // chain of only children.
+        let Some(perms) = Self::new_child_perms(dom, &node.perms) else {
+            return Err(Error::PermissionDenied(path.ancestor(found).to_string()));
+        };
+        let mut top = Node::new(perms, self.generation + 1);
+        let value = Some(&source.value[..]);
+        self.generation = Self::grow(&mut top, dom, path, found + 1, &mut below, value, report);
+        let mut made = &mut top;
+        for name in path.components().skip(found + 1) {
+            let Some(at) = made.children.find(name) else {
+                break;
+            };
+            made = Rc::make_mut(made.children.at_mut(at));
+        }
+        if made.perms != source.perms {
+            if !dom.is_privileged() && made.perms.owner() != dom {
+                return Err(refused());
+            }
+            self.generation += 1;
+            made.perms = source.perms.clone();
+            made.modified_gen = self.generation;
+            retag(report, path, source.perms.owner());
+        }
+        node.children_gen = top.created_gen;
+        node.children.insert(first_missing, Rc::new(top));
+        Ok(())
+    }
+}
+
+/// Which of a transaction's changes a merge step grafts ([`Tree::graft`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Graft {
+    /// A node the transaction created: written with its value, and given
+    /// its permissions, unless a node is there already.
+    Creation,
+    /// A node whose value the transaction changed: written (and made again
+    /// if it is gone), then given its permissions if they differ.
+    Value,
+    /// A node whose permissions alone the transaction changed: given them,
+    /// unless it is gone.
+    Perms,
+}
+
+/// Give `path`'s entry among what `report` records added the owner `owner`:
+/// the node was made by the merge that reports, and has just been given
+/// other permissions.
+fn retag(report: &mut TreeDiff, path: &Path, owner: DomId) {
+    if let Some(entry) = report
+        .added
+        .iter_mut()
+        .rev()
+        .find(|(added, _)| added == path)
+    {
+        entry.1 = owner;
+    }
+}
+
+/// Report what differs in the node itself between `old` and `new`, two
+/// versions of the node at `path`: its permissions, then its value.
+fn diff_node(old: &Node, new: &Node, path: impl FnOnce() -> Path, diff: &mut TreeDiff) {
+    let value_changed = old.value != new.value;
+    let perms_changed = old.perms != new.perms;
+    if value_changed || perms_changed {
+        let path = path();
+        if perms_changed {
+            let change = (path.clone(), old.perms.owner(), new.perms.owner());
+            diff.perms_changed.push(change);
+        }
+        if value_changed {
+            diff.value_changed.push(path);
+        }
+    }
+}
+
+/// [`Tree::diff`] below `old` and `new`, two versions of the node whose
+/// path has the canonical text `text`. A `Path` is built from the text only
+/// for what goes into `diff`, so the copied-but-equal nodes above a change
+/// cost no allocation.
+fn diff_subtrees(old: &Node, new: &Node, text: &mut String, diff: &mut TreeDiff) {
+    diff_node(old, new, || Path::from_canonical(text), diff);
+    diff_children(old, new, text, diff);
+}
+
+/// [`diff_subtrees`] of the children alone.
+fn diff_children(old: &Node, new: &Node, text: &mut String, diff: &mut TreeDiff) {
+    // A single merge-iteration over both sorted maps, so every diff list
+    // comes out in globally sorted DFS order (the invariant `changed` and
+    // the merge's binary searches rely on). Shared chunks and shared
+    // children are stepped over before any path text is built for them:
+    // they hold no difference, and under a wide directory they are all but
+    // one of the entries.
+    let here = text.len();
+    let mut old_children = old.children.cursor();
+    let mut new_children = new.children.cursor();
+    loop {
+        if old_children.skip_shared_chunk(&mut new_children) {
+            continue;
+        }
+        // This step consumes the smaller name, or both when equal.
+        let (gone, came) = match (old_children.peek(), new_children.peek()) {
+            (Some(gone), Some(came)) => match gone.0.cmp(came.0) {
+                std::cmp::Ordering::Less => (Some(gone), None),
+                std::cmp::Ordering::Greater => (None, Some(came)),
+                std::cmp::Ordering::Equal => (Some(gone), Some(came)),
+            },
+            ends => ends,
+        };
+        match (gone, came) {
+            (None, None) => break,
+            (Some((name, old_child)), Some((_, new_child))) => {
+                if !Rc::ptr_eq(old_child, new_child) {
+                    push_component(text, here, name);
+                    diff_subtrees(old_child, new_child, text, diff);
+                }
+            }
+            (Some((name, old_child)), None) => {
+                push_component(text, here, name);
+                let root = Path::from_canonical(text);
+                diff.removed.push((root, Rc::clone(old_child)));
+            }
+            (None, Some((name, new_child))) => {
+                push_component(text, here, name);
+                record_subtree(new_child, text, &[], &mut diff.added);
+            }
+        }
+        if gone.is_some() {
+            old_children.advance();
+        }
+        if came.is_some() {
+            new_children.advance();
+        }
+    }
+    text.truncate(here);
+}
+
+/// The walk of [`Tree::diff_along`].
+struct Along {
+    /// A node made after this generation was made by the walked paths'
+    /// operations.
+    since: u64,
+    /// Scratch for the path text [`diff_children`] and [`record_subtree`]
+    /// build on; allocated for the first of them, if one runs.
+    text: String,
+}
+
+impl Along {
+    /// Make the scratch text `path`'s, with room to go deeper.
+    fn start_at(&mut self, path: &Path) {
+        self.text.clear();
+        self.text
+            .reserve(SCRATCH_TEXT_LEN.max(2 * path.text().len()));
+        self.text.push_str(path.text());
+    }
+
+    /// Walk `old` and `new`, two versions of the node whose path is the
+    /// first `here` bytes of the text of each of `paths`, and what lies
+    /// below it on those paths.
+    fn node(&mut self, old: &Node, new: &Node, paths: &[Path], here: usize, diff: &mut TreeDiff) {
+        let Some(first) = paths.first() else {
+            return;
+        };
+        // A value or permission change stamps the node, so one stamped
+        // before the walked paths' operations holds what `old` holds, and
+        // its value need not be read.
+        if new.modified_gen > self.since {
+            diff_node(old, new, || first.cut(here), diff);
+        }
+        if new.created_gen > self.since {
+            self.start_at(&first.cut(here));
+            diff_children(old, new, &mut self.text, diff);
+            return;
+        }
+        // Sorted, the paths through each child are a run, after the path
+        // that ends here if one does.
+        let mut rest = paths;
+        if first.text().len() == here {
+            rest = &rest[1..];
+        }
+        while let Some(first) = rest.first() {
+            let text = first.text();
+            let name = text[here + 1..].split('/').next().unwrap_or_default();
+            let end = here + 1 + name.len();
+            let run = rest
+                .iter()
+                .position(|path| {
+                    let theirs = path.text();
+                    theirs.get(here..end) != text.get(here..end)
+                        || theirs.as_bytes().get(end).is_some_and(|&b| b != b'/')
+                })
+                .unwrap_or(rest.len());
+            let (through, after) = rest.split_at(run);
+            rest = after;
+            match (old.children.get(name), new.children.get(name)) {
+                (Some(old_child), Some(new_child)) => {
+                    if !Rc::ptr_eq(old_child, new_child) {
+                        self.node(old_child, new_child, through, end, diff);
+                    }
+                }
+                (Some(old_child), None) => {
+                    diff.removed.push((first.cut(end), Rc::clone(old_child)));
+                }
+                (None, Some(new_child)) => {
+                    self.start_at(&first.cut(end));
+                    record_subtree(new_child, &mut self.text, through, &mut diff.added);
+                }
+                (None, None) => {}
+            }
+        }
+    }
+}
+
+/// `node`, what a lookup of `path` found, if it found one and `dom` holds
+/// `access` to it: `ENOENT` for no node, else `EACCES` for a refused one.
+pub(crate) fn permitted<'a>(
+    node: Option<&'a Node>,
+    dom: DomId,
+    path: &Path,
+    access: Access,
+) -> Result<&'a Node> {
+    let node = node.ok_or_else(|| Error::NoEntry(path.to_string()))?;
+    if node.perms.check(dom, access) {
+        Ok(node)
+    } else {
+        Err(Error::PermissionDenied(path.to_string()))
     }
 }
 
@@ -694,11 +948,13 @@ fn push_component(text: &mut String, parent: usize, name: &str) {
 /// subtree to `out`, depth-first in name order.
 ///
 /// A path is a prefix of one shared buffer, and a node's path is a prefix of
-/// its first child's: one buffer is allocated per run of first children — for
+/// its first child's: one buffer serves each run of first children — for
 /// `node`, its first child, that child's first child and so on down to a
 /// leaf — and each path along the run is cut from it. Only a later sibling
-/// needs a buffer of its own, for the run that starts with it.
-fn record_subtree(node: &Node, text: &mut String, out: &mut Vec<(Path, DomId)>) {
+/// needs a buffer of its own, for the run that starts with it. A run that
+/// ends at one of the `known` paths (sorted) is cut from that path's
+/// buffer, and allocates none.
+fn record_subtree(node: &Node, text: &mut String, known: &[Path], out: &mut Vec<(Path, DomId)>) {
     let top = text.len();
     let mut end = node;
     while let Some((name, first)) = end.children.iter().next() {
@@ -706,8 +962,11 @@ fn record_subtree(node: &Node, text: &mut String, out: &mut Vec<(Path, DomId)>) 
         text.push_str(name);
         end = first;
     }
-    let leaf = Path::from_canonical(text);
-    record_run(node, &leaf, top, text, out);
+    let leaf = match known.binary_search_by(|path| path.cmp_text(text)) {
+        Ok(at) => known[at].clone(),
+        Err(_) => Path::from_canonical(text),
+    };
+    record_run(node, &leaf, top, text, known, out);
 }
 
 /// [`record_subtree`] for a `node` whose path is the first `len` bytes of
@@ -717,16 +976,17 @@ fn record_run(
     run: &Path,
     len: usize,
     text: &mut String,
+    known: &[Path],
     out: &mut Vec<(Path, DomId)>,
 ) {
     out.push((run.cut(len), node.perms.owner()));
     let mut children = node.children.iter();
     if let Some((name, first)) = children.next() {
-        record_run(first, run, len + 1 + name.len(), text, out);
+        record_run(first, run, len + 1 + name.len(), text, known, out);
     }
     for (name, child) in children {
         push_component(text, len, name);
-        record_subtree(child, text, out);
+        record_subtree(child, text, known, out);
     }
 }
 
@@ -780,7 +1040,7 @@ mod tests {
     fn per_node(removed: &[(Path, Rc<Node>)]) -> Vec<(Path, DomId)> {
         let mut out = Vec::new();
         for (root, node) in removed {
-            record_subtree(node, &mut scratch_text(root), &mut out);
+            record_subtree(node, &mut scratch_text(root), &[], &mut out);
         }
         out
     }

@@ -62,12 +62,12 @@ impl Tree {
             found += 1;
         }
         let Some(first_missing) = first_missing else {
-            let Some(value) = value else {
-                return Ok(());
-            };
             if !anchor.perms.check(dom, Access::Write) {
                 return Err(Error::PermissionDenied(path.to_string()));
             }
+            let Some(value) = value else {
+                return Ok(());
+            };
             let gen = self.bump();
             let node = descend_mut_again(&mut self.root, path.components()).expect("found above");
             if node.value != value {

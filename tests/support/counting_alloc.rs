@@ -2,28 +2,36 @@
 //! `data_plane_budget`, `uptime_budget`), each of which declares it with
 //! `#[path = "support/counting_alloc.rs"] mod counting_alloc;`.
 //!
-//! It wraps the system allocator and counts every block handed out (a
-//! `realloc` is one more block of the new size), the bytes handed out, and
-//! the bytes not yet given back. This is the workspace's only unsafe code:
-//! integration tests are their own crates, so the shim lives here and every
-//! crate root stays `#![forbid(unsafe_code)]`. A test binary that declares
-//! it must hold a single `#[test]`: a second test thread would allocate
-//! into the same counters.
+//! It wraps the system allocator and counts every block a thread is handed
+//! (a `realloc` is one more block of the new size) and the bytes it is
+//! handed, and over the whole process the bytes not yet given back. This
+//! is the workspace's only unsafe code: integration tests are their own
+//! crates, so the shim lives here and every crate root stays
+//! `#![forbid(unsafe_code)]`. A test binary that declares it must hold a
+//! single `#[test]`: a second test thread would allocate into the same
+//! live-bytes counter.
 
 #![allow(dead_code, reason = "each budget test reads the counters it pins")]
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicI64, Ordering};
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
 static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
+
+thread_local! {
+    // Const-initialised and without a destructor, so reading them from
+    // inside the allocator allocates nothing and works until the thread
+    // ends.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static ALLOCATED_BYTES: Cell<u64> = const { Cell::new(0) };
+}
 
 struct Counting;
 
 fn count(taken: usize, given_back: usize) {
-    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-    ALLOCATED_BYTES.fetch_add(taken as u64, Ordering::Relaxed);
+    ALLOCATIONS.with(|n| n.set(n.get() + 1));
+    ALLOCATED_BYTES.with(|n| n.set(n.get() + taken as u64));
     LIVE_BYTES.fetch_add(taken as i64 - given_back as i64, Ordering::Relaxed);
 }
 
@@ -56,14 +64,16 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Blocks allocated since the process started.
+/// Blocks allocated by this thread since it started. Per thread, so that
+/// the test harness's main thread, which may allocate while it waits for
+/// the test's result, never counts.
 pub fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
-/// Bytes allocated since the process started.
+/// Bytes allocated by this thread since it started.
 pub fn allocated_bytes() -> u64 {
-    ALLOCATED_BYTES.load(Ordering::Relaxed)
+    ALLOCATED_BYTES.with(Cell::get)
 }
 
 /// Bytes allocated and not yet freed.

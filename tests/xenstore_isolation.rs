@@ -24,227 +24,11 @@
 //! write-write one, or the serial engine's, fails it within the first
 //! 10,000 histories.
 
-use jitsu_repro::sim::SimRng;
-use jitsu_repro::xenstore::{
-    DomId, EngineKind, Error, Path, PermLevel, Permissions, Tree, TreeDiff, TxId, XenStore,
-};
-use std::fmt;
+#[path = "support/histories.rs"]
+mod histories;
 
-/// The guest: it owns its home, `/local/domain/7`, once dom0 hands it over,
-/// and `domain_destroyed` removes that home and drops its transactions.
-const GUEST: DomId = DomId(7);
-
-/// Every path a history names: depth 1 to 3, each component one of two
-/// labels (four in all), so that the guest's home is one of 14 paths.
-fn alphabet() -> Vec<Path> {
-    let levels = [["local", "a"], ["domain", "a"], ["7", "a"]];
-    let mut paths = vec![Path::root()];
-    let mut at = 0;
-    for labels in levels {
-        let end = paths.len();
-        for parent in at..end {
-            for label in labels {
-                paths.push(paths[parent].child(label).expect("a valid label"));
-            }
-        }
-        at = end;
-    }
-    paths.remove(0);
-    paths
-}
-
-/// The permissions a `SetPerms` sets.
-fn perms(which: u8) -> Permissions {
-    match which {
-        0 => Permissions::owned_by(DomId::DOM0),
-        1 => Permissions::owned_by(GUEST),
-        2 => Permissions::with_default(DomId::DOM0, PermLevel::Write),
-        _ => Permissions::with_default(DomId::DOM0, PermLevel::Read),
-    }
-}
-
-#[derive(Clone, Debug)]
-enum Op {
-    Read(Path),
-    Exists(Path),
-    Directory(Path),
-    GetPerms(Path),
-    Write(Path, u8),
-    Mkdir(Path),
-    Rm(Path),
-    SetPerms(Path, u8),
-}
-
-/// What an operation returned, in a form two runs can compare.
-#[derive(Debug, PartialEq)]
-enum Seen {
-    Value(Vec<u8>),
-    Exists(bool),
-    Names(Vec<String>),
-    Perms(String),
-    Done,
-}
-
-impl Op {
-    fn run(&self, xs: &mut XenStore, dom: DomId, tx: Option<TxId>) -> Result<Seen, Error> {
-        match self {
-            Op::Read(path) => xs.read(dom, tx, path).map(Seen::Value),
-            Op::Exists(path) => xs.exists(dom, tx, path).map(Seen::Exists),
-            Op::Directory(path) => xs.directory(dom, tx, path).map(Seen::Names),
-            Op::GetPerms(path) => xs
-                .get_perms(dom, tx, path)
-                .map(|p| Seen::Perms(p.to_wire())),
-            Op::Write(path, value) => xs
-                .write(dom, tx, path, &[b'0' + value])
-                .map(|()| Seen::Done),
-            Op::Mkdir(path) => xs.mkdir(dom, tx, path).map(|()| Seen::Done),
-            Op::Rm(path) => xs.rm(dom, tx, path).map(|()| Seen::Done),
-            Op::SetPerms(path, which) => xs
-                .set_perms(dom, tx, path, perms(*which))
-                .map(|()| Seen::Done),
-        }
-    }
-
-    fn path(&self) -> &Path {
-        match self {
-            Op::Read(path)
-            | Op::Exists(path)
-            | Op::Directory(path)
-            | Op::GetPerms(path)
-            | Op::Write(path, _)
-            | Op::Mkdir(path)
-            | Op::Rm(path)
-            | Op::SetPerms(path, _) => path,
-        }
-    }
-
-    fn is_read(&self) -> bool {
-        matches!(
-            self,
-            Op::Read(_) | Op::Exists(_) | Op::Directory(_) | Op::GetPerms(_)
-        )
-    }
-
-    /// Run a mutation, which succeeded in a store, on `tree` as `dom`;
-    /// false for a read.
-    fn mutates(&self, tree: &mut Tree, dom: DomId) -> bool {
-        let effects = &mut TreeDiff::default();
-        let ran = match self {
-            Op::Read(_) | Op::Exists(_) | Op::Directory(_) | Op::GetPerms(_) => return false,
-            Op::Write(path, value) => tree.write(dom, path, &[b'0' + value], effects),
-            Op::Mkdir(path) => tree.mkdir(dom, path, effects),
-            Op::Rm(path) => tree.rm(dom, path, effects),
-            Op::SetPerms(path, which) => tree.set_perms(dom, path, perms(*which), effects),
-        };
-        ran.expect("what succeeded in the store succeeds on its tree");
-        true
-    }
-}
-
-/// One step of a history. Transactions are numbered in the order they
-/// begin; `Direct` is an operation outside any transaction.
-#[derive(Clone, Debug)]
-enum Step {
-    Direct(DomId, Op),
-    Begin(usize, DomId),
-    In(usize, Op),
-    End(usize, bool),
-    Destroy,
-}
-
-#[derive(Debug)]
-struct History {
-    seed: u64,
-    steps: Vec<Step>,
-}
-
-impl fmt::Display for History {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "seed {:#x}, {} steps:", self.seed, self.steps.len())?;
-        for (at, step) in self.steps.iter().enumerate() {
-            writeln!(f, "  {at:3}: {step:?}")?;
-        }
-        Ok(())
-    }
-}
-
-fn pick<T: Clone>(rng: &mut SimRng, items: &[T]) -> T {
-    items[rng.index(items.len())].clone()
-}
-
-fn random_op(rng: &mut SimRng, paths: &[Path]) -> Op {
-    let path = pick(rng, paths);
-    match rng.index(14) {
-        0 | 1 => Op::Read(path),
-        2 => Op::Exists(path),
-        3 | 4 => Op::Directory(path),
-        5 => Op::GetPerms(path),
-        6..=9 => Op::Write(path, rng.index(3) as u8),
-        10 => Op::Mkdir(path),
-        11 | 12 => Op::Rm(path),
-        _ => Op::SetPerms(path, rng.index(4) as u8),
-    }
-}
-
-fn generate(seed: u64, paths: &[Path]) -> History {
-    let mut rng = SimRng::seed_from_u64(seed);
-    let home = Path::domain_home(GUEST.0);
-    // Some state to start from, and the guest's home handed to it.
-    let mut steps = Vec::new();
-    for _ in 0..2 + rng.index(4) {
-        let path = pick(&mut rng, paths);
-        steps.push(Step::Direct(
-            DomId::DOM0,
-            Op::Write(path, rng.index(3) as u8),
-        ));
-    }
-    steps.push(Step::Direct(DomId::DOM0, Op::Mkdir(home.clone())));
-    steps.push(Step::Direct(DomId::DOM0, Op::SetPerms(home, 1)));
-    // Each transaction's steps, the direct operations and the destruction
-    // are queues, interleaved by popping the head of one drawn at random.
-    let mut queues: Vec<Vec<Step>> = Vec::new();
-    for t in 0..2 + rng.index(4) {
-        let dom = if rng.chance(0.3) { GUEST } else { DomId::DOM0 };
-        let mut queue = vec![Step::Begin(t, dom)];
-        for _ in 0..1 + rng.index(5) {
-            queue.push(Step::In(t, random_op(&mut rng, paths)));
-        }
-        queue.push(Step::End(t, !rng.chance(0.1)));
-        queues.push(queue);
-    }
-    let direct = (0..rng.index(5))
-        .map(|_| {
-            let dom = if rng.chance(0.3) { GUEST } else { DomId::DOM0 };
-            Step::Direct(dom, random_op(&mut rng, paths))
-        })
-        .collect();
-    queues.push(direct);
-    queues.push(vec![Step::Destroy]);
-    for queue in &mut queues {
-        queue.reverse();
-    }
-    // Transactions begin in the order they are numbered.
-    let mut begun = 0;
-    loop {
-        let ready: Vec<usize> = (0..queues.len())
-            .filter(|&q| match queues[q].last() {
-                None => false,
-                Some(Step::Begin(t, _)) => *t == begun,
-                Some(_) => true,
-            })
-            .collect();
-        if ready.is_empty() {
-            break;
-        }
-        let q = pick(&mut rng, &ready);
-        let step = queues[q].pop().expect("a ready queue has a head");
-        if let Step::Begin(..) = step {
-            begun += 1;
-        }
-        steps.push(step);
-    }
-    History { seed, steps }
-}
+use histories::{alphabet, generate, History, Op, Seen, Step, GUEST};
+use jitsu_repro::xenstore::{DomId, EngineKind, Error, Path, Tree, TxId, XenStore};
 
 /// A transaction as it ran live: the tree it started from and its
 /// snapshot, rebuilt by running what it wrote on that tree.
@@ -374,7 +158,6 @@ fn check(engine: EngineKind, history: &History) -> Result<Run, String> {
             _ => continue,
         };
         let txn = &run.txns[t];
-        let at_commit = serial.tree().clone();
         // Its reads, run where it serializes, in a transaction of their own
         // on the serial store that its mutations run in too.
         let tx = serial
@@ -397,7 +180,7 @@ fn check(engine: EngineKind, history: &History) -> Result<Run, String> {
                 continue;
             }
             let replayed = op.run(&mut serial, txn.dom, Some(tx));
-            let exempt = run.read_own[op_at] || exempt(engine, op, txn, &at_commit);
+            let exempt = run.read_own[op_at] || exempt(engine, op);
             if replayed != run.seen[op_at] && !exempt {
                 return Err(format!(
                     "step {op_at} (transaction {t}): live {:?}, serial {replayed:?}",
@@ -421,28 +204,11 @@ fn check(engine: EngineKind, history: &History) -> Result<Run, String> {
 }
 
 /// A read of `txn`'s that the contract lets differ from its serial
-/// replay, where the serial store held `at_commit`, besides one of a node
-/// it had created itself, which the commit installs as the transaction's
-/// snapshot has it. For either merge engine: a read of a node that the
-/// transaction went on to remove (and perhaps create again), and a
-/// child-list read of a node whose permissions changed. For `JitsuMerge`,
-/// any child-list read.
-fn exempt(engine: EngineKind, op: &Op, txn: &Txn, at_commit: &Tree) -> bool {
-    let path = op.path();
-    let start = txn.base.generation();
-    let removed = txn.base.exists(path)
-        && txn
-            .snapshot
-            .get(path)
-            .is_none_or(|node| node.created_gen > start);
-    let listing = matches!(op, Op::Directory(_));
-    let perms = |tree: &Tree| tree.get(path).map(|node| node.perms.clone());
-    let listing_perms_changed = listing && perms(&txn.base) != perms(at_commit);
-    match engine {
-        EngineKind::Serial => false,
-        EngineKind::Merge => removed || listing_perms_changed,
-        EngineKind::JitsuMerge => removed || listing,
-    }
+/// replay, besides one of a node it had created itself, which the commit
+/// installs as the transaction's snapshot has it: for `JitsuMerge`, any
+/// child-list read.
+fn exempt(engine: EngineKind, op: &Op) -> bool {
+    engine == EngineKind::JitsuMerge && matches!(op, Op::Directory(_))
 }
 
 /// Apply what `txn`'s snapshot differs from its base in to `serial`, as
