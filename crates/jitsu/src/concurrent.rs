@@ -9,17 +9,13 @@
 //! are a boot storm, where all three behaviours interact.
 //!
 //! [`ConcurrentJitsud`] is that daemon, a *world* scheduled on the
-//! [`jitsu_sim`] discrete-event engine. Every configured service owns a
-//! lifecycle state machine:
-//!
-//! ```text
-//!            admission           slot granted          app ready
-//!   Idle ──────────────▶ AwaitingSlot ──────▶ Launching ──────▶ Running
-//!    ▲   (memory check,   {queued SYNs}      {queued SYNs}        │
-//!    │    SERVFAIL on                                             │ idle ≥ TTL
-//!    │    exhaustion)                                             ▼
-//!    └──────────────────────── teardown done ◀──────────────── Draining
-//! ```
+//! [`jitsu_sim`] discrete-event engine. Every configured service has a
+//! lifecycle (`Idle → AwaitingSlot → Launching → Running → Draining`), and
+//! every decision about it is [`Stage::step`] in [`crate::lifecycle`]: each
+//! handler below turns its event into an [`Input`], steps, and acts on the
+//! [`Verdict`]. The step also says what the verdict does with the two
+//! things a launch holds, a memory reservation and a launch slot; the
+//! daemon settles both where it steps, so no handler touches them.
 //!
 //! * **Concurrency** — overlapping queries for *different* names boot
 //!   domains concurrently, bounded by a [`LaunchSlots`] semaphore (domain
@@ -34,16 +30,11 @@
 //!   cannot fit is answered `SERVFAIL` so the client fails over to another
 //!   board (§3.3.2).
 //! * **Idle reaping** — a service idle longer than the configured TTL (its
-//!   `Running` record's clock, which every warm query refreshes) is
-//!   drained: its domain is torn down (taking the board's
+//!   idle clock, which every warm query refreshes) is drained: its domain
+//!   is torn down (taking the board's
 //!   [`domain_teardown`](platform::CostModel::domain_teardown) of virtual
 //!   time) and its memory returns to the pool, after which the name can be
 //!   summoned again from scratch.
-//!
-//! A query is decided by one `match` on its service's lifecycle record —
-//! `Idle` admits (or answers `SERVFAIL`), `AwaitingSlot`, `Launching` and
-//! `Draining` coalesce, `Running` serves warm — and that record is the
-//! daemon's only copy of which services are alive.
 //!
 //! The SYN queue is not a counter: while a service boots, each queued
 //! client completes a real TCP handshake against the real
@@ -55,6 +46,8 @@
 use crate::config::JitsuConfig;
 use crate::handoff::{self, HandoffPhase};
 use crate::launcher::Launcher;
+pub use crate::lifecycle::LifecyclePhase;
+use crate::lifecycle::{Input, Stage, Verdict};
 use crate::synjitsu::Synjitsu;
 use conduit::flows::FlowTable;
 use conduit::rendezvous::ConduitRegistry;
@@ -121,28 +114,59 @@ impl ClientFlow {
     }
 }
 
-/// The unikernel side of one service's data plane: the packet-level
-/// instance (network stack + appliance) plus the TCBs the two-phase commit
-/// carries from `Prepare` to `Committed`.
+/// One service's domain, from a successful build to its retirement: its
+/// boot timeline, the boot-registration transaction, and the unikernel side
+/// of its data plane.
 #[derive(Debug)]
-struct DataPlane {
+struct Guest {
+    dom: DomId,
+    /// When the guest's network stack attaches (Synjitsu handoff point).
+    network_ready_at: SimTime,
+    /// When the application can serve requests.
+    app_ready_at: SimTime,
+    /// The boot-registration transaction, held open for the whole
+    /// construction window so overlapping builds genuinely overlap their
+    /// store transactions (committed at construction-done; merged, not
+    /// aborted, on the Jitsu engine).
+    boot_tx: xenstore::TxId,
+    /// The packet-level instance: network stack + appliance.
     instance: UnikernelInstance,
     /// TCBs reconstructed from the conduit vchan drain at `Prepare`,
     /// adopted into the instance at `Committed`.
     drained: Vec<Tcb>,
 }
 
-/// One configured service, at its index in [`JitsuConfig::services`]: its
-/// lifecycle and, from summon to retire, its unikernel's data plane.
+/// One configured service, at its index in [`JitsuConfig::services`].
 #[derive(Debug)]
 struct Service {
-    lifecycle: Lifecycle,
-    plane: Option<DataPlane>,
-    /// The store keys the service's every boot, frame and reap names,
-    /// built with the daemon; the error building them gave, for a name that
-    /// is not a valid path component, which fails the service's first
-    /// launch.
-    keys: xenstore::Result<ServiceKeys>,
+    /// Where the service stands; only [`Stage::step`] moves it.
+    stage: Stage,
+    /// Clients parked on a boot or a drain, in arrival order.
+    queued: Vec<QueuedClient>,
+    /// The idle clock the reaper reads while the service runs: app-ready,
+    /// then every warm query for the name.
+    last_activity: SimTime,
+    /// From a successful build to retirement, the service's domain.
+    guest: Option<Guest>,
+    /// The store keys the service's every boot, frame and reap names, built
+    /// with the daemon; `None` for a name that is not a store path
+    /// component, which the core never admits.
+    keys: Option<ServiceKeys>,
+}
+
+impl Service {
+    /// The service's store keys. Only a service with keys is admitted
+    /// ([`Input::Query`]'s `named`), so every handler past admission has
+    /// them.
+    fn keys(&self) -> &ServiceKeys {
+        #[expect(
+            clippy::expect_used,
+            reason = "the lifecycle core admits only a service whose name is a store path"
+        )]
+        self.keys
+            .as_ref()
+            .expect("an admitted service has store keys")
+    }
 }
 
 /// The store keys of one service. A board configures many more services
@@ -168,64 +192,6 @@ impl ServiceKeys {
             phase: handoff::phase_key(name)?,
         })
     }
-}
-
-/// The lifecycle state machine of one configured service.
-#[derive(Debug)]
-enum Lifecycle {
-    /// No domain exists and nothing is in flight.
-    Idle,
-    /// Admitted (memory reserved) but waiting for a launch slot.
-    AwaitingSlot {
-        /// Clients parked on this boot, in arrival order.
-        queued: Vec<QueuedClient>,
-    },
-    /// The toolstack is constructing / the guest is booting the domain.
-    Launching {
-        /// Clients parked on this boot, in arrival order.
-        queued: Vec<QueuedClient>,
-        /// The domain being built.
-        dom: DomId,
-        /// When the guest's network stack attaches (Synjitsu handoff point).
-        network_ready_at: SimTime,
-        /// When the application can serve requests.
-        app_ready_at: SimTime,
-        /// The boot-registration transaction, held open for the whole
-        /// construction window so overlapping builds genuinely overlap
-        /// their store transactions (committed, and taken, at
-        /// construction-done; merged, not aborted, on the Jitsu engine).
-        boot_tx: Option<xenstore::TxId>,
-    },
-    /// The unikernel is serving requests.
-    Running {
-        /// The serving domain.
-        dom: DomId,
-        /// The idle clock the reaper reads: app-ready, then every warm
-        /// query for the name.
-        last_activity: SimTime,
-    },
-    /// Reaped: the domain is being torn down; memory frees when it is done.
-    Draining {
-        /// The domain being destroyed.
-        dom: DomId,
-        /// Clients that asked for the name mid-drain (they relaunch it).
-        queued: Vec<QueuedClient>,
-    },
-}
-
-/// A copyable label for a service's current lifecycle state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LifecyclePhase {
-    /// No domain exists.
-    Idle,
-    /// Waiting for a launch slot.
-    AwaitingSlot,
-    /// Domain construction / guest boot in flight.
-    Launching,
-    /// Serving.
-    Running,
-    /// Being torn down.
-    Draining,
 }
 
 /// One record of the daemon's trace, in Figure 6's vocabulary. `service` is
@@ -257,12 +223,13 @@ pub enum JitsuEvent {
         /// Clients parked on the boot so far.
         queued: u32,
     },
-    /// The toolstack could not build the domain; every parked client got
-    /// `SERVFAIL`.
+    /// A launch could not start or the toolstack could not build the
+    /// domain; every client waiting on it got `SERVFAIL`.
     LaunchFailed {
         /// The service that failed to launch.
         service: u16,
-        /// Clients parked on it.
+        /// Clients parked on it, or the one whose query found that the
+        /// service's name is no store path.
         queued: u32,
     },
     /// Phase 1 of the handoff: Synjitsu flushed its connection records and
@@ -496,9 +463,11 @@ impl ConcurrentJitsud {
             .services
             .iter()
             .map(|svc| Service {
-                lifecycle: Lifecycle::Idle,
-                plane: None,
-                keys: ServiceKeys::new(&svc.name),
+                stage: Stage::IDLE,
+                queued: Vec::new(),
+                last_activity: SimTime::ZERO,
+                guest: None,
+                keys: ServiceKeys::new(&svc.name).ok(),
             })
             .collect();
         ConcurrentJitsud {
@@ -555,26 +524,18 @@ impl ConcurrentJitsud {
     /// The current lifecycle phase of a service (`Idle` for a name that is
     /// not configured).
     pub fn phase(&self, name: &str) -> LifecyclePhase {
-        let lifecycle = self
-            .config
+        self.config
             .service_index(name)
-            .map_or(&Lifecycle::Idle, |ix| {
-                &self.services[usize::from(ix)].lifecycle
-            });
-        match lifecycle {
-            Lifecycle::Idle => LifecyclePhase::Idle,
-            Lifecycle::AwaitingSlot { .. } => LifecyclePhase::AwaitingSlot,
-            Lifecycle::Launching { .. } => LifecyclePhase::Launching,
-            Lifecycle::Running { .. } => LifecyclePhase::Running,
-            Lifecycle::Draining { .. } => LifecyclePhase::Draining,
-        }
+            .map_or(LifecyclePhase::Idle, |ix| {
+                self.services[usize::from(ix)].stage.phase
+            })
     }
 
     /// Number of services currently in the `Running` phase.
     pub fn running_count(&self) -> usize {
         self.services
             .iter()
-            .filter(|s| matches!(s.lifecycle, Lifecycle::Running { .. }))
+            .filter(|s| s.stage.phase == LifecyclePhase::Running)
             .count()
     }
 
@@ -614,6 +575,26 @@ impl ConcurrentJitsud {
     /// The daemon's trace, oldest record first. `Display` renders it.
     pub fn trace(&self) -> &Trace<JitsuEvent> {
         &self.trace
+    }
+
+    /// Step service `ix`'s lifecycle on `input`: keep the stage it moves
+    /// to, settle what the verdict does with the service's memory
+    /// reservation and launch slot, and return the verdict to act on.
+    fn decide(&mut self, ix: u16, input: Input) -> Verdict {
+        let i = usize::from(ix);
+        let (stage, verdict) = self.services[i].stage.step(input, self.config.use_synjitsu);
+        self.services[i].stage = stage;
+        let memory_mib = self.config.services[i].image.memory_mib;
+        match verdict.reservation() {
+            1 => self.reserved_mib += memory_mib,
+            -1 => self.reserved_mib = self.reserved_mib.saturating_sub(memory_mib),
+            _ => {}
+        }
+        // The dispatcher takes a slot before it steps.
+        if verdict.slot() < 0 {
+            self.slots.release();
+        }
+        verdict
     }
 
     fn next_seed(&mut self) -> u64 {
@@ -728,11 +709,7 @@ impl ConcurrentJitsud {
         }
         let name = &world.config.services[usize::from(ix)].name;
         let xs = &mut world.launcher.toolstack.xenstore;
-        let phase = match &world.services[usize::from(ix)].keys {
-            Ok(keys) => handoff::phase(xs, &keys.phase),
-            Err(_) => HandoffPhase::Committed,
-        };
-        match phase {
+        match handoff::phase(xs, &world.services[usize::from(ix)].keys().phase) {
             HandoffPhase::Proxying => Self::pump_via_synjitsu(world, ix, client_id, frames),
             HandoffPhase::Prepare => {
                 // The race window between the phases: park every frame.
@@ -805,7 +782,7 @@ impl ConcurrentJitsud {
         mut to_server: Vec<FrameBuf>,
         mut to_client: Vec<FrameBuf>,
     ) {
-        let Some(plane) = world.services[usize::from(ix)].plane.as_mut() else {
+        let Some(guest) = world.services[usize::from(ix)].guest.as_mut() else {
             return;
         };
         let Some(flow) = world.clients.get_mut(&client_id) else {
@@ -816,7 +793,7 @@ impl ConcurrentJitsud {
                 break;
             }
             for frame in to_server.drain(..) {
-                let (out, _cost) = plane.instance.handle_frame(&frame);
+                let (out, _cost) = guest.instance.handle_frame(&frame);
                 to_client.extend(out);
             }
             for frame in to_client.drain(..) {
@@ -827,12 +804,12 @@ impl ConcurrentJitsud {
 
     /// Event: a DNS query for `name` arrives, and its service's lifecycle
     /// decides it: an idle service is admitted, or answered `SERVFAIL` if it
-    /// does not fit; a booting or draining one coalesces the query; a
-    /// running one serves it warm. `hops` is how many further boards a
-    /// query forwarded by a peer may still try; `None` for a fresh arrival,
-    /// which starts from `failover_hops_default`. Crate-visible so the fleet
-    /// layer (`crate::fleet`) can route failed-over queries into a board's
-    /// domain context directly.
+    /// does not fit; a booting or draining one parks the query; a running
+    /// one serves it warm. `hops` is how many further boards a query
+    /// forwarded by a peer may still try; `None` for a fresh arrival, which
+    /// starts from `failover_hops_default`. Crate-visible so the fleet layer
+    /// (`crate::fleet`) can route failed-over queries into a board's domain
+    /// context directly.
     pub(crate) fn on_query<S: Scheduler<World = ConcurrentJitsud>>(
         sim: &mut S,
         name: String,
@@ -852,54 +829,71 @@ impl ConcurrentJitsud {
         let i = usize::from(ix);
         // Admission: memory for the service, net of reservations for boots
         // still waiting on a slot.
-        if matches!(world.services[i].lifecycle, Lifecycle::Idle)
-            && world.effective_free_mib() < world.config.services[i].image.memory_mib
-        {
-            world.metrics.servfails += 1;
-            world.trace.push(now, JitsuEvent::ServFail { service: ix });
-            // §3.3.2's other half: in a fleet the SERVFAIL makes the
-            // client retry against the next board. Parked here; the fleet
-            // layer forwards it at the next epoch barrier.
-            if world.config.failover {
-                let hops = hops.unwrap_or(world.failover_hops_default);
-                if hops > 0 {
-                    world.metrics.failovers += 1;
-                    world.pending_failover.push((name, hops - 1));
-                } else {
-                    world.metrics.failover_dropped += 1;
+        let query = Input::Query {
+            fits: world.effective_free_mib() >= world.config.services[i].image.memory_mib,
+            named: world.services[i].keys.is_some(),
+        };
+        match world.decide(ix, query) {
+            Verdict::ServFail => {
+                world.metrics.servfails += 1;
+                world.trace.push(now, JitsuEvent::ServFail { service: ix });
+                // §3.3.2's other half: in a fleet the SERVFAIL makes the
+                // client retry against the next board. Parked here; the
+                // fleet layer forwards it at the next epoch barrier.
+                if world.config.failover {
+                    let hops = hops.unwrap_or(world.failover_hops_default);
+                    if hops > 0 {
+                        world.metrics.failovers += 1;
+                        world.pending_failover.push((name, hops - 1));
+                    } else {
+                        world.metrics.failover_dropped += 1;
+                    }
                 }
             }
-            return;
-        }
-        let client = world.new_client(now);
-        match &mut world.services[i].lifecycle {
-            Lifecycle::Idle => Self::admit(sim, ix, vec![client]),
-            Lifecycle::AwaitingSlot { queued } => {
-                queued.push(client);
-                world.metrics.coalesced += 1;
-                Self::open_client_flow(world, ix, client);
-            }
-            Lifecycle::Launching { queued, dom, .. } => {
-                queued.push(client);
-                world.metrics.coalesced += 1;
-                let event = JitsuEvent::Coalesced {
+            Verdict::CannotLaunch => {
+                // The name cannot be registered in the store, so no launch
+                // of it can start, here or on any board.
+                world.metrics.servfails += 1;
+                let event = JitsuEvent::LaunchFailed {
                     service: ix,
-                    dom: *dom,
+                    queued: 1,
                 };
                 world.trace.push(now, event);
+            }
+            Verdict::Admit => {
+                let client = world.new_client(now);
+                world.services[i].queued = vec![client];
+                Self::admit(sim, ix);
+            }
+            Verdict::Coalesce => {
+                let client = world.new_client(now);
+                let svc = &mut world.services[i];
+                svc.queued.push(client);
+                world.metrics.coalesced += 1;
+                // A boot still waiting on its slot has no domain to name.
+                if let Some(guest) = &svc.guest {
+                    let event = JitsuEvent::Coalesced {
+                        service: ix,
+                        dom: guest.dom,
+                    };
+                    world.trace.push(now, event);
+                }
                 Self::open_client_flow(world, ix, client);
             }
-            Lifecycle::Draining { queued, .. } => {
+            Verdict::AwaitRelaunch => {
                 // Reap/resummon race: no memory check, since the drain is
                 // about to free exactly the memory the service needs. The
                 // relaunch starts the moment the drain completes.
-                queued.push(client);
+                let client = world.new_client(now);
+                world.services[i].queued.push(client);
                 world.metrics.coalesced += 1;
             }
-            Lifecycle::Running { last_activity, .. } => {
+            Verdict::ServeWarm => {
                 // Warm hit: DNS round plus handshake, request and response
                 // against the running unikernel (the ≈5 ms local path, §3).
-                *last_activity = now;
+                // The client draws its id like every client that is served.
+                world.new_client(now);
+                world.services[i].last_activity = now;
                 let costs = world.costs();
                 let ttfb = costs.dns_processing
                     + costs.one_way_delay * 6
@@ -909,35 +903,33 @@ impl ConcurrentJitsud {
                 world.metrics.warm_hits += 1;
                 Self::schedule_reap_check(sim, ix, now);
             }
+            _ => {}
         }
     }
 
-    /// Admit a service with `queued` parked on it: reserve its memory, start
-    /// Synjitsu proxying (each parked client opens its flow), and queue for
-    /// a launch slot.
-    fn admit<S: Scheduler<World = ConcurrentJitsud>>(
-        sim: &mut S,
-        ix: u16,
-        queued: Vec<QueuedClient>,
-    ) {
+    /// Admit service `ix`, its memory reserved, for the clients parked on
+    /// it: start Synjitsu proxying (each parked client opens its flow), and
+    /// queue for a launch slot.
+    fn admit<S: Scheduler<World = ConcurrentJitsud>>(sim: &mut S, ix: u16) {
         let world = sim.world_mut();
         let i = usize::from(ix);
-        let svc = &world.config.services[i];
-        world.reserved_mib += svc.image.memory_mib;
         if world.config.use_synjitsu {
             #[expect(
                 clippy::expect_used,
-                reason = "synjitsu proxy setup repeats a registration that already succeeded"
+                reason = "an admitted service's name is a store path, and dom0 writes its own handoff area"
             )]
             world
                 .synjitsu
-                .start_proxying(&mut world.launcher.toolstack.xenstore, svc)
+                .start_proxying(
+                    &mut world.launcher.toolstack.xenstore,
+                    &world.config.services[i],
+                )
                 .expect("synjitsu can begin proxying");
-            for client in &queued {
-                Self::open_client_flow(world, ix, *client);
+            for k in 0..world.services[i].queued.len() {
+                let client = world.services[i].queued[k];
+                Self::open_client_flow(world, ix, client);
             }
         }
-        world.services[i].lifecycle = Lifecycle::AwaitingSlot { queued };
         world.launch_queue.push_back(ix);
         Self::dispatch(sim);
     }
@@ -955,18 +947,13 @@ impl ConcurrentJitsud {
                 return;
             }
             world.launch_queue.pop_front();
-            let i = usize::from(ix);
-            let Lifecycle::AwaitingSlot { queued } = &mut world.services[i].lifecycle else {
-                // Only a service awaiting a slot is queued; give the slot
-                // back and keep going.
-                debug_assert!(false, "queued service {ix} is not awaiting a slot");
+            if world.decide(ix, Input::SlotGranted) != Verdict::Build {
                 world.slots.release();
                 continue;
-            };
-            let queued = std::mem::take(queued);
+            }
+            let i = usize::from(ix);
             let seed = world.next_seed();
             let svc = &world.config.services[i];
-            world.reserved_mib = world.reserved_mib.saturating_sub(svc.image.memory_mib);
             match world.launcher.summon(svc, now, seed) {
                 Ok((outcome, instance)) => {
                     world.metrics.launches += 1;
@@ -983,15 +970,12 @@ impl ConcurrentJitsud {
                         .transaction_start(DomId::DOM0)
                         .expect("dom0 transactions are not quota-limited");
                     let service = &mut world.services[i];
-                    let registered = match &service.keys {
-                        Ok(keys) => Self::write_boot_record(xs, boot_tx, keys, outcome.dom),
-                        Err(e) => Err(e.clone()),
-                    };
                     #[expect(
                         clippy::expect_used,
                         reason = "boot registration writes go to fresh per-service paths"
                     )]
-                    registered.expect("boot registration writes succeed");
+                    Self::write_boot_record(xs, boot_tx, service.keys(), outcome.dom)
+                        .expect("boot registration writes succeed");
                     let construction_done_at = now + outcome.construction.total;
                     let network_ready_at = outcome.network_ready_at();
                     let app_ready_at = outcome.app_ready_at();
@@ -1005,19 +989,16 @@ impl ConcurrentJitsud {
                     let event = JitsuEvent::Summoning {
                         service: ix,
                         dom: outcome.dom,
-                        queued: queued.len() as u32,
+                        queued: service.queued.len() as u32,
                     };
                     world.trace.push(now, event);
-                    service.lifecycle = Lifecycle::Launching {
-                        queued,
+                    // The packet-level instance is the unikernel side of the
+                    // data plane once the handoff commits.
+                    service.guest = Some(Guest {
                         dom: outcome.dom,
                         network_ready_at,
                         app_ready_at,
-                        boot_tx: Some(boot_tx),
-                    };
-                    // The packet-level instance is the unikernel side of the
-                    // data plane once the handoff commits.
-                    service.plane = Some(DataPlane {
+                        boot_tx,
                         instance,
                         drained: Vec::new(),
                     });
@@ -1034,17 +1015,18 @@ impl ConcurrentJitsud {
                 Err(_) => {
                     // Reservations should make this unreachable; degrade to
                     // SERVFAIL for every parked client rather than wedging.
-                    let event = JitsuEvent::LaunchFailed {
-                        service: ix,
-                        queued: queued.len() as u32,
-                    };
-                    world.trace.push(now, event);
-                    world.metrics.servfails += queued.len() as u64;
-                    for client in &queued {
-                        world.clients.remove(&client.id);
+                    if world.decide(ix, Input::BuildFailed) == Verdict::LaunchFailed {
+                        let queued = std::mem::take(&mut world.services[i].queued);
+                        let event = JitsuEvent::LaunchFailed {
+                            service: ix,
+                            queued: queued.len() as u32,
+                        };
+                        world.trace.push(now, event);
+                        world.metrics.servfails += queued.len() as u64;
+                        for client in &queued {
+                            world.clients.remove(&client.id);
+                        }
                     }
-                    world.services[i].lifecycle = Lifecycle::Idle;
-                    world.slots.release();
                 }
             }
         }
@@ -1073,20 +1055,18 @@ impl ConcurrentJitsud {
     /// granted — on the merge engines a concurrent build's commit merges;
     /// on the serialising engine it aborts with `EAGAIN` and the whole
     /// registration is redone, the "cancel and retry a large set of domain
-    /// building RPCs" cost §3.1 describes. Then release the launch slot.
+    /// building RPCs" cost §3.1 describes. The step gave the launch slot
+    /// back; grant it to the next queued launch.
     fn on_construction_done<S: Scheduler<World = ConcurrentJitsud>>(sim: &mut S, ix: u16) {
         let world = sim.world_mut();
-        let i = usize::from(ix);
-        let svc = &mut world.services[i];
-        if let (Lifecycle::Launching { dom, boot_tx, .. }, Ok(keys)) =
-            (&mut svc.lifecycle, &svc.keys)
-        {
-            // A boot transaction is open only once the keys wrote the record.
-            if let Some(tx) = boot_tx.take() {
-                Self::commit_boot_record(&mut world.launcher.toolstack.xenstore, tx, keys, *dom);
-            }
+        if world.decide(ix, Input::ConstructionDone) != Verdict::Built {
+            return;
         }
-        world.slots.release();
+        let svc = &world.services[usize::from(ix)];
+        if let Some(guest) = &svc.guest {
+            let xs = &mut world.launcher.toolstack.xenstore;
+            Self::commit_boot_record(xs, guest.boot_tx, svc.keys(), guest.dom);
+        }
         Self::dispatch(sim);
     }
 
@@ -1136,17 +1116,14 @@ impl ConcurrentJitsud {
     fn on_network_ready<S: Scheduler<World = ConcurrentJitsud>>(sim: &mut S, ix: u16) {
         let now = sim.now();
         let world = sim.world_mut();
-        let name = &world.config.services[usize::from(ix)].name;
-        if !world.config.use_synjitsu || !world.synjitsu.is_proxying(name) {
+        if world.decide(ix, Input::NetworkReady) != Verdict::Prepare {
             return;
         }
-        let svc = &mut world.services[usize::from(ix)];
-        let (Lifecycle::Launching { dom, .. }, Some(plane)) = (&svc.lifecycle, &mut svc.plane)
-        else {
-            debug_assert!(false, "network-ready without a launching service {ix}");
+        let name = &world.config.services[usize::from(ix)].name;
+        let Some(guest) = world.services[usize::from(ix)].guest.as_mut() else {
             return;
         };
-        let dom = *dom;
+        let dom = guest.dom;
         #[expect(
             clippy::expect_used,
             reason = "prepare flush happens while the synjitsu service still exists"
@@ -1228,7 +1205,7 @@ impl ConcurrentJitsud {
             )]
             drained.push(Tcb::from_sexp(sexp).expect("records round-trip"));
         }
-        plane.drained = drained;
+        guest.drained = drained;
         let event = JitsuEvent::Prepared {
             service: ix,
             dom,
@@ -1248,6 +1225,9 @@ impl ConcurrentJitsud {
     fn on_commit_handoff<S: Scheduler<World = ConcurrentJitsud>>(sim: &mut S, ix: u16) {
         let now = sim.now();
         let world = sim.world_mut();
+        if world.decide(ix, Input::HandoffCommitted) != Verdict::Adopt {
+            return;
+        }
         let i = usize::from(ix);
         #[expect(
             clippy::expect_used,
@@ -1260,20 +1240,18 @@ impl ConcurrentJitsud {
                 &world.config.services[i].name,
             )
             .expect("the takeover commits");
-        let svc = &mut world.services[i];
-        let (Lifecycle::Launching { dom, .. }, Some(plane)) = (&svc.lifecycle, &mut svc.plane)
-        else {
+        let Some(guest) = world.services[i].guest.as_mut() else {
             return;
         };
-        let dom = *dom;
-        let adopted = std::mem::take(&mut plane.drained);
+        let dom = guest.dom;
+        let adopted = std::mem::take(&mut guest.drained);
         let migrated = adopted.len() as u64;
         let mut response_frames = Vec::new();
         for tcb in adopted {
             let client_mac = Self::client_id_of_ip(tcb.remote_ip)
                 .map(Self::client_mac)
                 .unwrap_or(MacAddr::BROADCAST);
-            let (frames, _cost) = plane.instance.adopt_handoff(tcb, client_mac);
+            let (frames, _cost) = guest.instance.adopt_handoff(tcb, client_mac);
             response_frames.extend(frames);
         }
         world.metrics.handoff.migrated += migrated;
@@ -1341,22 +1319,21 @@ impl ConcurrentJitsud {
 
     /// Event: the application is up — serve the queued clients, settle their
     /// exchanges' accounting (the handoff committed before this, see
-    /// `dispatch`), enter `Running`, and arm the idle reaper.
+    /// `dispatch`), start the idle clock, and arm the idle reaper.
     fn on_app_ready<S: Scheduler<World = ConcurrentJitsud>>(sim: &mut S, ix: u16) {
         let now = sim.now();
         let world = sim.world_mut();
+        if world.decide(ix, Input::AppReady) != Verdict::Serve {
+            return;
+        }
         let i = usize::from(ix);
-        let Lifecycle::Launching {
-            queued,
-            dom,
-            network_ready_at,
-            app_ready_at,
-            ..
-        } = std::mem::replace(&mut world.services[i].lifecycle, Lifecycle::Idle)
-        else {
-            debug_assert!(false, "app-ready without a launching service {ix}");
+        let svc = &mut world.services[i];
+        let Some(guest) = &svc.guest else {
             return;
         };
+        let (dom, network_ready_at, app_ready_at) =
+            (guest.dom, guest.network_ready_at, guest.app_ready_at);
+        let queued = std::mem::take(&mut svc.queued);
         for client in &queued {
             let ttfb = world.cold_ttfb(client.arrived, network_ready_at, app_ready_at);
             world.metrics.ttfb.record(ttfb);
@@ -1375,10 +1352,7 @@ impl ConcurrentJitsud {
         };
         world.trace.push(now, event);
         Self::account_exchanges(world, ix, &queued);
-        world.services[i].lifecycle = Lifecycle::Running {
-            dom,
-            last_activity: now,
-        };
+        world.services[i].last_activity = now;
         Self::schedule_reap_check(sim, ix, now);
     }
 
@@ -1426,7 +1400,8 @@ impl ConcurrentJitsud {
         sim.schedule_at(activity_at + ttl, move |sim| Self::on_reap_check(sim, ix));
     }
 
-    /// Event: an idle check fires.
+    /// Event: an idle check fires. A stale one (the service saw traffic
+    /// since it was armed, or is no longer running) changes nothing.
     fn on_reap_check<S: Scheduler<World = ConcurrentJitsud>>(sim: &mut S, ix: u16) {
         let now = sim.now();
         let world = sim.world_mut();
@@ -1434,16 +1409,14 @@ impl ConcurrentJitsud {
             return;
         };
         let i = usize::from(ix);
-        let Lifecycle::Running { dom, last_activity } = world.services[i].lifecycle else {
+        let idle = now.duration_since(world.services[i].last_activity) >= ttl;
+        if world.decide(ix, Input::ReapCheck { idle }) != Verdict::StartDrain {
+            return;
+        }
+        let Some(guest) = &world.services[i].guest else {
             return;
         };
-        if now.duration_since(last_activity) < ttl {
-            return; // refreshed since this check was armed; a newer one is pending
-        }
-        world.services[i].lifecycle = Lifecycle::Draining {
-            dom,
-            queued: Vec::new(),
-        };
+        let dom = guest.dom;
         world.metrics.reaps += 1;
         world
             .trace
@@ -1458,42 +1431,40 @@ impl ConcurrentJitsud {
         let now = sim.now();
         let world = sim.world_mut();
         let i = usize::from(ix);
-        let svc = &mut world.services[i];
-        let Lifecycle::Draining { dom, queued } =
-            std::mem::replace(&mut svc.lifecycle, Lifecycle::Idle)
-        else {
-            debug_assert!(false, "drain-done without a draining service {ix}");
+        let waiting = !world.services[i].queued.is_empty();
+        let verdict = world.decide(ix, Input::DrainDone { waiting });
+        if !matches!(verdict, Verdict::GoIdle | Verdict::Relaunch) {
             return;
-        };
+        }
         // The unikernel's data plane dies with the domain, and so does its
         // lifecycle record in the store.
-        svc.plane = None;
+        let Some(Guest { dom, .. }) = world.services[i].guest.take() else {
+            return;
+        };
         #[expect(
             clippy::expect_used,
-            reason = "Draining lifecycle holds the domain until retirement"
+            reason = "a draining service holds its domain until retirement"
         )]
         world
             .launcher
             .retire(dom)
             .expect("draining domain exists until retired");
-        if let Ok(keys) = &world.services[i].keys {
-            #[expect(
-                clippy::let_underscore_must_use,
-                reason = "lifecycle record removal is best-effort; the path is gone if a racing retire won"
-            )]
-            let _ = world
-                .launcher
-                .toolstack
-                .xenstore
-                .rm(DomId::DOM0, None, &keys.record);
-        }
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "lifecycle record removal is best-effort; the path is gone if a racing retire won"
+        )]
+        let _ = world.launcher.toolstack.xenstore.rm(
+            DomId::DOM0,
+            None,
+            &world.services[i].keys().record,
+        );
         world
             .trace
             .push(now, JitsuEvent::Retired { service: ix, dom });
         // Re-entry: waiters arrived while the old domain drained. Launch
         // again from scratch.
-        if !queued.is_empty() {
-            Self::admit(sim, ix, queued);
+        if verdict == Verdict::Relaunch {
+            Self::admit(sim, ix);
         }
     }
 }
@@ -1628,12 +1599,9 @@ mod tests {
             .config
             .service_index(name)
             .expect("configured service");
-        match world.services[usize::from(ix)].lifecycle {
-            Lifecycle::Launching {
-                network_ready_at, ..
-            } => network_ready_at,
-            ref other => panic!("expected Launching, got {other:?}"),
-        }
+        let svc = &world.services[usize::from(ix)];
+        assert_eq!(svc.stage.phase, LifecyclePhase::Launching);
+        svc.guest.as_ref().expect("a built domain").network_ready_at
     }
 
     /// The handoff commits `handoff_commit` after network-ready, and the
@@ -1927,6 +1895,49 @@ mod tests {
         assert_eq!(m.launches, 0);
         assert_eq!(m.queries, 4);
         assert_eq!(sim.world().next_client_id, 0, "no client was drawn");
+    }
+
+    /// A name the store cannot hold as a path component can never launch:
+    /// its query records a launch that could not start and is answered
+    /// `SERVFAIL`, with nothing reserved, no slot taken, no proxy started
+    /// and nothing written to the store.
+    #[test]
+    fn a_name_that_is_no_store_path_is_answered_servfail_without_a_launch() {
+        const BAD: &str = "bad name.family.name";
+        for use_synjitsu in [true, false] {
+            let mut cfg = config().with_service(ServiceConfig::http_site(
+                BAD,
+                Ipv4Addr::new(192, 168, 1, 22),
+            ));
+            if !use_synjitsu {
+                cfg = cfg.without_synjitsu();
+            }
+            let mut sim = sim(cfg);
+            let store_before = (
+                sim.world().xenstore_stats(),
+                sim.world().xenstore().node_count(),
+            );
+            ConcurrentJitsud::inject_query(&mut sim, SimTime::ZERO, BAD);
+            sim.run();
+            let world = sim.world();
+            assert_eq!(world.phase(BAD), LifecyclePhase::Idle);
+            assert_eq!(world.metrics().servfails, 1);
+            assert_eq!(world.metrics().launches, 0);
+            assert_eq!(world.reserved_mib, 0);
+            assert_eq!(world.slots().peak(), 0);
+            assert_eq!(world.synjitsu().proxied_connection_count(BAD), 0);
+            assert_eq!(
+                (world.xenstore_stats(), world.xenstore().node_count()),
+                store_before
+            );
+            assert_eq!(
+                events(&sim),
+                [JitsuEvent::LaunchFailed {
+                    service: 2,
+                    queued: 1
+                }]
+            );
+        }
     }
 
     #[test]

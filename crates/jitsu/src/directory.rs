@@ -9,15 +9,18 @@
 //! exhaustion is reported as `SERVFAIL` so clients fail over to another
 //! board.
 //!
-//! [`ConcurrentJitsud`](crate::concurrent::ConcurrentJitsud) makes the same
-//! decision from its own per-service lifecycle records and keeps no
-//! `DirectoryService`; this is the decision standing alone.
+//! The directory decides a query through the lifecycle core's query step
+//! ([`Stage::step`] on [`Input::Query`]), the step
+//! [`ConcurrentJitsud`](crate::concurrent::ConcurrentJitsud) takes too, and
+//! keeps one [`Stage`] per configured service. It launches nothing itself:
+//! its caller summons the unikernel and reports back through
+//! [`DirectoryService::mark_ready`] and [`DirectoryService::mark_stopped`].
 
 use crate::config::JitsuConfig;
+use crate::lifecycle::{Input, LifecyclePhase, Stage, Verdict};
 use jitsu_sim::SimTime;
 use netstack::dns::{DnsMessage, Rcode};
 use netstack::ipv4::Ipv4Addr;
-use std::collections::BTreeMap;
 
 /// What the directory decided to do with a query, beyond answering it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,41 +44,28 @@ pub enum DirectoryAction {
     },
 }
 
-/// Which phase of its lifecycle a known-alive service is in, from the
-/// directory's point of view.
-///
-/// The distinction matters under concurrency: a query for a *mid-launch*
-/// name must coalesce onto the in-flight boot (answered as if the service
-/// were already running) rather than trigger a second launch, and a
-/// mid-launch service must never be reaped as "idle" — its launch clock is
-/// not an idle clock.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServicePhase {
-    /// A launch has been triggered but the unikernel is not yet serving.
-    Launching,
-    /// The unikernel is up and serving requests.
-    Running,
-}
-
-/// The directory service state: configured services plus which are alive
-/// (mid-launch or running).
+/// The directory service state: the configured services and where each
+/// stands.
 #[derive(Debug)]
 pub struct DirectoryService {
     config: JitsuConfig,
-    /// Alive services and their lifecycle phase.
-    services: BTreeMap<String, ServicePhase>,
-    queries_handled: u64,
-    launches_triggered: u64,
+    /// Each service's stage, at its index in `config.services`.
+    stages: Vec<Stage>,
 }
 
 impl DirectoryService {
     /// Create the directory for a host configuration.
     pub fn new(config: JitsuConfig) -> DirectoryService {
         DirectoryService {
+            stages: vec![Stage::IDLE; config.services.len()],
             config,
-            services: BTreeMap::new(),
-            queries_handled: 0,
-            launches_triggered: 0,
+        }
+    }
+
+    /// Set the stage of the service `name`, if it is configured.
+    fn set(&mut self, name: &str, stage: Stage) {
+        if let Some(ix) = self.config.service_index(name) {
+            self.stages[usize::from(ix)] = stage;
         }
     }
 
@@ -83,37 +73,25 @@ impl DirectoryService {
     /// when the launch completes). The directory keeps no clock: `_now` is
     /// kept for callers that pass it.
     pub fn mark_ready(&mut self, name: &str, _now: SimTime) {
-        self.services
-            .insert(name.trim_matches('.').to_string(), ServicePhase::Running);
+        self.set(name, Stage::new(LifecyclePhase::Running));
     }
 
     /// Record that a service has been retired (or that its launch failed).
     pub fn mark_stopped(&mut self, name: &str) {
-        self.services.remove(name.trim_matches('.'));
-    }
-
-    /// Is the service alive — mid-launch or running? Either way a query for
-    /// it is answered with its address and must not trigger another launch.
-    pub fn is_running(&self, name: &str) -> bool {
-        self.services.contains_key(name.trim_matches('.'))
-    }
-
-    /// The service's lifecycle phase, if it is alive.
-    pub fn phase(&self, name: &str) -> Option<ServicePhase> {
-        self.services.get(name.trim_matches('.')).copied()
+        self.set(name, Stage::IDLE);
     }
 
     /// Handle a DNS query, given whether the host currently has resources to
     /// summon another unikernel. Returns the response to send immediately
-    /// and the action the caller should take. The directory keeps no clock:
-    /// `_now` is kept for callers that pass it.
+    /// and the action the caller should take. A mid-launch service is
+    /// answered as already running: the query coalesces onto its boot. The
+    /// directory keeps no clock: `_now` is kept for callers that pass it.
     pub fn handle_query(
         &mut self,
         query: &DnsMessage,
         _now: SimTime,
         resources_available: bool,
     ) -> (DnsMessage, DirectoryAction) {
-        self.queries_handled += 1;
         let Some(name) = query.queried_name() else {
             return (
                 DnsMessage::error(query, Rcode::ServFail),
@@ -145,33 +123,29 @@ impl DirectoryService {
         };
         let service = &self.config.services[usize::from(ix)];
         let name = service.name.clone();
-        if self.services.contains_key(&name) {
-            return (
-                DnsMessage::answer(query, service.ip, self.config.dns_ttl),
-                DirectoryAction::AlreadyRunning { name },
-            );
-        }
-        if !resources_available {
-            return (
+        // The directory writes nothing to the store, so every name is one
+        // it can launch.
+        let query_input = Input::Query {
+            fits: resources_available,
+            named: true,
+        };
+        let (stage, verdict) =
+            self.stages[usize::from(ix)].step(query_input, self.config.use_synjitsu);
+        self.stages[usize::from(ix)] = stage;
+        match verdict {
+            Verdict::ServFail => (
                 DnsMessage::error(query, Rcode::ServFail),
                 DirectoryAction::ResourceExhausted { name },
-            );
+            ),
+            Verdict::Admit => (
+                DnsMessage::answer(query, service.ip, self.config.dns_ttl),
+                DirectoryAction::Launch { name },
+            ),
+            _ => (
+                DnsMessage::answer(query, service.ip, self.config.dns_ttl),
+                DirectoryAction::AlreadyRunning { name },
+            ),
         }
-        // Launch while simultaneously answering with the (future) address.
-        // The service is marked *launching*, not running: further queries
-        // coalesce onto this boot (AlreadyRunning) instead of double-
-        // launching, and the idle reaper leaves it alone until it is ready.
-        self.launches_triggered += 1;
-        self.services.insert(name.clone(), ServicePhase::Launching);
-        (
-            DnsMessage::answer(query, service.ip, self.config.dns_ttl),
-            DirectoryAction::Launch { name },
-        )
-    }
-
-    /// Counters: `(queries handled, launches triggered)`.
-    pub fn counters(&self) -> (u64, u64) {
-        (self.queries_handled, self.launches_triggered)
     }
 }
 
@@ -216,6 +190,20 @@ mod tests {
         assert_eq!(action, DirectoryAction::None);
     }
 
+    /// The action `dir` takes on a query for `name`, resources permitting.
+    fn action_of(dir: &mut DirectoryService, name: &str) -> DirectoryAction {
+        dir.handle_query(&DnsMessage::query(9, name), SimTime::ZERO, true)
+            .1
+    }
+
+    fn launch(name: &str) -> DirectoryAction {
+        DirectoryAction::Launch { name: name.into() }
+    }
+
+    fn running(name: &str) -> DirectoryAction {
+        DirectoryAction::AlreadyRunning { name: name.into() }
+    }
+
     #[test]
     fn first_query_triggers_launch_and_answers_immediately() {
         let mut dir = DirectoryService::new(config());
@@ -226,18 +214,12 @@ mod tests {
         );
         assert_eq!(resp.rcode, Rcode::NoError);
         assert_eq!(resp.answers[0].addr, Ipv4Addr::new(192, 168, 1, 20));
+        assert_eq!(action, launch("alice.family.name"));
+        // Only alice is launching; bob's first query launches bob.
         assert_eq!(
-            action,
-            DirectoryAction::Launch {
-                name: "alice.family.name".into()
-            }
+            action_of(&mut dir, "bob.family.name"),
+            launch("bob.family.name")
         );
-        assert!(dir.is_running("alice.family.name"));
-        assert_eq!(
-            dir.phase("alice.family.name"),
-            Some(ServicePhase::Launching)
-        );
-        assert_eq!(dir.counters(), (1, 1));
     }
 
     #[test]
@@ -250,51 +232,41 @@ mod tests {
         );
         assert!(matches!(first, DirectoryAction::Launch { .. }));
         // The launch is still in flight (nobody called mark_ready). A second
-        // query must be answered as already-running, not trigger launch #2.
+        // query must be answered as already-running, not trigger launch #2,
+        // even when the host has no room for another launch.
         let (resp, action) = dir.handle_query(
             &DnsMessage::query(2, "alice.family.name"),
             SimTime::from_millis(40),
-            true,
+            false,
         );
         assert_eq!(resp.rcode, Rcode::NoError);
-        assert_eq!(
-            action,
-            DirectoryAction::AlreadyRunning {
-                name: "alice.family.name".into()
-            }
-        );
-        assert_eq!(dir.counters(), (2, 1), "exactly one launch triggered");
-        assert_eq!(
-            dir.phase("alice.family.name"),
-            Some(ServicePhase::Launching)
-        );
+        assert_eq!(action, running("alice.family.name"));
         dir.mark_ready("alice.family.name", SimTime::from_millis(350));
-        assert_eq!(dir.phase("alice.family.name"), Some(ServicePhase::Running));
+        assert_eq!(
+            action_of(&mut dir, "alice.family.name"),
+            running("alice.family.name")
+        );
+        // Stopped, the name launches again from scratch.
         dir.mark_stopped("alice.family.name");
-        assert_eq!(dir.phase("alice.family.name"), None);
+        assert_eq!(
+            action_of(&mut dir, "alice.family.name."),
+            launch("alice.family.name")
+        );
     }
 
     #[test]
     fn repeat_query_does_not_double_launch() {
         let mut dir = DirectoryService::new(config());
-        dir.handle_query(
-            &DnsMessage::query(1, "alice.family.name"),
-            SimTime::ZERO,
-            true,
-        );
-        let (resp, action) = dir.handle_query(
-            &DnsMessage::query(2, "alice.family.name"),
-            SimTime::from_millis(10),
-            true,
-        );
-        assert_eq!(resp.rcode, Rcode::NoError);
-        assert_eq!(
-            action,
-            DirectoryAction::AlreadyRunning {
-                name: "alice.family.name".into()
-            }
-        );
-        assert_eq!(dir.counters(), (2, 1), "only one launch");
+        dir.mark_ready("alice.family.name.", SimTime::ZERO);
+        for id in 1..4 {
+            let (resp, action) = dir.handle_query(
+                &DnsMessage::query(id, "alice.family.name"),
+                SimTime::from_millis(10),
+                true,
+            );
+            assert_eq!(resp.rcode, Rcode::NoError);
+            assert_eq!(action, running("alice.family.name"));
+        }
     }
 
     #[test]
@@ -312,7 +284,11 @@ mod tests {
                 name: "bob.family.name".into()
             }
         );
-        assert!(!dir.is_running("bob.family.name"));
+        // Nothing was launched: with room, the next query launches bob.
+        assert_eq!(
+            action_of(&mut dir, "bob.family.name"),
+            launch("bob.family.name")
+        );
     }
 
     #[test]

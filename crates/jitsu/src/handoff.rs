@@ -152,11 +152,6 @@ pub fn phase(xs: &mut XenStore, key: &Path) -> HandoffPhase {
     .unwrap_or(HandoffPhase::Committed)
 }
 
-/// True if the unikernel should answer packets for this service.
-pub fn unikernel_should_handle(xs: &mut XenStore, key: &Path) -> bool {
-    phase(xs, key) == HandoffPhase::Committed
-}
-
 /// Record (or update) one embryonic connection, Figure 7 style: a
 /// numbered entry with `state`, `tcb` and `packets` keys.
 pub fn record_connection(xs: &mut XenStore, keys: &RecordKeys, tcb: &Tcb) -> XsResult<()> {
@@ -169,13 +164,6 @@ pub fn record_connection(xs: &mut XenStore, keys: &RecordKeys, tcb: &Tcb) -> XsR
         let packets = format!("((data {} bytes))", tcb.buffered.len());
         publish(&keys.packets, packets.as_bytes())
     }
-}
-
-/// Number of connections currently recorded for a service.
-pub fn recorded_connections(xs: &mut XenStore, keys: &HandoffKeys) -> usize {
-    xs.directory(DomId::DOM0, None, &keys.records)
-        .map(|entries| entries.len())
-        .unwrap_or(0)
 }
 
 /// Queue a raw Ethernet frame that arrived while the phase is
@@ -197,13 +185,6 @@ pub fn queue_pending_frame(xs: &mut XenStore, keys: &HandoffKeys, frame: &[u8]) 
         hex_encode(frame).as_bytes(),
     )?;
     Ok(index)
-}
-
-/// Number of frames currently parked for replay.
-pub fn pending_frames(xs: &mut XenStore, keys: &HandoffKeys) -> usize {
-    xs.directory(DomId::DOM0, None, &keys.pending)
-        .map(|entries| entries.len())
-        .unwrap_or(0)
 }
 
 /// Remove and return every parked frame, in arrival order. Called by the
@@ -299,6 +280,11 @@ mod tests {
         HandoffKeys::new(name).unwrap()
     }
 
+    /// The entries of a store directory, none if it is absent.
+    fn entries(xs: &mut XenStore, dir: &Path) -> usize {
+        xs.directory(DomId::DOM0, None, dir).map_or(0, |e| e.len())
+    }
+
     /// Record `tcb` as connection `index`.
     fn record(xs: &mut XenStore, keys: &HandoffKeys, index: u32, tcb: &Tcb) -> XsResult<()> {
         record_connection(xs, &keys.record(index)?, tcb)
@@ -310,16 +296,16 @@ mod tests {
         let k = keys("alice.family.name");
         begin_proxying(&mut xs, &k).unwrap();
         assert_eq!(phase(&mut xs, k.phase()), HandoffPhase::Proxying);
-        assert!(!unikernel_should_handle(&mut xs, k.phase()));
+        assert_ne!(phase(&mut xs, k.phase()), HandoffPhase::Committed);
 
         request_takeover(&mut xs, &k).unwrap();
         assert_eq!(phase(&mut xs, k.phase()), HandoffPhase::Prepare);
         // During prepare, *neither* side answers new packets.
         assert_ne!(phase(&mut xs, k.phase()), HandoffPhase::Proxying);
-        assert!(!unikernel_should_handle(&mut xs, k.phase()));
+        assert_ne!(phase(&mut xs, k.phase()), HandoffPhase::Committed);
 
         commit_phase_only(&mut xs, &k).unwrap();
-        assert!(unikernel_should_handle(&mut xs, k.phase()));
+        assert_eq!(phase(&mut xs, k.phase()), HandoffPhase::Committed);
         assert_ne!(phase(&mut xs, k.phase()), HandoffPhase::Proxying);
     }
 
@@ -333,7 +319,7 @@ mod tests {
         t2.state = TcpState::SynReceived;
         record(&mut xs, &k, 1, &t1).unwrap();
         record(&mut xs, &k, 2, &t2).unwrap();
-        assert_eq!(recorded_connections(&mut xs, &k), 2);
+        assert_eq!(entries(&mut xs, &k.records), 2);
 
         // The store holds Figure 7's structure.
         let state = xs
@@ -358,7 +344,7 @@ mod tests {
         request_takeover(&mut xs, &k).unwrap();
         commit_phase_only(&mut xs, &k).unwrap();
         // Records are gone afterwards.
-        assert_eq!(recorded_connections(&mut xs, &k), 0);
+        assert_eq!(entries(&mut xs, &k.records), 0);
     }
 
     #[test]
@@ -372,7 +358,7 @@ mod tests {
         t.state = TcpState::Established;
         t.buffered = b"data".to_vec();
         record(&mut xs, &k, 1, &t).unwrap();
-        assert_eq!(recorded_connections(&mut xs, &k), 1);
+        assert_eq!(entries(&mut xs, &k.records), 1);
         assert_eq!(stored_tcb(&mut xs, &k, 1), Some(t));
     }
 
@@ -386,7 +372,7 @@ mod tests {
         for i in 0..12u8 {
             queue_pending_frame(&mut xs, &k, &[0xEE, i, i, i]).unwrap();
         }
-        assert_eq!(pending_frames(&mut xs, &k), 12);
+        assert_eq!(entries(&mut xs, &k.pending), 12);
         commit_phase_only(&mut xs, &k).unwrap();
         let frames = drain_pending_frames(&mut xs, &k).unwrap();
         assert_eq!(frames.len(), 12);
@@ -394,7 +380,7 @@ mod tests {
             assert_eq!(frame, &vec![0xEE, i as u8, i as u8, i as u8], "order kept");
         }
         // Drained means gone: a second drain yields nothing.
-        assert_eq!(pending_frames(&mut xs, &k), 0);
+        assert_eq!(entries(&mut xs, &k.pending), 0);
         assert!(drain_pending_frames(&mut xs, &k).unwrap().is_empty());
     }
 
@@ -405,12 +391,12 @@ mod tests {
         begin_proxying(&mut xs, &k).unwrap();
         record(&mut xs, &k, 1, &tcb(51000, b"GET /")).unwrap();
         request_takeover(&mut xs, &k).unwrap();
-        assert_eq!(recorded_connections(&mut xs, &k), 1);
+        assert_eq!(entries(&mut xs, &k.records), 1);
         commit_phase_only(&mut xs, &k).unwrap();
         // Post-commit the store can never show the intermediate state:
         // phase committed *and* records cleared, together.
         assert_eq!(phase(&mut xs, k.phase()), HandoffPhase::Committed);
-        assert_eq!(recorded_connections(&mut xs, &k), 0);
+        assert_eq!(entries(&mut xs, &k.records), 0);
     }
 
     #[test]
@@ -418,10 +404,10 @@ mod tests {
         let mut xs = XenStore::new(EngineKind::JitsuMerge);
         let k = keys("never.summoned");
         assert_eq!(phase(&mut xs, k.phase()), HandoffPhase::Committed);
-        assert!(unikernel_should_handle(&mut xs, k.phase()));
-        assert_eq!(recorded_connections(&mut xs, &k), 0);
+        assert_eq!(phase(&mut xs, k.phase()), HandoffPhase::Committed);
+        assert_eq!(entries(&mut xs, &k.records), 0);
         // Committing with no records is a no-op, not an error.
         commit_phase_only(&mut xs, &k).unwrap();
-        assert_eq!(recorded_connections(&mut xs, &k), 0);
+        assert_eq!(entries(&mut xs, &k.records), 0);
     }
 }

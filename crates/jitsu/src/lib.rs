@@ -6,11 +6,14 @@
 //!
 //! * [`config`] — service configuration: which DNS name maps to which
 //!   unikernel image, external IP and port (§3.3.2);
+//! * [`lifecycle`] — the one decision of a service's lifecycle: a pure step
+//!   from where a service stands and one query or timer to where it stands
+//!   next and what to do (admit, coalesce, serve warm, reap, `SERVFAIL`);
 //! * [`directory`] — the Jitsu directory service standing alone: an
 //!   authoritative DNS responder that returns the address of a running
 //!   unikernel, triggers a launch for a known-but-not-running one, or
-//!   answers `SERVFAIL` when the host is out of resources (jitsud makes the
-//!   same decision from its own per-service records and keeps no directory);
+//!   answers `SERVFAIL` when the host is out of resources, deciding through
+//!   the lifecycle's query step;
 //! * [`launcher`] — summoning and retiring unikernels through the
 //!   (optimised) `xen-sim` toolstack, composing domain construction with the
 //!   guest boot pipeline;
@@ -47,11 +50,12 @@ pub mod directory;
 pub mod fleet;
 pub mod handoff;
 pub mod launcher;
+pub mod lifecycle;
 pub mod synjitsu;
 
 pub use concurrent::{ConcurrentJitsud, JitsuEvent, LifecyclePhase, StormMetrics, StormSim};
 pub use config::{JitsuConfig, ServiceConfig};
-pub use directory::{DirectoryAction, DirectoryService, ServicePhase};
+pub use directory::{DirectoryAction, DirectoryService};
 pub use fleet::{FleetMsg, FleetSim};
 pub use handoff::HandoffPhase;
 pub use launcher::{LaunchOutcome, Launcher};

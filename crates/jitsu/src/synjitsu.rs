@@ -22,7 +22,6 @@ use netstack::iface::{IfaceEvent, Interface};
 use netstack::ipv4::Ipv4Addr;
 use netstack::tcp::Tcb;
 use netstack::FrameBuf;
-use std::borrow::Cow;
 use std::collections::btree_map::{BTreeMap, Entry};
 use xenstore::{Result as XsResult, XenStore};
 
@@ -57,18 +56,12 @@ impl ProxiedService {
 #[derive(Debug, Default)]
 pub struct Synjitsu {
     services: BTreeMap<String, ProxiedService>,
-    syns_intercepted: u64,
 }
 
 impl Synjitsu {
     /// Create the proxy.
     pub fn new() -> Synjitsu {
         Synjitsu::default()
-    }
-
-    /// Number of SYNs intercepted on behalf of booting unikernels.
-    pub fn syns_intercepted(&self) -> u64 {
-        self.syns_intercepted
     }
 
     /// Number of live connections currently proxied for one service (the
@@ -102,20 +95,6 @@ impl Synjitsu {
         Ok(())
     }
 
-    /// The handoff keys of `name`: the ones kept while it is proxied, else
-    /// built for the one call.
-    fn handoff_keys(&self, name: &str) -> XsResult<Cow<'_, HandoffKeys>> {
-        match self.services.get(name) {
-            Some(svc) => Ok(Cow::Borrowed(&svc.keys)),
-            None => HandoffKeys::new(name).map(Cow::Owned),
-        }
-    }
-
-    /// True if Synjitsu is currently proxying the named service.
-    pub fn is_proxying(&self, name: &str) -> bool {
-        self.services.contains_key(name)
-    }
-
     fn record_id(svc: &mut ProxiedService, key: (Ipv4Addr, u16)) -> u32 {
         if let Some(id) = svc.record_ids.get(&key) {
             *id
@@ -143,14 +122,10 @@ impl Synjitsu {
         // replay after `Committed` — dropping it here would break the
         // "only one of them ever handles any given packet" guarantee by
         // turning the phase flip into silent loss.
-        let phase = match self.handoff_keys(name) {
-            Ok(keys) => handoff::phase(xs, keys.phase()),
-            Err(_) => HandoffPhase::Committed,
-        };
         let Some(svc) = self.services.get_mut(name) else {
             return Ok(Vec::new());
         };
-        match phase {
+        match handoff::phase(xs, svc.keys.phase()) {
             HandoffPhase::Prepare => {
                 handoff::queue_pending_frame(xs, &svc.keys, frame)?;
                 return Ok(Vec::new());
@@ -158,11 +133,7 @@ impl Synjitsu {
             HandoffPhase::Proxying => {}
             HandoffPhase::Committed => return Ok(Vec::new()),
         }
-        let before = svc.iface.connection_count();
         let (out, events) = svc.iface.handle_frame(frame);
-        if svc.iface.connection_count() > before {
-            self.syns_intercepted += (svc.iface.connection_count() - before) as u64;
-        }
         // Accumulate any request bytes (the interface surfaces them as
         // events; Synjitsu never answers them — it only buffers).
         for ev in events {
@@ -206,20 +177,6 @@ impl Synjitsu {
         out
     }
 
-    /// Re-snapshot every proxied connection for a service into XenStore.
-    /// [`Synjitsu::handle_frame`] already does this after each frame; this
-    /// is exposed for callers that mutate timing-related state out of band.
-    pub fn snapshot_connections(&mut self, xs: &mut XenStore, name: &str) -> XsResult<usize> {
-        let Some(svc) = self.services.get_mut(name) else {
-            return Ok(0);
-        };
-        let to_record = Self::collect_records(svc);
-        for (id, tcb) in &to_record {
-            svc.record(xs, *id, tcb)?;
-        }
-        Ok(to_record.len())
-    }
-
     /// The current `(record id, TCB)` snapshot for a service, with buffered
     /// request bytes attached — what the proxy serialises over the conduit
     /// vchan during the handoff drain.
@@ -236,9 +193,15 @@ impl Synjitsu {
     /// queue), and Synjitsu flushes the final state of every proxied
     /// connection into the store. Returns the number of flushed records.
     pub fn prepare_handoff(&mut self, xs: &mut XenStore, name: &str) -> XsResult<usize> {
-        let keys = self.handoff_keys(name)?;
-        handoff::request_takeover(xs, &keys)?;
-        self.snapshot_connections(xs, name)
+        let Some(svc) = self.services.get_mut(name) else {
+            return Ok(0);
+        };
+        handoff::request_takeover(xs, &svc.keys)?;
+        let records = Self::collect_records(svc);
+        for (id, tcb) in &records {
+            svc.record(xs, *id, tcb)?;
+        }
+        Ok(records.len())
     }
 
     /// Phase 2: the unikernel — which already drained every record over
@@ -248,11 +211,11 @@ impl Synjitsu {
     /// window for replay. Synjitsu forgets the service — from this point
     /// only the unikernel touches its traffic.
     pub fn commit_handoff(&mut self, xs: &mut XenStore, name: &str) -> XsResult<Vec<FrameBuf>> {
-        let keys = self.handoff_keys(name)?;
-        handoff::commit_phase_only(xs, &keys)?;
-        let pending = handoff::drain_pending_frames(xs, &keys)?;
-        self.services.remove(name);
-        Ok(pending)
+        let Some(svc) = self.services.remove(name) else {
+            return Ok(Vec::new());
+        };
+        handoff::commit_phase_only(xs, &svc.keys)?;
+        handoff::drain_pending_frames(xs, &svc.keys)
     }
 }
 
@@ -277,6 +240,16 @@ mod tests {
         c
     }
 
+    /// The connection records alice's handoff area holds.
+    fn recorded(xs: &mut XenStore) -> usize {
+        xs.directory(
+            xenstore::DomId::DOM0,
+            None,
+            "/conduit/alice_family_name/tcpv4",
+        )
+        .map_or(0, |entries| entries.len())
+    }
+
     /// Pump frames between the client and Synjitsu until quiescent.
     fn pump(
         xs: &mut XenStore,
@@ -294,7 +267,6 @@ mod tests {
             for f in to_proxy.drain(..) {
                 to_client.extend(syn.handle_frame(xs, name, &f).unwrap());
             }
-            syn.snapshot_connections(xs, name).unwrap();
             for f in to_client {
                 let (out, _) = client.handle_frame(&f);
                 to_proxy.extend(out);
@@ -317,7 +289,7 @@ mod tests {
         let mut synjitsu = Synjitsu::new();
         let svc = service();
         synjitsu.start_proxying(&mut xs, &svc).unwrap();
-        assert!(synjitsu.is_proxying(&svc.name));
+        assert!(synjitsu.services.contains_key(&svc.name));
 
         let mut c = client();
         let syn_frame = c.tcp_connect(svc.ip, svc.port);
@@ -329,12 +301,9 @@ mod tests {
             .connection((svc.ip, svc.port), 49152)
             .map(|conn| conn.is_established())
             .unwrap_or(false));
-        assert_eq!(synjitsu.syns_intercepted(), 1);
+        assert_eq!(synjitsu.proxied_connection_count(&svc.name), 1);
         // And the embryonic connection is visible in the store.
-        assert_eq!(
-            handoff::recorded_connections(&mut xs, &HandoffKeys::new(&svc.name).unwrap()),
-            1
-        );
+        assert_eq!(recorded(&mut xs), 1);
     }
 
     #[test]
@@ -358,11 +327,11 @@ mod tests {
         assert_eq!(tcbs[0].local_port, 80);
         assert_eq!(tcbs[0].remote_ip, CLIENT_IP);
         // The proxy has withdrawn.
-        assert!(!synjitsu.is_proxying(&svc.name));
-        assert!(handoff::unikernel_should_handle(
-            &mut xs,
-            &handoff::phase_key(&svc.name).unwrap()
-        ));
+        assert!(!synjitsu.services.contains_key(&svc.name));
+        assert_eq!(
+            handoff::phase(&mut xs, &handoff::phase_key(&svc.name).unwrap()),
+            HandoffPhase::Committed
+        );
     }
 
     #[test]
@@ -405,11 +374,11 @@ mod tests {
         // for the unikernel to replay.
         let pending = synjitsu.commit_handoff(&mut xs, &svc.name).unwrap();
         assert_eq!(pending, vec![racing_syn]);
-        assert!(!synjitsu.is_proxying(&svc.name));
-        assert!(handoff::unikernel_should_handle(
-            &mut xs,
-            &handoff::phase_key(&svc.name).unwrap()
-        ));
+        assert!(!synjitsu.services.contains_key(&svc.name));
+        assert_eq!(
+            handoff::phase(&mut xs, &handoff::phase_key(&svc.name).unwrap()),
+            HandoffPhase::Committed
+        );
     }
 
     /// A one-shot handoff would adopt what the store's Figure 7 mirror
@@ -445,15 +414,12 @@ mod tests {
         assert_eq!(Tcb::from_sexp(&mirrored).as_ref(), Some(tcb));
         let pending = synjitsu.commit_handoff(&mut xs, &svc.name).unwrap();
         assert!(pending.is_empty());
-        assert!(!synjitsu.is_proxying(&svc.name));
-        assert!(handoff::unikernel_should_handle(
-            &mut xs,
-            &handoff::phase_key(&svc.name).unwrap()
-        ));
+        assert!(!synjitsu.services.contains_key(&svc.name));
         assert_eq!(
-            handoff::recorded_connections(&mut xs, &HandoffKeys::new(&svc.name).unwrap()),
-            0
+            handoff::phase(&mut xs, &handoff::phase_key(&svc.name).unwrap()),
+            HandoffPhase::Committed
         );
+        assert_eq!(recorded(&mut xs), 0);
     }
 
     #[test]
@@ -466,8 +432,8 @@ mod tests {
             .handle_frame(&mut xs, "nobody.family.name", &syn_frame)
             .unwrap();
         assert!(out.is_empty());
-        assert!(!synjitsu.is_proxying("nobody.family.name"));
-        assert_eq!(synjitsu.syns_intercepted(), 0);
+        assert!(!synjitsu.services.contains_key("nobody.family.name"));
+        assert_eq!(synjitsu.proxied_connection_count("nobody.family.name"), 0);
     }
 
     #[test]
